@@ -42,10 +42,10 @@ pub struct CompiledSim<'d> {
 }
 
 impl<'d> CompiledSim<'d> {
-    /// Creates the simulator and performs the initial full evaluation. The
-    /// evaluation backend follows `ERASER_EVAL` (tree walker by default).
+    /// Creates the simulator on the tree walker and performs the initial
+    /// full evaluation.
     pub fn new(design: &'d Design) -> Self {
-        Self::with_backend(design, EvalBackend::from_env())
+        Self::build(design, None)
     }
 
     /// Creates the simulator pinned to `backend`.

@@ -25,45 +25,11 @@ impl BatchConfig {
     pub fn enabled() -> Self {
         BatchConfig { enabled: true }
     }
-
-    /// Reads `ERASER_BATCH`: unset, empty or `0` is off, `1` is on.
-    /// Anything else is a configuration error and panics, mirroring the
-    /// `ERASER_EVAL` convention.
-    pub fn from_env() -> Self {
-        match std::env::var("ERASER_BATCH") {
-            Err(_) => Self::disabled(),
-            Ok(v) => Self::parse_env(&v),
-        }
-    }
-
-    /// The `ERASER_BATCH` parsing rule, separated for testability.
-    fn parse_env(value: &str) -> Self {
-        match value.trim() {
-            "" | "0" => Self::disabled(),
-            "1" => Self::enabled(),
-            other => panic!("invalid ERASER_BATCH value {other:?} (expected 0 or 1)"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_rules() {
-        assert!(!BatchConfig::parse_env("").enabled);
-        assert!(!BatchConfig::parse_env("0").enabled);
-        assert!(!BatchConfig::parse_env(" 0 ").enabled);
-        assert!(BatchConfig::parse_env("1").enabled);
-        assert!(BatchConfig::parse_env(" 1 ").enabled);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid ERASER_BATCH")]
-    fn unrecognized_value_panics() {
-        BatchConfig::parse_env("yes");
-    }
 
     #[test]
     fn default_is_disabled() {

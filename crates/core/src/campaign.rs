@@ -14,7 +14,11 @@ use eraser_ir::{BatchProgram, Design, EvalBackend, TapeProgram};
 use eraser_sim::Stimulus;
 use std::time::Instant;
 
-/// Campaign options.
+/// Campaign options. [`Default`] is a constant — full redundancy
+/// elimination, fault dropping on, serial, tree walker, checkpointing /
+/// batching / collapsing off — and reads nothing from the process
+/// environment (environment variables are an input of the `eraser` CLI
+/// only, which writes them into the spec it resolves).
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Redundancy-elimination mode (the ablation axis).
@@ -23,12 +27,11 @@ pub struct CampaignConfig {
     /// commercial tools do. Coverage is unaffected; runtime improves.
     pub drop_detected: bool,
     /// Fault-parallel execution: worker threads and partition strategy.
-    /// The default honors `ERASER_THREADS` / `ERASER_PARTITION`; coverage
-    /// is bit-identical at any thread count.
+    /// Serial by default; coverage is bit-identical at any thread count.
     pub parallel: ParallelConfig,
     /// Expression-evaluation backend: the tree walker (reference oracle)
-    /// or compiled instruction tapes. The default honors `ERASER_EVAL`;
-    /// coverage and redundancy counters are bit-identical on both. For the
+    /// or compiled instruction tapes. The tree walker by default; coverage
+    /// and redundancy counters are bit-identical on both. For the
     /// tape backend the design is lowered once per campaign and the
     /// program is shared across every fault-parallel shard worker.
     pub backend: EvalBackend,
@@ -37,27 +40,27 @@ pub struct CampaignConfig {
     /// [`CheckpointConfig`] and the `twodim` module docs): one
     /// instrumented good run, window-aware shards, and engines that
     /// resume from the latest eligible checkpoint — composing with
-    /// fault-parallel threads instead of excluding them. The default
-    /// honors `ERASER_CKPT` (disabled when unset). Coverage records are
-    /// bit-identical at any interval and thread count; the redundancy
+    /// fault-parallel threads instead of excluding them. Disabled by
+    /// default. Coverage records are bit-identical at any interval and
+    /// thread count; the redundancy
     /// counters are bit-identical across *thread counts* at a fixed
     /// interval (they legitimately shrink versus a non-checkpointed run —
     /// that is the point).
     pub checkpoint: CheckpointConfig,
     /// Bit-parallel fault batching: evaluate up to 64 fault candidates of a
     /// batchable RTL node in one word-parallel pass (PPSFP applied to the
-    /// RTL plane). The default honors `ERASER_BATCH` (disabled when
-    /// unset). Coverage and all semantic counters are bit-identical with
-    /// batching on or off; the batch program is compiled once per campaign
-    /// and shared across every fault-parallel shard worker.
+    /// RTL plane). Disabled by default. Coverage and all semantic counters
+    /// are bit-identical with batching on or off; the batch program is
+    /// compiled once per campaign and shared across every fault-parallel
+    /// shard worker.
     pub batch: BatchConfig,
     /// Static fault collapsing: fold equivalent faults into one
     /// representative and drop provably undetectable sites before any
     /// engine runs, then lift the representative records back over the
-    /// full universe. The default honors `ERASER_COLLAPSE` (disabled when
-    /// unset). Coverage records are bit-identical with collapsing on or
-    /// off; collapsing happens *before* partitioning, so fault-parallel
-    /// campaigns shard the representative list.
+    /// full universe. Disabled by default. Coverage records are
+    /// bit-identical with collapsing on or off; collapsing happens *before*
+    /// partitioning, so fault-parallel campaigns shard the representative
+    /// list.
     pub collapse: CollapseConfig,
 }
 
@@ -67,23 +70,19 @@ impl Default for CampaignConfig {
             mode: RedundancyMode::Full,
             drop_detected: true,
             parallel: ParallelConfig::default(),
-            backend: EvalBackend::from_env(),
-            checkpoint: CheckpointConfig::from_env(),
-            batch: BatchConfig::from_env(),
-            collapse: CollapseConfig::from_env(),
+            backend: EvalBackend::default(),
+            checkpoint: CheckpointConfig::default(),
+            batch: BatchConfig::default(),
+            collapse: CollapseConfig::default(),
         }
     }
 }
 
 impl CampaignConfig {
-    /// The default campaign pinned to strictly serial execution, ignoring
-    /// the environment — the reference configuration for determinism
-    /// checks and scaling baselines.
+    /// The default campaign, named for what determinism checks and
+    /// scaling baselines use it as: the strictly serial reference.
     pub fn serial() -> Self {
-        CampaignConfig {
-            parallel: ParallelConfig::serial(),
-            ..Default::default()
-        }
+        Self::default()
     }
 
     /// The campaign pinned to an explicit evaluation backend.

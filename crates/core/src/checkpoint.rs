@@ -22,12 +22,12 @@
 //! checkpoint-off run — each window group evaluates its own good suffix —
 //! which is the trade `skipped_prefix_steps` quantifies.)
 //!
-//! Configured via `ERASER_CKPT` (settle steps between checkpoints, `0` or
-//! unset = disabled), the CLI's `--checkpoint-interval`, or
-//! [`CampaignConfig::checkpoint`](crate::CampaignConfig).
+//! Configured via [`CampaignConfig::checkpoint`](crate::CampaignConfig)
+//! (spec key `checkpoint_interval`, CLI `--checkpoint-interval`); the
+//! default is disabled.
 
 /// Checkpointing configuration: the good-state snapshot interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckpointConfig {
     /// Settle steps between good-state checkpoints; `0` disables
     /// checkpointing (every fault replays from step 0, the historical
@@ -46,19 +46,6 @@ impl CheckpointConfig {
         CheckpointConfig { interval }
     }
 
-    /// Reads `ERASER_CKPT` (default: disabled). Unparsable values fall
-    /// back to disabled.
-    pub fn from_env() -> Self {
-        Self::parse_env(std::env::var("ERASER_CKPT").ok().as_deref())
-    }
-
-    /// The `ERASER_CKPT` parsing rule, separated for testability.
-    fn parse_env(value: Option<&str>) -> Self {
-        CheckpointConfig {
-            interval: value.and_then(|s| s.trim().parse().ok()).unwrap_or(0),
-        }
-    }
-
     /// True if campaigns under this config take checkpoints.
     pub fn is_enabled(&self) -> bool {
         self.interval > 0
@@ -69,15 +56,6 @@ impl CheckpointConfig {
     /// boundary when enabled).
     pub fn is_boundary(&self, step: usize) -> bool {
         self.interval > 0 && step.is_multiple_of(self.interval)
-    }
-}
-
-/// The default honors the environment (`ERASER_CKPT`), mirroring the
-/// `ERASER_THREADS` / `ERASER_EVAL` convention, so existing drivers gain
-/// the knob without code changes.
-impl Default for CheckpointConfig {
-    fn default() -> Self {
-        CheckpointConfig::from_env()
     }
 }
 
@@ -96,17 +74,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_rules() {
-        assert_eq!(CheckpointConfig::parse_env(None).interval, 0);
-        assert_eq!(CheckpointConfig::parse_env(Some("8")).interval, 8);
-        assert_eq!(CheckpointConfig::parse_env(Some(" 16 ")).interval, 16);
-        assert_eq!(CheckpointConfig::parse_env(Some("0")).interval, 0);
-        assert_eq!(CheckpointConfig::parse_env(Some("nope")).interval, 0);
-    }
-
-    #[test]
     fn boundaries() {
-        let off = CheckpointConfig::disabled();
+        let off = CheckpointConfig::default();
+        assert_eq!(off, CheckpointConfig::disabled());
         assert!(!off.is_enabled());
         assert!(!off.is_boundary(0));
         let on = CheckpointConfig::every(8);

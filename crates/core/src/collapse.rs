@@ -38,25 +38,6 @@ impl CollapseConfig {
     pub fn enabled() -> Self {
         CollapseConfig { enabled: true }
     }
-
-    /// Reads `ERASER_COLLAPSE`: unset, empty or `0` is off, `1` is on.
-    /// Anything else is a configuration error and panics, mirroring the
-    /// `ERASER_EVAL` convention.
-    pub fn from_env() -> Self {
-        match std::env::var("ERASER_COLLAPSE") {
-            Err(_) => Self::disabled(),
-            Ok(v) => Self::parse_env(&v),
-        }
-    }
-
-    /// The `ERASER_COLLAPSE` parsing rule, separated for testability.
-    fn parse_env(value: &str) -> Self {
-        match value.trim() {
-            "" | "0" => Self::disabled(),
-            "1" => Self::enabled(),
-            other => panic!("invalid ERASER_COLLAPSE value {other:?} (expected 0 or 1)"),
-        }
-    }
 }
 
 /// Builds the collapse plan for a campaign, or `None` when the config
@@ -119,21 +100,6 @@ pub fn run_collapsed(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_rules() {
-        assert!(!CollapseConfig::parse_env("").enabled);
-        assert!(!CollapseConfig::parse_env("0").enabled);
-        assert!(!CollapseConfig::parse_env(" 0 ").enabled);
-        assert!(CollapseConfig::parse_env("1").enabled);
-        assert!(CollapseConfig::parse_env(" 1 ").enabled);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid ERASER_COLLAPSE")]
-    fn unrecognized_value_panics() {
-        CollapseConfig::parse_env("yes");
-    }
 
     #[test]
     fn default_is_disabled() {

@@ -12,14 +12,13 @@
 //! [`DiffList::upsert_with`], and expression evaluation runs through the
 //! scratch-arena `eval_expr_into` path.
 
-use crate::batch::BatchConfig;
 use crate::diff::{union_ids_into, DiffList};
 use crate::monitor::RedundancyMonitor;
 use crate::stats::RedundancyStats;
 use crate::RedundancyMode;
 use eraser_fault::{detectable_mismatch, BatchPlan, CoverageReport, Detection, FaultId, FaultList};
 use eraser_ir::{
-    run_batch, run_tape, tapes_for_backend, BatchProgram, BatchRef, BehavioralId, Design, EdgeKind,
+    run_batch, run_tape, tapes_for_backend, BatchProgram, BehavioralId, Design, EdgeKind,
     EvalBackend, EvalScratch, RtlNode, RtlNodeId, Sensitivity, SignalId, TapeProgram, TapeRef,
     TapeScratch, ValueSource,
 };
@@ -211,10 +210,9 @@ pub struct EraserEngine<'d> {
     /// compiled once per campaign and shared by reference across
     /// fault-parallel shard workers, or owned when constructed standalone.
     tapes: Option<TapeRef<'d>>,
-    /// Bit-parallel batch program when fault batching is enabled — like
-    /// `tapes`, compiled once per campaign and shared across shard workers,
-    /// or owned when constructed standalone.
-    batch: Option<BatchRef<'d>>,
+    /// Bit-parallel batch program when fault batching is enabled —
+    /// compiled once per campaign and shared across shard workers.
+    batch: Option<&'d BatchProgram>,
     /// Static `(batch, lane)` fault assignment; present iff `batch` is.
     plan: Option<BatchPlan>,
 
@@ -245,36 +243,15 @@ pub struct EraserEngine<'d> {
     need_sweep: bool,
 }
 
-/// How an [`EngineSession`] chooses the evaluation tapes.
-enum TapeChoice<'d> {
-    /// Follow `ERASER_EVAL` (the historical `new` behavior).
-    Env,
-    /// Pin a backend, compiling a private tape program for
-    /// [`EvalBackend::Tape`].
-    Backend(EvalBackend),
-    /// Execute a shared pre-compiled program (`None` pins the tree walker).
-    Shared(Option<&'d TapeProgram>),
-}
-
-/// How an [`EngineSession`] chooses the bit-parallel batch program.
-enum BatchChoice<'d> {
-    /// Follow `ERASER_BATCH` (compile a private program when set).
-    Env,
-    /// Use a shared pre-compiled program (`None` disables batching).
-    Shared(Option<&'d BatchProgram>),
-}
-
-/// The unified engine constructor: one fluent surface replacing the
-/// historical `new` / `with_backend` / `with_tapes` / `with_programs` /
-/// `with_programs_from` zoo.
+/// The engine constructor: one fluent surface over every axis.
 ///
-/// Obtained from [`EraserEngine::session`]; every axis has a default
-/// matching [`EraserEngine::new`] (mode [`RedundancyMode::Full`], fault
-/// dropping on, backend per `ERASER_EVAL`, batching per `ERASER_BATCH`,
-/// power-on start) and a chainable setter. [`start`](Self::start) builds
-/// the engine and performs the initial evaluation.
+/// Obtained from [`EraserEngine::session`]; every axis has a built-in
+/// default (mode [`RedundancyMode::Full`], fault dropping on, tree
+/// walker, batching off, power-on start) and a chainable setter.
+/// [`start`](Self::start) builds the engine and performs the initial
+/// evaluation.
 ///
-/// ```ignore
+/// ```text
 /// // A campaign shard worker: shared programs, checkpoint resume.
 /// let mut engine = EraserEngine::session(design, &shard.list)
 ///     .mode(config.mode)
@@ -290,8 +267,8 @@ pub struct EngineSession<'d, 's> {
     faults: &'d FaultList,
     mode: RedundancyMode,
     drop_detected: bool,
-    tapes: TapeChoice<'d>,
-    batch: BatchChoice<'d>,
+    tapes: Option<TapeRef<'d>>,
+    batch: Option<&'d BatchProgram>,
     resume: Option<(&'s SimSnapshot, usize)>,
 }
 
@@ -309,9 +286,9 @@ impl<'d, 's> EngineSession<'d, 's> {
     }
 
     /// Pins the evaluation backend, compiling a private tape program for
-    /// [`EvalBackend::Tape`]. Default: follow `ERASER_EVAL`.
+    /// [`EvalBackend::Tape`]. Default: the tree walker.
     pub fn backend(mut self, backend: EvalBackend) -> Self {
-        self.tapes = TapeChoice::Backend(backend);
+        self.tapes = tapes_for_backend(self.design, backend);
         self
     }
 
@@ -319,14 +296,14 @@ impl<'d, 's> EngineSession<'d, 's> {
     /// pins the tree walker) — what the campaign drivers hand every shard
     /// worker so the design is lowered once per campaign.
     pub fn tapes(mut self, tapes: Option<&'d TapeProgram>) -> Self {
-        self.tapes = TapeChoice::Shared(tapes);
+        self.tapes = tapes.map(TapeRef::Shared);
         self
     }
 
     /// Pins bit-parallel fault batching to a shared pre-compiled program
-    /// (`None` disables batching). Default: follow `ERASER_BATCH`.
+    /// (`None`, the default, disables batching).
     pub fn batch(mut self, batch: Option<&'d BatchProgram>) -> Self {
-        self.batch = BatchChoice::Shared(batch);
+        self.batch = batch;
         self
     }
 
@@ -352,31 +329,22 @@ impl<'d, 's> EngineSession<'d, 's> {
 
     /// Builds the engine and performs the initial evaluation.
     pub fn start(self) -> EraserEngine<'d> {
-        let tapes = match self.tapes {
-            TapeChoice::Env => tapes_for_backend(self.design, EvalBackend::from_env()),
-            TapeChoice::Backend(b) => tapes_for_backend(self.design, b),
-            TapeChoice::Shared(t) => t.map(TapeRef::Shared),
-        };
-        let batch = match self.batch {
-            BatchChoice::Env => EraserEngine::batch_from_env(self.design),
-            BatchChoice::Shared(b) => b.map(BatchRef::Shared),
-        };
         EraserEngine::build(
             self.design,
             self.faults,
             self.mode,
             self.drop_detected,
-            tapes,
-            batch,
+            self.tapes,
+            self.batch,
             self.resume,
         )
     }
 }
 
 impl<'d> EraserEngine<'d> {
-    /// Opens the unified engine constructor: an [`EngineSession`] over
-    /// `design` and the fault batch `faults`, with every axis defaulting
-    /// to [`EraserEngine::new`] behavior. Chain setters, then
+    /// Opens the engine constructor: an [`EngineSession`] over `design`
+    /// and the fault batch `faults`, with every axis at its built-in
+    /// default. Chain setters, then
     /// [`start`](EngineSession::start).
     pub fn session<'s>(design: &'d Design, faults: &'d FaultList) -> EngineSession<'d, 's> {
         EngineSession {
@@ -384,130 +352,23 @@ impl<'d> EraserEngine<'d> {
             faults,
             mode: RedundancyMode::Full,
             drop_detected: true,
-            tapes: TapeChoice::Env,
-            batch: BatchChoice::Env,
+            tapes: None,
+            batch: None,
             resume: None,
         }
     }
 
     /// Creates an engine over `design` with the fault batch `faults`, in
-    /// redundancy mode `mode`, and performs the initial evaluation. The
-    /// evaluation backend follows `ERASER_EVAL` (tree walker by default)
-    /// and bit-parallel fault batching follows `ERASER_BATCH` (off by
-    /// default); use [`EraserEngine::session`] to pin them explicitly.
+    /// redundancy mode `mode`, on the tree walker with batching off, and
+    /// performs the initial evaluation; use [`EraserEngine::session`] for
+    /// the other axes.
     pub fn new(
         design: &'d Design,
         faults: &'d FaultList,
         mode: RedundancyMode,
         drop_detected: bool,
     ) -> Self {
-        Self::build(
-            design,
-            faults,
-            mode,
-            drop_detected,
-            tapes_for_backend(design, EvalBackend::from_env()),
-            Self::batch_from_env(design),
-            None,
-        )
-    }
-
-    /// Creates an engine pinned to `backend` (compiling a private tape
-    /// program for [`EvalBackend::Tape`]). Batching follows `ERASER_BATCH`.
-    #[deprecated(note = "use `EraserEngine::session(..).backend(..).start()`")]
-    pub fn with_backend(
-        design: &'d Design,
-        faults: &'d FaultList,
-        mode: RedundancyMode,
-        drop_detected: bool,
-        backend: EvalBackend,
-    ) -> Self {
-        Self::build(
-            design,
-            faults,
-            mode,
-            drop_detected,
-            tapes_for_backend(design, backend),
-            Self::batch_from_env(design),
-            None,
-        )
-    }
-
-    /// Creates an engine on the tape backend executing a shared,
-    /// pre-compiled program. Batching follows `ERASER_BATCH`.
-    #[deprecated(note = "use `EraserEngine::session(..).tapes(Some(..)).start()`")]
-    pub fn with_tapes(
-        design: &'d Design,
-        faults: &'d FaultList,
-        mode: RedundancyMode,
-        drop_detected: bool,
-        tapes: &'d TapeProgram,
-    ) -> Self {
-        Self::build(
-            design,
-            faults,
-            mode,
-            drop_detected,
-            Some(TapeRef::Shared(tapes)),
-            Self::batch_from_env(design),
-            None,
-        )
-    }
-
-    /// Creates an engine with explicit shared programs for both axes: the
-    /// evaluation tapes (`None` pins the tree walker) and the bit-parallel
-    /// batch program (`None` disables batching).
-    #[deprecated(note = "use `EraserEngine::session(..).tapes(..).batch(..).start()`")]
-    pub fn with_programs(
-        design: &'d Design,
-        faults: &'d FaultList,
-        mode: RedundancyMode,
-        drop_detected: bool,
-        tapes: Option<&'d TapeProgram>,
-        batch: Option<&'d BatchProgram>,
-    ) -> Self {
-        Self::build(
-            design,
-            faults,
-            mode,
-            drop_detected,
-            tapes.map(TapeRef::Shared),
-            batch.map(BatchRef::Shared),
-            None,
-        )
-    }
-
-    /// Creates an engine that resumes from a good-state checkpoint; see
-    /// [`EngineSession::resume_from`] for the soundness contract.
-    #[deprecated(note = "use `EraserEngine::session(..).resume_from(..).start()`")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_programs_from(
-        design: &'d Design,
-        faults: &'d FaultList,
-        mode: RedundancyMode,
-        drop_detected: bool,
-        tapes: Option<&'d TapeProgram>,
-        batch: Option<&'d BatchProgram>,
-        snapshot: &SimSnapshot,
-        start_step: usize,
-    ) -> Self {
-        Self::build(
-            design,
-            faults,
-            mode,
-            drop_detected,
-            tapes.map(TapeRef::Shared),
-            batch.map(BatchRef::Shared),
-            Some((snapshot, start_step)),
-        )
-    }
-
-    /// The `ERASER_BATCH`-driven owned batch program of the standalone
-    /// constructors.
-    fn batch_from_env(design: &'d Design) -> Option<BatchRef<'d>> {
-        BatchConfig::from_env()
-            .enabled
-            .then(|| BatchRef::Owned(BatchProgram::compile(design)))
+        Self::build(design, faults, mode, drop_detected, None, None, None)
     }
 
     fn build(
@@ -516,7 +377,7 @@ impl<'d> EraserEngine<'d> {
         mode: RedundancyMode,
         drop_detected: bool,
         tapes: Option<TapeRef<'d>>,
-        batch: Option<BatchRef<'d>>,
+        batch: Option<&'d BatchProgram>,
         resume_from: Option<(&SimSnapshot, usize)>,
     ) -> Self {
         let n_sig = design.num_signals();
@@ -668,13 +529,6 @@ impl<'d> EraserEngine<'d> {
     pub fn run(&mut self, stim: &Stimulus) {
         let at = self.step_index.min(stim.steps.len());
         self.run_steps(&stim.steps[at..]);
-    }
-
-    /// Historical alias of [`run`](Self::run), which now resumes from the
-    /// current step index itself.
-    #[deprecated(note = "`run` now resumes from the current step; call `run`")]
-    pub fn resume(&mut self, stim: &Stimulus) {
-        self.run(stim);
     }
 
     fn run_steps(&mut self, steps: &[Vec<(SignalId, LogicVec)>]) {
@@ -988,10 +842,7 @@ impl<'d> EraserEngine<'d> {
 
         let mut fault_news = ws.take_news();
         let batching = self.batch.is_some();
-        let batch_tape = self
-            .batch
-            .as_ref()
-            .and_then(|b| b.program().rtl(id.index()));
+        let batch_tape = self.batch.and_then(|b| b.rtl(id.index()));
 
         if let (Some(bt), Some(plan)) = (batch_tape, self.plan.as_ref()) {
             // Bit-parallel path. Candidates with a visible input difference

@@ -38,14 +38,13 @@
 //! a scoped-thread worker pool drains the shard queue dynamically
 //! ([`run_sharded`]), and shard results recombine losslessly — merged
 //! coverage is bit-identical to the serial run at any thread count.
-//! [`CampaignConfig::parallel`] drives [`run_campaign`] directly (honoring
-//! `ERASER_THREADS` / `ERASER_PARTITION` by default), and the
-//! [`Parallel`] adapter turns *any* [`FaultSimEngine`] — ERASER or the
+//! [`CampaignConfig::parallel`] drives [`run_campaign`] directly (serial
+//! by default), and the [`Parallel`] adapter turns *any* [`FaultSimEngine`] — ERASER or the
 //! serial baselines — into a fault-parallel engine behind the same trait.
 //!
 //! # Static fault collapsing
 //!
-//! [`CollapseConfig`] (env `ERASER_COLLAPSE`, CLI `--collapse`) prunes the
+//! [`CollapseConfig`] (spec key `collapse`, CLI `--collapse`) prunes the
 //! *structural* axis before a single cycle runs: equivalence classes over
 //! alias/inverter chains fold to one simulated representative each, and
 //! provably undetectable sites (constant-dormant bits, signals with no
@@ -60,8 +59,8 @@
 //!
 //! # Temporal redundancy trimming — and two-dimensional parallelism
 //!
-//! [`CheckpointConfig`] (env `ERASER_CKPT`, CLI `--checkpoint-interval`)
-//! enables checkpointed good-state replay: the good machine runs once
+//! [`CheckpointConfig`] (spec key `checkpoint_interval`, CLI
+//! `--checkpoint-interval`) enables checkpointed good-state replay: the good machine runs once
 //! with an activation probe, snapshots its settled state every N steps,
 //! and each fault starts from the latest checkpoint preceding its
 //! [activation window](eraser_fault::ActivationWindows) — or is skipped
@@ -70,7 +69,7 @@
 //! composes the same trim with fault-parallel sharding via the `twodim`
 //! scheduler: faults group into [`eraser_fault::WindowShard`]s by latest
 //! eligible checkpoint, each shard's *concurrent engine* resumes from
-//! the shared snapshot ([`EraserEngine::with_programs_from`]), and one
+//! the shared snapshot ([`EngineSession::resume_from`]), and one
 //! work queue balances across both dimensions. Combined with fault
 //! dropping ([`CampaignConfig::drop_detected`]) this trims the
 //! *temporal* axis of execution redundancy;

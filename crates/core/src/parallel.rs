@@ -12,8 +12,8 @@
 //!
 //! Three entry points, all zero-dependency (`std::thread::scope`):
 //!
-//! * [`ParallelConfig`] — thread count + [`PartitionStrategy`], read from
-//!   `ERASER_THREADS` / `ERASER_PARTITION` by default, carried inside
+//! * [`ParallelConfig`] — thread count + [`PartitionStrategy`] (serial by
+//!   default), carried inside
 //!   [`CampaignConfig`](crate::CampaignConfig) so every existing driver
 //!   ([`run_campaign`](crate::run_campaign),
 //!   [`CampaignRunner`](crate::CampaignRunner)) parallelizes without new
@@ -52,7 +52,7 @@ pub struct ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// Strictly serial execution (ignores the environment).
+    /// Strictly serial execution — the default.
     pub fn serial() -> Self {
         ParallelConfig {
             threads: 1,
@@ -66,21 +66,6 @@ impl ParallelConfig {
             threads,
             strategy: PartitionStrategy::default(),
         }
-    }
-
-    /// Reads `ERASER_THREADS` (worker count, `0` = auto, default `1`) and
-    /// `ERASER_PARTITION` (strategy name, default `site-affinity`) from the
-    /// environment. Unparsable values fall back to the defaults.
-    pub fn from_env() -> Self {
-        let threads = std::env::var("ERASER_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1);
-        let strategy = std::env::var("ERASER_PARTITION")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_default();
-        ParallelConfig { threads, strategy }
     }
 
     /// The concrete worker count: `threads`, with `0` resolved to the
@@ -109,13 +94,9 @@ impl ParallelConfig {
     }
 }
 
-/// The default configuration honors the environment (`ERASER_THREADS`,
-/// `ERASER_PARTITION`), so `CampaignConfig::default()`-driven campaigns —
-/// tests, examples, report binaries — parallelize via the environment
-/// without code changes.
 impl Default for ParallelConfig {
     fn default() -> Self {
-        ParallelConfig::from_env()
+        ParallelConfig::serial()
     }
 }
 

@@ -1,33 +1,24 @@
 //! `CampaignSpec`: the one serializable campaign description.
 //!
-//! Nine PRs of knobs accreted three parallel configuration surfaces —
-//! `ERASER_*` environment variables with per-type `from_env` readers, CLI
-//! flags, and [`CampaignConfig`] fields — each resolving its defaults
-//! independently. A [`CampaignSpec`] replaces that with a single
-//! serializable struct naming the design, the stimulus, and every
-//! execution knob, consumed uniformly by [`run_campaign`], the `eraser`
-//! CLI, and the campaign service's `POST /campaigns` endpoint.
+//! A [`CampaignSpec`] names the design, the stimulus, and every execution
+//! knob in one serializable struct, consumed uniformly by
+//! [`run_campaign`], the `eraser` CLI, and the campaign service's
+//! `POST /campaigns` endpoint.
 //!
 //! # Precedence
 //!
-//! Every execution knob resolves through exactly one rule, lowest to
-//! highest:
+//! A knob field is an `Option`: `Some` is the campaign's value, `None`
+//! takes the built-in default (serial, tree walker, checkpointing /
+//! batching / collapsing off) when [`resolve`](CampaignSpec::resolve)d.
+//! Resolution is pure — a spec determines its [`CampaignConfig`] by
+//! itself, so a stored spec reproduces its campaign on any host.
 //!
-//! 1. **built-in default** (serial, tree walker, checkpointing / batching
-//!    / collapsing off),
-//! 2. **environment** — the historical `ERASER_THREADS` /
-//!    `ERASER_PARTITION` / `ERASER_EVAL` / `ERASER_CKPT` / `ERASER_BATCH`
-//!    / `ERASER_COLLAPSE` variables,
-//! 3. **CLI flags** — the CLI writes each given flag into the spec's
-//!    corresponding field *if the spec file left it unset*,
-//! 4. **explicit spec fields** — a field present in a spec file (or set
-//!    through the builder) always wins.
-//!
-//! Mechanically, steps 3–4 are the same thing: a knob field is an
-//! `Option`, `None` means "fall through to the environment" and
-//! [`resolve`](CampaignSpec::resolve) implements exactly that fall-through
-//! once, in one place. The CLI merges flags only into `None` fields, which
-//! yields the env → CLI → spec order above.
+//! Other configuration sources exist only at the `eraser` CLI's edge and
+//! reach a campaign by being written into the spec before it is resolved:
+//! the CLI fills each field the spec file left unset from its flag, then
+//! from the process environment. That yields the documented order
+//! default < environment < flag < explicit spec field with this module
+//! knowing nothing of flags or environments.
 //!
 //! # JSON
 //!
@@ -54,6 +45,8 @@
 use crate::batch::BatchConfig;
 use crate::campaign::CampaignConfig;
 use crate::checkpoint::CheckpointConfig;
+use crate::collapse::CollapseConfig;
+use crate::parallel::ParallelConfig;
 use crate::RedundancyMode;
 use eraser_fault::PartitionStrategy;
 use eraser_ir::EvalBackend;
@@ -122,8 +115,7 @@ impl std::error::Error for SpecError {}
 /// execution knob. See the [module docs](self) for the precedence rule
 /// and the JSON schema.
 ///
-/// Knob fields are `Option`s: `None` falls through to the corresponding
-/// `ERASER_*` environment variable (and its built-in default) when
+/// Knob fields are `Option`s: `None` takes the built-in default when
 /// [`resolve`](Self::resolve)d; `Some` always wins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
@@ -147,25 +139,25 @@ pub struct CampaignSpec {
     pub drop_detected: bool,
     /// Cap the generated fault universe.
     pub max_faults: Option<usize>,
-    /// Worker threads (`0` = one per hardware thread). `None`: env.
+    /// Worker threads (`0` = one per hardware thread). `None`: 1.
     pub threads: Option<usize>,
-    /// Fault-sharding strategy. `None`: env.
+    /// Fault-sharding strategy. `None`: site-affinity.
     pub partition: Option<PartitionStrategy>,
-    /// Expression-evaluation backend. `None`: env.
+    /// Expression-evaluation backend. `None`: the tree walker.
     pub backend: Option<EvalBackend>,
-    /// Good-state checkpoint interval (`0` disables). `None`: env.
+    /// Good-state checkpoint interval (`0` disables). `None`: off.
     pub checkpoint_interval: Option<usize>,
-    /// Bit-parallel fault batching. `None`: env.
+    /// Bit-parallel fault batching. `None`: off.
     pub batch: Option<bool>,
-    /// Static fault collapsing. `None`: env.
+    /// Static fault collapsing. `None`: off.
     pub collapse: Option<bool>,
 }
 
 impl CampaignSpec {
     /// A spec over `design` with every other field at its unset default:
     /// seed 1, source-default stimulus length, full redundancy
-    /// elimination, fault dropping on, and every knob falling through to
-    /// the environment.
+    /// elimination, fault dropping on, and every knob at its built-in
+    /// default.
     pub fn new(design: DesignRef) -> Self {
         CampaignSpec {
             design,
@@ -285,47 +277,29 @@ impl CampaignSpec {
         self
     }
 
-    /// Resolves the execution knobs into a [`CampaignConfig`] — the one
-    /// implementation of the spec > env > default precedence rule (see
-    /// the [module docs](self)). Every `Some` field wins outright; every
-    /// `None` field reads its historical `ERASER_*` variable exactly as
-    /// pre-spec code did ([`CampaignConfig::default`] is the env reader).
+    /// Resolves the execution knobs into a [`CampaignConfig`]: every
+    /// `Some` field as given, every `None` field at
+    /// [`CampaignConfig::default`]'s constant. Pure — no environment read
+    /// (see the [module docs](self)).
     pub fn resolve(&self) -> CampaignConfig {
-        self.resolve_with(CampaignConfig::default())
-    }
-
-    /// [`resolve`](Self::resolve) against an explicit fallback config
-    /// instead of the environment: every `None` knob field takes
-    /// `fallback`'s value. `fallback.mode` and `fallback.drop_detected`
-    /// are ignored — the spec always carries both. Pure (no environment
-    /// reads), which is what makes the precedence rule unit-testable.
-    pub fn resolve_with(&self, fallback: CampaignConfig) -> CampaignConfig {
-        let mut parallel = fallback.parallel;
-        if let Some(t) = self.threads {
-            parallel.threads = t;
-        }
-        if let Some(s) = self.partition {
-            parallel.strategy = s;
-        }
+        let default = CampaignConfig::default();
         CampaignConfig {
             mode: self.mode,
             drop_detected: self.drop_detected,
-            parallel,
-            backend: self.backend.unwrap_or(fallback.backend),
+            parallel: ParallelConfig {
+                threads: self.threads.unwrap_or(default.parallel.threads),
+                strategy: self.partition.unwrap_or(default.parallel.strategy),
+            },
+            backend: self.backend.unwrap_or(default.backend),
             checkpoint: self
                 .checkpoint_interval
-                .map(CheckpointConfig::every)
-                .unwrap_or(fallback.checkpoint),
-            batch: match self.batch {
-                Some(true) => BatchConfig::enabled(),
-                Some(false) => BatchConfig::disabled(),
-                None => fallback.batch,
-            },
-            collapse: match self.collapse {
-                Some(true) => crate::CollapseConfig::enabled(),
-                Some(false) => crate::CollapseConfig::disabled(),
-                None => fallback.collapse,
-            },
+                .map_or(default.checkpoint, CheckpointConfig::every),
+            batch: self
+                .batch
+                .map_or(default.batch, |enabled| BatchConfig { enabled }),
+            collapse: self
+                .collapse
+                .map_or(default.collapse, |enabled| CollapseConfig { enabled }),
         }
     }
 
@@ -489,29 +463,6 @@ fn want_usize(key: &str, v: &JsonValue) -> Result<usize, SpecError> {
 mod tests {
     use super::*;
 
-    use crate::{CollapseConfig, ParallelConfig};
-
-    /// A fallback standing in for a populated environment — what
-    /// `CampaignConfig::default()` would read with `ERASER_THREADS=7`,
-    /// `ERASER_PARTITION=round-robin`, `ERASER_EVAL=tape`,
-    /// `ERASER_CKPT=16` and `ERASER_BATCH=1` set. Constructed directly so
-    /// tests never mutate process-global env vars (cargo runs tests
-    /// concurrently in one process).
-    fn env_like_fallback() -> CampaignConfig {
-        CampaignConfig {
-            mode: RedundancyMode::Full,
-            drop_detected: true,
-            parallel: ParallelConfig {
-                threads: 7,
-                strategy: PartitionStrategy::RoundRobin,
-            },
-            backend: EvalBackend::Tape,
-            checkpoint: CheckpointConfig::every(16),
-            batch: BatchConfig::enabled(),
-            collapse: CollapseConfig::disabled(),
-        }
-    }
-
     #[test]
     fn round_trips_through_json() {
         let spec = CampaignSpec::fixture("mac16_gate")
@@ -556,35 +507,42 @@ mod tests {
     }
 
     #[test]
-    fn explicit_fields_override_environment() {
-        let spec = CampaignSpec::benchmark("APB")
+    fn explicit_fields_override_defaults() {
+        let cfg = CampaignSpec::benchmark("APB")
+            .mode(RedundancyMode::Explicit)
+            .drop_detected(false)
             .threads(2)
-            .backend(EvalBackend::Tree)
-            .checkpoint_interval(0)
-            .batch(false)
-            .collapse(true);
-        let cfg = spec.resolve_with(env_like_fallback());
+            .partition(PartitionStrategy::RoundRobin)
+            .backend(EvalBackend::Tape)
+            .checkpoint_interval(16)
+            .batch(true)
+            .collapse(true)
+            .resolve();
+        assert_eq!(cfg.mode, RedundancyMode::Explicit);
+        assert!(!cfg.drop_detected);
         assert_eq!(cfg.parallel.threads, 2);
-        assert_eq!(cfg.backend, EvalBackend::Tree);
-        assert!(!cfg.checkpoint.is_enabled());
-        assert!(!cfg.batch.enabled);
-        assert!(cfg.collapse.enabled);
-        // The partition field was left unset — it alone falls through.
         assert_eq!(cfg.parallel.strategy, PartitionStrategy::RoundRobin);
+        assert_eq!(cfg.backend, EvalBackend::Tape);
+        assert_eq!(cfg.checkpoint.interval, 16);
+        assert!(cfg.batch.enabled);
+        assert!(cfg.collapse.enabled);
     }
 
     #[test]
-    fn unset_fields_fall_through_to_environment() {
-        let cfg = CampaignSpec::benchmark("APB").resolve_with(env_like_fallback());
-        assert_eq!(cfg.parallel.threads, 7);
-        assert_eq!(cfg.parallel.strategy, PartitionStrategy::RoundRobin);
-        assert_eq!(cfg.checkpoint.interval, 16);
-        assert_eq!(cfg.backend, EvalBackend::Tape);
-        assert!(cfg.batch.enabled);
-        assert!(!cfg.collapse.enabled);
-        // The spec's own non-optional fields still come from the spec.
+    fn unset_fields_resolve_to_builtin_defaults() {
+        let cfg = CampaignSpec::benchmark("APB").resolve();
         assert_eq!(cfg.mode, RedundancyMode::Full);
         assert!(cfg.drop_detected);
+        assert_eq!(cfg.parallel.threads, 1);
+        assert_eq!(cfg.parallel.strategy, PartitionStrategy::SiteAffinity);
+        assert_eq!(cfg.backend, EvalBackend::Tree);
+        assert!(!cfg.checkpoint.is_enabled());
+        assert!(!cfg.batch.enabled);
+        assert!(!cfg.collapse.enabled);
+        assert_eq!(
+            format!("{cfg:?}"),
+            format!("{:?}", CampaignConfig::default())
+        );
     }
 
     #[test]

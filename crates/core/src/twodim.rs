@@ -1,8 +1,8 @@
 //! Two-dimensional parallelism: the composed checkpointed + fault-parallel
 //! campaign path.
 //!
-//! Fault-parallel sharding (PR fig8) and checkpointed activation-window
-//! starts (fig9) used to be either/or: the concurrent engines were
+//! Fault-parallel sharding and checkpointed activation-window starts
+//! used to be either/or: the concurrent engines were
 //! documented checkpoint-transparent, so turning on threads silently
 //! forfeited every skipped prefix step. This module schedules both
 //! dimensions as one resource-allocation problem, RIROS-style:

@@ -5,7 +5,7 @@
 //! simulation hot path — good-simulator stepping, the serial ERASER engine
 //! (both driven step by step and through the full [`EraserEngine::run`]
 //! campaign loop), and the per-worker engines of a 2-way fault-parallel
-//! campaign (what each `ERASER_THREADS=2` worker executes) — performs
+//! campaign (what each worker of a two-thread campaign executes) — performs
 //! **zero** heap allocations, on **both** evaluation backends (tree walker
 //! and compiled tapes). APB's signals all fit in 64 bits, so `LogicVec`
 //! values stay inline and any allocation would come from a missing
@@ -246,7 +246,7 @@ fn wide_design_steady_state_is_allocation_free() {
 }
 
 fn two_way_sharded_workers_are_allocation_free_in_steady_state() {
-    // The per-worker hot loop of an ERASER_THREADS=2 campaign: each worker
+    // The per-worker hot loop of a two-thread campaign: each worker
     // owns one site-affinity shard and steps its own engine. Thread spawn
     // and result merging are per-campaign setup, not steady state, so the
     // guard drives both shard engines directly. On the tape backend the

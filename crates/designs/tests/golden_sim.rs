@@ -1,10 +1,14 @@
 //! Validates the good simulation of the datapath benchmarks against their
 //! software golden models — the correctness anchor for every engine (all
-//! fault simulators share the same evaluation machinery).
+//! fault simulators share the same evaluation machinery), on both
+//! evaluation backends.
 
 use eraser_designs::{golden, Benchmark, Lcg};
+use eraser_ir::EvalBackend;
 use eraser_logic::LogicVec;
 use eraser_sim::Simulator;
+
+const BACKENDS: [EvalBackend; 2] = [EvalBackend::Tree, EvalBackend::Tape];
 
 fn v(w: u32, x: u64) -> LogicVec {
     LogicVec::from_u64(w, x)
@@ -12,6 +16,10 @@ fn v(w: u32, x: u64) -> LogicVec {
 
 #[test]
 fn alu64_matches_golden() {
+    BACKENDS.into_iter().for_each(check_alu64);
+}
+
+fn check_alu64(backend: EvalBackend) {
     let d = Benchmark::Alu64.build();
     let clk = d.find_signal("clk").unwrap();
     let rst = d.find_signal("rst").unwrap();
@@ -26,7 +34,7 @@ fn alu64_matches_golden() {
         d.find_signal("zero").unwrap(),
         d.find_signal("carry").unwrap(),
     );
-    let mut sim = Simulator::new(&d);
+    let mut sim = Simulator::with_backend(&d, backend);
     sim.set_input(rst, &v(1, 1));
     sim.set_input(start, &v(1, 0));
     sim.clock_cycle(clk);
@@ -62,6 +70,10 @@ fn alu64_matches_golden() {
 
 #[test]
 fn fpu32_matches_golden() {
+    BACKENDS.into_iter().for_each(check_fpu32);
+}
+
+fn check_fpu32(backend: EvalBackend) {
     let d = Benchmark::Fpu32.build();
     let clk = d.find_signal("clk").unwrap();
     let rst = d.find_signal("rst").unwrap();
@@ -72,7 +84,7 @@ fn fpu32_matches_golden() {
         d.find_signal("start").unwrap(),
     );
     let z = d.find_signal("z").unwrap();
-    let mut sim = Simulator::new(&d);
+    let mut sim = Simulator::with_backend(&d, backend);
     sim.set_input(rst, &v(1, 1));
     sim.set_input(start, &v(1, 0));
     sim.clock_cycle(clk);
@@ -107,7 +119,7 @@ fn fpu32_matches_golden() {
     }
 }
 
-fn check_sha(bench: Benchmark) {
+fn check_sha(bench: Benchmark, backend: EvalBackend) {
     let d = bench.build();
     let clk = d.find_signal("clk").unwrap();
     let rst = d.find_signal("rst").unwrap();
@@ -115,7 +127,7 @@ fn check_sha(bench: Benchmark) {
     let block = d.find_signal("block_in").unwrap();
     let digest = d.find_signal("digest").unwrap();
     let done = d.find_signal("done").unwrap();
-    let mut sim = Simulator::new(&d);
+    let mut sim = Simulator::with_backend(&d, backend);
     sim.set_input(rst, &v(1, 1));
     sim.set_input(start, &v(1, 0));
     sim.clock_cycle(clk);
@@ -161,16 +173,24 @@ fn check_sha(bench: Benchmark) {
 
 #[test]
 fn sha256_hv_matches_golden() {
-    check_sha(Benchmark::Sha256Hv);
+    for backend in BACKENDS {
+        check_sha(Benchmark::Sha256Hv, backend);
+    }
 }
 
 #[test]
 fn sha256_c2v_matches_golden() {
-    check_sha(Benchmark::Sha256C2v);
+    for backend in BACKENDS {
+        check_sha(Benchmark::Sha256C2v, backend);
+    }
 }
 
 #[test]
 fn conv_acc_matches_golden() {
+    BACKENDS.into_iter().for_each(check_conv_acc);
+}
+
+fn check_conv_acc(backend: EvalBackend) {
     let d = Benchmark::ConvAcc.build();
     let clk = d.find_signal("clk").unwrap();
     let rst = d.find_signal("rst").unwrap();
@@ -198,7 +218,7 @@ fn conv_acc_matches_golden() {
         }
         x
     };
-    let mut sim = Simulator::new(&d);
+    let mut sim = Simulator::with_backend(&d, backend);
     sim.set_input(rst, &v(1, 1));
     sim.set_input(load_w, &v(1, 0));
     sim.set_input(valid_in, &v(1, 0));

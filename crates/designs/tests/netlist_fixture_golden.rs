@@ -3,11 +3,14 @@
 //! Each fixture is imported, driven with its deterministic stimulus, and
 //! compared cycle-by-cycle against a software reference model — proving
 //! the importer's cell mapping (simple gates, muxes with constant bits,
-//! flops) preserves function, not just structure.
+//! flops) preserves function, not just structure — on both evaluation
+//! backends.
 
 use eraser_designs::netlist_fixtures;
-use eraser_ir::SignalId;
+use eraser_ir::{EvalBackend, SignalId};
 use eraser_sim::Simulator;
+
+const BACKENDS: [EvalBackend; 2] = [EvalBackend::Tree, EvalBackend::Tape];
 
 fn sig(d: &eraser_ir::Design, name: &str) -> SignalId {
     d.find_signal(name)
@@ -16,12 +19,16 @@ fn sig(d: &eraser_ir::Design, name: &str) -> SignalId {
 
 #[test]
 fn counter8_gate_matches_golden_model() {
+    BACKENDS.into_iter().for_each(check_counter8_gate);
+}
+
+fn check_counter8_gate(backend: EvalBackend) {
     let fixtures = netlist_fixtures();
     let src = &fixtures[0];
     let d = src.design();
     let (rst, en, q, tc) = (sig(d, "rst"), sig(d, "en"), sig(d, "q"), sig(d, "tc"));
     let stim = src.stimulus();
-    let mut sim = Simulator::new(d);
+    let mut sim = Simulator::with_backend(d, backend);
 
     // q' = rst ? 0 : (en ? q+1 : q); tc = &q. State is unknown until the
     // first reset cycle lands.
@@ -67,13 +74,17 @@ fn counter8_gate_matches_golden_model() {
 
 #[test]
 fn mac16_gate_matches_golden_model() {
+    BACKENDS.into_iter().for_each(check_mac16_gate);
+}
+
+fn check_mac16_gate(backend: EvalBackend) {
     let fixtures = netlist_fixtures();
     let src = &fixtures[1];
     let d = src.design();
     let (rst, en) = (sig(d, "rst"), sig(d, "en"));
     let (lfsr, acc, parity) = (sig(d, "lfsr"), sig(d, "acc"), sig(d, "parity"));
     let stim = src.stimulus();
-    let mut sim = Simulator::new(d);
+    let mut sim = Simulator::with_backend(d, backend);
 
     // lfsr' = rst ? 1 : {lfsr[14:0], fb} with fb = l15^l14^l12^l3;
     // acc' = rst ? 0 : acc + (en ? lfsr : 0); parity = ^acc.

@@ -143,28 +143,6 @@ impl BatchProgram {
     }
 }
 
-/// An owned-or-shared reference to a [`BatchProgram`], mirroring
-/// [`TapeRef`](crate::tape::TapeRef): fault-parallel shards share one
-/// compiled program, serial engines own theirs.
-#[derive(Debug)]
-pub enum BatchRef<'d> {
-    /// Engine-owned program.
-    Owned(BatchProgram),
-    /// Program shared across engines (fault-parallel workers).
-    Shared(&'d BatchProgram),
-}
-
-impl BatchRef<'_> {
-    /// The referenced program.
-    #[inline]
-    pub fn program(&self) -> &BatchProgram {
-        match self {
-            BatchRef::Owned(p) => p,
-            BatchRef::Shared(p) => p,
-        }
-    }
-}
-
 // ---- word-parallel kernels ----
 
 /// Mask of lanes with any unknown (`X`/`Z`) bit anywhere in the value.

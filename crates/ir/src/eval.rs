@@ -17,8 +17,7 @@
 //! [`eval_expr`] is the pure convenience wrapper (fresh scratch and output
 //! per call); [`eval_expr_cloning`] is the frozen pre-change evaluator —
 //! clone per signal read, fresh `LogicVec` per AST node — kept as the
-//! reference oracle for property tests and as the baseline the
-//! `fig7_hotpath` report measures against.
+//! reference oracle for property tests.
 
 use crate::expr::{BinaryOp, Expr, UnaryOp};
 use crate::ids::SignalId;
@@ -404,10 +403,9 @@ pub fn eval_binary(op: BinaryOp, lv: &LogicVec, rv: &LogicVec) -> LogicVec {
 /// The frozen pre-change evaluator: one clone per signal read, one fresh
 /// [`LogicVec`] per AST node.
 ///
-/// Kept verbatim as (a) the oracle that property tests compare
-/// [`eval_expr_into`] against, and (b) the "before" cost model that the
-/// `fig7_hotpath` report binary measures the zero-allocation core against.
-/// Not used by any engine.
+/// Kept verbatim as the oracle that property tests compare
+/// [`eval_expr_into`] and the tape backend against. Not used by any
+/// engine.
 pub fn eval_expr_cloning<S: ValueSource + ?Sized>(expr: &Expr, src: &S) -> LogicVec {
     match expr {
         Expr::Const(v) => v.clone(),

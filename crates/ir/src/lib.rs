@@ -31,7 +31,7 @@ pub mod stmt;
 pub mod tape;
 pub mod vdg;
 
-pub use batch::{run_batch, BatchProgram, BatchRef, BatchTape};
+pub use batch::{run_batch, BatchProgram, BatchTape};
 pub use design::{
     BuildError, CombItem, Design, DesignBuilder, Driver, PortDir, Signal, SignalKind,
 };

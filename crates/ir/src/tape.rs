@@ -32,7 +32,7 @@
 //! every behavioral body's right-hand sides, lvalue indices and branch
 //! decisions — once; the program is immutable and shared by reference
 //! across fault-parallel shard workers. [`EvalBackend`] is the user-facing
-//! knob (`ERASER_EVAL=tree|tape`); the tree walker remains the
+//! knob (`tree` | `tape`, tree by default); the tree walker remains the
 //! differential-testing oracle, and both backends are bit-identical on
 //! every expression (see the `tape_parity` property suite).
 
@@ -53,25 +53,6 @@ pub enum EvalBackend {
     Tree,
     /// Execute pre-compiled instruction tapes ([`EvalTape`]).
     Tape,
-}
-
-impl EvalBackend {
-    /// Reads the backend from the `ERASER_EVAL` environment variable
-    /// (`tree` or `tape`, case-insensitive; unset or empty means `tree`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value — a configuration typo must never
-    /// silently select a different backend.
-    pub fn from_env() -> Self {
-        match std::env::var("ERASER_EVAL") {
-            Err(_) => EvalBackend::Tree,
-            Ok(v) if v.is_empty() => EvalBackend::Tree,
-            Ok(v) => v
-                .parse()
-                .unwrap_or_else(|e| panic!("invalid ERASER_EVAL: {e}")),
-        }
-    }
 }
 
 impl std::fmt::Display for EvalBackend {

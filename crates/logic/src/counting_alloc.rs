@@ -1,8 +1,8 @@
 //! A heap-allocation-counting global allocator (feature `alloc-count`).
 //!
-//! Used by the steady-state allocation guards and the `fig7_hotpath` report
-//! binary to assert that the simulation hot path performs **zero** heap
-//! allocations after warm-up. Register it in a test or binary crate root:
+//! Used by the steady-state allocation guards to assert that the
+//! simulation hot path performs **zero** heap allocations after warm-up.
+//! Register it in a test or binary crate root:
 //!
 //! ```text
 //! use eraser_logic::counting_alloc::CountingAlloc;

@@ -1,7 +1,7 @@
 //! Minimal order-preserving JSON parser and serializer.
 //!
-//! Zero-dependency by project rule. Unlike the flat record reader in
-//! `eraser-bench`, this parser keeps object keys in **document order**
+//! Zero-dependency by project rule, and the workspace's only JSON
+//! implementation. The parser keeps object keys in **document order**
 //! (Yosys port order is declaration order, which becomes the design's
 //! input/output order) and reports syntax errors with a 1-based
 //! line/column so a truncated or hand-edited netlist fails legibly.

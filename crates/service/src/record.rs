@@ -22,8 +22,9 @@ use std::time::Duration;
 pub struct CampaignRecord {
     /// The service-assigned campaign id (`"c1"`, `"c2"`, ...).
     pub id: String,
-    /// The spec the campaign ran under (as submitted, before env/CLI
-    /// fall-through).
+    /// The spec the campaign ran under, as submitted. It determines the
+    /// campaign's config by itself ([`CampaignSpec::resolve`] is pure), so
+    /// the record says everything the run depended on.
     pub spec: CampaignSpec,
     /// The resolved design name (benchmark table name, fixture module
     /// name, or the file's module name).

@@ -103,23 +103,17 @@ fn http_campaigns_match_direct_library_calls() {
     assert_eq!(status, 200);
     assert!(body.contains("ok"));
 
-    // Pin every knob so the service worker and the direct call resolve
-    // the identical config regardless of ERASER_* in the environment.
+    // One campaign per path: checkpointed serial tree walker, and
+    // threaded batched tape on a netlist.
     let apb = CampaignSpec::benchmark("APB")
         .steps(40)
-        .threads(1)
-        .backend(eraser_core::EvalBackend::Tree)
-        .checkpoint_interval(8)
-        .batch(false)
-        .collapse(false);
+        .checkpoint_interval(8);
     let mac = CampaignSpec::fixture("mac16_gate")
         .seed(0x3a6)
         .steps(60)
         .threads(2)
         .backend(eraser_core::EvalBackend::Tape)
-        .checkpoint_interval(0)
-        .batch(true)
-        .collapse(false);
+        .batch(true);
 
     let apb_id = submit(addr, &apb);
     let mac_id = submit(addr, &mac);

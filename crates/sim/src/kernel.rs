@@ -82,11 +82,10 @@ pub struct Simulator<'d> {
 
 impl<'d> Simulator<'d> {
     /// Creates a simulator with all signals at `X` and performs the initial
-    /// evaluation (constants and combinational logic settle). The
-    /// evaluation backend follows `ERASER_EVAL` (tree walker by default);
-    /// use [`Simulator::with_backend`] to pin one explicitly.
+    /// evaluation (constants and combinational logic settle), on the
+    /// tree walker; use [`Simulator::with_backend`] for the tape backend.
     pub fn new(design: &'d Design) -> Self {
-        Self::with_backend(design, EvalBackend::from_env())
+        Self::build(design, None)
     }
 
     /// Creates a simulator pinned to `backend` (compiling a private tape

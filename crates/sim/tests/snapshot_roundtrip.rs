@@ -173,10 +173,16 @@ fn restored_run_matches_suffix_of_full_run() {
 
 #[test]
 fn forces_are_part_of_the_snapshot() {
+    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
+        check_forces_are_part_of_the_snapshot(backend);
+    }
+}
+
+fn check_forces_are_part_of_the_snapshot(backend: EvalBackend) {
     let design = compile(DESIGNS[0], None).unwrap();
     let acc = design.find_signal("acc").unwrap();
     let steps = random_steps(&design, 7, 8);
-    let mut sim = Simulator::new(&design);
+    let mut sim = Simulator::with_backend(&design, backend);
     for step in &steps[..6] {
         sim.replay_step(step);
     }
@@ -186,7 +192,7 @@ fn forces_are_part_of_the_snapshot() {
     sim.force_bit(acc, 0, eraser_logic::LogicBit::One);
     assert_eq!(sim.value(acc).bit_or_x(0), eraser_logic::LogicBit::One);
     sim.restore_from(&snap);
-    let mut twin = Simulator::new(&design);
+    let mut twin = Simulator::with_backend(&design, backend);
     for step in &steps[..6] {
         twin.replay_step(step);
     }
@@ -194,7 +200,7 @@ fn forces_are_part_of_the_snapshot() {
     // Conversely, a snapshot taken *with* a force restores the force.
     sim.force_bit(acc, 1, eraser_logic::LogicBit::Zero);
     sim.capture_into(&mut snap);
-    let mut other = Simulator::new(&design);
+    let mut other = Simulator::with_backend(&design, backend);
     other.restore_from(&snap);
     for step in &steps[6..] {
         sim.replay_step(step);

@@ -1,10 +1,7 @@
 //! Quickstart: compile a small Verilog design, generate stuck-at faults,
 //! run an ERASER fault-simulation campaign and print the coverage.
 //!
-//! Run with `cargo run --release --example quickstart`. Set
-//! `ERASER_THREADS=4` (and optionally `ERASER_PARTITION`) to run the
-//! campaign fault-parallel — coverage is bit-identical at any thread
-//! count.
+//! Run with `cargo run --release --example quickstart`.
 
 use eraser::core::{run_campaign, CampaignConfig, RedundancyMode};
 use eraser::fault::{generate_faults, FaultListConfig};
@@ -74,16 +71,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Run the full ERASER engine (explicit + implicit redundancy
-    // elimination, fault dropping on detection). The default config honors
-    // ERASER_THREADS / ERASER_PARTITION for fault-parallel execution.
+    // elimination, fault dropping on detection). The default config is
+    // serial; set `parallel: ParallelConfig::with_threads(4)` to run
+    // fault-parallel — coverage is bit-identical at any thread count.
     let config = CampaignConfig {
         mode: RedundancyMode::Full,
         drop_detected: true,
         ..Default::default()
     };
-    if config.parallel.is_parallel() {
-        println!("running fault-parallel: {}", config.parallel);
-    }
     let result = run_campaign(&design, &faults, &sb.finish(), &config);
     println!("coverage: {}", result.coverage);
     println!(

@@ -53,10 +53,8 @@
 //! [partitioned](fault::FaultList::partition) into disjoint shards, a
 //! scoped-thread pool drains the shard queue, and the merged coverage is
 //! **bit-identical** to the serial run at any thread count. Set
-//! [`CampaignConfig::parallel`](core::CampaignConfig) (or the
-//! `ERASER_THREADS` / `ERASER_PARTITION` environment variables, which the
-//! default config honors), or wrap any engine in
-//! [`core::Parallel`]:
+//! [`CampaignConfig::parallel`](core::CampaignConfig) (serial by
+//! default), or wrap any engine in [`core::Parallel`]:
 //!
 //! ```
 //! use eraser::core::{run_campaign, CampaignConfig, ParallelConfig};

@@ -19,16 +19,19 @@
 //! eraser serve [--addr A] [--workers N] [--queue N] [--store S]
 //! ```
 //!
-//! Every knob resolves through one precedence rule, lowest to highest:
-//! built-in default < `ERASER_*` environment < CLI flag < explicit spec
-//! field ([`CampaignSpec`] is the single implementation — flags merge
-//! into fields the spec file left unset, and `resolve()` falls through
-//! unset fields to the environment).
+//! Every knob of a run resolves through one precedence rule, lowest to
+//! highest: built-in default < environment < CLI flag < explicit spec
+//! field. The spec is the single carrier: flags merge into fields the
+//! spec file left unset ([`merge_flags`]), the six product environment
+//! variables fill what is still unset after that ([`merge_env`], the only
+//! environment reader in the workspace), and the pure
+//! [`CampaignSpec::resolve`] supplies the built-in defaults. `serve` reads
+//! no environment: a POSTed spec determines its campaign by itself.
 //!
 //! Errors are uniform: every failure prints one `error: ...` line to
-//! stderr; usage mistakes (unknown flag, missing value, bad number) exit
-//! 2 with the usage text, runtime failures (unreadable file, import
-//! error, bad spec) exit 1.
+//! stderr; usage mistakes (unknown flag, missing value, bad number,
+//! malformed environment value) exit 2 with the usage text, runtime
+//! failures (unreadable file, import error, bad spec) exit 1.
 
 use eraser::core::{run_campaign, CampaignSpec, RedundancyMode};
 use eraser::fault::PartitionStrategy;
@@ -132,13 +135,19 @@ fn main() -> ExitCode {
         }
     }
 
-    let spec = match build_spec(file, spec_file, &flags) {
-        Ok(spec) => spec,
+    let (mut spec, explicit_keys) = match load_spec(file, spec_file) {
+        Ok(loaded) => loaded,
         Err(message) => {
             eprintln!("error: {message}");
             return ExitCode::FAILURE;
         }
     };
+    merge_flags(&mut spec, &explicit_keys, &flags);
+    let process_env =
+        |name: &str| std::env::var_os(name).map(|value| value.to_string_lossy().into_owned());
+    if let Err(message) = merge_env(&mut spec, process_env) {
+        fail_usage(&message);
+    }
     match run(&spec, flags.list_undetected) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
@@ -148,36 +157,39 @@ fn main() -> ExitCode {
     }
 }
 
-/// Builds the campaign spec: from `--spec` (flags merge into fields the
-/// file left unset) or from a positional design file (flags fill the
-/// spec directly).
-fn build_spec(
+/// Loads the campaign spec — from `--spec`, or a fresh one over a
+/// positional design file — with the keys the spec file set explicitly:
+/// those outrank flags even for the spec's non-optional fields (seed,
+/// mode, ...).
+fn load_spec(
     file: Option<String>,
     spec_file: Option<String>,
-    flags: &Flags,
-) -> Result<CampaignSpec, String> {
-    let (mut spec, explicit_keys) = match (spec_file, file) {
+) -> Result<(CampaignSpec, Vec<String>), String> {
+    match (spec_file, file) {
         (Some(path), None) => {
             let text =
                 std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-            let spec = CampaignSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-            // Which keys the file set explicitly — those outrank flags
-            // even for the spec's non-optional fields (seed, mode, ...).
-            let keys: Vec<String> = json::parse(&text)
-                .ok()
-                .and_then(|v| {
-                    v.as_obj()
-                        .map(|o| o.iter().map(|(k, _)| k.clone()).collect())
-                })
-                .unwrap_or_default();
-            (spec, keys)
+            parse_spec(&text).map_err(|e| format!("{path}: {e}"))
         }
-        (None, Some(path)) => (CampaignSpec::path(path), Vec::new()),
-        (Some(_), Some(_)) => {
-            return Err("give either a design file or --spec, not both".to_string())
-        }
+        (None, Some(path)) => Ok((CampaignSpec::path(path), Vec::new())),
+        (Some(_), Some(_)) => Err("give either a design file or --spec, not both".to_string()),
         (None, None) => fail_usage("no design file or --spec given"),
-    };
+    }
+}
+
+/// A spec file's text as the spec plus its top-level keys.
+fn parse_spec(text: &str) -> Result<(CampaignSpec, Vec<String>), String> {
+    let value = json::parse(text).map_err(|e| format!("invalid campaign spec: {e}"))?;
+    let spec = CampaignSpec::from_json_value(&value).map_err(|e| e.to_string())?;
+    let keys = value
+        .as_obj()
+        .map(|o| o.iter().map(|(k, _)| k.clone()).collect())
+        .unwrap_or_default();
+    Ok((spec, keys))
+}
+
+/// Writes each given flag into the spec field the spec file left unset.
+fn merge_flags(spec: &mut CampaignSpec, explicit_keys: &[String], flags: &Flags) {
     let unset = |key: &str| !explicit_keys.iter().any(|k| k == key);
     if flags.top.is_some() && unset("top") {
         spec.top = flags.top.clone();
@@ -218,7 +230,50 @@ fn build_spec(
     if flags.collapse && unset("collapse") {
         spec.collapse = Some(true);
     }
-    Ok(spec)
+}
+
+/// Fills the knob fields that both the spec file and the flags left unset
+/// from the six product environment variables, read through `var`. This
+/// is the only place the workspace consults the environment (the
+/// libraries' defaults are constants), and a malformed value of any of
+/// the six is an error whether or not its field was still unset. Unset
+/// and empty variables mean "not given".
+fn merge_env(spec: &mut CampaignSpec, var: impl Fn(&str) -> Option<String>) -> Result<(), String> {
+    fn given(var: &impl Fn(&str) -> Option<String>, name: &str) -> Option<String> {
+        var(name)
+            .map(|v| v.trim().to_string())
+            .filter(|v| !v.is_empty())
+    }
+    fn parsed<T>(var: &impl Fn(&str) -> Option<String>, name: &str) -> Result<Option<T>, String>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        given(var, name)
+            .map(|v| v.parse().map_err(|e| format!("{name}: `{v}`: {e}")))
+            .transpose()
+    }
+    fn switch(var: &impl Fn(&str) -> Option<String>, name: &str) -> Result<Option<bool>, String> {
+        match given(var, name).as_deref() {
+            None => Ok(None),
+            Some("0") => Ok(Some(false)),
+            Some("1") => Ok(Some(true)),
+            Some(other) => Err(format!("{name}: `{other}` is not 0 or 1")),
+        }
+    }
+    let threads = parsed::<usize>(&var, "ERASER_THREADS")?;
+    let partition = parsed::<PartitionStrategy>(&var, "ERASER_PARTITION")?;
+    let eval = parsed::<EvalBackend>(&var, "ERASER_EVAL")?;
+    let checkpoint_interval = parsed::<usize>(&var, "ERASER_CKPT")?;
+    let batch = switch(&var, "ERASER_BATCH")?;
+    let collapse = switch(&var, "ERASER_COLLAPSE")?;
+    spec.threads = spec.threads.or(threads);
+    spec.partition = spec.partition.or(partition);
+    spec.backend = spec.backend.or(eval);
+    spec.checkpoint_interval = spec.checkpoint_interval.or(checkpoint_interval);
+    spec.batch = spec.batch.or(batch);
+    spec.collapse = spec.collapse.or(collapse);
+    Ok(())
 }
 
 /// Runs one campaign from a resolved spec and prints the report.
@@ -351,5 +406,114 @@ fn serve(args: Vec<String>) -> ExitCode {
     // threads; this thread just sleeps.
     loop {
         std::thread::park();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ENV: [(&str, &str); 6] = [
+        ("ERASER_THREADS", "4"),
+        ("ERASER_PARTITION", "round-robin"),
+        ("ERASER_EVAL", "tape"),
+        ("ERASER_CKPT", "16"),
+        ("ERASER_BATCH", "1"),
+        ("ERASER_COLLAPSE", "1"),
+    ];
+
+    fn getter<'a>(vars: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    /// The CLI's whole merge, on a spec file's text and an injected
+    /// environment — never the process environment.
+    fn merged(spec_text: &str, flags: &Flags, vars: &[(&str, &str)]) -> CampaignSpec {
+        let (mut spec, keys) = parse_spec(spec_text).unwrap();
+        merge_flags(&mut spec, &keys, flags);
+        merge_env(&mut spec, getter(vars)).unwrap();
+        spec
+    }
+
+    #[test]
+    fn precedence_is_default_then_env_then_flag_then_spec_key() {
+        let bare = r#"{"design": {"benchmark": "APB"}}"#;
+        let keyed = r#"{"design": {"benchmark": "APB"}, "threads": 3, "eval": "tree",
+                        "checkpoint_interval": 0, "batch": false}"#;
+        let flags = Flags {
+            threads: Some(2),
+            eval: Some(EvalBackend::Tree),
+            ..Flags::default()
+        };
+
+        // Nothing given anywhere: the built-in defaults.
+        let cfg = merged(bare, &Flags::default(), &[]).resolve();
+        assert_eq!(cfg.parallel.threads, 1);
+        assert_eq!(cfg.backend, EvalBackend::Tree);
+        assert!(!cfg.checkpoint.is_enabled() && !cfg.batch.enabled && !cfg.collapse.enabled);
+
+        // Environment beats the defaults.
+        let cfg = merged(bare, &Flags::default(), &ENV).resolve();
+        assert_eq!(cfg.parallel.threads, 4);
+        assert_eq!(cfg.parallel.strategy, PartitionStrategy::RoundRobin);
+        assert_eq!(cfg.backend, EvalBackend::Tape);
+        assert_eq!(cfg.checkpoint.interval, 16);
+        assert!(cfg.batch.enabled && cfg.collapse.enabled);
+
+        // A flag beats the environment; knobs without a flag keep it.
+        let cfg = merged(bare, &flags, &ENV).resolve();
+        assert_eq!(cfg.parallel.threads, 2);
+        assert_eq!(cfg.backend, EvalBackend::Tree);
+        assert_eq!(cfg.checkpoint.interval, 16);
+
+        // A spec key beats both.
+        let cfg = merged(keyed, &flags, &ENV).resolve();
+        assert_eq!(cfg.parallel.threads, 3);
+        assert_eq!(cfg.backend, EvalBackend::Tree);
+        assert!(!cfg.checkpoint.is_enabled() && !cfg.batch.enabled);
+        assert_eq!(cfg.parallel.strategy, PartitionStrategy::RoundRobin);
+        assert!(cfg.collapse.enabled);
+    }
+
+    #[test]
+    fn unset_and_empty_variables_are_not_given() {
+        let vars = [
+            ("ERASER_THREADS", ""),
+            ("ERASER_BATCH", " "),
+            ("ERASER_CKPT", " 8 "),
+        ];
+        let spec = merged(
+            r#"{"design": {"benchmark": "APB"}}"#,
+            &Flags::default(),
+            &vars,
+        );
+        assert_eq!(spec.threads, None);
+        assert_eq!(spec.batch, None);
+        assert_eq!(spec.checkpoint_interval, Some(8));
+    }
+
+    #[test]
+    fn malformed_values_are_errors_naming_the_variable() {
+        for (name, value) in [
+            ("ERASER_THREADS", "x"),
+            ("ERASER_PARTITION", "typo"),
+            ("ERASER_EVAL", "tap"),
+            ("ERASER_CKPT", "nope"),
+            ("ERASER_BATCH", "yes"),
+            ("ERASER_COLLAPSE", "yes"),
+        ] {
+            // Rejected even where the spec already pins the knob: a typo
+            // is never silently ignored.
+            let mut spec = CampaignSpec::benchmark("APB")
+                .threads(1)
+                .backend(EvalBackend::Tree);
+            let err = merge_env(&mut spec, getter(&[(name, value)])).unwrap_err();
+            assert!(err.starts_with(&format!("{name}: ")), "{err}");
+            assert!(err.contains(value), "{err}");
+        }
     }
 }

@@ -294,6 +294,36 @@ fn lane_packing_mixed_sites_engages_batching() {
     }
 }
 
+/// Engagement on Table II designs, not only on the hand-built fixture: the
+/// three benchmarks whose fault candidates sit on batchable RTL nodes must
+/// form groups that fill more than one lane each (APB and ALU never form
+/// groups — their candidates sit on unbatchable nodes).
+#[test]
+fn batching_engages_on_table2_designs() {
+    for bench in [Benchmark::RiscvMini, Benchmark::ConvAcc, Benchmark::MipsCpu] {
+        let design = bench.build();
+        let mut cfg = bench.fault_config();
+        cfg.max_faults = Some(100);
+        let faults = generate_faults(&design, &cfg);
+        let stim = bench.stimulus_with_cycles(&design, 40);
+        let stats = compare(
+            bench.name(),
+            &design,
+            &faults,
+            &stim,
+            &CampaignConfig {
+                backend: EvalBackend::Tape,
+                ..CampaignConfig::serial()
+            },
+        );
+        assert!(
+            stats.batch_lanes > stats.batch_groups,
+            "{}: the batch path never filled lanes ({stats:?})",
+            bench.name()
+        );
+    }
+}
+
 /// The batched concurrent engine against the serial force-based baselines
 /// (which never batch): the strongest differential oracle — two completely
 /// independent evaluation strategies must agree on every detection record.

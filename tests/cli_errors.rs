@@ -5,11 +5,40 @@
 
 use std::process::{Command, Output};
 
+/// The six product variables the CLI reads; cleared in every child so an
+/// ambient setting cannot move a test.
+const PRODUCT_VARS: [&str; 6] = [
+    "ERASER_THREADS",
+    "ERASER_PARTITION",
+    "ERASER_EVAL",
+    "ERASER_CKPT",
+    "ERASER_BATCH",
+    "ERASER_COLLAPSE",
+];
+
 fn eraser(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_eraser"))
+    eraser_with_env(args, &[])
+}
+
+/// Runs the binary with exactly `vars` of the product variables set (in
+/// the child only — the test process's environment is never touched).
+fn eraser_with_env(args: &[&str], vars: &[(&str, &str)]) -> Output {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_eraser"));
+    for name in PRODUCT_VARS {
+        command.env_remove(name);
+    }
+    command
         .args(args)
+        .envs(vars.iter().copied())
         .output()
         .expect("spawn eraser binary")
+}
+
+/// Writes a spec file unique to `tag` and this process.
+fn spec_file(tag: &str, text: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("eraser-cli-{tag}-{}.json", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    path
 }
 
 fn stderr(out: &Output) -> String {
@@ -75,9 +104,7 @@ fn unreadable_spec_file_is_a_runtime_error() {
 
 #[test]
 fn bad_spec_key_is_a_runtime_error_naming_the_key() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("eraser-cli-badspec-{}.json", std::process::id()));
-    std::fs::write(&path, r#"{"design": {"benchmark": "APB"}, "sede": 3}"#).unwrap();
+    let path = spec_file("badspec", r#"{"design": {"benchmark": "APB"}, "sede": 3}"#);
     let out = eraser(&["--spec", path.to_str().unwrap()]);
     assert_runtime_error(&out, "sede");
     let _ = std::fs::remove_file(&path);
@@ -85,9 +112,7 @@ fn bad_spec_key_is_a_runtime_error_naming_the_key() {
 
 #[test]
 fn spec_file_and_design_file_together_is_a_runtime_error() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("eraser-cli-bothspec-{}.json", std::process::id()));
-    std::fs::write(&path, r#"{"design": {"benchmark": "APB"}}"#).unwrap();
+    let path = spec_file("bothspec", r#"{"design": {"benchmark": "APB"}}"#);
     let out = eraser(&["--spec", path.to_str().unwrap(), "design.v"]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(1), "stderr: {err}");
@@ -102,17 +127,61 @@ fn bad_store_selector_is_a_runtime_error() {
 
 #[test]
 fn well_formed_benchmark_spec_exits_zero() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("eraser-cli-okspec-{}.json", std::process::id()));
-    std::fs::write(
-        &path,
+    let path = spec_file(
+        "okspec",
         r#"{"design": {"benchmark": "APB"}, "steps": 10, "threads": 1}"#,
-    )
-    .unwrap();
+    );
     let out = eraser(&["--spec", path.to_str().unwrap()]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(0), "stderr: {err}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("coverage"), "stdout: {stdout}");
     let _ = std::fs::remove_file(&path);
+}
+
+/// A typo in any of the six product variables is a usage error naming the
+/// variable — never a panic, never a silent fall-back to the default.
+#[test]
+fn malformed_environment_value_is_a_usage_error() {
+    let path = spec_file(
+        "envtypo",
+        r#"{"design": {"benchmark": "APB"}, "steps": 10}"#,
+    );
+    for (name, value) in [
+        ("ERASER_THREADS", "x"),
+        ("ERASER_PARTITION", "typo"),
+        ("ERASER_EVAL", "tap"),
+        ("ERASER_CKPT", "nope"),
+        ("ERASER_BATCH", "yes"),
+        ("ERASER_COLLAPSE", "yes"),
+    ] {
+        let out = eraser_with_env(&["--spec", path.to_str().unwrap()], &[(name, value)]);
+        assert_usage_error(&out, &format!("{name}: "));
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Environment < flag < spec key, end to end on the thread count (the
+/// run banner prints it when parallel).
+#[test]
+fn environment_yields_to_flags_and_spec_keys() {
+    let stdout_of = |args: &[&str]| {
+        let out = eraser_with_env(args, &[("ERASER_THREADS", "4")]);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let bare = spec_file(
+        "envbare",
+        r#"{"design": {"benchmark": "APB"}, "steps": 10}"#,
+    );
+    let keyed = spec_file(
+        "envkeyed",
+        r#"{"design": {"benchmark": "APB"}, "steps": 10, "threads": 3}"#,
+    );
+    let (bare_path, keyed_path) = (bare.to_str().unwrap(), keyed.to_str().unwrap());
+    assert!(stdout_of(&["--spec", bare_path]).contains("parallel: 4 threads"));
+    assert!(stdout_of(&["--spec", bare_path, "--threads", "2"]).contains("parallel: 2 threads"));
+    assert!(stdout_of(&["--spec", keyed_path, "--threads", "2"]).contains("parallel: 3 threads"));
+    let _ = std::fs::remove_file(&bare);
+    let _ = std::fs::remove_file(&keyed);
 }

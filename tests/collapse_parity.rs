@@ -219,6 +219,43 @@ fn collapse_parity_baselines() {
     }
 }
 
+/// The collapse pass must engage on real universes, not only on the
+/// hand-built fixture: a collapsed campaign over the full Table II
+/// universe simulates fewer classes than faults on at least three of
+/// these four designs. (A few cycles suffice — the plan is static.)
+#[test]
+fn collapse_shrinks_table2_universes() {
+    let benches = [
+        Benchmark::Apb,
+        Benchmark::Fpu32,
+        Benchmark::ConvAcc,
+        Benchmark::SodorCore,
+    ];
+    let shrunk = benches
+        .into_iter()
+        .filter(|bench| {
+            let design = bench.build();
+            let faults = generate_faults(&design, &bench.fault_config());
+            let stim = bench.stimulus_with_cycles(&design, 4);
+            let stats = run_campaign(
+                &design,
+                &faults,
+                &stim,
+                &CampaignConfig {
+                    collapse: CollapseConfig::enabled(),
+                    ..CampaignConfig::serial()
+                },
+            )
+            .stats;
+            (1..faults.len() as u64).contains(&stats.collapse_classes)
+        })
+        .count();
+    assert!(
+        shrunk >= 3,
+        "collapse shrank the universe on only {shrunk} of 4 designs"
+    );
+}
+
 /// Full-suite collapse parity across all ten benchmarks. Slow in debug
 /// builds; run with `cargo test --release -- --ignored`.
 #[test]

@@ -49,14 +49,13 @@ fn parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
         results[0].coverage
     );
     // The concurrent engines always carry redundancy instrumentation; the
-    // serial baselines carry it only when checkpointed good-state replay
-    // (which their skip counters quantify) is enabled via `ERASER_CKPT`.
-    let serial_stats = eraser::core::CheckpointConfig::from_env().is_enabled();
+    // serial baselines carry it only under checkpointed good-state replay
+    // (which their skip counters quantify), which this line-up leaves off.
     for r in &results {
         let concurrent = r.name.starts_with("Eraser") || r.name == "CfSim";
         assert_eq!(
             r.stats.is_some(),
-            concurrent || serial_stats,
+            concurrent,
             "{}: unexpected stats presence for {}",
             bench.name(),
             r.name

@@ -7,8 +7,8 @@
 //! as the serial scalar reference of the same engine and backend.
 //!
 //! The fixtures run shortened stimuli and capped fault universes so the
-//! debug-mode matrix stays fast; the campaign paths exercised are the
-//! same ones the full-length fig13 report measures.
+//! debug-mode matrix stays fast; the `--ignored` sweep runs them at full
+//! length.
 
 use eraser::baselines::{IFsim, VFsim};
 use eraser::core::{
@@ -22,6 +22,13 @@ use eraser::sim::Stimulus;
 
 const THREADS: [usize; 2] = [1, 4];
 const INTERVALS: [usize; 2] = [0, 8];
+
+fn fixture(name: &str) -> DesignSource {
+    netlist_fixtures()
+        .into_iter()
+        .find(|f| f.name() == name)
+        .unwrap_or_else(|| panic!("no bundled netlist fixture `{name}`"))
+}
 
 fn fixture_bundle(
     source: &DesignSource,
@@ -94,22 +101,43 @@ fn check_matrix(name: &str, design: &Design, faults: &FaultList, stim: &Stimulus
 
 #[test]
 fn counter8_gate_full_matrix() {
-    let source = netlist_fixtures()
-        .into_iter()
-        .find(|f| f.name() == "counter8_gate")
-        .unwrap();
+    let source = fixture("counter8_gate");
     let (design, faults, stim) = fixture_bundle(&source, 70, 70);
     check_matrix("counter8_gate", &design, &faults, &stim);
 }
 
 #[test]
 fn mac16_gate_full_matrix() {
-    let source = netlist_fixtures()
-        .into_iter()
-        .find(|f| f.name() == "mac16_gate")
-        .unwrap();
+    let source = fixture("mac16_gate");
     let (design, faults, stim) = fixture_bundle(&source, 50, 60);
     check_matrix("mac16_gate", &design, &faults, &stim);
+}
+
+/// An all-1-bit gate-level import is exactly where the batch path must
+/// pull its weight: over the full `mac16_gate` universe the groups it
+/// forms run above half-full on average. Serial, because fault sharding
+/// shrinks each worker's resident-fault pool and starves the groups.
+#[test]
+fn mac16_gate_batching_fills_lanes() {
+    let source = fixture("mac16_gate");
+    let faults = generate_faults(source.design(), source.fault_config());
+    let stim = source.stimulus_with_cycles(20);
+    let stats = Eraser::full()
+        .run(
+            source.design(),
+            &faults,
+            &stim,
+            &config(EvalBackend::Tape, 1, 0, true, false),
+        )
+        .stats
+        .expect("the concurrent engine carries stats");
+    assert!(stats.batch_groups > 0, "batching never engaged: {stats:?}");
+    let occupancy = stats.batch_lanes as f64 / (stats.batch_groups * 64) as f64;
+    assert!(
+        occupancy > 0.5,
+        "mean lane occupancy {:.1}% (need > 50%): {stats:?}",
+        100.0 * occupancy
+    );
 }
 
 /// Full-length sweep over every fixture (release CI leg).

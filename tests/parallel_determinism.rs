@@ -33,8 +33,6 @@ fn assert_deterministic<E: FaultSimEngine + Sync + Copy>(
     cfg.max_faults = Some(max_faults.min(cfg.max_faults.unwrap_or(usize::MAX)));
     let faults = generate_faults(&design, &cfg);
     let stim = bench.stimulus_with_cycles(&design, cycles);
-    // Pin the reference serial, independent of ERASER_THREADS in the
-    // ambient environment.
     let config = CampaignConfig::serial();
     let serial = engine.run(&design, &faults, &stim, &config);
     assert!(
@@ -105,7 +103,7 @@ fn parallel_line_up_passes_cross_engine_parity() {
 }
 
 /// `run_campaign` driven through `CampaignConfig::parallel` (the path the
-/// CLI and every report binary use) is bit-identical to serial as well.
+/// CLI and the campaign service use) is bit-identical to serial as well.
 #[test]
 fn run_campaign_parallel_config_is_deterministic() {
     let bench = Benchmark::ConvAcc;

@@ -253,36 +253,42 @@ fn late_activation_fixture() -> (Design, FaultList, Stimulus) {
 /// two-dimensional scheduler, enabling threads put the concurrent engine
 /// on the from-zero path and every checkpoint skip was silently forfeited.
 /// Now the composed path must report genuinely nonzero — and thread-
-/// invariant — skip counters at every thread count.
+/// invariant — skip counters at every thread count: prefix and whole-fault
+/// skips on the late-activation design, and prefix skips on a Table II
+/// design (APB), which need not have a never-active fault.
 #[test]
 fn composed_path_reports_real_skips_at_every_thread_count() {
-    let (design, faults, stim) = late_activation_fixture();
     let knobs = Knobs {
         backend: EvalBackend::Tree,
         interval: 8,
         batch: false,
         collapse: false,
     };
-    let mut keys = Vec::new();
-    for threads in THREADS {
-        let result = Eraser::full().run(&design, &faults, &stim, &knobs.config(threads));
-        let stats = result
-            .stats
-            .expect("checkpointed concurrent campaigns carry stats");
+    for (name, (design, faults, stim), skips_faults) in [
+        ("lateregs", late_activation_fixture(), true),
+        ("APB", bench_fixture(Benchmark::Apb, 40, 60), false),
+    ] {
+        let mut keys = Vec::new();
+        for threads in THREADS {
+            let result = Eraser::full().run(&design, &faults, &stim, &knobs.config(threads));
+            let stats = result
+                .stats
+                .expect("checkpointed concurrent campaigns carry stats");
+            assert!(
+                stats.skipped_prefix_steps > 0,
+                "{name} x{threads}: composed path forfeited prefix skips: {stats:?}"
+            );
+            assert!(
+                !skips_faults || stats.skipped_faults > 0,
+                "{name} x{threads}: composed path forfeited fault skips: {stats:?}"
+            );
+            keys.push(counter_key(&stats));
+        }
         assert!(
-            stats.skipped_prefix_steps > 0,
-            "x{threads}: composed path forfeited prefix skips: {stats:?}"
+            keys.windows(2).all(|w| w[0] == w[1]),
+            "{name}: skip counters moved across thread counts: {keys:?}"
         );
-        assert!(
-            stats.skipped_faults > 0,
-            "x{threads}: composed path forfeited fault skips: {stats:?}"
-        );
-        keys.push(counter_key(&stats));
     }
-    assert!(
-        keys.windows(2).all(|w| w[0] == w[1]),
-        "skip counters moved across thread counts: {keys:?}"
-    );
 }
 
 #[test]
