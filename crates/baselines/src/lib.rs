@@ -60,9 +60,9 @@ mod compiled;
 mod serial;
 
 pub use compiled::CompiledSim;
-pub use eraser_core::{EngineResult, Eraser, FaultSimEngine, Parallel, ParallelConfig};
+pub use eraser_core::{EngineResult, Eraser, FaultSimEngine};
 
-use eraser_core::{run_collapsed, CampaignConfig, EvalBackend, TapeProgram};
+use eraser_core::{CampaignConfig, EvalBackend, TapeProgram};
 use eraser_fault::FaultList;
 use eraser_ir::Design;
 use eraser_sim::{ReplaySim, Simulator, Stimulus};
@@ -88,9 +88,10 @@ fn campaign_tapes(design: &Design, config: &CampaignConfig) -> Option<TapeProgra
 /// [`eraser_fault::ActivationWindows`]), and the result carries
 /// [`RedundancyStats`](eraser_core::RedundancyStats) with the
 /// skipped-prefix / skipped-fault / dropped-fault counters. Honors
-/// [`CampaignConfig::parallel`] natively: per-fault replays (or, when
-/// checkpointed, whole window groups) drain a shared work queue, with
-/// coverage and counters bit-identical at every thread count.
+/// [`CampaignConfig::parallel`]: the fault groups of the campaign's plan
+/// drain the shared work queue, with coverage and counters bit-identical
+/// at every thread count. Honors [`CampaignConfig::collapse`]: only
+/// representatives are re-simulated.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IFsim;
 
@@ -106,28 +107,22 @@ impl FaultSimEngine for IFsim {
         stimulus: &Stimulus,
         config: &CampaignConfig,
     ) -> EngineResult {
-        // Static collapsing wraps the serial campaign like every other
-        // driver: only representatives are re-simulated per fault.
-        run_collapsed(design, faults, config, |faults, config| {
-            let tapes = campaign_tapes(design, config);
-            serial::serial_campaign(
-                "IFsim",
-                design,
-                faults,
-                stimulus,
-                config.checkpoint,
-                config.parallel,
-                || match &tapes {
-                    Some(tp) => Simulator::with_tapes(design, tp),
-                    None => Simulator::with_backend(design, EvalBackend::Tree),
-                },
-                // Settle the force at injection so all engines agree on
-                // when a forced power-on edge (X -> stuck value) fires
-                // relative to the next stimulus step (ReplaySim::force_bit
-                // steps the sim).
-                |sim, f| sim.force_bit(f.signal, f.bit, f.stuck.bit()),
-            )
-        })
+        let tapes = campaign_tapes(design, config);
+        serial::serial_campaign(
+            "IFsim",
+            design,
+            faults,
+            stimulus,
+            config,
+            || match &tapes {
+                Some(tp) => Simulator::with_tapes(design, tp),
+                None => Simulator::with_backend(design, EvalBackend::Tree),
+            },
+            // Settle the force at injection so all engines agree on when a
+            // forced power-on edge (X -> stuck value) fires relative to
+            // the next stimulus step (ReplaySim::force_bit steps the sim).
+            |sim, f| sim.force_bit(f.signal, f.bit, f.stuck.bit()),
+        )
     }
 }
 
@@ -150,22 +145,19 @@ impl FaultSimEngine for VFsim {
         stimulus: &Stimulus,
         config: &CampaignConfig,
     ) -> EngineResult {
-        run_collapsed(design, faults, config, |faults, config| {
-            let tapes = campaign_tapes(design, config);
-            serial::serial_campaign(
-                "VFsim",
-                design,
-                faults,
-                stimulus,
-                config.checkpoint,
-                config.parallel,
-                || match &tapes {
-                    Some(tp) => CompiledSim::with_tapes(design, tp),
-                    None => CompiledSim::with_backend(design, EvalBackend::Tree),
-                },
-                |sim, f| sim.force_bit(f.signal, f.bit, f.stuck.bit()),
-            )
-        })
+        let tapes = campaign_tapes(design, config);
+        serial::serial_campaign(
+            "VFsim",
+            design,
+            faults,
+            stimulus,
+            config,
+            || match &tapes {
+                Some(tp) => CompiledSim::with_tapes(design, tp),
+                None => CompiledSim::with_backend(design, EvalBackend::Tree),
+            },
+            |sim, f| sim.force_bit(f.signal, f.bit, f.stuck.bit()),
+        )
     }
 }
 
@@ -202,49 +194,4 @@ pub fn all_engines() -> Vec<Box<dyn FaultSimEngine>> {
         Box::new(CfSim),
         Box::new(Eraser::full()),
     ]
-}
-
-/// Every engine of the workspace — the Fig. 6 line-up plus the remaining
-/// two ERASER ablation variants — wrapped in the fault-parallel
-/// [`Parallel`] adapter under one shared [`ParallelConfig`], in the same
-/// order as [`all_engines`] followed by `Eraser-` and `Eraser--`.
-///
-/// The serial baselines also honor `CampaignConfig::parallel` natively
-/// now, but the [`Parallel`] adapter forces its inner campaigns serial,
-/// so wrapping never nests thread pools; merged coverage stays
-/// bit-identical for each engine, and the whole line-up still passes the
-/// Table II parity check.
-pub fn all_engines_parallel(config: ParallelConfig) -> Vec<Box<dyn FaultSimEngine>> {
-    vec![
-        Box::new(Parallel::new(IFsim, config)),
-        Box::new(Parallel::new(VFsim, config)),
-        Box::new(Parallel::new(CfSim, config)),
-        Box::new(Parallel::new(Eraser::full(), config)),
-        Box::new(Parallel::new(Eraser::explicit(), config)),
-        Box::new(Parallel::new(Eraser::none(), config)),
-    ]
-}
-
-/// Runs the IFsim baseline with default configuration (compatibility
-/// wrapper over [`IFsim`]).
-pub fn run_ifsim(design: &Design, faults: &FaultList, stimulus: &Stimulus) -> EngineResult {
-    IFsim.run(design, faults, stimulus, &CampaignConfig::default())
-}
-
-/// Runs the VFsim baseline with default configuration (compatibility
-/// wrapper over [`VFsim`]).
-pub fn run_vfsim(design: &Design, faults: &FaultList, stimulus: &Stimulus) -> EngineResult {
-    VFsim.run(design, faults, stimulus, &CampaignConfig::default())
-}
-
-/// Runs the CfSim baseline with default configuration (compatibility
-/// wrapper over [`CfSim`]).
-pub fn run_cfsim(design: &Design, faults: &FaultList, stimulus: &Stimulus) -> EngineResult {
-    CfSim.run(design, faults, stimulus, &CampaignConfig::default())
-}
-
-/// Runs the full ERASER engine with default configuration (compatibility
-/// wrapper over [`Eraser::full`]).
-pub fn run_eraser(design: &Design, faults: &FaultList, stimulus: &Stimulus) -> EngineResult {
-    Eraser::full().run(design, faults, stimulus, &CampaignConfig::default())
 }

@@ -1,177 +1,107 @@
-//! Shared driver for per-fault serial fault simulation, with optional
-//! checkpointed good-state replay and fault-parallel execution.
+//! The per-fault serial campaign: the closure the IFsim and VFsim
+//! baselines hand the shared schedule.
 //!
-//! The driver is generic over [`ReplaySim`], so one implementation serves
-//! both the event-driven IFsim substrate ([`Simulator`](eraser_sim::Simulator))
-//! and the levelized VFsim substrate ([`CompiledSim`](crate::CompiledSim)).
-//!
-//! # Non-checkpointed mode (`CheckpointConfig::disabled`)
-//!
-//! The historical protocol: simulate the fault-free design once recording
-//! the value of every primary output after each stimulus step (the good
-//! trace); then, per fault, a fresh simulator with the force applied
-//! replays the whole stimulus, comparing outputs against the good trace
-//! and stopping at the first detection (per-fault dropping). With
-//! `parallel` threads > 1 the per-fault replays drain a shared work queue
-//! ([`run_queue`]); each fault is independent, so results are identical
-//! at any thread count.
-//!
-//! # Checkpointed mode
-//!
-//! The good replay additionally carries a [`SiteProbe`] and captures a
-//! [`SimSnapshot`] every `interval` settle steps (noting whether the
-//! state is fully defined). [`ActivationWindows`] then gives each fault
-//! its earliest possible divergence step, and the
-//! [`WindowPlan`](eraser_fault::WindowPlan) groups faults by their latest
-//! eligible checkpoint — the same worker-count-independent schedule the
-//! concurrent campaign driver uses. Each window shard gets one reusable
-//! simulator: per fault it restores the shared checkpoint snapshot,
-//! applies the force, and replays only the suffix. Faults that provably
-//! cannot diverge within the stimulus are skipped outright. Coverage
-//! records (first-detection steps and outputs included) are bit-identical
-//! to the non-checkpointed run (see the soundness model in
-//! [`eraser_fault::ActivationWindows`]), and — because the plan never
-//! looks at the worker count — so are the [`RedundancyStats`] counters at
-//! every thread count: `skipped_prefix_steps`, `skipped_faults` and
-//! `dropped_faults` quantify the trimmed work.
+//! Generic over [`ReplaySim`], so one implementation serves both the
+//! event-driven IFsim substrate ([`Simulator`](eraser_sim::Simulator)) and
+//! the levelized VFsim substrate ([`CompiledSim`](crate::CompiledSim)).
+//! Planning, the worker queue, merging and the skip accounting are
+//! `eraser-core`'s (see its `schedule` module docs); what is serial here
+//! is the work inside a group. The good replay records every primary
+//! output after each settle step (riding the instrumented good run when
+//! checkpointing applies); then, per fault of a group, the simulator
+//! restores the group's checkpoint snapshot — or starts fresh, in a
+//! from-step-0 group — applies the force, and replays the stimulus suffix
+//! against the good trace, stopping at the first detection (per-fault
+//! dropping). Faults are mutually independent and every fault re-seeds the
+//! simulator before injection, so per-fault results do not depend on group
+//! membership, position, or thread count.
 
-use eraser_core::{run_queue, CheckpointConfig, EngineResult, ParallelConfig, RedundancyStats};
-use eraser_fault::{
-    detectable_mismatch, ActivationWindows, CoverageReport, Detection, Fault, FaultList, WindowPlan,
+use eraser_core::{
+    drain_plan, is_windowed, plan_campaign, record_good_run_on, run_collapsed, CampaignConfig,
+    EngineResult, RedundancyStats,
 };
+use eraser_fault::{detectable_mismatch, CoverageReport, Detection, Fault, FaultList};
 use eraser_ir::Design;
 use eraser_logic::LogicVec;
-use eraser_sim::{ReplaySim, SimSnapshot, SiteProbe, Stimulus};
+use eraser_sim::{ReplaySim, Stimulus};
 use std::time::Instant;
 
-/// Runs a serial (one-simulation-per-fault) campaign; checkpointed
-/// good-state replay when `checkpoint` is enabled, fault-parallel across
-/// `parallel` worker threads. `make_sim` builds a fault-free simulator;
-/// `inject` applies one stuck-at force and settles. Both closures are
-/// shared across workers, hence `Fn + Sync`.
-#[allow(clippy::too_many_arguments)]
-pub fn serial_campaign<Sim: ReplaySim + Send>(
+/// Runs a serial (one-simulation-per-fault) campaign under `config`'s
+/// collapse, checkpoint and thread settings. `make_sim` builds a
+/// fault-free simulator; `inject` applies one stuck-at force and settles.
+/// Both closures are shared across workers, hence `Fn + Sync`.
+///
+/// The result carries [`RedundancyStats`] (skipped-prefix / skipped-fault /
+/// dropped-fault counters) when checkpointing is enabled.
+pub fn serial_campaign<Sim: ReplaySim>(
     name: &str,
     design: &Design,
     faults: &FaultList,
     stimulus: &Stimulus,
-    checkpoint: CheckpointConfig,
-    parallel: ParallelConfig,
+    config: &CampaignConfig,
     make_sim: impl Fn() -> Sim + Sync,
     inject: impl Fn(&mut Sim, &Fault) + Sync,
 ) -> EngineResult {
     let t0 = Instant::now();
-    let outputs = design.outputs().to_vec();
+    let outputs = design.outputs();
     let steps = &stimulus.steps;
-    let threads = if faults.len() > 1 {
-        parallel.effective_threads()
-    } else {
-        1
-    };
-
-    if !checkpoint.is_enabled() {
-        // Historical protocol: full replay per fault from a fresh sim.
-        // Faults are mutually independent, so the queue order cannot
-        // affect any per-fault outcome.
-        let good_trace = record_good_trace(&mut make_sim(), steps, &outputs);
-        let fault_refs: Vec<&Fault> = faults.iter().collect();
-        let detections = run_queue(&fault_refs, threads, |fault| {
+    // Only representatives are re-simulated per fault when collapsing.
+    let out = run_collapsed(design, faults, &config.collapse, |faults| {
+        let mut good_trace: Vec<Vec<LogicVec>> = Vec::with_capacity(steps.len());
+        let mut record_outputs = |sim: &Sim| {
+            good_trace.push(
+                outputs
+                    .iter()
+                    .map(|&o| sim.signal_value(o).clone())
+                    .collect(),
+            )
+        };
+        let good = if is_windowed(&config.checkpoint, faults, stimulus) {
+            Some(record_good_run_on(
+                make_sim(),
+                design,
+                faults,
+                stimulus,
+                config.checkpoint,
+                record_outputs,
+            ))
+        } else {
             let mut sim = make_sim();
-            inject(&mut sim, fault);
-            replay_fault(&mut sim, steps, 0, &outputs, &good_trace)
-        });
-        let mut coverage = CoverageReport::new(faults.len());
-        for (fault, det) in fault_refs.iter().zip(detections) {
-            if let Some(det) = det {
-                coverage.record(fault.id, det);
+            for step in steps {
+                sim.replay_step(step);
+                record_outputs(&sim);
             }
-        }
-        return EngineResult::new(name, coverage)
-            .with_wall(t0.elapsed())
-            .with_threads(threads);
-    }
-
-    // Instrumented good replay: trace + probe + periodic snapshots.
-    let mut sim = make_sim();
-    sim.attach_probe(SiteProbe::new(design, faults.iter().map(|f| f.signal)));
-    let mut checkpoints: Vec<(usize, bool, SimSnapshot)> = Vec::new();
-    let mut good_trace: Vec<Vec<LogicVec>> = Vec::with_capacity(steps.len());
-    for (si, step) in steps.iter().enumerate() {
-        if checkpoint.is_boundary(si) {
-            let mut snap = SimSnapshot::new();
-            sim.capture_into(&mut snap);
-            checkpoints.push((si, sim.fully_defined(), snap));
-        }
-        sim.begin_probe_step(si);
-        sim.replay_step(step);
-        good_trace.push(
-            outputs
-                .iter()
-                .map(|&o| sim.signal_value(o).clone())
-                .collect(),
-        );
-    }
-    let probe = sim.take_probe().expect("probe attached above");
-    let windows = ActivationWindows::derive(design, faults, &probe, steps.len());
-    let boundaries: Vec<(usize, bool)> = checkpoints.iter().map(|&(s, d, _)| (s, d)).collect();
-
-    // Window-plan schedule: faults grouped by latest eligible checkpoint
-    // (never-active faults already dropped into `plan.skipped`), groups
-    // drained costliest-first over the worker queue. One reusable
-    // simulator per group; every fault restores the group snapshot before
-    // injection, so per-fault results are position-independent.
-    let plan = WindowPlan::build(faults, &windows, &boundaries);
-    let results = run_queue(&plan.shards, threads, |ws| {
-        let mut sim = make_sim();
-        let (start, _, snap) = &checkpoints[ws.checkpoint];
-        let mut coverage = CoverageReport::new(ws.shard.len());
-        let mut stats = RedundancyStats::default();
-        for fault in ws.shard.list.iter() {
-            sim.restore_from(snap);
-            inject(&mut sim, fault);
-            stats.skipped_prefix_steps += *start as u64;
-            if let Some(det) = replay_fault(&mut sim, steps, *start, &outputs, &good_trace) {
-                coverage.record(fault.id, det);
-                stats.dropped_faults += 1;
+            None
+        };
+        let threads = config.parallel.effective_threads();
+        let plan = plan_campaign(faults, good.as_ref(), threads);
+        drain_plan(&plan, good.as_ref(), threads, None, |group, snapshot| {
+            let mut sim = make_sim();
+            let mut coverage = CoverageReport::new(group.shard.len());
+            let mut stats = RedundancyStats::default();
+            for (i, fault) in group.shard.list.iter().enumerate() {
+                match snapshot {
+                    Some(snapshot) => sim.restore_from(snapshot),
+                    None if i > 0 => sim = make_sim(),
+                    None => {}
+                }
+                inject(&mut sim, fault);
+                if let Some(det) = replay_fault(&mut sim, steps, group.start, outputs, &good_trace)
+                {
+                    coverage.record(fault.id, det);
+                    stats.dropped_faults += 1;
+                }
             }
-        }
-        (coverage, stats)
+            (coverage, stats)
+        })
     });
-
-    let mut coverage = CoverageReport::new(faults.len());
-    let mut stats = RedundancyStats {
-        skipped_faults: plan.skipped.len() as u64,
-        ..RedundancyStats::default()
-    };
-    for (ws, (shard_cov, shard_stats)) in plan.shards.iter().zip(&results) {
-        ws.shard.merge_coverage_into(shard_cov, &mut coverage);
-        stats.merge(shard_stats);
-    }
-    stats.time_total = t0.elapsed();
-    EngineResult::new(name, coverage)
-        .with_stats(stats)
+    let mut result = EngineResult::new(name, out.coverage)
         .with_wall(t0.elapsed())
-        .with_threads(threads)
-}
-
-/// Replays the whole stimulus on the fault-free simulator, recording every
-/// output after each settle step.
-fn record_good_trace<Sim: ReplaySim>(
-    sim: &mut Sim,
-    steps: &[Vec<(eraser_ir::SignalId, LogicVec)>],
-    outputs: &[eraser_ir::SignalId],
-) -> Vec<Vec<LogicVec>> {
-    let mut trace = Vec::with_capacity(steps.len());
-    for step in steps {
-        sim.replay_step(step);
-        trace.push(
-            outputs
-                .iter()
-                .map(|&o| sim.signal_value(o).clone())
-                .collect(),
-        );
+        .with_threads(out.workers);
+    if config.checkpoint.is_enabled() {
+        result.stats = Some(out.stats);
     }
-    trace
+    result
 }
 
 /// Replays steps `start..` on a forced simulator, comparing outputs

@@ -16,11 +16,10 @@
 //! All engines share the same detection predicate
 //! ([`eraser_fault::detectable_mismatch`]), observation points (primary
 //! outputs after every stimulus step) and fault-dropping semantics, which
-//! is what makes their [`EngineResult`]s directly comparable. New backends
-//! (sharded, parallel, compiled) plug in by implementing the trait; no
-//! caller changes.
+//! is what makes their [`EngineResult`]s directly comparable. New engines
+//! plug in by implementing the trait; no caller changes.
 
-use crate::campaign::{run_campaign, CampaignConfig};
+use crate::campaign::{run_campaign_drained, CampaignConfig, CampaignContext};
 use crate::stats::RedundancyStats;
 use crate::RedundancyMode;
 use eraser_fault::{CoverageReport, FaultList};
@@ -43,9 +42,10 @@ pub struct EngineResult {
     pub stats: Option<RedundancyStats>,
     /// Wall-clock time of the whole campaign.
     pub wall: Duration,
-    /// Worker threads the campaign actually ran with (1 = serial). Set by
-    /// engines that honor [`CampaignConfig::parallel`] and by the
-    /// [`Parallel`](crate::Parallel) adapter; serial engines leave 1.
+    /// Worker threads the campaign actually ran with (1 = serial), as
+    /// reported by the drain every engine honoring
+    /// [`CampaignConfig::parallel`] runs on: never more than the plan has
+    /// groups.
     pub threads: usize,
 }
 
@@ -174,7 +174,7 @@ impl FaultSimEngine for Eraser {
         config: &CampaignConfig,
     ) -> EngineResult {
         let t0 = Instant::now();
-        let res = run_campaign(
+        let out = run_campaign_drained(
             design,
             faults,
             stimulus,
@@ -182,18 +182,12 @@ impl FaultSimEngine for Eraser {
                 mode: self.mode,
                 ..config.clone()
             },
+            &CampaignContext::default(),
         );
-        // Mirror run_campaign's decision: universes of ≤ 1 fault run
-        // serially regardless of the configured thread count.
-        let threads = if faults.len() > 1 {
-            config.parallel.effective_threads()
-        } else {
-            1
-        };
-        EngineResult::new(self.name(), res.coverage)
-            .with_stats(res.stats)
+        EngineResult::new(self.name(), out.coverage)
+            .with_stats(out.stats)
             .with_wall(t0.elapsed())
-            .with_threads(threads)
+            .with_threads(out.workers)
     }
 }
 
@@ -286,8 +280,8 @@ impl<'a> CampaignRunner<'a> {
     }
 
     /// Replaces the fault-parallel execution settings, keeping the rest of
-    /// the configuration. Engines honoring [`CampaignConfig::parallel`]
-    /// (the concurrent ERASER family) fan campaigns out over worker
+    /// the configuration. Every engine honors
+    /// [`CampaignConfig::parallel`] and fans its campaign out over worker
     /// threads; merged coverage stays bit-identical, so
     /// [`check_parity`](Self::check_parity) keeps working unchanged on the
     /// merged results.

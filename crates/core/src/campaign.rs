@@ -2,17 +2,18 @@
 
 use crate::batch::BatchConfig;
 use crate::checkpoint::CheckpointConfig;
-use crate::collapse::{collapse_plan, stamp_collapse_stats, CollapseConfig};
+use crate::collapse::{run_collapsed, CollapseConfig};
 use crate::engine::EraserEngine;
-use crate::parallel::{run_sharded, ParallelConfig};
+use crate::parallel::ParallelConfig;
 use crate::progress::CampaignProgress;
+use crate::schedule::{
+    drain_plan, is_windowed, plan_campaign, record_good_run, Drained, GoodRunArtifacts,
+};
 use crate::stats::RedundancyStats;
-use crate::twodim::GoodRunArtifacts;
 use crate::RedundancyMode;
 use eraser_fault::{CoverageReport, FaultList};
 use eraser_ir::{BatchProgram, Design, EvalBackend, TapeProgram};
 use eraser_sim::Stimulus;
-use std::time::Instant;
 
 /// Campaign options. [`Default`] is a constant — full redundancy
 /// elimination, fault dropping on, serial, tree walker, checkpointing /
@@ -26,8 +27,8 @@ pub struct CampaignConfig {
     /// Stop simulating a fault once detected (fault dropping), as
     /// commercial tools do. Coverage is unaffected; runtime improves.
     pub drop_detected: bool,
-    /// Fault-parallel execution: worker threads and partition strategy.
-    /// Serial by default; coverage is bit-identical at any thread count.
+    /// Fault-parallel execution: the worker-thread count. Serial by
+    /// default; coverage is bit-identical at any thread count.
     pub parallel: ParallelConfig,
     /// Expression-evaluation backend: the tree walker (reference oracle)
     /// or compiled instruction tapes. The tree walker by default; coverage
@@ -36,9 +37,9 @@ pub struct CampaignConfig {
     /// program is shared across every fault-parallel shard worker.
     pub backend: EvalBackend,
     /// Checkpointed good-state replay: the good-state snapshot interval.
-    /// When enabled the campaign takes the two-dimensional path (see
-    /// [`CheckpointConfig`] and the `twodim` module docs): one
-    /// instrumented good run, window-aware shards, and engines that
+    /// When enabled the campaign takes the window plan (see
+    /// [`CheckpointConfig`] and the `schedule` module docs): one
+    /// instrumented good run, window-aware groups, and engines that
     /// resume from the latest eligible checkpoint — composing with
     /// fault-parallel threads instead of excluding them. Disabled by
     /// default. Coverage records are bit-identical at any interval and
@@ -59,7 +60,7 @@ pub struct CampaignConfig {
     /// engine runs, then lift the representative records back over the
     /// full universe. Disabled by default. Coverage records are
     /// bit-identical with collapsing on or off; collapsing happens *before*
-    /// partitioning, so fault-parallel campaigns shard the representative
+    /// planning, so fault-parallel campaigns group the representative
     /// list.
     pub collapse: CollapseConfig,
 }
@@ -99,13 +100,12 @@ impl CampaignConfig {
 pub struct CampaignResult {
     /// Detection records and the coverage metric.
     pub coverage: CoverageReport,
-    /// Redundancy and timing counters. `time_total` is the total compute
-    /// time including engine construction: for a serial campaign that is
-    /// the campaign wall time; for a fault-parallel campaign it is the sum
-    /// of the shard walls (aggregate CPU time), so
+    /// Redundancy and timing counters. `time_total` is the aggregate
+    /// compute time, engine construction included: the good run's wall (if
+    /// one was used) plus the sum of the group walls, so
     /// [`RedundancyStats::behavioral_time_percent`] stays a meaningful
-    /// compute-share at any thread count. Wall time of a parallel campaign
-    /// is what the caller measures around [`run_campaign`] (as
+    /// compute-share at any thread count. Wall time of a campaign is what
+    /// the caller measures around [`run_campaign`] (as
     /// [`CampaignRunner`](crate::CampaignRunner) does).
     pub stats: RedundancyStats,
 }
@@ -145,26 +145,26 @@ pub struct CampaignContext<'a> {
     pub progress: Option<&'a CampaignProgress>,
 }
 
-/// Runs a complete fault-simulation campaign: builds the engine, replays
-/// the stimulus with observation after every settle step, and returns
-/// coverage plus statistics.
+/// Runs a complete fault-simulation campaign: replays the stimulus with
+/// observation after every settle step, and returns coverage plus
+/// statistics.
 ///
-/// With `config.parallel` requesting more than one thread, the fault
-/// universe is partitioned into shards executed by a scoped worker pool
-/// (one independent engine per shard) and the shard results are merged;
-/// coverage — detections, first-detection steps and outputs — is
-/// bit-identical to the serial run at any thread count. Merged stats sum
-/// per-shard counters and per-shard walls (see [`RedundancyStats::merge`]
-/// and [`CampaignResult::stats`]).
+/// Every campaign is one plan drained by one queue (see the `schedule`
+/// module docs). With `config.parallel` requesting more than one thread
+/// the fault universe is cut into site-affinity groups executed by a
+/// scoped worker pool, one independent engine per group; coverage —
+/// detections, first-detection steps and outputs — is bit-identical to
+/// the serial run at any thread count. Merged stats sum per-group
+/// counters and per-group walls (see [`RedundancyStats::merge`] and
+/// [`CampaignResult::stats`]).
 ///
-/// With `config.checkpoint` enabled the campaign runs the composed
-/// two-dimensional schedule (any thread count): one instrumented good run
-/// records periodic snapshots, faults shard by activation window, each
-/// shard engine resumes from the latest checkpoint eligible for all its
-/// faults, and never-active faults are dropped without simulation.
-/// Coverage stays bit-identical to the non-checkpointed run; counters are
-/// bit-identical across thread counts at a fixed interval, with
-/// `skipped_prefix_steps` / `skipped_faults` quantifying the trimmed
+/// With `config.checkpoint` enabled (any thread count) one instrumented
+/// good run records periodic snapshots, faults group by activation
+/// window, each group engine resumes from the latest checkpoint eligible
+/// for all its faults, and never-active faults are dropped without
+/// simulation. Coverage stays bit-identical to the non-checkpointed run;
+/// counters are bit-identical across thread counts at a fixed interval,
+/// with `skipped_prefix_steps` / `skipped_faults` quantifying the trimmed
 /// work.
 ///
 /// Equivalent to [`run_campaign_with`] with an empty [`CampaignContext`];
@@ -196,139 +196,80 @@ pub fn run_campaign_with(
     config: &CampaignConfig,
     ctx: &CampaignContext<'_>,
 ) -> CampaignResult {
-    let t0 = Instant::now();
-    // Static collapsing runs first: simulate one representative per
-    // equivalence class (everything below — sharding included — sees only
-    // the representative list), then lift the records back over the full
-    // universe. Recursing with the knob off keeps the composition proof
-    // trivial: the inner campaign *is* an ordinary uncollapsed campaign.
-    // Cached good-run artifacts are dropped for the recursion: they were
-    // recorded over the *full* universe, and activation windows are
-    // per-fault.
-    if let Some(plan) = collapse_plan(design, faults, &config.collapse) {
-        let inner = CampaignConfig {
-            collapse: CollapseConfig::disabled(),
-            ..config.clone()
-        };
-        let inner_ctx = CampaignContext {
-            tapes: ctx.tapes,
-            batch: ctx.batch,
-            good_run: None,
-            progress: ctx.progress,
-        };
-        let mut result =
-            run_campaign_with(design, plan.representatives(), stimulus, &inner, &inner_ctx);
-        result.coverage = plan.lift_coverage(&result.coverage);
-        stamp_collapse_stats(&mut result.stats, &plan);
-        return result;
-    }
-    // Tape backend: lower the design once, share the immutable program
-    // with every worker (and the serial path below) — or reuse the
-    // caller's pre-compiled copy. Likewise the batch program when
-    // bit-parallel fault batching is on.
-    let owned_tapes = if ctx.tapes.is_none() {
-        TapeProgram::for_backend(design, config.backend)
-    } else {
-        None
-    };
-    let tapes = match config.backend {
-        EvalBackend::Tape => ctx.tapes.or(owned_tapes.as_ref()),
-        EvalBackend::Tree => None,
-    };
-    let owned_batch =
-        (config.batch.enabled && ctx.batch.is_none()).then(|| BatchProgram::compile(design));
-    let batch = if config.batch.enabled {
-        ctx.batch.or(owned_batch.as_ref())
-    } else {
-        None
-    };
-    // Checkpointing on: the two-dimensional path. One instrumented good
-    // run records snapshots, the fault universe shards by activation
-    // window, and every shard engine resumes from the latest eligible
-    // checkpoint — at any thread count, one thread included, so the
-    // composed counters are bit-identical across thread counts.
-    if config.checkpoint.is_enabled() && !stimulus.steps.is_empty() && !faults.is_empty() {
-        let mut result = crate::twodim::run_windowed(
-            design,
-            faults,
-            stimulus,
-            config,
-            &CampaignContext {
-                tapes,
-                batch,
-                good_run: ctx.good_run,
-                progress: ctx.progress,
-            },
-        );
-        if !config.parallel.is_parallel() {
-            // Serial convention: time_total is the campaign wall.
-            result.stats.time_total = t0.elapsed();
-        }
-        return result;
-    }
-    let threads = config.parallel.effective_threads();
-    if threads > 1 && faults.len() > 1 {
-        let mut shards = faults.partition(
-            config.parallel.shard_count(faults.len()),
-            config.parallel.strategy,
-        );
-        // Site-affinity may leave shards empty when the faults cluster on
-        // fewer signals than there are shards; simulating those would
-        // replay the whole stimulus for zero faults.
-        shards.retain(|s| !s.is_empty());
-        if let Some(p) = ctx.progress {
-            p.begin(shards.len(), faults.len());
-        }
-        let shard_results = run_sharded(&shards, threads, |shard| {
-            let shard_t0 = Instant::now();
-            let mut engine = build_engine(design, &shard.list, config, tapes, batch);
-            engine.run(stimulus);
-            let mut stats = engine.stats().clone();
-            stats.time_total = shard_t0.elapsed();
-            if let Some(p) = ctx.progress {
-                p.group_done(shard.len());
-            }
-            (engine.coverage().clone(), stats)
-        });
-        let mut coverage = CoverageReport::new(faults.len());
-        let mut stats = RedundancyStats::default();
-        for (shard, (shard_cov, shard_stats)) in shards.iter().zip(&shard_results) {
-            shard.merge_coverage_into(shard_cov, &mut coverage);
-            stats.merge(shard_stats);
-        }
-        return CampaignResult { coverage, stats };
-    }
-    if let Some(p) = ctx.progress {
-        p.begin(1, faults.len());
-    }
-    let mut engine = build_engine(design, faults, config, tapes, batch);
-    engine.run(stimulus);
-    let mut stats = engine.stats().clone();
-    stats.time_total = t0.elapsed();
-    if let Some(p) = ctx.progress {
-        p.group_done(faults.len());
-    }
-    CampaignResult {
-        coverage: engine.coverage().clone(),
-        stats,
-    }
+    let Drained {
+        coverage, stats, ..
+    } = run_campaign_drained(design, faults, stimulus, config, ctx);
+    CampaignResult { coverage, stats }
 }
 
-/// Builds one campaign engine on the configured backend, attaching the
-/// shared tape and batch programs when present.
-fn build_engine<'d>(
-    design: &'d Design,
-    faults: &'d FaultList,
+/// [`run_campaign_with`], also reporting the worker count the drain used.
+pub(crate) fn run_campaign_drained(
+    design: &Design,
+    faults: &FaultList,
+    stimulus: &Stimulus,
     config: &CampaignConfig,
-    tapes: Option<&'d TapeProgram>,
-    batch: Option<&'d BatchProgram>,
-) -> EraserEngine<'d> {
-    EraserEngine::session(design, faults)
-        .mode(config.mode)
-        .drop_detected(config.drop_detected)
-        .tapes(tapes)
-        .batch(batch)
-        .start()
+    ctx: &CampaignContext<'_>,
+) -> Drained {
+    // Static collapsing runs first: everything below — planning included —
+    // sees only the representative list.
+    run_collapsed(design, faults, &config.collapse, |faults| {
+        // Tape backend: lower the design once, share the immutable program
+        // with every worker — or reuse the caller's pre-compiled copy.
+        // Likewise the batch program when bit-parallel fault batching is
+        // on.
+        let owned_tapes = if ctx.tapes.is_none() {
+            TapeProgram::for_backend(design, config.backend)
+        } else {
+            None
+        };
+        let tapes = match config.backend {
+            EvalBackend::Tape => ctx.tapes.or(owned_tapes.as_ref()),
+            EvalBackend::Tree => None,
+        };
+        let owned_batch =
+            (config.batch.enabled && ctx.batch.is_none()).then(|| BatchProgram::compile(design));
+        let batch = if config.batch.enabled {
+            ctx.batch.or(owned_batch.as_ref())
+        } else {
+            None
+        };
+        // Checkpointing on: record the good run, or reuse the caller's —
+        // unless collapsing swapped the universe under it (cached
+        // artifacts were recorded over the *full* universe, and activation
+        // windows are per-fault).
+        let cached = ctx.good_run.filter(|_| !config.collapse.enabled);
+        let recorded;
+        let good = if !is_windowed(&config.checkpoint, faults, stimulus) {
+            None
+        } else if let Some(good) = cached {
+            debug_assert_eq!(
+                good.steps(),
+                stimulus.steps.len(),
+                "good-run artifacts recorded for a different stimulus"
+            );
+            Some(good)
+        } else {
+            recorded = record_good_run(design, faults, stimulus, config, tapes);
+            Some(&recorded)
+        };
+        let threads = config.parallel.effective_threads();
+        let plan = plan_campaign(faults, good, threads);
+        // One concurrent engine per group, resumed from the group's
+        // checkpoint when it has one.
+        drain_plan(&plan, good, threads, ctx.progress, |group, snapshot| {
+            let mut session = EraserEngine::session(design, &group.shard.list)
+                .mode(config.mode)
+                .drop_detected(config.drop_detected)
+                .tapes(tapes)
+                .batch(batch);
+            if let Some(snapshot) = snapshot {
+                session = session.resume_from(snapshot, group.start);
+            }
+            let mut engine = session.start();
+            engine.run(stimulus);
+            (engine.coverage().clone(), engine.stats().clone())
+        })
+    })
 }
 
 #[cfg(test)]
@@ -599,10 +540,7 @@ mod tests {
             &stim,
             &CampaignConfig {
                 collapse: CollapseConfig::enabled(),
-                parallel: ParallelConfig {
-                    threads: 4,
-                    ..ParallelConfig::serial()
-                },
+                parallel: ParallelConfig::with_threads(4),
                 ..CampaignConfig::serial()
             },
         );

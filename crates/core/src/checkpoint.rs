@@ -8,13 +8,14 @@
 //! simulation from the latest eligible checkpoint preceding each fault's
 //! window — skipping the fault-free prefix that from-zero re-simulation
 //! would otherwise replay, and skipping outright the faults whose window
-//! lies beyond the stimulus. The serial IFsim/VFsim baselines restart one
-//! simulator per fault; the concurrent campaign driver
-//! ([`run_campaign`](crate::run_campaign)) groups faults into
+//! lies beyond the stimulus. Faults group into
 //! [`WindowShard`](eraser_fault::WindowShard)s by their latest eligible
-//! checkpoint and resumes one concurrent engine per group from the shared
-//! snapshot — the two-dimensional path that composes with
-//! [`ParallelConfig`](crate::ParallelConfig) sharding. Coverage records
+//! checkpoint; the concurrent campaign driver
+//! ([`run_campaign`](crate::run_campaign)) resumes one concurrent engine
+//! per group from the shared snapshot, the serial IFsim/VFsim baselines
+//! restore one simulator per fault of the group, and either way the groups
+//! drain the same [`ParallelConfig`](crate::ParallelConfig) worker queue
+//! (see the `schedule` module docs). Coverage records
 //! (first-detection steps and outputs included) are bit-identical to the
 //! non-checkpointed run by construction, and because the window plan is
 //! worker-count-independent, *all* redundancy counters are bit-identical

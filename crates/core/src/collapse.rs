@@ -10,16 +10,14 @@
 //! fraction of the scheduled faults, which the differential tests enforce.
 //!
 //! Collapsing composes with every other knob by construction: the drivers
-//! collapse *first* and hand the representative list to the uncollapsed
-//! machinery, so sharding partitions representatives and checkpointing,
-//! batching and both eval backends see an ordinary fault list.
+//! collapse *first* ([`run_collapsed`]) and hand the representative list
+//! to the uncollapsed machinery, so the plan groups representatives and
+//! checkpointing, batching and both eval backends see an ordinary fault
+//! list.
 
-use crate::api::EngineResult;
-use crate::campaign::CampaignConfig;
-use crate::stats::RedundancyStats;
+use crate::schedule::Drained;
 use eraser_fault::{CollapsedFaultList, FaultList};
 use eraser_ir::Design;
-use std::time::Instant;
 
 /// Whether campaigns statically collapse the fault universe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,49 +50,27 @@ pub fn collapse_plan(
         .then(|| CollapsedFaultList::build(design, faults))
 }
 
-/// Adds a collapse plan's universe accounting to a stats block (losslessly
-/// mergeable: shard merges sum the counters like every other field).
-pub fn stamp_collapse_stats(stats: &mut RedundancyStats, plan: &CollapsedFaultList) {
-    stats.collapse_classes += plan.num_classes() as u64;
-    stats.collapsed_faults += plan.collapsed_faults() as u64;
-    stats.collapse_dropped += plan.dropped().len() as u64;
-}
-
-/// Runs `run` under `config`'s collapse setting: with collapsing off this
-/// is a transparent pass-through; with it on, `run` receives the
-/// representative list and a config with collapsing disabled (so nested
-/// drivers never collapse twice), and the result's coverage is lifted back
-/// over the full universe with the collapse counters stamped.
-///
-/// This is the one wrapper every engine driver shares — the concurrent
-/// campaign, the parallel adapter and the serial force-based baselines all
-/// collapse through it, which is what makes the knob engine-uniform.
+/// Runs `run` under the collapse setting — the one place a campaign driver
+/// collapses. With collapsing off this is a transparent pass-through; with
+/// it on, `run` receives the representative list, and the outcome's
+/// coverage is lifted back over the full universe with the universe
+/// accounting added to its counters (`classes + collapsed + dropped =
+/// total`).
 pub fn run_collapsed(
     design: &Design,
     faults: &FaultList,
-    config: &CampaignConfig,
-    run: impl FnOnce(&FaultList, &CampaignConfig) -> EngineResult,
-) -> EngineResult {
-    let Some(plan) = collapse_plan(design, faults, &config.collapse) else {
-        return run(faults, config);
+    config: &CollapseConfig,
+    run: impl FnOnce(&FaultList) -> Drained,
+) -> Drained {
+    let Some(plan) = collapse_plan(design, faults, config) else {
+        return run(faults);
     };
-    let t0 = Instant::now();
-    let inner = CampaignConfig {
-        collapse: CollapseConfig::disabled(),
-        ..config.clone()
-    };
-    let mut result = run(plan.representatives(), &inner);
-    result.coverage = plan.lift_coverage(&result.coverage);
-    // Engines that carry no stats (the non-checkpointed serial baselines)
-    // keep `stats: None` — materializing a zeroed block here would make
-    // them look like counter-carrying engines to parity checks. Collapse
-    // accounting is stamped wherever a stats block already exists.
-    if let Some(stats) = result.stats.as_mut() {
-        stamp_collapse_stats(stats, &plan);
-    }
-    // Honest wall: include the collapse analysis itself.
-    result.wall = t0.elapsed();
-    result
+    let mut out = run(plan.representatives());
+    out.coverage = plan.lift_coverage(&out.coverage);
+    out.stats.collapse_classes += plan.num_classes() as u64;
+    out.stats.collapsed_faults += plan.collapsed_faults() as u64;
+    out.stats.collapse_dropped += plan.dropped().len() as u64;
+    out
 }
 
 #[cfg(test)]

@@ -30,17 +30,33 @@
 //!    stimulus step, with detection at the primary-output observation
 //!    points.
 //!
-//! # Fault-parallel execution
+//! # One schedule
 //!
-//! The [`parallel`](ParallelConfig) subsystem adds the structural axis on
-//! top of the concurrent engine: the fault universe is
-//! [partitioned](eraser_fault::FaultList::partition) into disjoint shards,
-//! a scoped-thread worker pool drains the shard queue dynamically
-//! ([`run_sharded`]), and shard results recombine losslessly — merged
-//! coverage is bit-identical to the serial run at any thread count.
-//! [`CampaignConfig::parallel`] drives [`run_campaign`] directly (serial
-//! by default), and the [`Parallel`] adapter turns *any* [`FaultSimEngine`] — ERASER or the
-//! serial baselines — into a fault-parallel engine behind the same trait.
+//! Every campaign — plain or checkpointed, one thread or many, the
+//! concurrent engine or a serial baseline — is a *plan* of (fault group,
+//! start step) pairs drained by one work queue; see the `schedule`
+//! module docs ([`plan_campaign`], [`drain_plan`]) and
+//! [`eraser_fault::WindowPlan`]. Two knobs shape the plan:
+//!
+//! * [`ParallelConfig`] (spec key `threads`, CLI `--threads`) — the one
+//!   way to fan out. More than one thread cuts the universe into
+//!   site-affinity groups drained by a scoped-thread worker pool; merged
+//!   coverage is bit-identical to the serial run at any thread count.
+//!   Every [`FaultSimEngine`] honours [`CampaignConfig::parallel`]
+//!   natively.
+//! * [`CheckpointConfig`] (spec key `checkpoint_interval`, CLI
+//!   `--checkpoint-interval`) — temporal redundancy trimming. The good
+//!   machine runs once with an activation probe, snapshots its settled
+//!   state every N steps ([`record_good_run`]), and each fault group
+//!   starts from the latest checkpoint preceding its members'
+//!   [activation windows](eraser_fault::ActivationWindows)
+//!   ([`EngineSession::resume_from`]) — or is skipped entirely when it
+//!   provably cannot diverge within the stimulus. Combined with fault
+//!   dropping ([`CampaignConfig::drop_detected`]) this trims the
+//!   *temporal* axis of execution redundancy;
+//!   [`RedundancyStats::skipped_prefix_steps`],
+//!   [`RedundancyStats::skipped_faults`] and
+//!   [`RedundancyStats::dropped_faults`] quantify it.
 //!
 //! # Static fault collapsing
 //!
@@ -50,32 +66,12 @@
 //! provably undetectable sites (constant-dormant bits, signals with no
 //! influence path to any output) are dropped outright
 //! ([`eraser_fault::CollapsedFaultList`]). Every driver collapses through
-//! [`run_collapsed`] *before* partitioning, so the knob composes with
-//! sharding, checkpointing, batching and both backends, and the lifted
+//! [`run_collapsed`] *before* planning, so the knob composes with
+//! threads, checkpointing, batching and both backends, and the lifted
 //! coverage is bit-identical to the uncollapsed run.
 //! [`RedundancyStats::collapse_classes`],
 //! [`RedundancyStats::collapsed_faults`] and
 //! [`RedundancyStats::collapse_dropped`] account for the pruned universe.
-//!
-//! # Temporal redundancy trimming — and two-dimensional parallelism
-//!
-//! [`CheckpointConfig`] (spec key `checkpoint_interval`, CLI
-//! `--checkpoint-interval`) enables checkpointed good-state replay: the good machine runs once
-//! with an activation probe, snapshots its settled state every N steps,
-//! and each fault starts from the latest checkpoint preceding its
-//! [activation window](eraser_fault::ActivationWindows) — or is skipped
-//! entirely when it provably cannot diverge within the stimulus. The
-//! serial baselines restart one simulator per fault; [`run_campaign`]
-//! composes the same trim with fault-parallel sharding via the `twodim`
-//! scheduler: faults group into [`eraser_fault::WindowShard`]s by latest
-//! eligible checkpoint, each shard's *concurrent engine* resumes from
-//! the shared snapshot ([`EngineSession::resume_from`]), and one
-//! work queue balances across both dimensions. Combined with fault
-//! dropping ([`CampaignConfig::drop_detected`]) this trims the
-//! *temporal* axis of execution redundancy;
-//! [`RedundancyStats::skipped_prefix_steps`],
-//! [`RedundancyStats::skipped_faults`] and
-//! [`RedundancyStats::dropped_faults`] quantify it.
 //!
 //! # Ablation modes
 //!
@@ -127,9 +123,9 @@ mod engine;
 mod monitor;
 mod parallel;
 mod progress;
+mod schedule;
 mod spec;
 mod stats;
-mod twodim;
 
 pub use api::{CampaignRunner, EngineResult, Eraser, FaultSimEngine, ParityMismatch};
 pub use batch::BatchConfig;
@@ -137,15 +133,18 @@ pub use campaign::{
     run_campaign, run_campaign_with, CampaignConfig, CampaignContext, CampaignResult,
 };
 pub use checkpoint::CheckpointConfig;
-pub use collapse::{collapse_plan, run_collapsed, stamp_collapse_stats, CollapseConfig};
+pub use collapse::{collapse_plan, run_collapsed, CollapseConfig};
 pub use diff::{union_ids, union_ids_into, DiffList};
 pub use engine::{EngineSession, EraserEngine, FaultView};
 pub use monitor::RedundancyMonitor;
-pub use parallel::{merge_shard_results, run_queue, run_sharded, Parallel, ParallelConfig};
+pub use parallel::ParallelConfig;
 pub use progress::{CampaignProgress, ProgressSnapshot};
+pub use schedule::{
+    drain_plan, is_windowed, plan_campaign, record_good_run, record_good_run_on, Drained,
+    GoodRunArtifacts,
+};
 pub use spec::{CampaignSpec, DesignRef, SpecError};
 pub use stats::RedundancyStats;
-pub use twodim::{record_good_run, GoodRunArtifacts};
 
 // The evaluation-backend knob and the shareable compiled programs, re-
 // exported so campaign drivers configure backends without naming

@@ -48,7 +48,6 @@ use crate::checkpoint::CheckpointConfig;
 use crate::collapse::CollapseConfig;
 use crate::parallel::ParallelConfig;
 use crate::RedundancyMode;
-use eraser_fault::PartitionStrategy;
 use eraser_ir::EvalBackend;
 use eraser_netlist::json::{self, JsonValue};
 
@@ -141,8 +140,6 @@ pub struct CampaignSpec {
     pub max_faults: Option<usize>,
     /// Worker threads (`0` = one per hardware thread). `None`: 1.
     pub threads: Option<usize>,
-    /// Fault-sharding strategy. `None`: site-affinity.
-    pub partition: Option<PartitionStrategy>,
     /// Expression-evaluation backend. `None`: the tree walker.
     pub backend: Option<EvalBackend>,
     /// Good-state checkpoint interval (`0` disables). `None`: off.
@@ -170,7 +167,6 @@ impl CampaignSpec {
             drop_detected: true,
             max_faults: None,
             threads: None,
-            partition: None,
             backend: None,
             checkpoint_interval: None,
             batch: None,
@@ -247,12 +243,6 @@ impl CampaignSpec {
         self
     }
 
-    /// Pins the fault-sharding strategy.
-    pub fn partition(mut self, strategy: PartitionStrategy) -> Self {
-        self.partition = Some(strategy);
-        self
-    }
-
     /// Pins the expression-evaluation backend.
     pub fn backend(mut self, backend: EvalBackend) -> Self {
         self.backend = Some(backend);
@@ -286,10 +276,9 @@ impl CampaignSpec {
         CampaignConfig {
             mode: self.mode,
             drop_detected: self.drop_detected,
-            parallel: ParallelConfig {
-                threads: self.threads.unwrap_or(default.parallel.threads),
-                strategy: self.partition.unwrap_or(default.parallel.strategy),
-            },
+            parallel: self
+                .threads
+                .map_or(default.parallel, ParallelConfig::with_threads),
             backend: self.backend.unwrap_or(default.backend),
             checkpoint: self
                 .checkpoint_interval
@@ -334,9 +323,6 @@ impl CampaignSpec {
         }
         if let Some(t) = self.threads {
             obj.push(("threads".into(), JsonValue::num(t as u64)));
-        }
-        if let Some(p) = self.partition {
-            obj.push(("partition".into(), JsonValue::str(p.to_string())));
         }
         if let Some(b) = self.backend {
             obj.push(("eval".into(), JsonValue::str(b.to_string())));
@@ -387,13 +373,6 @@ impl CampaignSpec {
                 "drop_detected" => spec.drop_detected = want_bool(key, value)?,
                 "max_faults" => spec.max_faults = Some(want_usize(key, value)?),
                 "threads" => spec.threads = Some(want_usize(key, value)?),
-                "partition" => {
-                    spec.partition = Some(
-                        want_str(key, value)?
-                            .parse()
-                            .map_err(|e: String| SpecError::new(format!("key `partition`: {e}")))?,
-                    )
-                }
                 "eval" => {
                     spec.backend = Some(
                         want_str(key, value)?
@@ -472,7 +451,6 @@ mod tests {
             .drop_detected(false)
             .max_faults(100)
             .threads(4)
-            .partition(PartitionStrategy::WindowAffinity)
             .backend(EvalBackend::Tape)
             .checkpoint_interval(8)
             .batch(true)
@@ -512,7 +490,6 @@ mod tests {
             .mode(RedundancyMode::Explicit)
             .drop_detected(false)
             .threads(2)
-            .partition(PartitionStrategy::RoundRobin)
             .backend(EvalBackend::Tape)
             .checkpoint_interval(16)
             .batch(true)
@@ -521,7 +498,6 @@ mod tests {
         assert_eq!(cfg.mode, RedundancyMode::Explicit);
         assert!(!cfg.drop_detected);
         assert_eq!(cfg.parallel.threads, 2);
-        assert_eq!(cfg.parallel.strategy, PartitionStrategy::RoundRobin);
         assert_eq!(cfg.backend, EvalBackend::Tape);
         assert_eq!(cfg.checkpoint.interval, 16);
         assert!(cfg.batch.enabled);
@@ -534,7 +510,6 @@ mod tests {
         assert_eq!(cfg.mode, RedundancyMode::Full);
         assert!(cfg.drop_detected);
         assert_eq!(cfg.parallel.threads, 1);
-        assert_eq!(cfg.parallel.strategy, PartitionStrategy::SiteAffinity);
         assert_eq!(cfg.backend, EvalBackend::Tree);
         assert!(!cfg.checkpoint.is_enabled());
         assert!(!cfg.batch.enabled);

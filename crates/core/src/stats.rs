@@ -74,15 +74,15 @@ pub struct RedundancyStats {
 
 impl RedundancyStats {
     /// Accumulates another run's counters into this one — the reduction
-    /// step of a fault-parallel campaign, where each shard produces its own
+    /// step of the campaign drain, where each fault group produces its own
     /// stats.
     ///
-    /// All counters and durations sum. Note that per-shard good-network
+    /// All counters and durations sum. Note that per-group good-network
     /// work (`good_activations`, `rtl_good_evals`, `deltas`) is repeated in
-    /// every shard, so merged totals count that repetition — they measure
+    /// every group, so merged totals count that repetition — they measure
     /// aggregate work performed, not serial-equivalent work. Summed
     /// `time_*` fields are aggregate compute (CPU) time, **not** wall
-    /// time: drivers stamp each shard's `time_total` with that shard's
+    /// time: the drain stamps each group's `time_total` with that group's
     /// wall before merging, keeping
     /// [`behavioral_time_percent`](Self::behavioral_time_percent) a valid
     /// compute-share (≤ 100%) at any thread count. Campaign wall time

@@ -14,7 +14,7 @@
 
 use eraser_core::{EraserEngine, EvalBackend};
 use eraser_designs::Benchmark;
-use eraser_fault::{generate_faults, PartitionStrategy};
+use eraser_fault::generate_faults;
 use eraser_logic::counting_alloc::CountingAlloc;
 use eraser_sim::Simulator;
 
@@ -255,7 +255,7 @@ fn two_way_sharded_workers_are_allocation_free_in_steady_state() {
     let design = Benchmark::Apb.build();
     let faults = generate_faults(&design, &Benchmark::Apb.fault_config());
     let stim = Benchmark::Apb.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
-    let shards = faults.partition(2, PartitionStrategy::SiteAffinity);
+    let shards = faults.partition(2);
     assert_eq!(shards.len(), 2);
 
     let tapes = eraser_core::TapeProgram::compile(&design);

@@ -71,8 +71,8 @@ pub struct ActivationWindows {
     /// Stimulus length in settle steps.
     num_steps: usize,
     /// Fault ids sorted by ascending window (ties by id), computed once at
-    /// derivation — every consumer (serial scheduler, window-affinity
-    /// partitioner) reads this cache instead of re-sorting.
+    /// derivation — the window planner reads this cache instead of
+    /// re-sorting.
     order: Vec<FaultId>,
 }
 

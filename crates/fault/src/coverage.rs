@@ -86,36 +86,6 @@ impl CoverageReport {
             .collect()
     }
 
-    /// Merges another report over the *same* fault universe into this one:
-    /// a fault undetected here adopts the other report's detection; a fault
-    /// detected in both keeps the earlier detection (ties keep `self`'s).
-    ///
-    /// Shard reports from a partitioned campaign (see
-    /// [`FaultList::partition`](crate::FaultList::partition)) cover
-    /// disjoint fault sets once [lifted](crate::FaultShard::lift_coverage),
-    /// so merging them is a lossless union and the merged report is
-    /// bit-identical to a single run over the whole universe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two reports cover universes of different sizes.
-    pub fn merge(&mut self, other: &CoverageReport) {
-        assert_eq!(
-            self.detections.len(),
-            other.detections.len(),
-            "cannot merge coverage over different universes ({} vs {} faults)",
-            self.detections.len(),
-            other.detections.len()
-        );
-        for (mine, theirs) in self.detections.iter_mut().zip(&other.detections) {
-            match (&mine, theirs) {
-                (None, Some(d)) => *mine = Some(*d),
-                (Some(a), Some(b)) if b.step < a.step => *mine = Some(*b),
-                _ => {}
-            }
-        }
-    }
-
     /// Expands a report over a *collapsed* universe (one slot per
     /// equivalence class, see
     /// [`CollapsedFaultList`](crate::CollapsedFaultList)) into the full
@@ -231,87 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_disjoint_reports() {
-        let mut a = CoverageReport::new(4);
-        let mut b = CoverageReport::new(4);
-        let d0 = Detection {
-            step: 2,
-            output: SignalId(0),
-        };
-        let d3 = Detection {
-            step: 5,
-            output: SignalId(1),
-        };
-        a.record(FaultId(0), d0);
-        b.record(FaultId(3), d3);
-        a.merge(&b);
-        assert_eq!(a.detection(FaultId(0)), Some(d0));
-        assert_eq!(a.detection(FaultId(3)), Some(d3));
-        assert_eq!(a.detected(), 2);
-        assert!(!a.is_detected(FaultId(1)));
-    }
-
-    #[test]
-    fn merge_empty_shard_is_identity() {
-        // An empty shard (or a shard whose faults all went undetected)
-        // lifts to an all-None report; merging it changes nothing.
-        let mut a = CoverageReport::new(3);
-        a.record(
-            FaultId(1),
-            Detection {
-                step: 4,
-                output: SignalId(0),
-            },
-        );
-        let before = a.clone();
-        a.merge(&CoverageReport::new(3));
-        assert_eq!(a, before);
-    }
-
-    #[test]
-    fn merge_all_detected_shard_keeps_earliest() {
-        // An all-dropped shard: every fault detected. Overlapping merges
-        // keep the earlier step; ties keep self's record.
-        let mut a = CoverageReport::new(2);
-        let mut b = CoverageReport::new(2);
-        a.record(
-            FaultId(0),
-            Detection {
-                step: 9,
-                output: SignalId(0),
-            },
-        );
-        b.record(
-            FaultId(0),
-            Detection {
-                step: 3,
-                output: SignalId(1),
-            },
-        );
-        b.record(
-            FaultId(1),
-            Detection {
-                step: 3,
-                output: SignalId(2),
-            },
-        );
-        a.merge(&b);
-        assert_eq!(a.detection(FaultId(0)).unwrap().step, 3);
-        assert_eq!(a.detection(FaultId(1)).unwrap().output, SignalId(2));
-        // Tie: self wins.
-        let mut c = CoverageReport::new(2);
-        c.record(
-            FaultId(1),
-            Detection {
-                step: 3,
-                output: SignalId(7),
-            },
-        );
-        a.merge(&c);
-        assert_eq!(a.detection(FaultId(1)).unwrap().output, SignalId(2));
-    }
-
-    #[test]
     fn lift_classes_copies_records_and_leaves_dropped_undetected() {
         // Collapsed universe: class 0 = {0, 2, 5}, class 1 = {1, 4};
         // fault 3 was dropped (member of no class).
@@ -339,13 +228,6 @@ mod tests {
     #[should_panic(expected = "one detection slot per class")]
     fn lift_classes_rejects_slot_mismatch() {
         CoverageReport::new(3).lift_classes(5, &[vec![FaultId(0)]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different universes")]
-    fn merge_rejects_size_mismatch() {
-        let mut a = CoverageReport::new(2);
-        a.merge(&CoverageReport::new(3));
     }
 
     #[test]

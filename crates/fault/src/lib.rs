@@ -10,8 +10,9 @@
 //! * [`FaultList`] and [`generate_faults`] — fault universe construction
 //!   with the usual exclusions (clocks/resets, synthetic nets) and optional
 //!   deterministic sampling,
-//! * [`FaultList::partition`], [`FaultShard`] and [`PartitionStrategy`] —
-//!   disjoint sharding of a universe for fault-parallel campaigns,
+//! * [`FaultShard`] and [`FaultList::partition`] — disjoint,
+//!   self-contained slices of a universe and the site-affinity cut that
+//!   makes them,
 //! * [`BatchPlan`] — static site-major `(batch, lane)` assignment for
 //!   64-wide bit-parallel (PPSFP-style) evaluation,
 //! * [`CollapsedFaultList`] — static fault collapsing: equivalence classes
@@ -23,14 +24,15 @@
 //!   instrumented good replay: the earliest step each fault can first
 //!   diverge, the restart-eligibility rule for checkpointed campaigns,
 //!   and the activation-ordered fault schedule,
-//! * [`WindowPlan`] — the two-dimensional schedule composing both axes:
-//!   faults grouped by latest eligible checkpoint into [`WindowShard`]s
-//!   whose engines resume from shared good-state snapshots, chunked with
-//!   worker-count-independent constants so merged results stay
-//!   bit-identical at any thread count,
+//! * [`WindowPlan`] — the campaign plan, the one place that decides which
+//!   faults share an engine and where it starts: [`WindowShard`] groups
+//!   from step 0, or grouped by latest eligible checkpoint so engines
+//!   resume from shared good-state snapshots (chunked with
+//!   worker-count-independent constants, so merged results stay
+//!   bit-identical at any thread count),
 //! * [`CoverageReport`] — detection bookkeeping and the coverage metric
-//!   reported in Table II of the paper, with lossless shard
-//!   [merging](CoverageReport::merge).
+//!   reported in Table II of the paper; shard reports fold into it through
+//!   [`FaultShard::merge_coverage_into`].
 
 mod activation;
 mod batch;
@@ -45,7 +47,7 @@ pub use batch::BatchPlan;
 pub use collapse::CollapsedFaultList;
 pub use coverage::{CoverageReport, Detection};
 pub use list::{generate_faults, FaultList, FaultListConfig};
-pub use partition::{FaultShard, PartitionStrategy};
+pub use partition::FaultShard;
 pub use window::{WindowPlan, WindowShard};
 
 use eraser_ir::SignalId;

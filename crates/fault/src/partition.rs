@@ -1,85 +1,17 @@
-//! Fault-list partitioning for fault-parallel campaign execution.
+//! Fault shards: disjoint, self-contained slices of a fault universe.
 //!
-//! A fault universe is split into disjoint [`FaultShard`]s, each a
-//! self-contained [`FaultList`] with dense local ids plus the mapping back
-//! to the global universe. Any engine can run a shard unchanged; shard
-//! coverage reports are [lifted](FaultShard::lift_coverage) into the global
-//! id space and recombined with [`CoverageReport::merge`]. Because the
-//! concurrent engine's per-fault semantics are independent of which other
-//! faults share its batch, the merged result is bit-identical to a single
-//! serial run over the whole universe — partitioning is purely a
-//! parallelism axis, never a semantics axis.
+//! A [`FaultShard`] is an ordinary [`FaultList`] with dense local ids plus
+//! the mapping back to the global universe, so any engine runs it
+//! unchanged and its coverage folds back through the one reduction rule,
+//! [`FaultShard::merge_coverage_into`]. Because a fault's simulation never
+//! depends on which other faults share its engine, the folded result is
+//! bit-identical to a single run over the whole universe — how a universe
+//! is cut is scheduling policy, never semantics. The policy lives in
+//! [`WindowPlan`](crate::WindowPlan); this module only supplies the shard
+//! type and the site-affinity cut the from-step-0 plan is made of.
 
 use crate::{CoverageReport, Fault, FaultId, FaultList};
 use std::collections::HashMap;
-use std::fmt;
-use std::str::FromStr;
-
-/// How a fault universe is split into shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PartitionStrategy {
-    /// Consecutive id ranges; shard sizes differ by at most one.
-    Contiguous,
-    /// Fault `i` goes to shard `i % n` — maximally interleaved, evens out
-    /// clustered hard faults.
-    RoundRobin,
-    /// Faults sited on the same signal stay in one shard, groups spread
-    /// greedily by size (longest-processing-time first). Keeps ERASER's
-    /// per-signal diff lists dense inside each shard.
-    #[default]
-    SiteAffinity,
-    /// Faults that can start from the same activation-window checkpoint
-    /// stay in one shard, so every shard engine resumes from the latest
-    /// shared good-state snapshot instead of step 0. Window information
-    /// comes from an instrumented good replay: the checkpointed campaign
-    /// path builds the real schedule via
-    /// [`WindowPlan`](crate::WindowPlan); a plain
-    /// [`partition`](FaultList::partition) call has no windows and
-    /// degrades to [`SiteAffinity`](Self::SiteAffinity) grouping.
-    WindowAffinity,
-}
-
-impl PartitionStrategy {
-    /// All strategies, in declaration order.
-    pub fn all() -> [PartitionStrategy; 4] {
-        [
-            PartitionStrategy::Contiguous,
-            PartitionStrategy::RoundRobin,
-            PartitionStrategy::SiteAffinity,
-            PartitionStrategy::WindowAffinity,
-        ]
-    }
-}
-
-impl fmt::Display for PartitionStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PartitionStrategy::Contiguous => write!(f, "contiguous"),
-            PartitionStrategy::RoundRobin => write!(f, "round-robin"),
-            PartitionStrategy::SiteAffinity => write!(f, "site-affinity"),
-            PartitionStrategy::WindowAffinity => write!(f, "window-affinity"),
-        }
-    }
-}
-
-impl FromStr for PartitionStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "contiguous" => Ok(PartitionStrategy::Contiguous),
-            "round-robin" | "roundrobin" => Ok(PartitionStrategy::RoundRobin),
-            "site-affinity" | "siteaffinity" | "affinity" => Ok(PartitionStrategy::SiteAffinity),
-            "window-affinity" | "windowaffinity" | "window" => {
-                Ok(PartitionStrategy::WindowAffinity)
-            }
-            other => Err(format!(
-                "unknown partition strategy `{other}` \
-                 (expected contiguous, round-robin, site-affinity or window-affinity)"
-            )),
-        }
-    }
-}
 
 /// One shard of a partitioned fault universe: a dense local [`FaultList`]
 /// plus the mapping of local ids back to the global universe.
@@ -130,26 +62,11 @@ impl FaultShard {
         &self.global
     }
 
-    /// Expands a shard-local coverage report into the global universe of
-    /// `total` faults: every local detection is re-recorded under its
-    /// global id; faults outside the shard stay undetected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local` was not produced over this shard's fault list.
-    pub fn lift_coverage(&self, local: &CoverageReport, total: usize) -> CoverageReport {
-        let mut lifted = CoverageReport::new(total);
-        self.merge_coverage_into(local, &mut lifted);
-        lifted
-    }
-
     /// Records every detection of a shard-local report directly into a
-    /// global-universe accumulator — the single reduction rule every
-    /// fault-parallel driver uses, and the efficient form of
-    /// [`lift_coverage`](Self::lift_coverage) +
-    /// [`CoverageReport::merge`]: O(shard size) per shard, no intermediate
-    /// full-universe report. Shards of one partition are disjoint, so the
-    /// accumulated result is independent of merge order.
+    /// global-universe accumulator under its global id — the single
+    /// reduction rule of every campaign driver: O(shard size) per shard,
+    /// no intermediate full-universe report. Shards of one plan are
+    /// disjoint, so the accumulated result is independent of merge order.
     ///
     /// # Panics
     ///
@@ -172,64 +89,42 @@ impl FaultShard {
 }
 
 impl FaultList {
-    /// Splits the universe into `n` disjoint shards under `strategy`.
+    /// Splits the universe into `n` disjoint site-affinity shards: faults
+    /// sited on the same signal stay in one shard (keeping ERASER's
+    /// per-signal diff lists dense inside each engine), and the per-signal
+    /// groups spread greedily by size, longest-processing-time first.
     ///
-    /// Always returns exactly `max(n, 1)` shards; trailing shards may be
-    /// empty when the universe is smaller than `n`. Every fault appears in
-    /// exactly one shard, and within each shard faults keep their global
-    /// relative order (local ids ascend with global ids), so shard runs are
-    /// deterministic regardless of strategy.
-    pub fn partition(&self, n: usize, strategy: PartitionStrategy) -> Vec<FaultShard> {
+    /// Always returns exactly `max(n, 1)` shards; shards may be empty when
+    /// the faults cluster on fewer signals than `n`. Every fault appears
+    /// in exactly one shard, and within each shard faults keep their
+    /// global relative order (local ids ascend with global ids), so a
+    /// single shard is the universe itself: same faults, same order,
+    /// local id = global id.
+    pub fn partition(&self, n: usize) -> Vec<FaultShard> {
         let n = n.max(1);
+        // Group faults by injection site, first appearance order.
+        let mut site_of: HashMap<usize, usize> = HashMap::new();
+        let mut groups: Vec<Vec<&Fault>> = Vec::new();
+        for f in self.iter() {
+            let gi = *site_of.entry(f.signal.index()).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[gi].push(f);
+        }
+        // Longest-processing-time-first onto the least-loaded shard; ties
+        // broken by first global id, then shard index — fully
+        // deterministic.
+        groups.sort_by_key(|g| (usize::MAX - g.len(), g[0].id));
         let mut buckets: Vec<Vec<&Fault>> = vec![Vec::new(); n];
-        match strategy {
-            PartitionStrategy::Contiguous => {
-                let base = self.len() / n;
-                let extra = self.len() % n;
-                let mut next = 0usize;
-                for (i, bucket) in buckets.iter_mut().enumerate() {
-                    let take = base + usize::from(i < extra);
-                    bucket.extend(self.faults()[next..next + take].iter());
-                    next += take;
-                }
-            }
-            PartitionStrategy::RoundRobin => {
-                for (i, f) in self.iter().enumerate() {
-                    buckets[i % n].push(f);
-                }
-            }
-            // Without an instrumented good run there is no window
-            // information, so the window-affinity fallback reuses the
-            // site-affinity grouping (faults sharing a site usually share a
-            // window — the window is a property of the sited signal's
-            // commit history). The checkpointed campaign drivers never take
-            // this path: they build a [`WindowPlan`](crate::WindowPlan)
-            // from real [`ActivationWindows`](crate::ActivationWindows).
-            PartitionStrategy::SiteAffinity | PartitionStrategy::WindowAffinity => {
-                // Group faults by injection site, first appearance order.
-                let mut site_of: HashMap<usize, usize> = HashMap::new();
-                let mut groups: Vec<Vec<&Fault>> = Vec::new();
-                for f in self.iter() {
-                    let gi = *site_of.entry(f.signal.index()).or_insert_with(|| {
-                        groups.push(Vec::new());
-                        groups.len() - 1
-                    });
-                    groups[gi].push(f);
-                }
-                // Longest-processing-time-first onto the least-loaded
-                // shard; ties broken by first global id, then shard index —
-                // fully deterministic.
-                groups.sort_by_key(|g| (usize::MAX - g.len(), g[0].id));
-                let mut load = vec![0usize; n];
-                for group in groups {
-                    let target = (0..n).min_by_key(|&i| (load[i], i)).unwrap();
-                    load[target] += group.len();
-                    buckets[target].extend(group);
-                }
-                for bucket in &mut buckets {
-                    bucket.sort_by_key(|f| f.id);
-                }
-            }
+        let mut load = vec![0usize; n];
+        for group in groups {
+            let target = (0..n).min_by_key(|&i| (load[i], i)).unwrap();
+            load[target] += group.len();
+            buckets[target].extend(group);
+        }
+        for bucket in &mut buckets {
+            bucket.sort_by_key(|f| f.id);
         }
         buckets
             .into_iter()
@@ -242,7 +137,7 @@ impl FaultList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Detection, StuckAt};
+    use crate::{Detection, StuckAt, WindowPlan};
     use eraser_ir::SignalId;
 
     /// A universe of `n` faults over `sites` signals (round-robin siting),
@@ -291,40 +186,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn contiguous_balances_sizes() {
-        let list = universe(23, 4);
-        let shards = list.partition(5, PartitionStrategy::Contiguous);
-        assert_eq!(shards.len(), 5);
-        let sizes: Vec<usize> = shards.iter().map(|s| s.len()).collect();
-        assert_eq!(sizes, [5, 5, 5, 4, 4]);
-        assert_lossless(&list, &shards);
-        // Consecutive ranges.
-        assert_eq!(
-            shards[0].global_ids(),
-            &[FaultId(0), FaultId(1), FaultId(2), FaultId(3), FaultId(4)]
-        );
-    }
-
-    #[test]
-    fn round_robin_interleaves() {
-        let list = universe(10, 3);
-        let shards = list.partition(3, PartitionStrategy::RoundRobin);
-        assert_lossless(&list, &shards);
-        assert_eq!(
-            shards[0].global_ids(),
-            &[FaultId(0), FaultId(3), FaultId(6), FaultId(9)]
-        );
-        assert_eq!(
-            shards[1].global_ids(),
-            &[FaultId(1), FaultId(4), FaultId(7)]
-        );
+    /// The shards of a plan's groups, for the shard-level checks.
+    fn shards_of(plan: &WindowPlan) -> Vec<FaultShard> {
+        assert!(plan.skipped.is_empty(), "from-step-0 plans skip nothing");
+        assert!(plan
+            .shards
+            .iter()
+            .all(|g| g.start == 0 && g.checkpoint.is_none()));
+        plan.shards.iter().map(|g| g.shard.clone()).collect()
     }
 
     #[test]
     fn site_affinity_keeps_groups_whole() {
         let list = universe(40, 5);
-        let shards = list.partition(3, PartitionStrategy::SiteAffinity);
+        let shards = shards_of(&WindowPlan::from_step_zero(&list, 3));
+        assert_eq!(shards.len(), 3);
         assert_lossless(&list, &shards);
         // Every signal's faults live in exactly one shard.
         for sig in 0..5u32 {
@@ -347,60 +223,57 @@ mod tests {
 
     #[test]
     fn more_shards_than_faults_yields_empty_shards() {
+        // The cut itself always returns n shards; the plan drops the
+        // empty ones, so no engine is built for zero faults.
         let list = universe(3, 2);
-        for strategy in PartitionStrategy::all() {
-            let shards = list.partition(8, strategy);
-            assert_eq!(shards.len(), 8, "{strategy}");
-            assert_lossless(&list, &shards);
-            assert!(shards.iter().any(|s| s.is_empty()), "{strategy}");
-        }
+        let cut = list.partition(8);
+        assert_eq!(cut.len(), 8);
+        assert_lossless(&list, &cut);
+        assert!(cut.iter().any(|s| s.is_empty()));
+        let shards = shards_of(&WindowPlan::from_step_zero(&list, 8));
+        assert_eq!(shards.len(), 2, "one group per populated site");
+        assert!(shards.iter().all(|s| !s.is_empty()));
+        assert_lossless(&list, &shards);
     }
 
     #[test]
     fn zero_shards_clamps_to_one() {
         let list = universe(6, 2);
-        for strategy in PartitionStrategy::all() {
-            let shards = list.partition(0, strategy);
-            assert_eq!(shards.len(), 1);
-            assert_eq!(shards[0].len(), 6);
-        }
+        let shards = shards_of(&WindowPlan::from_step_zero(&list, 0));
+        assert_eq!(shards.len(), 1);
+        assert_eq!(shards[0].len(), 6);
     }
 
     #[test]
     fn partition_is_deterministic() {
         let list = universe(64, 7);
-        for strategy in PartitionStrategy::all() {
-            let a = list.partition(4, strategy);
-            let b = list.partition(4, strategy);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.global_ids(), y.global_ids(), "{strategy}");
-            }
+        let a = shards_of(&WindowPlan::from_step_zero(&list, 4));
+        let b = shards_of(&WindowPlan::from_step_zero(&list, 4));
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.global_ids(), y.global_ids());
         }
     }
 
     #[test]
-    fn lift_coverage_remaps_detections() {
-        let list = universe(10, 3);
-        let shards = list.partition(3, PartitionStrategy::RoundRobin);
-        // Detect the second local fault of shard 1 (global id 4).
-        let mut local = CoverageReport::new(shards[1].len());
-        let det = Detection {
-            step: 7,
-            output: SignalId(0),
-        };
-        local.record(FaultId(1), det);
-        let lifted = shards[1].lift_coverage(&local, list.len());
-        assert_eq!(lifted.total(), 10);
-        assert_eq!(lifted.detection(FaultId(4)), Some(det));
-        assert_eq!(lifted.detected(), 1);
+    fn single_group_plan_is_the_identity() {
+        // What lets a one-thread plain campaign run exactly one engine
+        // over exactly the caller's list: same faults, same order, local
+        // id = global id — an empty universe included.
+        for list in [universe(23, 4), FaultList::default()] {
+            let shards = shards_of(&WindowPlan::from_step_zero(&list, 1));
+            assert_eq!(shards.len(), 1);
+            assert_eq!(shards[0].list.faults(), list.faults());
+            let ids: Vec<FaultId> = list.iter().map(|f| f.id).collect();
+            assert_eq!(shards[0].global_ids(), ids);
+        }
     }
 
     #[test]
-    fn merge_coverage_into_matches_lift_then_merge() {
+    fn merge_coverage_into_remaps_detections() {
         let list = universe(20, 4);
-        let shards = list.partition(4, PartitionStrategy::SiteAffinity);
-        let mut direct = CoverageReport::new(list.len());
-        let mut lifted = CoverageReport::new(list.len());
+        let shards = list.partition(4);
+        let mut global = CoverageReport::new(list.len());
         for shard in &shards {
             // Detect every even local fault at a shard-dependent step.
             let mut local = CoverageReport::new(shard.len());
@@ -413,27 +286,26 @@ mod tests {
                     },
                 );
             }
-            shard.merge_coverage_into(&local, &mut direct);
-            lifted.merge(&shard.lift_coverage(&local, list.len()));
+            shard.merge_coverage_into(&local, &mut global);
         }
-        assert_eq!(direct, lifted);
+        for shard in &shards {
+            for (li, &gid) in shard.global_ids().iter().enumerate() {
+                let want = (li % 2 == 0).then_some(Detection {
+                    step: shard.index + 1,
+                    output: SignalId(0),
+                });
+                assert_eq!(global.detection(gid), want, "global {gid:?}");
+            }
+        }
+        assert_eq!(global.detected(), 10);
     }
 
     #[test]
     #[should_panic(expected = "coverage report covers")]
-    fn lift_coverage_rejects_foreign_report() {
+    fn merge_coverage_into_rejects_foreign_report() {
         let list = universe(10, 3);
-        let shards = list.partition(2, PartitionStrategy::Contiguous);
+        let shards = list.partition(2);
         let wrong = CoverageReport::new(3);
-        shards[0].lift_coverage(&wrong, 10);
-    }
-
-    #[test]
-    fn strategy_round_trips_through_strings() {
-        for strategy in PartitionStrategy::all() {
-            let parsed: PartitionStrategy = strategy.to_string().parse().unwrap();
-            assert_eq!(parsed, strategy);
-        }
-        assert!("diagonal".parse::<PartitionStrategy>().is_err());
+        shards[0].merge_coverage_into(&wrong, &mut CoverageReport::new(10));
     }
 }

@@ -1,32 +1,47 @@
-//! Window-aware shard planning — the two-dimensional parallelism
-//! schedule.
+//! The campaign plan: which faults share an engine, and the step that
+//! engine starts from.
 //!
-//! Fault-parallel sharding ([`FaultList::partition`]) and checkpointed
-//! activation-window starts ([`ActivationWindows`]) are each a pure
-//! speedup axis; a [`WindowPlan`] composes them. Given the per-fault
-//! windows of one instrumented good replay and the campaign's checkpoint
-//! schedule, the plan:
+//! A fault's simulation never depends on which other faults share its
+//! engine, and — inside its activation window's soundness rule — not on
+//! where the engine starts either. How a universe is cut into groups and
+//! where each group starts is therefore pure scheduling policy, and a
+//! [`WindowPlan`] is the whole of it: a list of [`WindowShard`] groups in
+//! queue order plus the faults that need no simulation at all. Every
+//! campaign driver — the concurrent engine and the serial baselines, plain
+//! or checkpointed, at any thread count — builds one plan and hands it to
+//! the one drain in `eraser-core`. Two constructors:
 //!
-//! 1. drops every fault that provably cannot diverge within the stimulus
-//!    ([`ActivationWindows::never_active`]) — undetected by construction,
-//!    never simulated;
-//! 2. groups the remaining faults by their **latest eligible checkpoint**
-//!    ([`ActivationWindows::start_checkpoint`]), walking the cached
-//!    window ordering so faults with nearby windows land in the same
-//!    group and every shard's start is as late as the soundness rule
-//!    allows;
-//! 3. splits oversized groups into fixed-size chunks so a work queue can
-//!    balance across workers — stealing whole window groups first and
-//!    falling back to the intra-group chunks of a heavy window;
-//! 4. orders the shards by descending estimated cost (suffix length ×
-//!    fault count) so the queue schedules longest-processing-time first.
+//! * [`WindowPlan::from_step_zero`] — no good-run data: `n`
+//!   [site-affinity](FaultList::partition) groups, all starting at step 0,
+//!   nothing skipped. With `n == 1` the single group is the universe
+//!   itself, so a one-thread plain campaign is one engine over the
+//!   caller's list.
+//! * [`WindowPlan::build`] — the two-dimensional schedule. Given the
+//!   per-fault [`ActivationWindows`] of one instrumented good replay and
+//!   the checkpoint schedule, it
+//!   1. drops every fault that provably cannot diverge within the stimulus
+//!      ([`ActivationWindows::never_active`]) — undetected by
+//!      construction, never simulated;
+//!   2. groups the remaining faults by their **latest eligible
+//!      checkpoint** ([`ActivationWindows::start_checkpoint`]), walking
+//!      the cached window ordering so faults with nearby windows land in
+//!      the same group and every group starts as late as the soundness
+//!      rule allows;
+//!   3. splits oversized groups into fixed-size chunks so the work queue
+//!      can balance across workers — whole window groups first, the
+//!      intra-group chunks of a heavy window after;
+//!   4. orders the groups by descending estimated cost (suffix length ×
+//!      fault count) so the queue schedules longest-processing-time
+//!      first.
 //!
-//! The chunking constants are **fixed** — independent of worker count —
-//! so the same `(faults, windows, checkpoints)` input always yields the
-//! identical shard set. A campaign that executes the plan serially and
-//! one that executes it on N workers run the *same* engines on the same
-//! fault groups, which is what keeps coverage records **and** every
-//! redundancy counter bit-identical at any thread count.
+//! The chunking constants of `build` are **fixed** — independent of the
+//! worker count — so the same `(faults, windows, checkpoints)` input
+//! always yields the identical group set: a checkpointed campaign runs the
+//! *same* engines on the same fault groups on one worker or N, which keeps
+//! coverage records **and** every redundancy counter bit-identical at any
+//! thread count. (The from-step-0 plan is sized by its caller from the
+//! thread count; there coverage is thread-invariant and the counters
+//! legitimately sum one good-network pass per group.)
 
 use crate::{ActivationWindows, Fault, FaultId, FaultList, FaultShard};
 
@@ -41,8 +56,8 @@ const MAX_WINDOW_SHARDS: usize = 16;
 /// shards pay full engine construction for almost no faults.
 const MIN_WINDOW_SHARD_FAULTS: usize = 16;
 
-/// One schedulable unit of a [`WindowPlan`]: a fault shard plus the
-/// checkpoint its engine resumes from.
+/// One schedulable unit of a [`WindowPlan`]: a fault shard plus where its
+/// engine starts.
 #[derive(Debug, Clone)]
 pub struct WindowShard {
     /// The faults, as an ordinary dense-id shard — engines run it
@@ -52,11 +67,12 @@ pub struct WindowShard {
     /// Index into the campaign's checkpoint schedule (the `checkpoints`
     /// slice handed to [`WindowPlan::build`]): every fault in the shard is
     /// restart-eligible there, and it is the latest such checkpoint for
-    /// each of them.
-    pub checkpoint: usize,
-    /// The checkpoint's stimulus step — the common start of the shard's
-    /// engine, and the number of good-prefix settle steps each member
-    /// fault skips.
+    /// each of them. `None` in a from-step-0 plan: the engine starts from
+    /// its own construction-settled state.
+    pub checkpoint: Option<usize>,
+    /// The stimulus step the shard's engine starts from (the checkpoint's
+    /// step) — the number of good-prefix settle steps each member fault
+    /// skips.
     pub start: usize,
 }
 
@@ -67,8 +83,9 @@ impl WindowShard {
     }
 }
 
-/// The composed two-dimensional schedule over one fault universe. See the
-/// [module docs](self) for construction and the determinism argument.
+/// The schedule of one campaign over one fault universe. See the
+/// [module docs](self) for the two constructors and the determinism
+/// argument.
 #[derive(Debug, Clone)]
 pub struct WindowPlan {
     /// Shards in queue order (descending estimated cost). Disjoint; their
@@ -80,6 +97,30 @@ pub struct WindowPlan {
 }
 
 impl WindowPlan {
+    /// The plan without good-run data: `n` site-affinity groups (at least
+    /// one), every engine starting at step 0, nothing skipped. Groups the
+    /// cut leaves empty — faults clustered on fewer signals than `n` —
+    /// are dropped rather than replayed for zero faults; a single
+    /// requested group always stays, so an empty universe still runs its
+    /// one (fault-free) engine.
+    pub fn from_step_zero(faults: &FaultList, n: usize) -> WindowPlan {
+        let mut shards = faults.partition(n);
+        if shards.len() > 1 {
+            shards.retain(|s| !s.is_empty());
+        }
+        WindowPlan {
+            shards: shards
+                .into_iter()
+                .map(|shard| WindowShard {
+                    shard,
+                    checkpoint: None,
+                    start: 0,
+                })
+                .collect(),
+            skipped: Vec::new(),
+        }
+    }
+
     /// Builds the plan for `faults` from derived `windows` and the
     /// checkpoint schedule `checkpoints` (`(step, fully_defined)` pairs,
     /// ascending by step, step 0 first — the shape the campaign drivers
@@ -117,7 +158,7 @@ impl WindowPlan {
                 members.sort_by_key(|f| f.id);
                 shards.push(WindowShard {
                     shard: FaultShard::from_faults(shards.len(), members),
-                    checkpoint: ci,
+                    checkpoint: Some(ci),
                     start: checkpoints[ci].0,
                 });
             }
@@ -209,14 +250,15 @@ mod tests {
             seen.extend_from_slice(ws.shard.global_ids());
             // Every member is eligible at the shard's checkpoint and at no
             // later one.
-            let (step, defined) = checkpoints[ws.checkpoint];
+            let ci = ws.checkpoint.expect("window groups name their checkpoint");
+            let (step, defined) = checkpoints[ci];
             assert_eq!(step, ws.start);
             for f in ws.shard.list.iter() {
                 let gid = ws.shard.global_id(f.id);
                 assert!(windows.eligible_start(gid, step, defined));
                 assert_eq!(
                     windows.start_checkpoint(faults.fault(gid), &checkpoints),
-                    ws.checkpoint
+                    ci
                 );
             }
         }

@@ -10,7 +10,7 @@
 //!   nothing is ever rewritten in place, so a crash can only ever damage
 //!   the *tail* of the file. On open, recovery replays the journal,
 //!   stops at the first incomplete or corrupt frame, and truncates the
-//!   file back to the last intact record — every campaign whose `put`
+//!   file back to the last intact frame — every campaign whose `put`
 //!   completed is recovered, deterministically.
 //!
 //! # Journal frame format
@@ -23,7 +23,10 @@
 //! The payload is the record's compact JSON. The checksum is FNV-1a over
 //! the payload bytes; a frame whose header is malformed, whose payload is
 //! short, or whose checksum mismatches ends recovery at the previous
-//! frame boundary.
+//! frame boundary. A frame that passes all three but whose payload this
+//! build cannot decode (say, a record whose spec carries a key since
+//! removed) is *not* damage: it is skipped, left in the file, and replay
+//! continues after it.
 
 use crate::record::CampaignRecord;
 use std::collections::HashMap;
@@ -160,10 +163,17 @@ impl JournalStore {
         let mut records = HashMap::new();
         let mut order = Vec::new();
         let mut pos = 0usize;
-        // Replay intact frames; the first malformed one ends the journal.
-        while let Some((record, next)) = read_frame(&bytes, pos) {
-            if records.insert(record.id.clone(), record.clone()).is_none() {
-                order.push(record.id);
+        // Replay intact frames; the first damaged one ends the journal.
+        while let Some((payload, next)) = read_frame(&bytes, pos) {
+            // An intact frame this build cannot decode is skipped, never
+            // truncated: the bytes are somebody's completed `put`.
+            if let Some(record) = std::str::from_utf8(payload)
+                .ok()
+                .and_then(|text| CampaignRecord::from_json(text).ok())
+            {
+                if records.insert(record.id.clone(), record.clone()).is_none() {
+                    order.push(record.id);
+                }
             }
             pos = next;
         }
@@ -190,10 +200,11 @@ impl JournalStore {
     }
 }
 
-/// Parses one frame at `pos`. `None` means end-of-journal: clean EOF *or*
-/// a damaged frame (short, malformed header, checksum mismatch,
-/// unparsable payload) — recovery treats both as "the journal ends here".
-fn read_frame(bytes: &[u8], pos: usize) -> Option<(CampaignRecord, usize)> {
+/// Reads one frame at `pos`: its checksum-verified payload and the offset
+/// of the next frame. `None` means end-of-journal: clean EOF *or* a
+/// damaged frame (short, malformed header, checksum mismatch) — recovery
+/// treats both as "the journal ends here".
+fn read_frame(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
     if pos >= bytes.len() {
         return None;
     }
@@ -219,9 +230,7 @@ fn read_frame(bytes: &[u8], pos: usize) -> Option<(CampaignRecord, usize)> {
     if fnv1a(payload) != checksum {
         return None;
     }
-    let text = std::str::from_utf8(payload).ok()?;
-    let record = CampaignRecord::from_json(text).ok()?;
-    Some((record, payload_end + 1))
+    Some((payload, payload_end + 1))
 }
 
 impl ResultStore for JournalStore {

@@ -153,15 +153,19 @@ fn http_campaigns_match_direct_library_calls() {
     assert_eq!(repeat.coverage, apb_record.coverage);
     assert_counters_identical(&repeat.stats, &apb_record.stats);
 
-    // Spec validation speaks HTTP: unknown key → 400 naming it.
-    let (status, body) = http(
-        addr,
-        "POST",
-        "/campaigns",
-        r#"{"design": {"benchmark": "APB"}, "sede": 1}"#,
-    );
-    assert_eq!(status, 400);
-    assert!(body.contains("sede"), "{body}");
+    // Spec validation speaks HTTP: unknown key → 400 naming it — the
+    // removed `partition` key included.
+    for (key, spec) in [
+        ("sede", r#"{"design": {"benchmark": "APB"}, "sede": 1}"#),
+        (
+            "partition",
+            r#"{"design": {"benchmark": "APB"}, "partition": "round-robin"}"#,
+        ),
+    ] {
+        let (status, body) = http(addr, "POST", "/campaigns", spec);
+        assert_eq!(status, 400);
+        assert!(body.contains(&format!("unknown key `{key}`")), "{body}");
+    }
 
     // Unknown ids and unfinished results.
     let (status, _) = http(addr, "GET", "/campaigns/c999", "");

@@ -8,7 +8,8 @@
 //! first-`put` order without duplicates. The journal additionally
 //! survives reopen, and — the crash-injection test — deterministically
 //! recovers every completed record when the file loses an arbitrary
-//! number of tail bytes mid-record.
+//! number of tail bytes mid-record, while an intact frame it cannot decode
+//! is skipped rather than mistaken for such a tail.
 
 use eraser_core::{CampaignSpec, RedundancyStats};
 use eraser_fault::{CoverageReport, Detection, FaultId};
@@ -201,5 +202,59 @@ fn journal_checksum_catches_corruption() {
     let store = JournalStore::open(&path).unwrap();
     assert_eq!(store.ids(), vec!["c1".to_string()]);
     assert_eq!(store.get("c1").unwrap().unwrap(), record(1));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// An intact frame this build cannot decode is not a torn tail. A record
+/// stored by a build whose specs still carried a since-removed key
+/// (`partition`) passes header, length and checksum; it must be skipped —
+/// left in the file, its neighbours both served — not truncated away with
+/// everything after it.
+#[test]
+fn journal_skips_an_intact_frame_it_cannot_decode() {
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        })
+    }
+    let frame = |payload: &str| {
+        format!(
+            "ERASER-REC {} {:016x}\n{payload}\n",
+            payload.len(),
+            fnv1a(payload.as_bytes())
+        )
+    };
+    let path = scratch("undecodable");
+    let (r1, r3, r4) = (record(1), record(3), record(4));
+    let old =
+        record(2)
+            .to_json()
+            .replacen(r#""spec":{"#, r#""spec":{"partition":"round-robin","#, 1);
+    assert!(
+        CampaignRecord::from_json(&old).is_err(),
+        "fixture must not decode"
+    );
+    let journal = [frame(&r1.to_json()), frame(&old), frame(&r3.to_json())].concat();
+    std::fs::write(&path, &journal).unwrap();
+
+    let mut store = JournalStore::open(&path).unwrap();
+    assert_eq!(store.ids(), vec!["c1".to_string(), "c3".to_string()]);
+    assert_eq!(store.get("c1").unwrap().unwrap(), r1);
+    assert_eq!(store.get("c3").unwrap().unwrap(), r3);
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        journal.as_bytes(),
+        "reopening must not touch intact frames"
+    );
+    // A later put lands after the last intact frame.
+    store.put(&r4).unwrap();
+    drop(store);
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        [journal, frame(&r4.to_json())].concat().as_bytes()
+    );
+    let store = JournalStore::open(&path).unwrap();
+    assert_eq!(store.ids(), vec!["c1", "c3", "c4"]);
+    assert_eq!(store.get("c4").unwrap().unwrap(), r4);
     let _ = std::fs::remove_file(&path);
 }

@@ -49,12 +49,12 @@
 //!
 //! # Parallel campaigns
 //!
-//! Campaigns fan out over the fault dimension: the universe is
-//! [partitioned](fault::FaultList::partition) into disjoint shards, a
-//! scoped-thread pool drains the shard queue, and the merged coverage is
-//! **bit-identical** to the serial run at any thread count. Set
+//! There is one way to fan out: a thread count. Every campaign is a
+//! [plan](fault::WindowPlan) of fault groups drained by one scoped-thread
+//! work queue, and the merged coverage is **bit-identical** to the serial
+//! run at any thread count. Set
 //! [`CampaignConfig::parallel`](core::CampaignConfig) (serial by
-//! default), or wrap any engine in [`core::Parallel`]:
+//! default); every engine honours it:
 //!
 //! ```
 //! use eraser::core::{run_campaign, CampaignConfig, ParallelConfig};

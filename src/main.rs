@@ -22,7 +22,7 @@
 //! Every knob of a run resolves through one precedence rule, lowest to
 //! highest: built-in default < environment < CLI flag < explicit spec
 //! field. The spec is the single carrier: flags merge into fields the
-//! spec file left unset ([`merge_flags`]), the six product environment
+//! spec file left unset ([`merge_flags`]), the five product environment
 //! variables fill what is still unset after that ([`merge_env`], the only
 //! environment reader in the workspace), and the pure
 //! [`CampaignSpec::resolve`] supplies the built-in defaults. `serve` reads
@@ -34,7 +34,6 @@
 //! failures (unreadable file, import error, bad spec) exit 1.
 
 use eraser::core::{run_campaign, CampaignSpec, RedundancyMode};
-use eraser::fault::PartitionStrategy;
 use eraser::ir::EvalBackend;
 use eraser::netlist::json;
 use eraser::service::{open_store, prepare_spec, CampaignService, HttpServer};
@@ -42,8 +41,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: eraser <file.v|file.json> [--top NAME] [--stimulus-steps N] [--clock NAME] [--reset NAME]
               [--mode full|explicit|none] [--max-faults N] [--seed N] [--list-undetected]
-              [--threads N] [--partition contiguous|round-robin|site-affinity|window-affinity]
-              [--eval tree|tape] [--checkpoint-interval N] [--batch] [--collapse]
+              [--threads N] [--eval tree|tape] [--checkpoint-interval N] [--batch] [--collapse]
        eraser --spec FILE.json [same flags; the spec's explicit fields win]
        eraser serve [--addr HOST:PORT] [--workers N] [--queue N] [--store mem|journal:PATH]";
 
@@ -66,7 +64,6 @@ struct Flags {
     mode: Option<RedundancyMode>,
     max_faults: Option<usize>,
     threads: Option<usize>,
-    partition: Option<PartitionStrategy>,
     eval: Option<EvalBackend>,
     checkpoint_interval: Option<usize>,
     batch: bool,
@@ -118,7 +115,6 @@ fn main() -> ExitCode {
             "--mode" => flags.mode = Some(parse_enum("--mode", it.next())),
             "--max-faults" => flags.max_faults = Some(need_num("--max-faults", it.next())),
             "--threads" => flags.threads = Some(need_num("--threads", it.next())),
-            "--partition" => flags.partition = Some(parse_enum("--partition", it.next())),
             "--eval" => flags.eval = Some(parse_enum("--eval", it.next())),
             "--checkpoint-interval" => {
                 flags.checkpoint_interval = Some(need_num("--checkpoint-interval", it.next()))
@@ -215,9 +211,6 @@ fn merge_flags(spec: &mut CampaignSpec, explicit_keys: &[String], flags: &Flags)
     if flags.threads.is_some() && unset("threads") {
         spec.threads = flags.threads;
     }
-    if flags.partition.is_some() && unset("partition") {
-        spec.partition = flags.partition;
-    }
     if flags.eval.is_some() && unset("eval") {
         spec.backend = flags.eval;
     }
@@ -233,10 +226,10 @@ fn merge_flags(spec: &mut CampaignSpec, explicit_keys: &[String], flags: &Flags)
 }
 
 /// Fills the knob fields that both the spec file and the flags left unset
-/// from the six product environment variables, read through `var`. This
+/// from the five product environment variables, read through `var`. This
 /// is the only place the workspace consults the environment (the
 /// libraries' defaults are constants), and a malformed value of any of
-/// the six is an error whether or not its field was still unset. Unset
+/// the five is an error whether or not its field was still unset. Unset
 /// and empty variables mean "not given".
 fn merge_env(spec: &mut CampaignSpec, var: impl Fn(&str) -> Option<String>) -> Result<(), String> {
     fn given(var: &impl Fn(&str) -> Option<String>, name: &str) -> Option<String> {
@@ -262,13 +255,11 @@ fn merge_env(spec: &mut CampaignSpec, var: impl Fn(&str) -> Option<String>) -> R
         }
     }
     let threads = parsed::<usize>(&var, "ERASER_THREADS")?;
-    let partition = parsed::<PartitionStrategy>(&var, "ERASER_PARTITION")?;
     let eval = parsed::<EvalBackend>(&var, "ERASER_EVAL")?;
     let checkpoint_interval = parsed::<usize>(&var, "ERASER_CKPT")?;
     let batch = switch(&var, "ERASER_BATCH")?;
     let collapse = switch(&var, "ERASER_COLLAPSE")?;
     spec.threads = spec.threads.or(threads);
-    spec.partition = spec.partition.or(partition);
     spec.backend = spec.backend.or(eval);
     spec.checkpoint_interval = spec.checkpoint_interval.or(checkpoint_interval);
     spec.batch = spec.batch.or(batch);
@@ -413,9 +404,8 @@ fn serve(args: Vec<String>) -> ExitCode {
 mod tests {
     use super::*;
 
-    const ENV: [(&str, &str); 6] = [
+    const ENV: [(&str, &str); 5] = [
         ("ERASER_THREADS", "4"),
-        ("ERASER_PARTITION", "round-robin"),
         ("ERASER_EVAL", "tape"),
         ("ERASER_CKPT", "16"),
         ("ERASER_BATCH", "1"),
@@ -459,7 +449,6 @@ mod tests {
         // Environment beats the defaults.
         let cfg = merged(bare, &Flags::default(), &ENV).resolve();
         assert_eq!(cfg.parallel.threads, 4);
-        assert_eq!(cfg.parallel.strategy, PartitionStrategy::RoundRobin);
         assert_eq!(cfg.backend, EvalBackend::Tape);
         assert_eq!(cfg.checkpoint.interval, 16);
         assert!(cfg.batch.enabled && cfg.collapse.enabled);
@@ -475,7 +464,6 @@ mod tests {
         assert_eq!(cfg.parallel.threads, 3);
         assert_eq!(cfg.backend, EvalBackend::Tree);
         assert!(!cfg.checkpoint.is_enabled() && !cfg.batch.enabled);
-        assert_eq!(cfg.parallel.strategy, PartitionStrategy::RoundRobin);
         assert!(cfg.collapse.enabled);
     }
 
@@ -500,7 +488,6 @@ mod tests {
     fn malformed_values_are_errors_naming_the_variable() {
         for (name, value) in [
             ("ERASER_THREADS", "x"),
-            ("ERASER_PARTITION", "typo"),
             ("ERASER_EVAL", "tap"),
             ("ERASER_CKPT", "nope"),
             ("ERASER_BATCH", "yes"),

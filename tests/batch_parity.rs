@@ -128,10 +128,7 @@ fn batch_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
                     &CampaignConfig {
                         mode: RedundancyMode::Full,
                         backend,
-                        parallel: ParallelConfig {
-                            threads,
-                            ..ParallelConfig::serial()
-                        },
+                        parallel: ParallelConfig::with_threads(threads),
                         checkpoint,
                         ..CampaignConfig::serial()
                     },

@@ -16,8 +16,8 @@
 
 use eraser::baselines::{CfSim, IFsim, VFsim};
 use eraser::core::{
-    CampaignConfig, CheckpointConfig, Eraser, EvalBackend, FaultSimEngine, Parallel,
-    ParallelConfig, RedundancyStats,
+    CampaignConfig, CheckpointConfig, Eraser, EvalBackend, FaultSimEngine, ParallelConfig,
+    RedundancyStats,
 };
 use eraser::designs::Benchmark;
 use eraser::fault::{generate_faults, FaultList, FaultListConfig};
@@ -58,9 +58,9 @@ fn config(backend: EvalBackend, checkpoint: CheckpointConfig) -> CampaignConfig 
 /// asserts coverage-record identity against the non-checkpointed serial
 /// run. Returns the checkpointed serial stats (tree backend, interval 8)
 /// for caller-side feature assertions.
-fn check_engine<E: FaultSimEngine + Sync + Copy>(
+fn check_engine(
     name: &str,
-    engine: E,
+    engine: impl FaultSimEngine,
     design: &Design,
     faults: &FaultList,
     stim: &Stimulus,
@@ -102,26 +102,6 @@ fn check_engine<E: FaultSimEngine + Sync + Copy>(
                     counter_key(a),
                     counter_key(b),
                     "{name} [{backend:?} ckpt={interval}]: counters not thread-invariant"
-                );
-            }
-            let par = Parallel::new(engine, ParallelConfig::with_threads(4)).run(
-                design,
-                faults,
-                stim,
-                &config(backend, ck),
-            );
-            assert_eq!(
-                base.coverage, par.coverage,
-                "{name} [{backend:?} ckpt={interval} x4]: merged coverage diverged"
-            );
-            if let (Some(s), Some(p)) = (&serial.stats, &par.stats) {
-                // Windows are derived per shard from identical good runs,
-                // so per-fault starts — and the summed skip counters — are
-                // partition-invariant.
-                assert_eq!(
-                    (s.skipped_prefix_steps, s.skipped_faults),
-                    (p.skipped_prefix_steps, p.skipped_faults),
-                    "{name} [{backend:?} ckpt={interval}]: skip counters not partition-invariant"
                 );
             }
             if backend == EvalBackend::Tree && interval == 8 {

@@ -5,11 +5,10 @@
 
 use std::process::{Command, Output};
 
-/// The six product variables the CLI reads; cleared in every child so an
+/// The five product variables the CLI reads; cleared in every child so an
 /// ambient setting cannot move a test.
-const PRODUCT_VARS: [&str; 6] = [
+const PRODUCT_VARS: [&str; 5] = [
     "ERASER_THREADS",
-    "ERASER_PARTITION",
     "ERASER_EVAL",
     "ERASER_CKPT",
     "ERASER_BATCH",
@@ -110,6 +109,36 @@ fn bad_spec_key_is_a_runtime_error_naming_the_key() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The partition-strategy knob is gone, and says so the same way at every
+/// edge: the flag is an unknown argument, the spec key an unknown key, and
+/// the variable is not read at all — not even to reject it.
+#[test]
+fn removed_partition_knob_fails_loudly_or_is_ignored() {
+    assert_usage_error(
+        &eraser(&["--partition", "round-robin"]),
+        "unknown argument `--partition`",
+    );
+    let keyed = spec_file(
+        "partitionkey",
+        r#"{"design": {"benchmark": "APB"}, "steps": 10, "partition": "round-robin"}"#,
+    );
+    assert_runtime_error(
+        &eraser(&["--spec", keyed.to_str().unwrap()]),
+        "unknown key `partition`",
+    );
+    let _ = std::fs::remove_file(&keyed);
+    let bare = spec_file(
+        "partitionenv",
+        r#"{"design": {"benchmark": "APB"}, "steps": 10}"#,
+    );
+    let out = eraser_with_env(
+        &["--spec", bare.to_str().unwrap()],
+        &[("ERASER_PARTITION", "typo")],
+    );
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let _ = std::fs::remove_file(&bare);
+}
+
 #[test]
 fn spec_file_and_design_file_together_is_a_runtime_error() {
     let path = spec_file("bothspec", r#"{"design": {"benchmark": "APB"}}"#);
@@ -139,7 +168,7 @@ fn well_formed_benchmark_spec_exits_zero() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A typo in any of the six product variables is a usage error naming the
+/// A typo in any of the five product variables is a usage error naming the
 /// variable — never a panic, never a silent fall-back to the default.
 #[test]
 fn malformed_environment_value_is_a_usage_error() {
@@ -149,7 +178,6 @@ fn malformed_environment_value_is_a_usage_error() {
     );
     for (name, value) in [
         ("ERASER_THREADS", "x"),
-        ("ERASER_PARTITION", "typo"),
         ("ERASER_EVAL", "tap"),
         ("ERASER_CKPT", "nope"),
         ("ERASER_BATCH", "yes"),

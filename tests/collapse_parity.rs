@@ -117,10 +117,7 @@ fn collapse_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
                         &CampaignConfig {
                             mode: RedundancyMode::Full,
                             backend,
-                            parallel: ParallelConfig {
-                                threads,
-                                ..ParallelConfig::serial()
-                            },
+                            parallel: ParallelConfig::with_threads(threads),
                             checkpoint,
                             batch,
                             ..CampaignConfig::serial()
