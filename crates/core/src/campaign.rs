@@ -18,8 +18,7 @@ use eraser_sim::Stimulus;
 /// Campaign options. [`Default`] is a constant — full redundancy
 /// elimination, fault dropping on, serial, tree walker, checkpointing /
 /// batching / collapsing off — and reads nothing from the process
-/// environment (environment variables are an input of the `eraser` CLI
-/// only, which writes them into the spec it resolves).
+/// environment.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Redundancy-elimination mode (the ablation axis).
@@ -110,23 +109,20 @@ pub struct CampaignResult {
     pub stats: RedundancyStats,
 }
 
-/// Externally shared execution resources for a campaign — everything
+/// Resources a caller hands a campaign in place of what
 /// [`run_campaign_with`] would otherwise build itself:
 ///
-/// * compiled programs (`tapes` / `batch`), shared so a long-running
-///   service lowers each design once across any number of campaigns;
-/// * cached good-run artifacts (`good_run`), so a repeat submission on
-///   the same (design, fault universe, stimulus, checkpoint interval)
-///   skips the instrumented good run entirely;
+/// * compiled programs (`tapes` / `batch`) and recorded good-run
+///   artifacts (`good_run`) — filled only by the benchmark under
+///   `/benchmark`, which compiles and records them in calls of its own so
+///   it can time each layer apart from the campaign that uses it;
 /// * a [`CampaignProgress`] block (`progress`), ticked per completed work
-///   group for live status reporting.
+///   group for live status reporting — what the campaign service fills.
 ///
 /// All fields default to `None` — [`run_campaign`] passes an empty
-/// context and behaves exactly as before. Shared resources are
-/// observability/amortization only: a campaign run with a populated
-/// context produces bit-identical coverage and semantic counters to one
-/// run with an empty context, because both paths build identical plans
-/// and engines from identical data.
+/// context. A populated context changes no result: coverage and semantic
+/// counters are bit-identical to a run with an empty one, because both
+/// build identical plans and engines from identical data.
 #[derive(Default)]
 pub struct CampaignContext<'a> {
     /// A pre-compiled tape program for this design (used only when
@@ -135,11 +131,12 @@ pub struct CampaignContext<'a> {
     /// A pre-compiled bit-parallel batch program (used only when
     /// `config.batch` is enabled).
     pub batch: Option<&'a BatchProgram>,
-    /// Cached good-run artifacts for this exact (design, fault universe,
-    /// stimulus, checkpoint interval). Must not be supplied for a
-    /// different fault universe — the activation windows are per-fault.
-    /// Ignored (and never consulted) when collapsing is enabled, since
-    /// the representative universe differs from the recorded one.
+    /// Good-run artifacts recorded ([`record_good_run`]) for this exact
+    /// (design, fault universe, stimulus, checkpoint interval). Must not
+    /// be supplied for a different fault universe — the activation
+    /// windows are per-fault. Ignored (and never consulted) when
+    /// collapsing is enabled, since the representative universe differs
+    /// from the recorded one.
     pub good_run: Option<&'a GoodRunArtifacts>,
     /// Progress counters ticked as work groups complete.
     pub progress: Option<&'a CampaignProgress>,
@@ -167,9 +164,7 @@ pub struct CampaignContext<'a> {
 /// with `skipped_prefix_steps` / `skipped_faults` quantifying the trimmed
 /// work.
 ///
-/// Equivalent to [`run_campaign_with`] with an empty [`CampaignContext`];
-/// services amortizing compiled programs and good runs across campaigns
-/// use the latter.
+/// Equivalent to [`run_campaign_with`] with an empty [`CampaignContext`].
 pub fn run_campaign(
     design: &Design,
     faults: &FaultList,
@@ -185,7 +180,7 @@ pub fn run_campaign(
     )
 }
 
-/// [`run_campaign`] with externally shared resources — see
+/// [`run_campaign`] with caller-supplied resources — see
 /// [`CampaignContext`]. Anything the context does not supply is built
 /// in-line exactly as [`run_campaign`] builds it, so results are
 /// bit-identical regardless of what the context carries.
@@ -233,15 +228,15 @@ pub(crate) fn run_campaign_drained(
         } else {
             None
         };
-        // Checkpointing on: record the good run, or reuse the caller's —
-        // unless collapsing swapped the universe under it (cached
+        // Checkpointing on: record the good run, or use the caller's —
+        // unless collapsing swapped the universe under it (the caller's
         // artifacts were recorded over the *full* universe, and activation
         // windows are per-fault).
-        let cached = ctx.good_run.filter(|_| !config.collapse.enabled);
+        let supplied = ctx.good_run.filter(|_| !config.collapse.enabled);
         let recorded;
         let good = if !is_windowed(&config.checkpoint, faults, stimulus) {
             None
-        } else if let Some(good) = cached {
+        } else if let Some(good) = supplied {
             debug_assert_eq!(
                 good.steps(),
                 stimulus.steps.len(),

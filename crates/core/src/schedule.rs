@@ -21,9 +21,7 @@
 //!    every checkpoint boundary (noting whether the state is fully
 //!    defined) and deriving the per-fault [`ActivationWindows`]. The
 //!    resulting [`GoodRunArtifacts`] are plain data, shared read-only
-//!    across workers and **reusable across campaigns**: the campaign
-//!    service caches them per (design, stimulus) pair so a repeat
-//!    submission skips the good run entirely.
+//!    across workers.
 //! 3. **Plan** ([`plan_campaign`]). With good-run artifacts: faults group
 //!    by latest eligible checkpoint, never-active faults are dropped, and
 //!    the chunk sizes ignore the worker count — so one worker and N run
@@ -44,12 +42,14 @@
 //!    sums the counters, and stamps what the plan trimmed
 //!    (`skipped_prefix_steps`, `skipped_faults`).
 //!
-//! The plan is also independent of *who recorded the good run*: a cached
-//! [`GoodRunArtifacts`] yields bit-identical coverage and counters to
-//! recording it in-line, because plan and engines are built from the same
-//! data either way. (Counters legitimately differ between a checkpointed
-//! and a plain run — each group evaluates its own good suffix — which is
-//! the measured trade `skipped_prefix_steps` quantifies.)
+//! The plan is also independent of *who recorded the good run*: artifacts
+//! a caller supplies through
+//! [`CampaignContext::good_run`](crate::CampaignContext::good_run) yield
+//! bit-identical coverage and counters to recording them in-line, because
+//! plan and engines are built from the same data either way. (Counters
+//! legitimately differ between a checkpointed and a plain run — each group
+//! evaluates its own good suffix — which is the measured trade
+//! `skipped_prefix_steps` quantifies.)
 
 use crate::campaign::CampaignConfig;
 use crate::checkpoint::CheckpointConfig;
@@ -68,9 +68,9 @@ const GROUPS_PER_THREAD: usize = 4;
 
 /// Everything the window plan needs from the instrumented good run: the
 /// boundary snapshots and the derived per-fault activation windows. Plain
-/// immutable data — shareable read-only across workers, and cacheable
-/// across campaigns on the same (design, fault universe, stimulus,
-/// checkpoint interval): see [`record_good_run`].
+/// immutable data — shareable read-only across workers, and valid for any
+/// campaign on the same (design, fault universe, stimulus, checkpoint
+/// interval): see [`record_good_run`].
 #[derive(Debug, Clone)]
 pub struct GoodRunArtifacts {
     /// `(step, fully_defined, snapshot)` per checkpoint boundary, captured
@@ -110,10 +110,10 @@ pub fn is_windowed(checkpoint: &CheckpointConfig, faults: &FaultList, stimulus: 
 ///
 /// The artifacts depend only on the design, the fault universe, the
 /// stimulus, and the checkpoint interval — not on threads, backend
-/// choice, batching, or redundancy mode — so callers holding those fixed
-/// (the campaign service's good-run cache) can record once and hand the
-/// same artifacts to any number of subsequent campaigns, each of which
-/// then executes zero good-run steps itself.
+/// choice, batching, or redundancy mode — so a caller holding those fixed
+/// (the benchmark, timing the good run apart from the fault phase) can
+/// record once and hand the same artifacts to any number of campaigns
+/// through [`CampaignContext::good_run`](crate::CampaignContext::good_run).
 pub fn record_good_run(
     design: &Design,
     faults: &FaultList,
@@ -239,9 +239,9 @@ where
     let mut coverage = CoverageReport::new(scheduled + plan.skipped.len());
     let mut stats = RedundancyStats {
         skipped_faults: plan.skipped.len() as u64,
-        // The shared good run is real compute. (On a cache hit the charged
-        // wall is the original recording's — the semantic counters are
-        // what must stay bit-identical.)
+        // The shared good run is real compute. (For caller-supplied
+        // artifacts the charged wall is the original recording's — the
+        // semantic counters are what must stay bit-identical.)
         time_total: good.map_or(Duration::ZERO, |g| g.good_wall),
         ..RedundancyStats::default()
     };

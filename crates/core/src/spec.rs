@@ -13,12 +13,11 @@
 //! Resolution is pure — a spec determines its [`CampaignConfig`] by
 //! itself, so a stored spec reproduces its campaign on any host.
 //!
-//! Other configuration sources exist only at the `eraser` CLI's edge and
-//! reach a campaign by being written into the spec before it is resolved:
-//! the CLI fills each field the spec file left unset from its flag, then
-//! from the process environment. That yields the documented order
-//! default < environment < flag < explicit spec field with this module
-//! knowing nothing of flags or environments.
+//! The one other configuration source, the `eraser` CLI's flags, reaches
+//! a campaign by being written into the spec before it is resolved: the
+//! CLI fills each field the spec file left unset from its flag. That
+//! yields the documented order default < flag < explicit spec field with
+//! this module knowing nothing of flags.
 //!
 //! # JSON
 //!
@@ -71,7 +70,7 @@ pub enum DesignRef {
 }
 
 impl DesignRef {
-    /// A stable identity string, usable as a cache key component.
+    /// A stable identity string (`kind:name`), also the `Display` form.
     pub fn key(&self) -> String {
         match self {
             DesignRef::Benchmark(n) => format!("benchmark:{n}"),

@@ -7,9 +7,11 @@
 //! came from:
 //!
 //! * the built-in [`Benchmark`] suite ([`DesignSource::benchmark`]),
-//! * an external Verilog-subset file ([`DesignSource::from_verilog_path`]),
-//! * a Yosys-JSON netlist ([`DesignSource::from_netlist_path`]), or
-//! * the bundled gate-level netlist fixtures ([`netlist_fixtures`]).
+//! * an external Verilog-subset (`.v`) or Yosys-JSON (`.json`) file
+//!   ([`DesignSource::load`]),
+//! * Yosys-JSON netlist text ([`DesignSource::from_netlist_str`]), or
+//! * the bundled gate-level netlist fixtures ([`DesignSource::fixture`],
+//!   [`netlist_fixtures`]).
 //!
 //! External designs get a generic clocked-random stimulus: the clock and
 //! reset are found by name heuristics (overridable), reset is held for
@@ -73,12 +75,13 @@ impl DesignSource {
         }
     }
 
-    /// Every built-in benchmark as a design source.
-    pub fn all_benchmarks() -> Vec<DesignSource> {
-        Benchmark::all()
+    /// The bundled netlist fixture called `name` (ASCII case-insensitive),
+    /// with its pinned seed and cycle budget — importing only that one.
+    pub fn fixture(name: &str) -> Option<DesignSource> {
+        NETLIST_FIXTURES
             .iter()
-            .map(|&b| Self::benchmark(b))
-            .collect()
+            .find(|f| f.0.eq_ignore_ascii_case(name))
+            .map(import_fixture)
     }
 
     /// Wraps an already-compiled design with the generic clocked-random
@@ -133,21 +136,6 @@ impl DesignSource {
         })
     }
 
-    /// Compiles Verilog-subset source text into a design source.
-    ///
-    /// # Errors
-    ///
-    /// Compile errors (with line/column) and clock-detection failures,
-    /// as text.
-    pub fn from_verilog_str(
-        source: &str,
-        top: Option<&str>,
-        seed: u64,
-    ) -> Result<DesignSource, String> {
-        let design = compile(source, top).map_err(|e| e.to_string())?;
-        Self::from_design(design, None, None, seed, DEFAULT_EXTERNAL_CYCLES)
-    }
-
     /// Imports Yosys-JSON netlist text into a design source.
     ///
     /// # Errors
@@ -165,22 +153,13 @@ impl DesignSource {
 
     /// Loads a design from a file path, dispatching on the extension:
     /// `.json` is treated as a Yosys-JSON netlist, anything else as
-    /// Verilog-subset source.
+    /// Verilog-subset source. `clock`/`reset` override the detection
+    /// heuristics (the CLI's `--clock`/`--reset`).
     ///
     /// # Errors
     ///
     /// Read failures, compile/import errors (prefixed with the path),
     /// and clock-detection failures, as text.
-    pub fn from_path(path: &Path, top: Option<&str>, seed: u64) -> Result<DesignSource, String> {
-        Self::load(path, top, None, None, seed)
-    }
-
-    /// [`DesignSource::from_path`] with explicit clock/reset names (the
-    /// CLI's `--clock`/`--reset` overrides for the detection heuristics).
-    ///
-    /// # Errors
-    ///
-    /// As [`DesignSource::from_path`].
     pub fn load(
         path: &Path,
         top: Option<&str>,
@@ -202,36 +181,6 @@ impl DesignSource {
             Self::from_design(design, clock, reset, seed, DEFAULT_EXTERNAL_CYCLES)
         })();
         result.map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Loads an external Verilog-subset file.
-    ///
-    /// # Errors
-    ///
-    /// As [`DesignSource::from_path`].
-    pub fn from_verilog_path(
-        path: &Path,
-        top: Option<&str>,
-        seed: u64,
-    ) -> Result<DesignSource, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-        Self::from_verilog_str(&text, top, seed).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Loads an external Yosys-JSON netlist file.
-    ///
-    /// # Errors
-    ///
-    /// As [`DesignSource::from_path`].
-    pub fn from_netlist_path(
-        path: &Path,
-        top: Option<&str>,
-        seed: u64,
-    ) -> Result<DesignSource, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-        Self::from_netlist_str(&text, top, seed).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// The design name (benchmark name, or the module name for external
@@ -308,22 +257,29 @@ impl DesignSource {
 /// Cycle budget for external designs when the caller does not say.
 const DEFAULT_EXTERNAL_CYCLES: usize = 500;
 
+/// The bundled netlist fixtures — `(module name, Yosys-JSON text, stimulus
+/// seed, cycle budget)` — the budgets sized so the counter wraps
+/// (exercising the terminal-count cone).
+const NETLIST_FIXTURES: [(&str, &str, u64, usize); 2] = [
+    ("counter8_gate", COUNTER8_GATE_JSON, 0xc8, 600),
+    ("mac16_gate", MAC16_GATE_JSON, 0x3a6, 400),
+];
+
+fn import_fixture(&(name, json, seed, cycles): &(&str, &str, u64, usize)) -> DesignSource {
+    let mut source = DesignSource::from_netlist_str(json, None, seed)
+        .unwrap_or_else(|e| panic!("bundled {name} fixture imports: {e}"));
+    source.set_default_cycles(cycles);
+    source
+}
+
 /// The module names of the bundled netlist fixtures, in
-/// [`netlist_fixtures`] order — for name-based selection without paying
-/// for an import.
-pub const NETLIST_FIXTURE_NAMES: [&str; 2] = ["counter8_gate", "mac16_gate"];
+/// [`netlist_fixtures`] order.
+pub const NETLIST_FIXTURE_NAMES: [&str; 2] = [NETLIST_FIXTURES[0].0, NETLIST_FIXTURES[1].0];
 
 /// The two bundled gate-level netlist fixtures as ready-to-run design
-/// sources, with deterministic seeds and cycle budgets sized so the
-/// counter wraps (exercising the terminal-count cone).
+/// sources, with their pinned seeds and cycle budgets.
 pub fn netlist_fixtures() -> Vec<DesignSource> {
-    let mut counter = DesignSource::from_netlist_str(COUNTER8_GATE_JSON, None, 0xc8)
-        .expect("bundled counter8_gate fixture imports");
-    counter.set_default_cycles(600);
-    let mut mac = DesignSource::from_netlist_str(MAC16_GATE_JSON, None, 0x3a6)
-        .expect("bundled mac16_gate fixture imports");
-    mac.set_default_cycles(400);
-    vec![counter, mac]
+    NETLIST_FIXTURES.iter().map(import_fixture).collect()
 }
 
 /// Picks the clock input: a 1-bit input named like a clock, else the
@@ -407,6 +363,7 @@ fn clocked_random_stimulus(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eraser_fault::generate_faults;
 
     #[test]
     fn benchmark_source_matches_the_enum() {
@@ -420,7 +377,6 @@ mod tests {
     #[test]
     fn fixtures_import_and_exclude_clock_and_reset() {
         let fixtures = netlist_fixtures();
-        assert_eq!(fixtures.len(), NETLIST_FIXTURE_NAMES.len());
         for (f, name) in fixtures.iter().zip(NETLIST_FIXTURE_NAMES) {
             assert_eq!(f.name(), name);
         }
@@ -430,6 +386,24 @@ mod tests {
             assert!(f.clock().is_some());
             assert!(f.reset().is_some());
         }
+    }
+
+    #[test]
+    fn fixture_by_name_equals_the_listed_fixture() {
+        let listed = netlist_fixtures();
+        for (want, name) in listed.iter().zip(NETLIST_FIXTURE_NAMES) {
+            for spelled in [name.to_string(), name.to_ascii_uppercase()] {
+                let got = DesignSource::fixture(&spelled).expect("bundled fixture resolves");
+                assert_eq!(got.name(), want.name());
+                assert_eq!(got.default_cycles(), want.default_cycles());
+                assert_eq!(
+                    generate_faults(got.design(), got.fault_config()).faults(),
+                    generate_faults(want.design(), want.fault_config()).faults()
+                );
+                assert_eq!(got.stimulus(), want.stimulus());
+            }
+        }
+        assert!(DesignSource::fixture("no_such_gate").is_none());
     }
 
     #[test]
@@ -452,13 +426,13 @@ mod tests {
              always @(posedge clk) q <= rst ? 1'b0 : d;\nendmodule\n",
         )
         .unwrap();
-        let src = DesignSource::from_path(&vpath, None, 1).unwrap();
+        let src = DesignSource::load(&vpath, None, None, None, 1).unwrap();
         assert_eq!(src.name(), "toy");
         let jpath = dir.join("counter8_gate.json");
         std::fs::write(&jpath, COUNTER8_GATE_JSON).unwrap();
-        let src = DesignSource::from_path(&jpath, None, 1).unwrap();
+        let src = DesignSource::load(&jpath, None, None, None, 1).unwrap();
         assert_eq!(src.name(), "counter8_gate");
-        let missing = DesignSource::from_path(&dir.join("nope.v"), None, 1).unwrap_err();
+        let missing = DesignSource::load(&dir.join("nope.v"), None, None, None, 1).unwrap_err();
         assert!(missing.contains("nope.v"));
     }
 }

@@ -84,20 +84,6 @@ pub fn import_str(text: &str, top: Option<&str>) -> Result<Design, ImportError> 
     Importer::new(name, module).run()
 }
 
-/// [`import_str`] over a file on disk.
-///
-/// # Errors
-///
-/// Adds the path to any read or import failure.
-pub fn import_path(path: &std::path::Path, top: Option<&str>) -> Result<Design, ImportError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| ImportError::new(format!("cannot read `{}`: {e}", path.display())))?;
-    import_str(&text, top).map_err(|mut e| {
-        e.message = format!("{}: {}", path.display(), e.message);
-        e
-    })
-}
-
 fn select_top<'a>(
     modules: &'a [(String, JsonValue)],
     top: Option<&str>,

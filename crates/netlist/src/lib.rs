@@ -8,7 +8,7 @@
 //!
 //! * [`json`] — a minimal order-preserving JSON parser with line/column
 //!   errors;
-//! * [`import_str`]/[`import_path`] — the cell mapper, turning Yosys
+//! * [`import_str`] — the cell mapper, turning Yosys
 //!   word-level cells and the simple-gate library into the same
 //!   `DesignBuilder` RTL nodes the Verilog frontend emits, reassembling
 //!   multi-bit buses from bit-indexed connections and materializing every
@@ -20,7 +20,7 @@ pub mod json;
 
 mod import;
 
-pub use import::{import_path, import_str, ImportError};
+pub use import::{import_str, ImportError};
 
 #[cfg(test)]
 mod tests {

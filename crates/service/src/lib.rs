@@ -10,19 +10,14 @@
 //!   coverage detections and every redundancy counter survive
 //!   persistence exactly.
 //! * [`service`] — [`CampaignService`]: a bounded FIFO job queue drained
-//!   by a worker pool running
-//!   [`run_campaign_with`](eraser_core::run_campaign_with), with a keyed
-//!   cache sharing the compiled design, fault universe, stimulus,
-//!   [`TapeProgram`](eraser_core::TapeProgram) /
-//!   [`BatchProgram`](eraser_core::BatchProgram), and good-run
-//!   checkpoint artifacts across campaigns on the same (design,
-//!   stimulus-seed) pair — a repeat submission executes zero good-run
-//!   steps.
+//!   by a worker pool, each worker resolving its spec ([`prepare_spec`]),
+//!   running [`run_campaign_with`](eraser_core::run_campaign_with) and
+//!   storing the record — nothing is kept between campaigns.
 //! * [`http`] — [`HttpServer`]: a dependency-free HTTP/1.1 front end
 //!   over `std::net` exposing `POST /campaigns`, `GET /campaigns/:id`,
 //!   `GET /campaigns/:id/result` and `GET /healthz`.
 //!
-//! The service is amortization and observability only: every campaign it
+//! The service is queueing and observability only: every campaign it
 //! runs produces coverage and semantic counters bit-identical to a
 //! direct [`run_campaign`](eraser_core::run_campaign) call with the same
 //! resolved config, which the end-to-end HTTP test asserts.

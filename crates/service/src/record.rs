@@ -1,7 +1,6 @@
 //! The persisted unit of the campaign service: one completed campaign —
-//! its spec, its full [`CoverageReport`], its [`RedundancyStats`] — plus
-//! the service-level cache observations, serialized losslessly through
-//! the `eraser-netlist` JSON layer.
+//! its spec, its full [`CoverageReport`], its [`RedundancyStats`] —
+//! serialized losslessly through the `eraser-netlist` JSON layer.
 //!
 //! Serialization is *bit-faithful* for everything the acceptance
 //! invariants care about: detections round-trip as
@@ -33,11 +32,13 @@ pub struct CampaignRecord {
     pub num_faults: usize,
     /// Stimulus length in settle steps.
     pub steps: usize,
-    /// Good-run settle steps this campaign executed to build checkpoint
-    /// artifacts: the stimulus length on a cache miss, `0` on a cache hit
-    /// or when checkpointing is off.
+    /// Good-run settle steps this campaign executed: the stimulus length
+    /// when it took the checkpointed window plan
+    /// ([`is_windowed`](eraser_core::is_windowed)), `0` otherwise.
     pub good_run_steps: u64,
-    /// Whether the good-run artifacts came from the service cache.
+    /// Always `false` in a record written today — the service keeps nothing
+    /// between campaigns. Journals written when it cached good runs hold
+    /// `true` (with `good_run_steps` 0) for repeats, and still replay.
     pub cache_hit: bool,
     /// Full per-fault detection records.
     pub coverage: CoverageReport,
@@ -187,7 +188,7 @@ impl CampaignRecord {
 
 /// Every `u64` counter of [`RedundancyStats`], by JSON key — one list so
 /// the serializer and parser can never drift apart on a field.
-fn stat_counters(s: &RedundancyStats) -> [(&'static str, u64); 19] {
+pub(crate) fn stat_counters(s: &RedundancyStats) -> [(&'static str, u64); 19] {
     [
         ("good_activations", s.good_activations),
         ("opportunities", s.opportunities),

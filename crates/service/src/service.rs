@@ -1,10 +1,9 @@
-//! The campaign service: a bounded job queue, a worker pool running
-//! [`run_campaign_with`], and the keyed cache that lets repeat
-//! submissions skip compilation and the instrumented good run.
+//! The campaign service: a bounded job queue, a worker pool, and a
+//! result store.
 //!
 //! # Lifecycle
 //!
-//! [`submit`](CampaignService::submit) validates nothing beyond what the
+//! [`submit`](ServiceHandle::submit) validates nothing beyond what the
 //! [`CampaignSpec`] parser already did — design resolution happens on a
 //! worker, so a bad design name fails the *job*, not the submission —
 //! and enqueues the spec, returning a service-assigned id (`"c1"`,
@@ -12,34 +11,24 @@
 //! bounded and a full queue rejects the submission
 //! ([`SubmitError::QueueFull`], HTTP 503 at the server layer).
 //!
-//! # The cache
+//! # A worker is a pure function of its spec
 //!
-//! Keyed by the resolved (design, stimulus-seed) identity — design
-//! reference plus top/clock/reset overrides, seed, stimulus length and
-//! fault cap — the service shares across campaigns:
-//!
-//! * the compiled design, fault universe, and stimulus;
-//! * the lowered [`TapeProgram`] / [`BatchProgram`] (compiled lazily the
-//!   first time a campaign's resolved config wants them);
-//! * the [`GoodRunArtifacts`] per checkpoint interval — so a repeat
-//!   submission of an identical (design, seed) spec executes **zero**
-//!   good-run steps, which its [`CampaignRecord::good_run_steps`] field
-//!   reports.
-//!
-//! Sharing is amortization only: [`run_campaign_with`] builds identical
-//! plans and engines from cached and freshly built data, so coverage and
-//! semantic counters stay bit-identical to a direct library call
-//! (`tests/http_e2e.rs` asserts exactly this end to end).
+//! A worker makes the calls the CLI's `run` makes — [`prepare_spec`],
+//! [`CampaignSpec::resolve`], [`run_campaign_with`] — with no lock held,
+//! stores the [`CampaignRecord`] and keeps nothing: a repeat submission
+//! is a campaign like any other, a record does not depend on what the
+//! process ran before, memory is bounded by the campaigns in flight, and
+//! coverage and semantic counters are bit-identical to a direct library
+//! call (`tests/http_e2e.rs` asserts exactly this end to end).
 
 use crate::record::CampaignRecord;
 use crate::store::{ResultStore, StoreError};
 use eraser_core::{
-    record_good_run, run_campaign_with, BatchProgram, CampaignContext, CampaignProgress,
-    CampaignSpec, DesignRef, GoodRunArtifacts, ProgressSnapshot, TapeProgram,
+    is_windowed, run_campaign_with, CampaignContext, CampaignProgress, CampaignSpec, DesignRef,
+    ProgressSnapshot,
 };
 use eraser_designs::{Benchmark, DesignSource};
 use eraser_fault::{generate_faults, FaultList};
-use eraser_ir::EvalBackend;
 use eraser_sim::Stimulus;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -120,17 +109,8 @@ struct State {
     next_id: u64,
 }
 
-/// The resolved, reusable inputs of a campaign on one (design, seed)
-/// identity.
-struct Prepared {
-    source: DesignSource,
-    faults: FaultList,
-    stimulus: Stimulus,
-}
-
-/// The fully resolved inputs of one campaign — what a caller running
-/// [`run_campaign_with`] directly (the CLI's `--spec` path) needs. The
-/// service's own workers use the cached equivalent.
+/// The fully resolved inputs of one campaign — what a caller of
+/// [`run_campaign_with`] needs.
 pub struct PreparedCampaign {
     /// The resolved design source (name, compiled design, fault config).
     pub source: DesignSource,
@@ -159,21 +139,10 @@ pub fn prepare_spec(spec: &CampaignSpec) -> Result<PreparedCampaign, String> {
     })
 }
 
-/// Everything cached for one (design, stimulus-seed) identity.
-#[derive(Default)]
-struct CacheEntry {
-    prepared: Option<Arc<Prepared>>,
-    tapes: Option<Arc<TapeProgram>>,
-    batch: Option<Arc<BatchProgram>>,
-    /// Good-run artifacts per checkpoint interval.
-    good: HashMap<usize, Arc<GoodRunArtifacts>>,
-}
-
 struct Inner {
     state: Mutex<State>,
     work: Condvar,
     store: Mutex<Box<dyn ResultStore>>,
-    caches: Mutex<HashMap<String, CacheEntry>>,
     queue_cap: usize,
     shutdown: AtomicBool,
 }
@@ -202,7 +171,6 @@ impl CampaignService {
             state: Mutex::new(State::default()),
             work: Condvar::new(),
             store: Mutex::new(store),
-            caches: Mutex::new(HashMap::new()),
             queue_cap: queue_cap.max(1),
             shutdown: AtomicBool::new(false),
         });
@@ -349,7 +317,7 @@ fn worker_loop(inner: &Inner) {
         };
         // A panicking engine must not take the worker down with it — the
         // job fails, the queue keeps draining.
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_job(inner, &id, &spec, &progress)))
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_job(&id, &spec, &progress)))
             .unwrap_or_else(|payload| {
                 let msg = payload
                     .downcast_ref::<&str>()
@@ -375,21 +343,6 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// The cache identity of a spec: everything that determines the compiled
-/// design, the fault universe, and the stimulus.
-fn cache_key(spec: &CampaignSpec) -> String {
-    format!(
-        "{}|top={:?}|clock={:?}|reset={:?}|seed={}|steps={:?}|max={:?}",
-        spec.design.key(),
-        spec.top,
-        spec.clock,
-        spec.reset,
-        spec.seed,
-        spec.steps,
-        spec.max_faults
-    )
-}
-
 /// Resolves a [`DesignRef`] into a [`DesignSource`], applying the spec's
 /// top/clock/reset/seed/steps/max-faults knobs.
 fn resolve_source(spec: &CampaignSpec) -> Result<DesignSource, String> {
@@ -405,15 +358,12 @@ fn resolve_source(spec: &CampaignSpec) -> Result<DesignSource, String> {
             DesignSource::benchmark(bench)
         }
         DesignRef::Fixture(name) => {
-            let mut fixture = eraser_designs::netlist_fixtures()
-                .into_iter()
-                .find(|f| f.name().eq_ignore_ascii_case(name))
-                .ok_or_else(|| {
-                    format!(
-                        "unknown netlist fixture `{name}` (known: {})",
-                        eraser_designs::NETLIST_FIXTURE_NAMES.join(", ")
-                    )
-                })?;
+            let mut fixture = DesignSource::fixture(name).ok_or_else(|| {
+                format!(
+                    "unknown netlist fixture `{name}` (known: {})",
+                    eraser_designs::NETLIST_FIXTURE_NAMES.join(", ")
+                )
+            })?;
             fixture.set_seed(spec.seed);
             fixture
         }
@@ -434,116 +384,17 @@ fn resolve_source(spec: &CampaignSpec) -> Result<DesignSource, String> {
     Ok(source)
 }
 
-/// Fetches (or resolves and caches) the prepared inputs for `spec`.
-fn prepared_for(inner: &Inner, spec: &CampaignSpec) -> Result<Arc<Prepared>, String> {
-    let key = cache_key(spec);
-    if let Some(p) = inner
-        .caches
-        .lock()
-        .unwrap()
-        .get(&key)
-        .and_then(|e| e.prepared.clone())
-    {
-        return Ok(p);
-    }
-    let source = resolve_source(spec)?;
-    let faults = generate_faults(source.design(), source.fault_config());
-    let stimulus = source.stimulus();
-    let prepared = Arc::new(Prepared {
-        source,
-        faults,
-        stimulus,
-    });
-    let mut caches = inner.caches.lock().unwrap();
-    let entry = caches.entry(key).or_default();
-    // A concurrent worker may have prepared the same identity; keep the
-    // first so every later campaign shares one design instance.
-    Ok(entry.prepared.get_or_insert(prepared).clone())
-}
-
-/// Executes one campaign: resolve through the cache, run, build the
-/// record.
+/// Executes one campaign: resolve, run, build the record.
 fn run_job(
-    inner: &Inner,
     id: &str,
     spec: &CampaignSpec,
     progress: &CampaignProgress,
 ) -> Result<CampaignRecord, String> {
-    let key = cache_key(spec);
-    let prepared = prepared_for(inner, spec)?;
+    let prepared = prepare_spec(spec)?;
     let config = spec.resolve();
-
-    // Shared compiled programs, compiled lazily on first need.
-    let tapes: Option<Arc<TapeProgram>> = if config.backend == EvalBackend::Tape {
-        let mut caches = inner.caches.lock().unwrap();
-        let entry = caches.entry(key.clone()).or_default();
-        Some(
-            entry
-                .tapes
-                .get_or_insert_with(|| Arc::new(TapeProgram::compile(prepared.source.design())))
-                .clone(),
-        )
-    } else {
-        None
-    };
-    let batch: Option<Arc<BatchProgram>> = if config.batch.enabled {
-        let mut caches = inner.caches.lock().unwrap();
-        let entry = caches.entry(key.clone()).or_default();
-        Some(
-            entry
-                .batch
-                .get_or_insert_with(|| Arc::new(BatchProgram::compile(prepared.source.design())))
-                .clone(),
-        )
-    } else {
-        None
-    };
-
-    // Good-run artifacts: shareable only when the simulated universe is
-    // the recorded one — checkpointing on, collapsing off (collapsing
-    // simulates representatives, and `run_campaign_with` would ignore the
-    // artifacts anyway).
-    let use_good = config.checkpoint.is_enabled()
-        && !config.collapse.enabled
-        && !prepared.faults.is_empty()
-        && !prepared.stimulus.steps.is_empty();
-    let (good, good_run_steps, cache_hit) = if use_good {
-        let interval = config.checkpoint.interval;
-        let hit = inner
-            .caches
-            .lock()
-            .unwrap()
-            .get(&key)
-            .and_then(|e| e.good.get(&interval).cloned());
-        match hit {
-            Some(g) => (Some(g), 0u64, true),
-            None => {
-                // Record outside the cache lock; a concurrent duplicate
-                // recording is wasted work, not an error, and first-insert
-                // wins so later campaigns share one copy.
-                let g = Arc::new(record_good_run(
-                    prepared.source.design(),
-                    &prepared.faults,
-                    &prepared.stimulus,
-                    &config,
-                    tapes.as_deref(),
-                ));
-                let steps = g.steps() as u64;
-                let mut caches = inner.caches.lock().unwrap();
-                let entry = caches.entry(key.clone()).or_default();
-                let shared = entry.good.entry(interval).or_insert(g).clone();
-                (Some(shared), steps, false)
-            }
-        }
-    } else {
-        (None, 0, false)
-    };
-
     let ctx = CampaignContext {
-        tapes: tapes.as_deref(),
-        batch: batch.as_deref(),
-        good_run: good.as_deref(),
         progress: Some(progress),
+        ..Default::default()
     };
     let result = run_campaign_with(
         prepared.source.design(),
@@ -552,15 +403,16 @@ fn run_job(
         &config,
         &ctx,
     );
-
+    let steps = prepared.stimulus.steps.len();
+    let windowed = is_windowed(&config.checkpoint, &prepared.faults, &prepared.stimulus);
     Ok(CampaignRecord {
         id: id.to_string(),
         spec: spec.clone(),
         design_name: prepared.source.name().to_string(),
         num_faults: prepared.faults.len(),
-        steps: prepared.stimulus.steps.len(),
-        good_run_steps,
-        cache_hit,
+        steps,
+        good_run_steps: if windowed { steps as u64 } else { 0 },
+        cache_hit: false,
         coverage: result.coverage,
         stats: result.stats,
     })
@@ -569,7 +421,9 @@ fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::stat_counters;
     use crate::store::MemStore;
+    use eraser_ir::EvalBackend;
     use std::time::Duration;
 
     fn wait_done(handle: &ServiceHandle, id: &str) -> JobStatus {
@@ -581,6 +435,27 @@ mod tests {
             }
         }
         panic!("campaign {id} did not finish");
+    }
+
+    fn checkpointed_apb() -> CampaignSpec {
+        CampaignSpec::benchmark("APB")
+            .steps(40)
+            .threads(1)
+            .checkpoint_interval(8)
+            .backend(EvalBackend::Tree)
+    }
+
+    /// The records of campaigns `a` and `b` agree on everything but id and
+    /// wall times, and both say their campaign ran its own good run.
+    fn assert_same_campaign(handle: &ServiceHandle, a: &str, b: &str) {
+        let [a, b] = [a, b].map(|id| handle.result(id).unwrap().unwrap());
+        assert_eq!(a.coverage, b.coverage);
+        assert_eq!(stat_counters(&a.stats), stat_counters(&b.stats));
+        assert_eq!((a.num_faults, a.steps), (b.num_faults, b.steps));
+        for r in [a, b] {
+            assert!(r.steps > 0 && r.good_run_steps == r.steps as u64);
+            assert!(!r.cache_hit);
+        }
     }
 
     #[test]
@@ -635,27 +510,29 @@ mod tests {
         assert!(bounced, "queue bound never enforced");
     }
 
+    /// The service remembers nothing between campaigns: the second of two
+    /// identical submissions runs its own good run and reports it.
     #[test]
-    fn repeat_submission_skips_the_good_run() {
+    fn a_repeat_is_a_campaign_like_any_other() {
         let service = CampaignService::new(Box::new(MemStore::new()), 1, 8);
         let handle = service.handle();
-        let spec = CampaignSpec::benchmark("APB")
-            .steps(40)
-            .threads(1)
-            .checkpoint_interval(8)
-            .backend(EvalBackend::Tree);
-        let a = handle.submit(spec.clone()).unwrap();
+        let a = handle.submit(checkpointed_apb()).unwrap();
         assert_eq!(wait_done(&handle, &a), JobStatus::Done);
-        let b = handle.submit(spec).unwrap();
+        let b = handle.submit(checkpointed_apb()).unwrap();
         assert_eq!(wait_done(&handle, &b), JobStatus::Done);
-        let ra = handle.result(&a).unwrap().unwrap();
-        let rb = handle.result(&b).unwrap().unwrap();
-        assert!(!ra.cache_hit);
-        assert_eq!(ra.good_run_steps, ra.steps as u64);
-        assert!(ra.good_run_steps > 0);
-        assert!(rb.cache_hit);
-        assert_eq!(rb.good_run_steps, 0, "cached artifacts were not reused");
-        // Amortization must not perturb results.
-        assert_eq!(ra.coverage, rb.coverage);
+        assert_same_campaign(&handle, &a, &b);
+    }
+
+    /// Two identical checkpointed specs in flight on two workers at once
+    /// share nothing, so neither can disturb the other.
+    #[test]
+    fn identical_specs_on_two_workers_finish_with_equal_records() {
+        let service = CampaignService::new(Box::new(MemStore::new()), 2, 8);
+        let handle = service.handle();
+        let a = handle.submit(checkpointed_apb()).unwrap();
+        let b = handle.submit(checkpointed_apb()).unwrap();
+        assert_eq!(wait_done(&handle, &a), JobStatus::Done);
+        assert_eq!(wait_done(&handle, &b), JobStatus::Done);
+        assert_same_campaign(&handle, &a, &b);
     }
 }

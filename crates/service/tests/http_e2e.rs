@@ -4,8 +4,8 @@
 //! * a campaign submitted over HTTP (benchmark **and** netlist fixture)
 //!   returns coverage bit-identical to a direct [`run_campaign`] call
 //!   with every redundancy counter preserved through the result store;
-//! * a second submission of the identical (design, seed) spec reports
-//!   zero good-run steps executed (the artifact cache);
+//! * a second submission of the identical spec is a campaign like any
+//!   other: same record, its own good run;
 //! * a journal-backed service restarted onto the same file serves every
 //!   completed campaign's record unchanged.
 
@@ -92,7 +92,7 @@ fn assert_counters_identical(
 
 /// The tentpole acceptance test: health check, two designs end to end
 /// with bit-identical results, spec validation, unknown-id handling, and
-/// the good-run cache on a repeat submission.
+/// a repeat submission.
 #[test]
 fn http_campaigns_match_direct_library_calls() {
     let mut service = CampaignService::new(Box::new(MemStore::new()), 2, 16);
@@ -138,20 +138,21 @@ fn http_campaigns_match_direct_library_calls() {
         assert_eq!(record.steps, prep.stimulus.steps.len());
         assert_eq!(record.spec, *spec);
     }
-    // The checkpointed campaign ran its good run fresh; the
-    // non-checkpointed one never runs a separate good pass.
-    assert!(!apb_record.cache_hit);
+    // The checkpointed campaign ran a good run; the non-checkpointed one
+    // never runs a separate good pass.
     assert_eq!(apb_record.good_run_steps, apb_record.steps as u64);
     assert_eq!(mac_record.good_run_steps, 0);
 
-    // Second submission of the identical (design, seed) spec: zero
-    // good-run steps executed, results unchanged.
+    // Second submission of the identical spec: a campaign like any other,
+    // so the same record with its own good run.
     let repeat_id = submit(addr, &apb);
     let repeat = await_record(addr, &repeat_id);
-    assert!(repeat.cache_hit, "artifacts were not reused");
-    assert_eq!(repeat.good_run_steps, 0);
     assert_eq!(repeat.coverage, apb_record.coverage);
     assert_counters_identical(&repeat.stats, &apb_record.stats);
+    assert_eq!(repeat.num_faults, apb_record.num_faults);
+    assert_eq!(repeat.steps, apb_record.steps);
+    assert_eq!(repeat.good_run_steps, repeat.steps as u64);
+    assert!(!repeat.cache_hit && !apb_record.cache_hit && !mac_record.cache_hit);
 
     // Spec validation speaks HTTP: unknown key → 400 naming it — the
     // removed `partition` key included.

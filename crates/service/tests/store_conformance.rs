@@ -9,7 +9,8 @@
 //! survives reopen, and — the crash-injection test — deterministically
 //! recovers every completed record when the file loses an arbitrary
 //! number of tail bytes mid-record, while an intact frame it cannot decode
-//! is skipped rather than mistaken for such a tail.
+//! is skipped rather than mistaken for such a tail. A frame written by a
+//! release that still had the good-run cache replays unchanged.
 
 use eraser_core::{CampaignSpec, RedundancyStats};
 use eraser_fault::{CoverageReport, Detection, FaultId};
@@ -256,5 +257,26 @@ fn journal_skips_an_intact_frame_it_cannot_decode() {
     let store = JournalStore::open(&path).unwrap();
     assert_eq!(store.ids(), vec!["c1", "c3", "c4"]);
     assert_eq!(store.get("c4").unwrap().unwrap(), r4);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Journals outlive the service's good-run cache: a frame exactly as a
+/// cache-era binary wrote it for a repeat submission (`"cache_hit":true`,
+/// `"good_run_steps":0` on a checkpointed campaign) still replays, keeps
+/// both values, and re-encodes to the same bytes.
+#[test]
+fn journal_replays_a_cache_era_record_unchanged() {
+    const HEADER: &str = "ERASER-REC 761 f6a131c9216bc013";
+    const PAYLOAD: &str = r#"{"id":"c2","spec":{"design":{"benchmark":"APB"},"seed":1,"steps":12,"mode":"full","drop_detected":true,"max_faults":6,"checkpoint_interval":4},"design":"APB","faults":6,"steps":22,"good_run_steps":0,"cache_hit":true,"coverage":{"total":6,"detected":1,"percent":16.666666666666668,"detections":[[2,13,7]]},"stats":{"good_activations":11,"opportunities":29,"explicit_skipped":0,"implicit_skipped":28,"fault_executions":1,"fault_only_activations":0,"suppressed_activations":0,"rtl_good_evals":5,"rtl_fault_evals":0,"deltas":34,"skipped_prefix_steps":0,"skipped_faults":3,"dropped_faults":1,"batch_groups":0,"batch_lanes":0,"batch_scalar_fallbacks":0,"collapsed_faults":0,"collapse_classes":0,"collapse_dropped":0,"time_behavioral_ns":38347,"time_total_ns":178101}}"#;
+    let path = scratch("cache-era");
+    std::fs::write(&path, format!("{HEADER}\n{PAYLOAD}\n")).unwrap();
+    let store = JournalStore::open(&path).unwrap();
+    assert_eq!(store.ids(), vec!["c2".to_string()]);
+    let record = store.get("c2").unwrap().unwrap();
+    assert!(record.cache_hit);
+    assert_eq!(record.good_run_steps, 0);
+    assert_eq!(record.spec.checkpoint_interval, Some(4));
+    assert_eq!((record.num_faults, record.steps), (6, 22));
+    assert_eq!(record.to_json(), PAYLOAD);
     let _ = std::fs::remove_file(&path);
 }

@@ -24,9 +24,9 @@
 //!   bundled gate-level fixtures into one campaign-ready bundle,
 //! * [`service`] — the campaign service: a
 //!   [`CampaignSpec`](core::CampaignSpec)-driven job queue with worker
-//!   pool and cross-campaign caches, pluggable result stores (in-memory
-//!   or crash-recovering on-disk journal), and a dependency-free
-//!   HTTP/JSON front end ([`service::HttpServer`]).
+//!   pool, pluggable result stores (in-memory or crash-recovering
+//!   on-disk journal), and a dependency-free HTTP/JSON front end
+//!   ([`service::HttpServer`]).
 //!
 //! # Quickstart
 //!

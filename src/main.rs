@@ -20,18 +20,17 @@
 //! ```
 //!
 //! Every knob of a run resolves through one precedence rule, lowest to
-//! highest: built-in default < environment < CLI flag < explicit spec
-//! field. The spec is the single carrier: flags merge into fields the
-//! spec file left unset ([`merge_flags`]), the five product environment
-//! variables fill what is still unset after that ([`merge_env`], the only
-//! environment reader in the workspace), and the pure
-//! [`CampaignSpec::resolve`] supplies the built-in defaults. `serve` reads
-//! no environment: a POSTed spec determines its campaign by itself.
+//! highest: built-in default < CLI flag < explicit spec field. The spec
+//! is the single carrier: flags merge into fields the spec file left
+//! unset ([`merge_flags`]) and the pure [`CampaignSpec::resolve`]
+//! supplies the built-in defaults. Nothing reads the environment: a
+//! spec, POSTed to `serve` or given to a run, determines its campaign by
+//! itself.
 //!
 //! Errors are uniform: every failure prints one `error: ...` line to
-//! stderr; usage mistakes (unknown flag, missing value, bad number,
-//! malformed environment value) exit 2 with the usage text, runtime
-//! failures (unreadable file, import error, bad spec) exit 1.
+//! stderr; usage mistakes (unknown flag, missing value, bad number) exit
+//! 2 with the usage text, runtime failures (unreadable file, import
+//! error, bad spec) exit 1.
 
 use eraser::core::{run_campaign, CampaignSpec, RedundancyMode};
 use eraser::ir::EvalBackend;
@@ -139,11 +138,6 @@ fn main() -> ExitCode {
         }
     };
     merge_flags(&mut spec, &explicit_keys, &flags);
-    let process_env =
-        |name: &str| std::env::var_os(name).map(|value| value.to_string_lossy().into_owned());
-    if let Err(message) = merge_env(&mut spec, process_env) {
-        fail_usage(&message);
-    }
     match run(&spec, flags.list_undetected) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
@@ -223,48 +217,6 @@ fn merge_flags(spec: &mut CampaignSpec, explicit_keys: &[String], flags: &Flags)
     if flags.collapse && unset("collapse") {
         spec.collapse = Some(true);
     }
-}
-
-/// Fills the knob fields that both the spec file and the flags left unset
-/// from the five product environment variables, read through `var`. This
-/// is the only place the workspace consults the environment (the
-/// libraries' defaults are constants), and a malformed value of any of
-/// the five is an error whether or not its field was still unset. Unset
-/// and empty variables mean "not given".
-fn merge_env(spec: &mut CampaignSpec, var: impl Fn(&str) -> Option<String>) -> Result<(), String> {
-    fn given(var: &impl Fn(&str) -> Option<String>, name: &str) -> Option<String> {
-        var(name)
-            .map(|v| v.trim().to_string())
-            .filter(|v| !v.is_empty())
-    }
-    fn parsed<T>(var: &impl Fn(&str) -> Option<String>, name: &str) -> Result<Option<T>, String>
-    where
-        T: std::str::FromStr,
-        T::Err: std::fmt::Display,
-    {
-        given(var, name)
-            .map(|v| v.parse().map_err(|e| format!("{name}: `{v}`: {e}")))
-            .transpose()
-    }
-    fn switch(var: &impl Fn(&str) -> Option<String>, name: &str) -> Result<Option<bool>, String> {
-        match given(var, name).as_deref() {
-            None => Ok(None),
-            Some("0") => Ok(Some(false)),
-            Some("1") => Ok(Some(true)),
-            Some(other) => Err(format!("{name}: `{other}` is not 0 or 1")),
-        }
-    }
-    let threads = parsed::<usize>(&var, "ERASER_THREADS")?;
-    let eval = parsed::<EvalBackend>(&var, "ERASER_EVAL")?;
-    let checkpoint_interval = parsed::<usize>(&var, "ERASER_CKPT")?;
-    let batch = switch(&var, "ERASER_BATCH")?;
-    let collapse = switch(&var, "ERASER_COLLAPSE")?;
-    spec.threads = spec.threads.or(threads);
-    spec.backend = spec.backend.or(eval);
-    spec.checkpoint_interval = spec.checkpoint_interval.or(checkpoint_interval);
-    spec.batch = spec.batch.or(batch);
-    spec.collapse = spec.collapse.or(collapse);
-    Ok(())
 }
 
 /// Runs one campaign from a resolved spec and prints the report.
@@ -404,103 +356,45 @@ fn serve(args: Vec<String>) -> ExitCode {
 mod tests {
     use super::*;
 
-    const ENV: [(&str, &str); 5] = [
-        ("ERASER_THREADS", "4"),
-        ("ERASER_EVAL", "tape"),
-        ("ERASER_CKPT", "16"),
-        ("ERASER_BATCH", "1"),
-        ("ERASER_COLLAPSE", "1"),
-    ];
-
-    fn getter<'a>(vars: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |name| {
-            vars.iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| v.to_string())
-        }
-    }
-
-    /// The CLI's whole merge, on a spec file's text and an injected
-    /// environment — never the process environment.
-    fn merged(spec_text: &str, flags: &Flags, vars: &[(&str, &str)]) -> CampaignSpec {
+    /// The CLI's whole merge, on a spec file's text.
+    fn merged(spec_text: &str, flags: &Flags) -> CampaignSpec {
         let (mut spec, keys) = parse_spec(spec_text).unwrap();
         merge_flags(&mut spec, &keys, flags);
-        merge_env(&mut spec, getter(vars)).unwrap();
         spec
     }
 
     #[test]
-    fn precedence_is_default_then_env_then_flag_then_spec_key() {
+    fn precedence_is_default_then_flag_then_spec_key() {
         let bare = r#"{"design": {"benchmark": "APB"}}"#;
         let keyed = r#"{"design": {"benchmark": "APB"}, "threads": 3, "eval": "tree",
                         "checkpoint_interval": 0, "batch": false}"#;
         let flags = Flags {
             threads: Some(2),
-            eval: Some(EvalBackend::Tree),
+            eval: Some(EvalBackend::Tape),
+            checkpoint_interval: Some(16),
+            batch: true,
+            collapse: true,
             ..Flags::default()
         };
 
         // Nothing given anywhere: the built-in defaults.
-        let cfg = merged(bare, &Flags::default(), &[]).resolve();
+        let cfg = merged(bare, &Flags::default()).resolve();
         assert_eq!(cfg.parallel.threads, 1);
         assert_eq!(cfg.backend, EvalBackend::Tree);
         assert!(!cfg.checkpoint.is_enabled() && !cfg.batch.enabled && !cfg.collapse.enabled);
 
-        // Environment beats the defaults.
-        let cfg = merged(bare, &Flags::default(), &ENV).resolve();
-        assert_eq!(cfg.parallel.threads, 4);
+        // A flag beats the default.
+        let cfg = merged(bare, &flags).resolve();
+        assert_eq!(cfg.parallel.threads, 2);
         assert_eq!(cfg.backend, EvalBackend::Tape);
         assert_eq!(cfg.checkpoint.interval, 16);
         assert!(cfg.batch.enabled && cfg.collapse.enabled);
 
-        // A flag beats the environment; knobs without a flag keep it.
-        let cfg = merged(bare, &flags, &ENV).resolve();
-        assert_eq!(cfg.parallel.threads, 2);
-        assert_eq!(cfg.backend, EvalBackend::Tree);
-        assert_eq!(cfg.checkpoint.interval, 16);
-
-        // A spec key beats both.
-        let cfg = merged(keyed, &flags, &ENV).resolve();
+        // A spec key beats the flag; knobs the spec leaves unset keep it.
+        let cfg = merged(keyed, &flags).resolve();
         assert_eq!(cfg.parallel.threads, 3);
         assert_eq!(cfg.backend, EvalBackend::Tree);
         assert!(!cfg.checkpoint.is_enabled() && !cfg.batch.enabled);
         assert!(cfg.collapse.enabled);
-    }
-
-    #[test]
-    fn unset_and_empty_variables_are_not_given() {
-        let vars = [
-            ("ERASER_THREADS", ""),
-            ("ERASER_BATCH", " "),
-            ("ERASER_CKPT", " 8 "),
-        ];
-        let spec = merged(
-            r#"{"design": {"benchmark": "APB"}}"#,
-            &Flags::default(),
-            &vars,
-        );
-        assert_eq!(spec.threads, None);
-        assert_eq!(spec.batch, None);
-        assert_eq!(spec.checkpoint_interval, Some(8));
-    }
-
-    #[test]
-    fn malformed_values_are_errors_naming_the_variable() {
-        for (name, value) in [
-            ("ERASER_THREADS", "x"),
-            ("ERASER_EVAL", "tap"),
-            ("ERASER_CKPT", "nope"),
-            ("ERASER_BATCH", "yes"),
-            ("ERASER_COLLAPSE", "yes"),
-        ] {
-            // Rejected even where the spec already pins the knob: a typo
-            // is never silently ignored.
-            let mut spec = CampaignSpec::benchmark("APB")
-                .threads(1)
-                .backend(EvalBackend::Tree);
-            let err = merge_env(&mut spec, getter(&[(name, value)])).unwrap_err();
-            assert!(err.starts_with(&format!("{name}: ")), "{err}");
-            assert!(err.contains(value), "{err}");
-        }
     }
 }

@@ -23,13 +23,6 @@ use eraser::sim::Stimulus;
 const THREADS: [usize; 2] = [1, 4];
 const INTERVALS: [usize; 2] = [0, 8];
 
-fn fixture(name: &str) -> DesignSource {
-    netlist_fixtures()
-        .into_iter()
-        .find(|f| f.name() == name)
-        .unwrap_or_else(|| panic!("no bundled netlist fixture `{name}`"))
-}
-
 fn fixture_bundle(
     source: &DesignSource,
     cycles: usize,
@@ -101,14 +94,14 @@ fn check_matrix(name: &str, design: &Design, faults: &FaultList, stim: &Stimulus
 
 #[test]
 fn counter8_gate_full_matrix() {
-    let source = fixture("counter8_gate");
+    let source = DesignSource::fixture("counter8_gate").unwrap();
     let (design, faults, stim) = fixture_bundle(&source, 70, 70);
     check_matrix("counter8_gate", &design, &faults, &stim);
 }
 
 #[test]
 fn mac16_gate_full_matrix() {
-    let source = fixture("mac16_gate");
+    let source = DesignSource::fixture("mac16_gate").unwrap();
     let (design, faults, stim) = fixture_bundle(&source, 50, 60);
     check_matrix("mac16_gate", &design, &faults, &stim);
 }
@@ -119,7 +112,7 @@ fn mac16_gate_full_matrix() {
 /// shrinks each worker's resident-fault pool and starves the groups.
 #[test]
 fn mac16_gate_batching_fills_lanes() {
-    let source = fixture("mac16_gate");
+    let source = DesignSource::fixture("mac16_gate").unwrap();
     let faults = generate_faults(source.design(), source.fault_config());
     let stim = source.stimulus_with_cycles(20);
     let stats = Eraser::full()
