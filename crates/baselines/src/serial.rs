@@ -9,12 +9,15 @@
 //! is the work inside a group. The good replay records every primary
 //! output after each settle step (riding the instrumented good run when
 //! checkpointing applies); then, per fault of a group, the simulator
-//! restores the group's checkpoint snapshot — or starts fresh, in a
-//! from-step-0 group — applies the force, and replays the stimulus suffix
-//! against the good trace, stopping at the first detection (per-fault
-//! dropping). Faults are mutually independent and every fault re-seeds the
-//! simulator before injection, so per-fault results do not depend on group
-//! membership, position, or thread count.
+//! restores *that fault's own* latest eligible checkpoint
+//! ([`GoodRunArtifacts::latest_checkpoint`](eraser_core::GoodRunArtifacts::latest_checkpoint))
+//! — nothing is shared across a group here, so nothing ties a fault to the
+//! group's start — or starts fresh, without checkpointing; applies the
+//! force, and replays the stimulus suffix against the good trace, stopping
+//! at the first detection (per-fault dropping). Faults are mutually
+//! independent and every fault re-seeds the simulator before injection, so
+//! per-fault results — coverage and the skip counters — do not depend on
+//! group membership, position, or thread count.
 
 use eraser_core::{
     drain_plan, is_windowed, plan_campaign, record_good_run_on, run_collapsed, CampaignConfig,
@@ -75,19 +78,28 @@ pub fn serial_campaign<Sim: ReplaySim>(
         };
         let threads = config.parallel.effective_threads();
         let plan = plan_campaign(faults, good.as_ref(), threads);
-        drain_plan(&plan, good.as_ref(), threads, None, |group, snapshot| {
+        drain_plan(&plan, good.as_ref(), threads, None, |group, _| {
             let mut sim = make_sim();
             let mut coverage = CoverageReport::new(group.shard.len());
             let mut stats = RedundancyStats::default();
             for (i, fault) in group.shard.list.iter().enumerate() {
-                match snapshot {
-                    Some(snapshot) => sim.restore_from(snapshot),
-                    None if i > 0 => sim = make_sim(),
-                    None => {}
-                }
+                let start = match &good {
+                    Some(good) => {
+                        let (start, snapshot) =
+                            good.latest_checkpoint(group.shard.global_id(fault.id));
+                        sim.restore_from(snapshot);
+                        stats.skipped_prefix_steps += start as u64;
+                        start
+                    }
+                    None => {
+                        if i > 0 {
+                            sim = make_sim();
+                        }
+                        0
+                    }
+                };
                 inject(&mut sim, fault);
-                if let Some(det) = replay_fault(&mut sim, steps, group.start, outputs, &good_trace)
-                {
+                if let Some(det) = replay_fault(&mut sim, steps, start, outputs, &good_trace) {
                     coverage.record(fault.id, det);
                     stats.dropped_faults += 1;
                 }

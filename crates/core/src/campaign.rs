@@ -38,14 +38,13 @@ pub struct CampaignConfig {
     /// Checkpointed good-state replay: the good-state snapshot interval.
     /// When enabled the campaign takes the window plan (see
     /// [`CheckpointConfig`] and the `schedule` module docs): one
-    /// instrumented good run, window-aware groups, and engines that
-    /// resume from the latest eligible checkpoint — composing with
-    /// fault-parallel threads instead of excluding them. Disabled by
-    /// default. Coverage records are bit-identical at any interval and
-    /// thread count; the redundancy
-    /// counters are bit-identical across *thread counts* at a fixed
-    /// interval (they legitimately shrink versus a non-checkpointed run —
-    /// that is the point).
+    /// instrumented good run, never-active faults dropped, the rest cut
+    /// in window order into one group per worker, and engines that
+    /// resume from the latest checkpoint eligible for their whole group.
+    /// Disabled by default. Coverage records are bit-identical at any
+    /// interval and thread count; the redundancy counters are a function
+    /// of the plan — they move with the interval and the thread count,
+    /// and repeat exactly from run to run.
     pub checkpoint: CheckpointConfig,
     /// Bit-parallel fault batching: evaluate up to 64 fault candidates of a
     /// batchable RTL node in one word-parallel pass (PPSFP applied to the
@@ -79,12 +78,6 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// The default campaign, named for what determinism checks and
-    /// scaling baselines use it as: the strictly serial reference.
-    pub fn serial() -> Self {
-        Self::default()
-    }
-
     /// The campaign pinned to an explicit evaluation backend.
     pub fn with_backend(backend: EvalBackend) -> Self {
         CampaignConfig {
@@ -147,22 +140,23 @@ pub struct CampaignContext<'a> {
 /// statistics.
 ///
 /// Every campaign is one plan drained by one queue (see the `schedule`
-/// module docs). With `config.parallel` requesting more than one thread
-/// the fault universe is cut into site-affinity groups executed by a
-/// scoped worker pool, one independent engine per group; coverage —
-/// detections, first-detection steps and outputs — is bit-identical to
-/// the serial run at any thread count. Merged stats sum per-group
-/// counters and per-group walls (see [`RedundancyStats::merge`] and
-/// [`CampaignResult::stats`]).
+/// module docs), and a group costs one good-network pass, so the fault
+/// universe is cut into exactly as many groups as `config.parallel` has
+/// workers — site-affinity groups executed by a scoped worker pool, one
+/// independent engine per group, each stopping when its last fault is
+/// detected; coverage — detections, first-detection steps and outputs —
+/// is bit-identical to the serial run at any thread count. Merged stats
+/// sum per-group counters and per-group walls (see
+/// [`RedundancyStats::merge`] and [`CampaignResult::stats`]).
 ///
 /// With `config.checkpoint` enabled (any thread count) one instrumented
-/// good run records periodic snapshots, faults group by activation
-/// window, each group engine resumes from the latest checkpoint eligible
-/// for all its faults, and never-active faults are dropped without
-/// simulation. Coverage stays bit-identical to the non-checkpointed run;
-/// counters are bit-identical across thread counts at a fixed interval,
-/// with `skipped_prefix_steps` / `skipped_faults` quantifying the trimmed
-/// work.
+/// good run records periodic snapshots, never-active faults are dropped
+/// without simulation, the rest are cut in activation-window order into
+/// one group per worker, and each group engine resumes from the latest
+/// checkpoint eligible for all its faults. Coverage stays bit-identical
+/// to the non-checkpointed run; the counters are a function of the plan
+/// and repeat exactly, with `skipped_prefix_steps` / `skipped_faults`
+/// quantifying the trimmed work.
 ///
 /// Equivalent to [`run_campaign_with`] with an empty [`CampaignContext`].
 pub fn run_campaign(
@@ -262,7 +256,9 @@ pub(crate) fn run_campaign_drained(
             }
             let mut engine = session.start();
             engine.run(stimulus);
-            (engine.coverage().clone(), engine.stats().clone())
+            let mut stats = engine.stats().clone();
+            stats.skipped_prefix_steps = group.skipped_prefix_steps();
+            (engine.coverage().clone(), stats)
         })
     })
 }
@@ -504,7 +500,7 @@ mod tests {
                 &stim,
                 &CampaignConfig {
                     collapse,
-                    ..CampaignConfig::serial()
+                    ..CampaignConfig::default()
                 },
             )
         };
@@ -528,7 +524,7 @@ mod tests {
         let d = counter_design();
         let faults = generate_faults(&d, &FaultListConfig::default());
         let stim = counter_stim(&d, 20);
-        let serial = run_campaign(&d, &faults, &stim, &CampaignConfig::serial());
+        let serial = run_campaign(&d, &faults, &stim, &CampaignConfig::default());
         let collapsed_parallel = run_campaign(
             &d,
             &faults,
@@ -536,7 +532,7 @@ mod tests {
             &CampaignConfig {
                 collapse: CollapseConfig::enabled(),
                 parallel: ParallelConfig::with_threads(4),
-                ..CampaignConfig::serial()
+                ..CampaignConfig::default()
             },
         );
         assert_eq!(serial.coverage, collapsed_parallel.coverage);
@@ -560,6 +556,46 @@ mod tests {
         );
         let drop = run_campaign(&d, &faults, &stim, &CampaignConfig::default());
         assert!(keep.coverage.same_detected_set(&drop.coverage));
+    }
+
+    #[test]
+    fn engine_stops_when_no_fault_is_left_alive() {
+        // Every counter fault is detected within a few cycles. With
+        // dropping on the engine must replay exactly `steps[..=k]`, k the
+        // last first-detection step — the same deltas as a run over that
+        // prefix alone — and report the coverage of the full replay.
+        let d = counter_design();
+        let faults = generate_faults(&d, &FaultListConfig::default());
+        let stim = counter_stim(&d, 60);
+        let run = |stim: &eraser_sim::Stimulus, drop_detected| {
+            let mut engine = EraserEngine::new(&d, &faults, RedundancyMode::Full, drop_detected);
+            engine.run(stim);
+            engine
+        };
+        let dropping = run(&stim, true);
+        assert_eq!(dropping.live_faults(), 0);
+        let k = faults
+            .iter()
+            .map(|f| dropping.coverage().detection(f.id).unwrap().step)
+            .max()
+            .unwrap();
+        assert!(k + 1 < stim.steps.len(), "nothing left to trim after {k}");
+        let prefix = eraser_sim::Stimulus {
+            steps: stim.steps[..=k].to_vec(),
+        };
+        assert_eq!(dropping.stats().deltas, run(&prefix, true).stats().deltas);
+        // One step shorter, the last fault is still alive.
+        let short = eraser_sim::Stimulus {
+            steps: stim.steps[..k].to_vec(),
+        };
+        assert!(run(&short, true).live_faults() > 0);
+        // Dropping off: nothing dies, so the whole stimulus is replayed —
+        // one good activation per clock cycle — with the same records.
+        let keeping = run(&stim, false);
+        assert_eq!(keeping.coverage(), dropping.coverage());
+        assert_eq!(keeping.live_faults(), faults.len() as u64);
+        assert_eq!(keeping.stats().good_activations, 61);
+        assert!(keeping.stats().deltas > dropping.stats().deltas);
     }
 
     #[test]

@@ -8,20 +8,20 @@
 //! simulation from the latest eligible checkpoint preceding each fault's
 //! window — skipping the fault-free prefix that from-zero re-simulation
 //! would otherwise replay, and skipping outright the faults whose window
-//! lies beyond the stimulus. Faults group into
-//! [`WindowShard`](eraser_fault::WindowShard)s by their latest eligible
-//! checkpoint; the concurrent campaign driver
-//! ([`run_campaign`](crate::run_campaign)) resumes one concurrent engine
-//! per group from the shared snapshot, the serial IFsim/VFsim baselines
-//! restore one simulator per fault of the group, and either way the groups
-//! drain the same [`ParallelConfig`](crate::ParallelConfig) worker queue
-//! (see the `schedule` module docs). Coverage records
-//! (first-detection steps and outputs included) are bit-identical to the
-//! non-checkpointed run by construction, and because the window plan is
-//! worker-count-independent, *all* redundancy counters are bit-identical
-//! across thread counts at a fixed interval. (Counters do differ from a
-//! checkpoint-off run — each window group evaluates its own good suffix —
-//! which is the trade `skipped_prefix_steps` quantifies.)
+//! lies beyond the stimulus. The remaining faults are cut, in window
+//! order, into one [`WindowShard`](eraser_fault::WindowShard) per worker;
+//! the concurrent campaign driver ([`run_campaign`](crate::run_campaign))
+//! resumes one concurrent engine per group from the latest checkpoint
+//! eligible for all its members, the serial IFsim/VFsim baselines restore
+//! one simulator per fault at that fault's own latest eligible
+//! checkpoint, and either way the groups drain the same
+//! [`ParallelConfig`](crate::ParallelConfig) worker queue (see the
+//! `schedule` module docs). Coverage records (first-detection steps and
+//! outputs included) are bit-identical to the non-checkpointed run by
+//! construction. The redundancy counters are a function of the plan —
+//! groups = workers, so they move with the thread count and differ from a
+//! checkpoint-off run, the trade `skipped_prefix_steps` quantifies — and
+//! the plan has no timing input, so they repeat exactly from run to run.
 //!
 //! Configured via [`CampaignConfig::checkpoint`](crate::CampaignConfig)
 //! (spec key `checkpoint_interval`, CLI `--checkpoint-interval`); the

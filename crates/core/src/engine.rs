@@ -526,6 +526,12 @@ impl<'d> EraserEngine<'d> {
     /// semantics for both, so campaign drivers need no per-origin branch.
     /// Stimulus values are read by borrow — the whole campaign loop is
     /// clone-free.
+    ///
+    /// With fault dropping on, the run **stops as soon as no fault is left
+    /// alive**: every fault of the batch has its first detection recorded,
+    /// nothing later can change the coverage, and settling the good
+    /// network to the end of the stimulus would be work no fault needs.
+    /// With dropping off the whole stimulus is always replayed.
     pub fn run(&mut self, stim: &Stimulus) {
         let at = self.step_index.min(stim.steps.len());
         self.run_steps(&stim.steps[at..]);
@@ -533,6 +539,9 @@ impl<'d> EraserEngine<'d> {
 
     fn run_steps(&mut self, steps: &[Vec<(SignalId, LogicVec)>]) {
         for step in steps {
+            if self.drop_detected && self.alive_count == 0 {
+                return;
+            }
             for (sig, val) in step {
                 self.set_input(*sig, val);
             }

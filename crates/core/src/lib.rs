@@ -39,16 +39,18 @@
 //! [`eraser_fault::WindowPlan`]. Two knobs shape the plan:
 //!
 //! * [`ParallelConfig`] (spec key `threads`, CLI `--threads`) — the one
-//!   way to fan out. More than one thread cuts the universe into
-//!   site-affinity groups drained by a scoped-thread worker pool; merged
-//!   coverage is bit-identical to the serial run at any thread count.
+//!   way to fan out. A group costs one good-network pass, so the plan
+//!   cuts exactly as many groups as there are workers, drained by a
+//!   scoped-thread worker pool; merged coverage is bit-identical to the
+//!   serial run at any thread count.
 //!   Every [`FaultSimEngine`] honours [`CampaignConfig::parallel`]
 //!   natively.
 //! * [`CheckpointConfig`] (spec key `checkpoint_interval`, CLI
 //!   `--checkpoint-interval`) — temporal redundancy trimming. The good
 //!   machine runs once with an activation probe, snapshots its settled
-//!   state every N steps ([`record_good_run`]), and each fault group
-//!   starts from the latest checkpoint preceding its members'
+//!   state every N steps ([`record_good_run`]), the faults are cut in
+//!   window order into one group per worker, and each group starts from
+//!   the latest checkpoint preceding all its members'
 //!   [activation windows](eraser_fault::ActivationWindows)
 //!   ([`EngineSession::resume_from`]) — or is skipped entirely when it
 //!   provably cannot diverge within the stimulus. Combined with fault

@@ -19,11 +19,6 @@ pub struct ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// Strictly serial execution — the default.
-    pub fn serial() -> Self {
-        ParallelConfig { threads: 1 }
-    }
-
     /// `threads` workers.
     pub fn with_threads(threads: usize) -> Self {
         ParallelConfig { threads }
@@ -46,9 +41,10 @@ impl ParallelConfig {
     }
 }
 
+/// Strictly serial execution: one thread.
 impl Default for ParallelConfig {
     fn default() -> Self {
-        ParallelConfig::serial()
+        ParallelConfig { threads: 1 }
     }
 }
 
@@ -121,9 +117,9 @@ mod tests {
         let cfg = ParallelConfig::with_threads(3);
         assert!(cfg.is_parallel());
         assert_eq!(cfg.effective_threads(), 3);
-        assert!(!ParallelConfig::serial().is_parallel());
+        assert!(!ParallelConfig::default().is_parallel());
         assert!(ParallelConfig::with_threads(0).effective_threads() >= 1);
-        assert_eq!(ParallelConfig::serial().to_string(), "1 thread");
+        assert_eq!(ParallelConfig::default().to_string(), "1 thread");
         assert_eq!(cfg.to_string(), "3 threads");
     }
 }

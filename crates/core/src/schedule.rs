@@ -22,33 +22,47 @@
 //!    defined) and deriving the per-fault [`ActivationWindows`]. The
 //!    resulting [`GoodRunArtifacts`] are plain data, shared read-only
 //!    across workers.
-//! 3. **Plan** ([`plan_campaign`]). With good-run artifacts: faults group
-//!    by latest eligible checkpoint, never-active faults are dropped, and
-//!    the chunk sizes ignore the worker count — so one worker and N run
-//!    the *identical* engines and every [`RedundancyStats`] counter, not
-//!    just coverage, is bit-identical across thread counts at a fixed
-//!    interval. Without: every group starts at step 0 — the whole
-//!    universe as one group on one thread, `threads × 4` site-affinity
-//!    groups otherwise (coverage is thread-invariant; the counters sum
-//!    one good-network pass per group).
+//! 3. **Plan** ([`plan_campaign`]). A group costs one good-network pass
+//!    — its engine settles the whole fault-free design from its start
+//!    step until its last fault is detected — so there is one sizing
+//!    rule: **as many groups as workers**, `min(threads, faults)`.
+//!    Without good-run artifacts these are site-affinity groups from step
+//!    0 (on one thread: the whole universe as one group). With them,
+//!    never-active faults are dropped and the rest are cut *in window
+//!    order* into that many contiguous chunks, each resumed at the latest
+//!    checkpoint eligible for all its members: early-activating faults
+//!    finish and exit together, late ones start late. The plan is a pure
+//!    function of (faults, windows, checkpoints, threads) — no timing
+//!    input — so coverage and every [`RedundancyStats`] counter repeat
+//!    exactly from run to run. Coverage is identical at every thread
+//!    count; the counters are a function of the plan.
 //! 4. **Drain** ([`drain_plan`]). The groups feed one atomic work queue:
-//!    idle workers claim the next group, costliest first, so a heavy
-//!    window pre-split into chunks spreads across workers. A group that
+//!    idle workers claim the next group, costliest first. A group that
 //!    names a checkpoint gets its snapshot; eligibility guarantees every
 //!    member fault's state there equals its from-zero state, so coverage
 //!    records — detection steps and outputs included — are bit-identical
 //!    to a from-zero campaign. The drain folds the group reports through
 //!    [`FaultShard::merge_coverage_into`](eraser_fault::FaultShard::merge_coverage_into),
-//!    sums the counters, and stamps what the plan trimmed
-//!    (`skipped_prefix_steps`, `skipped_faults`).
+//!    sums the counters — `skipped_prefix_steps` among them, reported by
+//!    the work closure, which is what decides where a fault starts — and
+//!    stamps the plan's `skipped_faults`. It is worker-invariant:
+//!    one plan drained by one worker or many gives bit-identical coverage
+//!    and counters.
+//!
+//! A concurrent engine stops as soon as its last fault is detected and
+//! dropped ([`EraserEngine::run`](crate::EraserEngine::run)), so a group's
+//! good-network pass is as long as its slowest fault needs, not as long as
+//! the stimulus. The serial baselines do not share an engine across a
+//! group, so they need not share a start either: each fault restores
+//! [its own latest eligible checkpoint](GoodRunArtifacts::latest_checkpoint).
 //!
 //! The plan is also independent of *who recorded the good run*: artifacts
 //! a caller supplies through
 //! [`CampaignContext::good_run`](crate::CampaignContext::good_run) yield
 //! bit-identical coverage and counters to recording them in-line, because
 //! plan and engines are built from the same data either way. (Counters
-//! legitimately differ between a checkpointed and a plain run — each group
-//! evaluates its own good suffix — which is the measured trade
+//! legitimately differ between a checkpointed and a plain run — different
+//! groups, different starts — which is the measured trade
 //! `skipped_prefix_steps` quantifies.)
 
 use crate::campaign::CampaignConfig;
@@ -56,15 +70,12 @@ use crate::checkpoint::CheckpointConfig;
 use crate::parallel::run_queue;
 use crate::progress::CampaignProgress;
 use crate::stats::RedundancyStats;
-use eraser_fault::{ActivationWindows, CoverageReport, FaultList, WindowPlan, WindowShard};
+use eraser_fault::{
+    ActivationWindows, CoverageReport, FaultId, FaultList, WindowPlan, WindowShard,
+};
 use eraser_ir::{Design, EvalBackend, TapeProgram};
 use eraser_sim::{ReplaySim, SimSnapshot, Simulator, SiteProbe, Stimulus};
 use std::time::{Duration, Instant};
-
-/// How many from-step-0 groups each worker thread gets on average.
-/// Oversubscription lets fast workers claim queued groups from slow ones
-/// (dynamic load balancing) without any per-fault synchronization.
-const GROUPS_PER_THREAD: usize = 4;
 
 /// Everything the window plan needs from the instrumented good run: the
 /// boundary snapshots and the derived per-fault activation windows. Plain
@@ -73,9 +84,11 @@ const GROUPS_PER_THREAD: usize = 4;
 /// interval): see [`record_good_run`].
 #[derive(Debug, Clone)]
 pub struct GoodRunArtifacts {
-    /// `(step, fully_defined, snapshot)` per checkpoint boundary, captured
-    /// before applying the boundary step.
-    checkpoints: Vec<(usize, bool, SimSnapshot)>,
+    /// `(step, fully_defined)` per checkpoint boundary, ascending — the
+    /// schedule the window plan indexes.
+    boundaries: Vec<(usize, bool)>,
+    /// Per boundary: the good state captured before applying its step.
+    snapshots: Vec<SimSnapshot>,
     /// Per-fault earliest-divergence windows derived from the probe.
     windows: ActivationWindows,
     /// Wall time of the instrumented good run.
@@ -92,7 +105,15 @@ impl GoodRunArtifacts {
 
     /// How many boundary snapshots were captured.
     pub fn num_checkpoints(&self) -> usize {
-        self.checkpoints.len()
+        self.boundaries.len()
+    }
+
+    /// The latest checkpoint `fault` is restart-eligible at, as `(step,
+    /// snapshot)` — where a per-fault serial replay of it starts. `fault`
+    /// is an id of the universe the good run was recorded over.
+    pub fn latest_checkpoint(&self, fault: FaultId) -> (usize, &SimSnapshot) {
+        let ci = self.windows.start_checkpoint(fault, &self.boundaries);
+        (self.boundaries[ci].0, &self.snapshots[ci])
     }
 }
 
@@ -144,12 +165,14 @@ pub fn record_good_run_on<S: ReplaySim>(
     // Probe + boundary snapshots, captured *before* applying each boundary
     // step (step 0 = the construction-settled state, always eligible).
     sim.attach_probe(SiteProbe::new(design, faults.iter().map(|f| f.signal)));
-    let mut checkpoints: Vec<(usize, bool, SimSnapshot)> = Vec::new();
+    let mut boundaries = Vec::new();
+    let mut snapshots = Vec::new();
     for (si, step) in stimulus.steps.iter().enumerate() {
         if checkpoint.is_boundary(si) {
             let mut snap = SimSnapshot::new();
             sim.capture_into(&mut snap);
-            checkpoints.push((si, sim.fully_defined(), snap));
+            boundaries.push((si, sim.fully_defined()));
+            snapshots.push(snap);
         }
         sim.begin_probe_step(si);
         sim.replay_step(step);
@@ -158,33 +181,28 @@ pub fn record_good_run_on<S: ReplaySim>(
     let probe = sim.take_probe().expect("probe attached above");
     let windows = ActivationWindows::derive(design, faults, &probe, stimulus.steps.len());
     GoodRunArtifacts {
-        checkpoints,
+        boundaries,
+        snapshots,
         windows,
         good_wall: t0.elapsed(),
         steps: stimulus.steps.len(),
     }
 }
 
-/// Picks the campaign's plan. With good-run artifacts (see
-/// [`is_windowed`]) it is the window plan over their checkpoints, the same
-/// at any thread count; without, every group starts at step 0: one group
-/// on one thread — exactly the caller's list — else `threads × 4`
-/// site-affinity groups, never more than there are faults.
+/// Picks the campaign's plan: one group per worker, `min(threads, faults)`
+/// of them. With good-run artifacts (see [`is_windowed`]) it is the window
+/// plan over their checkpoints — never-active faults dropped, the rest cut
+/// in window order; without, site-affinity groups that all start at step 0
+/// (one group on one thread — exactly the caller's list).
 pub fn plan_campaign(
     faults: &FaultList,
     good: Option<&GoodRunArtifacts>,
     threads: usize,
 ) -> WindowPlan {
+    let groups = threads.min(faults.len());
     match good {
-        Some(good) => {
-            let boundaries: Vec<(usize, bool)> =
-                good.checkpoints.iter().map(|&(s, d, _)| (s, d)).collect();
-            WindowPlan::build(faults, &good.windows, &boundaries)
-        }
-        None if threads > 1 => {
-            WindowPlan::from_step_zero(faults, (threads * GROUPS_PER_THREAD).min(faults.len()))
-        }
-        None => WindowPlan::from_step_zero(faults, 1),
+        Some(good) => WindowPlan::build(faults, &good.windows, &good.boundaries, groups),
+        None => WindowPlan::from_step_zero(faults, groups),
     }
 }
 
@@ -193,7 +211,7 @@ pub fn plan_campaign(
 pub struct Drained {
     /// Every group's detection records, folded over the plan's universe.
     pub coverage: CoverageReport,
-    /// Every group's counters summed, plus what the plan trimmed.
+    /// Every group's counters summed, plus the plan's `skipped_faults`.
     /// `time_total` is the aggregate compute time at any thread count:
     /// the good run's wall plus every group's.
     pub stats: RedundancyStats,
@@ -204,8 +222,10 @@ pub struct Drained {
 /// Drains `plan` on up to `threads` workers: `work` runs once per group —
 /// handed the snapshot of the group's checkpoint when it names one, which
 /// requires the `good` artifacts the plan was built from — and returns the
-/// group's shard-local coverage and counters. One worker drains the same
-/// group sequence inline: same engines, same counters.
+/// group's shard-local coverage and counters, `skipped_prefix_steps`
+/// included (the good-prefix steps its faults did not replay). The drain is
+/// worker-invariant: one worker drains the same group sequence inline —
+/// same engines, same counters as any other `threads`.
 pub fn drain_plan<F>(
     plan: &WindowPlan,
     good: Option<&GoodRunArtifacts>,
@@ -225,10 +245,9 @@ where
         let group_t0 = Instant::now();
         let snapshot = group.checkpoint.map(|ci| {
             let good = good.expect("a plan that names checkpoints comes with its good run");
-            &good.checkpoints[ci].2
+            &good.snapshots[ci]
         });
         let (coverage, mut stats) = work(group, snapshot);
-        stats.skipped_prefix_steps += group.skipped_prefix_steps();
         stats.time_total = group_t0.elapsed();
         if let Some(p) = progress {
             p.group_done(group.shard.len());

@@ -78,7 +78,7 @@ fn input_stuck_at_detected_after_identical_redrives() {
             &stim,
             &CampaignConfig {
                 backend,
-                ..CampaignConfig::serial()
+                ..CampaignConfig::default()
             },
         );
         // Every stuck-at-0 on an all-ones input is detectable (and only

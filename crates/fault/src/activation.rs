@@ -53,7 +53,7 @@
 //! state) is always eligible, which is what makes the checkpointed
 //! protocol a strict generalization of force-at-construction injection.
 
-use crate::{Fault, FaultId, FaultList, StuckAt};
+use crate::{FaultId, FaultList, StuckAt};
 use eraser_ir::analysis::influence_adjacency;
 use eraser_ir::{BinaryOp, Design, Expr, LValue, RtlOp, SignalId, Stmt};
 use eraser_sim::{SiteProbe, NEVER};
@@ -194,8 +194,6 @@ impl ActivationWindows {
     }
 }
 
-/// Builds the window-eligibility view of one fault (used by campaign
-/// schedulers to pick a start checkpoint without re-deriving).
 impl ActivationWindows {
     /// The latest eligible checkpoint for `fault` among `checkpoints`
     /// (`(step, fully_defined)`, ascending): returns its index.
@@ -204,10 +202,10 @@ impl ActivationWindows {
     ///
     /// Panics if no checkpoint is eligible — impossible when step 0 is in
     /// the schedule (it always is for interval-based schedules).
-    pub fn start_checkpoint(&self, fault: &Fault, checkpoints: &[(usize, bool)]) -> usize {
+    pub fn start_checkpoint(&self, fault: FaultId, checkpoints: &[(usize, bool)]) -> usize {
         checkpoints
             .iter()
-            .rposition(|&(step, defined)| self.eligible_start(fault.id, step, defined))
+            .rposition(|&(step, defined)| self.eligible_start(fault, step, defined))
             .expect("checkpoint 0 is always eligible")
     }
 }
@@ -526,7 +524,7 @@ mod tests {
         }
         // start_checkpoint picks the latest eligible one.
         let ckpts = vec![(0usize, false), (2, true), (6, true)];
-        let idx = win.start_checkpoint(f, &ckpts);
+        let idx = win.start_checkpoint(f.id, &ckpts);
         assert!(win.eligible_start(f.id, ckpts[idx].0, ckpts[idx].1));
         for later in &ckpts[idx + 1..] {
             assert!(!win.eligible_start(f.id, later.0, later.1));

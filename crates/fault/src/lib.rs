@@ -25,11 +25,11 @@
 //!   diverge, the restart-eligibility rule for checkpointed campaigns,
 //!   and the activation-ordered fault schedule,
 //! * [`WindowPlan`] — the campaign plan, the one place that decides which
-//!   faults share an engine and where it starts: [`WindowShard`] groups
-//!   from step 0, or grouped by latest eligible checkpoint so engines
-//!   resume from shared good-state snapshots (chunked with
-//!   worker-count-independent constants, so merged results stay
-//!   bit-identical at any thread count),
+//!   faults share an engine and where it starts: as many [`WindowShard`]
+//!   groups as the caller has workers, from step 0, or cut in
+//!   activation-window order with each group resumed at the latest
+//!   good-state checkpoint eligible for all its members (a pure function
+//!   of its inputs, so merged results repeat exactly),
 //! * [`CoverageReport`] — detection bookkeeping and the coverage metric
 //!   reported in Table II of the paper; shard reports fold into it through
 //!   [`FaultShard::merge_coverage_into`].

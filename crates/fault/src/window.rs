@@ -9,7 +9,11 @@
 //! queue order plus the faults that need no simulation at all. Every
 //! campaign driver — the concurrent engine and the serial baselines, plain
 //! or checkpointed, at any thread count — builds one plan and hands it to
-//! the one drain in `eraser-core`. Two constructors:
+//! the one drain in `eraser-core`.
+//!
+//! **A group costs one good-network pass**, so there is one sizing rule:
+//! the caller asks for as many groups as it has workers (never more than
+//! there are faults), and both constructors cut *at most* that many.
 //!
 //! * [`WindowPlan::from_step_zero`] — no good-run data: `n`
 //!   [site-affinity](FaultList::partition) groups, all starting at step 0,
@@ -22,39 +26,25 @@
 //!   1. drops every fault that provably cannot diverge within the stimulus
 //!      ([`ActivationWindows::never_active`]) — undetected by
 //!      construction, never simulated;
-//!   2. groups the remaining faults by their **latest eligible
-//!      checkpoint** ([`ActivationWindows::start_checkpoint`]), walking
-//!      the cached window ordering so faults with nearby windows land in
-//!      the same group and every group starts as late as the soundness
-//!      rule allows;
-//!   3. splits oversized groups into fixed-size chunks so the work queue
-//!      can balance across workers — whole window groups first, the
-//!      intra-group chunks of a heavy window after;
+//!   2. cuts the remaining faults, **in window order**, into `n`
+//!      contiguous chunks of equal size (±1), so faults that activate
+//!      early share an engine — they are detected, dropped and the engine
+//!      stops together — and faults that activate late share one that
+//!      starts late;
+//!   3. starts each chunk at the **latest checkpoint eligible for all its
+//!      members** ([`ActivationWindows::eligible_start`]);
 //!   4. orders the groups by descending estimated cost (suffix length ×
 //!      fault count) so the queue schedules longest-processing-time
 //!      first.
 //!
-//! The chunking constants of `build` are **fixed** — independent of the
-//! worker count — so the same `(faults, windows, checkpoints)` input
-//! always yields the identical group set: a checkpointed campaign runs the
-//! *same* engines on the same fault groups on one worker or N, which keeps
-//! coverage records **and** every redundancy counter bit-identical at any
-//! thread count. (The from-step-0 plan is sized by its caller from the
-//! thread count; there coverage is thread-invariant and the counters
-//! legitimately sum one good-network pass per group.)
+//! Both plans are a pure function of their inputs — `(faults, n)`, or
+//! `(faults, windows, checkpoints, n)` — with no timing input, so a
+//! campaign's coverage **and** redundancy counters repeat exactly from run
+//! to run. Coverage is the same for every `n`; the counters are a function
+//! of the plan (each group pays its own good-network pass), and draining
+//! one plan on one worker or many gives bit-identical counters.
 
 use crate::{ActivationWindows, Fault, FaultId, FaultList, FaultShard};
-
-/// Upper bound on shards cut from one plan when the universe is large:
-/// enough oversubscription for dynamic balancing on any realistic worker
-/// count, few enough that per-shard engine construction stays negligible.
-/// Fixed (not derived from the thread count) so the plan — and therefore
-/// every merged counter — is identical however many workers execute it.
-const MAX_WINDOW_SHARDS: usize = 16;
-
-/// Never split a checkpoint group into chunks smaller than this; tiny
-/// shards pay full engine construction for almost no faults.
-const MIN_WINDOW_SHARD_FAULTS: usize = 16;
 
 /// One schedulable unit of a [`WindowPlan`]: a fault shard plus where its
 /// engine starts.
@@ -66,9 +56,9 @@ pub struct WindowShard {
     pub shard: FaultShard,
     /// Index into the campaign's checkpoint schedule (the `checkpoints`
     /// slice handed to [`WindowPlan::build`]): every fault in the shard is
-    /// restart-eligible there, and it is the latest such checkpoint for
-    /// each of them. `None` in a from-step-0 plan: the engine starts from
-    /// its own construction-settled state.
+    /// restart-eligible there, and no later checkpoint is eligible for all
+    /// of them. `None` in a from-step-0 plan: the engine starts from its
+    /// own construction-settled state.
     pub checkpoint: Option<usize>,
     /// The stimulus step the shard's engine starts from (the checkpoint's
     /// step) — the number of good-prefix settle steps each member fault
@@ -124,56 +114,49 @@ impl WindowPlan {
     /// Builds the plan for `faults` from derived `windows` and the
     /// checkpoint schedule `checkpoints` (`(step, fully_defined)` pairs,
     /// ascending by step, step 0 first — the shape the campaign drivers
-    /// record).
+    /// record), cut into at most `n` groups (at least one, while any fault
+    /// is left to simulate).
     pub fn build(
         faults: &FaultList,
         windows: &ActivationWindows,
         checkpoints: &[(usize, bool)],
+        n: usize,
     ) -> WindowPlan {
-        let mut skipped = Vec::new();
-        // Bucket survivors by latest eligible checkpoint, walking the
-        // cached window ordering so each bucket fills in window order.
-        let mut buckets: Vec<Vec<&Fault>> = vec![Vec::new(); checkpoints.len()];
-        let mut kept = 0usize;
-        for &id in windows.ordered_by_window() {
-            if windows.never_active(id) {
-                skipped.push(id);
-                continue;
-            }
-            let fault = faults.fault(id);
-            buckets[windows.start_checkpoint(fault, checkpoints)].push(fault);
-            kept += 1;
-        }
+        let (mut skipped, kept): (Vec<FaultId>, Vec<FaultId>) = windows
+            .ordered_by_window()
+            .iter()
+            .partition(|&&id| windows.never_active(id));
         skipped.sort_unstable();
-        let target = kept
-            .div_ceil(MAX_WINDOW_SHARDS)
-            .max(MIN_WINDOW_SHARD_FAULTS);
-        let mut shards = Vec::new();
-        for (ci, bucket) in buckets.iter().enumerate() {
-            for chunk in bucket.chunks(target) {
-                // Shards carry faults in ascending global-id order (the
-                // FaultShard invariant); the window ordering inside a
-                // chunk was only for grouping.
-                let mut members: Vec<&Fault> = chunk.to_vec();
-                members.sort_by_key(|f| f.id);
-                shards.push(WindowShard {
-                    shard: FaultShard::from_faults(shards.len(), members),
-                    checkpoint: Some(ci),
-                    start: checkpoints[ci].0,
-                });
-            }
+        // Equal (±1) contiguous chunks of the window ordering.
+        let n = n.max(1).min(kept.len());
+        let mut shards = Vec::with_capacity(n);
+        for i in 0..n {
+            let chunk = &kept[i * kept.len() / n..(i + 1) * kept.len() / n];
+            let ci = checkpoints
+                .iter()
+                .rposition(|&(step, defined)| {
+                    chunk
+                        .iter()
+                        .all(|&id| windows.eligible_start(id, step, defined))
+                })
+                .expect("checkpoint 0 is always eligible");
+            // Shards carry faults in ascending global-id order (the
+            // FaultShard invariant); the window ordering was only for
+            // the cut.
+            let mut members: Vec<&Fault> = chunk.iter().map(|&id| faults.fault(id)).collect();
+            members.sort_by_key(|f| f.id);
+            shards.push(WindowShard {
+                shard: FaultShard::from_faults(shards.len(), members),
+                checkpoint: Some(ci),
+                start: checkpoints[ci].0,
+            });
         }
         // Longest-processing-time-first queue order: cost ~ remaining
-        // stimulus × faults. Deterministic tie-break by (checkpoint,
-        // first global id).
+        // stimulus × faults. The sort is stable, so ties keep window
+        // order.
         let num_steps = windows.num_steps();
         shards.sort_by_key(|ws| {
-            let cost = (num_steps - ws.start.min(num_steps)) * ws.shard.len();
-            (
-                usize::MAX - cost,
-                ws.checkpoint,
-                ws.shard.global_ids().first().copied(),
-            )
+            std::cmp::Reverse((num_steps - ws.start.min(num_steps)) * ws.shard.len())
         });
         WindowPlan { shards, skipped }
     }
@@ -239,35 +222,51 @@ mod tests {
             .collect()
     }
 
+    /// Every group start the plan may pick, and whether all of `ws`'s
+    /// members are eligible there.
+    fn all_eligible(
+        windows: &ActivationWindows,
+        ws: &WindowShard,
+        (step, defined): (usize, bool),
+    ) -> bool {
+        ws.shard
+            .global_ids()
+            .iter()
+            .all(|&gid| windows.eligible_start(gid, step, defined))
+    }
+
     #[test]
-    fn plan_is_lossless_and_grouped_by_checkpoint() {
-        let (_, faults, windows, n) = staggered_fixture();
-        let checkpoints = interval_checkpoints(8, n);
-        let plan = WindowPlan::build(&faults, &windows, &checkpoints);
-        // Lossless: every fault is scheduled exactly once or skipped.
-        let mut seen: Vec<FaultId> = plan.skipped.clone();
-        for ws in &plan.shards {
-            seen.extend_from_slice(ws.shard.global_ids());
-            // Every member is eligible at the shard's checkpoint and at no
-            // later one.
-            let ci = ws.checkpoint.expect("window groups name their checkpoint");
-            let (step, defined) = checkpoints[ci];
-            assert_eq!(step, ws.start);
-            for f in ws.shard.list.iter() {
-                let gid = ws.shard.global_id(f.id);
-                assert!(windows.eligible_start(gid, step, defined));
-                assert_eq!(
-                    windows.start_checkpoint(faults.fault(gid), &checkpoints),
-                    ci
-                );
-            }
-        }
-        seen.sort_unstable();
+    fn plan_is_lossless_and_cut_into_at_most_n_groups() {
+        let (_, faults, windows, steps) = staggered_fixture();
+        let checkpoints = interval_checkpoints(8, steps);
         let all: Vec<FaultId> = faults.iter().map(|f| f.id).collect();
-        assert_eq!(seen, all, "plan lost or duplicated faults");
-        assert_eq!(plan.scheduled_faults() + plan.skipped.len(), faults.len());
-        // The staggered counter has faults with late windows: some shard
-        // must actually start past step 0.
+        for n in [1, 2, 3, 5, faults.len(), faults.len() + 7] {
+            let plan = WindowPlan::build(&faults, &windows, &checkpoints, n);
+            let scheduled = plan.scheduled_faults();
+            assert_eq!(plan.shards.len(), n.min(scheduled), "n={n}");
+            // Equal cut: group sizes differ by at most one.
+            let sizes: Vec<usize> = plan.shards.iter().map(|ws| ws.shard.len()).collect();
+            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+            // Lossless: every fault is scheduled exactly once or skipped.
+            let mut seen: Vec<FaultId> = plan.skipped.clone();
+            for ws in &plan.shards {
+                seen.extend_from_slice(ws.shard.global_ids());
+                // Every member is eligible at the group's checkpoint, and
+                // no later checkpoint is eligible for all of them.
+                let ci = ws.checkpoint.expect("window groups name their checkpoint");
+                assert_eq!(checkpoints[ci].0, ws.start);
+                assert!(all_eligible(&windows, ws, checkpoints[ci]));
+                for &later in &checkpoints[ci + 1..] {
+                    assert!(!all_eligible(&windows, ws, later), "n={n}: {later:?}");
+                }
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, all, "n={n}: plan lost or duplicated faults");
+            assert_eq!(scheduled + plan.skipped.len(), faults.len());
+        }
+        // The staggered counter has faults with late windows: cut finely
+        // enough, the late chunks must actually start past step 0.
+        let plan = WindowPlan::build(&faults, &windows, &checkpoints, 4);
         assert!(
             plan.skipped_prefix_steps() > 0,
             "no shard skipped any prefix: {:?}",
@@ -279,13 +278,44 @@ mod tests {
     }
 
     #[test]
-    fn plan_is_deterministic_and_thread_independent() {
-        // The plan has no worker-count input at all; building it twice
-        // yields the identical shard sequence.
-        let (_, faults, windows, n) = staggered_fixture();
-        let checkpoints = interval_checkpoints(4, n);
-        let a = WindowPlan::build(&faults, &windows, &checkpoints);
-        let b = WindowPlan::build(&faults, &windows, &checkpoints);
+    fn one_group_is_the_universe_minus_never_active_faults() {
+        let (_, faults, windows, steps) = staggered_fixture();
+        let plan = WindowPlan::build(&faults, &windows, &interval_checkpoints(8, steps), 1);
+        assert_eq!(plan.shards.len(), 1);
+        let expected: Vec<FaultId> = faults
+            .iter()
+            .map(|f| f.id)
+            .filter(|&id| !windows.never_active(id))
+            .collect();
+        assert_eq!(plan.shards[0].shard.global_ids(), &expected[..]);
+        assert!(plan.skipped.iter().all(|&id| windows.never_active(id)));
+        assert_eq!(expected.len() + plan.skipped.len(), faults.len());
+    }
+
+    #[test]
+    fn groups_are_contiguous_in_window_order() {
+        // Every fault of an earlier chunk opens no later than every fault
+        // of the next one: early-activating faults finish together, late
+        // ones start late.
+        let (_, faults, windows, steps) = staggered_fixture();
+        let plan = WindowPlan::build(&faults, &windows, &interval_checkpoints(4, steps), 3);
+        let span = |ws: &WindowShard| {
+            let w = ws.shard.global_ids().iter().map(|&g| windows.window(g));
+            (w.clone().min().unwrap(), w.max().unwrap())
+        };
+        let mut spans: Vec<(usize, usize)> = plan.shards.iter().map(span).collect();
+        spans.sort_unstable();
+        assert!(spans.windows(2).all(|p| p[0].1 <= p[1].0), "{spans:?}");
+    }
+
+    #[test]
+    fn plan_is_deterministic() {
+        // A pure function of (faults, windows, checkpoints, n): building
+        // it twice yields the identical shard sequence.
+        let (_, faults, windows, steps) = staggered_fixture();
+        let checkpoints = interval_checkpoints(4, steps);
+        let a = WindowPlan::build(&faults, &windows, &checkpoints, 3);
+        let b = WindowPlan::build(&faults, &windows, &checkpoints, 3);
         assert_eq!(a.skipped, b.skipped);
         assert_eq!(a.shards.len(), b.shards.len());
         for (x, y) in a.shards.iter().zip(&b.shards) {
@@ -296,19 +326,18 @@ mod tests {
 
     #[test]
     fn queue_order_is_costliest_first() {
-        let (_, faults, windows, n) = staggered_fixture();
-        let checkpoints = interval_checkpoints(8, n);
-        let plan = WindowPlan::build(&faults, &windows, &checkpoints);
-        let cost = |ws: &WindowShard| (n - ws.start) * ws.shard.len();
+        let (_, faults, windows, steps) = staggered_fixture();
+        let plan = WindowPlan::build(&faults, &windows, &interval_checkpoints(8, steps), 4);
+        let cost = |ws: &WindowShard| (steps - ws.start) * ws.shard.len();
         assert!(plan.shards.windows(2).all(|p| cost(&p[0]) >= cost(&p[1])));
     }
 
     #[test]
     fn single_checkpoint_degenerates_to_plain_sharding() {
-        // With only the step-0 checkpoint every fault groups there; the
-        // plan is then just fixed-size sharding with zero skipped prefix.
+        // With only the step-0 checkpoint every group starts there; the
+        // plan is then just an equal cut with zero skipped prefix.
         let (_, faults, windows, _) = staggered_fixture();
-        let plan = WindowPlan::build(&faults, &windows, &[(0, false)]);
+        let plan = WindowPlan::build(&faults, &windows, &[(0, false)], 3);
         assert_eq!(plan.skipped_prefix_steps(), 0);
         assert!(plan.shards.iter().all(|ws| ws.start == 0));
         assert_eq!(plan.scheduled_faults() + plan.skipped.len(), faults.len());

@@ -166,9 +166,22 @@ impl CampaignService {
     /// Starts a service draining jobs with `workers` threads over a
     /// bounded queue of `queue_cap` entries, persisting results to
     /// `store`. Both sizes are clamped to at least 1.
+    ///
+    /// Ids continue after the highest `c<N>` the store already holds, so a
+    /// service restarted onto a journal never reissues — and overwrites —
+    /// a replayed record's id.
     pub fn new(store: Box<dyn ResultStore>, workers: usize, queue_cap: usize) -> CampaignService {
+        let next_id = store
+            .ids()
+            .iter()
+            .filter_map(|id| id.strip_prefix('c')?.parse::<u64>().ok())
+            .max()
+            .unwrap_or(0);
         let inner = Arc::new(Inner {
-            state: Mutex::new(State::default()),
+            state: Mutex::new(State {
+                next_id,
+                ..State::default()
+            }),
             work: Condvar::new(),
             store: Mutex::new(store),
             queue_cap: queue_cap.max(1),

@@ -10,12 +10,16 @@
 //! recovers every completed record when the file loses an arbitrary
 //! number of tail bytes mid-record, while an intact frame it cannot decode
 //! is skipped rather than mistaken for such a tail. A frame written by a
-//! release that still had the good-run cache replays unchanged.
+//! release that still had the good-run cache replays unchanged. And a
+//! service restarted onto a journal continues its ids after the replayed
+//! ones, so no stored record is ever overwritten by a new campaign.
 
 use eraser_core::{CampaignSpec, RedundancyStats};
 use eraser_fault::{CoverageReport, Detection, FaultId};
 use eraser_ir::SignalId;
-use eraser_service::{CampaignRecord, JournalStore, MemStore, ResultStore};
+use eraser_service::{
+    CampaignRecord, CampaignService, JobStatus, JournalStore, MemStore, ResultStore,
+};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -278,5 +282,45 @@ fn journal_replays_a_cache_era_record_unchanged() {
     assert_eq!(record.spec.checkpoint_interval, Some(4));
     assert_eq!((record.num_faults, record.steps), (6, 22));
     assert_eq!(record.to_json(), PAYLOAD);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Submits `spec` and blocks until its record is stored.
+fn run_to_done(service: &CampaignService, spec: &CampaignSpec) -> CampaignRecord {
+    let handle = service.handle();
+    let id = handle.submit(spec.clone()).unwrap();
+    for _ in 0..2000 {
+        match handle.status(&id).unwrap().status {
+            JobStatus::Done => return handle.result(&id).unwrap().expect("done means stored"),
+            JobStatus::Failed(message) => panic!("{id} failed: {message}"),
+            _ => std::thread::sleep(Duration::from_millis(5)),
+        }
+    }
+    panic!("{id} never finished");
+}
+
+/// A restarted service must not reissue an id its journal already holds:
+/// submit, restart on the same journal, submit again — both records are
+/// there, the first one untouched.
+#[test]
+fn restarted_service_continues_ids_after_the_journal() {
+    let path = scratch("restart-ids");
+    let spec = |seed| CampaignSpec::benchmark("ALU").steps(20).seed(seed);
+    let first = {
+        let mut service = CampaignService::new(Box::new(JournalStore::open(&path).unwrap()), 1, 8);
+        let record = run_to_done(&service, &spec(1));
+        service.shutdown();
+        record
+    };
+    let mut service = CampaignService::new(Box::new(JournalStore::open(&path).unwrap()), 1, 8);
+    let second = run_to_done(&service, &spec(2));
+    assert_ne!(first.id, second.id, "the restart reissued {}", first.id);
+    let handle = service.handle();
+    assert_eq!(handle.result(&first.id).unwrap().unwrap(), first);
+    assert_eq!(handle.result(&second.id).unwrap().unwrap(), second);
+    service.shutdown();
+    // And the journal itself holds both, in order.
+    let store = JournalStore::open(&path).unwrap();
+    assert_eq!(store.ids(), vec![first.id.clone(), second.id.clone()]);
     let _ = std::fs::remove_file(&path);
 }

@@ -64,13 +64,83 @@ impl Default for BitFirsts {
     }
 }
 
+/// The first-occurrence records of one tracked site signal, with per-word
+/// masks of the bit states already seen: a commit that shows no bit in a
+/// state for the first time — nearly every commit after the first few
+/// cycles — costs three AND-NOTs per 64 bits and visits no bit.
+#[derive(Debug, Clone)]
+struct SiteRecord {
+    firsts: Box<[BitFirsts]>,
+    /// Per 64-bit word: bits already seen as defined `0`, defined `1`,
+    /// unknown. A set bit's `firsts` slot is final.
+    seen: Box<[[u64; 3]]>,
+}
+
+impl SiteRecord {
+    fn new(width: usize) -> Self {
+        SiteRecord {
+            firsts: vec![BitFirsts::default(); width].into_boxed_slice(),
+            seen: vec![[0; 3]; width.div_ceil(64)].into_boxed_slice(),
+        }
+    }
+
+    /// Stamps `step` on every (bit, state) pair `value` shows for the
+    /// first time. Steps only ascend over a replay, so a slot stamped once
+    /// already holds its minimum.
+    fn record(&mut self, value: &LogicVec, step: usize) {
+        let (avals, bvals) = (value.avals(), value.bvals());
+        for (w, seen) in self.seen.iter_mut().enumerate() {
+            let base = w * 64;
+            let site_mask = word_mask(self.firsts.len() - base);
+            // Bits the value does not have read as unknown, like an
+            // out-of-range select.
+            let value_mask = word_mask((value.width() as usize).saturating_sub(base));
+            let a = avals.get(w).copied().unwrap_or(0);
+            let b = bvals.get(w).copied().unwrap_or(0);
+            let firsts = &mut self.firsts[base..];
+            let [zero, one, x] = seen;
+            stamp_new(firsts, zero, !a & !b & value_mask & site_mask, step, |f| {
+                &mut f.zero
+            });
+            stamp_new(firsts, one, a & !b & site_mask, step, |f| &mut f.one);
+            stamp_new(firsts, x, (b | !value_mask) & site_mask, step, |f| &mut f.x);
+        }
+    }
+}
+
+/// Stamps `step` on `slot` of every bit set in `now` and not yet in `seen`
+/// (bit `i` is `firsts[i]`), then folds `now` into `seen`.
+fn stamp_new(
+    firsts: &mut [BitFirsts],
+    seen: &mut u64,
+    now: u64,
+    step: usize,
+    slot: impl Fn(&mut BitFirsts) -> &mut usize,
+) {
+    let mut new = now & !*seen;
+    *seen |= now;
+    while new != 0 {
+        *slot(&mut firsts[new.trailing_zeros() as usize]) = step;
+        new &= new - 1;
+    }
+}
+
+/// The low `bits` bits set (all 64 from 64 up).
+fn word_mask(bits: usize) -> u64 {
+    if bits >= 64 {
+        u64::MAX
+    } else {
+        (1 << bits) - 1
+    }
+}
+
 /// Commit-granular activation/hazard recorder for one good replay. See the
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct SiteProbe {
     step: usize,
-    /// Per signal: per-bit first-occurrence records for tracked sites.
-    sites: Vec<Option<Box<[BitFirsts]>>>,
+    /// Per signal: first-occurrence records for tracked sites.
+    sites: Vec<Option<SiteRecord>>,
     /// Per signal: first step an X hazard involving it was observed
     /// ([`NEVER`] = none).
     hazard: Vec<usize>,
@@ -95,14 +165,15 @@ impl SiteProbe {
         };
         for sig in sites {
             let width = design.signal(sig).width as usize;
-            probe.sites[sig.index()]
-                .get_or_insert_with(|| vec![BitFirsts::default(); width].into_boxed_slice());
+            probe.sites[sig.index()].get_or_insert_with(|| SiteRecord::new(width));
         }
         probe
     }
 
     /// Sets the stimulus step subsequent observations are attributed to.
+    /// Steps must not descend over a replay.
     pub fn begin_step(&mut self, step: usize) {
+        debug_assert!(step >= self.step, "probe steps must not descend");
         self.step = step;
     }
 
@@ -115,8 +186,8 @@ impl SiteProbe {
     pub fn observe_initial(&mut self, design: &Design, values: &ValueStore) {
         for i in 0..self.sites.len() {
             let sig = SignalId::from_index(i);
-            if self.sites[i].is_some() {
-                self.record_bits(sig, values.get(sig));
+            if let Some(site) = &mut self.sites[i] {
+                site.record(values.get(sig), self.step);
             }
             if self.edge_watched[i]
                 && !matches!(values.get(sig).bit_or_x(0), LogicBit::Zero | LogicBit::One)
@@ -148,8 +219,8 @@ impl SiteProbe {
     /// and harmlessly idempotent on repeats).
     #[inline]
     pub fn observe_commit(&mut self, sig: SignalId, value: &LogicVec) {
-        if self.sites[sig.index()].is_some() {
-            self.record_bits(sig, value);
+        if let Some(site) = &mut self.sites[sig.index()] {
+            site.record(value, self.step);
         }
         if self.edge_watched[sig.index()]
             && !matches!(value.bit_or_x(0), LogicBit::Zero | LogicBit::One)
@@ -224,7 +295,7 @@ impl SiteProbe {
 
     /// Per-bit first-occurrence records of a tracked site, if tracked.
     pub fn site_firsts(&self, sig: SignalId) -> Option<&[BitFirsts]> {
-        self.sites[sig.index()].as_deref()
+        self.sites[sig.index()].as_ref().map(|r| &*r.firsts)
     }
 
     /// First step an X hazard involving `sig` was observed ([`NEVER`] if
@@ -238,19 +309,6 @@ impl SiteProbe {
     fn mark_hazard(&mut self, sig: SignalId) {
         let h = &mut self.hazard[sig.index()];
         *h = (*h).min(self.step);
-    }
-
-    fn record_bits(&mut self, sig: SignalId, value: &LogicVec) {
-        let step = self.step;
-        let firsts = self.sites[sig.index()].as_mut().expect("tracked");
-        for (bit, f) in firsts.iter_mut().enumerate() {
-            let slot = match value.bit_or_x(bit as u32) {
-                LogicBit::Zero => &mut f.zero,
-                LogicBit::One => &mut f.one,
-                _ => &mut f.x,
-            };
-            *slot = (*slot).min(step);
-        }
     }
 
     fn static_decision_scan(&mut self, vdg: &Vdg, values: &ValueStore) {
@@ -324,6 +382,62 @@ mod tests {
         // Untracked signals are ignored without panicking.
         probe.observe_commit(clk, &LogicVec::from_u64(1, 1));
         assert!(probe.site_firsts(clk).is_none());
+    }
+
+    /// The recorder the masks replaced: walk every bit on every commit.
+    fn record_per_bit(firsts: &mut [BitFirsts], value: &LogicVec, step: usize) {
+        for (bit, f) in firsts.iter_mut().enumerate() {
+            let slot = match value.bit_or_x(bit as u32) {
+                LogicBit::Zero => &mut f.zero,
+                LogicBit::One => &mut f.one,
+                _ => &mut f.x,
+            };
+            *slot = (*slot).min(step);
+        }
+    }
+
+    #[test]
+    fn masked_recorder_matches_per_bit_reference_on_random_commits() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for width in [1usize, 7, 63, 64, 65, 130] {
+            for round in 0..8 {
+                let mut site = SiteRecord::new(width);
+                let mut reference = vec![BitFirsts::default(); width];
+                let mut step = 0;
+                for commit in 0..200 {
+                    // Mostly the site's own width; now and then a narrower
+                    // or wider value, whose missing bits read as unknown.
+                    let value_width = match next() % 8 {
+                        0 => 1 + (next() as usize) % (width + 70),
+                        _ => width,
+                    };
+                    // Early commits are sparse (mostly 0 or mostly X) so
+                    // firsts land at many different steps.
+                    let bits: Vec<LogicBit> = (0..value_width)
+                        .map(|_| match (next() % 16, round % 2) {
+                            (0, _) => LogicBit::One,
+                            (1, _) => LogicBit::X,
+                            (2, _) => LogicBit::Z,
+                            (_, 0) if commit < 100 => LogicBit::Zero,
+                            (_, _) if commit < 100 => LogicBit::X,
+                            (r, _) if r % 2 == 0 => LogicBit::Zero,
+                            _ => LogicBit::One,
+                        })
+                        .collect();
+                    let value = LogicVec::from_bits(&bits);
+                    step += (next() % 3) as usize; // repeats and gaps
+                    site.record(&value, step);
+                    record_per_bit(&mut reference, &value, step);
+                    assert_eq!(&*site.firsts, &reference[..], "width {width} step {step}");
+                }
+            }
+        }
     }
 
     #[test]

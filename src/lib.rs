@@ -64,10 +64,10 @@
 //! let design = Benchmark::Apb.build();
 //! let faults = generate_faults(&design, &Benchmark::Apb.fault_config());
 //! let stim = Benchmark::Apb.stimulus_with_cycles(&design, 60);
-//! let serial = run_campaign(&design, &faults, &stim, &CampaignConfig::serial());
+//! let serial = run_campaign(&design, &faults, &stim, &CampaignConfig::default());
 //! let parallel = run_campaign(&design, &faults, &stim, &CampaignConfig {
 //!     parallel: ParallelConfig::with_threads(4),
-//!     ..CampaignConfig::serial()
+//!     ..CampaignConfig::default()
 //! });
 //! assert_eq!(serial.coverage, parallel.coverage); // bit-identical
 //! ```

@@ -70,7 +70,7 @@ fn parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
                 &CampaignConfig {
                     mode,
                     backend,
-                    ..CampaignConfig::serial()
+                    ..CampaignConfig::default()
                 },
             )
         };
@@ -176,7 +176,7 @@ fn input_fault_parity_across_engines_and_backends() {
     for backend in [EvalBackend::Tree, EvalBackend::Tape] {
         let runner = CampaignRunner::new(&design, &faults, &stim).with_config(CampaignConfig {
             backend,
-            ..CampaignConfig::serial()
+            ..CampaignConfig::default()
         });
         let results = runner.run_all(&engines);
         if let Err(mismatch) = CampaignRunner::check_parity(&results) {

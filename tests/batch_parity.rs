@@ -108,7 +108,7 @@ fn batch_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
                 &CampaignConfig {
                     mode,
                     backend,
-                    ..CampaignConfig::serial()
+                    ..CampaignConfig::default()
                 },
             );
         }
@@ -130,7 +130,7 @@ fn batch_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
                         backend,
                         parallel: ParallelConfig::with_threads(threads),
                         checkpoint,
-                        ..CampaignConfig::serial()
+                        ..CampaignConfig::default()
                     },
                 );
             }
@@ -173,7 +173,7 @@ fn batch_parity_sha256_wide_fallback() {
             &CampaignConfig {
                 mode: RedundancyMode::Full,
                 backend,
-                ..CampaignConfig::serial()
+                ..CampaignConfig::default()
             },
         );
     }
@@ -204,7 +204,7 @@ fn batch_parity_full_suite() {
                     &CampaignConfig {
                         mode,
                         backend,
-                        ..CampaignConfig::serial()
+                        ..CampaignConfig::default()
                     },
                 );
             }
@@ -277,7 +277,7 @@ fn lane_packing_mixed_sites_engages_batching() {
                 // across per-group engines, thinning lane packing without
                 // changing semantics (covered by the parity tests above).
                 checkpoint: CheckpointConfig::disabled(),
-                ..CampaignConfig::serial()
+                ..CampaignConfig::default()
             },
         );
         assert!(
@@ -310,7 +310,7 @@ fn batching_engages_on_table2_designs() {
             &stim,
             &CampaignConfig {
                 backend: EvalBackend::Tape,
-                ..CampaignConfig::serial()
+                ..CampaignConfig::default()
             },
         );
         assert!(
@@ -343,7 +343,7 @@ fn batched_eraser_agrees_with_serial_baselines() {
         let runner = CampaignRunner::new(&design, &faults, &stim).with_config(CampaignConfig {
             backend,
             batch: BatchConfig::enabled(),
-            ..CampaignConfig::serial()
+            ..CampaignConfig::default()
         });
         let results = runner.run_all(&engines);
         if let Err(mismatch) = CampaignRunner::check_parity(&results) {

@@ -95,7 +95,7 @@ fn collapse_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
                 &CampaignConfig {
                     mode,
                     backend,
-                    ..CampaignConfig::serial()
+                    ..CampaignConfig::default()
                 },
             );
         }
@@ -120,7 +120,7 @@ fn collapse_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
                             parallel: ParallelConfig::with_threads(threads),
                             checkpoint,
                             batch,
-                            ..CampaignConfig::serial()
+                            ..CampaignConfig::default()
                         },
                     );
                 }
@@ -163,7 +163,7 @@ fn collapse_parity_sha256_wide() {
             &CampaignConfig {
                 mode: RedundancyMode::Full,
                 backend,
-                ..CampaignConfig::serial()
+                ..CampaignConfig::default()
             },
         );
     }
@@ -192,7 +192,7 @@ fn collapse_parity_baselines() {
                     &CampaignConfig {
                         backend,
                         collapse,
-                        ..CampaignConfig::serial()
+                        ..CampaignConfig::default()
                     },
                 )
             };
@@ -240,7 +240,7 @@ fn collapse_shrinks_table2_universes() {
                 &stim,
                 &CampaignConfig {
                     collapse: CollapseConfig::enabled(),
-                    ..CampaignConfig::serial()
+                    ..CampaignConfig::default()
                 },
             )
             .stats;
@@ -278,7 +278,7 @@ fn collapse_parity_full_suite() {
                     &CampaignConfig {
                         mode,
                         backend,
-                        ..CampaignConfig::serial()
+                        ..CampaignConfig::default()
                     },
                 );
             }
@@ -438,7 +438,7 @@ fn fixture_every_rule_fires() {
             &CampaignConfig {
                 mode: RedundancyMode::Full,
                 backend,
-                ..CampaignConfig::serial()
+                ..CampaignConfig::default()
             },
         );
     }

@@ -38,7 +38,7 @@ fn fixture(bench: Benchmark, cycles: usize, max_faults: usize) -> (Design, Fault
 fn threaded(threads: usize) -> CampaignConfig {
     CampaignConfig {
         parallel: ParallelConfig::with_threads(threads),
-        ..CampaignConfig::serial()
+        ..CampaignConfig::default()
     }
 }
 
@@ -51,7 +51,7 @@ fn assert_deterministic(
     engine: &dyn FaultSimEngine,
 ) {
     let (design, faults, stim) = fixture(bench, cycles, max_faults);
-    let serial = engine.run(&design, &faults, &stim, &CampaignConfig::serial());
+    let serial = engine.run(&design, &faults, &stim, &CampaignConfig::default());
     assert!(
         serial.coverage.detected() > 0,
         "{} {}: serial campaign detected nothing",
@@ -125,7 +125,7 @@ fn parallel_line_up_passes_cross_engine_parity() {
 #[test]
 fn run_campaign_parallel_config_is_deterministic() {
     let (design, faults, stim) = fixture(Benchmark::ConvAcc, 40, 32);
-    let serial = eraser::core::run_campaign(&design, &faults, &stim, &CampaignConfig::serial());
+    let serial = eraser::core::run_campaign(&design, &faults, &stim, &CampaignConfig::default());
     for threads in THREAD_SWEEP {
         let res = eraser::core::run_campaign(&design, &faults, &stim, &threaded(threads));
         assert_eq!(
@@ -148,9 +148,10 @@ fn run_campaign_parallel_config_is_deterministic() {
 /// What "same speed as before" rests on, read off the plan the drain
 /// announces to [`CampaignProgress`]: a one-thread plain campaign is
 /// exactly one group — one engine over the caller's list — and a
-/// four-thread one is at most `4 × 4` non-empty groups covering every
-/// fault once. An empty universe is one (fault-free) engine however many
-/// threads were asked for.
+/// four-thread one is at most four non-empty groups, one per worker,
+/// covering every fault once (the test's name dates from the `4 × 4`
+/// oversubscription rule). An empty universe is one (fault-free) engine
+/// however many threads were asked for.
 #[test]
 fn plain_campaign_announces_one_group_serial_and_at_most_sixteen_at_four_threads() {
     let (design, faults, stim) = fixture(Benchmark::ConvAcc, 40, 48);
@@ -170,7 +171,7 @@ fn plain_campaign_announces_one_group_serial_and_at_most_sixteen_at_four_threads
     };
     assert_eq!(announced(&faults, 1), 1);
     let groups = announced(&faults, 4);
-    assert!((2..=16).contains(&groups), "{groups} groups at 4 threads");
+    assert!((2..=4).contains(&groups), "{groups} groups at 4 threads");
     assert_eq!(announced(&FaultList::default(), 4), 1);
 }
 

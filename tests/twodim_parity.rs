@@ -1,38 +1,42 @@
 //! Two-dimensional parallelism parity — the composed checkpointed +
 //! fault-parallel campaign path must be a pure performance knob.
 //!
-//! Two invariants, asserted across engines × backends × thread counts ×
-//! checkpoint intervals × batching × collapsing:
+//! Asserted across engines × backends × thread counts × checkpoint
+//! intervals × batching × collapsing:
 //!
 //! 1. **Coverage identity.** Every configuration detects the identical
 //!    coverage records (first-detection step and observing output per
 //!    fault) as the serial non-checkpointed reference.
-//! 2. **Counter thread-invariance.** At a fixed checkpoint interval, the
-//!    window plan is worker-count-independent, so *every* semantic
-//!    redundancy counter — not just coverage — is bit-identical between
-//!    the serial run and any multi-threaded run of the same
-//!    configuration. (Counters legitimately differ *across* intervals —
-//!    each window group evaluates its own good suffix — which is exactly
-//!    the trade `skipped_prefix_steps` measures.)
+//! 2. **Counters are a function of the plan.** A group costs one
+//!    good-network pass and the plan cuts one group per worker, so the
+//!    concurrent engines' counters move with the thread count — but a run
+//!    repeats them exactly, `skipped_faults` is the good run's alone, and
+//!    **the drain is worker-invariant**: one plan drained by one worker or
+//!    many gives bit-identical counters.
+//! 3. **Per-fault counters are thread-invariant.** The serial baselines
+//!    restore every fault at its own latest eligible checkpoint, whatever
+//!    group it rides in, so all their counters are bit-identical at every
+//!    thread count.
 //!
 //! The default tests run shortened campaigns on two benchmarks plus a
 //! crafted late-activation design where the composed path must report
-//! genuinely nonzero prefix/fault skips at every thread count — the
-//! regression guard for the historical silent degradation where enabling
-//! threads forfeited every checkpoint skip. The `--ignored` sweep widens
-//! to all ten Table II benchmarks.
+//! genuinely nonzero prefix/fault skips — the regression guard for the
+//! historical silent degradation where enabling threads forfeited every
+//! checkpoint skip. The `--ignored` sweep widens to all ten Table II
+//! benchmarks.
 
 use eraser::baselines::{CfSim, IFsim, VFsim};
 use eraser::core::{
-    BatchConfig, CampaignConfig, CheckpointConfig, CollapseConfig, Eraser, EvalBackend,
-    FaultSimEngine, ParallelConfig, RedundancyStats,
+    drain_plan, plan_campaign, record_good_run, BatchConfig, CampaignConfig, CheckpointConfig,
+    CollapseConfig, Eraser, EraserEngine, EvalBackend, FaultSimEngine, ParallelConfig,
+    RedundancyStats,
 };
 use eraser::designs::Benchmark;
 use eraser::fault::{generate_faults, FaultList, FaultListConfig};
 use eraser::frontend::compile;
 use eraser::ir::Design;
 use eraser::logic::LogicVec;
-use eraser::sim::{Stimulus, StimulusBuilder};
+use eraser::sim::{Simulator, Stimulus, StimulusBuilder};
 
 const THREADS: [usize; 4] = [1, 2, 4, 7];
 const INTERVALS: [usize; 4] = [0, 1, 8, 64];
@@ -87,19 +91,20 @@ impl Knobs {
     }
 }
 
+/// `(name, engine, is it a serial per-fault baseline?)`.
+type EngineUnderTest = (&'static str, Box<dyn FaultSimEngine>, bool);
+
 /// Runs one engine through a knob set at every thread count: coverage must
-/// match `reference` everywhere, and — when checkpointing is on — the
-/// counters must match the knob set's own single-thread run bit-for-bit.
-/// Returns the single-thread stats for caller-side feature assertions.
+/// match `reference` everywhere; under checkpointing `skipped_faults` must
+/// not move, and for the serial baselines (`per_fault`) no counter may.
 fn check_knobs(
-    name: &str,
-    engine: &dyn FaultSimEngine,
+    (name, engine, per_fault): &EngineUnderTest,
     design: &Design,
     faults: &FaultList,
     stim: &Stimulus,
     knobs: &Knobs,
     reference: &eraser::fault::CoverageReport,
-) -> Option<RedundancyStats> {
+) {
     let serial = engine.run(design, faults, stim, &knobs.config(1));
     assert_eq!(
         *reference,
@@ -123,28 +128,36 @@ fn check_knobs(
                 );
             };
             assert_eq!(
-                counter_key(a),
-                counter_key(b),
-                "{name} [{} x{threads}]: counters not thread-invariant",
+                a.skipped_faults,
+                b.skipped_faults,
+                "{name} [{} x{threads}]: never-active faults moved with the thread count",
                 knobs.label()
             );
+            if *per_fault {
+                assert_eq!(
+                    counter_key(a),
+                    counter_key(b),
+                    "{name} [{} x{threads}]: per-fault counters not thread-invariant",
+                    knobs.label()
+                );
+            }
         }
     }
-    serial.stats
 }
 
 /// The full matrix for one fixture. The concurrent engines additionally
 /// sweep the batching knob (the serial baselines ignore it by design, so
 /// sweeping it there would only duplicate runs).
 fn check_fixture(design: &Design, faults: &FaultList, stim: &Stimulus, intervals: &[usize]) {
-    let serial_engines: [(&str, Box<dyn FaultSimEngine>); 2] =
-        [("IFsim", Box::new(IFsim)), ("VFsim", Box::new(VFsim))];
-    let concurrent_engines: [(&str, Box<dyn FaultSimEngine>); 2] = [
-        ("CfSim", Box::new(CfSim)),
-        ("Eraser", Box::new(Eraser::full())),
+    let engines: [EngineUnderTest; 4] = [
+        ("IFsim", Box::new(IFsim), true),
+        ("VFsim", Box::new(VFsim), true),
+        ("CfSim", Box::new(CfSim), false),
+        ("Eraser", Box::new(Eraser::full()), false),
     ];
     for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        for (name, engine) in serial_engines.iter().chain(&concurrent_engines) {
+        for under_test in &engines {
+            let (_, engine, per_fault) = under_test;
             let reference = engine
                 .run(
                     design,
@@ -161,15 +174,10 @@ fn check_fixture(design: &Design, faults: &FaultList, stim: &Stimulus, intervals
                 .coverage;
             for &interval in intervals {
                 for collapse in [false, true] {
-                    let batch_axis: &[bool] = if concurrent_engines.iter().any(|(n, _)| n == name) {
-                        &[false, true]
-                    } else {
-                        &[false]
-                    };
+                    let batch_axis: &[bool] = if *per_fault { &[false] } else { &[false, true] };
                     for &batch in batch_axis {
                         check_knobs(
-                            name,
-                            engine.as_ref(),
+                            under_test,
                             design,
                             faults,
                             stim,
@@ -252,10 +260,16 @@ fn late_activation_fixture() -> (Design, FaultList, Stimulus) {
 /// The regression guard for the historical silent degradation: before the
 /// two-dimensional scheduler, enabling threads put the concurrent engine
 /// on the from-zero path and every checkpoint skip was silently forfeited.
-/// Now the composed path must report genuinely nonzero — and thread-
-/// invariant — skip counters at every thread count: prefix and whole-fault
-/// skips on the late-activation design, and prefix skips on a Table II
-/// design (APB), which need not have a never-active fault.
+/// What must hold now, on the late-activation design and on a Table II
+/// design (APB, which need not have a never-active fault):
+///
+/// * the serial baselines skip real prefixes, the same ones at every
+///   thread count;
+/// * the concurrent engine drops the never-active faults at any thread
+///   count, and once the cut is fine enough to isolate the late faults
+///   their chunk starts past step 0;
+/// * a run repeats its counters exactly, and one plan drained by one
+///   worker or many gives bit-identical coverage and counters.
 #[test]
 fn composed_path_reports_real_skips_at_every_thread_count() {
     let knobs = Knobs {
@@ -264,31 +278,110 @@ fn composed_path_reports_real_skips_at_every_thread_count() {
         batch: false,
         collapse: false,
     };
-    for (name, (design, faults, stim), skips_faults) in [
+    for (name, (design, faults, stim), late) in [
         ("lateregs", late_activation_fixture(), true),
         ("APB", bench_fixture(Benchmark::Apb, 40, 60), false),
     ] {
-        let mut keys = Vec::new();
+        let mut serial_keys = Vec::new();
         for threads in THREADS {
-            let result = Eraser::full().run(&design, &faults, &stim, &knobs.config(threads));
+            let config = knobs.config(threads);
+            let serial = IFsim.run(&design, &faults, &stim, &config);
+            let stats = serial
+                .stats
+                .expect("checkpointed serial campaigns carry stats");
+            assert!(
+                stats.skipped_prefix_steps > 0,
+                "{name} x{threads}: IFsim forfeited prefix skips: {stats:?}"
+            );
+            serial_keys.push(counter_key(&stats));
+
+            let result = Eraser::full().run(&design, &faults, &stim, &config);
             let stats = result
                 .stats
                 .expect("checkpointed concurrent campaigns carry stats");
             assert!(
-                stats.skipped_prefix_steps > 0,
-                "{name} x{threads}: composed path forfeited prefix skips: {stats:?}"
-            );
-            assert!(
-                !skips_faults || stats.skipped_faults > 0,
+                !late || stats.skipped_faults > 0,
                 "{name} x{threads}: composed path forfeited fault skips: {stats:?}"
             );
-            keys.push(counter_key(&stats));
+            // Cut in four or more, the late-activation design's last
+            // chunk holds only `bank` / `obs` faults that open after
+            // cycle 25. (Cut in two, the second chunk's head is a window-1
+            // fault, and APB's windows are all early.)
+            assert!(
+                !(late && threads >= 4) || stats.skipped_prefix_steps > 0,
+                "{name} x{threads}: the late chunk started at step 0: {stats:?}"
+            );
+            let again = Eraser::full().run(&design, &faults, &stim, &config);
+            assert_eq!(
+                counter_key(&stats),
+                counter_key(&again.stats.unwrap()),
+                "{name} x{threads}: a rerun moved the counters"
+            );
         }
         assert!(
-            keys.windows(2).all(|w| w[0] == w[1]),
-            "{name}: skip counters moved across thread counts: {keys:?}"
+            serial_keys.windows(2).all(|w| w[0] == w[1]),
+            "{name}: per-fault counters moved across thread counts: {serial_keys:?}"
         );
+
+        // One plan, any number of workers: the drain is worker-invariant.
+        let config = knobs.config(4);
+        let good = record_good_run(&design, &faults, &stim, &config, None);
+        let plan = plan_campaign(&faults, Some(&good), 4);
+        assert!(plan.shards.len() > 1 && plan.shards.len() <= 4);
+        let drained: Vec<_> = THREADS
+            .iter()
+            .map(|&workers| {
+                drain_plan(&plan, Some(&good), workers, None, |group, snapshot| {
+                    let snapshot = snapshot.expect("window groups name a checkpoint");
+                    let mut engine = EraserEngine::session(&design, &group.shard.list)
+                        .resume_from(snapshot, group.start)
+                        .start();
+                    engine.run(&stim);
+                    (engine.coverage().clone(), engine.stats().clone())
+                })
+            })
+            .collect();
+        for d in &drained[1..] {
+            assert_eq!(
+                drained[0].coverage, d.coverage,
+                "{name}: drain moved coverage"
+            );
+            assert_eq!(
+                counter_key(&drained[0].stats),
+                counter_key(&d.stats),
+                "{name}: drain moved the counters"
+            );
+        }
     }
+}
+
+/// The CI gate on the sizing rule (named in `.github/workflows/ci.yml`):
+/// on APB at checkpoint interval 64 with two threads the plan has at most
+/// two groups, and — a group costs at most one good-network pass — the
+/// campaign's summed `deltas` is at most groups × the good run's.
+#[test]
+fn apb_checkpointed_campaign_costs_at_most_one_good_pass_per_worker() {
+    let (design, faults, stim) = bench_fixture(Benchmark::Apb, 400, usize::MAX);
+    let config = CampaignConfig {
+        checkpoint: CheckpointConfig::every(64),
+        parallel: ParallelConfig::with_threads(2),
+        ..Default::default()
+    };
+    let good = record_good_run(&design, &faults, &stim, &config, None);
+    let groups = plan_campaign(&faults, Some(&good), 2).shards.len() as u64;
+    assert!((1..=2).contains(&groups), "{groups} groups for 2 workers");
+    let mut sim = Simulator::new(&design);
+    sim.run_stimulus(&stim);
+    let result = Eraser::full().run(&design, &faults, &stim, &config);
+    let deltas = result
+        .stats
+        .expect("concurrent campaigns carry stats")
+        .deltas;
+    assert!(
+        deltas <= groups * sim.deltas(),
+        "{deltas} deltas over {groups} groups, {} per good pass",
+        sim.deltas()
+    );
 }
 
 #[test]
