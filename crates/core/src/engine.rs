@@ -11,6 +11,35 @@
 //! [`ValueSource`], diff entries are updated in place via
 //! [`DiffList::upsert_with`], and expression evaluation runs through the
 //! scratch-arena `eval_expr_into` path.
+//!
+//! # Cost proportional to the faults visible at the node
+//!
+//! Most of a fault simulation *is* the good simulation, so where no fault
+//! is visible the engine does what the good simulator does and nothing
+//! more. A signal is **clean** when its diff list is empty and no live
+//! fault is sited on it (a per-signal count, decremented where `observe`
+//! drops a fault). Each of the four phases has a *good-only lane* — an
+//! early return decided by that one predicate, ahead of the general path
+//! and ending in the one `commit_signal`:
+//!
+//! 1. `commit_signal`: a clean target and no fault updates — compare,
+//!    store, schedule fanout.
+//! 2. `eval_rtl_concurrent`: every input and the output clean — the good
+//!    evaluation, then lane 1; no candidate union, no update batch, on the
+//!    scalar and the batch evaluator alike.
+//! 3. `process_activation`: the good network fired with no suppressed
+//!    fault, every signal the node reads or writes clean, and a mode that
+//!    skips explicit redundancy (or no live fault) — every live fault is
+//!    booked as an explicitly skipped opportunity, the body runs once
+//!    unmonitored, blocking finals go through lane 1, NBA writes queue.
+//! 4. `commit_nba`: a block of good writes only, on a target clean *at
+//!    commit time* — fold the writes, then lane 1.
+//!
+//! The lanes are read node by node, not campaign by campaign: they switch
+//! on as fault dropping thins the live set. Coverage, detection steps and
+//! every [`RedundancyStats`] counter are the general path's by
+//! construction — a lane books exactly what the general path would have
+//! booked with empty candidate sets.
 
 use crate::diff::{union_ids_into, DiffList};
 use crate::monitor::RedundancyMonitor;
@@ -201,7 +230,18 @@ impl Workspace {
 /// fault batch, and advances them together through the stimulus. See the
 /// [crate docs](crate) for the step structure and
 /// [`run_campaign`](crate::run_campaign) for the one-call driver.
+///
+/// The simulation state and the scratch [`Workspace`] are two fields, so
+/// every hot method runs on the state with the workspace borrowed beside
+/// it — nothing is moved out and back per call.
 pub struct EraserEngine<'d> {
+    state: EngineState<'d>,
+    ws: Workspace,
+}
+
+/// Everything the engine simulates: the good network, the fault
+/// differences on it, the event queues and the results so far.
+struct EngineState<'d> {
     design: &'d Design,
     faults: &'d FaultList,
     mode: RedundancyMode,
@@ -219,8 +259,16 @@ pub struct EraserEngine<'d> {
     good: ValueStore,
     diffs: Vec<DiffList>,
     site_faults: Vec<Vec<FaultId>>,
+    /// Live faults sited on each signal: `site_faults` minus the dropped
+    /// ones, as a count. With an empty diff list it makes the signal
+    /// [clean](Self::clean).
+    site_live: Vec<u32>,
     alive: Vec<bool>,
     alive_count: u64,
+    /// Per-fault stamp of the `commit_signal` call that last handled the
+    /// fault; equal to `commit_epoch` means "handled by this call".
+    commit_seen: Vec<u32>,
+    commit_epoch: u32,
 
     rtl_dirty: Vec<bool>,
     rtl_queue: Vec<RtlNodeId>,
@@ -228,6 +276,8 @@ pub struct EraserEngine<'d> {
     beh_queue: Vec<BehavioralId>,
     watch_changed: Vec<SignalId>,
     watch_flag: Vec<bool>,
+    /// Dense already-on-the-worklist flags of `detect_edges`.
+    edge_queued: Vec<bool>,
 
     edge_prev_good: Vec<LogicVec>,
     edge_prev_diffs: Vec<DiffList>,
@@ -235,12 +285,9 @@ pub struct EraserEngine<'d> {
     pending_nba: Vec<PendingNba>,
     nba_pool: Vec<PendingNba>,
 
-    ws: Workspace,
-
     coverage: CoverageReport,
     stats: RedundancyStats,
     step_index: usize,
-    need_sweep: bool,
 }
 
 /// The engine constructor: one fluent surface over every axis.
@@ -397,8 +444,9 @@ impl<'d> EraserEngine<'d> {
             .iter()
             .map(|v| DiffList::with_capacity(v.len()))
             .collect();
+        let site_live = site_faults.iter().map(|v| v.len() as u32).collect();
         let plan = batch.as_ref().map(|_| BatchPlan::build(faults));
-        let mut engine = EraserEngine {
+        let mut state = EngineState {
             design,
             faults,
             mode,
@@ -409,24 +457,27 @@ impl<'d> EraserEngine<'d> {
             good,
             diffs,
             site_faults,
+            site_live,
             alive: vec![true; faults.len()],
             alive_count: faults.len() as u64,
+            commit_seen: vec![0; faults.len()],
+            commit_epoch: 0,
             rtl_dirty: vec![false; design.rtl_nodes().len()],
             rtl_queue: Vec::new(),
             beh_dirty: vec![false; design.behavioral_nodes().len()],
             beh_queue: Vec::new(),
             watch_changed: Vec::new(),
             watch_flag: vec![false; n_sig],
+            edge_queued: vec![false; design.behavioral_nodes().len()],
             edge_prev_good,
             edge_prev_diffs: vec![DiffList::new(); n_sig],
             pending_nba: Vec::new(),
             nba_pool: Vec::new(),
-            ws: Workspace::default(),
             coverage: CoverageReport::new(faults.len()),
             stats: RedundancyStats::default(),
             step_index: 0,
-            need_sweep: false,
         };
+        let mut ws = Workspace::default();
         // Checkpoint resume: load the settled good values before any force
         // materializes. `edge_prev_good` initializes from the *values*, not
         // the snapshot's own edge memory — at any settle point the engine
@@ -435,63 +486,61 @@ impl<'d> EraserEngine<'d> {
         // restored values are exactly the edge state a from-zero run would
         // carry here, independent of the capturing simulator's internals.
         if let Some((snap, start)) = resume_from {
-            engine.good.restore_from_slice(&snap.values);
-            for (prev, v) in engine.edge_prev_good.iter_mut().zip(&snap.values) {
+            state.good.restore_from_slice(&snap.values);
+            for (prev, v) in state.edge_prev_good.iter_mut().zip(&snap.values) {
                 prev.assign_from(v);
             }
-            engine.step_index = start;
+            state.step_index = start;
         }
         // Initial state: materialize the stuck-at forces against the
         // power-on values (all-X, or the restored checkpoint), then
         // evaluate everything once.
-        let mut ws = std::mem::take(&mut engine.ws);
         for sig in 0..n_sig {
             let id = SignalId::from_index(sig);
-            if !engine.site_faults[sig].is_empty() {
+            if !state.site_faults[sig].is_empty() {
                 let mut v = ws.bufs.take_for(design.signal(id).width);
-                v.assign_from(engine.good.get(id));
-                engine.commit_signal(&mut ws, id, &v, &[], true);
+                v.assign_from(state.good.get(id));
+                state.commit_signal(&mut ws, id, &v, &[], true);
                 ws.bufs.put(v);
             }
         }
-        engine.ws = ws;
         for i in 0..design.rtl_nodes().len() {
-            engine.mark_rtl(RtlNodeId::from_index(i));
+            state.mark_rtl(RtlNodeId::from_index(i));
         }
         for (i, b) in design.behavioral_nodes().iter().enumerate() {
             if !b.sensitivity.is_edge() {
-                engine.mark_beh(BehavioralId::from_index(i));
+                state.mark_beh(BehavioralId::from_index(i));
             }
         }
-        engine.step();
-        engine
+        state.step(&mut ws);
+        EraserEngine { state, ws }
     }
 
     /// The coverage accumulated so far.
     pub fn coverage(&self) -> &CoverageReport {
-        &self.coverage
+        &self.state.coverage
     }
 
     /// The redundancy instrumentation counters.
     pub fn stats(&self) -> &RedundancyStats {
-        &self.stats
+        &self.state.stats
     }
 
     /// The good value of a signal.
     pub fn good_value(&self, sig: SignalId) -> &LogicVec {
-        self.good.get(sig)
+        self.state.good.get(sig)
     }
 
     /// The value of `sig` as seen by `fault`.
     pub fn fault_value(&self, sig: SignalId, fault: FaultId) -> LogicVec {
-        FaultView::new(&self.diffs, &self.good, fault)
+        FaultView::new(&self.state.diffs, &self.state.good, fault)
             .value(sig)
             .clone()
     }
 
     /// Number of faults still being simulated.
     pub fn live_faults(&self) -> u64 {
-        self.alive_count
+        self.state.alive_count
     }
 
     /// Drives a primary input, by borrow — no clone, no resize for
@@ -501,21 +550,7 @@ impl<'d> EraserEngine<'d> {
     /// materialized stuck-bit diff entries from construction), so there is
     /// nothing to schedule.
     pub fn set_input(&mut self, sig: SignalId, value: &LogicVec) {
-        let width = self.design.signal(sig).width;
-        let mut ws = std::mem::take(&mut self.ws);
-        if value.width() == width {
-            if self.good.get(sig) != value {
-                self.commit_signal(&mut ws, sig, value, &[], true);
-            }
-        } else {
-            let mut resized = ws.bufs.take_for(width);
-            resized.copy_resized(value, width);
-            if self.good.get(sig) != &resized {
-                self.commit_signal(&mut ws, sig, &resized, &[], true);
-            }
-            ws.bufs.put(resized);
-        }
-        self.ws = ws;
+        self.state.set_input(&mut self.ws, sig, value);
     }
 
     /// Runs the stimulus from the engine's **current step index** with
@@ -533,21 +568,18 @@ impl<'d> EraserEngine<'d> {
     /// network to the end of the stimulus would be work no fault needs.
     /// With dropping off the whole stimulus is always replayed.
     pub fn run(&mut self, stim: &Stimulus) {
-        let at = self.step_index.min(stim.steps.len());
-        self.run_steps(&stim.steps[at..]);
-    }
-
-    fn run_steps(&mut self, steps: &[Vec<(SignalId, LogicVec)>]) {
-        for step in steps {
-            if self.drop_detected && self.alive_count == 0 {
+        let (state, ws) = (&mut self.state, &mut self.ws);
+        let at = state.step_index.min(stim.steps.len());
+        for step in &stim.steps[at..] {
+            if state.drop_detected && state.alive_count == 0 {
                 return;
             }
             for (sig, val) in step {
-                self.set_input(*sig, val);
+                state.set_input(ws, *sig, val);
             }
-            self.step();
-            self.observe();
-            self.step_index += 1;
+            state.step(ws);
+            state.observe(ws);
+            state.step_index += 1;
         }
     }
 
@@ -558,24 +590,65 @@ impl<'d> EraserEngine<'d> {
     ///
     /// Panics if the design does not settle within an internal delta bound.
     pub fn step(&mut self) {
-        let mut ws = std::mem::take(&mut self.ws);
-        self.step_inner(&mut ws);
-        self.ws = ws;
+        self.state.step(&mut self.ws);
     }
 
-    fn step_inner(&mut self, ws: &mut Workspace) {
+    /// Checks all observation points (primary outputs) for detectable
+    /// good/fault mismatches; records detections and drops detected faults
+    /// when configured.
+    pub fn observe(&mut self) {
+        self.state.observe(&mut self.ws);
+    }
+}
+
+impl EngineState<'_> {
+    /// True when no fault is visible on `sig`: its diff list is empty and
+    /// no live fault is sited on it. A commit to a clean signal, an RTL
+    /// node or behavioral activation whose signals are all clean, and an
+    /// NBA block of good writes to a clean target each do exactly what the
+    /// good simulator does — the four *good-only lanes* of `commit_signal`,
+    /// `eval_rtl_concurrent`, `process_activation` and `commit_nba`. The
+    /// predicate is read node by node, so the lanes switch on as dropping
+    /// thins the live set.
+    #[inline]
+    fn clean(&self, sig: SignalId) -> bool {
+        let si = sig.index();
+        self.site_live[si] == 0 && self.diffs[si].is_empty()
+    }
+
+    fn set_input(&mut self, ws: &mut Workspace, sig: SignalId, value: &LogicVec) {
+        let width = self.design.signal(sig).width;
+        if value.width() == width {
+            if self.good.get(sig) != value {
+                self.commit_signal(ws, sig, value, &[], true);
+            }
+        } else {
+            let mut resized = ws.bufs.take_for(width);
+            resized.copy_resized(value, width);
+            if self.good.get(sig) != &resized {
+                self.commit_signal(ws, sig, &resized, &[], true);
+            }
+            ws.bufs.put(resized);
+        }
+    }
+
+    fn step(&mut self, ws: &mut Workspace) {
         for _ in 0..DELTA_LIMIT {
             self.stats.deltas += 1;
             self.settle_active(ws);
             let n_acts = self.detect_edges(ws);
-            let mut list = std::mem::take(&mut ws.act_list);
-            for (id, act) in &list {
-                self.process_activation(ws, *id, act);
+            if n_acts > 0 {
+                let t0 = Instant::now();
+                let mut list = std::mem::take(&mut ws.act_list);
+                for (id, act) in &list {
+                    self.process_activation(ws, *id, act);
+                }
+                for (_, act) in list.drain(..) {
+                    ws.put_act(act);
+                }
+                ws.act_list = list;
+                self.stats.time_behavioral += t0.elapsed();
             }
-            for (_, act) in list.drain(..) {
-                ws.put_act(act);
-            }
-            ws.act_list = list;
             let committed = self.commit_nba(ws);
             if !committed && n_acts == 0 && self.rtl_queue.is_empty() && self.beh_queue.is_empty() {
                 return;
@@ -584,12 +657,8 @@ impl<'d> EraserEngine<'d> {
         panic!("design did not settle within {DELTA_LIMIT} delta cycles");
     }
 
-    /// Checks all observation points (primary outputs) for detectable
-    /// good/fault mismatches; records detections and drops detected faults
-    /// when configured.
-    pub fn observe(&mut self) {
+    fn observe(&mut self, ws: &mut Workspace) {
         let design = self.design;
-        let mut ws = std::mem::take(&mut self.ws);
         let mut hits = ws.take_ids();
         let mut newly_dead = false;
         for &o in design.outputs() {
@@ -616,27 +685,23 @@ impl<'d> EraserEngine<'d> {
                 {
                     self.alive[f.index()] = false;
                     self.alive_count -= 1;
+                    self.site_live[self.faults.fault(f).signal.index()] -= 1;
                     self.stats.dropped_faults += 1;
                     newly_dead = true;
                 }
             }
         }
         ws.put_ids(hits);
-        self.ws = ws;
         if newly_dead {
-            self.need_sweep = true;
-        }
-        if self.need_sweep {
-            self.sweep_dead();
-            self.need_sweep = false;
+            self.sweep_dead(ws);
         }
     }
 
     /// Removes diff entries of dropped faults everywhere, recycling their
     /// value buffers so wide (boxed) storage survives fault drops.
-    fn sweep_dead(&mut self) {
+    fn sweep_dead(&mut self, ws: &mut Workspace) {
         let alive = &self.alive;
-        let bufs = &mut self.ws.bufs;
+        let bufs = &mut ws.bufs;
         for dl in &mut self.diffs {
             dl.retain_recycle(|f, _| alive[f.index()], |v| bufs.put(v));
         }
@@ -693,6 +758,11 @@ impl<'d> EraserEngine<'d> {
     /// stuck-at force be re-materialized for sited faults missing from the
     /// batch; when a behavioral target was written solely by some other
     /// fault's network, untouched faults keep their private values.
+    ///
+    /// **Good-only lane 1:** a [clean](Self::clean) target with no fault
+    /// updates has no entry to maintain and no force to re-apply — the
+    /// commit is the good simulator's compare, store and schedule. Every
+    /// other lane ends here.
     fn commit_signal(
         &mut self,
         ws: &mut Workspace,
@@ -701,10 +771,16 @@ impl<'d> EraserEngine<'d> {
         fault_news: &[(FaultId, LogicVec)],
         good_write_applies_to_all: bool,
     ) {
+        if fault_news.is_empty() && self.clean(sig) {
+            if self.good.commit(sig, new_good) {
+                self.schedule_fanout(sig);
+            }
+            return;
+        }
         let si = sig.index();
         let good_changed = self.good.get(sig) != new_good;
         let mut view_changed = false;
-        let mut processed = ws.take_ids();
+        let epoch = self.next_commit_epoch();
         let width = self.design.signal(sig).width;
         let mut forced = ws.bufs.take_for(width);
 
@@ -712,7 +788,7 @@ impl<'d> EraserEngine<'d> {
             if !self.alive[f.index()] {
                 continue;
             }
-            processed.push(*f);
+            self.commit_seen[f.index()] = epoch;
             let fault = self.faults.fault(*f);
             forced.assign_from(v);
             if fault.signal == sig {
@@ -740,10 +816,10 @@ impl<'d> EraserEngine<'d> {
         if good_write_applies_to_all {
             for fi in 0..self.site_faults[si].len() {
                 let f = self.site_faults[si][fi];
-                if !self.alive[f.index()] || processed.contains(&f) {
+                if !self.alive[f.index()] || self.commit_seen[f.index()] == epoch {
                     continue;
                 }
-                processed.push(f);
+                self.commit_seen[f.index()] = epoch;
                 let fault = self.faults.fault(f);
                 forced.assign_from(new_good);
                 fault.apply_assign(&mut forced);
@@ -765,17 +841,11 @@ impl<'d> EraserEngine<'d> {
 
         // Untouched entries keep their absolute value; those now equal to
         // the good value became invisible, dead entries are purged.
-        processed.sort_unstable();
         {
             let alive = &self.alive;
-            let processed = &processed;
+            let seen = &self.commit_seen;
             self.diffs[si].retain_recycle(
-                |f, v| {
-                    if processed.binary_search(&f).is_ok() {
-                        return true;
-                    }
-                    alive[f.index()] && v != new_good
-                },
+                |f, v| seen[f.index()] == epoch || (alive[f.index()] && v != new_good),
                 |v| ws.bufs.put(v),
             );
         }
@@ -785,27 +855,46 @@ impl<'d> EraserEngine<'d> {
             self.schedule_fanout(sig);
         }
         ws.bufs.put(forced);
-        ws.put_ids(processed);
+    }
+
+    /// Opens a `commit_signal` call's membership epoch: afterwards
+    /// `commit_seen[f] == epoch` exactly for the faults this call stamped.
+    fn next_commit_epoch(&mut self) -> u32 {
+        self.commit_epoch = self.commit_epoch.wrapping_add(1);
+        if self.commit_epoch == 0 {
+            self.commit_seen.fill(0);
+            self.commit_epoch = 1;
+        }
+        self.commit_epoch
     }
 
     // ---- RTL nodes (concurrent) ----
 
     fn settle_active(&mut self, ws: &mut Workspace) {
+        // A level-sensitive activation fires in every network at once.
+        let act = Activation {
+            good: true,
+            ..Default::default()
+        };
         loop {
-            if let Some(id) = self.rtl_queue.pop() {
+            while let Some(id) = self.rtl_queue.pop() {
                 self.rtl_dirty[id.index()] = false;
                 self.eval_rtl_concurrent(ws, id);
-                continue;
             }
-            if let Some(id) = self.beh_queue.pop() {
+            if self.beh_queue.is_empty() {
+                break;
+            }
+            // RTL nodes go first, so a run of activations ends when one of
+            // them schedules an RTL node; the run is timed as a whole.
+            let t0 = Instant::now();
+            while self.rtl_queue.is_empty() {
+                let Some(id) = self.beh_queue.pop() else {
+                    break;
+                };
                 self.beh_dirty[id.index()] = false;
-                let mut act = ws.take_act();
-                act.good = true;
                 self.process_activation(ws, id, &act);
-                ws.put_act(act);
-                continue;
             }
-            break;
+            self.stats.time_behavioral += t0.elapsed();
         }
     }
 
@@ -813,6 +902,11 @@ impl<'d> EraserEngine<'d> {
     /// exactly the faults with a visible difference on an input, an
     /// existing (possibly stale) difference on the output, or a fault site
     /// on the output.
+    ///
+    /// **Good-only lane 2:** with every input and the output
+    /// [clean](Self::clean) there is no candidate and nothing to re-force,
+    /// so the good evaluation goes straight to the commit — ahead of the
+    /// batch/scalar split, so both evaluators take it.
     fn eval_rtl_concurrent(&mut self, ws: &mut Workspace, id: RtlNodeId) {
         let design = self.design;
         let node = design.rtl_node(id);
@@ -835,6 +929,12 @@ impl<'d> EraserEngine<'d> {
             }
         }
         self.stats.rtl_good_evals += 1;
+
+        if self.clean(node.output) && node.inputs.iter().all(|s| self.clean(*s)) {
+            self.commit_signal(ws, node.output, &good_out, &[], true);
+            ws.bufs.put(good_out);
+            return;
+        }
 
         let mut candidates = ws.take_ids();
         union_ids_into(
@@ -1054,7 +1154,8 @@ impl<'d> EraserEngine<'d> {
             self.watch_flag[sig.index()] = false;
             ws.changed_flag[sig.index()] = true;
             for &b in design.edge_fanout(sig) {
-                if !ws.nodes.contains(&b) {
+                if !self.edge_queued[b.index()] {
+                    self.edge_queued[b.index()] = true;
                     ws.nodes.push(b);
                 }
             }
@@ -1062,6 +1163,7 @@ impl<'d> EraserEngine<'d> {
 
         for ni in 0..ws.nodes.len() {
             let b = ws.nodes[ni];
+            self.edge_queued[b.index()] = false;
             let node = design.behavioral(b);
             let Sensitivity::Edges(edges) = &node.sensitivity else {
                 continue;
@@ -1086,18 +1188,23 @@ impl<'d> EraserEngine<'d> {
                     good_fired = true;
                 }
             }
-            // Faults with differences (past or present) on any term signal
-            // may diverge from the good activation.
-            let mut cands = ws.take_ids();
-            union_ids_into(
-                ws.terms
-                    .iter()
-                    .flat_map(|(_, s)| [&self.edge_prev_diffs[s.index()], &self.diffs[s.index()]]),
-                &self.alive,
-                &mut cands,
-            );
             let mut act = ws.take_act();
             act.good = good_fired;
+            // Faults with differences (past or present) on any term signal
+            // may diverge from the good activation; with none on any of
+            // them every network fires exactly when the good one does.
+            let mut cands = ws.take_ids();
+            if ws.terms.iter().any(|(_, s)| {
+                !self.edge_prev_diffs[s.index()].is_empty() || !self.diffs[s.index()].is_empty()
+            }) {
+                union_ids_into(
+                    ws.terms.iter().flat_map(|(_, s)| {
+                        [&self.edge_prev_diffs[s.index()], &self.diffs[s.index()]]
+                    }),
+                    &self.alive,
+                    &mut cands,
+                );
+            }
             for &f in &cands {
                 let mut fault_fired = false;
                 for &(kind, s) in edges.iter() {
@@ -1149,8 +1256,15 @@ impl<'d> EraserEngine<'d> {
     /// redundancy monitor in `Full` mode), candidate selection, faulty
     /// executions for the non-redundant faults, blocking commit, and NBA
     /// queuing.
+    ///
+    /// **Good-only lane 3:** when every network fired with the good one
+    /// (a good activation never carries `fault_only` faults, so no
+    /// `suppressed` ones is the whole test), every signal the node reads or
+    /// writes is [clean](Self::clean) and the mode eliminates explicit
+    /// redundancy (or no fault is alive), every live fault is an explicitly
+    /// skipped opportunity: one unmonitored good execution, its blocking
+    /// finals committed in target order, its non-blocking writes queued.
     fn process_activation(&mut self, ws: &mut Workspace, id: BehavioralId, act: &Activation) {
-        let t0 = Instant::now();
         let design = self.design;
         let node = design.behavioral(id);
         let beh_tapes = self
@@ -1159,6 +1273,34 @@ impl<'d> EraserEngine<'d> {
             .map(|t| t.program().behavioral(id.index()));
 
         let mut good_out = ws.take_out();
+
+        if act.good
+            && act.suppressed.is_empty()
+            && (self.mode != RedundancyMode::None || self.alive_count == 0)
+            && node.reads.iter().all(|s| self.clean(*s))
+            && node.writes.iter().all(|s| self.clean(*s))
+        {
+            self.stats.good_activations += 1;
+            self.stats.opportunities += self.alive_count;
+            self.stats.explicit_skipped += self.alive_count;
+            exec_node(
+                design,
+                node,
+                beh_tapes,
+                &self.good,
+                &mut NoopMonitor,
+                &mut ws.exec_ctx,
+                &mut good_out,
+            );
+            good_out.blocking.sort_unstable_by_key(|(t, _)| *t);
+            for (t, v) in &good_out.blocking {
+                self.commit_signal(ws, *t, v, &[], true);
+            }
+            self.queue_nba(&mut good_out, &mut [], &[]);
+            ws.put_out(good_out);
+            return;
+        }
+
         let mut exec_list = ws.take_ids();
 
         if act.good {
@@ -1274,21 +1416,7 @@ impl<'d> EraserEngine<'d> {
 
         self.commit_blocking(ws, act, &good_out, &fault_outs);
 
-        // Queue non-blocking effects.
-        let has_nba = !good_out.nba.is_empty() || fault_outs.iter().any(|(_, o)| !o.nba.is_empty());
-        if has_nba {
-            let mut block = self.nba_pool.pop().unwrap_or_default();
-            block.good_writes.append(&mut good_out.nba);
-            for (f, o) in fault_outs.iter_mut() {
-                let start = block.fault_writes.len() as u32;
-                block.fault_writes.append(&mut o.nba);
-                block
-                    .executed
-                    .push((*f, start, block.fault_writes.len() as u32));
-            }
-            block.suppressed.extend(act.suppressed.iter().copied());
-            self.pending_nba.push(block);
-        }
+        self.queue_nba(&mut good_out, &mut fault_outs, &act.suppressed);
 
         for (_, o) in fault_outs.drain(..) {
             ws.put_out(o);
@@ -1296,7 +1424,29 @@ impl<'d> EraserEngine<'d> {
         ws.fault_outs = fault_outs;
         ws.put_out(good_out);
         ws.put_ids(exec_list);
-        self.stats.time_behavioral += t0.elapsed();
+    }
+
+    /// Queues one activation's non-blocking effects for the NBA region.
+    fn queue_nba(
+        &mut self,
+        good_out: &mut ExecOutcome,
+        fault_outs: &mut [(FaultId, ExecOutcome)],
+        suppressed: &[FaultId],
+    ) {
+        if good_out.nba.is_empty() && fault_outs.iter().all(|(_, o)| o.nba.is_empty()) {
+            return;
+        }
+        let mut block = self.nba_pool.pop().unwrap_or_default();
+        block.good_writes.append(&mut good_out.nba);
+        for (f, o) in fault_outs.iter_mut() {
+            let start = block.fault_writes.len() as u32;
+            block.fault_writes.append(&mut o.nba);
+            block
+                .executed
+                .push((*f, start, block.fault_writes.len() as u32));
+        }
+        block.suppressed.extend(suppressed.iter().copied());
+        self.pending_nba.push(block);
     }
 
     /// Faults with a visible difference on any signal the node reads — the
@@ -1413,6 +1563,11 @@ impl<'d> EraserEngine<'d> {
     /// fault's new value (own writes for executed faults, pinned values for
     /// suppressed ones, replayed good writes for skipped faults with
     /// differences).
+    ///
+    /// **Good-only lane 4:** a block of good writes only has no fault value
+    /// to compute on a target that is [clean](Self::clean) *now* — faults
+    /// may have become visible there since the block was queued — so the
+    /// folded good value goes straight to the commit.
     fn commit_nba(&mut self, ws: &mut Workspace) -> bool {
         if self.pending_nba.is_empty() {
             return false;
@@ -1425,15 +1580,14 @@ impl<'d> EraserEngine<'d> {
             targets.extend(block.fault_writes.iter().map(|w| w.target));
             targets.sort_unstable();
             targets.dedup();
+            let good_only = block.executed.is_empty() && block.suppressed.is_empty();
 
             for &t in &targets {
                 // Width-classed like commit_blocking: pooled buffers stay
                 // within the committed target's storage class.
                 let t_width = self.design.signal(t).width;
-                let mut old_good = ws.bufs.take_for(t_width);
                 let mut new_good = ws.bufs.take_for(t_width);
-                old_good.assign_from(self.good.get(t));
-                new_good.assign_from(&old_good);
+                new_good.assign_from(self.good.get(t));
                 let mut good_wrote = false;
                 for w in &block.good_writes {
                     if w.target == t {
@@ -1441,6 +1595,14 @@ impl<'d> EraserEngine<'d> {
                         good_wrote = true;
                     }
                 }
+                if good_only && self.clean(t) {
+                    any |= self.good.get(t) != &new_good;
+                    self.commit_signal(ws, t, &new_good, &[], true);
+                    ws.bufs.put(new_good);
+                    continue;
+                }
+                let mut old_good = ws.bufs.take_for(t_width);
+                old_good.assign_from(self.good.get(t));
 
                 let mut fault_news = ws.take_news();
                 let mut covered = ws.take_ids();

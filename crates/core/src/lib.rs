@@ -30,6 +30,15 @@
 //!    stimulus step, with detection at the primary-output observation
 //!    points.
 //!
+//! Each of the four phases costs what the good simulator charges wherever
+//! no fault is visible: a signal with an empty diff list and no live fault
+//! sited on it is *clean*, and a commit to a clean signal (lane 1), an RTL
+//! node over clean signals (lane 2), a good-only activation of a
+//! behavioral node over clean signals (lane 3) and a good-only NBA block on
+//! a clean target (lane 4) return early into the plain good-network update
+//! — same coverage, same counters, decided node by node as dropping thins
+//! the live set. See the `engine` module docs.
+//!
 //! # One schedule
 //!
 //! Every campaign — plain or checkpointed, one thread or many, the

@@ -8,15 +8,24 @@
 //! explicit/implicit behavioral skipping with write replay, divergent
 //! activation (gated clocks), suppressed activations, partial writes and
 //! loop-carried locals.
+//!
+//! The engine's four good-only lanes (a clean signal's commit, a clean RTL
+//! node, a clean behavioral activation, a good-only NBA block on a clean
+//! target) are pinned from both sides: over an empty fault list the engine
+//! *is* the good simulator, and at each lane boundary — a sited register
+//! under a part-select NBA, a divergent activation on a clean node, a node
+//! turning clean when its last fault drops, `RedundancyMode::None` — the
+//! general path is taken and the values still match the serial reference.
 
-use eraser_core::{EraserEngine, RedundancyMode};
-use eraser_fault::{generate_faults, FaultListConfig};
+use eraser_core::{EraserEngine, EvalBackend, RedundancyMode};
+use eraser_designs::{netlist_fixtures, Benchmark, DesignSource, Lcg};
+use eraser_fault::{generate_faults, FaultList, FaultListConfig, StuckAt};
 use eraser_frontend::compile;
-use eraser_ir::Design;
+use eraser_ir::{Design, SignalId};
 use eraser_logic::LogicVec;
-use eraser_sim::{Simulator, StimulusBuilder};
+use eraser_sim::{Simulator, Stimulus, StimulusBuilder};
 
-fn value_parity(design: &Design, stim: &eraser_sim::Stimulus, mode: RedundancyMode) {
+fn value_parity(design: &Design, stim: &Stimulus, mode: RedundancyMode) {
     let faults = generate_faults(
         design,
         &FaultListConfig {
@@ -24,9 +33,39 @@ fn value_parity(design: &Design, stim: &eraser_sim::Stimulus, mode: RedundancyMo
             ..Default::default()
         },
     );
+    value_parity_of(design, &faults, stim, mode);
+}
+
+/// The faults of the design's full universe sited on the named signals.
+fn faults_on(design: &Design, names: &[&str]) -> FaultList {
+    let sites: Vec<SignalId> = names
+        .iter()
+        .map(|n| design.find_signal(n).unwrap())
+        .collect();
+    let everywhere = FaultListConfig {
+        include_inputs: true,
+        ..Default::default()
+    };
+    let list: FaultList = generate_faults(design, &everywhere)
+        .iter()
+        .filter(|f| sites.contains(&f.signal))
+        .copied()
+        .collect();
+    assert!(!list.is_empty());
+    list
+}
+
+/// Value parity of `faults` against one forced serial simulator per fault;
+/// returns the engine for counter checks.
+fn value_parity_of<'d>(
+    design: &'d Design,
+    faults: &'d FaultList,
+    stim: &Stimulus,
+    mode: RedundancyMode,
+) -> EraserEngine<'d> {
     // Concurrent engine over the whole batch (no dropping: values must
     // match to the end).
-    let mut engine = EraserEngine::new(design, &faults, mode, false);
+    let mut engine = EraserEngine::new(design, faults, mode, false);
     // One forced serial simulator per fault.
     let mut serials: Vec<Simulator> = faults
         .iter()
@@ -70,6 +109,7 @@ fn value_parity(design: &Design, stim: &eraser_sim::Stimulus, mode: RedundancyMo
             }
         }
     }
+    engine
 }
 
 /// A deliberately nasty design: gated clock (divergent activations), an
@@ -123,7 +163,7 @@ fn nasty_design() -> Design {
     .unwrap()
 }
 
-fn nasty_stim(design: &Design, cycles: u64, seed: u64) -> eraser_sim::Stimulus {
+fn nasty_stim(design: &Design, cycles: u64, seed: u64) -> Stimulus {
     let f = |n: &str| design.find_signal(n).unwrap();
     let (clk, rst, en, a, mode) = (f("clk"), f("rst"), f("en"), f("a"), f("mode"));
     let mut sb = StimulusBuilder::new();
@@ -179,4 +219,296 @@ fn values_match_serial_second_seed() {
     let d = nasty_design();
     let stim = nasty_stim(&d, 40, 0xdead_cafe);
     value_parity(&d, &stim, RedundancyMode::Full);
+}
+
+/// Over an empty fault list every signal is clean from power-on, so every
+/// commit, RTL node, activation and NBA block takes its good-only lane: the
+/// engine must hold the good simulator's value on every signal after every
+/// step, in the same number of deltas, without one fault evaluation.
+#[test]
+fn engine_with_no_faults_is_the_good_simulator() {
+    let mut sources: Vec<DesignSource> = Benchmark::all()
+        .iter()
+        .map(|b| DesignSource::benchmark(*b))
+        .collect();
+    sources.extend(netlist_fixtures());
+    assert_eq!(sources.len(), 12);
+    let no_faults = FaultList::default();
+    for src in &sources {
+        let design = src.design();
+        let stim = src.stimulus_with_cycles(250);
+        for backend in [EvalBackend::Tree, EvalBackend::Tape] {
+            let mut sim = Simulator::with_backend(design, backend);
+            let mut engine = EraserEngine::session(design, &no_faults)
+                .backend(backend)
+                .start();
+            for (si, step) in stim.steps.iter().enumerate() {
+                for (sig, v) in step {
+                    sim.set_input(*sig, v);
+                    engine.set_input(*sig, v);
+                }
+                sim.step();
+                engine.step();
+                engine.observe();
+                for i in 0..design.num_signals() {
+                    let sig = SignalId::from_index(i);
+                    assert_eq!(
+                        engine.good_value(sig),
+                        sim.value(sig),
+                        "{} ({backend}), step {si}, signal {}",
+                        src.name(),
+                        design.signal(sig).name,
+                    );
+                }
+            }
+            let stats = engine.stats();
+            assert_eq!(stats.deltas, sim.deltas(), "{} ({backend})", src.name());
+            assert_eq!(stats.fault_executions, 0);
+            assert_eq!(stats.rtl_fault_evals, 0);
+            assert_eq!(stats.opportunities, 0);
+            assert_eq!(engine.coverage().detected(), 0);
+        }
+    }
+}
+
+/// `cycles` clock cycles with `rst` high for the first two and the named
+/// `(input, width)`s driven from a seeded LCG.
+fn drive_cycles(design: &Design, cycles: u64, seed: u64, inputs: &[(&str, u32)]) -> Stimulus {
+    let clk = design.find_signal("clk").unwrap();
+    let rst = design.find_signal("rst").unwrap();
+    let ins: Vec<(SignalId, u32)> = inputs
+        .iter()
+        .map(|(n, w)| (design.find_signal(n).unwrap(), *w))
+        .collect();
+    let mut rng = Lcg::new(seed);
+    let mut sb = StimulusBuilder::new();
+    for c in 0..cycles {
+        let mut drives = vec![(rst, LogicVec::from_u64(1, u64::from(c < 2)))];
+        for &(sig, w) in &ins {
+            drives.push((sig, LogicVec::from_u64(w, rng.below(1 << w))));
+        }
+        sb.add_cycle(clk, &drives);
+    }
+    sb.finish()
+}
+
+/// Lane boundary: faults sited on registers whose nodes read nothing
+/// faulty — `q`, written only through part-select NBAs (which read the
+/// target back), and `other`, written whole from a clean input. The
+/// difference sits on the written target alone, and the sited force must be
+/// re-applied on every write, so neither the activation nor its NBA block
+/// may take a good-only lane.
+#[test]
+fn sited_register_under_part_select_nba_takes_the_general_path() {
+    let d = compile(
+        "module m(input wire clk, input wire rst, input wire sel, input wire [3:0] a,
+                  output reg [7:0] q, output reg [3:0] other);
+           always @(posedge clk) begin
+             if (rst) q <= 8'h00;
+             else if (sel) q[3:0] <= a;
+             else q[7:4] <= a;
+           end
+           always @(posedge clk) other <= a;
+         endmodule",
+        None,
+    )
+    .unwrap();
+    let stim = drive_cycles(&d, 30, 0x51, &[("sel", 1), ("a", 4)]);
+    let faults = faults_on(&d, &["q", "other"]);
+    for mode in [RedundancyMode::Full, RedundancyMode::Explicit] {
+        value_parity_of(&d, &faults, &stim, mode);
+    }
+    // `other` alone: no node input ever carries a difference, so every
+    // opportunity is an explicit skip — and the values above still needed
+    // the force re-applied at every commit.
+    let faults = faults_on(&d, &["other"]);
+    let engine = value_parity_of(&d, &faults, &stim, RedundancyMode::Full);
+    let s = engine.stats();
+    assert!(s.opportunities > 0);
+    assert_eq!(s.fault_executions, 0);
+    assert_eq!(s.explicit_skipped, s.opportunities);
+}
+
+/// Lane boundary: a gated clock whose enable is faulted makes the register
+/// behind it fire in the good network only (`suppressed`, stuck-at-0) or
+/// in the fault's network only (`fault_only`, stuck-at-1), while everything
+/// that register reads and writes is clean — one fault at a time, so no
+/// other fault's difference dirties the node first. The divergence alone
+/// must keep the activation off the lane. `held` is written by a blocking
+/// assignment from a clean input: once a fault-only firing has left a
+/// difference on it, the next joint firing reads nothing faulty and must
+/// still replay the good write onto that difference.
+#[test]
+fn divergent_activation_on_a_clean_node_takes_the_general_path() {
+    let d = compile(
+        "module m(input wire clk, input wire rst, input wire en, input wire [3:0] a,
+                  output reg [3:0] q, output reg [3:0] held);
+           wire gclk;
+           assign gclk = clk & en;
+           always @(posedge gclk) begin
+             if (rst) q <= 4'h0; else q <= q + a;
+           end
+           always @(posedge gclk) held = a;
+         endmodule",
+        None,
+    )
+    .unwrap();
+    let stim = drive_cycles(&d, 40, 0x1d, &[("en", 1), ("a", 4)]);
+    for stuck in [StuckAt::Zero, StuckAt::One] {
+        let faults: FaultList = faults_on(&d, &["en"])
+            .iter()
+            .filter(|f| f.stuck == stuck)
+            .copied()
+            .collect();
+        assert_eq!(faults.len(), 1);
+        let engine = value_parity_of(&d, &faults, &stim, RedundancyMode::Full);
+        let s = engine.stats();
+        match stuck {
+            StuckAt::Zero => assert_eq!(s.suppressed_activations, s.good_activations),
+            StuckAt::One => assert!(s.fault_only_activations > 0),
+        }
+    }
+}
+
+/// Lane boundary: `RedundancyMode::None` executes every live fault at every
+/// good activation, clean node or not — lane 3 must stay off while a fault
+/// is alive.
+#[test]
+fn mode_none_executes_live_faults_on_clean_nodes() {
+    let d = compile(
+        "module m(input wire clk, input wire rst, input wire [3:0] a,
+                  output reg [3:0] x, output reg [3:0] y);
+           always @(posedge clk) begin
+             if (rst) x <= 4'h0; else x <= x + a;
+           end
+           always @(posedge clk) y <= a;
+         endmodule",
+        None,
+    )
+    .unwrap();
+    // Faults on `x` only: the `y` register stays clean throughout.
+    let faults = faults_on(&d, &["x"]);
+    let stim = drive_cycles(&d, 24, 0x77, &[("a", 4)]);
+    let engine = value_parity_of(&d, &faults, &stim, RedundancyMode::None);
+    let s = engine.stats();
+    assert_eq!(s.explicit_skipped, 0);
+    assert_eq!(s.implicit_skipped, 0);
+    assert_eq!(s.opportunities, s.good_activations * faults.len() as u64);
+    assert_eq!(s.fault_executions, s.opportunities);
+}
+
+/// Lane boundary in time: the `x` register's node is dirty while the fault
+/// sited on `x` lives and clean from the step that fault is dropped (it
+/// shows at the output only once `show` rises), while an unobservable fault
+/// on `hidden` keeps the engine running. Up to the drop the run is the run
+/// without dropping, counter for counter; after it the good network and the
+/// surviving fault's network still are.
+#[test]
+fn node_turning_clean_when_its_last_fault_drops_changes_nothing() {
+    let d = compile(
+        "module m(input wire clk, input wire rst, input wire show, input wire [3:0] a,
+                  output wire [3:0] y);
+           reg [3:0] x;
+           reg [3:0] hidden;
+           assign y = x & {4{show}};
+           always @(posedge clk) begin
+             if (rst) x <= 4'h0; else x <= x + a;
+           end
+           always @(posedge clk) begin
+             if (rst) hidden <= 4'h0; else hidden <= hidden ^ x;
+           end
+         endmodule",
+        None,
+    )
+    .unwrap();
+    let faults: FaultList = faults_on(&d, &["x", "hidden"])
+        .iter()
+        .filter(|f| f.bit == 0 && f.stuck == StuckAt::One)
+        .copied()
+        .collect();
+    assert_eq!(faults.len(), 2);
+    let hidden = d.find_signal("hidden").unwrap();
+    let survivor = faults.iter().find(|f| f.signal == hidden).unwrap().id;
+    let (clk, rst, show, a) = (
+        d.find_signal("clk").unwrap(),
+        d.find_signal("rst").unwrap(),
+        d.find_signal("show").unwrap(),
+        d.find_signal("a").unwrap(),
+    );
+    const SHOWN_FROM: u64 = 10;
+    let mut sb = StimulusBuilder::new();
+    for c in 0..24u64 {
+        sb.add_cycle(
+            clk,
+            &[
+                (rst, LogicVec::from_u64(1, u64::from(c < 2))),
+                (show, LogicVec::from_u64(1, u64::from(c >= SHOWN_FROM))),
+                (a, LogicVec::from_u64(4, c * 7 % 16)),
+            ],
+        );
+    }
+    let stim = sb.finish();
+
+    let mut dropping = EraserEngine::new(&d, &faults, RedundancyMode::Full, true);
+    let mut keeping = EraserEngine::new(&d, &faults, RedundancyMode::Full, false);
+    let mut dropped_at = None;
+    for (si, step) in stim.steps.iter().enumerate() {
+        for engine in [&mut dropping, &mut keeping] {
+            for (sig, v) in step {
+                engine.set_input(*sig, v);
+            }
+            engine.step();
+        }
+        if dropped_at.is_none() {
+            let (a, b) = (dropping.stats(), keeping.stats());
+            assert_eq!(
+                (a.opportunities, a.explicit_skipped, a.implicit_skipped),
+                (b.opportunities, b.explicit_skipped, b.implicit_skipped),
+                "step {si}"
+            );
+            assert_eq!(
+                (a.fault_executions, a.rtl_fault_evals, a.rtl_good_evals),
+                (b.fault_executions, b.rtl_fault_evals, b.rtl_good_evals),
+                "step {si}"
+            );
+        }
+        for i in 0..d.num_signals() {
+            let sig = SignalId::from_index(i);
+            assert_eq!(dropping.good_value(sig), keeping.good_value(sig));
+            assert_eq!(
+                dropping.fault_value(sig, survivor),
+                keeping.fault_value(sig, survivor),
+                "step {si}, signal {}",
+                d.signal(sig).name
+            );
+        }
+        dropping.observe();
+        keeping.observe();
+        if dropped_at.is_none() && dropping.live_faults() == 1 {
+            dropped_at = Some(si);
+        }
+    }
+    let dropped_at = dropped_at.expect("the fault on `x` is never detected");
+    assert!(
+        dropped_at >= SHOWN_FROM as usize,
+        "dropped before it could show"
+    );
+    assert!(
+        dropped_at + 8 < stim.steps.len(),
+        "no run left after the drop"
+    );
+    assert_eq!(dropping.live_faults(), 1);
+    for f in faults.iter() {
+        assert_eq!(
+            dropping.coverage().detection(f.id),
+            keeping.coverage().detection(f.id)
+        );
+    }
+    // The same good network ran in both; only fault work was trimmed.
+    let (a, b) = (dropping.stats(), keeping.stats());
+    assert_eq!(a.deltas, b.deltas);
+    assert_eq!(a.good_activations, b.good_activations);
+    assert_eq!(a.rtl_good_evals, b.rtl_good_evals);
+    assert!(a.opportunities < b.opportunities);
+    assert!(a.fault_executions < b.fault_executions);
 }
