@@ -1,14 +1,10 @@
 //! Levelized full-evaluation simulator (the VFsim substrate).
 
-use eraser_ir::{
-    run_tape, tapes_for_backend, BehavioralId, BehavioralNode, CombItem, Design, EvalBackend,
-    Sensitivity, SignalId, TapeProgram, TapeRef,
-};
+use eraser_ir::{BehavioralId, CombItem, Design, EvalBackend, Sensitivity, SignalId, TapeProgram};
 use eraser_logic::{LogicBit, LogicVec};
 use eraser_sim::{
-    assign_logic_slice, eval_rtl_node, execute_into, execute_tape_into, ExecCtx, ExecMonitor,
-    ExecOutcome, NoopMonitor, ProbeMonitor, ReplaySim, SimSnapshot, SiteProbe, SlotWrite,
-    ValueStore,
+    assign_logic_slice, Evaluator, ExecCtx, ExecOutcome, NoopMonitor, ProbeMonitor, ReplaySim,
+    SimSnapshot, SiteProbe, SlotWrite, ValueStore,
 };
 
 /// Bound on evaluation rounds per settle step.
@@ -26,8 +22,8 @@ const ROUND_LIMIT: usize = 10_000;
 #[derive(Debug, Clone)]
 pub struct CompiledSim<'d> {
     design: &'d Design,
-    /// Compiled evaluation tapes when running on the tape backend.
-    tapes: Option<TapeRef<'d>>,
+    /// The backend every node of the design is evaluated on.
+    eval: Evaluator<'d>,
     /// Execution scratch (expression arena + tape slots).
     ctx: ExecCtx,
     values: ValueStore,
@@ -45,21 +41,24 @@ impl<'d> CompiledSim<'d> {
     /// Creates the simulator on the tree walker and performs the initial
     /// full evaluation.
     pub fn new(design: &'d Design) -> Self {
-        Self::build(design, None)
+        Self::with_evaluator(Evaluator::tree(design))
     }
 
     /// Creates the simulator pinned to `backend`.
     pub fn with_backend(design: &'d Design, backend: EvalBackend) -> Self {
-        Self::build(design, tapes_for_backend(design, backend))
+        Self::with_evaluator(Evaluator::for_backend(design, backend))
     }
 
     /// Creates the simulator on the tape backend with a shared,
     /// pre-compiled program (one lowering per campaign, not per fault).
     pub fn with_tapes(design: &'d Design, tapes: &'d TapeProgram) -> Self {
-        Self::build(design, Some(TapeRef::Shared(tapes)))
+        Self::with_evaluator(Evaluator::shared(design, Some(tapes)))
     }
 
-    fn build(design: &'d Design, tapes: Option<TapeRef<'d>>) -> Self {
+    /// Creates the simulator over `eval`'s design and backend — the form
+    /// the other constructors reduce to.
+    pub fn with_evaluator(eval: Evaluator<'d>) -> Self {
+        let design = eval.design();
         let values = ValueStore::new(design);
         let edge_prev = design
             .signals()
@@ -72,7 +71,7 @@ impl<'d> CompiledSim<'d> {
             .collect();
         let mut sim = CompiledSim {
             design,
-            tapes,
+            eval,
             ctx: ExecCtx::new(),
             values,
             edge_prev,
@@ -145,19 +144,8 @@ impl<'d> CompiledSim<'d> {
                 match item {
                     CombItem::Rtl(id) => {
                         let node = self.design.rtl_node(*id);
-                        let out = match &self.tapes {
-                            Some(t) => {
-                                let mut out = LogicVec::default();
-                                run_tape(
-                                    t.program().rtl(id.index()),
-                                    &self.values,
-                                    &mut self.ctx.tape,
-                                    &mut out,
-                                );
-                                out
-                            }
-                            None => eval_rtl_node(self.design, node, &self.values),
-                        };
+                        let mut out = LogicVec::default();
+                        self.eval.rtl(*id, &self.values, &mut self.ctx, &mut out);
                         changed |= self.commit(node.output, out);
                     }
                     CombItem::Beh(id) => {
@@ -184,33 +172,16 @@ impl<'d> CompiledSim<'d> {
         match self.probe.take() {
             Some(mut p) => {
                 let mut mon = ProbeMonitor::new(&mut p, &node.vdg);
-                self.exec_node(node, id, &mut mon, &mut out);
+                self.eval
+                    .behavioral(id, &self.values, &mut mon, &mut self.ctx, &mut out);
                 self.probe = Some(p);
             }
-            None => self.exec_node(node, id, &mut NoopMonitor, &mut out),
+            None => {
+                self.eval
+                    .behavioral(id, &self.values, &mut NoopMonitor, &mut self.ctx, &mut out)
+            }
         }
         out
-    }
-
-    fn exec_node<M: ExecMonitor + ?Sized>(
-        &mut self,
-        node: &BehavioralNode,
-        id: BehavioralId,
-        monitor: &mut M,
-        out: &mut ExecOutcome,
-    ) {
-        match &self.tapes {
-            Some(t) => execute_tape_into(
-                self.design,
-                node,
-                t.program().behavioral(id.index()),
-                &self.values,
-                monitor,
-                &mut self.ctx,
-                out,
-            ),
-            None => execute_into(self.design, node, &self.values, monitor, &mut self.ctx, out),
-        }
     }
 
     fn detect_edges(&mut self) -> Vec<BehavioralId> {

@@ -62,10 +62,10 @@ mod serial;
 pub use compiled::CompiledSim;
 pub use eraser_core::{EngineResult, Eraser, FaultSimEngine};
 
-use eraser_core::{CampaignConfig, EvalBackend, TapeProgram};
+use eraser_core::{CampaignConfig, TapeProgram};
 use eraser_fault::FaultList;
 use eraser_ir::Design;
-use eraser_sim::{ReplaySim, Simulator, Stimulus};
+use eraser_sim::{Evaluator, ReplaySim, Simulator, Stimulus};
 
 /// The per-campaign tape compilation a serial baseline shares across its
 /// per-fault simulator instances: lowering happens once, not once per
@@ -114,10 +114,7 @@ impl FaultSimEngine for IFsim {
             faults,
             stimulus,
             config,
-            || match &tapes {
-                Some(tp) => Simulator::with_tapes(design, tp),
-                None => Simulator::with_backend(design, EvalBackend::Tree),
-            },
+            || Simulator::with_evaluator(Evaluator::shared(design, tapes.as_ref())),
             // Settle the force at injection so all engines agree on when a
             // forced power-on edge (X -> stuck value) fires relative to
             // the next stimulus step (ReplaySim::force_bit steps the sim).
@@ -152,10 +149,7 @@ impl FaultSimEngine for VFsim {
             faults,
             stimulus,
             config,
-            || match &tapes {
-                Some(tp) => CompiledSim::with_tapes(design, tp),
-                None => CompiledSim::with_backend(design, EvalBackend::Tree),
-            },
+            || CompiledSim::with_evaluator(Evaluator::shared(design, tapes.as_ref())),
             |sim, f| sim.force_bit(f.signal, f.bit, f.stuck.bit()),
         )
     }

@@ -2,8 +2,8 @@
 //!
 //! Collapsing builds a [`CollapsedFaultList`] over the design's static
 //! structure *before any engine runs*: equivalence classes over
-//! alias/inverter chains fold to one representative each, and provably
-//! undetectable sites (constant-dormant, no influence path to an output)
+//! alias chains fold to one representative each, and provably
+//! undetectable sites (no reader of the bit, no influence path to an output)
 //! are dropped outright. The campaign then simulates only the
 //! representatives and [lifts](CollapsedFaultList::lift_coverage) their
 //! records back over the full universe — bit-identical coverage for a

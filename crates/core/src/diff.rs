@@ -1,8 +1,10 @@
 //! Per-signal fault difference lists — the "bad gates" of concurrent fault
-//! simulation.
+//! simulation — and the per-fault view over them.
 
 use eraser_fault::FaultId;
+use eraser_ir::{SignalId, ValueSource};
 use eraser_logic::LogicVec;
+use eraser_sim::ValueStore;
 
 /// The visible faulty values of one signal, sorted by fault id.
 ///
@@ -190,6 +192,28 @@ pub fn union_ids_into<'a>(
     }
     out.sort_unstable();
     out.dedup();
+}
+
+/// A fault's view of the committed design state: the diff entry where
+/// visible, the good value otherwise. All lookups borrow — building or
+/// reading a view never clones a value.
+pub struct FaultView<'e> {
+    diffs: &'e [DiffList],
+    good: &'e ValueStore,
+    fault: FaultId,
+}
+
+impl<'e> FaultView<'e> {
+    /// Creates the view of `fault`.
+    pub fn new(diffs: &'e [DiffList], good: &'e ValueStore, fault: FaultId) -> Self {
+        FaultView { diffs, good, fault }
+    }
+}
+
+impl ValueSource for FaultView<'_> {
+    fn value(&self, sig: SignalId) -> &LogicVec {
+        self.diffs[sig.index()].view(self.fault, self.good.get(sig))
+    }
 }
 
 #[cfg(test)]

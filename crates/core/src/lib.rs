@@ -13,31 +13,13 @@
 //!
 //! The engine keeps one good value per signal plus a per-signal **diff
 //! list**: the visible "bad gate" values of each fault, stored only where
-//! they differ from the good value ([`DiffList`]). Each simulation step:
+//! they differ from the good value ([`DiffList`]). Each simulation step
+//! runs the phases below, delta after delta, until nothing is scheduled,
+//! then observes the primary outputs; wherever no fault is visible a phase
+//! costs what the good simulator charges (its *good-only lane*) — same
+//! coverage, same counters.
 //!
-//! 1. **RTL node simulation** (steps ②③): dirty RTL nodes are evaluated for
-//!    the good network and for exactly the faults with visible differences
-//!    on their inputs or output (concurrent evaluation).
-//! 2. **Deferred edge detection**: event expressions are evaluated only
-//!    after the active region settles, for the good values and each
-//!    diff-carrying fault's values together — the paper's *fake event* fix.
-//! 3. **Behavioral node simulation** (steps ④⑤⑥): the good execution runs
-//!    with a [redundancy monitor](RedundancyMode) attached; candidate
-//!    faults (those with visible input differences) are checked against the
-//!    unfolding execution path and skipped when redundant; survivors
-//!    execute individually against their fault view.
-//! 4. **NBA commit** and iteration to stability (step ⑦), then the next
-//!    stimulus step, with detection at the primary-output observation
-//!    points.
-//!
-//! Each of the four phases costs what the good simulator charges wherever
-//! no fault is visible: a signal with an empty diff list and no live fault
-//! sited on it is *clean*, and a commit to a clean signal (lane 1), an RTL
-//! node over clean signals (lane 2), a good-only activation of a
-//! behavioral node over clean signals (lane 3) and a good-only NBA block on
-//! a clean target (lane 4) return early into the plain good-network update
-//! — same coverage, same counters, decided node by node as dropping thins
-//! the live set. See the `engine` module docs.
+#![doc = include_str!("engine/phases.md")]
 //!
 //! # One schedule
 //!
@@ -73,8 +55,8 @@
 //!
 //! [`CollapseConfig`] (spec key `collapse`, CLI `--collapse`) prunes the
 //! *structural* axis before a single cycle runs: equivalence classes over
-//! alias/inverter chains fold to one simulated representative each, and
-//! provably undetectable sites (constant-dormant bits, signals with no
+//! alias chains fold to one simulated representative each, and
+//! provably undetectable sites (bits no reader observes, signals with no
 //! influence path to any output) are dropped outright
 //! ([`eraser_fault::CollapsedFaultList`]). Every driver collapses through
 //! [`run_collapsed`] *before* planning, so the knob composes with
@@ -145,8 +127,8 @@ pub use campaign::{
 };
 pub use checkpoint::CheckpointConfig;
 pub use collapse::{collapse_plan, run_collapsed, CollapseConfig};
-pub use diff::{union_ids, union_ids_into, DiffList};
-pub use engine::{EngineSession, EraserEngine, FaultView};
+pub use diff::{union_ids, union_ids_into, DiffList, FaultView};
+pub use engine::{EngineSession, EraserEngine};
 pub use monitor::RedundancyMonitor;
 pub use parallel::ParallelConfig;
 pub use progress::{CampaignProgress, ProgressSnapshot};

@@ -1,7 +1,6 @@
 //! Algorithm 1: run-time implicit-redundancy detection.
 
-use crate::diff::DiffList;
-use crate::engine::FaultView;
+use crate::diff::{DiffList, FaultView};
 use eraser_fault::FaultId;
 use eraser_ir::{DecisionId, EvalScratch, SegmentId, SignalId, Vdg};
 use eraser_logic::LogicVec;

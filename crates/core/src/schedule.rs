@@ -73,8 +73,8 @@ use crate::stats::RedundancyStats;
 use eraser_fault::{
     ActivationWindows, CoverageReport, FaultId, FaultList, WindowPlan, WindowShard,
 };
-use eraser_ir::{Design, EvalBackend, TapeProgram};
-use eraser_sim::{ReplaySim, SimSnapshot, Simulator, SiteProbe, Stimulus};
+use eraser_ir::{Design, TapeProgram};
+use eraser_sim::{Evaluator, ReplaySim, SimSnapshot, Simulator, SiteProbe, Stimulus};
 use std::time::{Duration, Instant};
 
 /// Everything the window plan needs from the instrumented good run: the
@@ -142,10 +142,7 @@ pub fn record_good_run(
     config: &CampaignConfig,
     tapes: Option<&TapeProgram>,
 ) -> GoodRunArtifacts {
-    let sim = match tapes {
-        Some(tp) => Simulator::with_tapes(design, tp),
-        None => Simulator::with_backend(design, EvalBackend::Tree),
-    };
+    let sim = Simulator::with_evaluator(Evaluator::shared(design, tapes));
     record_good_run_on(sim, design, faults, stimulus, config.checkpoint, |_| {})
 }
 

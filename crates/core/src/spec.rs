@@ -23,8 +23,9 @@
 //!
 //! Specs round-trip through the `eraser-netlist` JSON layer
 //! ([`to_json`](CampaignSpec::to_json) /
-//! [`from_json`](CampaignSpec::from_json)); unknown keys and ill-typed
-//! values are errors naming the key, so a typo in a spec file fails
+//! [`from_json`](CampaignSpec::from_json)); unknown keys, ill-typed
+//! values and out-of-range sizes ([`validate`](CampaignSpec::validate))
+//! are errors naming the key, so a typo in a spec file fails
 //! loudly instead of silently falling back to a default. The design
 //! reference is a one-key object:
 //!
@@ -86,7 +87,16 @@ impl std::fmt::Display for DesignRef {
     }
 }
 
-/// A malformed campaign spec (bad JSON, unknown key, ill-typed value).
+/// Longest stimulus a spec may ask for, in settle steps. The stimulus is
+/// materialized before the campaign starts, and an allocation failure
+/// aborts the process — a service worker's `catch_unwind` never sees it.
+const MAX_STEPS: usize = 10_000_000;
+
+/// Most worker threads a spec may ask for (each runs its own engine).
+const MAX_THREADS: usize = 256;
+
+/// A malformed campaign spec (bad JSON, unknown key, ill-typed or
+/// out-of-range value).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
     /// What went wrong, naming the offending key where applicable.
@@ -291,6 +301,25 @@ impl CampaignSpec {
         }
     }
 
+    /// Rejects a spec whose size no host should be asked for: a stimulus
+    /// allocates per step and a campaign starts one engine per thread, so
+    /// `steps` is at most 10 000 000 and `threads` at most 256 — constants,
+    /// not options. Called by [`from_json_value`](Self::from_json_value)
+    /// and by the CLI once its flags are merged in.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        for (key, value, max) in [
+            ("steps", self.steps, MAX_STEPS),
+            ("threads", self.threads, MAX_THREADS),
+        ] {
+            if let Some(value) = value.filter(|v| *v > max) {
+                return Err(SpecError::new(format!(
+                    "key `{key}`: {value} exceeds the limit of {max}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// The spec as a JSON value (only set fields are emitted).
     pub fn to_json_value(&self) -> JsonValue {
         let mut obj: Vec<(String, JsonValue)> = Vec::new();
@@ -343,8 +372,8 @@ impl CampaignSpec {
         json::to_string(&self.to_json_value())
     }
 
-    /// Parses a spec from a JSON value. Unknown keys and ill-typed values
-    /// are errors naming the key.
+    /// Parses a spec from a JSON value. Unknown keys, ill-typed values and
+    /// sizes [`validate`](Self::validate) rejects are errors naming the key.
     pub fn from_json_value(v: &JsonValue) -> Result<Self, SpecError> {
         let obj = v
             .as_obj()
@@ -385,6 +414,7 @@ impl CampaignSpec {
                 other => return Err(SpecError::new(format!("unknown key `{other}`"))),
             }
         }
+        spec.validate()?;
         Ok(spec)
     }
 

@@ -62,7 +62,7 @@ pub struct RedundancyStats {
     /// Kept equivalence classes — the faults actually simulated under
     /// static collapsing.
     pub collapse_classes: u64,
-    /// Faults statically proven undetectable (constant-dormant or no
+    /// Faults statically proven undetectable (no reader of the bit, or no
     /// influence path to any output) and never simulated.
     pub collapse_dropped: u64,
     /// Wall time inside behavioral-node processing (good + fault execution

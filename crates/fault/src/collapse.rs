@@ -16,44 +16,32 @@
 //!
 //! # Rules (all width-aware, per bit)
 //!
-//! For an alias/buffer node `assign a = b;` (and its `assign a = ~b;`
-//! complement) where `b` is read by **no one else** — its complete reader
-//! set is exactly this node: no other RTL node input, no behavioral read,
-//! no sensitivity-list membership — and `b` is not a primary output:
+//! Only rules that fire on the checked-in designs are kept
+//! (`collapse_parity::checked_in_designs_collapse_as_recorded` pins what
+//! each does there).
 //!
-//! 1. **Alias fold**: `b[i]` stuck-at-`v` ≡ `a[i]` stuck-at-`v` for every
-//!    bit `i` carried through (`i < min(w_a, w_b)`). The two faulty
-//!    networks assign identical values to `a` at all times, and `b` has no
-//!    other observer, so every downstream signal — hence every output at
-//!    every step — is identical. This is the RTL form of the classic
-//!    single-fanout rule: a stuck-at on the single-use input of a buffer
-//!    collapses with the same stuck-at on the buffer's output.
-//! 2. **Inverter fold**: for `a = ~b` with `w_a == w_b`, `b[i]` stuck-at-`v`
-//!    ≡ `a[i]` stuck-at-`¬v` (bitwise NOT maps a forced defined bit to its
-//!    forced complement; widths must match so no extension bits exist).
-//! 3. **Truncated-bit drop**: bits of `b` above the alias width
-//!    (`i ≥ w_a` when `w_b > w_a`) reach no reader at all — structurally
-//!    unobservable, dropped.
-//!
-//! Independent of fanout:
-//!
-//! 4. **Constant-dormant drop**: a fault on a `Const`-driven site whose
-//!    stuck polarity *equals* the (defined) constant bit never changes any
-//!    committed value — the forced network is the good network, so the
-//!    fault is undetectable by construction. Bits the constant leaves `X`
-//!    are kept (forcing them is a refinement, not a no-op).
-//! 5. **Unobservable drop**: a site with no path to any primary output in
+//! 1. **Alias fold**: for an alias/buffer node `assign a = b;` where `b`
+//!    is read by **no one else** — its complete reader set is exactly this
+//!    node: no other RTL node input, no behavioral read, no
+//!    sensitivity-list membership — and `b` is not a primary output,
+//!    `b[i]` stuck-at-`v` ≡ `a[i]` stuck-at-`v` for every bit `i` carried
+//!    through (`i < min(w_a, w_b)`). The two faulty networks assign
+//!    identical values to `a` at all times, and `b` has no other observer,
+//!    so every downstream signal — hence every output at every step — is
+//!    identical. This is the RTL form of the classic single-fanout rule: a
+//!    stuck-at on the single-use input of a buffer collapses with the same
+//!    stuck-at on the buffer's output.
+//! 2. **Unobservable drop**: a site with no path to any primary output in
 //!    the static influence graph
 //!    ([`influence_adjacency`](eraser_ir::analysis::influence_adjacency))
 //!    can never produce a detectable output mismatch — fault differences
 //!    propagate only along influence edges.
-//! 6. **Unread-bit drop**: a bit of a non-output signal that no reader
+//! 3. **Unread-bit drop**: a bit of a non-output signal that no reader
 //!    ever observes
 //!    ([`read_bit_coverage`](eraser_ir::analysis::read_bit_coverage) —
 //!    every read of the signal is a slice, constant-position select or
 //!    narrowing buffer that excludes it) can never spread a difference
-//!    anywhere: the behavioral-plane generalization of the truncated-bit
-//!    rule, and the rule that fires on slice-heavy designs (decoders
+//!    anywhere: the rule that fires on slice-heavy designs (decoders
 //!    reading instruction fields, wide buses used partially).
 //!
 //! Folds are closed transitively (union-find), so `assign` chains of any
@@ -72,8 +60,7 @@
 
 use crate::{CoverageReport, Fault, FaultId, FaultList, StuckAt};
 use eraser_ir::analysis::{observable_signals, read_bit_coverage};
-use eraser_ir::{Design, RtlOp, SignalId, UnaryOp};
-use eraser_logic::LogicBit;
+use eraser_ir::{Design, RtlOp, SignalId};
 use std::collections::HashMap;
 
 /// A statically collapsed fault universe: one representative per
@@ -170,79 +157,29 @@ impl CollapsedFaultList {
         let mut parent: Vec<u32> = (0..n as u32).collect();
         let mut dropped_flag = vec![false; n];
 
+        // Rule 1: alias fold.
         for (ni, node) in design.rtl_nodes().iter().enumerate() {
-            match &node.op {
-                // Rules 1 and 3: alias fold + truncated-bit drop.
-                RtlOp::Buf if node.inputs.len() == 1 => {
-                    let b = node.inputs[0];
-                    let a = node.output;
-                    if a == b || !solely_read_by(b, ni) {
-                        continue;
-                    }
-                    let wa = design.signal(a).width;
-                    let wb = design.signal(b).width;
-                    for bit in 0..wb {
-                        for stuck in [StuckAt::Zero, StuckAt::One] {
-                            let Some(&fb) = by_site.get(&(b, bit, stuck)) else {
-                                continue;
-                            };
-                            if bit < wa {
-                                if let Some(&fa) = by_site.get(&(a, bit, stuck)) {
-                                    union_min(&mut parent, fb, fa);
-                                }
-                            } else {
-                                // b's high bits are sliced away by the
-                                // narrower alias and b has no other reader.
-                                dropped_flag[fb as usize] = true;
-                            }
-                        }
+            if !matches!(node.op, RtlOp::Buf) || node.inputs.len() != 1 {
+                continue;
+            }
+            let b = node.inputs[0];
+            let a = node.output;
+            if a == b || !solely_read_by(b, ni) {
+                continue;
+            }
+            let carried = design.signal(a).width.min(design.signal(b).width);
+            for bit in 0..carried {
+                for stuck in [StuckAt::Zero, StuckAt::One] {
+                    if let (Some(&fb), Some(&fa)) =
+                        (by_site.get(&(b, bit, stuck)), by_site.get(&(a, bit, stuck)))
+                    {
+                        union_min(&mut parent, fb, fa);
                     }
                 }
-                // Rule 2: inverter fold (width-preserving only).
-                RtlOp::Unary(UnaryOp::Not) if node.inputs.len() == 1 => {
-                    let b = node.inputs[0];
-                    let a = node.output;
-                    if a == b || !solely_read_by(b, ni) {
-                        continue;
-                    }
-                    let wa = design.signal(a).width;
-                    let wb = design.signal(b).width;
-                    if wa != wb {
-                        continue;
-                    }
-                    for bit in 0..wb {
-                        for (sb, sa) in
-                            [(StuckAt::Zero, StuckAt::One), (StuckAt::One, StuckAt::Zero)]
-                        {
-                            if let (Some(&fb), Some(&fa)) =
-                                (by_site.get(&(b, bit, sb)), by_site.get(&(a, bit, sa)))
-                            {
-                                union_min(&mut parent, fb, fa);
-                            }
-                        }
-                    }
-                }
-                // Rule 4: constant-dormant drop.
-                RtlOp::Const(v) => {
-                    let s = node.output;
-                    for bit in 0..v.width() {
-                        let stuck = match v.bit(bit) {
-                            LogicBit::Zero => StuckAt::Zero,
-                            LogicBit::One => StuckAt::One,
-                            // An X/Z constant bit: forcing it refines the
-                            // network rather than reproducing it — keep.
-                            _ => continue,
-                        };
-                        if let Some(&fi) = by_site.get(&(s, bit, stuck)) {
-                            dropped_flag[fi as usize] = true;
-                        }
-                    }
-                }
-                _ => {}
             }
         }
 
-        // Rule 5: unobservable drop.
+        // Rule 2: unobservable drop.
         let observable = observable_signals(design);
         for (i, f) in faults.iter().enumerate() {
             if !observable[f.signal.index()] {
@@ -250,7 +187,7 @@ impl CollapsedFaultList {
             }
         }
 
-        // Rule 6: unread-bit drop.
+        // Rule 3: unread-bit drop.
         let read_bits = read_bit_coverage(design);
         for (i, f) in faults.iter().enumerate() {
             if !read_bits[f.signal.index()]
@@ -414,32 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn single_fanout_inverter_folds_with_flipped_polarity() {
-        let design = compile(
-            "module m(input wire clk, input wire [3:0] a, output reg [3:0] q);
-               wire [3:0] nb;
-               wire [3:0] b;
-               assign b = a ^ 4'h5;
-               assign nb = ~b;
-               always @(posedge clk) q <= nb;
-             endmodule",
-            None,
-        )
-        .unwrap();
-        let faults = generate_faults(&design, &FaultListConfig::default());
-        let col = CollapsedFaultList::build(&design, &faults);
-        for bit in 0..4 {
-            let fb = fid(&faults, &design, "b", bit, StuckAt::Zero);
-            let fnb = fid(&faults, &design, "nb", bit, StuckAt::One);
-            assert_eq!(
-                col.representative_of(fb),
-                col.representative_of(fnb),
-                "b[{bit}] sa0 ≡ nb[{bit}] sa1"
-            );
-        }
-    }
-
-    #[test]
     fn shared_fanout_blocks_the_fold() {
         // b feeds both the alias and the XOR: folding b with c would hide
         // b's second observation path, so no fold may happen.
@@ -498,45 +409,6 @@ mod tests {
             col.num_classes() + col.collapsed_faults() + col.dropped().len(),
             col.total()
         );
-    }
-
-    #[test]
-    fn constant_dormant_bits_drop_only_matching_polarity() {
-        let design = compile(
-            "module m(input wire clk, output reg [3:0] q);
-               wire [3:0] k;
-               assign k = 4'b0101;
-               always @(posedge clk) q <= q ^ k;
-             endmodule",
-            None,
-        )
-        .unwrap();
-        let faults = generate_faults(&design, &FaultListConfig::default());
-        let col = CollapsedFaultList::build(&design, &faults);
-        for bit in 0..4u32 {
-            let const_bit = (0b0101 >> bit) & 1;
-            let dormant = if const_bit == 1 {
-                StuckAt::One
-            } else {
-                StuckAt::Zero
-            };
-            let contradicting = if const_bit == 1 {
-                StuckAt::Zero
-            } else {
-                StuckAt::One
-            };
-            let fd = fid(&faults, &design, "k", bit, dormant);
-            let fc = fid(&faults, &design, "k", bit, contradicting);
-            assert_eq!(
-                col.representative_of(fd),
-                None,
-                "k[{bit}] {dormant} dormant"
-            );
-            assert!(
-                col.representative_of(fc).is_some(),
-                "k[{bit}] {contradicting} contradicts the constant and stays"
-            );
-        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`BatchPlan`] — static site-major `(batch, lane)` assignment for
 //!   64-wide bit-parallel (PPSFP-style) evaluation,
 //! * [`CollapsedFaultList`] — static fault collapsing: equivalence classes
-//!   over alias/inverter chains plus provably-undetectable drops
-//!   (constant-dormant, structurally unobservable), computed before any
+//!   over alias chains plus provably-undetectable drops
+//!   (unobservable sites, unread bits), computed before any
 //!   simulation; a detected representative marks every class member via
 //!   [`CoverageReport::lift_classes`],
 //! * [`ActivationWindows`] — per-fault activation-window analysis over an

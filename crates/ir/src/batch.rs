@@ -136,11 +136,6 @@ impl BatchProgram {
     pub fn rtl(&self, index: usize) -> Option<&BatchTape> {
         self.rtl[index].as_ref()
     }
-
-    /// Number of batchable RTL nodes.
-    pub fn num_batchable(&self) -> usize {
-        self.rtl.iter().filter(|t| t.is_some()).count()
-    }
 }
 
 // ---- word-parallel kernels ----

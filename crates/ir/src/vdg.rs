@@ -25,7 +25,7 @@
 use crate::eval::{eval_expr_into, EvalScratch};
 use crate::expr::Expr;
 use crate::ids::{DecisionId, SegmentId, SignalId};
-use crate::stmt::{CaseKind, LValue, Stmt};
+use crate::stmt::{CaseKind, Stmt};
 use crate::ValueSource;
 use eraser_logic::LogicBit;
 
@@ -282,22 +282,12 @@ impl Vdg {
     }
 }
 
-/// Checks whether an lvalue's *index* reads make the write's effect depend
-/// on a fault — exposed for tests; the engine uses the precomputed
-/// [`SegmentInfo::reads`].
-pub fn lvalue_reads(lv: &LValue) -> Vec<SignalId> {
-    let mut v = Vec::new();
-    lv.collect_reads(&mut v);
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{BinaryOp, Expr};
     use crate::ids::SignalId;
+    use crate::stmt::LValue;
 
     fn s(i: u32) -> SignalId {
         SignalId(i)

@@ -59,12 +59,6 @@ impl LogicBit {
         matches!(self, LogicBit::Zero | LogicBit::One)
     }
 
-    /// True if the bit is `X` or `Z`.
-    #[inline]
-    pub fn is_unknown(self) -> bool {
-        !self.is_defined()
-    }
-
     /// Converts to `bool` if defined.
     #[inline]
     pub fn to_bool(self) -> Option<bool> {

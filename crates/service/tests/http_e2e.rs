@@ -168,6 +168,26 @@ fn http_campaigns_match_direct_library_calls() {
         assert!(body.contains(&format!("unknown key `{key}`")), "{body}");
     }
 
+    // So do the size limits: a spec no host should be asked to run is
+    // refused at the door (its stimulus allocation would abort the
+    // process, past any worker's `catch_unwind`), and the service lives on.
+    for (key, spec) in [
+        (
+            "steps",
+            r#"{"design": {"benchmark": "APB"}, "steps": 1000000000000}"#,
+        ),
+        (
+            "threads",
+            r#"{"design": {"benchmark": "APB"}, "threads": 100000}"#,
+        ),
+    ] {
+        let (status, body) = http(addr, "POST", "/campaigns", spec);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains(&format!("key `{key}`")), "{body}");
+        let (status, _) = http(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200);
+    }
+
     // Unknown ids and unfinished results.
     let (status, _) = http(addr, "GET", "/campaigns/c999", "");
     assert_eq!(status, 404);

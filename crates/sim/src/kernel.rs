@@ -1,17 +1,12 @@
 //! The event-driven good (fault-free) simulator.
 
-use crate::interp::{
-    execute_into, execute_tape_into, ExecCtx, ExecMonitor, ExecOutcome, NoopMonitor, SlotWrite,
-};
+use crate::evaluator::Evaluator;
+use crate::interp::{ExecCtx, ExecOutcome, NoopMonitor, SlotWrite};
 use crate::probe::{ProbeMonitor, SiteProbe};
-use crate::rtl_eval::eval_rtl_node_into;
 use crate::snapshot::{assign_logic_slice, ReplaySim, SimSnapshot};
 use crate::stimulus::Stimulus;
 use crate::store::ValueStore;
-use eraser_ir::{
-    run_tape, tapes_for_backend, BehavioralId, Design, EvalBackend, RtlNodeId, Sensitivity,
-    SignalId, TapeProgram, TapeRef,
-};
+use eraser_ir::{BehavioralId, Design, EvalBackend, RtlNodeId, Sensitivity, SignalId, TapeProgram};
 use eraser_logic::LogicVec;
 
 /// Bound on delta cycles per step (oscillation guard; combinational cycles
@@ -39,9 +34,8 @@ const DELTA_LIMIT: usize = 10_000;
 #[derive(Debug, Clone)]
 pub struct Simulator<'d> {
     design: &'d Design,
-    /// Compiled evaluation tapes when running on the tape backend
-    /// (`None` = tree walker).
-    tapes: Option<TapeRef<'d>>,
+    /// The backend every node of the design is evaluated on.
+    eval: Evaluator<'d>,
     values: ValueStore,
     /// Values as of the last edge-detection point, for all signals watched
     /// by edge-triggered nodes.
@@ -85,23 +79,26 @@ impl<'d> Simulator<'d> {
     /// evaluation (constants and combinational logic settle), on the
     /// tree walker; use [`Simulator::with_backend`] for the tape backend.
     pub fn new(design: &'d Design) -> Self {
-        Self::build(design, None)
+        Self::with_evaluator(Evaluator::tree(design))
     }
 
     /// Creates a simulator pinned to `backend` (compiling a private tape
     /// program for [`EvalBackend::Tape`]).
     pub fn with_backend(design: &'d Design, backend: EvalBackend) -> Self {
-        Self::build(design, tapes_for_backend(design, backend))
+        Self::with_evaluator(Evaluator::for_backend(design, backend))
     }
 
     /// Creates a simulator on the tape backend executing a shared,
     /// pre-compiled program — what per-fault re-simulation baselines use to
     /// compile once per campaign instead of once per fault.
     pub fn with_tapes(design: &'d Design, tapes: &'d TapeProgram) -> Self {
-        Self::build(design, Some(TapeRef::Shared(tapes)))
+        Self::with_evaluator(Evaluator::shared(design, Some(tapes)))
     }
 
-    fn build(design: &'d Design, tapes: Option<TapeRef<'d>>) -> Self {
+    /// Creates a simulator over `eval`'s design and backend — the form
+    /// the other constructors reduce to.
+    pub fn with_evaluator(eval: Evaluator<'d>) -> Self {
+        let design = eval.design();
         let values = ValueStore::new(design);
         let edge_prev = design
             .signals()
@@ -110,7 +107,7 @@ impl<'d> Simulator<'d> {
             .collect();
         let mut sim = Simulator {
             design,
-            tapes,
+            eval,
             values,
             edge_prev,
             rtl_dirty: vec![false; design.rtl_nodes().len()],
@@ -364,21 +361,7 @@ impl<'d> Simulator<'d> {
                 self.rtl_dirty[id.index()] = false;
                 let node = design.rtl_node(id);
                 let mut out = self.ctx.scratch.take_for(design.signal(node.output).width);
-                match &self.tapes {
-                    Some(t) => run_tape(
-                        t.program().rtl(id.index()),
-                        &self.values,
-                        &mut self.ctx.tape,
-                        &mut out,
-                    ),
-                    None => eval_rtl_node_into(
-                        design,
-                        node,
-                        &self.values,
-                        &mut self.ctx.scratch,
-                        &mut out,
-                    ),
-                }
+                self.eval.rtl(id, &self.values, &mut self.ctx, &mut out);
                 self.commit_borrowed(node.output, &out);
                 self.ctx.scratch.put(out);
                 continue;
@@ -402,39 +385,23 @@ impl<'d> Simulator<'d> {
         match self.probe.take() {
             Some(mut p) => {
                 let mut mon = ProbeMonitor::new(&mut p, &node.vdg);
-                self.exec_node(id, &mut mon, &mut outcome);
+                self.eval
+                    .behavioral(id, &self.values, &mut mon, &mut self.ctx, &mut outcome);
                 self.probe = Some(p);
             }
-            None => self.exec_node(id, &mut NoopMonitor, &mut outcome),
+            None => self.eval.behavioral(
+                id,
+                &self.values,
+                &mut NoopMonitor,
+                &mut self.ctx,
+                &mut outcome,
+            ),
         }
         for (sig, val) in &outcome.blocking {
             self.commit_borrowed(*sig, val);
         }
         self.nba.append(&mut outcome.nba);
         self.outcome = outcome;
-    }
-
-    /// Executes one activation on the configured backend under `monitor`.
-    fn exec_node<M: ExecMonitor + ?Sized>(
-        &mut self,
-        id: BehavioralId,
-        monitor: &mut M,
-        outcome: &mut ExecOutcome,
-    ) {
-        let design = self.design;
-        let node = design.behavioral(id);
-        match &self.tapes {
-            Some(t) => execute_tape_into(
-                design,
-                node,
-                t.program().behavioral(id.index()),
-                &self.values,
-                monitor,
-                &mut self.ctx,
-                outcome,
-            ),
-            None => execute_into(design, node, &self.values, monitor, &mut self.ctx, outcome),
-        }
     }
 
     /// Deferred edge detection: compares watched signals against their

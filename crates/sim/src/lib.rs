@@ -5,6 +5,8 @@
 //!
 //! * [`ValueStore`] — dense per-signal four-state value storage,
 //! * [`eval_rtl_op`] — evaluation of primitive RTL nodes,
+//! * [`Evaluator`] — the one handle every simulator evaluates its nodes
+//!   through: a design plus the backend (tree walker or compiled tapes),
 //! * [`execute_behavioral`] — the behavioral interpreter, which can record
 //!   the **execution trace** (path decisions taken and dependency segments
 //!   visited) that the ERASER implicit-redundancy check walks,
@@ -48,6 +50,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+mod evaluator;
 mod interp;
 mod kernel;
 mod probe;
@@ -57,13 +60,14 @@ mod stimulus;
 mod store;
 mod vcd;
 
+pub use evaluator::Evaluator;
 pub use interp::{
     execute_behavioral, execute_into, execute_monitored, execute_tape_into, ExecCtx, ExecMonitor,
     ExecOutcome, ExecTrace, NoopMonitor, OverlayView, SlotWrite, TraceEvent, TraceMonitor,
 };
 pub use kernel::Simulator;
 pub use probe::{BitFirsts, ProbeMonitor, SiteProbe, NEVER};
-pub use rtl_eval::{eval_rtl_node, eval_rtl_node_into, eval_rtl_op, eval_rtl_op_with};
+pub use rtl_eval::{eval_rtl_node_into, eval_rtl_op, eval_rtl_op_with};
 pub use snapshot::{assign_logic_slice, ReplaySim, SimSnapshot};
 pub use stimulus::{Stimulus, StimulusBuilder};
 pub use store::ValueStore;

@@ -124,19 +124,6 @@ pub fn eval_rtl_node_into<S: ValueSource + ?Sized>(
     );
 }
 
-/// Evaluates an RTL node by fetching its inputs from `src`, producing a
-/// fresh value. Convenience wrapper over [`eval_rtl_node_into`].
-pub fn eval_rtl_node<S: ValueSource + ?Sized>(
-    design: &Design,
-    node: &RtlNode,
-    src: &S,
-) -> LogicVec {
-    let mut scratch = EvalScratch::new();
-    let mut out = LogicVec::default();
-    eval_rtl_node_into(design, node, src, &mut scratch, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -138,7 +138,8 @@ fn main() -> ExitCode {
         }
     };
     merge_flags(&mut spec, &explicit_keys, &flags);
-    match run(&spec, flags.list_undetected) {
+    let checked = spec.validate().map_err(|e| e.to_string());
+    match checked.and_then(|()| run(&spec, flags.list_undetected)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");

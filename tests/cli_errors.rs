@@ -95,6 +95,27 @@ fn bad_spec_key_is_a_runtime_error_naming_the_key() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A size no host should be asked for is refused before anything is
+/// allocated, whether it came from the spec file or from a flag.
+#[test]
+fn oversized_spec_is_a_runtime_error_naming_the_key() {
+    let path = spec_file(
+        "toolong",
+        r#"{"design": {"benchmark": "APB"}, "steps": 1000000000000}"#,
+    );
+    let out = eraser(&["--spec", path.to_str().unwrap()]);
+    assert_runtime_error(&out, "key `steps`");
+    let _ = std::fs::remove_file(&path);
+
+    let path = spec_file(
+        "toowide",
+        r#"{"design": {"benchmark": "APB"}, "steps": 10}"#,
+    );
+    let out = eraser(&["--spec", path.to_str().unwrap(), "--threads", "100000"]);
+    assert_runtime_error(&out, "key `threads`");
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The partition-strategy knob is gone, and says so the same way at every
 /// edge: the flag is an unknown argument, the spec key an unknown key, and
 /// the variable is not read at all — not even to reject it. The same goes
