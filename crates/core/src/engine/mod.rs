@@ -57,7 +57,7 @@ const DELTA_LIMIT: usize = 10_000;
 /// [crate docs](crate) for the step structure and
 /// [`run_campaign`](crate::run_campaign) for the one-call driver.
 ///
-/// The simulation state and the scratch [`Workspace`] are two fields, so
+/// The simulation state and the scratch `Workspace` are two fields, so
 /// every hot method runs on the state with the workspace borrowed beside
 /// it — nothing is moved out and back per call.
 pub struct EraserEngine<'d> {

@@ -120,8 +120,8 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// One serializable campaign description: design, stimulus, and every
-/// execution knob. See the [module docs](self) for the precedence rule
-/// and the JSON schema.
+/// execution knob. See the module docs of `spec.rs` for the precedence
+/// rule and the JSON schema.
 ///
 /// Knob fields are `Option`s: `None` takes the built-in default when
 /// [`resolve`](Self::resolve)d; `Some` always wins.
@@ -279,7 +279,7 @@ impl CampaignSpec {
     /// Resolves the execution knobs into a [`CampaignConfig`]: every
     /// `Some` field as given, every `None` field at
     /// [`CampaignConfig::default`]'s constant. Pure — no environment read
-    /// (see the [module docs](self)).
+    /// (see the module docs of `spec.rs`).
     pub fn resolve(&self) -> CampaignConfig {
         let default = CampaignConfig::default();
         CampaignConfig {

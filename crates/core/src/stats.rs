@@ -16,7 +16,11 @@ pub struct RedundancyStats {
     /// any node input (explicit redundancy).
     pub explicit_skipped: u64,
     /// Candidate executions skipped by the execution-path check
-    /// (Algorithm 1; implicit redundancy).
+    /// (Algorithm 1; implicit redundancy): no decision flips and no
+    /// executed segment reads a visible difference. A read the activation's
+    /// own earlier blocking write resolves is not one, nor are bits a read
+    /// does not select, so a candidate whose only differences sit on
+    /// write-before-read locals or unselected bits is skipped here.
     pub implicit_skipped: u64,
     /// Faulty behavioral executions actually performed.
     pub fault_executions: u64,

@@ -12,11 +12,13 @@
 //! and compiled tapes). APB's signals all fit in 64 bits, so `LogicVec`
 //! values stay inline and any allocation would come from a missing
 //! buffer-reuse path — including a stimulus-value clone in `run()` or a
-//! tape slot reused at the wrong storage shape.
+//! tape slot reused at the wrong storage shape. SHA-256 covers the boxed
+//! (>64-bit) storage path and the FPU the redundancy monitor's overlay
+//! checks over a loop of blocking locals.
 
 use eraser_core::{EraserEngine, EvalBackend};
 use eraser_designs::Benchmark;
-use eraser_fault::{generate_faults, FaultList};
+use eraser_fault::{generate_faults, FaultList, FaultListConfig};
 use eraser_logic::counting_alloc::CountingAlloc;
 use eraser_sim::Simulator;
 
@@ -42,6 +44,8 @@ fn main() {
     println!("alloc_guard: batched engine ... ok");
     wide_design_steady_state_is_allocation_free();
     println!("alloc_guard: wide design (SHA-256) ... ok");
+    blocking_locals_steady_state_is_allocation_free();
+    println!("alloc_guard: blocking locals (FPU) ... ok");
 }
 
 const WARMUP_CYCLES: usize = 100;
@@ -249,6 +253,45 @@ fn wide_design_steady_state_is_allocation_free() {
             0,
             "wide-design ERASER engine ({backend} backend) allocated {} times in \
              {WIDE_MEASURED} steady-state cycles",
+            after - before
+        );
+    }
+}
+
+/// Algorithm 1 on blocking locals: the FPU's add path runs a 24-iteration
+/// `for` over some twenty write-before-read temporaries, so the monitor
+/// checks reads against a growing overlay at every decision and segment,
+/// and keeps stuck-ats on those temporaries as implicitly redundant. Over
+/// the uncapped fault universe, both backends, that path must pool like
+/// every other.
+fn blocking_locals_steady_state_is_allocation_free() {
+    let design = Benchmark::Fpu32.build();
+    let universe = FaultListConfig {
+        max_faults: None,
+        ..Benchmark::Fpu32.fault_config()
+    };
+    let faults = generate_faults(&design, &universe);
+    let stim = Benchmark::Fpu32.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
+    for backend in BACKENDS {
+        let mut engine = EraserEngine::session(&design, &faults)
+            .backend(backend)
+            .start();
+        drive(&mut engine, &stim, 0..WARMUP_CYCLES);
+
+        let before = CountingAlloc::allocations();
+        drive(
+            &mut engine,
+            &stim,
+            WARMUP_CYCLES..WARMUP_CYCLES + MEASURED_CYCLES,
+        );
+        let after = CountingAlloc::allocations();
+        assert!(engine.stats().implicit_skipped > 0);
+        assert_eq!(
+            after - before,
+            0,
+            "FPU ERASER engine ({backend} backend, {} faults) allocated {} times in \
+             {MEASURED_CYCLES} steady-state cycles",
+            faults.len(),
             after - before
         );
     }

@@ -16,6 +16,11 @@
 //! under a part-select NBA, a divergent activation on a clean node, a node
 //! turning clean when its last fault drops, `RedundancyMode::None` — the
 //! general path is taken and the values still match the serial reference.
+//! Algorithm 1's overlay rule is pinned the same way: faults on
+//! write-before-read locals are skipped, faults on a local read before its
+//! write or under a partial first write execute and are detected. So is its
+//! span rule: faults on bits no constant select reads are skipped, faults
+//! on selected or dynamically indexed bits execute.
 
 use eraser_core::{EraserEngine, EvalBackend, RedundancyMode};
 use eraser_designs::{netlist_fixtures, Benchmark, DesignSource, Lcg};
@@ -56,7 +61,8 @@ fn faults_on(design: &Design, names: &[&str]) -> FaultList {
 }
 
 /// Value parity of `faults` against one forced serial simulator per fault;
-/// returns the engine for counter checks.
+/// returns the engine (observed after every step, nothing dropped) for
+/// counter and coverage checks.
 fn value_parity_of<'d>(
     design: &'d Design,
     faults: &'d FaultList,
@@ -88,6 +94,7 @@ fn value_parity_of<'d>(
             }
         }
         engine.step();
+        engine.observe();
         for s in serials.iter_mut() {
             s.step();
         }
@@ -511,4 +518,126 @@ fn node_turning_clean_when_its_last_fault_drops_changes_nothing() {
     assert_eq!(a.rtl_good_evals, b.rtl_good_evals);
     assert!(a.opportunities < b.opportunities);
     assert!(a.fault_executions < b.fault_executions);
+}
+
+/// One clocked body over `t`, with `clk`, `rst`, 4-bit inputs `a`, `b` and
+/// an 8-bit `d`, and the output `q`.
+fn local_design(body: &str) -> Design {
+    compile(
+        &format!(
+            "module m(input wire clk, input wire rst, input wire [3:0] a, input wire [3:0] b,
+                      input wire [7:0] d, output reg [7:0] q);
+               reg [7:0] t;
+               reg [3:0] lead;
+               integer i;
+               always @(posedge clk) begin {body} end
+             endmodule"
+        ),
+        None,
+    )
+    .unwrap()
+}
+
+/// Value parity of `faults` in `Explicit` and `Full` mode; returns the
+/// `Full`-mode engine.
+fn overlay_rule_parity<'d>(d: &'d Design, faults: &'d FaultList) -> EraserEngine<'d> {
+    let stim = drive_cycles(d, 30, 0x0b, &[("a", 4), ("b", 4), ("d", 8)]);
+    value_parity_of(d, faults, &stim, RedundancyMode::Explicit);
+    value_parity_of(d, faults, &stim, RedundancyMode::Full)
+}
+
+/// Algorithm 1's overlay rule, from the skipping side: a stuck-at on a
+/// temporary every activation writes before it reads carries a forced diff
+/// forever, yet no execution reads it — the read resolves from the
+/// activation's own overlay. Every such fault is implicitly redundant.
+#[test]
+fn write_before_read_local_is_implicitly_redundant() {
+    let d = local_design("t = a + b; q <= t;");
+    let faults = faults_on(&d, &["t"]);
+    let engine = overlay_rule_parity(&d, &faults);
+    let s = engine.stats();
+    assert!(s.implicit_skipped > 0);
+    assert_eq!(s.fault_executions, 0);
+}
+
+/// The leading-one scan of the FPU: the loop variable and the result are
+/// both written before every read, through a `for` decision and an `if`
+/// decision per iteration.
+#[test]
+fn leading_one_scan_locals_are_implicitly_redundant() {
+    let d = local_design(
+        "lead = 0; for (i = 0; i < 8; i = i + 1) if (d[i]) lead = i; q <= {4'h0, lead};",
+    );
+    let faults = faults_on(&d, &["i", "lead"]);
+    let engine = overlay_rule_parity(&d, &faults);
+    let s = engine.stats();
+    assert!(s.implicit_skipped > 0);
+    assert_eq!(s.fault_executions, 0);
+}
+
+/// From the executing side: a read of `t` before this activation writes it
+/// sees the committed (forced) value, so every fault on `t` executes and
+/// shows at `q`.
+#[test]
+fn read_before_write_local_executes() {
+    let d = local_design("q <= t; t = {a, b};");
+    let faults = faults_on(&d, &["t"]);
+    let engine = overlay_rule_parity(&d, &faults);
+    assert!(engine.stats().fault_executions > 0);
+    assert_eq!(engine.coverage().detected(), faults.len());
+}
+
+/// A partial first write reads its target from committed state: the
+/// target enters the overlay only after that segment, so a fault on the
+/// bits it does not write executes and shows at `q`.
+#[test]
+fn partial_first_write_reads_committed_target() {
+    let d = local_design("t[3:0] = a; q <= t; t[7:4] = b;");
+    let faults: FaultList = faults_on(&d, &["t"])
+        .iter()
+        .filter(|f| f.bit >= 4)
+        .copied()
+        .collect();
+    let engine = overlay_rule_parity(&d, &faults);
+    assert!(engine.stats().fault_executions > 0);
+    assert_eq!(engine.coverage().detected(), faults.len());
+}
+
+/// The faults of `faults_on(d, &["t"])` on bits `lo..=hi`.
+fn faults_on_bits(d: &Design, lo: u32, hi: u32) -> FaultList {
+    faults_on(d, &["t"])
+        .iter()
+        .filter(|f| (lo..=hi).contains(&f.bit))
+        .copied()
+        .collect()
+}
+
+/// Algorithm 1's span rule, from the skipping side: a register whose
+/// stuck-at sits on bits no read selects carries a diff every activation,
+/// yet the only read is the constant select `t[3:0]` — no segment can
+/// compute a different value, so every such fault is implicitly redundant.
+#[test]
+fn unselected_bits_of_a_read_are_not_a_visible_difference() {
+    let d = local_design("q <= {4'h0, t[3:0]}; t <= {a, b};");
+    let faults = faults_on_bits(&d, 4, 7);
+    let engine = overlay_rule_parity(&d, &faults);
+    let s = engine.stats();
+    assert!(s.implicit_skipped > 0);
+    assert_eq!(s.fault_executions, 0);
+}
+
+/// From the executing side: faults on the selected bits, and faults on any
+/// bit under a dynamic index, execute; the selected ones show at `q`.
+#[test]
+fn selected_or_dynamically_indexed_bits_execute() {
+    let d = local_design("q <= {4'h0, t[3:0]}; t <= {a, b};");
+    let faults = faults_on_bits(&d, 0, 3);
+    let engine = overlay_rule_parity(&d, &faults);
+    assert!(engine.stats().fault_executions > 0);
+    assert_eq!(engine.coverage().detected(), faults.len());
+
+    let d = local_design("q <= {7'h0, t[a[2:0]]}; t <= {a, b};");
+    let faults = faults_on_bits(&d, 4, 7);
+    let engine = overlay_rule_parity(&d, &faults);
+    assert!(engine.stats().fault_executions > 0);
 }

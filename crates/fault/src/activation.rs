@@ -59,7 +59,8 @@ use eraser_ir::{BinaryOp, Design, Expr, LValue, RtlOp, SignalId, Stmt};
 use eraser_sim::{SiteProbe, NEVER};
 
 /// Per-fault activation windows over one `(design, stimulus)` replay. See
-/// the [module docs](self) for the derivation and soundness argument.
+/// the module docs of `activation.rs` for the derivation and soundness
+/// argument.
 #[derive(Debug, Clone)]
 pub struct ActivationWindows {
     /// Per fault: earliest step the fault may diverge ([`NEVER`] = not

@@ -73,8 +73,8 @@ impl WindowShard {
     }
 }
 
-/// The schedule of one campaign over one fault universe. See the
-/// [module docs](self) for the two constructors and the determinism
+/// The schedule of one campaign over one fault universe. See the module
+/// docs of `window.rs` for the two constructors and the determinism
 /// argument.
 #[derive(Debug, Clone)]
 pub struct WindowPlan {

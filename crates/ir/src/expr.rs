@@ -4,6 +4,9 @@ use crate::ids::SignalId;
 use eraser_logic::LogicVec;
 use std::fmt;
 
+/// The bits `(lo, hi)` of a read of the whole signal.
+pub(crate) const WHOLE: (u32, u32) = (0, u32::MAX);
+
 /// Unary RTL operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryOp {
@@ -171,37 +174,39 @@ impl Expr {
     /// Appends every signal this expression reads to `out` (with
     /// duplicates; callers dedup).
     pub fn collect_reads(&self, out: &mut Vec<SignalId>) {
+        self.for_each_read(&mut |s, _| out.push(s));
+    }
+
+    /// Calls `f` with every signal this expression reads and the bits
+    /// `(lo, hi)` it reads of it: a constant part select its range, any
+    /// other reference [`WHOLE`].
+    pub(crate) fn for_each_read(&self, f: &mut impl FnMut(SignalId, (u32, u32))) {
         match self {
             Expr::Const(_) => {}
-            Expr::Signal(s) => out.push(*s),
-            Expr::Unary(_, e) => e.collect_reads(out),
+            Expr::Signal(s) => f(*s, WHOLE),
+            Expr::Unary(_, e) | Expr::Replicate(_, e) => e.for_each_read(f),
             Expr::Binary(_, l, r) => {
-                l.collect_reads(out);
-                r.collect_reads(out);
+                l.for_each_read(f);
+                r.for_each_read(f);
             }
             Expr::Ternary {
                 cond,
                 then_e,
                 else_e,
             } => {
-                cond.collect_reads(out);
-                then_e.collect_reads(out);
-                else_e.collect_reads(out);
+                cond.for_each_read(f);
+                then_e.for_each_read(f);
+                else_e.for_each_read(f);
             }
             Expr::Concat(parts) => {
                 for p in parts {
-                    p.collect_reads(out);
+                    p.for_each_read(f);
                 }
             }
-            Expr::Replicate(_, e) => e.collect_reads(out),
-            Expr::Slice { base, .. } => out.push(*base),
-            Expr::Index { base, index } => {
-                out.push(*base);
-                index.collect_reads(out);
-            }
-            Expr::IndexedPart { base, start, .. } => {
-                out.push(*base);
-                start.collect_reads(out);
+            Expr::Slice { base, hi, lo } => f(*base, (*lo, *hi)),
+            Expr::Index { base, index: i } | Expr::IndexedPart { base, start: i, .. } => {
+                f(*base, WHOLE);
+                i.for_each_read(f);
             }
         }
     }

@@ -23,7 +23,7 @@
 //! statement tree.
 
 use crate::eval::{eval_expr_into, EvalScratch};
-use crate::expr::Expr;
+use crate::expr::{Expr, WHOLE};
 use crate::ids::{DecisionId, SegmentId, SignalId};
 use crate::stmt::{CaseKind, Stmt};
 use crate::ValueSource;
@@ -124,6 +124,9 @@ pub struct DecisionInfo {
     /// Sorted, deduplicated signals read by the `Evaluate` function (the
     /// condition, plus the scrutinee and all labels for a `case`).
     pub reads: Vec<SignalId>,
+    /// For each of `reads`, the bits `(lo, hi)` it reads (see
+    /// [`SegmentInfo::spans`]).
+    pub spans: Vec<(u32, u32)>,
     /// The `Evaluate` function.
     pub eval: DecisionEval,
 }
@@ -135,6 +138,11 @@ pub struct SegmentInfo {
     /// effect: right-hand side reads, lvalue index reads, and the target
     /// itself for partial writes.
     pub reads: Vec<SignalId>,
+    /// For each of `reads`, the bits `(lo, hi)` (inclusive) the assignment
+    /// can depend on: the hull of its constant part selects of the signal,
+    /// or `(0, u32::MAX)` where it reads the whole signal, indexes it
+    /// dynamically or writes it partially.
+    pub spans: Vec<(u32, u32)>,
     /// The signal written.
     pub target: SignalId,
     /// True if the write covers only part of the target.
@@ -192,14 +200,16 @@ impl Vdg {
                 blocking,
                 segment,
             } => {
-                let mut reads = Vec::new();
-                rhs.collect_reads(&mut reads);
-                lhs.collect_reads(&mut reads);
-                reads.sort_unstable();
-                reads.dedup();
+                let mut spans = Vec::new();
+                rhs.for_each_read(&mut |s, span| spans.push((s, span)));
+                let mut lhs_reads = Vec::new();
+                lhs.collect_reads(&mut lhs_reads);
+                spans.extend(lhs_reads.into_iter().map(|s| (s, WHOLE)));
+                let (reads, spans) = merge_spans(spans);
                 *segment = SegmentId::from_index(self.segments.len());
                 self.segments.push(SegmentInfo {
                     reads,
+                    spans,
                     target: lhs.target(),
                     partial: lhs.is_partial(),
                     blocking: *blocking,
@@ -213,7 +223,7 @@ impl Vdg {
             } => {
                 *decision = self.push_decision(
                     DecisionKind::If,
-                    cond.reads(),
+                    [&*cond],
                     DecisionEval::Truth(cond.clone()),
                 );
                 self.visit(then_s);
@@ -228,21 +238,14 @@ impl Vdg {
                 decision,
                 kind,
             } => {
-                let mut reads = Vec::new();
-                scrutinee.collect_reads(&mut reads);
-                for arm in arms.iter() {
-                    for l in &arm.labels {
-                        l.collect_reads(&mut reads);
-                    }
-                }
-                reads.sort_unstable();
-                reads.dedup();
+                let labels = arms.iter().flat_map(|a| &a.labels);
+                let read = std::iter::once(&*scrutinee).chain(labels);
                 let eval = DecisionEval::Case {
                     scrutinee: scrutinee.clone(),
                     arm_labels: arms.iter().map(|a| a.labels.clone()).collect(),
                     kind: *kind,
                 };
-                *decision = self.push_decision(DecisionKind::Case, reads, eval);
+                *decision = self.push_decision(DecisionKind::Case, read, eval);
                 for arm in arms {
                     self.visit(&mut arm.body);
                 }
@@ -260,7 +263,7 @@ impl Vdg {
                 self.visit(init);
                 *decision = self.push_decision(
                     DecisionKind::For,
-                    cond.reads(),
+                    [&*cond],
                     DecisionEval::Truth(cond.clone()),
                 );
                 self.visit(body);
@@ -270,16 +273,44 @@ impl Vdg {
         }
     }
 
-    fn push_decision(
+    fn push_decision<'a>(
         &mut self,
         kind: DecisionKind,
-        reads: Vec<SignalId>,
+        read: impl IntoIterator<Item = &'a Expr>,
         eval: DecisionEval,
     ) -> DecisionId {
+        let mut spans = Vec::new();
+        for e in read {
+            e.for_each_read(&mut |s, span| spans.push((s, span)));
+        }
+        let (reads, spans) = merge_spans(spans);
         let id = DecisionId::from_index(self.decisions.len());
-        self.decisions.push(DecisionInfo { kind, reads, eval });
+        self.decisions.push(DecisionInfo {
+            kind,
+            reads,
+            spans,
+            eval,
+        });
         id
     }
+}
+
+/// A node's sorted, deduplicated `reads` and their `spans`: the hull of
+/// every span collected for each signal.
+fn merge_spans(mut all: Vec<(SignalId, (u32, u32))>) -> (Vec<SignalId>, Vec<(u32, u32)>) {
+    all.sort_unstable_by_key(|(s, _)| *s);
+    let mut reads: Vec<SignalId> = Vec::with_capacity(all.len());
+    let mut spans: Vec<(u32, u32)> = Vec::with_capacity(all.len());
+    for (s, (lo, hi)) in all {
+        match (reads.last(), spans.last_mut()) {
+            (Some(&last), Some(span)) if last == s => *span = (span.0.min(lo), span.1.max(hi)),
+            _ => {
+                reads.push(s);
+                spans.push((lo, hi));
+            }
+        }
+    }
+    (reads, spans)
 }
 
 #[cfg(test)]
@@ -378,7 +409,36 @@ mod tests {
         };
         let vdg = Vdg::build(&mut body);
         assert_eq!(vdg.segments[0].reads, vec![s(1), s(2)]);
+        assert_eq!(vdg.segments[0].spans, vec![WHOLE, WHOLE]);
         assert!(vdg.segments[0].partial);
+    }
+
+    #[test]
+    fn spans_hull_constant_selects_and_widen_to_whole_reads() {
+        // if (c[2]) r <= {c[7:4], c[1:0], g[3], h[g]};
+        let (c, g, h, r) = (s(1), s(2), s(3), s(5));
+        let slice = |base, hi, lo| Expr::Slice { base, hi, lo };
+        let mut body = Stmt::if_then(
+            slice(c, 2, 2),
+            Stmt::assign(
+                r,
+                Expr::Concat(vec![
+                    slice(c, 7, 4),
+                    slice(c, 1, 0),
+                    slice(g, 3, 3),
+                    Expr::Index {
+                        base: h,
+                        index: Box::new(Expr::sig(g)),
+                    },
+                ]),
+                false,
+            ),
+        );
+        let vdg = Vdg::build(&mut body);
+        assert_eq!(vdg.decisions[0].reads, vec![c]);
+        assert_eq!(vdg.decisions[0].spans, vec![(2, 2)]);
+        assert_eq!(vdg.segments[0].reads, vec![c, g, h]);
+        assert_eq!(vdg.segments[0].spans, vec![(0, 7), WHOLE, WHOLE]);
     }
 
     #[test]

@@ -110,18 +110,21 @@ struct Request {
 
 /// Reads one HTTP/1.1 request (start line, headers, `Content-Length`
 /// body). `None` on a malformed or oversized request.
-fn read_request(stream: &mut TcpStream) -> Option<Request> {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+fn read_request(stream: &mut impl Read) -> Option<Request> {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
+    // Bytes already searched for the terminator: each read rescans only
+    // the new bytes plus the three before them, so a header trickled in
+    // one byte at a time costs linear, not quadratic, time.
+    let mut scanned = 0;
     let header_end = loop {
-        if let Some(pos) = find_header_end(&buf) {
-            break pos;
+        if let Some(pos) = find_header_end(&buf[scanned..]) {
+            break scanned + pos;
         }
         if buf.len() > MAX_BODY {
             return None;
         }
+        scanned = buf.len().saturating_sub(3);
         let n = stream.read(&mut chunk).ok()?;
         if n == 0 {
             return None;
@@ -158,6 +161,8 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 }
 
 fn handle_connection(mut stream: TcpStream, service: &ServiceHandle) {
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let response = match read_request(&mut stream) {
         Some(req) => route(&req, service),
         None => error_response(400, "malformed request"),
@@ -183,6 +188,7 @@ fn error_response(status: u16, message: &str) -> String {
         404 => "Not Found",
         405 => "Method Not Allowed",
         409 => "Conflict",
+        500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Error",
     };
@@ -280,5 +286,36 @@ mod tests {
     fn header_end_detection() {
         assert_eq!(find_header_end(b"GET / HTTP/1.1\r\n\r\nbody"), Some(14));
         assert_eq!(find_header_end(b"partial\r\n"), None);
+    }
+
+    /// A reader that hands out at most `chunk` bytes per `read`.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.chunk.min(out.len()).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn request_trickled_one_byte_per_read_splits_the_same() {
+        let raw = b"POST /campaigns HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}";
+        for chunk in [1, 2, 3, 4, 5, raw.len()] {
+            let req = read_request(&mut Trickle { data: raw, chunk }).unwrap();
+            assert_eq!(req.method, "POST", "chunk {chunk}");
+            assert_eq!(req.path, "/campaigns", "chunk {chunk}");
+            assert_eq!(req.body, "{\"a\":1}", "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn internal_error_has_its_reason_phrase() {
+        assert!(error_response(500, "x").starts_with("HTTP/1.1 500 Internal Server Error\r\n"));
     }
 }

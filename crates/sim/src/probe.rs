@@ -135,7 +135,7 @@ fn word_mask(bits: usize) -> u64 {
 }
 
 /// Commit-granular activation/hazard recorder for one good replay. See the
-/// [module docs](self).
+/// module docs of `probe.rs`.
 #[derive(Debug, Clone)]
 pub struct SiteProbe {
     step: usize,

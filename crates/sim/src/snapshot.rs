@@ -26,8 +26,8 @@ use crate::probe::SiteProbe;
 use eraser_ir::SignalId;
 use eraser_logic::{LogicBit, LogicVec};
 
-/// A captured settle-point state of a simulator. See the [module
-/// docs](self) for the capture discipline.
+/// A captured settle-point state of a simulator. See the module docs of
+/// `snapshot.rs` for the capture discipline.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimSnapshot {
     /// Every signal's value, indexed by signal id (includes behavioral
