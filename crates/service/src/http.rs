@@ -8,7 +8,7 @@
 //! | Method & path              | Meaning                                     |
 //! |----------------------------|---------------------------------------------|
 //! | `GET /healthz`             | liveness probe                              |
-//! | `POST /campaigns`          | submit a [`CampaignSpec`]; `202` + id       |
+//! | `POST /campaigns`          | submit a [`CampaignSpec`]; `202` + status   |
 //! | `GET /campaigns`           | list all campaigns                          |
 //! | `GET /campaigns/:id`       | status + scheduler progress                 |
 //! | `GET /campaigns/:id/result`| the full persisted [`CampaignRecord`]       |
@@ -230,14 +230,11 @@ fn route(req: &Request, service: &ServiceHandle) -> String {
         ),
         ("POST", "/campaigns") => match CampaignSpec::from_json(&req.body) {
             Ok(spec) => match service.submit(spec) {
-                Ok(id) => respond(
-                    202,
-                    "Accepted",
-                    &JsonValue::Obj(vec![
-                        ("id".into(), JsonValue::str(id)),
-                        ("status".into(), JsonValue::str("queued")),
-                    ]),
-                ),
+                // A repeat answered from the store is `done` already.
+                Ok(id) => {
+                    let view = service.status(&id).expect("jobs never leave the job table");
+                    respond(202, "Accepted", &status_json(&view))
+                }
                 Err(e @ SubmitError::QueueFull) | Err(e @ SubmitError::ShuttingDown) => {
                     error_response(503, &e.to_string())
                 }
@@ -281,6 +278,7 @@ fn route(req: &Request, service: &ServiceHandle) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CampaignService, MemStore};
 
     #[test]
     fn header_end_detection() {
@@ -312,6 +310,27 @@ mod tests {
             assert_eq!(req.path, "/campaigns", "chunk {chunk}");
             assert_eq!(req.body, "{\"a\":1}", "chunk {chunk}");
         }
+    }
+
+    /// `POST /campaigns` answers the status the service reports: `queued`
+    /// when no worker is free (a repeat answered from the store says
+    /// `done`; `tests/http_e2e.rs`).
+    #[test]
+    fn accepted_body_reports_the_queued_status() {
+        let mut service = CampaignService::new(Box::new(MemStore::new()), 1, 4);
+        service.stop_workers();
+        let handle = service.handle();
+        let post = Request {
+            method: "POST".into(),
+            path: "/campaigns".into(),
+            body: r#"{"design": {"benchmark": "APB"}, "steps": 20}"#.into(),
+        };
+        let response = route(&post, &handle);
+        assert!(
+            response.starts_with("HTTP/1.1 202 Accepted\r\n"),
+            "{response}"
+        );
+        assert!(response.contains(r#""status":"queued""#), "{response}");
     }
 
     #[test]

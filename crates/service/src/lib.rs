@@ -12,13 +12,14 @@
 //! * [`service`] — [`CampaignService`]: a bounded FIFO job queue drained
 //!   by a worker pool, each worker resolving its spec ([`prepare_spec`]),
 //!   running [`run_campaign_with`](eraser_core::run_campaign_with) and
-//!   storing the record — nothing is kept between campaigns.
+//!   storing the record; a repeat of a spec the service ran is answered
+//!   from the store.
 //! * [`http`] — [`HttpServer`]: a dependency-free HTTP/1.1 front end
 //!   over `std::net` exposing `POST /campaigns`, `GET /campaigns/:id`,
 //!   `GET /campaigns/:id/result` and `GET /healthz`.
 //!
-//! The service is queueing and observability only: every campaign it
-//! runs produces coverage and semantic counters bit-identical to a
+//! The service adds no semantics: every campaign it runs or answers from
+//! the store carries coverage and semantic counters bit-identical to a
 //! direct [`run_campaign`](eraser_core::run_campaign) call with the same
 //! resolved config, which the end-to-end HTTP test asserts.
 

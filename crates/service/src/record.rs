@@ -34,11 +34,13 @@ pub struct CampaignRecord {
     pub steps: usize,
     /// Good-run settle steps this campaign executed: the stimulus length
     /// when it took the checkpointed window plan
-    /// ([`is_windowed`](eraser_core::is_windowed)), `0` otherwise.
+    /// ([`is_windowed`](eraser_core::is_windowed)), `0` otherwise — and
+    /// `0` for a repeat answered from the store, which ran nothing.
     pub good_run_steps: u64,
-    /// Always `false` in a record written today — the service keeps nothing
-    /// between campaigns. Journals written when it cached good runs hold
-    /// `true` (with `good_run_steps` 0) for repeats, and still replay.
+    /// `true` when the service answered this submission with a copy of an
+    /// earlier record of the same spec instead of running it (see the
+    /// [`service`](crate::service) module docs). Journals from releases
+    /// that reused good runs carry `true` on repeats too, and still replay.
     pub cache_hit: bool,
     /// Full per-fault detection records.
     pub coverage: CoverageReport,

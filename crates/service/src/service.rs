@@ -6,20 +6,38 @@
 //! [`submit`](ServiceHandle::submit) validates nothing beyond what the
 //! [`CampaignSpec`] parser already did — design resolution happens on a
 //! worker, so a bad design name fails the *job*, not the submission —
-//! and enqueues the spec, returning a service-assigned id (`"c1"`,
-//! `"c2"`, ...). Jobs run FIFO across `workers` threads; the queue is
-//! bounded and a full queue rejects the submission
-//! ([`SubmitError::QueueFull`], HTTP 503 at the server layer).
+//! answers a repeat from the store (below) and otherwise enqueues the
+//! spec, returning a service-assigned id (`"c1"`, `"c2"`, ...). Jobs run
+//! FIFO across `workers` threads; the queue is bounded and a full queue
+//! rejects the submission ([`SubmitError::QueueFull`], HTTP 503 at the
+//! server layer).
 //!
 //! # A worker is a pure function of its spec
 //!
 //! A worker makes the calls the CLI's `run` makes — [`prepare_spec`],
-//! [`CampaignSpec::resolve`], [`run_campaign_with`] — with no lock held,
-//! stores the [`CampaignRecord`] and keeps nothing: a repeat submission
-//! is a campaign like any other, a record does not depend on what the
-//! process ran before, memory is bounded by the campaigns in flight, and
-//! coverage and semantic counters are bit-identical to a direct library
-//! call (`tests/http_e2e.rs` asserts exactly this end to end).
+//! [`CampaignSpec::resolve`], [`run_campaign_with`] — with no lock held
+//! and stores the [`CampaignRecord`]. Coverage and semantic counters are
+//! bit-identical to a direct library call (`tests/http_e2e.rs` asserts
+//! exactly this end to end).
+//!
+//! So a repeat need not run. `submit` looks the spec's canonical JSON
+//! ([`CampaignSpec::to_json`]) up in a memo of the specs this service ran
+//! to `Done`. A hit stores a copy of that record under the new id, with
+//! `cache_hit` true and `good_run_steps` 0, and is `Done` before `submit`
+//! returns: nothing is queued or run, and a full queue does not reject it.
+//! Three rules keep the memo exact and small:
+//!
+//! 1. Only `benchmark` and `fixture` designs are memoized; their text is
+//!    compiled into the binary. A `path` design's file can change between
+//!    two submissions, so it always runs.
+//! 2. The memo starts empty with the service. Records replayed from a
+//!    journal are still served by id but never reused, so a new binary
+//!    never answers with an older binary's result.
+//! 3. The memo holds spec text and ids only — no design, program,
+//!    stimulus or good run — and has no knob and no eviction. A worker adds
+//!    an entry only once its record's `put` succeeded, so entries never
+//!    outnumber the records this service stored and a failed job is never
+//!    a source. Two identical specs in flight at once both run.
 
 use crate::record::CampaignRecord;
 use crate::store::{ResultStore, StoreError};
@@ -100,13 +118,24 @@ struct Job {
     progress: Arc<CampaignProgress>,
 }
 
-/// Queue + job table, under one lock.
+/// Queue + job table + memo, under one lock.
 #[derive(Default)]
 struct State {
     queue: VecDeque<String>,
     jobs: HashMap<String, Job>,
     order: Vec<String>,
     next_id: u64,
+    /// Memo key → id of a `Done` record this service stored.
+    memo: HashMap<String, String>,
+}
+
+/// The spec's memo key (its canonical JSON), or `None` for a design read
+/// from a file, which always runs.
+fn memo_key(spec: &CampaignSpec) -> Option<String> {
+    match spec.design {
+        DesignRef::Benchmark(_) | DesignRef::Fixture(_) => Some(spec.to_json()),
+        DesignRef::Path(_) => None,
+    }
 }
 
 /// The fully resolved inputs of one campaign — what a caller of
@@ -220,35 +249,71 @@ impl Drop for CampaignService {
     }
 }
 
+#[cfg(test)]
+impl CampaignService {
+    /// Joins the workers but keeps accepting submissions: from here on
+    /// nothing drains the queue, so a test sees `Queued` for certain.
+    pub(crate) fn stop_workers(&mut self) {
+        self.shutdown();
+        self.inner.shutdown.store(false, Ordering::SeqCst);
+    }
+}
+
 impl ServiceHandle {
-    /// Enqueues a campaign, returning its id.
+    /// Submits a campaign, returning its id. A repeat of a spec this
+    /// service ran is answered from the store and already `Done`; anything
+    /// else is queued (see the module docs).
     ///
     /// # Errors
     ///
-    /// [`SubmitError::QueueFull`] at capacity,
-    /// [`SubmitError::ShuttingDown`] after shutdown began.
+    /// [`SubmitError::QueueFull`] when a campaign that must run finds the
+    /// queue at capacity, [`SubmitError::ShuttingDown`] after shutdown
+    /// began.
     pub fn submit(&self, spec: CampaignSpec) -> Result<String, SubmitError> {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
         }
+        let key = memo_key(&spec);
+        // Lock order: state, then store.
         let mut state = self.inner.state.lock().unwrap();
-        if state.queue.len() >= self.inner.queue_cap {
+        let hit = key
+            .and_then(|key| state.memo.get(&key))
+            .and_then(|source| self.inner.store.lock().unwrap().get(source).ok().flatten());
+        if hit.is_none() && state.queue.len() >= self.inner.queue_cap {
             return Err(SubmitError::QueueFull);
         }
         state.next_id += 1;
         let id = format!("c{}", state.next_id);
+        let status = match hit {
+            None => JobStatus::Queued,
+            Some(source) => {
+                let copy = CampaignRecord {
+                    id: id.clone(),
+                    good_run_steps: 0,
+                    cache_hit: true,
+                    ..source
+                };
+                match self.inner.store.lock().unwrap().put(&copy) {
+                    Ok(()) => JobStatus::Done,
+                    Err(e) => JobStatus::Failed(e.to_string()),
+                }
+            }
+        };
+        let queued = status == JobStatus::Queued;
         state.jobs.insert(
             id.clone(),
             Job {
                 spec,
-                status: JobStatus::Queued,
+                status,
                 progress: Arc::new(CampaignProgress::new()),
             },
         );
         state.order.push(id.clone());
-        state.queue.push_back(id.clone());
-        drop(state);
-        self.inner.work.notify_one();
+        if queued {
+            state.queue.push_back(id.clone());
+            drop(state);
+            self.inner.work.notify_one();
+        }
         Ok(id)
     }
 
@@ -349,7 +414,11 @@ fn worker_loop(inner: &Inner) {
             }
             Err(message) => JobStatus::Failed(message),
         };
+        let key = memo_key(&spec).filter(|_| status == JobStatus::Done);
         let mut state = inner.state.lock().unwrap();
+        if let Some(key) = key {
+            state.memo.insert(key, id.clone());
+        }
         if let Some(job) = state.jobs.get_mut(&id) {
             job.status = status;
         }
@@ -436,6 +505,7 @@ mod tests {
     use super::*;
     use crate::record::stat_counters;
     use crate::store::MemStore;
+    use eraser_core::RedundancyMode;
     use eraser_ir::EvalBackend;
     use std::time::Duration;
 
@@ -458,13 +528,19 @@ mod tests {
             .backend(EvalBackend::Tree)
     }
 
+    /// Records `a` and `b` agree in coverage, every counter, fault count
+    /// and stimulus length.
+    fn assert_same_result(a: &CampaignRecord, b: &CampaignRecord) {
+        assert_eq!(a.coverage, b.coverage);
+        assert_eq!(stat_counters(&a.stats), stat_counters(&b.stats));
+        assert_eq!((a.num_faults, a.steps), (b.num_faults, b.steps));
+    }
+
     /// The records of campaigns `a` and `b` agree on everything but id and
     /// wall times, and both say their campaign ran its own good run.
     fn assert_same_campaign(handle: &ServiceHandle, a: &str, b: &str) {
         let [a, b] = [a, b].map(|id| handle.result(id).unwrap().unwrap());
-        assert_eq!(a.coverage, b.coverage);
-        assert_eq!(stat_counters(&a.stats), stat_counters(&b.stats));
-        assert_eq!((a.num_faults, a.steps), (b.num_faults, b.steps));
+        assert_same_result(&a, &b);
         for r in [a, b] {
             assert!(r.steps > 0 && r.good_run_steps == r.steps as u64);
             assert!(!r.cache_hit);
@@ -523,17 +599,131 @@ mod tests {
         assert!(bounced, "queue bound never enforced");
     }
 
-    /// The service remembers nothing between campaigns: the second of two
-    /// identical submissions runs its own good run and reports it.
+    /// The second of two identical submissions is `Done` when `submit`
+    /// returns: the first record's result under a new id, marked as a hit
+    /// that ran no good run. The first record is unchanged, and the memo
+    /// names it alone.
     #[test]
-    fn a_repeat_is_a_campaign_like_any_other() {
+    fn a_repeat_is_answered_from_the_store() {
         let service = CampaignService::new(Box::new(MemStore::new()), 1, 8);
         let handle = service.handle();
         let a = handle.submit(checkpointed_apb()).unwrap();
         assert_eq!(wait_done(&handle, &a), JobStatus::Done);
+        let first = handle.result(&a).unwrap().unwrap();
         let b = handle.submit(checkpointed_apb()).unwrap();
-        assert_eq!(wait_done(&handle, &b), JobStatus::Done);
-        assert_same_campaign(&handle, &a, &b);
+        assert_eq!(handle.status(&b).unwrap().status, JobStatus::Done);
+        let repeat = handle.result(&b).unwrap().unwrap();
+        assert_same_result(&first, &repeat);
+        assert_eq!(
+            (repeat.id.as_str(), &repeat.spec),
+            (b.as_str(), &first.spec)
+        );
+        assert!(repeat.cache_hit && repeat.good_run_steps == 0);
+        assert!(!first.cache_hit && first.good_run_steps == first.steps as u64);
+        assert_eq!(handle.result(&a).unwrap().unwrap(), first);
+        let memo = service.inner.state.lock().unwrap().memo.clone();
+        assert_eq!(memo, HashMap::from([(checkpointed_apb().to_json(), a)]));
+    }
+
+    /// A hit queues nothing and needs no worker, so a full queue that no
+    /// worker drains does not reject it.
+    #[test]
+    fn a_hit_is_served_with_the_queue_full_and_no_worker_free() {
+        let mut service = CampaignService::new(Box::new(MemStore::new()), 1, 1);
+        let handle = service.handle();
+        let done = handle.submit(checkpointed_apb()).unwrap();
+        assert_eq!(wait_done(&handle, &done), JobStatus::Done);
+        service.stop_workers();
+        let miss = checkpointed_apb().seed(2);
+        assert_eq!(
+            handle
+                .status(&handle.submit(miss.clone()).unwrap())
+                .unwrap()
+                .status,
+            JobStatus::Queued
+        );
+        assert_eq!(handle.submit(miss), Err(SubmitError::QueueFull));
+        let hit = handle
+            .submit(checkpointed_apb())
+            .expect("a hit is never rejected");
+        assert_eq!(handle.status(&hit).unwrap().status, JobStatus::Done);
+        assert!(handle.result(&hit).unwrap().unwrap().cache_hit);
+    }
+
+    /// The memo key is the whole spec: a spec one field away from a stored
+    /// one runs.
+    #[test]
+    fn a_spec_differing_in_any_one_field_runs() {
+        let service = CampaignService::new(Box::new(MemStore::new()), 2, 16);
+        let handle = service.handle();
+        let base = handle.submit(checkpointed_apb()).unwrap();
+        assert_eq!(wait_done(&handle, &base), JobStatus::Done);
+        let variants = [
+            checkpointed_apb().seed(2),
+            checkpointed_apb().steps(41),
+            checkpointed_apb().threads(2),
+            checkpointed_apb().checkpoint_interval(4),
+            checkpointed_apb().max_faults(50),
+            checkpointed_apb().backend(EvalBackend::Tape),
+            checkpointed_apb().batch(true),
+            checkpointed_apb().collapse(true),
+            checkpointed_apb().mode(RedundancyMode::Explicit),
+        ];
+        let ids: Vec<String> = variants
+            .into_iter()
+            .map(|spec| handle.submit(spec).unwrap())
+            .collect();
+        for id in &ids {
+            assert_eq!(wait_done(&handle, id), JobStatus::Done);
+            let record = handle.result(id).unwrap().unwrap();
+            assert!(!record.cache_hit, "{}", record.spec.to_json());
+            assert_eq!(record.good_run_steps, record.steps as u64);
+        }
+    }
+
+    /// A file can change between two submissions, so a `path` design
+    /// always runs: a repeat runs, and a run after a rewrite sees the new
+    /// file.
+    #[test]
+    fn a_path_design_repeat_runs() {
+        let file = std::env::temp_dir().join(format!("eraser-memo-{}.v", std::process::id()));
+        let spec = CampaignSpec::path(file.to_string_lossy())
+            .steps(30)
+            .threads(1);
+        let service = CampaignService::new(Box::new(MemStore::new()), 1, 8);
+        let handle = service.handle();
+        let run = |width: u32| {
+            let design = format!(
+                "module acc(input wire clk, input wire rst, input wire [{m}:0] a, \
+                 output reg [{m}:0] q);\n always @(posedge clk) begin if (rst) q <= {width}'d0; \
+                 else q <= q + a; end\nendmodule\n",
+                m = width - 1
+            );
+            std::fs::write(&file, design).unwrap();
+            let id = handle.submit(spec.clone()).unwrap();
+            assert_eq!(wait_done(&handle, &id), JobStatus::Done);
+            handle.result(&id).unwrap().unwrap()
+        };
+        let (first, repeat, rewritten) = (run(4), run(4), run(8));
+        let _ = std::fs::remove_file(&file);
+        assert_same_result(&first, &repeat);
+        assert!(rewritten.num_faults > first.num_faults);
+        assert!(!first.cache_hit && !repeat.cache_hit && !rewritten.cache_hit);
+    }
+
+    /// A failed job stores no record, so it is never a memo source: the
+    /// same bad spec fails again.
+    #[test]
+    fn a_failed_job_is_never_a_memo_source() {
+        let service = CampaignService::new(Box::new(MemStore::new()), 1, 4);
+        let handle = service.handle();
+        for _ in 0..2 {
+            let id = handle
+                .submit(CampaignSpec::benchmark("NoSuchBench"))
+                .unwrap();
+            assert!(matches!(wait_done(&handle, &id), JobStatus::Failed(_)));
+        }
+        assert!(service.inner.state.lock().unwrap().memo.is_empty());
     }
 
     /// Two identical checkpointed specs in flight on two workers at once

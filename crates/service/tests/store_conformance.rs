@@ -12,7 +12,8 @@
 //! is skipped rather than mistaken for such a tail. A frame written by a
 //! release that still had the good-run cache replays unchanged. And a
 //! service restarted onto a journal continues its ids after the replayed
-//! ones, so no stored record is ever overwritten by a new campaign.
+//! ones, so no stored record is ever overwritten by a new campaign, and
+//! never answers a repeat with a replayed record.
 
 use eraser_core::{CampaignSpec, RedundancyStats};
 use eraser_fault::{CoverageReport, Detection, FaultId};
@@ -322,5 +323,36 @@ fn restarted_service_continues_ids_after_the_journal() {
     // And the journal itself holds both, in order.
     let store = JournalStore::open(&path).unwrap();
     assert_eq!(store.ids(), vec![first.id.clone(), second.id.clone()]);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A restarted service starts with an empty memo: a repeat of a spec the
+/// journal already holds runs, while the replayed record is still served
+/// by id. A repeat of what this service ran is then answered from the
+/// store.
+#[test]
+fn a_restart_reuses_no_replayed_record() {
+    let path = scratch("restart-memo");
+    let spec = CampaignSpec::benchmark("ALU").steps(20);
+    let before = {
+        let mut service = CampaignService::new(Box::new(JournalStore::open(&path).unwrap()), 1, 8);
+        let record = run_to_done(&service, &spec);
+        service.shutdown();
+        record
+    };
+    let mut service = CampaignService::new(Box::new(JournalStore::open(&path).unwrap()), 1, 8);
+    let rerun = run_to_done(&service, &spec);
+    let hit = run_to_done(&service, &spec);
+    assert!(
+        !before.cache_hit && !rerun.cache_hit,
+        "a replayed record was reused"
+    );
+    assert!(hit.cache_hit);
+    assert_eq!(rerun.coverage, before.coverage);
+    assert_eq!(
+        service.handle().result(&before.id).unwrap().unwrap(),
+        before
+    );
+    service.shutdown();
     let _ = std::fs::remove_file(&path);
 }
