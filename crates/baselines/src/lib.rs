@@ -7,8 +7,10 @@
 //! * [`IFsim`] — per-fault serial *event-driven* re-simulation with the
 //!   fault imposed through a `force`, the Icarus-Verilog-with-`force`
 //!   baseline (the 1× reference of Fig. 6).
-//! * [`VFsim`] — per-fault serial *levelized full evaluation*: every
-//!   combinational node is evaluated every settle step in a precomputed
+//! * [`VFsim`] — per-fault serial *levelized full evaluation*: the same
+//!   simulator under its levelized settle rule
+//!   ([`Simulator::levelized`](eraser_sim::Simulator::levelized)), which
+//!   evaluates every combinational node every delta in a precomputed
 //!   topological order, with no event scheduling — the performance
 //!   character of Verilator-based fault simulation (cheap, constant work
 //!   per cycle; total cost ∝ faults × whole design).
@@ -56,23 +58,14 @@
 //! semantics, so their coverage must agree bit-for-bit — the Table II
 //! parity criterion.
 
-mod compiled;
 mod serial;
 
-pub use compiled::CompiledSim;
 pub use eraser_core::{EngineResult, Eraser, FaultSimEngine};
 
-use eraser_core::{CampaignConfig, TapeProgram};
+use eraser_core::CampaignConfig;
 use eraser_fault::FaultList;
 use eraser_ir::Design;
-use eraser_sim::{Evaluator, ReplaySim, Simulator, Stimulus};
-
-/// The per-campaign tape compilation a serial baseline shares across its
-/// per-fault simulator instances: lowering happens once, not once per
-/// fault.
-fn campaign_tapes(design: &Design, config: &CampaignConfig) -> Option<TapeProgram> {
-    TapeProgram::for_backend(design, config.backend)
-}
+use eraser_sim::{Simulator, Stimulus};
 
 /// IFsim: one event-driven re-simulation per fault, with the stuck-at
 /// imposed as a force; outputs are compared against a recorded good trace
@@ -107,26 +100,16 @@ impl FaultSimEngine for IFsim {
         stimulus: &Stimulus,
         config: &CampaignConfig,
     ) -> EngineResult {
-        let tapes = campaign_tapes(design, config);
-        serial::serial_campaign(
-            "IFsim",
-            design,
-            faults,
-            stimulus,
-            config,
-            || Simulator::with_evaluator(Evaluator::shared(design, tapes.as_ref())),
-            // Settle the force at injection so all engines agree on when a
-            // forced power-on edge (X -> stuck value) fires relative to
-            // the next stimulus step (ReplaySim::force_bit steps the sim).
-            |sim, f| sim.force_bit(f.signal, f.bit, f.stuck.bit()),
-        )
+        serial::serial_campaign(&self.name(), design, faults, stimulus, config, |eval| {
+            Simulator::with_evaluator(eval)
+        })
     }
 }
 
-/// VFsim: one levelized full-evaluation simulation per fault (no event
-/// scheduling), same observation, dropping and checkpointing rules as
-/// [`IFsim`]. Honors [`CampaignConfig::backend`] with one shared tape
-/// compilation.
+/// VFsim: one levelized full-evaluation simulation per fault
+/// ([`Simulator::levelized`]: no event scheduling), otherwise exactly
+/// [`IFsim`] — same observation, dropping, checkpointing, threading and
+/// collapsing rules.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VFsim;
 
@@ -142,16 +125,9 @@ impl FaultSimEngine for VFsim {
         stimulus: &Stimulus,
         config: &CampaignConfig,
     ) -> EngineResult {
-        let tapes = campaign_tapes(design, config);
-        serial::serial_campaign(
-            "VFsim",
-            design,
-            faults,
-            stimulus,
-            config,
-            || CompiledSim::with_evaluator(Evaluator::shared(design, tapes.as_ref())),
-            |sim, f| sim.force_bit(f.signal, f.bit, f.stuck.bit()),
-        )
+        serial::serial_campaign(&self.name(), design, faults, stimulus, config, |eval| {
+            Simulator::levelized(eval)
+        })
     }
 }
 

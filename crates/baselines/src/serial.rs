@@ -1,9 +1,9 @@
 //! The per-fault serial campaign: the closure the IFsim and VFsim
 //! baselines hand the shared schedule.
 //!
-//! Generic over [`ReplaySim`], so one implementation serves both the
-//! event-driven IFsim substrate ([`Simulator`](eraser_sim::Simulator)) and
-//! the levelized VFsim substrate ([`CompiledSim`](crate::CompiledSim)).
+//! The two baselines are one [`Simulator`] under its two settle rules, so
+//! they differ only in the constructor they pass here
+//! ([`Simulator::with_evaluator`] or [`Simulator::levelized`]).
 //! Planning, the worker queue, merging and the skip accounting are
 //! `eraser-core`'s (see its `schedule` module docs); what is serial here
 //! is the work inside a group. The good replay records every primary
@@ -21,48 +21,43 @@
 
 use eraser_core::{
     drain_plan, is_windowed, plan_campaign, record_good_run_on, run_collapsed, CampaignConfig,
-    EngineResult, RedundancyStats,
+    EngineResult, RedundancyStats, TapeProgram,
 };
-use eraser_fault::{detectable_mismatch, CoverageReport, Detection, Fault, FaultList};
-use eraser_ir::Design;
+use eraser_fault::{detectable_mismatch, CoverageReport, Detection, FaultList};
+use eraser_ir::{Design, SignalId};
 use eraser_logic::LogicVec;
-use eraser_sim::{ReplaySim, Stimulus};
+use eraser_sim::{Evaluator, Simulator, Stimulus};
 use std::time::Instant;
 
 /// Runs a serial (one-simulation-per-fault) campaign under `config`'s
-/// collapse, checkpoint and thread settings. `make_sim` builds a
-/// fault-free simulator; `inject` applies one stuck-at force and settles.
-/// Both closures are shared across workers, hence `Fn + Sync`.
+/// backend, collapse, checkpoint and thread settings. `settle_rule` builds
+/// a fault-free simulator over an evaluator; on the tape backend every
+/// simulator shares one campaign-wide compilation.
 ///
 /// The result carries [`RedundancyStats`] (skipped-prefix / skipped-fault /
 /// dropped-fault counters) when checkpointing is enabled.
-pub fn serial_campaign<Sim: ReplaySim>(
+pub fn serial_campaign(
     name: &str,
     design: &Design,
     faults: &FaultList,
     stimulus: &Stimulus,
     config: &CampaignConfig,
-    make_sim: impl Fn() -> Sim + Sync,
-    inject: impl Fn(&mut Sim, &Fault) + Sync,
+    settle_rule: for<'d> fn(Evaluator<'d>) -> Simulator<'d>,
 ) -> EngineResult {
     let t0 = Instant::now();
+    let tapes = TapeProgram::for_backend(design, config.backend);
+    let make_sim = || settle_rule(Evaluator::shared(design, tapes.as_ref()));
     let outputs = design.outputs();
     let steps = &stimulus.steps;
     // Only representatives are re-simulated per fault when collapsing.
     let out = run_collapsed(design, faults, &config.collapse, |faults| {
         let mut good_trace: Vec<Vec<LogicVec>> = Vec::with_capacity(steps.len());
-        let mut record_outputs = |sim: &Sim| {
-            good_trace.push(
-                outputs
-                    .iter()
-                    .map(|&o| sim.signal_value(o).clone())
-                    .collect(),
-            )
+        let mut record_outputs = |sim: &Simulator| {
+            good_trace.push(outputs.iter().map(|&o| sim.value(o).clone()).collect())
         };
         let good = if is_windowed(&config.checkpoint, faults, stimulus) {
             Some(record_good_run_on(
                 make_sim(),
-                design,
                 faults,
                 stimulus,
                 config.checkpoint,
@@ -98,7 +93,7 @@ pub fn serial_campaign<Sim: ReplaySim>(
                         0
                     }
                 };
-                inject(&mut sim, fault);
+                sim.force_bit(fault.signal, fault.bit, fault.stuck.bit());
                 if let Some(det) = replay_fault(&mut sim, steps, start, outputs, &good_trace) {
                     coverage.record(fault.id, det);
                     stats.dropped_faults += 1;
@@ -119,17 +114,17 @@ pub fn serial_campaign<Sim: ReplaySim>(
 /// Replays steps `start..` on a forced simulator, comparing outputs
 /// against the good trace after each settle step and stopping at the
 /// first detection (the fault is dropped there).
-fn replay_fault<Sim: ReplaySim>(
-    sim: &mut Sim,
-    steps: &[Vec<(eraser_ir::SignalId, LogicVec)>],
+fn replay_fault(
+    sim: &mut Simulator,
+    steps: &[Vec<(SignalId, LogicVec)>],
     start: usize,
-    outputs: &[eraser_ir::SignalId],
+    outputs: &[SignalId],
     good_trace: &[Vec<LogicVec>],
 ) -> Option<Detection> {
     for (si, step) in steps.iter().enumerate().skip(start) {
         sim.replay_step(step);
         for (oi, &o) in outputs.iter().enumerate() {
-            if detectable_mismatch(&good_trace[si][oi], sim.signal_value(o)) {
+            if detectable_mismatch(&good_trace[si][oi], sim.value(o)) {
                 return Some(Detection {
                     step: si,
                     output: o,

@@ -74,7 +74,7 @@ use eraser_fault::{
     ActivationWindows, CoverageReport, FaultId, FaultList, WindowPlan, WindowShard,
 };
 use eraser_ir::{Design, TapeProgram};
-use eraser_sim::{Evaluator, ReplaySim, SimSnapshot, Simulator, SiteProbe, Stimulus};
+use eraser_sim::{Evaluator, SimSnapshot, Simulator, SiteProbe, Stimulus};
 use std::time::{Duration, Instant};
 
 /// Everything the window plan needs from the instrumented good run: the
@@ -143,22 +143,22 @@ pub fn record_good_run(
     tapes: Option<&TapeProgram>,
 ) -> GoodRunArtifacts {
     let sim = Simulator::with_evaluator(Evaluator::shared(design, tapes));
-    record_good_run_on(sim, design, faults, stimulus, config.checkpoint, |_| {})
+    record_good_run_on(sim, faults, stimulus, config.checkpoint, |_| {})
 }
 
-/// [`record_good_run`] on any replay substrate — `sim` must be freshly
-/// built and fault-free. `after_step` sees the simulator after every
-/// settle step, so a driver that also needs the good output trace takes
-/// it from this one pass.
-pub fn record_good_run_on<S: ReplaySim>(
-    mut sim: S,
-    design: &Design,
+/// [`record_good_run`] on a given simulator, under either settle rule —
+/// `sim` must be freshly built and fault-free. `after_step` sees the
+/// simulator after every settle step, so a driver that also needs the good
+/// output trace takes it from this one pass.
+pub fn record_good_run_on<'d>(
+    mut sim: Simulator<'d>,
     faults: &FaultList,
     stimulus: &Stimulus,
     checkpoint: CheckpointConfig,
-    mut after_step: impl FnMut(&S),
+    mut after_step: impl FnMut(&Simulator<'d>),
 ) -> GoodRunArtifacts {
     let t0 = Instant::now();
+    let design = sim.design();
     // Probe + boundary snapshots, captured *before* applying each boundary
     // step (step 0 = the construction-settled state, always eligible).
     sim.attach_probe(SiteProbe::new(design, faults.iter().map(|f| f.signal)));

@@ -2,9 +2,9 @@
 //!
 //! Runs the APB benchmark under a counting global allocator and asserts
 //! that, after a warm-up phase that sizes every pooled buffer, the
-//! simulation hot path — good-simulator stepping, the serial ERASER engine
-//! (both driven step by step and through the full [`EraserEngine::run`]
-//! campaign loop), the same engine over an **empty** fault list (every
+//! simulation hot path — good-simulator stepping under both settle rules,
+//! the serial ERASER engine (both driven step by step and through the full
+//! [`EraserEngine::run`] campaign loop), the same engine over an **empty** fault list (every
 //! signal clean, so every commit, node, activation and NBA block takes its
 //! good-only lane), and the per-worker engines of a 2-way fault-parallel
 //! campaign (what each worker of a two-thread campaign executes) — performs
@@ -20,7 +20,7 @@ use eraser_core::{EraserEngine, EvalBackend};
 use eraser_designs::Benchmark;
 use eraser_fault::{generate_faults, FaultList, FaultListConfig};
 use eraser_logic::counting_alloc::CountingAlloc;
-use eraser_sim::Simulator;
+use eraser_sim::{Evaluator, Simulator};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -57,28 +57,27 @@ fn good_simulator_steady_state_is_allocation_free() {
     let design = Benchmark::Apb.build();
     let stim = Benchmark::Apb.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
     for backend in BACKENDS {
-        let mut sim = Simulator::with_backend(&design, backend);
-
-        let apply = |sim: &mut Simulator, range: std::ops::Range<usize>| {
-            for step in &stim.steps[range] {
-                for (sig, val) in step {
-                    sim.set_input(*sig, val);
+        let event_driven = Simulator::with_backend(&design, backend);
+        let levelized = Simulator::levelized(Evaluator::for_backend(&design, backend));
+        for (rule, mut sim) in [("event-driven", event_driven), ("levelized", levelized)] {
+            let apply = |sim: &mut Simulator, range: std::ops::Range<usize>| {
+                for step in &stim.steps[range] {
+                    sim.replay_step(step);
                 }
-                sim.step();
-            }
-        };
-        apply(&mut sim, 0..WARMUP_CYCLES);
+            };
+            apply(&mut sim, 0..WARMUP_CYCLES);
 
-        let before = CountingAlloc::allocations();
-        apply(&mut sim, WARMUP_CYCLES..WARMUP_CYCLES + MEASURED_CYCLES);
-        let after = CountingAlloc::allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "good simulator ({backend} backend) allocated {} times in \
-             {MEASURED_CYCLES} steady-state cycles",
-            after - before
-        );
+            let before = CountingAlloc::allocations();
+            apply(&mut sim, WARMUP_CYCLES..WARMUP_CYCLES + MEASURED_CYCLES);
+            let after = CountingAlloc::allocations();
+            assert_eq!(
+                after - before,
+                0,
+                "good simulator ({backend} backend, {rule}) allocated {} times in \
+                 {MEASURED_CYCLES} steady-state cycles",
+                after - before
+            );
+        }
     }
 }
 

@@ -28,7 +28,7 @@ use eraser_fault::{generate_faults, FaultList, FaultListConfig, StuckAt};
 use eraser_frontend::compile;
 use eraser_ir::{Design, SignalId};
 use eraser_logic::LogicVec;
-use eraser_sim::{Simulator, Stimulus, StimulusBuilder};
+use eraser_sim::{Evaluator, Simulator, Stimulus, StimulusBuilder};
 
 fn value_parity(design: &Design, stim: &Stimulus, mode: RedundancyMode) {
     let faults = generate_faults(
@@ -231,7 +231,9 @@ fn values_match_serial_second_seed() {
 /// Over an empty fault list every signal is clean from power-on, so every
 /// commit, RTL node, activation and NBA block takes its good-only lane: the
 /// engine must hold the good simulator's value on every signal after every
-/// step, in the same number of deltas, without one fault evaluation.
+/// step, in the same number of deltas, without one fault evaluation. The
+/// levelized simulator (VFsim's settle rule) steps along and must hold the
+/// same values too; its deltas legitimately differ.
 #[test]
 fn engine_with_no_faults_is_the_good_simulator() {
     let mut sources: Vec<DesignSource> = Benchmark::all()
@@ -246,6 +248,7 @@ fn engine_with_no_faults_is_the_good_simulator() {
         let stim = src.stimulus_with_cycles(250);
         for backend in [EvalBackend::Tree, EvalBackend::Tape] {
             let mut sim = Simulator::with_backend(design, backend);
+            let mut levelized = Simulator::levelized(Evaluator::for_backend(design, backend));
             let mut engine = EraserEngine::session(design, &no_faults)
                 .backend(backend)
                 .start();
@@ -255,17 +258,17 @@ fn engine_with_no_faults_is_the_good_simulator() {
                     engine.set_input(*sig, v);
                 }
                 sim.step();
+                levelized.replay_step(step);
                 engine.step();
                 engine.observe();
                 for i in 0..design.num_signals() {
                     let sig = SignalId::from_index(i);
-                    assert_eq!(
-                        engine.good_value(sig),
-                        sim.value(sig),
-                        "{} ({backend}), step {si}, signal {}",
-                        src.name(),
-                        design.signal(sig).name,
-                    );
+                    let at = || {
+                        let name = &design.signal(sig).name;
+                        format!("{} ({backend}), step {si}, signal {name}", src.name())
+                    };
+                    assert_eq!(engine.good_value(sig), sim.value(sig), "{}", at());
+                    assert_eq!(levelized.value(sig), sim.value(sig), "levelized, {}", at());
                 }
             }
             let stats = engine.stats();

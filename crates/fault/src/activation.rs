@@ -175,20 +175,6 @@ impl ActivationWindows {
         &self.order
     }
 
-    /// Copies the cached window ordering into `buf` (cleared first) —
-    /// for callers that need an owned, mutable schedule without paying a
-    /// fresh sort or allocation beyond the buffer's capacity.
-    pub fn order_by_window_into(&self, buf: &mut Vec<FaultId>) {
-        buf.clear();
-        buf.extend_from_slice(&self.order);
-    }
-
-    /// Allocating convenience form of
-    /// [`ordered_by_window`](Self::ordered_by_window).
-    pub fn order_by_window(&self) -> Vec<FaultId> {
-        self.order.clone()
-    }
-
     /// The stimulus length the windows were derived over.
     pub fn num_steps(&self) -> usize {
         self.num_steps
@@ -359,7 +345,7 @@ mod tests {
     use crate::{generate_faults, FaultListConfig};
     use eraser_frontend::compile;
     use eraser_logic::LogicVec;
-    use eraser_sim::{ReplaySim, Simulator, StimulusBuilder};
+    use eraser_sim::{Simulator, StimulusBuilder};
 
     /// Replays a clocked stimulus on the good simulator with a probe and
     /// derives windows.
@@ -426,16 +412,11 @@ mod tests {
         let w_sa1 = window_of(0, StuckAt::One);
         assert!(w_sa1 <= w0);
         // Ordering groups by window.
-        let order = win.order_by_window();
+        let order = win.ordered_by_window();
         assert_eq!(order.len(), faults.len());
         assert!(order
             .windows(2)
             .all(|p| win.window(p[0]) <= win.window(p[1])));
-        // The cached borrow and the into-buffer variant agree with it.
-        assert_eq!(win.ordered_by_window(), &order[..]);
-        let mut buf = vec![FaultId(999)];
-        win.order_by_window_into(&mut buf);
-        assert_eq!(buf, order);
     }
 
     #[test]

@@ -180,7 +180,7 @@ mod tests {
     use crate::{generate_faults, FaultListConfig};
     use eraser_frontend::compile;
     use eraser_logic::LogicVec;
-    use eraser_sim::{ReplaySim, Simulator, SiteProbe, StimulusBuilder};
+    use eraser_sim::{Simulator, SiteProbe, StimulusBuilder};
 
     /// A free-running counter whose higher bits activate later: plenty of
     /// distinct windows.

@@ -1,5 +1,5 @@
 //! Static analyses: expression widths, RTL node result widths, the signal
-//! influence graph and structural observability, design statistics.
+//! influence graph, structural observability and the bit read census.
 
 use crate::design::Design;
 use crate::expr::{BinaryOp, Expr, UnaryOp};
@@ -157,9 +157,9 @@ pub fn observable_signals(design: &Design) -> Vec<bool> {
 /// The analysis is a conservative one-step read census, precise where
 /// bit extents are static and whole-signal otherwise:
 ///
-/// * behavioral `Slice` reads cover exactly `lo..=hi`; `Index` and
-///   `IndexedPart` with constant positions cover exactly the selected
-///   bits, dynamic positions cover the whole base signal;
+/// * behavioral `Slice` reads cover exactly `lo..=hi` (the elaborator
+///   lowers constant bit and indexed-part selects to slices); the dynamic
+///   `Index` and `IndexedPart` cover the whole base signal;
 /// * every other expression reference covers its signal whole (arithmetic
 ///   X-semantics can let any input bit poison the result);
 /// * a narrowing RTL `Buf` covers only the bits it carries through —
@@ -209,85 +209,19 @@ pub fn read_bit_coverage(design: &Design) -> Vec<Vec<bool>> {
     cover
 }
 
-fn mark_expr_bit_reads(expr: &Expr, cover: &mut Vec<Vec<bool>>) {
-    match expr {
-        Expr::Const(_) => {}
-        Expr::Signal(s) => {
-            for b in cover[s.index()].iter_mut() {
-                *b = true;
-            }
+/// Marks the bits `expr` reads: a constant part select its range, any
+/// other reference (dynamic selects included) the whole signal.
+fn mark_expr_bit_reads(expr: &Expr, cover: &mut [Vec<bool>]) {
+    expr.for_each_read(&mut |s, (lo, hi)| {
+        let bits = &mut cover[s.index()];
+        let end = (hi as usize).saturating_add(1).min(bits.len());
+        for b in &mut bits[(lo as usize).min(end)..end] {
+            *b = true;
         }
-        Expr::Unary(_, e) | Expr::Replicate(_, e) => mark_expr_bit_reads(e, cover),
-        Expr::Binary(_, l, r) => {
-            mark_expr_bit_reads(l, cover);
-            mark_expr_bit_reads(r, cover);
-        }
-        Expr::Ternary {
-            cond,
-            then_e,
-            else_e,
-        } => {
-            mark_expr_bit_reads(cond, cover);
-            mark_expr_bit_reads(then_e, cover);
-            mark_expr_bit_reads(else_e, cover);
-        }
-        Expr::Concat(parts) => {
-            for p in parts {
-                mark_expr_bit_reads(p, cover);
-            }
-        }
-        Expr::Slice { base, hi, lo } => {
-            let w = cover[base.index()].len();
-            let (lo, hi) = (*lo as usize, (*hi as usize + 1).min(w));
-            for b in cover[base.index()][lo.min(hi)..hi].iter_mut() {
-                *b = true;
-            }
-        }
-        Expr::Index { base, index } => {
-            match index.as_ref() {
-                Expr::Const(v) => {
-                    if let Some(i) = v.to_u64() {
-                        if let Some(b) = cover[base.index()].get_mut(i as usize) {
-                            *b = true;
-                        }
-                    } else {
-                        // X/Z index: reads as X, touches no defined bit,
-                        // but stay conservative about the whole base.
-                        for b in cover[base.index()].iter_mut() {
-                            *b = true;
-                        }
-                    }
-                }
-                _ => {
-                    for b in cover[base.index()].iter_mut() {
-                        *b = true;
-                    }
-                }
-            }
-            mark_expr_bit_reads(index, cover);
-        }
-        Expr::IndexedPart { base, start, width } => {
-            match start.as_ref() {
-                Expr::Const(v) if v.to_u64().is_some() => {
-                    let s = v.to_u64().unwrap() as usize;
-                    let w = cover[base.index()].len();
-                    let end = (s + *width as usize).min(w);
-                    for b in cover[base.index()][s.min(end)..end].iter_mut() {
-                        *b = true;
-                    }
-                }
-                _ => {
-                    for b in cover[base.index()].iter_mut() {
-                        *b = true;
-                    }
-                }
-            }
-            mark_expr_bit_reads(start, cover);
-        }
-    }
+    });
 }
 
-fn mark_stmt_bit_reads(stmt: &crate::Stmt, cover: &mut Vec<Vec<bool>>) {
+fn mark_stmt_bit_reads(stmt: &crate::Stmt, cover: &mut [Vec<bool>]) {
     use crate::{LValue, Stmt};
     match stmt {
         Stmt::Block(stmts) => {
@@ -348,59 +282,6 @@ fn mark_stmt_bit_reads(stmt: &crate::Stmt, cover: &mut Vec<Vec<bool>>) {
             mark_stmt_bit_reads(body, cover);
         }
         Stmt::Nop => {}
-    }
-}
-
-/// Aggregate size statistics of a design — the "#Cells"-style numbers of the
-/// paper's Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DesignStats {
-    /// Total signals (nets + variables), including synthetic temporaries.
-    pub signals: usize,
-    /// Named (non-synthetic) signals — the fault-injection surface.
-    pub named_signals: usize,
-    /// Primitive RTL nodes.
-    pub rtl_nodes: usize,
-    /// Behavioral nodes (`always` blocks).
-    pub behavioral_nodes: usize,
-    /// Edge-triggered behavioral nodes.
-    pub sequential_nodes: usize,
-    /// Total VDG nodes (path decisions + dependency segments) across all
-    /// behavioral bodies — the behavioral complexity measure.
-    pub vdg_nodes: usize,
-    /// Total named signal bits (the per-bit stuck-at fault surface is twice
-    /// this).
-    pub named_bits: u64,
-}
-
-impl DesignStats {
-    /// The cell-count proxy reported in benchmark tables: RTL nodes plus
-    /// the VDG nodes of every behavioral body (each decision/assignment is
-    /// roughly a synthesized cell cluster).
-    pub fn cells(&self) -> usize {
-        self.rtl_nodes + self.vdg_nodes
-    }
-}
-
-/// Computes [`DesignStats`] for a design.
-pub fn design_stats(design: &Design) -> DesignStats {
-    let named: Vec<_> = design.signals().iter().filter(|s| !s.synthetic).collect();
-    DesignStats {
-        signals: design.num_signals(),
-        named_signals: named.len(),
-        rtl_nodes: design.rtl_nodes().len(),
-        behavioral_nodes: design.behavioral_nodes().len(),
-        sequential_nodes: design
-            .behavioral_nodes()
-            .iter()
-            .filter(|b| b.sensitivity.is_edge())
-            .count(),
-        vdg_nodes: design
-            .behavioral_nodes()
-            .iter()
-            .map(|b| b.vdg.node_count())
-            .sum(),
-        named_bits: named.iter().map(|s| s.width as u64).sum(),
     }
 }
 
@@ -527,9 +408,10 @@ mod tests {
                 q,
                 Expr::Concat(vec![
                     Expr::val(3, 0),
-                    Expr::Index {
+                    Expr::Slice {
                         base: n,
-                        index: Box::new(Expr::val(2, 1)),
+                        hi: 1,
+                        lo: 1,
                     },
                 ]),
                 false,
@@ -544,27 +426,11 @@ mod tests {
             cover[s.index()],
             vec![true, true, true, true, false, false, false, false]
         );
-        // n: only bit 1 is read (constant-position bit select).
+        // n: only bit 1 is read (constant bit select).
         assert_eq!(cover[n.index()], vec![false, true, false, false]);
         // q: outputs are observed whole.
         assert!(cover[q.index()].iter().all(|&r| r));
         // clk: sensitivity signals are covered whole.
         assert!(cover[clk.index()][0]);
-    }
-
-    #[test]
-    fn stats_counts() {
-        let mut b = DesignBuilder::new("t");
-        let a = b.add_port("a", 8, PortDir::Input);
-        let t = b.add_temp("$t0", 8);
-        let _q = b.add_signal("q", 8, SignalKind::Reg);
-        b.add_rtl_node(RtlOp::Buf, vec![a], t);
-        let d = b.finish().unwrap();
-        let st = design_stats(&d);
-        assert_eq!(st.signals, 3);
-        assert_eq!(st.named_signals, 2);
-        assert_eq!(st.named_bits, 16);
-        assert_eq!(st.rtl_nodes, 1);
-        assert_eq!(st.cells(), 1);
     }
 }

@@ -3,9 +3,9 @@
 //! Every engine in the framework evaluates the same [`Expr`] trees against a
 //! different notion of "the current value of a signal": the good simulator
 //! reads its value store, the ERASER engine reads a fault's *view* (diff
-//! entry if visible, good value otherwise), the compiled baseline reads its
-//! dense two-state arrays. The [`ValueSource`] trait abstracts exactly that
-//! lookup, and does so **by borrow** — a signal read never clones.
+//! entry if visible, good value otherwise). The [`ValueSource`] trait
+//! abstracts exactly that lookup, and does so **by borrow** — a signal read
+//! never clones.
 //!
 //! The hot entry point is [`eval_expr_into`], which evaluates an expression
 //! into a caller-owned output buffer, drawing temporaries from a reusable

@@ -1,7 +1,7 @@
 //! The one evaluator switch.
 //!
-//! Every simulated network — the good simulator's, the compiled
-//! baseline's, the concurrent engine's good network and each of its fault
+//! Every simulated network — the good simulator's (under either settle
+//! rule), the concurrent engine's good network and each of its fault
 //! views — evaluates RTL nodes and behavioral bodies through an
 //! [`Evaluator`]; the networks differ only in the [`ValueSource`] they hand
 //! it. Which backend runs (tree walker or compiled tapes) is decided here

@@ -1,25 +1,34 @@
-//! The event-driven good (fault-free) simulator.
+//! The good (fault-free) simulator, with its two settle rules.
 
 use crate::evaluator::Evaluator;
 use crate::interp::{ExecCtx, ExecOutcome, NoopMonitor, SlotWrite};
 use crate::probe::{ProbeMonitor, SiteProbe};
-use crate::snapshot::{assign_logic_slice, ReplaySim, SimSnapshot};
+use crate::snapshot::{assign_logic_slice, SimSnapshot};
 use crate::stimulus::Stimulus;
 use crate::store::ValueStore;
-use eraser_ir::{BehavioralId, Design, EvalBackend, RtlNodeId, Sensitivity, SignalId, TapeProgram};
-use eraser_logic::LogicVec;
+use eraser_ir::{
+    BehavioralId, CombItem, Design, EvalBackend, RtlNodeId, Sensitivity, SignalId, TapeProgram,
+};
+use eraser_logic::{LogicBit, LogicVec};
 
 /// Bound on delta cycles per step (oscillation guard; combinational cycles
 /// are already rejected at design build time).
 const DELTA_LIMIT: usize = 10_000;
 
-/// An event-driven four-state RTL simulator for the fault-free design.
+/// A four-state RTL simulator for the fault-free design.
 ///
 /// The evaluation discipline per delta cycle is:
 ///
-/// 1. **Active region** — dirty RTL nodes and level-sensitive behavioral
-///    nodes are evaluated to a fixpoint, propagating value changes through
-///    their fanout.
+/// 1. **Active region** — the combinational network settles under one of
+///    two rules, picked at construction:
+///    - *event-driven* ([`Simulator::with_evaluator`] and the constructors
+///      built on it): dirty RTL nodes and level-sensitive behavioral nodes
+///      are evaluated to a fixpoint, propagating value changes through
+///      their fanout — work proportional to activity (the IFsim substrate);
+///    - *levelized* ([`Simulator::levelized`]): every combinational item is
+///      evaluated in the design's topological order, Verilator-fashion,
+///      one sweep per delta until a sweep changes nothing — constant
+///      whole-design work per delta (the VFsim substrate).
 /// 2. **Deferred edge detection** — only after the active region settles are
 ///    event (edge) expressions evaluated against the previously-latched
 ///    values. This ordering is what the ERASER paper generalizes to the
@@ -30,12 +39,19 @@ const DELTA_LIMIT: usize = 10_000;
 /// 4. **NBA region** — queued non-blocking writes commit in order, possibly
 ///    scheduling another delta.
 ///
+/// Both rules commit the same settled values after every step; only the
+/// delta count and the work done differ. Forces, edge detection, the NBA
+/// region, the probe feed and snapshots are shared.
+///
 /// See the [crate docs](crate) for a usage example.
 #[derive(Debug, Clone)]
 pub struct Simulator<'d> {
     design: &'d Design,
     /// The backend every node of the design is evaluated on.
     eval: Evaluator<'d>,
+    /// The settle rule: sweep `comb_order` (`true`) or drain the dirty
+    /// queues (`false`).
+    levelized: bool,
     values: ValueStore,
     /// Values as of the last edge-detection point, for all signals watched
     /// by edge-triggered nodes.
@@ -49,7 +65,7 @@ pub struct Simulator<'d> {
     nba: Vec<SlotWrite>,
     /// Permanently forced bits (`force` command semantics): re-applied on
     /// every write to the signal.
-    forces: Vec<(SignalId, u32, eraser_logic::LogicBit)>,
+    forces: Vec<(SignalId, u32, LogicBit)>,
     /// Total delta cycles executed (exposed for instrumentation).
     deltas: u64,
     /// Activation probe for instrumented good replays (`None` = the
@@ -95,9 +111,20 @@ impl<'d> Simulator<'d> {
         Self::with_evaluator(Evaluator::shared(design, Some(tapes)))
     }
 
-    /// Creates a simulator over `eval`'s design and backend — the form
-    /// the other constructors reduce to.
+    /// Creates an event-driven simulator over `eval`'s design and backend —
+    /// the form the other event-driven constructors reduce to.
     pub fn with_evaluator(eval: Evaluator<'d>) -> Self {
+        Self::build(eval, false)
+    }
+
+    /// Creates a simulator over `eval`'s design and backend that settles
+    /// under the levelized rule: every combinational item, every delta, in
+    /// topological order.
+    pub fn levelized(eval: Evaluator<'d>) -> Self {
+        Self::build(eval, true)
+    }
+
+    fn build(eval: Evaluator<'d>, levelized: bool) -> Self {
         let design = eval.design();
         let values = ValueStore::new(design);
         let edge_prev = design
@@ -108,6 +135,7 @@ impl<'d> Simulator<'d> {
         let mut sim = Simulator {
             design,
             eval,
+            levelized,
             values,
             edge_prev,
             rtl_dirty: vec![false; design.rtl_nodes().len()],
@@ -183,10 +211,19 @@ impl<'d> Simulator<'d> {
     /// Permanently forces one bit of a signal — the `force` command used by
     /// force-based fault injection (the paper's IFsim baseline). The force
     /// is applied immediately and re-applied on every subsequent write.
-    pub fn add_force(&mut self, sig: SignalId, bit: u32, value: eraser_logic::LogicBit) {
+    pub fn add_force(&mut self, sig: SignalId, bit: u32, value: LogicBit) {
         self.forces.push((sig, bit, value));
         let current = self.values.get(sig).clone();
         self.commit_value(sig, current);
+    }
+
+    /// [`Simulator::add_force`], then settles: the stuck-at injection of
+    /// the serial baselines, which settles the force before the next
+    /// stimulus step so every engine agrees on when a forced power-on edge
+    /// (`X` -> stuck value) fires.
+    pub fn force_bit(&mut self, sig: SignalId, bit: u32, value: LogicBit) {
+        self.add_force(sig, bit, value);
+        self.step();
     }
 
     /// Applies forces (if any) and commits an owned value, scheduling
@@ -232,7 +269,16 @@ impl<'d> Simulator<'d> {
     pub fn step(&mut self) {
         for _ in 0..DELTA_LIMIT {
             self.deltas += 1;
-            self.settle_active();
+            if self.levelized {
+                // Sweep again until a sweep changes nothing; only then
+                // are edges looked at.
+                if self.sweep_comb() {
+                    continue;
+                }
+                self.clear_queues();
+            } else {
+                self.settle_active();
+            }
             let n_activated = self.detect_edges();
             for i in 0..n_activated {
                 let b = self.ws_activated[i];
@@ -259,15 +305,48 @@ impl<'d> Simulator<'d> {
         self.step();
     }
 
+    /// Applies one stimulus step's input changes and settles the design.
+    pub fn replay_step(&mut self, changes: &[(SignalId, LogicVec)]) {
+        for (sig, val) in changes {
+            self.set_input(*sig, val);
+        }
+        self.step();
+    }
+
     /// Applies every step of a stimulus, settling after each. Values are
     /// read by borrow — the whole replay is clone-free.
     pub fn run_stimulus(&mut self, stim: &Stimulus) {
         for step in &stim.steps {
-            for (sig, val) in step {
-                self.set_input(*sig, val);
-            }
-            self.step();
+            self.replay_step(step);
         }
+    }
+
+    /// Attaches an activation probe; the probe immediately observes the
+    /// current state (its step-0 baseline), then every subsequent commit,
+    /// decision and edge hazard until taken back.
+    pub fn attach_probe(&mut self, mut probe: SiteProbe) {
+        probe.observe_initial(self.design, &self.values);
+        self.probe = Some(Box::new(probe));
+    }
+
+    /// Detaches and returns the probe, if one is attached.
+    pub fn take_probe(&mut self) -> Option<SiteProbe> {
+        self.probe.take().map(|p| *p)
+    }
+
+    /// Tells the attached probe (if any) which stimulus step subsequent
+    /// observations belong to.
+    pub fn begin_probe_step(&mut self, step: usize) {
+        if let Some(p) = &mut self.probe {
+            p.begin_step(step);
+        }
+    }
+
+    /// True if every signal's current value is fully defined (no `X`/`Z`
+    /// anywhere) — the eligibility condition for restarting
+    /// refinement-dormant faults from this state.
+    pub fn fully_defined(&self) -> bool {
+        self.values.fully_defined()
     }
 
     /// True if no queued work is pending — the settle-point condition under
@@ -355,15 +434,10 @@ impl<'d> Simulator<'d> {
     /// Evaluates dirty RTL nodes and level-sensitive behavioral nodes to a
     /// fixpoint.
     fn settle_active(&mut self) {
-        let design = self.design;
         loop {
             if let Some(id) = self.rtl_queue.pop() {
                 self.rtl_dirty[id.index()] = false;
-                let node = design.rtl_node(id);
-                let mut out = self.ctx.scratch.take_for(design.signal(node.output).width);
-                self.eval.rtl(id, &self.values, &mut self.ctx, &mut out);
-                self.commit_borrowed(node.output, &out);
-                self.ctx.scratch.put(out);
+                self.run_rtl(id);
                 continue;
             }
             if let Some(id) = self.beh_queue.pop() {
@@ -375,10 +449,46 @@ impl<'d> Simulator<'d> {
         }
     }
 
+    /// One levelized sweep: every combinational item in topological order.
+    /// Returns whether any value changed.
+    fn sweep_comb(&mut self) -> bool {
+        let mut changed = false;
+        for item in self.design.comb_order() {
+            changed |= match *item {
+                CombItem::Rtl(id) => self.run_rtl(id),
+                CombItem::Beh(id) => self.run_behavioral(id),
+            };
+        }
+        changed
+    }
+
+    /// Drops the fanout the levelized sweeps scheduled: the next sweep
+    /// visits every item anyway.
+    fn clear_queues(&mut self) {
+        for id in self.rtl_queue.drain(..) {
+            self.rtl_dirty[id.index()] = false;
+        }
+        for id in self.beh_queue.drain(..) {
+            self.beh_dirty[id.index()] = false;
+        }
+    }
+
+    /// Evaluates one RTL node and commits its output; returns whether the
+    /// output changed.
+    fn run_rtl(&mut self, id: RtlNodeId) -> bool {
+        let output = self.design.rtl_node(id).output;
+        let mut out = self.ctx.scratch.take_for(self.design.signal(output).width);
+        self.eval.rtl(id, &self.values, &mut self.ctx, &mut out);
+        let changed = self.commit_borrowed(output, &out);
+        self.ctx.scratch.put(out);
+        changed
+    }
+
     /// Executes one behavioral node: blocking results commit immediately,
     /// non-blocking writes are queued for the NBA region. Works entirely
-    /// out of the reusable execution workspace.
-    fn run_behavioral(&mut self, id: BehavioralId) {
+    /// out of the reusable execution workspace. Returns whether a blocking
+    /// commit changed a value.
+    fn run_behavioral(&mut self, id: BehavioralId) -> bool {
         let design = self.design;
         let node = design.behavioral(id);
         let mut outcome = std::mem::take(&mut self.outcome);
@@ -397,11 +507,13 @@ impl<'d> Simulator<'d> {
                 &mut outcome,
             ),
         }
+        let mut changed = false;
         for (sig, val) in &outcome.blocking {
-            self.commit_borrowed(*sig, val);
+            changed |= self.commit_borrowed(*sig, val);
         }
         self.nba.append(&mut outcome.nba);
         self.outcome = outcome;
+        changed
     }
 
     /// Deferred edge detection: compares watched signals against their
@@ -469,51 +581,6 @@ impl<'d> Simulator<'d> {
         }
         self.nba = writes;
         any
-    }
-}
-
-impl ReplaySim for Simulator<'_> {
-    fn capture_into(&self, snap: &mut SimSnapshot) {
-        Simulator::capture_into(self, snap);
-    }
-
-    fn restore_from(&mut self, snap: &SimSnapshot) {
-        Simulator::restore_from(self, snap);
-    }
-
-    fn replay_step(&mut self, changes: &[(SignalId, LogicVec)]) {
-        for (sig, v) in changes {
-            self.set_input(*sig, v);
-        }
-        self.step();
-    }
-
-    fn signal_value(&self, sig: SignalId) -> &LogicVec {
-        self.value(sig)
-    }
-
-    fn force_bit(&mut self, sig: SignalId, bit: u32, value: eraser_logic::LogicBit) {
-        self.add_force(sig, bit, value);
-        self.step();
-    }
-
-    fn attach_probe(&mut self, mut probe: SiteProbe) {
-        probe.observe_initial(self.design, &self.values);
-        self.probe = Some(Box::new(probe));
-    }
-
-    fn take_probe(&mut self) -> Option<SiteProbe> {
-        self.probe.take().map(|p| *p)
-    }
-
-    fn begin_probe_step(&mut self, step: usize) {
-        if let Some(p) = &mut self.probe {
-            p.begin_step(step);
-        }
-    }
-
-    fn fully_defined(&self) -> bool {
-        self.values.fully_defined()
     }
 }
 
@@ -686,6 +753,128 @@ mod tests {
         sim.clock_cycle(clk);
         sim.clock_cycle(clk);
         assert_eq!(sim.value(dout).to_u64(), Some(12));
+    }
+
+    #[test]
+    fn matches_event_driven_simulator() {
+        let d = compile(
+            "module m(input wire clk, input wire rst, input wire [3:0] a,
+                      output reg [7:0] acc, output wire [7:0] mix);
+               wire [7:0] ext;
+               assign ext = {a, a};
+               assign mix = acc ^ ext;
+               always @(posedge clk) begin
+                 if (rst) acc <= 8'h00;
+                 else acc <= acc + ext;
+               end
+             endmodule",
+            None,
+        )
+        .unwrap();
+        let f = |n: &str| d.find_signal(n).unwrap();
+        let (clk, rst, a, acc, mix) = (f("clk"), f("rst"), f("a"), f("acc"), f("mix"));
+        let mut steps = vec![vec![(rst, v(1, 1))]];
+        for i in 0..20u64 {
+            steps.push(vec![(a, v(4, i * 3 % 16))]);
+            if i == 1 {
+                steps.push(vec![(rst, v(1, 0))]);
+            }
+            steps.push(vec![(clk, v(1, 0))]);
+            steps.push(vec![(clk, v(1, 1))]);
+        }
+        let mut ev = Simulator::new(&d);
+        let mut lv = Simulator::levelized(Evaluator::tree(&d));
+        for (si, step) in steps.iter().enumerate() {
+            ev.replay_step(step);
+            lv.replay_step(step);
+            for s in [acc, mix] {
+                assert_eq!(ev.value(s), lv.value(s), "step {si}");
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_roundtrip_matches_uninterrupted_run() {
+        let d = compile(
+            "module m(input wire clk, input wire rst, input wire [3:0] a,
+                      output reg [7:0] acc, output wire [7:0] mix);
+               wire [7:0] ext;
+               assign ext = {a, a};
+               assign mix = acc ^ ext;
+               always @(posedge clk) begin
+                 if (rst) acc <= 8'h00;
+                 else acc <= acc + ext;
+               end
+             endmodule",
+            None,
+        )
+        .unwrap();
+        let f = |n: &str| d.find_signal(n).unwrap();
+        let (clk, rst, a) = (f("clk"), f("rst"), f("a"));
+        let steps: Vec<Vec<(SignalId, LogicVec)>> = (0..20u64)
+            .flat_map(|i| {
+                [
+                    vec![
+                        (clk, v(1, 0)),
+                        (rst, v(1, (i < 2) as u64)),
+                        (a, v(4, i * 11 % 16)),
+                    ],
+                    vec![(clk, v(1, 1))],
+                ]
+            })
+            .collect();
+        let rules: [fn(&Design) -> Simulator<'_>; 2] = [
+            |d| Simulator::new(d),
+            |d| Simulator::levelized(Evaluator::tree(d)),
+        ];
+        for new_sim in rules {
+            let mut full = new_sim(&d);
+            let mut snap = SimSnapshot::new();
+            let k = 13;
+            for (si, step) in steps.iter().enumerate() {
+                if si == k {
+                    full.capture_into(&mut snap);
+                }
+                full.replay_step(step);
+            }
+            // Restore into a dirty instance and replay only the suffix.
+            let mut resumed = new_sim(&d);
+            resumed.replay_step(&steps[0]);
+            resumed.restore_from(&snap);
+            for step in &steps[k..] {
+                resumed.replay_step(step);
+            }
+            for i in 0..d.num_signals() {
+                let s = SignalId::from_index(i);
+                assert_eq!(full.value(s), resumed.value(s), "signal {i} diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn force_pins_bit() {
+        let d = compile(
+            "module m(input wire [3:0] a, output wire [3:0] y);
+               wire [3:0] t;
+               assign t = a;
+               assign y = t;
+             endmodule",
+            None,
+        )
+        .unwrap();
+        let a = d.find_signal("a").unwrap();
+        let t = d.find_signal("t").unwrap();
+        let y = d.find_signal("y").unwrap();
+        for mut sim in [
+            Simulator::new(&d),
+            Simulator::levelized(Evaluator::tree(&d)),
+        ] {
+            sim.force_bit(t, 0, LogicBit::One);
+            sim.replay_step(&[(a, v(4, 0))]);
+            assert_eq!(sim.value(y).to_u64(), Some(1));
+            sim.replay_step(&[(a, v(4, 0b1110))]);
+            assert_eq!(sim.value(y).to_u64(), Some(0b1111));
+        }
     }
 
     #[test]

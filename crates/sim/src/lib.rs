@@ -1,25 +1,25 @@
-//! Event-driven RTL simulation kernel and good (fault-free) simulator.
+//! RTL simulation kernel and good (fault-free) simulator.
 //!
 //! This crate provides the execution machinery shared by every engine in the
 //! ERASER framework:
 //!
 //! * [`ValueStore`] — dense per-signal four-state value storage,
-//! * [`eval_rtl_op`] — evaluation of primitive RTL nodes,
+//! * [`eval_rtl_node_into`] — evaluation of primitive RTL nodes,
 //! * [`Evaluator`] — the one handle every simulator evaluates its nodes
 //!   through: a design plus the backend (tree walker or compiled tapes),
 //! * [`execute_behavioral`] — the behavioral interpreter, which can record
 //!   the **execution trace** (path decisions taken and dependency segments
 //!   visited) that the ERASER implicit-redundancy check walks,
-//! * [`Simulator`] — the event-driven good simulator: delta cycles,
-//!   combinational propagation, *deferred* edge detection (event nodes are
-//!   evaluated only after the active region settles — the discipline whose
-//!   concurrent-simulation analogue prevents the paper's "fake events"),
-//!   and a non-blocking-assignment commit region,
+//! * [`Simulator`] — the one good simulator: delta cycles, combinational
+//!   settling under one of two rules (event-driven, or levelized full
+//!   evaluation for the VFsim baseline), *deferred* edge detection (event
+//!   nodes are evaluated only after the active region settles — the
+//!   discipline whose concurrent-simulation analogue prevents the paper's
+//!   "fake events"), and a non-blocking-assignment commit region,
 //! * [`Stimulus`] — a cycle-stepped input waveform shared by all engines,
-//! * [`SimSnapshot`] / [`ReplaySim`] — settle-point state capture/restore
-//!   for checkpointed good-state replay, and [`SiteProbe`] — the
-//!   commit-granular activation/hazard recorder behind fault
-//!   activation-window analysis.
+//! * [`SimSnapshot`] — settle-point state capture/restore for checkpointed
+//!   good-state replay, and [`SiteProbe`] — the commit-granular
+//!   activation/hazard recorder behind fault activation-window analysis.
 //!
 //! # Example
 //!
@@ -66,9 +66,9 @@ pub use interp::{
     ExecOutcome, ExecTrace, NoopMonitor, OverlayView, SlotWrite, TraceEvent, TraceMonitor,
 };
 pub use kernel::Simulator;
-pub use probe::{BitFirsts, ProbeMonitor, SiteProbe, NEVER};
-pub use rtl_eval::{eval_rtl_node_into, eval_rtl_op, eval_rtl_op_with};
-pub use snapshot::{assign_logic_slice, ReplaySim, SimSnapshot};
+pub use probe::{BitFirsts, SiteProbe, NEVER};
+pub use rtl_eval::{eval_rtl_node_into, eval_rtl_op_with};
+pub use snapshot::SimSnapshot;
 pub use stimulus::{Stimulus, StimulusBuilder};
 pub use store::ValueStore;
 pub use vcd::VcdWriter;

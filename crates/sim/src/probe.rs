@@ -28,7 +28,7 @@
 //! The probe is deliberately fault-agnostic: it tracks *signals*, and the
 //! derivation joins its data against a concrete fault list. Everything is
 //! step-stamped by the driving campaign via
-//! [`ReplaySim::begin_probe_step`](crate::ReplaySim::begin_probe_step);
+//! [`Simulator::begin_probe_step`](crate::Simulator::begin_probe_step);
 //! state present before the first step (the power-on/construction settle)
 //! is recorded as step 0 by [`SiteProbe::observe_initial`].
 
@@ -181,8 +181,7 @@ impl SiteProbe {
     /// every tracked site, power-on X hazards on edge-watched signals, and
     /// static decision hazards of the level-sensitive blocks that executed
     /// during construction. Called by
-    /// [`ReplaySim::attach_probe`](crate::ReplaySim::attach_probe)
-    /// implementations.
+    /// [`Simulator::attach_probe`](crate::Simulator::attach_probe).
     pub fn observe_initial(&mut self, design: &Design, values: &ValueStore) {
         for i in 0..self.sites.len() {
             let sig = SignalId::from_index(i);
@@ -322,14 +321,14 @@ impl SiteProbe {
 /// behavioral executions of the good replay. Constructed per activation
 /// with the node's VDG, so decision ids resolve to their read sets and
 /// `Evaluate` payloads.
-pub struct ProbeMonitor<'a> {
+pub(crate) struct ProbeMonitor<'a> {
     probe: &'a mut SiteProbe,
     vdg: &'a Vdg,
 }
 
 impl<'a> ProbeMonitor<'a> {
     /// Wraps `probe` for one activation of the node owning `vdg`.
-    pub fn new(probe: &'a mut SiteProbe, vdg: &'a Vdg) -> Self {
+    pub(crate) fn new(probe: &'a mut SiteProbe, vdg: &'a Vdg) -> Self {
         ProbeMonitor { probe, vdg }
     }
 }

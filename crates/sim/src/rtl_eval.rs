@@ -10,9 +10,8 @@ use eraser_logic::{LogicBit, LogicVec};
 /// heterogeneous storage (a value store, a fault's diff overlay) without
 /// materializing a slice — combined with the in-place `LogicVec` ops this
 /// makes steady-state node evaluation allocation-free. Used by the good
-/// simulator, the ERASER concurrent engine (for both good and per-fault
-/// evaluation) and the compiled baseline — the single source of truth for
-/// RTL node semantics.
+/// simulator and the ERASER concurrent engine (for both good and per-fault
+/// evaluation) — the single source of truth for RTL node semantics.
 pub fn eval_rtl_op_with<'a, F: Fn(usize) -> &'a LogicVec>(
     op: &RtlOp,
     input: &F,
@@ -88,23 +87,6 @@ pub fn eval_rtl_op_with<'a, F: Fn(usize) -> &'a LogicVec>(
     }
 }
 
-/// Evaluates one RTL operator on already-fetched input values, producing a
-/// fresh value of `out_width` bits. Convenience wrapper over
-/// [`eval_rtl_op_with`]; use that form on hot paths.
-pub fn eval_rtl_op(op: &RtlOp, inputs: &[LogicVec], out_width: u32) -> LogicVec {
-    let mut scratch = EvalScratch::new();
-    let mut out = LogicVec::default();
-    eval_rtl_op_with(
-        op,
-        &|k| &inputs[k],
-        inputs.len(),
-        out_width,
-        &mut scratch,
-        &mut out,
-    );
-    out
-}
-
 /// Evaluates an RTL node into `out`, fetching its inputs from `src` by
 /// borrow.
 pub fn eval_rtl_node_into<S: ValueSource + ?Sized>(
@@ -133,21 +115,29 @@ mod tests {
         LogicVec::from_u64(w, x)
     }
 
+    /// One operator on already-fetched input values, into a fresh output.
+    fn eval_op(op: &RtlOp, inputs: &[LogicVec], out_width: u32) -> LogicVec {
+        let mut out = LogicVec::default();
+        eval_rtl_op_with(
+            op,
+            &|k| &inputs[k],
+            inputs.len(),
+            out_width,
+            &mut EvalScratch::new(),
+            &mut out,
+        );
+        out
+    }
+
     #[test]
     fn buf_resizes() {
-        assert_eq!(
-            eval_rtl_op(&RtlOp::Buf, &[v(4, 0xf)], 8).to_u64(),
-            Some(0xf)
-        );
-        assert_eq!(
-            eval_rtl_op(&RtlOp::Buf, &[v(8, 0xff)], 4).to_u64(),
-            Some(0xf)
-        );
+        assert_eq!(eval_op(&RtlOp::Buf, &[v(4, 0xf)], 8).to_u64(), Some(0xf));
+        assert_eq!(eval_op(&RtlOp::Buf, &[v(8, 0xff)], 4).to_u64(), Some(0xf));
     }
 
     #[test]
     fn mux_with_unknown_cond_merges() {
-        let out = eval_rtl_op(
+        let out = eval_op(
             &RtlOp::Mux,
             &[LogicVec::new_x(1), v(4, 0b1100), v(4, 0b1010)],
             4,
@@ -160,21 +150,21 @@ mod tests {
     #[test]
     fn concat_msb_first_inputs() {
         // Source {a, b} with a=0xA (4b), b=0x5 (4b) -> 0xA5.
-        let out = eval_rtl_op(&RtlOp::Concat, &[v(4, 0xa), v(4, 0x5)], 8);
+        let out = eval_op(&RtlOp::Concat, &[v(4, 0xa), v(4, 0x5)], 8);
         assert_eq!(out.to_u64(), Some(0xa5));
     }
 
     #[test]
     fn index_unknown_is_x() {
-        let out = eval_rtl_op(&RtlOp::Index, &[v(8, 0xff), LogicVec::new_x(3)], 1);
+        let out = eval_op(&RtlOp::Index, &[v(8, 0xff), LogicVec::new_x(3)], 1);
         assert_eq!(out.bit(0), LogicBit::X);
-        let out = eval_rtl_op(&RtlOp::Index, &[v(8, 0x04), v(4, 2)], 1);
+        let out = eval_op(&RtlOp::Index, &[v(8, 0x04), v(4, 2)], 1);
         assert_eq!(out.to_u64(), Some(1));
     }
 
     #[test]
     fn binary_through_shared_eval() {
-        let out = eval_rtl_op(&RtlOp::Binary(BinaryOp::Add), &[v(8, 250), v(8, 10)], 8);
+        let out = eval_op(&RtlOp::Binary(BinaryOp::Add), &[v(8, 250), v(8, 10)], 8);
         assert_eq!(out.to_u64(), Some(4));
     }
 

@@ -17,12 +17,9 @@
 //! recaptures/restores with zero steady-state heap traffic (on designs
 //! whose signals fit the inline representation).
 //!
-//! [`ReplaySim`] is the engine-facing trait: both the event-driven
-//! [`Simulator`](crate::Simulator) and the levelized `CompiledSim` in
-//! `eraser-baselines` implement it, which is what lets one checkpointed
-//! serial campaign scheduler drive either baseline.
+//! Both settle rules of the simulator capture and restore the same state,
+//! so one checkpointed serial campaign scheduler drives either baseline.
 
-use crate::probe::SiteProbe;
 use eraser_ir::SignalId;
 use eraser_logic::{LogicBit, LogicVec};
 
@@ -56,7 +53,7 @@ impl SimSnapshot {
 
 /// Overwrites `dst` with `src` in place, reusing every existing `LogicVec`
 /// allocation when the lengths match (the steady-state recapture path).
-pub fn assign_logic_slice(dst: &mut Vec<LogicVec>, src: &[LogicVec]) {
+pub(crate) fn assign_logic_slice(dst: &mut Vec<LogicVec>, src: &[LogicVec]) {
     if dst.len() == src.len() {
         for (d, s) in dst.iter_mut().zip(src) {
             d.assign_from(s);
@@ -65,56 +62,6 @@ pub fn assign_logic_slice(dst: &mut Vec<LogicVec>, src: &[LogicVec]) {
         dst.clear();
         dst.extend(src.iter().cloned());
     }
-}
-
-/// A fault-simulation replay substrate: a simulator that can be
-/// checkpointed at settle points, restored, forced, instrumented with a
-/// [`SiteProbe`] and stepped through a stimulus.
-///
-/// Implemented by the event-driven [`Simulator`](crate::Simulator) (the
-/// IFsim substrate) and by `CompiledSim` in `eraser-baselines` (the VFsim
-/// substrate), so the checkpointed serial campaign scheduler is written
-/// once against this trait.
-pub trait ReplaySim {
-    /// Captures the current settle-point state into `snap`, reusing its
-    /// buffers.
-    ///
-    /// # Panics
-    ///
-    /// May panic if the simulator is not at a settle point (pending queued
-    /// work) — snapshots are defined at settle points only.
-    fn capture_into(&self, snap: &mut SimSnapshot);
-
-    /// Restores a previously captured state, discarding all current state
-    /// (values, latches, forces, pending work).
-    fn restore_from(&mut self, snap: &SimSnapshot);
-
-    /// Applies one stimulus step's input changes and settles the design.
-    fn replay_step(&mut self, changes: &[(SignalId, LogicVec)]);
-
-    /// The current value of a signal, by borrow.
-    fn signal_value(&self, sig: SignalId) -> &LogicVec;
-
-    /// Permanently forces one bit of a signal (stuck-at injection) and
-    /// settles the effect.
-    fn force_bit(&mut self, sig: SignalId, bit: u32, value: LogicBit);
-
-    /// Attaches an activation probe; the probe immediately observes the
-    /// current state (its step-0 baseline), then every subsequent commit,
-    /// decision and edge hazard until taken back.
-    fn attach_probe(&mut self, probe: SiteProbe);
-
-    /// Detaches and returns the probe, if one is attached.
-    fn take_probe(&mut self) -> Option<SiteProbe>;
-
-    /// Tells the attached probe (if any) which stimulus step subsequent
-    /// observations belong to.
-    fn begin_probe_step(&mut self, step: usize);
-
-    /// True if every signal's current value is fully defined (no `X`/`Z`
-    /// anywhere) — the eligibility condition for restarting
-    /// refinement-dormant faults from this state.
-    fn fully_defined(&self) -> bool;
 }
 
 #[cfg(test)]

@@ -2,12 +2,33 @@
 //! restoring it — into the same simulator later, or into a different
 //! (even dirty) simulator instance — must make continued stepping
 //! bit-identical to the uninterrupted run, on random stimuli, for both
-//! evaluation backends.
+//! evaluation backends and both settle rules.
 
 use eraser_frontend::compile;
 use eraser_ir::{Design, EvalBackend, SignalId};
 use eraser_logic::LogicVec;
-use eraser_sim::{ReplaySim, SimSnapshot, Simulator};
+use eraser_sim::{Evaluator, SimSnapshot, Simulator};
+
+/// A settle rule, as a constructor over an evaluator.
+type SettleRule = for<'d> fn(Evaluator<'d>) -> Simulator<'d>;
+
+/// The two settle rules.
+const RULES: [(&str, SettleRule); 2] = [
+    ("event-driven", |eval| Simulator::with_evaluator(eval)),
+    ("levelized", |eval| Simulator::levelized(eval)),
+];
+
+/// Every (backend, settle rule) pair: a label and a fresh-simulator maker.
+fn simulators<'d>(design: &'d Design) -> Vec<(String, impl Fn() -> Simulator<'d>)> {
+    let mut out = Vec::new();
+    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
+        for (rule_name, rule) in RULES {
+            let label = format!("{backend:?} {rule_name}");
+            out.push((label, move || rule(Evaluator::for_backend(design, backend))));
+        }
+    }
+    out
+}
 
 /// Deterministic xorshift over the test's seed space.
 fn xorshift(state: &mut u64) -> u64 {
@@ -102,16 +123,16 @@ fn assert_state_eq(design: &Design, a: &Simulator, b: &Simulator, ctx: &str) {
 fn capture_restore_continue_is_bit_identical() {
     for (di, src) in DESIGNS.iter().enumerate() {
         let design = compile(src, None).unwrap();
-        for backend in [EvalBackend::Tree, EvalBackend::Tape] {
+        for (label, new_sim) in simulators(&design) {
             for seed in [3u64, 1337, 0xdead_beef] {
                 let steps = random_steps(&design, seed ^ (di as u64) << 32, 14);
                 // Reference: uninterrupted run, recording full state lazily
                 // via a twin that is checkpointed at every step.
-                let mut reference = Simulator::with_backend(&design, backend);
-                let mut subject = Simulator::with_backend(&design, backend);
+                let mut reference = new_sim();
+                let mut subject = new_sim();
                 // A dirty third instance that ran something else entirely:
                 // restoring into it must fully overwrite its state.
-                let mut dirty = Simulator::with_backend(&design, backend);
+                let mut dirty = new_sim();
                 for step in steps.iter().rev().take(5) {
                     dirty.replay_step(step);
                 }
@@ -125,16 +146,16 @@ fn capture_restore_continue_is_bit_identical() {
                         // perturb nothing, restore, continue.
                         subject.capture_into(&mut snap);
                         subject.restore_from(&snap);
-                        assert_state_eq(&design, &reference, &subject, "self-roundtrip");
-                        assert_eq!(reference.deltas(), subject.deltas(), "delta counter");
+                        assert_state_eq(&design, &reference, &subject, &label);
+                        assert_eq!(reference.deltas(), subject.deltas(), "{label}: deltas");
                         // And hydrate the dirty instance from the same
                         // snapshot; it becomes the new subject.
                         dirty.restore_from(&snap);
-                        assert_state_eq(&design, &reference, &dirty, "dirty-restore");
+                        assert_state_eq(&design, &reference, &dirty, &label);
                         std::mem::swap(&mut subject, &mut dirty);
                     }
                 }
-                assert_state_eq(&design, &reference, &subject, "end of run");
+                assert_state_eq(&design, &reference, &subject, &label);
             }
         }
     }
@@ -145,10 +166,10 @@ fn restored_run_matches_suffix_of_full_run() {
     // Capture at step k, replay only the suffix on a fresh simulator, and
     // compare signal-for-signal against the full run after every step.
     let design = compile(DESIGNS[1], None).unwrap();
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
+    for (label, new_sim) in simulators(&design) {
         let steps = random_steps(&design, 99, 12);
         for k in [4usize, 9, 15] {
-            let mut full = Simulator::with_backend(&design, backend);
+            let mut full = new_sim();
             let mut snap = SimSnapshot::new();
             for (si, step) in steps.iter().enumerate() {
                 if si == k {
@@ -156,33 +177,37 @@ fn restored_run_matches_suffix_of_full_run() {
                 }
                 full.replay_step(step);
             }
-            let mut resumed = Simulator::with_backend(&design, backend);
+            let mut resumed = new_sim();
             resumed.restore_from(&snap);
-            let mut twin = Simulator::with_backend(&design, backend);
+            let mut twin = new_sim();
             for (si, step) in steps.iter().enumerate() {
                 twin.replay_step(step);
                 if si >= k {
                     resumed.replay_step(step);
-                    assert_state_eq(&design, &twin, &resumed, "suffix step");
+                    assert_state_eq(&design, &twin, &resumed, &label);
                 }
             }
-            assert_state_eq(&design, &twin, &full, "full twin");
+            assert_state_eq(&design, &twin, &full, &label);
         }
     }
 }
 
 #[test]
 fn forces_are_part_of_the_snapshot() {
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        check_forces_are_part_of_the_snapshot(backend);
+    let design = compile(DESIGNS[0], None).unwrap();
+    for (label, new_sim) in simulators(&design) {
+        check_forces_are_part_of_the_snapshot(&design, &label, new_sim);
     }
 }
 
-fn check_forces_are_part_of_the_snapshot(backend: EvalBackend) {
-    let design = compile(DESIGNS[0], None).unwrap();
+fn check_forces_are_part_of_the_snapshot<'d>(
+    design: &'d Design,
+    label: &str,
+    new_sim: impl Fn() -> Simulator<'d>,
+) {
     let acc = design.find_signal("acc").unwrap();
-    let steps = random_steps(&design, 7, 8);
-    let mut sim = Simulator::with_backend(&design, backend);
+    let steps = random_steps(design, 7, 8);
+    let mut sim = new_sim();
     for step in &steps[..6] {
         sim.replay_step(step);
     }
@@ -192,19 +217,19 @@ fn check_forces_are_part_of_the_snapshot(backend: EvalBackend) {
     sim.force_bit(acc, 0, eraser_logic::LogicBit::One);
     assert_eq!(sim.value(acc).bit_or_x(0), eraser_logic::LogicBit::One);
     sim.restore_from(&snap);
-    let mut twin = Simulator::with_backend(&design, backend);
+    let mut twin = new_sim();
     for step in &steps[..6] {
         twin.replay_step(step);
     }
-    assert_state_eq(&design, &twin, &sim, "force removed by restore");
+    assert_state_eq(design, &twin, &sim, label);
     // Conversely, a snapshot taken *with* a force restores the force.
     sim.force_bit(acc, 1, eraser_logic::LogicBit::Zero);
     sim.capture_into(&mut snap);
-    let mut other = Simulator::with_backend(&design, backend);
+    let mut other = new_sim();
     other.restore_from(&snap);
     for step in &steps[6..] {
         sim.replay_step(step);
         other.replay_step(step);
     }
-    assert_state_eq(&design, &sim, &other, "forced snapshot");
+    assert_state_eq(design, &sim, &other, label);
 }
