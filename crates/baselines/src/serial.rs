@@ -75,13 +75,12 @@ pub fn serial_campaign(
         let plan = plan_campaign(faults, good.as_ref(), threads);
         drain_plan(&plan, good.as_ref(), threads, None, |group, _| {
             let mut sim = make_sim();
-            let mut coverage = CoverageReport::new(group.shard.len());
+            let mut coverage = CoverageReport::new(group.len());
             let mut stats = RedundancyStats::default();
-            for (i, fault) in group.shard.list.iter().enumerate() {
+            for (i, fault) in group.list.iter().enumerate() {
                 let start = match &good {
                     Some(good) => {
-                        let (start, snapshot) =
-                            good.latest_checkpoint(group.shard.global_id(fault.id));
+                        let (start, snapshot) = good.latest_checkpoint(group.global_id(fault.id));
                         sim.restore_from(snapshot);
                         stats.skipped_prefix_steps += start as u64;
                         start

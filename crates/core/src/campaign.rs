@@ -142,7 +142,8 @@ pub struct CampaignContext<'a> {
 /// Every campaign is one plan drained by one queue (see the `schedule`
 /// module docs), and a group costs one good-network pass, so the fault
 /// universe is cut into exactly as many groups as `config.parallel` has
-/// workers — site-affinity groups executed by a scoped worker pool, one
+/// workers — equal contiguous chunks in id order (site-major, so faults
+/// sharing a site share a group) executed by a scoped worker pool, one
 /// independent engine per group, each stopping when its last fault is
 /// detected; coverage — detections, first-detection steps and outputs —
 /// is bit-identical to the serial run at any thread count. Merged stats
@@ -246,7 +247,7 @@ pub(crate) fn run_campaign_drained(
         // One concurrent engine per group, resumed from the group's
         // checkpoint when it has one.
         drain_plan(&plan, good, threads, ctx.progress, |group, snapshot| {
-            let mut session = EraserEngine::session(design, &group.shard.list)
+            let mut session = EraserEngine::session(design, &group.list)
                 .mode(config.mode)
                 .drop_detected(config.drop_detected)
                 .tapes(tapes)

@@ -171,16 +171,8 @@ impl DiffList {
     }
 }
 
-/// Merges the fault ids of several diff lists into one sorted, deduplicated
-/// vector, keeping only live faults.
-pub fn union_ids<'a>(lists: impl Iterator<Item = &'a DiffList>, alive: &[bool]) -> Vec<FaultId> {
-    let mut ids = Vec::new();
-    union_ids_into(lists, alive, &mut ids);
-    ids
-}
-
-/// [`union_ids`] into a caller-owned buffer (cleared first, capacity kept)
-/// — the allocation-free form for hot loops.
+/// Merges the fault ids of several diff lists into `out` (cleared first,
+/// capacity kept): sorted, deduplicated, live faults only.
 pub fn union_ids_into<'a>(
     lists: impl Iterator<Item = &'a DiffList>,
     alive: &[bool],
@@ -251,7 +243,8 @@ mod tests {
         b.set(FaultId(2), v(9));
         b.set(FaultId(3), v(3));
         let alive = vec![true, true, true, false];
-        let u = union_ids([&a, &b].into_iter(), &alive);
+        let mut u = vec![FaultId(7)];
+        union_ids_into([&a, &b].into_iter(), &alive, &mut u);
         assert_eq!(u, vec![FaultId(0), FaultId(2)]);
     }
 

@@ -38,7 +38,7 @@ mod workspace;
 use crate::diff::{DiffList, FaultView};
 use crate::stats::RedundancyStats;
 use crate::RedundancyMode;
-use eraser_fault::{BatchPlan, CoverageReport, FaultId, FaultList};
+use eraser_fault::{CoverageReport, FaultId, FaultList};
 use eraser_ir::{
     BatchProgram, BehavioralId, Design, EvalBackend, RtlNodeId, SignalId, TapeProgram, ValueSource,
 };
@@ -80,8 +80,6 @@ struct EngineState<'d> {
     /// Bit-parallel batch program when fault batching is enabled —
     /// compiled once per campaign and shared across shard workers.
     batch: Option<&'d BatchProgram>,
-    /// Static `(batch, lane)` fault assignment; present iff `batch` is.
-    plan: Option<BatchPlan>,
 
     good: ValueStore,
     diffs: Vec<DiffList>,
@@ -127,7 +125,7 @@ struct EngineState<'d> {
 ///
 /// ```text
 /// // A campaign shard worker: shared programs, checkpoint resume.
-/// let mut engine = EraserEngine::session(design, &shard.list)
+/// let mut engine = EraserEngine::session(design, &group.list)
 ///     .mode(config.mode)
 ///     .drop_detected(config.drop_detected)
 ///     .tapes(tapes)
@@ -261,14 +259,13 @@ impl<'d> EraserEngine<'d> {
             .iter()
             .map(|s| LogicVec::new_x(s.width))
             .collect();
-        // Pre-size each signal's diff list from its site-affinity fault
-        // count — the guaranteed-resident entries.
+        // Pre-size each signal's diff list from its sited fault count —
+        // the guaranteed-resident entries.
         let diffs = site_faults
             .iter()
             .map(|v| DiffList::with_capacity(v.len()))
             .collect();
         let site_live = site_faults.iter().map(|v| v.len() as u32).collect();
-        let plan = batch.as_ref().map(|_| BatchPlan::build(faults));
         let mut state = EngineState {
             design,
             faults,
@@ -276,7 +273,6 @@ impl<'d> EraserEngine<'d> {
             drop_detected,
             eval,
             batch,
-            plan,
             good,
             diffs,
             site_faults,

@@ -108,28 +108,17 @@ impl EngineState<'_> {
         });
         self.stats.rtl_fault_evals += candidates.len() as u64;
 
-        let batch_tape = self.batch.and_then(|b| b.rtl(id.index()));
-        if let (Some(bt), Some(plan)) = (batch_tape, self.plan.as_ref()) {
-            // Bit-parallel path. The candidates are ordered by their static
-            // `BatchPlan` slot — site-major, so faults sharing sites (and
-            // therefore diff entries) land next to each other — then packed
-            // *densely* into 64-lane chunks: a lane is the fault's position
-            // in its chunk, so every chunk but the last is full regardless
-            // of how candidates spread across static batches, and the
+        if let Some(bt) = self.batch.and_then(|b| b.rtl(id.index())) {
+            // Bit-parallel path. The candidates are packed *densely*, in id
+            // order, into 64-lane chunks: a lane is the fault's position in
+            // its chunk, so every chunk but the last is full and the
             // per-chunk transpose cost is paid ceil(n/64) times per node
-            // evaluation instead of once per static batch touched.
-            let mut slots = std::mem::take(&mut ws.slots);
-            slots.clear();
-            slots.extend(candidates.iter().map(|&f| {
-                let (b, l) = plan.slot(f);
-                (b, l, f)
-            }));
-            slots.sort_unstable();
-
-            for chunk in slots.chunks(eraser_logic::LANES as usize) {
+            // evaluation. Ids are site-major, so faults sharing sites (and
+            // therefore diff entries) land next to each other.
+            for chunk in candidates.chunks(eraser_logic::LANES as usize) {
                 if chunk.len() < MIN_BATCH_LANES {
                     self.stats.batch_scalar_fallbacks += chunk.len() as u64;
-                    for &(_, _, f) in chunk {
+                    for &f in chunk {
                         fault_news.push((f, self.eval_rtl_fault(ws, id, out_width, f)));
                     }
                 } else {
@@ -157,7 +146,7 @@ impl EngineState<'_> {
                         la.fill(ga);
                         lb.fill(gb);
                         let mut any_diff_here = false;
-                        for (lane, &(_, _, f)) in chunk.iter().enumerate() {
+                        for (lane, &f) in chunk.iter().enumerate() {
                             if let Some(v) = dl.get(f) {
                                 (la[lane], lb[lane]) = v.word_planes();
                                 any_diff_here = true;
@@ -175,14 +164,13 @@ impl EngineState<'_> {
                     // One word-level gather of all lanes, then O(1)
                     // word-assigns per fault.
                     ws.out_plane.store_lanes(&mut la, &mut lb);
-                    for (lane, &(_, _, f)) in chunk.iter().enumerate() {
+                    for (lane, &f) in chunk.iter().enumerate() {
                         let mut out_v = ws.bufs.take_for(out_width);
                         out_v.assign_word(out_width, la[lane], lb[lane]);
                         fault_news.push((f, out_v));
                     }
                 }
             }
-            ws.slots = slots;
         } else {
             if self.batch.is_some() {
                 // Batching is on but this node is unbatchable

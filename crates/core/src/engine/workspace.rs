@@ -126,8 +126,6 @@ pub(super) struct Workspace {
     pub planes: Vec<LanePlanes>,
     /// Output lane plane of the batch path.
     pub out_plane: LanePlanes,
-    /// `(batch, lane, fault)` slots of the current node's candidates.
-    pub slots: Vec<(u32, u8, FaultId)>,
 }
 
 impl Workspace {

@@ -127,7 +127,7 @@ pub use campaign::{
 };
 pub use checkpoint::CheckpointConfig;
 pub use collapse::{collapse_plan, run_collapsed, CollapseConfig};
-pub use diff::{union_ids, union_ids_into, DiffList, FaultView};
+pub use diff::{union_ids_into, DiffList, FaultView};
 pub use engine::{EngineSession, EraserEngine};
 pub use monitor::RedundancyMonitor;
 pub use parallel::ParallelConfig;

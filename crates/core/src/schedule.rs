@@ -25,29 +25,30 @@
 //! 3. **Plan** ([`plan_campaign`]). A group costs one good-network pass
 //!    — its engine settles the whole fault-free design from its start
 //!    step until its last fault is detected — so there is one sizing
-//!    rule: **as many groups as workers**, `min(threads, faults)`.
-//!    Without good-run artifacts these are site-affinity groups from step
-//!    0 (on one thread: the whole universe as one group). With them,
-//!    never-active faults are dropped and the rest are cut *in window
-//!    order* into that many contiguous chunks, each resumed at the latest
-//!    checkpoint eligible for all its members: early-activating faults
-//!    finish and exit together, late ones start late. The plan is a pure
-//!    function of (faults, windows, checkpoints, threads) — no timing
-//!    input — so coverage and every [`RedundancyStats`] counter repeat
-//!    exactly from run to run. Coverage is identical at every thread
-//!    count; the counters are a function of the plan.
+//!    rule: **as many groups as workers**, `min(threads, faults)`, and one
+//!    cut rule: equal contiguous chunks. Without good-run artifacts the
+//!    list is cut *in id order* — site-major, so faults sharing a site
+//!    share a group — and every group starts at step 0 (on one thread: the
+//!    whole universe as one group). With them, never-active faults are
+//!    dropped and the rest are cut *in window order*, each chunk resumed
+//!    at the latest checkpoint eligible for all its members:
+//!    early-activating faults finish and exit together, late ones start
+//!    late. The plan is a pure function of (faults, windows, checkpoints,
+//!    threads) — no timing input — so coverage and every
+//!    [`RedundancyStats`] counter repeat exactly from run to run.
+//!    Coverage is identical at every thread count; the counters are a
+//!    function of the plan.
 //! 4. **Drain** ([`drain_plan`]). The groups feed one atomic work queue:
 //!    idle workers claim the next group, costliest first. A group that
 //!    names a checkpoint gets its snapshot; eligibility guarantees every
 //!    member fault's state there equals its from-zero state, so coverage
 //!    records — detection steps and outputs included — are bit-identical
 //!    to a from-zero campaign. The drain folds the group reports through
-//!    [`FaultShard::merge_coverage_into`](eraser_fault::FaultShard::merge_coverage_into),
-//!    sums the counters — `skipped_prefix_steps` among them, reported by
-//!    the work closure, which is what decides where a fault starts — and
-//!    stamps the plan's `skipped_faults`. It is worker-invariant:
-//!    one plan drained by one worker or many gives bit-identical coverage
-//!    and counters.
+//!    [`WindowShard::merge_coverage_into`], sums the counters —
+//!    `skipped_prefix_steps` among them, reported by the work closure,
+//!    which is what decides where a fault starts — and stamps the plan's
+//!    `skipped_faults`. It is worker-invariant: one plan drained by one
+//!    worker or many gives bit-identical coverage and counters.
 //!
 //! A concurrent engine stops as soon as its last fault is detected and
 //! dropped ([`EraserEngine::run`](crate::EraserEngine::run)), so a group's
@@ -189,8 +190,8 @@ pub fn record_good_run_on<'d>(
 /// Picks the campaign's plan: one group per worker, `min(threads, faults)`
 /// of them. With good-run artifacts (see [`is_windowed`]) it is the window
 /// plan over their checkpoints — never-active faults dropped, the rest cut
-/// in window order; without, site-affinity groups that all start at step 0
-/// (one group on one thread — exactly the caller's list).
+/// in window order; without, the list cut in id order into groups that all
+/// start at step 0 (one group on one thread — exactly the caller's list).
 pub fn plan_campaign(
     faults: &FaultList,
     good: Option<&GoodRunArtifacts>,
@@ -219,7 +220,7 @@ pub struct Drained {
 /// Drains `plan` on up to `threads` workers: `work` runs once per group —
 /// handed the snapshot of the group's checkpoint when it names one, which
 /// requires the `good` artifacts the plan was built from — and returns the
-/// group's shard-local coverage and counters, `skipped_prefix_steps`
+/// group's local coverage and counters, `skipped_prefix_steps`
 /// included (the good-prefix steps its faults did not replay). The drain is
 /// worker-invariant: one worker drains the same group sequence inline —
 /// same engines, same counters as any other `threads`.
@@ -247,7 +248,7 @@ where
         let (coverage, mut stats) = work(group, snapshot);
         stats.time_total = group_t0.elapsed();
         if let Some(p) = progress {
-            p.group_done(group.shard.len());
+            p.group_done(group.len());
         }
         (coverage, stats)
     });
@@ -262,7 +263,7 @@ where
         ..RedundancyStats::default()
     };
     for (group, (group_cov, group_stats)) in plan.shards.iter().zip(&results) {
-        group.shard.merge_coverage_into(group_cov, &mut coverage);
+        group.merge_coverage_into(group_cov, &mut coverage);
         stats.merge(group_stats);
     }
     Drained {

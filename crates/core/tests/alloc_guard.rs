@@ -18,7 +18,7 @@
 
 use eraser_core::{EraserEngine, EvalBackend};
 use eraser_designs::Benchmark;
-use eraser_fault::{generate_faults, FaultList, FaultListConfig};
+use eraser_fault::{generate_faults, FaultList, FaultListConfig, WindowPlan};
 use eraser_logic::counting_alloc::CountingAlloc;
 use eraser_sim::{Evaluator, Simulator};
 
@@ -297,21 +297,22 @@ fn blocking_locals_steady_state_is_allocation_free() {
 }
 
 fn two_way_sharded_workers_are_allocation_free_in_steady_state() {
-    // The per-worker hot loop of a two-thread campaign: each worker
-    // owns one site-affinity shard and steps its own engine. Thread spawn
-    // and result merging are per-campaign setup, not steady state, so the
-    // guard drives both shard engines directly. On the tape backend the
-    // workers share one campaign-level program, exactly as `run_campaign`
-    // wires them.
+    // The per-worker hot loop of a two-thread plain campaign: each worker
+    // owns one group of the from-step-0 plan and steps its own engine.
+    // Thread spawn and result merging are per-campaign setup, not steady
+    // state, so the guard drives both group engines directly. On the tape
+    // backend the workers share one campaign-level program, exactly as
+    // `run_campaign` wires them.
     let design = Benchmark::Apb.build();
     let faults = generate_faults(&design, &Benchmark::Apb.fault_config());
     let stim = Benchmark::Apb.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
-    let shards = faults.partition(2);
-    assert_eq!(shards.len(), 2);
+    let plan = WindowPlan::from_step_zero(&faults, 2);
+    assert_eq!(plan.shards.len(), 2);
 
     let tapes = eraser_core::TapeProgram::compile(&design);
     for backend in BACKENDS {
-        let mut engines: Vec<EraserEngine> = shards
+        let mut engines: Vec<EraserEngine> = plan
+            .shards
             .iter()
             .map(|s| match backend {
                 EvalBackend::Tree => EraserEngine::session(&design, &s.list)

@@ -147,12 +147,6 @@ impl ActivationWindows {
         self.windows[fault.index()]
     }
 
-    /// First step the fault's site bit committed an unknown ([`NEVER`] =
-    /// never).
-    pub fn first_site_x(&self, fault: FaultId) -> usize {
-        self.site_x[fault.index()]
-    }
-
     /// True if the fault provably cannot diverge during the stimulus — it
     /// need not be simulated at all (it is undetected by construction).
     pub fn never_active(&self, fault: FaultId) -> bool {
@@ -437,8 +431,9 @@ mod tests {
             .unwrap();
         assert!(win.never_active(f.id), "t[3] is constant 0: sa0 is inert");
         // And since t[3] is defined 0 from construction (0 & X = 0), the
-        // fault is strictly dormant: no site X at all.
-        assert_eq!(win.first_site_x(f.id), NEVER);
+        // fault is strictly dormant — no site X at all — so every
+        // checkpoint is eligible, fully defined or not.
+        assert!(win.eligible_start(f.id, win.num_steps(), false));
         // Its sa1 counterpart contradicts immediately.
         let f1 = faults
             .iter()
@@ -492,16 +487,17 @@ mod tests {
         );
         let f = &faults.faults()[0];
         let w = win.window(f.id);
-        let x = win.first_site_x(f.id);
         // Step 0 is always eligible.
         assert!(win.eligible_start(f.id, 0, false));
         if w > 0 && w != NEVER {
             // Past the window: never eligible.
             assert!(!win.eligible_start(f.id, w + 1, true));
-            // Between the site X and the window: needs a defined state.
-            if x < w {
-                assert!(!win.eligible_start(f.id, x + 1, false));
-                assert!(win.eligible_start(f.id, w, true));
+            // Up to the window a fully defined state is always eligible;
+            // a partly unknown one only until the site bit first commits
+            // an unknown, and never again after it.
+            assert!((0..=w).all(|s| win.eligible_start(f.id, s, true)));
+            if let Some(x) = (0..=w).find(|&s| !win.eligible_start(f.id, s, false)) {
+                assert!((x..=w).all(|s| !win.eligible_start(f.id, s, false)));
             }
         }
         // start_checkpoint picks the latest eligible one.

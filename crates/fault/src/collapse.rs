@@ -271,12 +271,6 @@ impl CollapsedFaultList {
         &self.dropped
     }
 
-    /// Global member ids (ascending, representative first) of the class
-    /// behind representative-local id `rep`.
-    pub fn class_members(&self, rep: FaultId) -> &[FaultId] {
-        &self.members[rep.index()]
-    }
-
     /// The *global* id of the representative simulated on behalf of
     /// `fault` (a global id), or `None` if its class was dropped.
     pub fn representative_of(&self, fault: FaultId) -> Option<FaultId> {
@@ -439,13 +433,23 @@ mod tests {
         }
         let lifted = col.lift_coverage(&local);
         assert_eq!(lifted.total(), faults.len());
-        for i in 0..col.num_classes() {
-            let rep = FaultId(i as u32);
-            for &m in col.class_members(rep) {
+        // Representative-local ids ascend with the representatives'
+        // global ids.
+        let mut reps: Vec<FaultId> = faults
+            .iter()
+            .filter_map(|f| col.representative_of(f.id))
+            .collect();
+        reps.sort_unstable();
+        reps.dedup();
+        assert_eq!(reps.len(), col.num_classes());
+        for f in faults.iter() {
+            if let Some(rep) = col.representative_of(f.id) {
+                let local_rep = reps.binary_search(&rep).unwrap();
                 assert_eq!(
-                    lifted.detection(m),
-                    local.detection(rep),
-                    "member {m} must inherit its representative's record"
+                    lifted.detection(f.id),
+                    local.detection(FaultId(local_rep as u32)),
+                    "member {} must inherit its representative's record",
+                    f.id
                 );
             }
         }

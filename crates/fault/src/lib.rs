@@ -9,12 +9,12 @@
 //! * [`Fault`], [`StuckAt`], [`FaultId`] — one stuck-at fault site,
 //! * [`FaultList`] and [`generate_faults`] — fault universe construction
 //!   with the usual exclusions (clocks/resets, synthetic nets) and optional
-//!   deterministic sampling,
-//! * [`FaultShard`] and [`FaultList::partition`] — disjoint,
-//!   self-contained slices of a universe and the site-affinity cut that
-//!   makes them,
-//! * [`BatchPlan`] — static site-major `(batch, lane)` assignment for
-//!   64-wide bit-parallel (PPSFP-style) evaluation,
+//!   deterministic sampling. Ids are **site-major**: by signal index, then
+//!   bit, then polarity, and every list derived from a universe — a
+//!   sample, the collapsed representatives, a plan group — keeps that
+//!   order. Faults sharing a site are therefore neighbours in id order,
+//!   and no consumer re-derives site order: the plan cuts and the engine
+//!   packs its 64-wide batch lanes in id order,
 //! * [`CollapsedFaultList`] — static fault collapsing: equivalence classes
 //!   over alias chains plus provably-undetectable drops
 //!   (unobservable sites, unread bits), computed before any
@@ -26,28 +26,25 @@
 //!   and the activation-ordered fault schedule,
 //! * [`WindowPlan`] — the campaign plan, the one place that decides which
 //!   faults share an engine and where it starts: as many [`WindowShard`]
-//!   groups as the caller has workers, from step 0, or cut in
-//!   activation-window order with each group resumed at the latest
-//!   good-state checkpoint eligible for all its members (a pure function
-//!   of its inputs, so merged results repeat exactly),
+//!   groups as the caller has workers — equal contiguous chunks, cut in id
+//!   order from step 0, or in activation-window order with each group
+//!   resumed at the latest good-state checkpoint eligible for all its
+//!   members (a pure function of its inputs, so merged results repeat
+//!   exactly),
 //! * [`CoverageReport`] — detection bookkeeping and the coverage metric
-//!   reported in Table II of the paper; shard reports fold into it through
-//!   [`FaultShard::merge_coverage_into`].
+//!   reported in Table II of the paper; group reports fold into it through
+//!   [`WindowShard::merge_coverage_into`].
 
 mod activation;
-mod batch;
 mod collapse;
 mod coverage;
 mod list;
-mod partition;
 mod window;
 
 pub use activation::ActivationWindows;
-pub use batch::BatchPlan;
 pub use collapse::CollapsedFaultList;
 pub use coverage::{CoverageReport, Detection};
 pub use list::{generate_faults, FaultList, FaultListConfig};
-pub use partition::FaultShard;
 pub use window::{WindowPlan, WindowShard};
 
 use eraser_ir::SignalId;

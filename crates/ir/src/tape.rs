@@ -349,11 +349,6 @@ impl EvalTape {
         self.instrs.is_empty()
     }
 
-    /// Number of temporary slots the tape needs.
-    pub fn slot_count(&self) -> usize {
-        self.n_slots as usize
-    }
-
     /// Returns a copy with the result forced (zero-extended / truncated)
     /// to `width` — what RTL node outputs need.
     pub fn with_out_width(mut self, width: u32) -> Self {
@@ -1666,7 +1661,7 @@ mod tests {
             e = Expr::bin(BinaryOp::Add, e, Expr::sig(SignalId(1)));
         }
         let tape = compile_expr(&e, &w8);
-        assert!(tape.slot_count() <= 3, "slots: {}", tape.slot_count());
+        assert!(tape.n_slots <= 3, "slots: {}", tape.n_slots);
         let vals = vec![LogicVec::from_u64(8, 1), LogicVec::from_u64(8, 3)];
         assert_eq!(run(&tape, &vals), eval_expr_cloning(&e, &vals));
     }

@@ -127,18 +127,6 @@ impl LogicBit {
             LogicBit::X => 'x',
         }
     }
-
-    /// Parses a literal digit character (`0`, `1`, `x`/`X`, `z`/`Z`/`?`).
-    #[inline]
-    pub fn from_char(c: char) -> Option<Self> {
-        match c {
-            '0' => Some(LogicBit::Zero),
-            '1' => Some(LogicBit::One),
-            'x' | 'X' => Some(LogicBit::X),
-            'z' | 'Z' | '?' => Some(LogicBit::Z),
-            _ => None,
-        }
-    }
 }
 
 impl From<bool> for LogicBit {
@@ -224,10 +212,12 @@ mod tests {
 
     #[test]
     fn char_roundtrip() {
+        // A bit's literal character parses back as a one-bit literal.
+        let parse = |c: char| crate::LogicVec::parse_literal(&format!("1'b{c}")).map(|v| v.bit(0));
         for b in [LogicBit::Zero, LogicBit::One, LogicBit::Z, LogicBit::X] {
-            assert_eq!(LogicBit::from_char(b.to_char()), Some(b));
+            assert_eq!(parse(b.to_char()), Ok(b));
         }
-        assert_eq!(LogicBit::from_char('?'), Some(LogicBit::Z));
-        assert_eq!(LogicBit::from_char('q'), None);
+        assert_eq!(parse('?'), Ok(LogicBit::Z));
+        assert!(parse('q').is_err());
     }
 }

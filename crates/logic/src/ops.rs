@@ -575,7 +575,7 @@ impl LogicVec {
 
     /// Unsigned comparison, `None` if either side has unknown bits. Never
     /// allocates.
-    pub fn cmp_unsigned(&self, rhs: &LogicVec) -> Option<std::cmp::Ordering> {
+    fn cmp_unsigned(&self, rhs: &LogicVec) -> Option<std::cmp::Ordering> {
         if self.has_unknown() || rhs.has_unknown() {
             return None;
         }

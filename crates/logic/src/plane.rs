@@ -209,25 +209,6 @@ impl LanePlanes {
         }
         out.assign_word(self.width, va, vb);
     }
-
-    /// Mask of lanes whose value differs from `reference` (a plain value,
-    /// compared as if broadcast to every lane). Plane-equality is
-    /// value-equality, as for [`LogicVec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reference.width() != self.width()`.
-    pub fn lanes_differing(&self, reference: &LogicVec) -> u64 {
-        assert_eq!(reference.width(), self.width, "reference width mismatch");
-        let (ra, rb) = reference.word_planes();
-        let mut diff = 0u64;
-        for j in 0..self.width {
-            let ga = if ra >> j & 1 == 1 { u64::MAX } else { 0 };
-            let gb = if rb >> j & 1 == 1 { u64::MAX } else { 0 };
-            diff |= (self.a[j as usize] ^ ga) | (self.b[j as usize] ^ gb);
-        }
-        diff
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +247,6 @@ mod tests {
                 p.extract_lane(lane, &mut out);
                 assert_eq!(out, v, "width {width} lane {lane}");
             }
-            assert_eq!(p.lanes_differing(&v), 0);
         }
     }
 
@@ -342,7 +322,14 @@ mod tests {
         p.set_lane(63, &other);
         // A lane re-set to the good value must not be flagged.
         p.set_lane(8, &good.clone());
-        assert_eq!(p.lanes_differing(&good), (1 << 5) | (1 << 63));
+        let (mut a, mut b) = ([0u64; 64], [0u64; 64]);
+        p.store_lanes(&mut a, &mut b);
+        let planes = good.word_planes();
+        let differing = (0..64).filter(|&l| (a[l], b[l]) != planes);
+        assert_eq!(
+            differing.fold(0u64, |m, l| m | 1 << l),
+            (1 << 5) | (1 << 63)
+        );
     }
 
     #[test]

@@ -537,24 +537,6 @@ impl LogicVec {
         })
     }
 
-    /// Sign-extends (replicating the MSB, including `X`/`Z` MSBs) or
-    /// truncates to `new_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_width` is zero.
-    pub fn sign_extend(&self, new_width: u32) -> Self {
-        if new_width <= self.width {
-            return self.resize(new_width);
-        }
-        let msb = self.bit(self.width - 1);
-        let mut v = self.resize(new_width);
-        for i in self.width..new_width {
-            v.set_bit(i, msb);
-        }
-        v
-    }
-
     /// Extracts bits `hi..=lo` (inclusive, `hi >= lo`) as a new vector of
     /// width `hi - lo + 1`.
     ///
@@ -808,19 +790,6 @@ mod tests {
         assert_eq!(v.resize(16).to_u64(), Some(0xab));
         assert_eq!(v.resize(4).to_u64(), Some(0xb));
         assert_eq!(v.resize(128).to_u64(), Some(0xab));
-    }
-
-    #[test]
-    fn sign_extend_replicates_msb() {
-        let v = LogicVec::from_u64(4, 0b1010);
-        assert_eq!(v.sign_extend(8).to_u64(), Some(0b1111_1010));
-        let v = LogicVec::from_u64(4, 0b0010);
-        assert_eq!(v.sign_extend(8).to_u64(), Some(0b0000_0010));
-        let mut x = LogicVec::from_u64(2, 0b01);
-        x.set_bit(1, LogicBit::X);
-        let e = x.sign_extend(4);
-        assert_eq!(e.bit(3), LogicBit::X);
-        assert_eq!(e.bit(0), LogicBit::One);
     }
 
     #[test]

@@ -351,7 +351,7 @@ impl<'d> Simulator<'d> {
 
     /// True if no queued work is pending — the settle-point condition under
     /// which snapshots are defined.
-    pub fn is_settled(&self) -> bool {
+    fn is_settled(&self) -> bool {
         self.rtl_queue.is_empty()
             && self.beh_queue.is_empty()
             && self.nba.is_empty()

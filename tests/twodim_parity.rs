@@ -333,7 +333,7 @@ fn composed_path_reports_real_skips_at_every_thread_count() {
             .map(|&workers| {
                 drain_plan(&plan, Some(&good), workers, None, |group, snapshot| {
                     let snapshot = snapshot.expect("window groups name a checkpoint");
-                    let mut engine = EraserEngine::session(&design, &group.shard.list)
+                    let mut engine = EraserEngine::session(&design, &group.list)
                         .resume_from(snapshot, group.start)
                         .start();
                     engine.run(&stim);
