@@ -9,11 +9,77 @@ use crate::diff::union_ids_into;
 use crate::diff::FaultView;
 use crate::monitor::RedundancyMonitor;
 use crate::RedundancyMode;
-use eraser_fault::FaultId;
-use eraser_ir::{BehavioralId, BehavioralNode};
+use eraser_fault::{Fault, FaultId, StuckAt};
+use eraser_ir::{BehavioralId, BehavioralNode, SignalId};
+use eraser_logic::LogicVec;
 use eraser_sim::{ExecOutcome, NoopMonitor};
 
+/// The faults sited on one activation-local signal, as one bit mask per
+/// polarity: bit `i` of word `w` is set when a stuck-at sits on bit
+/// `64 w + i`. They are never dropped — no diff of theirs ever reaches an
+/// output — so the masks are fixed at engine build.
+pub(super) struct LocalSites {
+    sig: SignalId,
+    sa0: Vec<u64>,
+    sa1: Vec<u64>,
+}
+
+impl LocalSites {
+    pub(super) fn new(sig: SignalId, width: u32) -> Self {
+        let words = width.div_ceil(64) as usize;
+        LocalSites {
+            sig,
+            sa0: vec![0; words],
+            sa1: vec![0; words],
+        }
+    }
+
+    /// Takes `f` into the masks, unless a fault of the same site and
+    /// polarity is already there: a duplicate stays materialized, so every
+    /// mask bit counts exactly one fault.
+    pub(super) fn claim(&mut self, f: &Fault) -> bool {
+        let mask = match f.stuck {
+            StuckAt::Zero => &mut self.sa0,
+            StuckAt::One => &mut self.sa1,
+        };
+        let (w, bit) = ((f.bit / 64) as usize, 1u64 << (f.bit % 64));
+        let free = mask[w] & bit == 0;
+        mask[w] |= bit;
+        free
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.sa0.iter().chain(&self.sa1).all(|&m| m == 0)
+    }
+
+    /// How many of these faults forcing `good` would change
+    /// ([`Fault::changes`]): a stuck-at-0 where the bit is not `0`, a
+    /// stuck-at-1 where it is not `1`.
+    fn visible(&self, good: &LogicVec) -> u64 {
+        let planes = good.avals().iter().zip(good.bvals());
+        self.sa0
+            .iter()
+            .zip(&self.sa1)
+            .zip(planes)
+            .map(|((m0, m1), (a, b))| (m0 & (a | b)).count_ones() + (m1 & (!a | b)).count_ones())
+            .map(u64::from)
+            .sum()
+    }
+}
+
 impl EngineState<'_> {
+    /// The faults sited on activation-local signals node `id` reads whose
+    /// force is visible on the committed good value: exactly the
+    /// candidates the materialized diffs would have added, all of which
+    /// Algorithm 1 skips — every read of the signal resolves from the
+    /// activation's own blocking writes.
+    fn visible_local_faults(&self, id: BehavioralId) -> u64 {
+        self.local_sites[id.index()]
+            .iter()
+            .map(|l| l.visible(self.good.get(l.sig)))
+            .sum()
+    }
+
     /// Processes one behavioral activation: good execution (with the
     /// redundancy monitor in `Full` mode), candidate selection, faulty
     /// executions for the non-redundant faults, blocking commit, and NBA
@@ -23,9 +89,11 @@ impl EngineState<'_> {
     /// (a good activation never carries `fault_only` faults, so no
     /// `suppressed` ones is the whole test), every signal the node reads or
     /// writes is [clean](Self::clean) and the mode eliminates explicit
-    /// redundancy (or no fault is alive), every live fault is an explicitly
-    /// skipped opportunity: one unmonitored good execution, its blocking
-    /// finals committed in target order, its non-blocking writes queued.
+    /// redundancy (or no fault is alive), every live fault is a skipped
+    /// opportunity — implicitly for the visible faults on activation-local
+    /// reads, explicitly for the rest: one unmonitored good execution, its
+    /// blocking finals committed in target order, its non-blocking writes
+    /// queued.
     pub(super) fn process_activation(
         &mut self,
         ws: &mut Workspace,
@@ -51,9 +119,11 @@ impl EngineState<'_> {
             );
         }
         if lane {
+            let local = self.visible_local_faults(id);
             self.stats.good_activations += 1;
             self.stats.opportunities += self.alive_count;
-            self.stats.explicit_skipped += self.alive_count;
+            self.stats.explicit_skipped += self.alive_count - local;
+            self.stats.implicit_skipped += local;
             good_out.blocking.sort_unstable_by_key(|(t, _)| *t);
             for (t, v) in &good_out.blocking {
                 self.commit_signal(ws, *t, v, &[], true);
@@ -85,10 +155,12 @@ impl EngineState<'_> {
                         self.alive_count - act.suppressed.len() as u64 - exec_list.len() as u64;
                 }
                 RedundancyMode::Full => {
+                    let local = self.visible_local_faults(id);
                     let mut cands = ws.ids.take();
                     self.input_candidates(node, &act.suppressed, &mut cands);
                     self.stats.explicit_skipped +=
-                        self.alive_count - act.suppressed.len() as u64 - cands.len() as u64;
+                        self.alive_count - act.suppressed.len() as u64 - cands.len() as u64 - local;
+                    self.stats.implicit_skipped += local;
                     let killed = std::mem::take(&mut exec_list);
                     let mut mon = RedundancyMonitor::new(
                         &self.diffs,

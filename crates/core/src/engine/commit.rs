@@ -195,16 +195,16 @@ impl EngineState<'_> {
             }
         }
         covered.sort_unstable();
-        for f in diffs.ids() {
-            if self.alive[f.index()] && covered.binary_search(&f).is_err() {
+        for (f, v) in diffs.entries() {
+            if self.alive[f.index()] && covered.binary_search(f).is_err() {
                 let mut val = ws.bufs.take_for(t_width);
-                val.assign_from(diffs.view(f, good));
+                val.assign_from(v);
                 for w in good_writes {
                     if w.target == t {
                         w.apply_assign(&mut val);
                     }
                 }
-                fault_news.push((f, val));
+                fault_news.push((*f, val));
             }
         }
     }

@@ -38,7 +38,9 @@ mod workspace;
 use crate::diff::{DiffList, FaultView};
 use crate::stats::RedundancyStats;
 use crate::RedundancyMode;
+use behavioral::LocalSites;
 use eraser_fault::{CoverageReport, FaultId, FaultList};
+use eraser_ir::analysis::activation_local_signals;
 use eraser_ir::{
     BatchProgram, BehavioralId, Design, EvalBackend, RtlNodeId, SignalId, TapeProgram, ValueSource,
 };
@@ -83,7 +85,15 @@ struct EngineState<'d> {
 
     good: ValueStore,
     diffs: Vec<DiffList>,
+    /// Faults sited on each signal whose force is materialized as a diff —
+    /// all of them but those on activation-local signals.
     site_faults: Vec<Vec<FaultId>>,
+    /// Per behavioral node, the faults sited on the activation-local
+    /// signals it reads ([`activation_local_signals`], `Full` mode only).
+    /// No reader ever sees their force, so it is never materialized: the
+    /// signal stays clean, and each good activation books the visible
+    /// ones as implicitly skipped, exactly as Algorithm 1 would find them.
+    local_sites: Vec<Vec<LocalSites>>,
     /// Live faults sited on each signal: `site_faults` minus the dropped
     /// ones, as a count. With an empty diff list it makes the signal
     /// [clean](Self::clean).
@@ -249,10 +259,35 @@ impl<'d> EraserEngine<'d> {
             resume,
         } = session;
         let n_sig = design.num_signals();
+        let local = match mode {
+            RedundancyMode::Full => activation_local_signals(design),
+            RedundancyMode::Explicit | RedundancyMode::None => vec![false; n_sig],
+        };
+        let mut locals: Vec<Option<LocalSites>> = design
+            .signals()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| local[i].then(|| LocalSites::new(SignalId::from_index(i), s.width)))
+            .collect();
         let mut site_faults: Vec<Vec<FaultId>> = vec![Vec::new(); n_sig];
         for f in faults.iter() {
-            site_faults[f.signal.index()].push(f.id);
+            let si = f.signal.index();
+            if !locals[si].as_mut().is_some_and(|l| l.claim(f)) {
+                site_faults[si].push(f.id);
+            }
         }
+        // A local signal has one reader, its writer, so each moves once.
+        let local_sites = design
+            .behavioral_nodes()
+            .iter()
+            .map(|node| {
+                node.reads
+                    .iter()
+                    .filter_map(|s| locals[s.index()].take())
+                    .filter(|l| !l.is_empty())
+                    .collect()
+            })
+            .collect();
         let good = ValueStore::new(design);
         let edge_prev_good = design
             .signals()
@@ -276,6 +311,7 @@ impl<'d> EraserEngine<'d> {
             good,
             diffs,
             site_faults,
+            local_sites,
             site_live,
             alive: vec![true; faults.len()],
             alive_count: faults.len() as u64,
@@ -351,6 +387,11 @@ impl<'d> EraserEngine<'d> {
     }
 
     /// The value of `sig` as seen by `fault`.
+    ///
+    /// In [`RedundancyMode::Full`] a fault sited on an activation-local
+    /// signal ([`activation_local_signals`]) sees the good value there: no
+    /// reader ever sees its force, so the engine never materializes it.
+    /// Every other value equals a serial simulation with the force.
     pub fn fault_value(&self, sig: SignalId, fault: FaultId) -> LogicVec {
         FaultView::new(&self.state.diffs, &self.state.good, fault)
             .value(sig)

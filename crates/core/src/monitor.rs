@@ -45,6 +45,17 @@ use eraser_sim::{ExecMonitor, OverlayView, ValueStore};
 /// from committed state (the target enters the overlay only after that
 /// segment), so a diff there still kills.
 ///
+/// Where the rule holds for every activation, it is proven once per
+/// design: in `Full` mode the engine never materializes the force of a
+/// stuck-at sited on an [activation-local] signal — a temporary only its
+/// writer reads, always after a full blocking write. It books those
+/// faults as implicitly skipped without asking the monitor. What reaches
+/// the monitor through the overlay is the rest: diffs on temporaries
+/// another node or an output also reads, and the values executed faults
+/// wrote to activation-local signals.
+///
+/// [activation-local]: eraser_ir::analysis::activation_local_signals
+///
 /// A committed read is a visible difference only where the fault's value
 /// differs from the good one within the bits the node reads of it (the
 /// VDG's `spans`: the hull of its constant part selects, the whole signal

@@ -20,7 +20,12 @@ pub struct RedundancyStats {
     /// executed segment reads a visible difference. A read the activation's
     /// own earlier blocking write resolves is not one, nor are bits a read
     /// does not select, so a candidate whose only differences sit on
-    /// write-before-read locals or unselected bits is skipped here.
+    /// write-before-read locals or unselected bits is skipped here. In
+    /// `Full` mode this includes, at every good activation, the faults
+    /// sited on the activation-local signals the node reads whose force
+    /// would change the committed value — booked from the static analysis
+    /// (`eraser_ir::analysis::activation_local_signals`) without a
+    /// materialized diff, in exactly the count Algorithm 1 finds for them.
     pub implicit_skipped: u64,
     /// Faulty behavioral executions actually performed.
     pub fault_executions: u64,

@@ -13,8 +13,8 @@
 //! values stay inline and any allocation would come from a missing
 //! buffer-reuse path — including a stimulus-value clone in `run()` or a
 //! tape slot reused at the wrong storage shape. SHA-256 covers the boxed
-//! (>64-bit) storage path and the FPU the redundancy monitor's overlay
-//! checks over a loop of blocking locals.
+//! (>64-bit) storage path and the FPU a loop of blocking locals: the static
+//! activation-local booking and the redundancy monitor's overlay checks.
 
 use eraser_core::{EraserEngine, EvalBackend};
 use eraser_designs::Benchmark;
@@ -258,15 +258,17 @@ fn wide_design_steady_state_is_allocation_free() {
 }
 
 /// Algorithm 1 on blocking locals: the FPU's add path runs a 24-iteration
-/// `for` over some twenty write-before-read temporaries, so the monitor
-/// checks reads against a growing overlay at every decision and segment,
-/// and keeps stuck-ats on those temporaries as implicitly redundant. Over
-/// the uncapped fault universe, both backends, that path must pool like
+/// `for` over its 22 activation-local temporaries. Stuck-ats on them are
+/// booked as implicitly redundant from the static analysis; stuck-ats on
+/// the inputs make candidates whose reads the monitor checks against a
+/// growing overlay at every decision and segment. Over the uncapped fault
+/// universe, inputs included, both backends, both paths must pool like
 /// every other.
 fn blocking_locals_steady_state_is_allocation_free() {
     let design = Benchmark::Fpu32.build();
     let universe = FaultListConfig {
         max_faults: None,
+        include_inputs: true,
         ..Benchmark::Fpu32.fault_config()
     };
     let faults = generate_faults(&design, &universe);

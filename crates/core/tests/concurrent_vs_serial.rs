@@ -20,12 +20,17 @@
 //! write-before-read locals are skipped, faults on a local read before its
 //! write or under a partial first write execute and are detected. So is its
 //! span rule: faults on bits no constant select reads are skipped, faults
-//! on selected or dynamically indexed bits execute.
+//! on selected or dynamically indexed bits execute. In `Full` mode the force
+//! of a fault sited on an activation-local signal is never materialized, so
+//! there that fault must read the good value; the same temporary with an
+//! outside reader keeps its forced diff, and the monitor skips it at run
+//! time.
 
 use eraser_core::{EraserEngine, EvalBackend, RedundancyMode};
 use eraser_designs::{netlist_fixtures, Benchmark, DesignSource, Lcg};
 use eraser_fault::{generate_faults, FaultList, FaultListConfig, StuckAt};
 use eraser_frontend::compile;
+use eraser_ir::analysis::activation_local_signals;
 use eraser_ir::{Design, SignalId};
 use eraser_logic::LogicVec;
 use eraser_sim::{Evaluator, Simulator, Stimulus, StimulusBuilder};
@@ -63,12 +68,21 @@ fn faults_on(design: &Design, names: &[&str]) -> FaultList {
 /// Value parity of `faults` against one forced serial simulator per fault;
 /// returns the engine (observed after every step, nothing dropped) for
 /// counter and coverage checks.
+///
+/// In `Full` mode the engine never materializes the force of a fault sited
+/// on an activation-local signal, so there that fault must see the good
+/// value instead of the serial one; every other fault, on those signals
+/// too, must still match the serial simulator.
 fn value_parity_of<'d>(
     design: &'d Design,
     faults: &'d FaultList,
     stim: &Stimulus,
     mode: RedundancyMode,
 ) -> EraserEngine<'d> {
+    let local = match mode {
+        RedundancyMode::Full => activation_local_signals(design),
+        _ => vec![false; design.num_signals()],
+    };
     // Concurrent engine over the whole batch (no dropping: values must
     // match to the end).
     let mut engine = EraserEngine::new(design, faults, mode, false);
@@ -101,6 +115,16 @@ fn value_parity_of<'d>(
         for f in faults.iter() {
             for &sig in &named {
                 let conc = engine.fault_value(sig, f.id);
+                if local[sig.index()] && f.signal == sig {
+                    assert_eq!(
+                        &conc,
+                        engine.good_value(sig),
+                        "step {si}, fault {} on activation-local {}: a materialized force",
+                        f.id,
+                        design.signal(sig).name,
+                    );
+                    continue;
+                }
                 let ser = serials[f.id.index()].value(sig);
                 assert_eq!(
                     &conc,
@@ -526,13 +550,24 @@ fn node_turning_clean_when_its_last_fault_drops_changes_nothing() {
 /// One clocked body over `t`, with `clk`, `rst`, 4-bit inputs `a`, `b` and
 /// an 8-bit `d`, and the output `q`.
 fn local_design(body: &str) -> Design {
+    local_design_observed(body, None)
+}
+
+/// [`local_design`], plus an 8-bit output `y` assigned `observed` when one
+/// is given — an outside reader of whatever it names.
+fn local_design_observed(body: &str, observed: Option<&str>) -> Design {
+    let (port, assign) = match observed {
+        Some(e) => (", output wire [7:0] y", format!("assign y = {e};")),
+        None => ("", String::new()),
+    };
     compile(
         &format!(
             "module m(input wire clk, input wire rst, input wire [3:0] a, input wire [3:0] b,
-                      input wire [7:0] d, output reg [7:0] q);
+                      input wire [7:0] d, output reg [7:0] q{port});
                reg [7:0] t;
                reg [3:0] lead;
                integer i;
+               {assign}
                always @(posedge clk) begin {body} end
              endmodule"
         ),
@@ -550,17 +585,100 @@ fn overlay_rule_parity<'d>(d: &'d Design, faults: &'d FaultList) -> EraserEngine
 }
 
 /// Algorithm 1's overlay rule, from the skipping side: a stuck-at on a
-/// temporary every activation writes before it reads carries a forced diff
-/// forever, yet no execution reads it — the read resolves from the
-/// activation's own overlay. Every such fault is implicitly redundant.
+/// temporary every activation writes before it reads is forced forever,
+/// yet no execution reads the forced value — the read resolves from the
+/// activation's own overlay. Every such fault is implicitly redundant. `t`
+/// is activation-local, so `Full` mode books that from the static analysis
+/// and never materializes the force.
 #[test]
 fn write_before_read_local_is_implicitly_redundant() {
     let d = local_design("t = a + b; q <= t;");
+    assert!(activation_local_signals(&d)[d.find_signal("t").unwrap().index()]);
     let faults = faults_on(&d, &["t"]);
     let engine = overlay_rule_parity(&d, &faults);
     let s = engine.stats();
     assert!(s.implicit_skipped > 0);
     assert_eq!(s.fault_executions, 0);
+}
+
+/// The same temporary with an outside reader (`assign y = t`) is not
+/// activation-local: its force is materialized, shows at `y`, and it is the
+/// monitor's overlay rule, at run time, that still skips every execution of
+/// the block. (Bits the 4-bit sum never sets hide their stuck-at-0s.)
+#[test]
+fn write_before_read_temporary_with_an_outside_reader_is_skipped_by_the_monitor() {
+    let d = local_design_observed("t = a + b; q <= t;", Some("t"));
+    assert!(!activation_local_signals(&d)[d.find_signal("t").unwrap().index()]);
+    let faults = faults_on(&d, &["t"]);
+    let engine = overlay_rule_parity(&d, &faults);
+    let s = engine.stats();
+    assert!(s.implicit_skipped > 0);
+    assert_eq!(s.fault_executions, 0);
+    assert!(engine.coverage().detected() > 0);
+}
+
+/// The static booking counts exactly what the monitor counts. Each body
+/// runs twice over the same stimulus, nothing dropped: once with its
+/// temporaries activation-local, once with an outside reader that makes the
+/// engine materialize their forces, so the monitor finds them at run time.
+/// The block books the same opportunities, skips and executions either way,
+/// one polarity at a time (a bit's two stuck-ats are always visible
+/// together on an `X` and one at a time otherwise).
+#[test]
+fn static_booking_counts_what_the_monitor_counts() {
+    let cases: [(&str, &[&str], &str); 2] = [
+        ("t = a + b; q <= t;", &["t"], "t"),
+        (
+            "lead = 0; for (i = 0; i < 8; i = i + 1) if (d[i]) lead = i; q <= {4'h0, lead};",
+            &["i", "lead"],
+            "{4'h0, lead}",
+        ),
+    ];
+    for ((body, names, observed), stuck) in cases
+        .into_iter()
+        .flat_map(|c| [(c, StuckAt::Zero), (c, StuckAt::One)])
+    {
+        let counts = |d: &Design| {
+            let faults: FaultList = faults_on(d, names)
+                .iter()
+                .filter(|f| f.stuck == stuck)
+                .copied()
+                .collect();
+            let stim = drive_cycles(d, 40, 0x3c, &[("a", 4), ("b", 4), ("d", 8)]);
+            let mut engine = EraserEngine::new(d, &faults, RedundancyMode::Full, false);
+            engine.run(&stim);
+            let s = engine.stats();
+            (
+                s.good_activations,
+                s.opportunities,
+                s.explicit_skipped,
+                s.implicit_skipped,
+                s.fault_executions,
+            )
+        };
+        let local = counts(&local_design(body));
+        assert!(local.3 > 0, "{body} {stuck}: nothing booked");
+        assert_eq!(
+            local,
+            counts(&local_design_observed(body, Some(observed))),
+            "{body} {stuck}"
+        );
+    }
+}
+
+/// A fault elsewhere that executes the block can write an activation-local
+/// temporary a value of its own. Only the force of faults sited on the
+/// temporary goes unmaterialized: `a`'s faults keep their own `t` (the
+/// value parity above checks it against the serial simulator) until a good
+/// write replays over it.
+#[test]
+fn executed_faults_keep_their_own_value_of_a_local() {
+    let d = local_design("t = {a, b} & d; q <= {7'h0, t[0]};");
+    let faults = faults_on(&d, &["a", "t"]);
+    let engine = overlay_rule_parity(&d, &faults);
+    let s = engine.stats();
+    assert!(s.fault_executions > 0);
+    assert!(s.implicit_skipped > 0);
 }
 
 /// The leading-one scan of the FPU: the loop variable and the result are

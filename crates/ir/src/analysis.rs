@@ -1,10 +1,12 @@
 //! Static analyses: expression widths, RTL node result widths, the signal
-//! influence graph, structural observability and the bit read census.
+//! influence graph, structural observability, activation-local signals and
+//! the bit read census.
 
-use crate::design::Design;
+use crate::design::{Design, Driver};
 use crate::expr::{BinaryOp, Expr, UnaryOp};
 use crate::ids::SignalId;
 use crate::node::RtlOp;
+use crate::stmt::{LValue, Stmt};
 
 /// The result width of `expr` under the documented width model:
 ///
@@ -146,6 +148,122 @@ pub fn observable_signals(design: &Design) -> Vec<bool> {
         }
     }
     observable
+}
+
+/// Per-signal activation locality: `true` iff the signal is a temporary
+/// whose committed value no reader ever sees. Such a signal
+///
+/// * is written by exactly one behavioral node and driven by no RTL node;
+/// * is not a port, has no RTL, level or edge fanout, and no other node
+///   reads it;
+/// * is, inside its writer, fully written by a blocking assignment before
+///   every read of it, on every path. A read is a condition, a case label,
+///   a right-hand side, an index, or the target of a partial write.
+///
+/// The last rule is definite assignment: the paths of an `if` or `case`
+/// join by intersection, a missing `else` or `default` joins with the
+/// fall-through, writes in a `for` body or step are not definite after the
+/// loop (it may run zero times), and a non-blocking write never counts.
+///
+/// Every read of an activation-local signal therefore resolves from the
+/// activation's own blocking writes, so a stuck-at sited on it changes no
+/// value any execution computes and reaches no output.
+pub fn activation_local_signals(design: &Design) -> Vec<bool> {
+    let n = design.num_signals();
+    let writer = |s: SignalId| match design.driver(s) {
+        Some(Driver::Behavioral(b)) => Some(b.index()),
+        _ => None,
+    };
+    let mut read_elsewhere = vec![false; n];
+    for (b, node) in design.behavioral_nodes().iter().enumerate() {
+        for &s in &node.reads {
+            read_elsewhere[s.index()] |= writer(s) != Some(b);
+        }
+    }
+    let mut local = vec![false; n];
+    for (b, node) in design.behavioral_nodes().iter().enumerate() {
+        for &t in &node.writes {
+            local[t.index()] = writer(t) == Some(b)
+                && design.signal(t).port.is_none()
+                && !read_elsewhere[t.index()]
+                && design.rtl_fanout(t).is_empty()
+                && design.level_fanout(t).is_empty()
+                && design.edge_fanout(t).is_empty()
+                && written_before_read(&node.body, t, false).is_some();
+        }
+    }
+    local
+}
+
+/// Definite assignment of `t` through `stmt`, entered with `t` written on
+/// every path (`written`) or not: `None` if some read of `t` may see it
+/// unwritten, else whether every path out of `stmt` has written it.
+fn written_before_read(stmt: &Stmt, t: SignalId, written: bool) -> Option<bool> {
+    let reads = |e: &Expr| {
+        let mut hit = false;
+        e.for_each_read(&mut |s, _| hit |= s == t);
+        hit
+    };
+    let guard = |read: bool| (written || !read).then_some(());
+    let walk = |s: &Stmt, w: bool| written_before_read(s, t, w);
+    match stmt {
+        Stmt::Block(stmts) => stmts.iter().try_fold(written, |w, s| walk(s, w)),
+        Stmt::Assign {
+            lhs, rhs, blocking, ..
+        } => {
+            let mut lhs_reads = Vec::new();
+            lhs.collect_reads(&mut lhs_reads);
+            guard(reads(rhs) || lhs_reads.contains(&t))?;
+            Some(written || (*blocking && *lhs == LValue::Full(t)))
+        }
+        Stmt::If {
+            cond,
+            then_s,
+            else_s,
+            ..
+        } => {
+            guard(reads(cond))?;
+            let then_w = walk(then_s, written)?;
+            let else_w = match else_s {
+                Some(e) => walk(e, written)?,
+                None => written,
+            };
+            Some(then_w && else_w)
+        }
+        Stmt::Case {
+            scrutinee,
+            arms,
+            default,
+            ..
+        } => {
+            guard(reads(scrutinee) || arms.iter().flat_map(|a| &a.labels).any(reads))?;
+            let mut all = match default {
+                Some(d) => walk(d, written)?,
+                None => written,
+            };
+            for arm in arms {
+                all &= walk(&arm.body, written)?;
+            }
+            Some(all)
+        }
+        Stmt::For {
+            init,
+            cond,
+            step,
+            body,
+            ..
+        } => {
+            // Every iteration enters the condition and body with at least
+            // what `init` wrote, so checking the first one checks them all.
+            let w = walk(init, written)?;
+            if !w && reads(cond) {
+                return None;
+            }
+            walk(step, walk(body, w)?)?;
+            Some(w)
+        }
+        Stmt::Nop => Some(written),
+    }
 }
 
 /// Per-signal, per-bit read coverage: `cover[s][i]` is `true` iff some
