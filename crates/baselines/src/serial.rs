@@ -26,7 +26,7 @@ use eraser_core::{
 use eraser_fault::{detectable_mismatch, CoverageReport, Detection, FaultList};
 use eraser_ir::{Design, SignalId};
 use eraser_logic::LogicVec;
-use eraser_sim::{Evaluator, Simulator, Stimulus};
+use eraser_sim::{Evaluator, Simulator, Stimulus, ValueStore};
 use std::time::Instant;
 
 /// Runs a serial (one-simulation-per-fault) campaign under `config`'s
@@ -52,8 +52,8 @@ pub fn serial_campaign(
     // Only representatives are re-simulated per fault when collapsing.
     let out = run_collapsed(design, faults, &config.collapse, |faults| {
         let mut good_trace: Vec<Vec<LogicVec>> = Vec::with_capacity(steps.len());
-        let mut record_outputs = |sim: &Simulator| {
-            good_trace.push(outputs.iter().map(|&o| sim.value(o).clone()).collect())
+        let mut record_outputs = |values: &ValueStore| {
+            good_trace.push(outputs.iter().map(|&o| values.get(o).clone()).collect())
         };
         let good = if is_windowed(&config.checkpoint, faults, stimulus) {
             Some(record_good_run_on(
@@ -67,7 +67,7 @@ pub fn serial_campaign(
             let mut sim = make_sim();
             for step in steps {
                 sim.replay_step(step);
-                record_outputs(&sim);
+                record_outputs(sim.values());
             }
             None
         };

@@ -1,18 +1,27 @@
-//! Behavioral node simulation (Fig. 4 steps ④⑤⑥): the good execution
-//! under Algorithm 1's redundancy monitor, candidate selection, and the
-//! individual executions of the faults that survive it. Good-only lane 3
-//! lives here.
+//! Behavioral node simulation (Fig. 4 steps ④⑤⑥), the fault side: which
+//! networks an edge fires (deferred edge detection, for every
+//! diff-carrying fault beside the kernel's good check), the good execution
+//! under Algorithm 1's redundancy monitor, candidate selection, the
+//! individual executions of the faults that survive it, and their NBA
+//! blocks. Good-only lane 3 lives here.
 
 use super::workspace::{Activation, Workspace};
-use super::EngineState;
+use super::{EngineState, Phase};
 use crate::diff::union_ids_into;
 use crate::diff::FaultView;
 use crate::monitor::RedundancyMonitor;
 use crate::RedundancyMode;
 use eraser_fault::{Fault, FaultId, StuckAt};
-use eraser_ir::{BehavioralId, BehavioralNode, SignalId};
+use eraser_ir::{BehavioralId, BehavioralNode, EdgeKind, SignalId};
 use eraser_logic::LogicVec;
-use eraser_sim::{ExecOutcome, NoopMonitor};
+use eraser_sim::{ExecCtx, ExecOutcome, Good, NoopMonitor, ValueStore};
+
+/// The activation of a level-sensitive node: it fires in every network.
+static LEVEL: Activation = Activation {
+    good: true,
+    fault_only: Vec::new(),
+    suppressed: Vec::new(),
+};
 
 /// The faults sited on one activation-local signal, as one bit mask per
 /// polarity: bit `i` of word `w` is set when a stuck-at sits on bit
@@ -68,22 +77,83 @@ impl LocalSites {
 }
 
 impl EngineState<'_> {
+    /// The faults' side of deferred edge detection for an edge-triggered
+    /// node whose `terms` are on signals that changed this delta:
+    /// evaluated once, after the active region has settled, for every
+    /// diff-carrying fault together — the generalization that prevents
+    /// the paper's *fake events*. Records the node's [`Activation`] and
+    /// returns whether any network fired.
+    pub(super) fn classify_edge<'a>(
+        &mut self,
+        ws: &mut Workspace,
+        good: &Good<'_>,
+        terms: impl Iterator<Item = &'a (EdgeKind, SignalId)> + Clone,
+        good_fired: bool,
+    ) -> bool {
+        // Faults with differences (past or present) on any term signal
+        // may diverge from the good activation; with none on any of them
+        // every network fires exactly when the good one does.
+        let diverge = terms.clone().any(|(_, s)| {
+            !self.edge_prev_diffs[s.index()].is_empty() || !self.diffs[s.index()].is_empty()
+        });
+        if !(diverge || good_fired) {
+            return false;
+        }
+        let mut act = ws.acts.take();
+        act.good = good_fired;
+        let mut cands = ws.ids.take();
+        if diverge {
+            union_ids_into(
+                terms
+                    .clone()
+                    .flat_map(|(_, s)| [&self.edge_prev_diffs[s.index()], &self.diffs[s.index()]]),
+                &self.alive,
+                &mut cands,
+            );
+        }
+        for &f in &cands {
+            let mut fault_fired = false;
+            for &(kind, s) in terms.clone() {
+                let prev = self.edge_prev_diffs[s.index()].view(f, good.edge_prev(s));
+                let cur = self.diffs[s.index()].view(f, good.values().get(s));
+                if kind.matches(prev.bit_or_x(0), cur.bit_or_x(0)) {
+                    fault_fired = true;
+                }
+            }
+            match (good_fired, fault_fired) {
+                (true, false) => act.suppressed.push(f),
+                (false, true) => act.fault_only.push(f),
+                _ => {}
+            }
+        }
+        ws.ids.put(cands);
+        if act.good || !act.fault_only.is_empty() {
+            self.acts.push(act);
+            true
+        } else {
+            ws.acts.put(act);
+            false
+        }
+    }
+
     /// The faults sited on activation-local signals node `id` reads whose
     /// force is visible on the committed good value: exactly the
     /// candidates the materialized diffs would have added, all of which
     /// Algorithm 1 skips — every read of the signal resolves from the
     /// activation's own blocking writes.
-    fn visible_local_faults(&self, id: BehavioralId) -> u64 {
+    fn visible_local_faults(&self, good: &ValueStore, id: BehavioralId) -> u64 {
         self.local_sites[id.index()]
             .iter()
-            .map(|l| l.visible(self.good.get(l.sig)))
+            .map(|l| l.visible(good.get(l.sig)))
             .sum()
     }
 
-    /// Processes one behavioral activation: good execution (with the
-    /// redundancy monitor in `Full` mode), candidate selection, faulty
-    /// executions for the non-redundant faults, blocking commit, and NBA
-    /// queuing.
+    /// Processes one behavioral activation (`edge`: see
+    /// [`Hook::activate`](eraser_sim::Hook::activate)): good execution
+    /// into `good_out` (with the redundancy monitor in `Full` mode),
+    /// candidate selection, and faulty executions for the non-redundant
+    /// faults, whose blocking targets join `targets`. The kernel then
+    /// commits every target, in target order.
     ///
     /// **Good-only lane 3:** when every network fired with the good one
     /// (a good activation never carries `fault_only` faults, so no
@@ -91,45 +161,45 @@ impl EngineState<'_> {
     /// writes is [clean](Self::clean) and the mode eliminates explicit
     /// redundancy (or no fault is alive), every live fault is a skipped
     /// opportunity — implicitly for the visible faults on activation-local
-    /// reads, explicitly for the rest: one unmonitored good execution, its
-    /// blocking finals committed in target order, its non-blocking writes
-    /// queued.
+    /// reads, explicitly for the rest: one unmonitored good execution,
+    /// nothing added to the kernel's commits.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn process_activation(
         &mut self,
         ws: &mut Workspace,
+        good_net: &Good<'_>,
+        ctx: &mut ExecCtx,
         id: BehavioralId,
-        act: &Activation,
+        edge: Option<usize>,
+        good_out: &mut ExecOutcome,
+        targets: &mut Vec<SignalId>,
     ) {
+        let (eval, good) = (good_net.eval(), good_net.values());
+        self.phase = Phase::Activation(edge);
+        let act = match edge {
+            Some(i) => &self.acts[i],
+            None => &LEVEL,
+        };
         let node = self.design.behavioral(id);
-        let mut good_out = ws.outs.take();
 
         let lane = act.good
             && act.suppressed.is_empty()
             && (self.mode != RedundancyMode::None || self.alive_count == 0)
             && node.reads.iter().all(|s| self.clean(*s))
             && node.writes.iter().all(|s| self.clean(*s));
-        // The good body runs unmonitored unless Algorithm 1 watches it.
-        if act.good && (lane || self.mode != RedundancyMode::Full) {
-            self.eval.behavioral(
-                id,
-                &self.good,
-                &mut NoopMonitor,
-                &mut ws.exec_ctx,
-                &mut good_out,
-            );
+        // The good body runs unmonitored unless Algorithm 1 watches it; where
+        // only faults fired it does not run, and writes nothing.
+        if !act.good {
+            good_out.recycle(&mut ctx.scratch);
+        } else if lane || self.mode != RedundancyMode::Full {
+            eval.behavioral(id, good, &mut NoopMonitor, ctx, good_out);
         }
         if lane {
-            let local = self.visible_local_faults(id);
+            let local = self.visible_local_faults(good, id);
             self.stats.good_activations += 1;
             self.stats.opportunities += self.alive_count;
             self.stats.explicit_skipped += self.alive_count - local;
             self.stats.implicit_skipped += local;
-            good_out.blocking.sort_unstable_by_key(|(t, _)| *t);
-            for (t, v) in &good_out.blocking {
-                self.commit_signal(ws, *t, v, &[], true);
-            }
-            self.queue_nba(&mut good_out, &mut [], &[]);
-            ws.outs.put(good_out);
             return;
         }
 
@@ -155,7 +225,7 @@ impl EngineState<'_> {
                         self.alive_count - act.suppressed.len() as u64 - exec_list.len() as u64;
                 }
                 RedundancyMode::Full => {
-                    let local = self.visible_local_faults(id);
+                    let local = self.visible_local_faults(good, id);
                     let mut cands = ws.ids.take();
                     self.input_candidates(node, &act.suppressed, &mut cands);
                     self.stats.explicit_skipped +=
@@ -164,14 +234,13 @@ impl EngineState<'_> {
                     let killed = std::mem::take(&mut exec_list);
                     let mut mon = RedundancyMonitor::new(
                         &self.diffs,
-                        &self.good,
+                        good,
                         &node.vdg,
                         cands,
                         killed,
                         &mut ws.mon_scratch,
                     );
-                    self.eval
-                        .behavioral(id, &self.good, &mut mon, &mut ws.exec_ctx, &mut good_out);
+                    eval.behavioral(id, good, &mut mon, ctx, good_out);
                     let (redundant, must_exec) = mon.into_verdicts();
                     self.stats.implicit_skipped += redundant.len() as u64;
                     exec_list = must_exec;
@@ -191,48 +260,45 @@ impl EngineState<'_> {
         );
         self.stats.fault_executions += exec_list.len() as u64;
         self.stats.fault_only_activations += (exec_list.len() - survivors) as u64;
-        let mut fault_outs = std::mem::take(&mut ws.fault_outs);
         for &f in &exec_list {
             let mut out = ws.outs.take();
-            let view = FaultView::new(&self.diffs, &self.good, f);
-            self.eval
-                .behavioral(id, &view, &mut NoopMonitor, &mut ws.exec_ctx, &mut out);
-            fault_outs.push((f, out));
+            let view = FaultView::new(&self.diffs, good, f);
+            eval.behavioral(id, &view, &mut NoopMonitor, ctx, &mut out);
+            targets.extend(out.blocking.iter().map(|(s, _)| *s));
+            ws.fault_outs.push((f, out));
         }
+        ws.ids.put(exec_list);
+    }
 
-        self.commit_blocking(ws, act, &good_out, &fault_outs);
-
-        self.queue_nba(&mut good_out, &mut fault_outs, &act.suppressed);
-
+    /// Closes an activation after the kernel committed its blocking
+    /// targets: its faults' non-blocking effects become the fault side of
+    /// its NBA block — queued whenever the good body or an executed fault
+    /// wrote one — and the return says whether they did.
+    pub(super) fn close_activation(&mut self, ws: &mut Workspace, good_out: &ExecOutcome) -> bool {
+        let Phase::Activation(edge) = std::mem::replace(&mut self.phase, Phase::Settle) else {
+            unreachable!("an activation is open")
+        };
+        let mut fault_outs = std::mem::take(&mut ws.fault_outs);
+        let queued = !good_out.nba.is_empty() || fault_outs.iter().any(|(_, o)| !o.nba.is_empty());
+        if queued {
+            let mut block = self.nba_pool.take();
+            for (f, o) in fault_outs.iter_mut() {
+                let start = block.fault_writes.len() as u32;
+                block.fault_writes.append(&mut o.nba);
+                block
+                    .executed
+                    .push((*f, start, block.fault_writes.len() as u32));
+            }
+            if let Some(i) = edge {
+                block.suppressed.extend_from_slice(&self.acts[i].suppressed);
+            }
+            self.pending_nba.push(block);
+        }
         for (_, o) in fault_outs.drain(..) {
             ws.outs.put(o);
         }
         ws.fault_outs = fault_outs;
-        ws.outs.put(good_out);
-        ws.ids.put(exec_list);
-    }
-
-    /// Queues one activation's non-blocking effects for the NBA region.
-    fn queue_nba(
-        &mut self,
-        good_out: &mut ExecOutcome,
-        fault_outs: &mut [(FaultId, ExecOutcome)],
-        suppressed: &[FaultId],
-    ) {
-        if good_out.nba.is_empty() && fault_outs.iter().all(|(_, o)| o.nba.is_empty()) {
-            return;
-        }
-        let mut block = self.nba_pool.take();
-        block.good_writes.append(&mut good_out.nba);
-        for (f, o) in fault_outs.iter_mut() {
-            let start = block.fault_writes.len() as u32;
-            block.fault_writes.append(&mut o.nba);
-            block
-                .executed
-                .push((*f, start, block.fault_writes.len() as u32));
-        }
-        block.suppressed.extend(suppressed.iter().copied());
-        self.pending_nba.push(block);
+        queued
     }
 
     /// Faults with a visible difference on any signal the node reads — the

@@ -1,74 +1,29 @@
-//! The committed state — the good values and the per-signal diff lists —
-//! is written here and nowhere else: input drives, the one
-//! [`commit_signal`](EngineState::commit_signal) every path ends in, the
-//! blocking and NBA (Fig. 4 step ⑦) commits of behavioral activations,
-//! and the removal of a detected fault's entries after the step
-//! (`observe`). Good-only lanes 1 and 4 live here.
+//! The fault side of the committed state — the per-signal diff lists — is
+//! written here and nowhere else: the one
+//! [`commit_faults`](EngineState::commit_faults) every kernel commit runs
+//! before the good store (input drives, RTL outputs, and the blocking and
+//! NBA (Fig. 4 step ⑦) commits of behavioral activations), and the removal
+//! of a detected fault's entries after the step (`observe`). Good-only
+//! lanes 1 and 4 live here.
 
-use super::workspace::{Activation, Workspace};
-use super::EngineState;
+use super::workspace::Workspace;
+use super::{EngineState, Phase};
 use eraser_fault::{detectable_mismatch, Detection, FaultId};
-use eraser_ir::{BehavioralId, RtlNodeId, SignalId};
+use eraser_ir::SignalId;
 use eraser_logic::LogicVec;
-use eraser_sim::{ExecOutcome, SlotWrite};
+use eraser_sim::{SlotWrite, ValueStore};
 
 impl EngineState<'_> {
-    pub(super) fn set_input(&mut self, ws: &mut Workspace, sig: SignalId, value: &LogicVec) {
-        let width = self.design.signal(sig).width;
-        if value.width() == width {
-            if self.good.get(sig) != value {
-                self.commit_signal(ws, sig, value, &[], true);
-            }
-        } else {
-            let mut resized = ws.bufs.take_for(width);
-            resized.copy_resized(value, width);
-            if self.good.get(sig) != &resized {
-                self.commit_signal(ws, sig, &resized, &[], true);
-            }
-            ws.bufs.put(resized);
-        }
-    }
-
-    // ---- scheduling ----
-
-    pub(super) fn mark_rtl(&mut self, id: RtlNodeId) {
-        if !self.rtl_dirty[id.index()] {
-            self.rtl_dirty[id.index()] = true;
-            self.rtl_queue.push(id);
-        }
-    }
-
-    pub(super) fn mark_beh(&mut self, id: BehavioralId) {
-        if !self.beh_dirty[id.index()] {
-            self.beh_dirty[id.index()] = true;
-            self.beh_queue.push(id);
-        }
-    }
-
-    fn schedule_fanout(&mut self, sig: SignalId) {
-        for &n in self.design.rtl_fanout(sig) {
-            self.mark_rtl(n);
-        }
-        for &b in self.design.level_fanout(sig) {
-            self.mark_beh(b);
-        }
-        if !self.design.edge_fanout(sig).is_empty() && !self.watch_flag[sig.index()] {
-            self.watch_flag[sig.index()] = true;
-            self.watch_changed.push(sig);
-        }
-    }
-
-    // ---- committed-state updates ----
-
-    /// Commits a new good value and a batch of fault updates to one signal,
-    /// maintaining the diff-list invariants:
+    /// Commits a batch of fault updates to one signal, ahead of the
+    /// kernel's store of `new_good`, maintaining the diff-list invariants:
     ///
     /// * entries exist exactly where a live fault's value differs from the
     ///   good value,
     /// * faults sited on this signal always observe their stuck bit forced
-    ///   (the force is re-applied on every write),
-    /// * fanout is scheduled if the good value or any fault's *view*
-    ///   changed.
+    ///   (the force is re-applied on every write).
+    ///
+    /// Returns whether any fault's *view* changed; the kernel schedules
+    /// fanout on that or a good change.
     ///
     /// `good_write_applies_to_all` states that the write producing
     /// `new_good` also occurs in every fault network not explicitly listed
@@ -78,26 +33,22 @@ impl EngineState<'_> {
     /// batch; when a behavioral target was written solely by some other
     /// fault's network, untouched faults keep their private values.
     ///
-    /// **Good-only lane 1:** a [clean](Self::clean) target with no fault
-    /// updates has no entry to maintain and no force to re-apply — the
-    /// commit is the good simulator's compare, store and schedule. Every
-    /// other lane ends here.
-    pub(super) fn commit_signal(
+    /// A [clean](Self::clean) target with no fault updates has nothing to
+    /// do here: good-only lane 1 (see [`good_only_commit`](Self::good_only_commit)),
+    /// which every other lane ends in.
+    pub(super) fn commit_faults(
         &mut self,
         ws: &mut Workspace,
+        good: &ValueStore,
         sig: SignalId,
         new_good: &LogicVec,
         fault_news: &[(FaultId, LogicVec)],
         good_write_applies_to_all: bool,
-    ) {
+    ) -> bool {
         if fault_news.is_empty() && self.clean(sig) {
-            if self.good.commit(sig, new_good) {
-                self.schedule_fanout(sig);
-            }
-            return;
+            return false;
         }
         let si = sig.index();
-        let good_changed = self.good.get(sig) != new_good;
         let mut view_changed = false;
         let epoch = self.next_commit_epoch();
         let width = self.design.signal(sig).width;
@@ -126,8 +77,9 @@ impl EngineState<'_> {
             if fault.signal == sig {
                 fault.apply_assign(&mut forced);
             }
-            // The good store is updated last, so this is still the old view.
-            view_changed |= forced != *self.diffs[si].view(f, self.good.get(sig));
+            // The good store is updated after this call, so this is still
+            // the old view.
+            view_changed |= forced != *self.diffs[si].view(f, good.get(sig));
             if forced != *new_good {
                 let fv = &forced;
                 self.diffs[si].upsert_seeded(
@@ -150,15 +102,11 @@ impl EngineState<'_> {
                 |v| ws.bufs.put(v),
             );
         }
-
-        self.good.commit(sig, new_good);
-        if good_changed || view_changed {
-            self.schedule_fanout(sig);
-        }
         ws.bufs.put(forced);
+        view_changed
     }
 
-    /// Opens a `commit_signal` call's membership epoch: afterwards
+    /// Opens a `commit_faults` call's membership epoch: afterwards
     /// `commit_seen[f] == epoch` exactly for the faults this call stamped.
     fn next_commit_epoch(&mut self) -> u32 {
         self.commit_epoch = self.commit_epoch.wrapping_add(1);
@@ -175,9 +123,11 @@ impl EngineState<'_> {
     /// pinned at its pre-commit view; a fault skipped as redundant that
     /// carries a difference on `t` has `good_writes` replayed onto its
     /// value. Both are appended to `fault_news`.
+    #[allow(clippy::too_many_arguments)]
     fn pin_and_replay(
         &self,
         ws: &mut Workspace,
+        good: &ValueStore,
         t: SignalId,
         suppressed: &[FaultId],
         good_writes: &[SlotWrite],
@@ -185,7 +135,7 @@ impl EngineState<'_> {
         fault_news: &mut Vec<(FaultId, LogicVec)>,
     ) {
         let t_width = self.design.signal(t).width;
-        let (diffs, good) = (&self.diffs[t.index()], self.good.get(t));
+        let (diffs, good) = (&self.diffs[t.index()], good.get(t));
         for &f in suppressed {
             if self.alive[f.index()] {
                 covered.push(f);
@@ -209,189 +159,125 @@ impl EngineState<'_> {
         }
     }
 
-    /// Commits blocking effects of one activation: the good finals, each
-    /// executed fault's finals, pinned values for suppressed faults, and
-    /// replayed good writes for faults that were skipped as redundant but
-    /// carry differences on written targets.
-    pub(super) fn commit_blocking(
+    /// **Good-only lanes 1 and 4:** a [clean](Self::clean) target and
+    /// nothing for the faults in the open commit — no RTL fault output, no
+    /// executed or suppressed fault in the activation or the NBA block
+    /// (faults may have become visible on the target since that block was
+    /// queued, so cleanness is read *now*) — has no entry to maintain and
+    /// no force to re-apply: the commit is the kernel's compare, store and
+    /// schedule alone.
+    #[inline]
+    pub(super) fn good_only_commit(&self, ws: &Workspace, sig: SignalId) -> bool {
+        self.clean(sig)
+            && match self.phase {
+                Phase::Settle => ws.rtl_news.is_empty(),
+                Phase::Activation(edge) => {
+                    ws.fault_outs.is_empty()
+                        && edge.is_none_or(|i| self.acts[i].suppressed.is_empty())
+                }
+                Phase::Nba(b) => {
+                    let block = &self.pending_nba[b];
+                    block.executed.is_empty() && block.suppressed.is_empty()
+                }
+            }
+    }
+
+    /// The fault side of one kernel commit of `new_good` to `t`, by phase:
+    /// an input drive or RTL output with the fault outputs `rtl_evaluated`
+    /// left; or a blocking or NBA block target, `new_good` the good value
+    /// with the good writes to `t` folded (`good_wrote`: there were some;
+    /// else only faults wrote it), with each executed fault's own value
+    /// (its blocking final, or its view with its NBA writes to `t`),
+    /// pinned values for suppressed faults, and replayed good writes for
+    /// faults skipped as redundant that carry differences on `t`.
+    pub(super) fn commit_target(
         &mut self,
         ws: &mut Workspace,
-        act: &Activation,
-        good_out: &ExecOutcome,
-        fault_outs: &[(FaultId, ExecOutcome)],
-    ) {
-        // Union of blocking-written targets.
-        let mut targets = ws.sigs.take();
-        targets.extend(good_out.blocking.iter().map(|(s, _)| *s));
-        for (_, o) in fault_outs {
-            targets.extend(o.blocking.iter().map(|(s, _)| *s));
-        }
-        targets.sort_unstable();
-        targets.dedup();
-
-        for &t in &targets {
-            // Buffers come from the width class of the target being
-            // committed, so multi-target blocks mixing narrow and >64-bit
-            // regs never reshape pooled storage.
-            let t_width = self.design.signal(t).width;
-            let mut new_good = ws.bufs.take_for(t_width);
-            let good_final = good_out.blocking.iter().find(|(s, _)| *s == t);
-            let good_wrote = good_final.is_some();
-            match good_final {
-                Some((_, v)) => new_good.assign_from(v),
-                None => new_good.assign_from(self.good.get(t)),
+        good: &ValueStore,
+        t: SignalId,
+        new_good: &LogicVec,
+        good_wrote: bool,
+        good_writes: &[SlotWrite],
+    ) -> bool {
+        let suppressed = match self.phase {
+            Phase::Settle => {
+                let news = std::mem::take(&mut ws.rtl_news);
+                let view_changed = self.commit_faults(ws, good, t, new_good, &news, true);
+                ws.rtl_news = ws.recycle_news(news);
+                return view_changed;
             }
-
-            let mut fault_news = ws.news.take();
-            let mut covered = ws.ids.take();
-            for (f, o) in fault_outs {
+            Phase::Activation(edge) => edge.map_or(&[][..], |i| &self.acts[i].suppressed[..]),
+            Phase::Nba(b) => &self.pending_nba[b].suppressed[..],
+        };
+        let (t_width, view) = (self.design.signal(t).width, &self.diffs[t.index()]);
+        let mut fault_news = ws.news.take();
+        let mut covered = ws.ids.take();
+        if let Phase::Nba(b) = self.phase {
+            let block = &self.pending_nba[b];
+            for &(f, start, end) in &block.executed {
+                if !self.alive[f.index()] {
+                    continue;
+                }
+                covered.push(f);
+                let mut val = ws.bufs.take_for(t_width);
+                val.assign_from(view.view(f, good.get(t)));
+                let mut wrote = false;
+                for w in &block.fault_writes[start as usize..end as usize] {
+                    if w.target == t {
+                        w.apply_assign(&mut val);
+                        wrote = true;
+                    }
+                }
+                if wrote || good_wrote {
+                    fault_news.push((f, val));
+                } else {
+                    ws.bufs.put(val);
+                }
+            }
+        } else {
+            for (f, o) in &ws.fault_outs {
                 covered.push(*f);
                 let mut val = ws.bufs.take_for(t_width);
                 match o.blocking.iter().find(|(s, _)| *s == t) {
                     Some((_, v)) => val.assign_from(v),
                     // Executed but did not write this target: its value is
                     // pinned at its own pre-commit view.
-                    None => val.assign_from(self.diffs[t.index()].view(*f, self.good.get(t))),
+                    None => val.assign_from(view.view(*f, good.get(t))),
                 }
                 fault_news.push((*f, val));
             }
-            if act.good && good_wrote {
-                self.pin_and_replay(
-                    ws,
-                    t,
-                    &act.suppressed,
-                    &good_out.blocking_writes,
-                    &mut covered,
-                    &mut fault_news,
-                );
-            }
-            self.commit_signal(ws, t, &new_good, &fault_news, good_wrote);
-            ws.bufs.put(new_good);
-            ws.put_news(fault_news);
-            ws.ids.put(covered);
         }
-        ws.sigs.put(targets);
-    }
-
-    /// Commits the NBA region: for every pending activation block and every
-    /// written target, computes the new good value and every affected
-    /// fault's new value (own writes for executed faults, pinned values for
-    /// suppressed ones, replayed good writes for skipped faults with
-    /// differences).
-    ///
-    /// **Good-only lane 4:** a block of good writes only has no fault value
-    /// to compute on a target that is [clean](Self::clean) *now* — faults
-    /// may have become visible there since the block was queued — so the
-    /// folded good value goes straight to the commit.
-    pub(super) fn commit_nba(&mut self, ws: &mut Workspace) -> bool {
-        if self.pending_nba.is_empty() {
-            return false;
+        if good_wrote {
+            self.pin_and_replay(
+                ws,
+                good,
+                t,
+                suppressed,
+                good_writes,
+                &mut covered,
+                &mut fault_news,
+            );
         }
-        let mut pending = std::mem::take(&mut self.pending_nba);
-        let mut any = false;
-        for block in &pending {
-            let mut targets = ws.sigs.take();
-            targets.extend(block.good_writes.iter().map(|w| w.target));
-            targets.extend(block.fault_writes.iter().map(|w| w.target));
-            targets.sort_unstable();
-            targets.dedup();
-            let good_only = block.executed.is_empty() && block.suppressed.is_empty();
-
-            for &t in &targets {
-                // Width-classed like commit_blocking: pooled buffers stay
-                // within the committed target's storage class.
-                let t_width = self.design.signal(t).width;
-                let mut new_good = ws.bufs.take_for(t_width);
-                new_good.assign_from(self.good.get(t));
-                let mut good_wrote = false;
-                for w in &block.good_writes {
-                    if w.target == t {
-                        w.apply_assign(&mut new_good);
-                        good_wrote = true;
-                    }
-                }
-                let good_changed = self.good.get(t) != &new_good;
-                if good_only && self.clean(t) {
-                    any |= good_changed;
-                    self.commit_signal(ws, t, &new_good, &[], true);
-                    ws.bufs.put(new_good);
-                    continue;
-                }
-
-                let mut fault_news = ws.news.take();
-                let mut covered = ws.ids.take();
-                for &(f, start, end) in &block.executed {
-                    if !self.alive[f.index()] {
-                        continue;
-                    }
-                    covered.push(f);
-                    let mut val = ws.bufs.take_for(t_width);
-                    val.assign_from(self.diffs[t.index()].view(f, self.good.get(t)));
-                    let mut wrote = false;
-                    for w in &block.fault_writes[start as usize..end as usize] {
-                        if w.target == t {
-                            w.apply_assign(&mut val);
-                            wrote = true;
-                        }
-                    }
-                    if wrote || good_wrote {
-                        fault_news.push((f, val));
-                    } else {
-                        ws.bufs.put(val);
-                    }
-                }
-                if good_wrote {
-                    self.pin_and_replay(
-                        ws,
-                        t,
-                        &block.suppressed,
-                        &block.good_writes,
-                        &mut covered,
-                        &mut fault_news,
-                    );
-                }
-
-                let before_entries = self.diffs[t.index()].len();
-                self.commit_signal(ws, t, &new_good, &fault_news, good_wrote);
-                if good_changed || self.diffs[t.index()].len() != before_entries {
-                    any = true;
-                }
-                ws.put_news(fault_news);
-                ws.ids.put(covered);
-                ws.bufs.put(new_good);
-            }
-            ws.sigs.put(targets);
+        let before_entries = self.diffs[t.index()].len();
+        let view_changed = self.commit_faults(ws, good, t, new_good, &fault_news, good_wrote);
+        if let Phase::Nba(_) = self.phase {
+            self.nba_moved |= self.diffs[t.index()].len() != before_entries;
         }
-        // Recycle the blocks; any scheduling already happened inside
-        // commit_signal — report whether another delta is needed. The
-        // write values go back to the execution scratch the interpreter
-        // draws assignment buffers from, so wide (>64-bit) NBA targets
-        // keep reusing their boxed storage across activations.
-        for mut block in pending.drain(..) {
-            for w in block.good_writes.drain(..) {
-                ws.exec_ctx.scratch.put(w.value);
-            }
-            for w in block.fault_writes.drain(..) {
-                ws.exec_ctx.scratch.put(w.value);
-            }
-            self.nba_pool.put(block);
-        }
-        self.pending_nba = pending;
-        any || !self.rtl_queue.is_empty()
-            || !self.beh_queue.is_empty()
-            || !self.watch_changed.is_empty()
+        ws.put_news(fault_news);
+        ws.ids.put(covered);
+        view_changed
     }
 
     // ---- observation ----
 
-    pub(super) fn observe(&mut self, ws: &mut Workspace) {
+    pub(super) fn observe(&mut self, ws: &mut Workspace, good: &ValueStore) {
         let design = self.design;
         let mut hits = ws.ids.take();
         let mut newly_dead = false;
         for &o in design.outputs() {
             hits.clear();
             {
-                let good = self.good.get(o);
+                let good = good.get(o);
                 let alive = &self.alive;
                 hits.extend(
                     self.diffs[o.index()]

@@ -1,9 +1,23 @@
 //! The concurrent fault simulation engine.
 //!
-//! # One module per phase (paper Fig. 4)
+//! # One loop, fault work at its hook points (paper Fig. 4)
 //!
-//! [`EngineState::step`] below runs the phases in order, delta after
-//! delta; each lives in its own file, next to its good-only lane.
+//! The engine's good network is an [`eraser_sim::Simulator`]: the kernel
+//! runs the one settle loop — good values, dirty queues, the watch list,
+//! the edge latch, the NBA region, input drives and the settle bound —
+//! and the engine's fault state rides it as its [`Hook`], called at these
+//! points, each handled in the module named:
+//!
+//! * after each RTL node's good evaluation — the faults visible at the
+//!   node (`rtl.rs`);
+//! * for each edge-triggered node with a changed term — which faults fire
+//!   apart from the good network — and when a behavioral node activates —
+//!   Algorithm 1 and the individual executions (`behavioral.rs`);
+//! * at each signal commit, before the good store, and at each NBA block
+//!   commit — the diff lists (`commit.rs`), whose changes schedule fanout
+//!   beside the good ones;
+//! * once after each settled step — the delta count; detection follows
+//!   in [`EraserEngine::run`] (`commit.rs`).
 //!
 #![doc = include_str!("phases.md")]
 //!
@@ -24,14 +38,13 @@
 //! Most of a fault simulation *is* the good simulation, so where no fault
 //! is visible the engine does what the good simulator does and nothing
 //! more: each of the four phases has a *good-only lane* (table above)
-//! ahead of its general path, ending in the one `commit_signal`.
-//! Coverage, detection steps and every [`RedundancyStats`] counter are
-//! the general path's by construction — a lane books exactly what the
+//! where the hook returns at once, and the kernel's good work is all that
+//! runs. Coverage, detection steps and every [`RedundancyStats`] counter
+//! are the general path's by construction — a lane books exactly what the
 //! general path would have booked with empty candidate sets.
 
 mod behavioral;
 mod commit;
-mod edges;
 mod rtl;
 mod workspace;
 
@@ -42,48 +55,46 @@ use behavioral::LocalSites;
 use eraser_fault::{CoverageReport, FaultId, FaultList};
 use eraser_ir::analysis::activation_local_signals;
 use eraser_ir::{
-    BatchProgram, BehavioralId, Design, EvalBackend, RtlNodeId, SignalId, TapeProgram, ValueSource,
+    BatchProgram, BehavioralId, Design, EdgeKind, EvalBackend, RtlNodeId, SignalId, TapeProgram,
+    ValueSource,
 };
 use eraser_logic::LogicVec;
-use eraser_sim::{Evaluator, SimSnapshot, Stimulus, ValueStore};
+use eraser_sim::{
+    Evaluator, ExecCtx, ExecOutcome, Good, Hook, SimSnapshot, Simulator, SlotWrite, Stimulus,
+};
 use std::time::Instant;
-use workspace::{PendingNba, Pool, Workspace};
-
-/// Bound on delta cycles per step (oscillation guard).
-const DELTA_LIMIT: usize = 10_000;
+use workspace::{Activation, PendingNba, Pool, Workspace};
 
 /// The ERASER concurrent fault simulation engine.
 ///
-/// Holds the good network state plus per-signal [`DiffList`]s for the whole
-/// fault batch, and advances them together through the stimulus. See the
-/// [crate docs](crate) for the step structure and
+/// A good-network [`Simulator`] carrying the per-signal [`DiffList`]s of the
+/// whole fault batch as its hook, advancing them together through the
+/// stimulus. See the [crate docs](crate) for the step structure and
 /// [`run_campaign`](crate::run_campaign) for the one-call driver.
-///
-/// The simulation state and the scratch `Workspace` are two fields, so
-/// every hot method runs on the state with the workspace borrowed beside
-/// it — nothing is moved out and back per call.
 pub struct EraserEngine<'d> {
+    sim: Simulator<'d, FaultHook<'d>>,
+}
+
+/// The engine's [`Hook`]: the fault state, with the scratch `Workspace`
+/// beside it, so every hot method runs on the state with the workspace
+/// borrowed next to it — nothing is moved out and back per call.
+struct FaultHook<'d> {
     state: EngineState<'d>,
     ws: Workspace,
 }
 
-/// Everything the engine simulates: the good network, the fault
-/// differences on it, the event queues and the results so far.
+/// Everything the engine keeps beside the good network: the fault
+/// differences on it, the faults' own activations and NBA blocks, and the
+/// results so far.
 struct EngineState<'d> {
     design: &'d Design,
     faults: &'d FaultList,
     mode: RedundancyMode,
     drop_detected: bool,
-    /// The backend every node is evaluated on, for the good network and
-    /// every fault view alike. Its tapes, if any, are compiled once per
-    /// campaign and shared by reference across fault-parallel shard
-    /// workers, or owned when constructed standalone.
-    eval: Evaluator<'d>,
     /// Bit-parallel batch program when fault batching is enabled —
     /// compiled once per campaign and shared across shard workers.
     batch: Option<&'d BatchProgram>,
 
-    good: ValueStore,
     diffs: Vec<DiffList>,
     /// Faults sited on each signal whose force is materialized as a diff —
     /// all of them but those on activation-local signals.
@@ -100,29 +111,41 @@ struct EngineState<'d> {
     site_live: Vec<u32>,
     alive: Vec<bool>,
     alive_count: u64,
-    /// Per-fault stamp of the `commit_signal` call that last handled the
+    /// Per-fault stamp of the `commit_faults` call that last handled the
     /// fault; equal to `commit_epoch` means "handled by this call".
     commit_seen: Vec<u32>,
     commit_epoch: u32,
 
-    rtl_dirty: Vec<bool>,
-    rtl_queue: Vec<RtlNodeId>,
-    beh_dirty: Vec<bool>,
-    beh_queue: Vec<BehavioralId>,
-    watch_changed: Vec<SignalId>,
-    watch_flag: Vec<bool>,
-    /// Dense already-on-the-worklist flags of `detect_edges`.
-    edge_queued: Vec<bool>,
-
-    edge_prev_good: Vec<LogicVec>,
+    /// The diff lists as of the last edge-detection point.
     edge_prev_diffs: Vec<DiffList>,
-
+    /// The current delta's edge activations, by kernel activation index.
+    acts: Vec<Activation>,
+    /// The fault side of each queued NBA block, by kernel block index.
     pending_nba: Vec<PendingNba>,
     nba_pool: Pool<PendingNba>,
+    /// What the kernel's commits belong to.
+    phase: Phase,
+    /// An NBA commit changed a diff list's membership: another delta.
+    nba_moved: bool,
+    /// Start of the behavioral run being timed.
+    span_start: Option<Instant>,
 
     coverage: CoverageReport,
     stats: RedundancyStats,
     step_index: usize,
+}
+
+/// Which fault updates the kernel's next commit carries.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// Input drives and RTL outputs: the batch `rtl_evaluated` left in
+    /// `Workspace::rtl_news` (none for an input).
+    Settle,
+    /// The open activation's blocking targets (`None`: a level-sensitive
+    /// activation, else its index in `EngineState::acts`).
+    Activation(Option<usize>),
+    /// An NBA block's targets, by block index.
+    Nba(usize),
 }
 
 /// The engine constructor: one fluent surface over every axis.
@@ -190,11 +213,13 @@ impl<'d, 's> EngineSession<'d, 's> {
     }
 
     /// Starts the engine **from a good-state checkpoint** instead of
-    /// power-on: the good network restores `snapshot` (the settled
-    /// fault-free state before stimulus step `start_step`), the stuck-at
-    /// forces are materialized against the restored values, and the engine
-    /// settles once — exactly the force-at-checkpoint injection of the
-    /// checkpointed serial protocol, batched.
+    /// power-on: the good network is the kernel's
+    /// [`Simulator::restore_from`] of `snapshot` (the settled fault-free
+    /// state before stimulus step `start_step`); then the fault state is
+    /// materialized — the stuck-at forces as diffs against the restored
+    /// values — and the engine settles once: exactly the
+    /// force-at-checkpoint injection of the checkpointed serial protocol,
+    /// batched.
     /// [`run`](EraserEngine::run) then replays only `steps[start_step..]`.
     ///
     /// Sound when every fault in the batch is restart-eligible at this
@@ -288,12 +313,6 @@ impl<'d> EraserEngine<'d> {
                     .collect()
             })
             .collect();
-        let good = ValueStore::new(design);
-        let edge_prev_good = design
-            .signals()
-            .iter()
-            .map(|s| LogicVec::new_x(s.width))
-            .collect();
         // Pre-size each signal's diff list from its sited fault count —
         // the guaranteed-resident entries.
         let diffs = site_faults
@@ -301,14 +320,16 @@ impl<'d> EraserEngine<'d> {
             .map(|v| DiffList::with_capacity(v.len()))
             .collect();
         let site_live = site_faults.iter().map(|v| v.len() as u32).collect();
-        let mut state = EngineState {
+        let sited: Vec<SignalId> = (0..n_sig)
+            .filter(|&i| !site_faults[i].is_empty())
+            .map(SignalId::from_index)
+            .collect();
+        let state = EngineState {
             design,
             faults,
             mode,
             drop_detected,
-            eval,
             batch,
-            good,
             diffs,
             site_faults,
             local_sites,
@@ -317,73 +338,57 @@ impl<'d> EraserEngine<'d> {
             alive_count: faults.len() as u64,
             commit_seen: vec![0; faults.len()],
             commit_epoch: 0,
-            rtl_dirty: vec![false; design.rtl_nodes().len()],
-            rtl_queue: Vec::new(),
-            beh_dirty: vec![false; design.behavioral_nodes().len()],
-            beh_queue: Vec::new(),
-            watch_changed: Vec::new(),
-            watch_flag: vec![false; n_sig],
-            edge_queued: vec![false; design.behavioral_nodes().len()],
-            edge_prev_good,
             edge_prev_diffs: vec![DiffList::new(); n_sig],
+            acts: Vec::new(),
             pending_nba: Vec::new(),
             nba_pool: Pool::default(),
+            phase: Phase::Settle,
+            nba_moved: false,
+            span_start: None,
             coverage: CoverageReport::new(faults.len()),
             stats: RedundancyStats::default(),
             step_index: 0,
         };
-        let mut ws = Workspace::default();
-        // Checkpoint resume: load the settled good values before any force
-        // materializes. `edge_prev_good` initializes from the *values*, not
-        // the snapshot's own edge memory — at any settle point the engine
-        // invariant is `edge_prev_good[sig] == good[sig]` for every watched
-        // signal (`detect_edges` latches it on every change), so the
-        // restored values are exactly the edge state a from-zero run would
-        // carry here, independent of the capturing simulator's internals.
+        let hook = FaultHook {
+            state,
+            ws: Workspace::default(),
+        };
+        let mut sim = Simulator::unsettled(eval, hook);
+        // Checkpoint resume: load the settled good state before any force
+        // materializes. At a settle point the edge latch equals the value
+        // of every watched signal (each change is latched before the step
+        // ends), so the restored latch is the one a from-zero run carries.
         if let Some((snap, start)) = resume {
-            state.good.restore_from_slice(&snap.values);
-            for (prev, v) in state.edge_prev_good.iter_mut().zip(&snap.values) {
-                prev.assign_from(v);
-            }
-            state.step_index = start;
+            sim.restore_from(snap);
+            sim.hook_mut().state.step_index = start;
         }
         // Initial state: materialize the stuck-at forces against the
         // power-on values (all-X, or the restored checkpoint), then
         // evaluate everything once.
-        for sig in 0..n_sig {
-            let id = SignalId::from_index(sig);
-            if !state.site_faults[sig].is_empty() {
-                let mut v = ws.bufs.take_for(design.signal(id).width);
-                v.assign_from(state.good.get(id));
-                state.commit_signal(&mut ws, id, &v, &[], true);
-                ws.bufs.put(v);
-            }
+        for sig in sited {
+            sim.recommit(sig);
         }
-        for i in 0..design.rtl_nodes().len() {
-            state.mark_rtl(RtlNodeId::from_index(i));
-        }
-        for (i, b) in design.behavioral_nodes().iter().enumerate() {
-            if !b.sensitivity.is_edge() {
-                state.mark_beh(BehavioralId::from_index(i));
-            }
-        }
-        state.step(&mut ws);
-        EraserEngine { state, ws }
+        sim.settle_all();
+        EraserEngine { sim }
+    }
+
+    fn state(&self) -> &EngineState<'d> {
+        &self.sim.hook().state
     }
 
     /// The coverage accumulated so far.
     pub fn coverage(&self) -> &CoverageReport {
-        &self.state.coverage
+        &self.state().coverage
     }
 
     /// The redundancy instrumentation counters.
     pub fn stats(&self) -> &RedundancyStats {
-        &self.state.stats
+        &self.state().stats
     }
 
     /// The good value of a signal.
     pub fn good_value(&self, sig: SignalId) -> &LogicVec {
-        self.state.good.get(sig)
+        self.sim.value(sig)
     }
 
     /// The value of `sig` as seen by `fault`.
@@ -393,14 +398,14 @@ impl<'d> EraserEngine<'d> {
     /// reader ever sees its force, so the engine never materializes it.
     /// Every other value equals a serial simulation with the force.
     pub fn fault_value(&self, sig: SignalId, fault: FaultId) -> LogicVec {
-        FaultView::new(&self.state.diffs, &self.state.good, fault)
+        FaultView::new(&self.state().diffs, self.sim.values(), fault)
             .value(sig)
             .clone()
     }
 
     /// Number of faults still being simulated.
     pub fn live_faults(&self) -> u64 {
-        self.state.alive_count
+        self.state().alive_count
     }
 
     /// Drives a primary input, by borrow — no clone, no resize for
@@ -410,7 +415,7 @@ impl<'d> EraserEngine<'d> {
     /// materialized stuck-bit diff entries from construction), so there is
     /// nothing to schedule.
     pub fn set_input(&mut self, sig: SignalId, value: &LogicVec) {
-        self.state.set_input(&mut self.ws, sig, value);
+        self.sim.set_input(sig, value);
     }
 
     /// Runs the stimulus from the engine's **current step index** with
@@ -428,18 +433,15 @@ impl<'d> EraserEngine<'d> {
     /// network to the end of the stimulus would be work no fault needs.
     /// With dropping off the whole stimulus is always replayed.
     pub fn run(&mut self, stim: &Stimulus) {
-        let (state, ws) = (&mut self.state, &mut self.ws);
-        let at = state.step_index.min(stim.steps.len());
+        let at = self.state().step_index.min(stim.steps.len());
         for step in &stim.steps[at..] {
+            let state = self.state();
             if state.drop_detected && state.alive_count == 0 {
                 return;
             }
-            for (sig, val) in step {
-                state.set_input(ws, *sig, val);
-            }
-            state.step(ws);
-            state.observe(ws);
-            state.step_index += 1;
+            self.sim.replay_step(step);
+            self.observe();
+            self.sim.hook_mut().state.step_index += 1;
         }
     }
 
@@ -448,16 +450,17 @@ impl<'d> EraserEngine<'d> {
     ///
     /// # Panics
     ///
-    /// Panics if the design does not settle within an internal delta bound.
+    /// Panics if the design does not settle (see [`Simulator::step`]).
     pub fn step(&mut self) {
-        self.state.step(&mut self.ws);
+        self.sim.step();
     }
 
     /// Checks all observation points (primary outputs) for detectable
     /// good/fault mismatches; records detections and drops detected faults
     /// when configured.
     pub fn observe(&mut self) {
-        self.state.observe(&mut self.ws);
+        let (good, hook) = self.sim.values_and_hook_mut();
+        hook.state.observe(&mut hook.ws, good);
     }
 }
 
@@ -465,44 +468,116 @@ impl EngineState<'_> {
     /// True when no fault is visible on `sig`: its diff list is empty and
     /// no live fault is sited on it. A commit to a clean signal, an RTL
     /// node or behavioral activation whose signals are all clean, and an
-    /// NBA block of good writes to a clean target each do exactly what the
-    /// good simulator does — the four *good-only lanes* of `commit_signal`,
-    /// `eval_rtl_concurrent`, `process_activation` and `commit_nba`. The
-    /// predicate is read node by node, so the lanes switch on as dropping
-    /// thins the live set.
+    /// NBA block of good writes to a clean target each leave nothing for
+    /// the hook to do beyond the kernel's good work — the four *good-only
+    /// lanes* of `good_only_commit` (1 and 4), `rtl_evaluated` and
+    /// `process_activation`. The predicate is read node by node, so the
+    /// lanes switch on as dropping thins the live set.
     #[inline]
     fn clean(&self, sig: SignalId) -> bool {
         let si = sig.index();
         self.site_live[si] == 0 && self.diffs[si].is_empty()
     }
+}
 
-    /// One settle step — the Fig. 4 phases, delta after delta: the active
-    /// region (`rtl.rs`), deferred edge detection (`edges.rs`), the
-    /// activated behavioral nodes (`behavioral.rs`, blocking commits
-    /// included) and the NBA commit (`commit.rs`), until nothing is
-    /// scheduled.
-    fn step(&mut self, ws: &mut Workspace) {
-        for _ in 0..DELTA_LIMIT {
-            self.stats.deltas += 1;
-            self.settle_active(ws);
-            let n_acts = self.detect_edges(ws);
-            if n_acts > 0 {
-                let t0 = Instant::now();
-                let mut list = std::mem::take(&mut ws.act_list);
-                for (id, act) in &list {
-                    self.process_activation(ws, *id, act);
-                }
-                for (_, act) in list.drain(..) {
-                    ws.acts.put(act);
-                }
-                ws.act_list = list;
-                self.stats.time_behavioral += t0.elapsed();
+/// The fault work at each of the kernel's hook points; see the module docs.
+impl Hook for FaultHook<'_> {
+    #[inline]
+    fn rtl_evaluated(&mut self, good: &Good<'_>, ctx: &mut ExecCtx, id: RtlNodeId, out: &LogicVec) {
+        self.state.rtl_evaluated(&mut self.ws, good, ctx, id, out);
+    }
+
+    fn activate(
+        &mut self,
+        good: &Good<'_>,
+        ctx: &mut ExecCtx,
+        id: BehavioralId,
+        edge: Option<usize>,
+        out: &mut ExecOutcome,
+        targets: &mut Vec<SignalId>,
+    ) {
+        let (state, ws) = (&mut self.state, &mut self.ws);
+        state.process_activation(ws, good, ctx, id, edge, out, targets);
+    }
+
+    fn activation_done(&mut self, out: &ExecOutcome) -> bool {
+        self.state.close_activation(&mut self.ws, out)
+    }
+
+    #[inline]
+    fn commit(
+        &mut self,
+        good: &Good<'_>,
+        sig: SignalId,
+        value: &LogicVec,
+        good_wrote: bool,
+        writes: &[SlotWrite],
+    ) -> bool {
+        let (state, ws) = (&mut self.state, &mut self.ws);
+        if state.good_only_commit(ws, sig) {
+            return false;
+        }
+        state.commit_target(ws, good.values(), sig, value, good_wrote, writes)
+    }
+
+    fn edge(
+        &mut self,
+        good: &Good<'_>,
+        edges: &[(EdgeKind, SignalId)],
+        changed: &[bool],
+        good_fired: bool,
+    ) -> bool {
+        let terms = edges.iter().filter(|(_, s)| changed[s.index()]);
+        self.state
+            .classify_edge(&mut self.ws, good, terms, good_fired)
+    }
+
+    fn edges_latched(&mut self, changed: &[SignalId]) {
+        let state = &mut self.state;
+        for sig in changed {
+            state.edge_prev_diffs[sig.index()].assign_from(&state.diffs[sig.index()]);
+        }
+    }
+
+    fn nba_block(&mut self, block: usize, targets: &mut Vec<SignalId>) {
+        let state = &mut self.state;
+        targets.extend(
+            state.pending_nba[block]
+                .fault_writes
+                .iter()
+                .map(|w| w.target),
+        );
+        state.phase = Phase::Nba(block);
+    }
+
+    fn nba_done(&mut self, ctx: &mut ExecCtx) -> bool {
+        let state = &mut self.state;
+        state.phase = Phase::Settle;
+        // The write values go back to the execution scratch the
+        // interpreter draws assignment buffers from, so wide (>64-bit) NBA
+        // targets keep reusing their boxed storage across activations.
+        for mut block in state.pending_nba.drain(..) {
+            for w in block.fault_writes.drain(..) {
+                ctx.scratch.put(w.value);
             }
-            let committed = self.commit_nba(ws);
-            if !committed && n_acts == 0 && self.rtl_queue.is_empty() && self.beh_queue.is_empty() {
-                return;
+            state.nba_pool.put(block);
+        }
+        std::mem::take(&mut state.nba_moved)
+    }
+
+    fn behavioral_span(&mut self, open: bool) {
+        let state = &mut self.state;
+        if open {
+            state.span_start = Some(Instant::now());
+        } else if let Some(t0) = state.span_start.take() {
+            state.stats.time_behavioral += t0.elapsed();
+            for act in state.acts.drain(..) {
+                self.ws.acts.put(act);
             }
         }
-        panic!("design did not settle within {DELTA_LIMIT} delta cycles");
+    }
+
+    fn settled(&mut self, deltas: u64) {
+        self.state.stats.deltas += deltas;
     }
 }

@@ -1,16 +1,16 @@
-//! The active region (Fig. 4 steps ②③): dirty RTL nodes evaluated
-//! concurrently — the good network once, plus exactly the faults visible
-//! at the node — and level-sensitive behavioral nodes handed on to
-//! `behavioral.rs`. Good-only lane 2 lives here.
+//! RTL node simulation (Fig. 4 steps ②③), the fault side: after the
+//! kernel's good evaluation of a dirty RTL node, exactly the faults visible
+//! at the node — evaluated on their views, left for the output's commit.
+//! Good-only lane 2 lives here.
 
-use super::workspace::{Activation, Workspace};
+use super::workspace::Workspace;
 use super::EngineState;
 use crate::diff::union_ids_into;
 use crate::diff::FaultView;
 use eraser_fault::FaultId;
 use eraser_ir::{run_batch, RtlNodeId};
 use eraser_logic::{LanePlanes, LogicVec};
-use std::time::Instant;
+use eraser_sim::{ExecCtx, Good};
 
 /// Smallest batch chunk worth transposing into lane planes; below this the
 /// per-chunk fixed cost (lane-word fills plus the 64×64 bit-matrix
@@ -24,58 +24,45 @@ use std::time::Instant;
 const MIN_BATCH_LANES: usize = 16;
 
 impl EngineState<'_> {
-    pub(super) fn settle_active(&mut self, ws: &mut Workspace) {
-        // A level-sensitive activation fires in every network at once.
-        let act = Activation {
-            good: true,
-            ..Default::default()
-        };
-        loop {
-            while let Some(id) = self.rtl_queue.pop() {
-                self.rtl_dirty[id.index()] = false;
-                self.eval_rtl_concurrent(ws, id);
-            }
-            if self.beh_queue.is_empty() {
-                break;
-            }
-            // RTL nodes go first, so a run of activations ends when one of
-            // them schedules an RTL node; the run is timed as a whole.
-            let t0 = Instant::now();
-            while self.rtl_queue.is_empty() {
-                let Some(id) = self.beh_queue.pop() else {
-                    break;
-                };
-                self.beh_dirty[id.index()] = false;
-                self.process_activation(ws, id, &act);
-            }
-            self.stats.time_behavioral += t0.elapsed();
-        }
-    }
-
-    /// Concurrent evaluation of one RTL node: the good network once, plus
-    /// exactly the faults with a visible difference on an input, an
-    /// existing (possibly stale) difference on the output, or a fault site
-    /// on the output.
+    /// The fault side of one RTL node's concurrent evaluation, after the
+    /// kernel evaluated the good network to `good_out`.
     ///
     /// **Good-only lane 2:** with every input and the output
     /// [clean](Self::clean) there is no candidate and nothing to re-force,
-    /// so the good evaluation goes straight to the commit — ahead of the
-    /// batch/scalar split, so both evaluators take it.
-    fn eval_rtl_concurrent(&mut self, ws: &mut Workspace, id: RtlNodeId) {
+    /// so the hook returns at once and the good value goes straight to the
+    /// commit — ahead of the batch/scalar split, so both evaluators take it.
+    #[inline]
+    pub(super) fn rtl_evaluated(
+        &mut self,
+        ws: &mut Workspace,
+        good: &Good<'_>,
+        ctx: &mut ExecCtx,
+        id: RtlNodeId,
+        good_out: &LogicVec,
+    ) {
+        self.stats.rtl_good_evals += 1;
+        let node = self.design.rtl_node(id);
+        if !(self.clean(node.output) && node.inputs.iter().all(|s| self.clean(*s))) {
+            self.eval_rtl_faults(ws, good, ctx, id, good_out);
+        }
+    }
+
+    /// Exactly the faults with a visible difference on an input of RTL
+    /// node `id`, an existing (possibly stale) difference on its output, or
+    /// a fault site on the output: their outputs go to `ws.rtl_news`, for
+    /// the output's commit, evaluated with the kernel's `ctx`.
+    fn eval_rtl_faults(
+        &mut self,
+        ws: &mut Workspace,
+        good_net: &Good<'_>,
+        ctx: &mut ExecCtx,
+        id: RtlNodeId,
+        good_out: &LogicVec,
+    ) {
+        let good = good_net.values();
         let design = self.design;
         let node = design.rtl_node(id);
         let out_width = design.signal(node.output).width;
-
-        let mut good_out = ws.bufs.take_for(out_width);
-        self.eval
-            .rtl(id, &self.good, &mut ws.rtl_ctx, &mut good_out);
-        self.stats.rtl_good_evals += 1;
-
-        if self.clean(node.output) && node.inputs.iter().all(|s| self.clean(*s)) {
-            self.commit_signal(ws, node.output, &good_out, &[], true);
-            ws.bufs.put(good_out);
-            return;
-        }
 
         let mut candidates = ws.ids.take();
         union_ids_into(
@@ -86,14 +73,14 @@ impl EngineState<'_> {
             &self.alive,
             &mut candidates,
         );
-        // Sited faults are re-forced by commit_signal; they only need
+        // Sited faults are re-forced by commit_faults; they only need
         // explicit evaluation when an input difference feeds them, which
         // the union above already covers.
 
         // A candidate with no visible input difference has the good output
         // (explicit redundancy at the RTL node level); only the others stay
         // in `candidates`, to be evaluated by whichever evaluator applies.
-        let mut fault_news = ws.news.take();
+        let mut fault_news = std::mem::take(&mut ws.rtl_news);
         candidates.retain(|&f| {
             let any_diff = node
                 .inputs
@@ -101,7 +88,7 @@ impl EngineState<'_> {
                 .any(|s| self.diffs[s.index()].contains(f));
             if !any_diff {
                 let mut out_v = ws.bufs.take_for(out_width);
-                out_v.assign_from(&good_out);
+                out_v.assign_from(good_out);
                 fault_news.push((f, out_v));
             }
             any_diff
@@ -119,7 +106,8 @@ impl EngineState<'_> {
                 if chunk.len() < MIN_BATCH_LANES {
                     self.stats.batch_scalar_fallbacks += chunk.len() as u64;
                     for &f in chunk {
-                        fault_news.push((f, self.eval_rtl_fault(ws, id, out_width, f)));
+                        fault_news
+                            .push((f, self.eval_rtl_fault(ws, good_net, ctx, id, out_width, f)));
                     }
                 } else {
                     // Input planes: the good value broadcast to every lane,
@@ -136,7 +124,7 @@ impl EngineState<'_> {
                     let mut lb = [0u64; 64];
                     for (k, &s) in node.inputs.iter().enumerate() {
                         let plane = &mut ws.planes[k];
-                        let gv = self.good.get(s);
+                        let gv = good.get(s);
                         let dl = &self.diffs[s.index()];
                         if dl.is_empty() {
                             plane.broadcast(gv);
@@ -178,13 +166,11 @@ impl EngineState<'_> {
                 self.stats.batch_scalar_fallbacks += candidates.len() as u64;
             }
             for &f in &candidates {
-                fault_news.push((f, self.eval_rtl_fault(ws, id, out_width, f)));
+                fault_news.push((f, self.eval_rtl_fault(ws, good_net, ctx, id, out_width, f)));
             }
         }
-        self.commit_signal(ws, node.output, &good_out, &fault_news, true);
-        ws.put_news(fault_news);
+        ws.rtl_news = fault_news;
         ws.ids.put(candidates);
-        ws.bufs.put(good_out);
     }
 
     /// One fault's scalar RTL evaluation against its view — the per-lane
@@ -192,13 +178,15 @@ impl EngineState<'_> {
     fn eval_rtl_fault(
         &self,
         ws: &mut Workspace,
+        good: &Good<'_>,
+        ctx: &mut ExecCtx,
         id: RtlNodeId,
         out_width: u32,
         f: FaultId,
     ) -> LogicVec {
         let mut out_v = ws.bufs.take_for(out_width);
-        let view = FaultView::new(&self.diffs, &self.good, f);
-        self.eval.rtl(id, &view, &mut ws.rtl_ctx, &mut out_v);
+        let view = FaultView::new(&self.diffs, good.values(), f);
+        good.eval().rtl(id, &view, ctx, &mut out_v);
         out_v
     }
 }

@@ -2,9 +2,9 @@
 //! the per-activation records that cycle through them.
 
 use eraser_fault::FaultId;
-use eraser_ir::{BehavioralId, EdgeKind, EvalScratch, SignalId};
+use eraser_ir::EvalScratch;
 use eraser_logic::{LanePlanes, LogicVec};
-use eraser_sim::{ExecCtx, ExecOutcome, SlotWrite};
+use eraser_sim::{ExecOutcome, SlotWrite};
 
 /// One behavioral activation's classification of faults.
 #[derive(Debug, Clone, Default)]
@@ -17,14 +17,14 @@ pub(super) struct Activation {
     pub suppressed: Vec<FaultId>,
 }
 
-/// Queued non-blocking effects of one behavioral activation.
+/// The fault side of one queued NBA block, whose good writes the kernel
+/// holds.
 ///
 /// Fault writes are stored flat (grouped per fault via `executed` ranges)
 /// so the whole block is three reusable vectors instead of a vector of
 /// vectors.
 #[derive(Debug, Default)]
 pub(super) struct PendingNba {
-    pub good_writes: Vec<SlotWrite>,
     /// Non-blocking writes of individually executed faults, flat, grouped
     /// consecutively per fault.
     pub fault_writes: Vec<SlotWrite>,
@@ -48,12 +48,6 @@ impl<T> Reuse for Vec<T> {
     }
 }
 
-impl Reuse for ExecOutcome {
-    fn reset(&mut self) {
-        self.clear();
-    }
-}
-
 impl Reuse for Activation {
     fn reset(&mut self) {
         self.good = false;
@@ -62,9 +56,14 @@ impl Reuse for Activation {
     }
 }
 
+impl Reuse for ExecOutcome {
+    fn reset(&mut self) {
+        self.clear();
+    }
+}
+
 impl Reuse for PendingNba {
     fn reset(&mut self) {
-        self.good_writes.clear();
         self.fault_writes.clear();
         self.executed.clear();
         self.suppressed.clear();
@@ -96,32 +95,17 @@ impl<T: Reuse> Pool<T> {
 pub(super) struct Workspace {
     /// `LogicVec` temporaries.
     pub bufs: EvalScratch,
-    /// Evaluator scratch of RTL nodes: expression temporaries and the tape
-    /// slot arena.
-    pub rtl_ctx: ExecCtx,
-    /// Evaluator scratch of behavioral bodies, kept apart so each pool of
-    /// wide buffers holds the few widths its own evaluations use.
-    pub exec_ctx: ExecCtx,
     /// Redundancy-monitor decision re-evaluation scratch.
     pub mon_scratch: EvalScratch,
     pub ids: Pool<Vec<FaultId>>,
     /// Fault-update batches; returned through [`Workspace::put_news`].
     pub news: Pool<Vec<(FaultId, LogicVec)>>,
-    pub sigs: Pool<Vec<SignalId>>,
     pub outs: Pool<ExecOutcome>,
     pub acts: Pool<Activation>,
-    /// Activations of the current delta.
-    pub act_list: Vec<(BehavioralId, Activation)>,
-    /// Per-fault outcomes of the current activation.
+    /// Per-fault outcomes of the open activation.
     pub fault_outs: Vec<(FaultId, ExecOutcome)>,
-    /// Swap buffer for draining `watch_changed` without losing capacity.
-    pub changed: Vec<SignalId>,
-    /// Dense changed-this-delta flags (reset after each detection).
-    pub changed_flag: Vec<bool>,
-    /// Edge-node worklist of the current delta.
-    pub nodes: Vec<BehavioralId>,
-    /// Sensitivity terms on changed signals.
-    pub terms: Vec<(EdgeKind, SignalId)>,
+    /// The fault updates of the RTL output being committed.
+    pub rtl_news: Vec<(FaultId, LogicVec)>,
     /// Per-input lane planes of the bit-parallel RTL batch path.
     pub planes: Vec<LanePlanes>,
     /// Output lane plane of the batch path.
@@ -130,10 +114,16 @@ pub(super) struct Workspace {
 
 impl Workspace {
     /// Returns a fault-update batch, recycling its value buffers.
-    pub fn put_news(&mut self, mut v: Vec<(FaultId, LogicVec)>) {
+    pub fn put_news(&mut self, v: Vec<(FaultId, LogicVec)>) {
+        let v = self.recycle_news(v);
+        self.news.put(v);
+    }
+
+    /// Empties a fault-update batch, recycling its value buffers.
+    pub fn recycle_news(&mut self, mut v: Vec<(FaultId, LogicVec)>) -> Vec<(FaultId, LogicVec)> {
         for (_, buf) in v.drain(..) {
             self.bufs.put(buf);
         }
-        self.news.put(v);
+        v
     }
 }

@@ -75,7 +75,7 @@ use eraser_fault::{
     ActivationWindows, CoverageReport, FaultId, FaultList, WindowPlan, WindowShard,
 };
 use eraser_ir::{Design, TapeProgram};
-use eraser_sim::{Evaluator, SimSnapshot, Simulator, SiteProbe, Stimulus};
+use eraser_sim::{Evaluator, SimSnapshot, Simulator, SiteProbe, Stimulus, ValueStore};
 use std::time::{Duration, Instant};
 
 /// Everything the window plan needs from the instrumented good run: the
@@ -149,20 +149,20 @@ pub fn record_good_run(
 
 /// [`record_good_run`] on a given simulator, under either settle rule —
 /// `sim` must be freshly built and fault-free. `after_step` sees the
-/// simulator after every settle step, so a driver that also needs the good
+/// simulator's values after every settle step, so a driver that also needs the good
 /// output trace takes it from this one pass.
 pub fn record_good_run_on<'d>(
-    mut sim: Simulator<'d>,
+    sim: Simulator<'d>,
     faults: &FaultList,
     stimulus: &Stimulus,
     checkpoint: CheckpointConfig,
-    mut after_step: impl FnMut(&Simulator<'d>),
+    mut after_step: impl FnMut(&ValueStore),
 ) -> GoodRunArtifacts {
     let t0 = Instant::now();
     let design = sim.design();
     // Probe + boundary snapshots, captured *before* applying each boundary
     // step (step 0 = the construction-settled state, always eligible).
-    sim.attach_probe(SiteProbe::new(design, faults.iter().map(|f| f.signal)));
+    let mut sim = sim.attach_probe(SiteProbe::new(design, faults.iter().map(|f| f.signal)));
     let mut boundaries = Vec::new();
     let mut snapshots = Vec::new();
     for (si, step) in stimulus.steps.iter().enumerate() {
@@ -172,11 +172,11 @@ pub fn record_good_run_on<'d>(
             boundaries.push((si, sim.fully_defined()));
             snapshots.push(snap);
         }
-        sim.begin_probe_step(si);
+        sim.hook_mut().begin_step(si);
         sim.replay_step(step);
-        after_step(&sim);
+        after_step(sim.values());
     }
-    let probe = sim.take_probe().expect("probe attached above");
+    let probe = sim.into_hook();
     let windows = ActivationWindows::derive(design, faults, &probe, stimulus.steps.len());
     GoodRunArtifacts {
         boundaries,

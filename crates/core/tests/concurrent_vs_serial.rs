@@ -252,12 +252,72 @@ fn values_match_serial_second_seed() {
     value_parity(&d, &stim, RedundancyMode::Full);
 }
 
+/// The orders the one settle loop fixes, on a design where they matter:
+/// `t` races through a blocking write between blocks firing on the same
+/// edge; the block under an async reset comes first in the edge worklist
+/// when `rst` falls in the step `clk` rises (it is then listed for `rst`,
+/// on which it does not fire, before the `clk` fanout reaches it); and it
+/// NBA-writes `q` twice, so the block's writes to `q` fold into one commit.
+fn race_design() -> Design {
+    compile(
+        "module race(input wire clk, input wire rst, input wire [3:0] a,
+                     output reg [3:0] y, output reg [3:0] q);
+           reg [3:0] t;
+           always @(posedge clk) t = a ^ q;
+           always @(posedge clk or posedge rst) begin
+             q <= q + 4'h1;
+             if (rst) q <= 4'h0;
+             else if (a[0]) q <= t;
+           end
+           always @(posedge clk) y <= t + 4'h1;
+         endmodule",
+        None,
+    )
+    .unwrap()
+}
+
+/// `cycles` clock cycles of random `a`, with `rst` driven ahead of `clk`
+/// in the rising step, so a falling `rst` and a rising `clk` reach edge
+/// detection together.
+fn race_stim(design: &Design, cycles: u64, seed: u64) -> Stimulus {
+    let f = |n: &str| design.find_signal(n).unwrap();
+    let (clk, rst, a) = (f("clk"), f("rst"), f("a"));
+    let mut rng = Lcg::new(seed);
+    let mut sb = StimulusBuilder::new();
+    for c in 0..cycles {
+        let r = rng.below(64);
+        sb.add_step(vec![
+            (clk, LogicVec::from_u64(1, 0)),
+            (a, LogicVec::from_u64(4, r & 0xf)),
+        ]);
+        let reset = c < 2 || r >> 4 == 3;
+        sb.add_step(vec![
+            (rst, LogicVec::from_u64(1, u64::from(reset))),
+            (clk, LogicVec::from_u64(1, 1)),
+        ]);
+    }
+    sb.finish()
+}
+
+#[test]
+fn racing_blocks_match_serial_in_every_mode() {
+    let d = race_design();
+    for (seed, mode) in [
+        (0x5eed, RedundancyMode::Full),
+        (0x77, RedundancyMode::Explicit),
+        (0xbeef, RedundancyMode::None),
+    ] {
+        value_parity(&d, &race_stim(&d, 30, seed), mode);
+    }
+}
+
 /// Over an empty fault list every signal is clean from power-on, so every
 /// commit, RTL node, activation and NBA block takes its good-only lane: the
 /// engine must hold the good simulator's value on every signal after every
 /// step, in the same number of deltas, without one fault evaluation. The
 /// levelized simulator (VFsim's settle rule) steps along and must hold the
-/// same values too; its deltas legitimately differ.
+/// same values too; its deltas legitimately differ. Ten benchmarks, two
+/// netlist fixtures and the order pin of [`race_design`].
 #[test]
 fn engine_with_no_faults_is_the_good_simulator() {
     let mut sources: Vec<DesignSource> = Benchmark::all()
@@ -265,11 +325,15 @@ fn engine_with_no_faults_is_the_good_simulator() {
         .map(|b| DesignSource::benchmark(*b))
         .collect();
     sources.extend(netlist_fixtures());
-    assert_eq!(sources.len(), 12);
+    let race = race_design();
+    let mut cases: Vec<(&str, &Design, Stimulus)> = sources
+        .iter()
+        .map(|src| (src.name(), src.design(), src.stimulus_with_cycles(250)))
+        .collect();
+    cases.push(("race", &race, race_stim(&race, 250, 0x5eed)));
+    assert_eq!(cases.len(), 13);
     let no_faults = FaultList::default();
-    for src in &sources {
-        let design = src.design();
-        let stim = src.stimulus_with_cycles(250);
+    for (name, design, stim) in &cases {
         for backend in [EvalBackend::Tree, EvalBackend::Tape] {
             let mut sim = Simulator::with_backend(design, backend);
             let mut levelized = Simulator::levelized(Evaluator::for_backend(design, backend));
@@ -288,19 +352,59 @@ fn engine_with_no_faults_is_the_good_simulator() {
                 for i in 0..design.num_signals() {
                     let sig = SignalId::from_index(i);
                     let at = || {
-                        let name = &design.signal(sig).name;
-                        format!("{} ({backend}), step {si}, signal {name}", src.name())
+                        let signal = &design.signal(sig).name;
+                        format!("{name} ({backend}), step {si}, signal {signal}")
                     };
                     assert_eq!(engine.good_value(sig), sim.value(sig), "{}", at());
                     assert_eq!(levelized.value(sig), sim.value(sig), "levelized, {}", at());
                 }
             }
             let stats = engine.stats();
-            assert_eq!(stats.deltas, sim.deltas(), "{} ({backend})", src.name());
+            assert_eq!(stats.deltas, sim.deltas(), "{name} ({backend})");
             assert_eq!(stats.fault_executions, 0);
             assert_eq!(stats.rtl_fault_evals, 0);
             assert_eq!(stats.opportunities, 0);
             assert_eq!(engine.coverage().detected(), 0);
+        }
+    }
+}
+
+/// A level-sensitive block that re-triggers itself, and an NBA loop, do
+/// not settle once `a` drops: the kernel's bounds stop the good simulator
+/// under both settle rules and the engine with one panic naming the step,
+/// instead of spinning.
+#[test]
+fn self_triggering_blocks_do_not_settle() {
+    for src in [
+        "module m(input wire a, output reg x);
+           always @(*) if (a) x = 1'b0; else x = ~x;
+         endmodule",
+        "module m(input wire a, output reg x);
+           always @(x or a) if (a) x <= 1'b0; else x <= ~x;
+         endmodule",
+    ] {
+        let d = compile(src, None).unwrap();
+        let a = d.find_signal("a").unwrap();
+        let faults = generate_faults(&d, &FaultListConfig::default());
+        assert!(!faults.is_empty());
+        let mut sim = Simulator::new(&d);
+        let mut levelized = Simulator::levelized(Evaluator::tree(&d));
+        let mut engine = EraserEngine::new(&d, &faults, RedundancyMode::Full, true);
+        let mut steps: [&mut dyn FnMut(u64); 3] = [
+            &mut |v| sim.replay_step(&[(a, LogicVec::from_u64(1, v))]),
+            &mut |v| levelized.replay_step(&[(a, LogicVec::from_u64(1, v))]),
+            &mut |v| {
+                engine.set_input(a, &LogicVec::from_u64(1, v));
+                engine.step();
+            },
+        ];
+        for step in &mut steps {
+            step(1);
+            let stuck = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(0)))
+                .expect_err("an oscillation must not settle");
+            let msg = stuck.downcast_ref::<String>().unwrap();
+            assert!(msg.starts_with("design did not settle within"), "{msg}");
+            assert!(msg.ends_with("at step 1"), "{msg}");
         }
     }
 }

@@ -362,16 +362,15 @@ mod tests {
             );
         }
         let stim = sb.finish();
-        let mut sim = Simulator::new(&design);
-        sim.attach_probe(eraser_sim::SiteProbe::new(
+        let mut sim = Simulator::new(&design).attach_probe(eraser_sim::SiteProbe::new(
             &design,
             faults.iter().map(|f| f.signal),
         ));
         for (i, step) in stim.steps.iter().enumerate() {
-            sim.begin_probe_step(i);
+            sim.hook_mut().begin_step(i);
             sim.replay_step(step);
         }
-        let probe = sim.take_probe().unwrap();
+        let probe = sim.into_hook();
         let windows = ActivationWindows::derive(&design, &faults, &probe, stim.steps.len());
         (design, faults, windows)
     }

@@ -260,13 +260,13 @@ mod tests {
             sb.add_cycle(clk, &[(rst, LogicVec::from_u64(1, 0))]);
         }
         let stim = sb.finish();
-        let mut sim = Simulator::new(&design);
-        sim.attach_probe(SiteProbe::new(&design, faults.iter().map(|f| f.signal)));
+        let mut sim = Simulator::new(&design)
+            .attach_probe(SiteProbe::new(&design, faults.iter().map(|f| f.signal)));
         for (i, step) in stim.steps.iter().enumerate() {
-            sim.begin_probe_step(i);
+            sim.hook_mut().begin_step(i);
             sim.replay_step(step);
         }
-        let probe = sim.take_probe().unwrap();
+        let probe = sim.into_hook();
         let n = stim.steps.len();
         let windows = ActivationWindows::derive(&design, &faults, &probe, n);
         (design, faults, windows, n)

@@ -247,3 +247,46 @@ fn journal_backed_service_survives_restart() {
     service.shutdown();
     let _ = std::fs::remove_file(&path);
 }
+
+/// A design whose level-sensitive block re-triggers itself never settles
+/// once its input drops. The campaign fails with the kernel's settle panic
+/// in its status body, and the one worker survives to finish the next
+/// campaign.
+#[test]
+fn unsettling_design_fails_its_campaign_and_keeps_the_worker() {
+    let path = std::env::temp_dir().join(format!("eraser-self-loop-{}.v", std::process::id()));
+    std::fs::write(
+        &path,
+        "module m(input wire a, output reg x);
+           always @(*) if (a) x = 1'b0; else x = ~x;
+         endmodule\n",
+    )
+    .unwrap();
+    let mut service = CampaignService::new(Box::new(MemStore::new()), 1, 8);
+    let mut server = HttpServer::bind("127.0.0.1:0", service.handle()).unwrap();
+    let addr = server.local_addr();
+
+    let id = submit(addr, &CampaignSpec::path(path.to_str().unwrap()).steps(4));
+    let body = (0..6000)
+        .find_map(|_| {
+            let (status, body) = http(addr, "GET", &format!("/campaigns/{id}"), "");
+            assert_eq!(status, 200, "{body}");
+            let v = json::parse(&body).unwrap();
+            match v.get("status").and_then(JsonValue::as_str) {
+                Some("failed") => Some(body),
+                Some("done") => panic!("campaign {id} settled: {body}"),
+                _ => {
+                    std::thread::sleep(Duration::from_millis(5));
+                    None
+                }
+            }
+        })
+        .unwrap_or_else(|| panic!("campaign {id} did not finish"));
+    assert!(body.contains("did not settle"), "{body}");
+
+    let next = submit(addr, &CampaignSpec::fixture("counter8_gate").steps(20));
+    await_record(addr, &next);
+    server.shutdown();
+    service.shutdown();
+    let _ = std::fs::remove_file(&path);
+}

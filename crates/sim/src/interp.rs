@@ -176,6 +176,19 @@ impl ExecOutcome {
         self.blocking_writes.clear();
         self.blocking.clear();
     }
+
+    /// Empties all three write lists into `scratch`, keeping their
+    /// capacity: on wide designs the values carry the boxed >64-bit
+    /// storage, and dropping them with [`ExecOutcome::clear`] would force
+    /// the next activation to reallocate.
+    pub fn recycle(&mut self, scratch: &mut EvalScratch) {
+        for (_, v) in self.blocking.drain(..) {
+            scratch.put(v);
+        }
+        for w in self.blocking_writes.drain(..).chain(self.nba.drain(..)) {
+            scratch.put(w.value);
+        }
+    }
 }
 
 /// Executes one activation of `node` reading from `base`, with a no-op
@@ -265,19 +278,7 @@ fn execute_backend_into<S: ValueSource + ?Sized, M: ExecMonitor + ?Sized>(
     ctx: &mut ExecCtx,
     out: &mut ExecOutcome,
 ) {
-    // Recycle the previous activation's value buffers into the scratch
-    // pool instead of dropping them with `out.clear()`: on wide designs
-    // these carry the boxed >64-bit storage, and losing them would force
-    // the next activation to reallocate.
-    for (_, v) in out.blocking.drain(..) {
-        ctx.scratch.put(v);
-    }
-    for w in out.blocking_writes.drain(..) {
-        ctx.scratch.put(w.value);
-    }
-    for w in out.nba.drain(..) {
-        ctx.scratch.put(w.value);
-    }
+    out.recycle(&mut ctx.scratch);
     if ctx.overlay_map.len() < design.num_signals() {
         ctx.overlay_map.resize(design.num_signals(), u32::MAX);
     }

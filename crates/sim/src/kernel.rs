@@ -1,8 +1,23 @@
-//! The good (fault-free) simulator, with its two settle rules.
+//! The good (fault-free) simulator, with its two settle rules — the one
+//! settle loop every network runs.
+//!
+//! The loop is the paper's Fig. 4, once. Its [`Hook`] is called where
+//! fault work attaches, in loop order: after each RTL node's good
+//! evaluation ([`Hook::rtl_evaluated`]); when a behavioral node activates
+//! ([`Hook::activate`], [`Hook::activation_done`]), in runs it may time
+//! ([`Hook::behavioral_span`]); at each signal commit, before the good
+//! store ([`Hook::commit`]: fanout is scheduled on a good change or a
+//! hook-reported one); for each edge-triggered node with a changed term
+//! ([`Hook::edge`], then [`Hook::edges_latched`]); at each NBA block
+//! commit ([`Hook::nba_block`], [`Hook::nba_done`]); and once after each
+//! settled step ([`Hook::settled`]). The kernel alone owns the good
+//! values, the dirty flags and queues, the watch list, the edge latch, the
+//! NBA region, input drives, forces, snapshots and the settle bounds.
 
 use crate::evaluator::Evaluator;
-use crate::interp::{ExecCtx, ExecOutcome, NoopMonitor, SlotWrite};
-use crate::probe::{ProbeMonitor, SiteProbe};
+use crate::hook::{Good, Hook, NoHook};
+use crate::interp::{ExecCtx, ExecOutcome, SlotWrite};
+use crate::probe::SiteProbe;
 use crate::snapshot::{assign_logic_slice, SimSnapshot};
 use crate::stimulus::Stimulus;
 use crate::store::ValueStore;
@@ -11,8 +26,10 @@ use eraser_ir::{
 };
 use eraser_logic::{LogicBit, LogicVec};
 
-/// Bound on delta cycles per step (oscillation guard; combinational cycles
-/// are already rejected at design build time).
+/// Bound on delta cycles per step and, times the number of combinational
+/// items, on active-region evaluations per step — the oscillation guard.
+/// Combinational cycles are rejected at design build time; an NBA loop and
+/// a level-sensitive block that re-triggers itself are not.
 const DELTA_LIMIT: usize = 10_000;
 
 /// A four-state RTL simulator for the fault-free design.
@@ -31,63 +48,77 @@ const DELTA_LIMIT: usize = 10_000;
 ///      whole-design work per delta (the VFsim substrate).
 /// 2. **Deferred edge detection** — only after the active region settles are
 ///    event (edge) expressions evaluated against the previously-latched
-///    values. This ordering is what the ERASER paper generalizes to the
-///    concurrent engine to avoid *fake events* (a bad gate prematurely
-///    seeing a good value as an edge).
-/// 3. Activated sequential nodes execute; their non-blocking assignments
-///    are queued.
-/// 4. **NBA region** — queued non-blocking writes commit in order, possibly
+///    values, node by node in order of first appearance in the fanout of
+///    the changed signals. This ordering is what the ERASER paper
+///    generalizes to the concurrent engine to avoid *fake events* (a bad
+///    gate prematurely seeing a good value as an edge).
+/// 3. Activated sequential nodes execute; their blocking results commit in
+///    target order, their non-blocking assignments queue as one block.
+/// 4. **NBA region** — queued blocks commit in order, each block's targets
+///    in target order with its writes to a target folded, possibly
 ///    scheduling another delta.
 ///
 /// Both rules commit the same settled values after every step; only the
 /// delta count and the work done differ. Forces, edge detection, the NBA
-/// region, the probe feed and snapshots are shared.
-///
-/// See the [crate docs](crate) for a usage example.
+/// region, the hook `H` (see the module docs of `kernel.rs`) and snapshots
+/// are shared. See the [crate docs](crate) for a usage example.
 #[derive(Debug, Clone)]
-pub struct Simulator<'d> {
+pub struct Simulator<'d, H = NoHook> {
+    net: Net<'d>,
+    hook: H,
+}
+
+/// Everything of a [`Simulator`] but its hook, which the loop lends what
+/// it reads while the kernel keeps writing.
+#[derive(Debug, Clone)]
+struct Net<'d> {
     design: &'d Design,
-    /// The backend every node of the design is evaluated on.
-    eval: Evaluator<'d>,
+    good: Good<'d>,
     /// The settle rule: sweep `comb_order` (`true`) or drain the dirty
     /// queues (`false`).
     levelized: bool,
-    values: ValueStore,
-    /// Values as of the last edge-detection point, for all signals watched
-    /// by edge-triggered nodes.
-    edge_prev: Vec<LogicVec>,
     rtl_dirty: Vec<bool>,
     rtl_queue: Vec<RtlNodeId>,
     beh_dirty: Vec<bool>,
     beh_queue: Vec<BehavioralId>,
     watch_changed: Vec<SignalId>,
     watch_flag: Vec<bool>,
+    /// Dense flags of `detect_edges`: signal changed this delta, node
+    /// already on the worklist.
+    changed_flag: Vec<bool>,
+    edge_queued: Vec<bool>,
+    /// The NBA region: one block of writes per activation, block `i`
+    /// ending at `nba_ends[i]`.
     nba: Vec<SlotWrite>,
+    nba_ends: Vec<usize>,
     /// Permanently forced bits (`force` command semantics): re-applied on
     /// every write to the signal.
     forces: Vec<(SignalId, u32, LogicBit)>,
     /// Total delta cycles executed (exposed for instrumentation).
     deltas: u64,
-    /// Activation probe for instrumented good replays (`None` = the
-    /// zero-overhead default).
-    probe: Option<Box<SiteProbe>>,
+    /// Steps settled by [`Simulator::step`], named when one does not settle.
+    steps: usize,
 
     // Reusable workspace — all steady-state stepping works out of these
-    // buffers, so `step()` performs zero heap allocations once warm.
-    /// Expression-evaluation scratch arena.
+    // buffers, so `step()` performs zero heap allocations once warm. All
+    // value temporaries come from a context's scratch at the target's
+    // storage class (`take_for`), so buffers for >64-bit signals keep
+    // cycling among wide uses instead of being reshaped against narrow
+    // ones. RTL evaluation and behavioral execution (with the commit
+    // temporaries) keep apart, so each arena holds the few widths and
+    // tape slots its own evaluations use.
+    rtl_ctx: ExecCtx,
     ctx: ExecCtx,
-    /// Behavioral-execution outcome, cleared and refilled per activation.
-    ///
-    /// All value temporaries — RTL node outputs, force application, NBA
-    /// write folding, input resizes — come from `ctx.scratch` at the
-    /// target's storage class (`take_for`), so buffers for >64-bit signals
-    /// keep cycling among wide uses instead of being reshaped against
-    /// narrow ones.
+    /// Behavioral-execution outcome, reused across activations.
     outcome: ExecOutcome,
     /// Swap buffer for draining `watch_changed` without losing capacity.
     ws_changed: Vec<SignalId>,
+    /// Edge nodes of the current delta.
+    ws_nodes: Vec<BehavioralId>,
     /// Edge-activated nodes of the current delta.
     ws_activated: Vec<BehavioralId>,
+    /// Targets of the blocking or NBA commit in progress.
+    ws_targets: Vec<SignalId>,
 }
 
 impl<'d> Simulator<'d> {
@@ -125,64 +156,120 @@ impl<'d> Simulator<'d> {
     }
 
     fn build(eval: Evaluator<'d>, levelized: bool) -> Self {
+        let mut sim = Simulator::unsettled(eval, NoHook);
+        sim.net.levelized = levelized;
+        sim.settle_all();
+        sim
+    }
+
+    /// Attaches an activation probe; the probe immediately observes the
+    /// current state (its step-0 baseline), then every subsequent commit,
+    /// decision and edge hazard. Step it through [`Simulator::hook_mut`];
+    /// take it back with [`Simulator::into_hook`].
+    pub fn attach_probe(self, mut probe: SiteProbe) -> Simulator<'d, SiteProbe> {
+        probe.observe_initial(self.net.design, &self.net.good.values);
+        Simulator {
+            net: self.net,
+            hook: probe,
+        }
+    }
+}
+
+impl<'d, H: Hook> Simulator<'d, H> {
+    /// Creates an event-driven simulator over `eval`'s design and backend
+    /// with `hook` attached, at power-on: every signal `X`, nothing
+    /// evaluated until [`Simulator::settle_all`]. In between, the hook's
+    /// owner may restore a snapshot and [recommit](Simulator::recommit)
+    /// signals.
+    pub fn unsettled(eval: Evaluator<'d>, hook: H) -> Self {
         let design = eval.design();
-        let values = ValueStore::new(design);
-        let edge_prev = design
-            .signals()
-            .iter()
-            .map(|s| LogicVec::new_x(s.width))
-            .collect();
-        let mut sim = Simulator {
+        let (n_sig, n_beh) = (design.num_signals(), design.behavioral_nodes().len());
+        let edge_prev = design.signals().iter().map(|s| LogicVec::new_x(s.width));
+        let net = Net {
             design,
-            eval,
-            levelized,
-            values,
-            edge_prev,
+            good: Good {
+                eval,
+                values: ValueStore::new(design),
+                edge_prev: edge_prev.collect(),
+            },
+            levelized: false,
             rtl_dirty: vec![false; design.rtl_nodes().len()],
             rtl_queue: Vec::new(),
-            beh_dirty: vec![false; design.behavioral_nodes().len()],
+            beh_dirty: vec![false; n_beh],
             beh_queue: Vec::new(),
             watch_changed: Vec::new(),
-            watch_flag: vec![false; design.num_signals()],
+            watch_flag: vec![false; n_sig],
+            changed_flag: vec![false; n_sig],
+            edge_queued: vec![false; n_beh],
             nba: Vec::new(),
+            nba_ends: Vec::new(),
             forces: Vec::new(),
             deltas: 0,
-            probe: None,
+            steps: 0,
+            rtl_ctx: ExecCtx::new(),
             ctx: ExecCtx::new(),
             outcome: ExecOutcome::default(),
             ws_changed: Vec::new(),
+            ws_nodes: Vec::new(),
             ws_activated: Vec::new(),
+            ws_targets: Vec::new(),
         };
-        for i in 0..design.rtl_nodes().len() {
-            sim.mark_rtl(RtlNodeId::from_index(i));
+        Simulator { net, hook }
+    }
+
+    /// Schedules every RTL node and level-sensitive behavioral node, then
+    /// settles: the initial evaluation (not counted as a step).
+    pub fn settle_all(&mut self) {
+        let net = &mut self.net;
+        for i in 0..net.design.rtl_nodes().len() {
+            net.mark_rtl(RtlNodeId::from_index(i));
         }
-        for (i, b) in design.behavioral_nodes().iter().enumerate() {
+        for (i, b) in net.design.behavioral_nodes().iter().enumerate() {
             if !b.sensitivity.is_edge() {
-                sim.mark_beh(BehavioralId::from_index(i));
+                net.mark_beh(BehavioralId::from_index(i));
             }
         }
-        sim.step();
-        sim
+        self.settle();
     }
 
     /// The design being simulated.
     pub fn design(&self) -> &'d Design {
-        self.design
+        self.net.design
     }
 
     /// The current value of a signal.
     pub fn value(&self, sig: SignalId) -> &LogicVec {
-        self.values.get(sig)
+        self.net.good.values.get(sig)
     }
 
     /// The full value store.
     pub fn values(&self) -> &ValueStore {
-        &self.values
+        &self.net.good.values
     }
 
     /// Total delta cycles executed so far.
     pub fn deltas(&self) -> u64 {
-        self.deltas
+        self.net.deltas
+    }
+
+    /// The attached hook.
+    pub fn hook(&self) -> &H {
+        &self.hook
+    }
+
+    /// The attached hook, mutably.
+    pub fn hook_mut(&mut self) -> &mut H {
+        &mut self.hook
+    }
+
+    /// The value store and, mutably, the hook.
+    pub fn values_and_hook_mut(&mut self) -> (&ValueStore, &mut H) {
+        (&self.net.good.values, &mut self.hook)
+    }
+
+    /// Consumes the simulator, returning its hook.
+    pub fn into_hook(self) -> H {
+        self.hook
     }
 
     /// Drives a primary input (or, for testing, forces any signal) to
@@ -192,70 +279,83 @@ impl<'d> Simulator<'d> {
     /// pooled temporary. Fanout is scheduled if the value changed; call
     /// [`Simulator::step`] to propagate.
     pub fn set_input(&mut self, sig: SignalId, value: &LogicVec) {
-        let width = self.design.signal(sig).width;
+        let width = self.net.design.signal(sig).width;
         if value.width() == width {
-            if self.forces.is_empty() && self.values.get(sig) == value {
-                return;
+            if !self.net.unchanged(sig, value) {
+                self.commit(sig, value, true, &[]);
             }
-            self.commit_borrowed(sig, value);
             return;
         }
-        let mut resized = self.ctx.scratch.take_for(width);
+        let mut resized = self.net.ctx.scratch.take_for(width);
         resized.copy_resized(value, width);
-        if !(self.forces.is_empty() && self.values.get(sig) == &resized) {
-            self.commit_borrowed(sig, &resized);
+        if !self.net.unchanged(sig, &resized) {
+            self.commit(sig, &resized, true, &[]);
         }
-        self.ctx.scratch.put(resized);
+        self.net.ctx.scratch.put(resized);
+    }
+
+    /// Commits `sig`'s current value again, through the hook: the state it
+    /// keeps on the signal is re-derived, fanout scheduled if that changed.
+    pub fn recommit(&mut self, sig: SignalId) {
+        self.commit_current(sig, true, &[]);
+    }
+
+    /// Commits `sig`'s current value as written by `writes` (`good_wrote`
+    /// as in [`Hook::commit`]).
+    fn commit_current(&mut self, sig: SignalId, good_wrote: bool, writes: &[SlotWrite]) {
+        let net = &mut self.net;
+        let mut current = net.ctx.scratch.take_for(net.design.signal(sig).width);
+        current.assign_from(net.good.values.get(sig));
+        self.commit(sig, &current, good_wrote, writes);
+        self.net.ctx.scratch.put(current);
     }
 
     /// Permanently forces one bit of a signal — the `force` command used by
     /// force-based fault injection (the paper's IFsim baseline). The force
     /// is applied immediately and re-applied on every subsequent write.
     pub fn add_force(&mut self, sig: SignalId, bit: u32, value: LogicBit) {
-        self.forces.push((sig, bit, value));
-        let current = self.values.get(sig).clone();
-        self.commit_value(sig, current);
+        self.net.forces.push((sig, bit, value));
+        self.recommit(sig);
     }
 
-    /// [`Simulator::add_force`], then settles: the stuck-at injection of
-    /// the serial baselines, which settles the force before the next
-    /// stimulus step so every engine agrees on when a forced power-on edge
-    /// (`X` -> stuck value) fires.
+    /// [`Simulator::add_force`], then settles (not counted as a step): the
+    /// stuck-at injection of the serial baselines, which settles the force
+    /// before the next stimulus step so every engine agrees on when a
+    /// forced power-on edge (`X` -> stuck value) fires.
     pub fn force_bit(&mut self, sig: SignalId, bit: u32, value: LogicBit) {
         self.add_force(sig, bit, value);
-        self.step();
+        self.settle();
     }
 
-    /// Applies forces (if any) and commits an owned value, scheduling
-    /// fanout on change.
-    fn commit_value(&mut self, sig: SignalId, value: LogicVec) -> bool {
-        self.commit_borrowed(sig, &value)
-    }
-
-    /// Applies forces (if any) and commits a borrowed value in place,
-    /// scheduling fanout on change. The store slot's storage is reused, so
-    /// steady-state commits never allocate.
-    fn commit_borrowed(&mut self, sig: SignalId, value: &LogicVec) -> bool {
-        let changed = if self.forces.is_empty() {
-            self.values.commit(sig, value)
-        } else {
-            let mut forced = self.ctx.scratch.take_for(value.width());
-            forced.assign_from(value);
-            for &(fs, bit, b) in &self.forces {
-                if fs == sig && bit < forced.width() {
-                    forced.set_bit(bit, b);
-                }
-            }
-            let changed = self.values.commit(sig, &forced);
-            self.ctx.scratch.put(forced);
-            changed
-        };
-        if changed {
-            if let Some(p) = &mut self.probe {
-                p.observe_commit(sig, self.values.get(sig));
-            }
-            self.schedule_fanout(sig);
+    /// Applies forces (if any), tells the hook, then stores the value in
+    /// place (its slot's storage reused, so steady-state commits never
+    /// allocate), scheduling fanout on a good or hook-reported change.
+    /// Returns whether the good value changed.
+    #[inline]
+    fn commit(
+        &mut self,
+        sig: SignalId,
+        value: &LogicVec,
+        good_wrote: bool,
+        writes: &[SlotWrite],
+    ) -> bool {
+        let net = &mut self.net;
+        if net.forces.is_empty() {
+            let view_changed = self.hook.commit(&net.good, sig, value, good_wrote, writes);
+            return net.store(sig, value, view_changed);
         }
+        let mut forced = net.ctx.scratch.take_for(value.width());
+        forced.assign_from(value);
+        for &(fs, bit, b) in &net.forces {
+            if fs == sig && bit < forced.width() {
+                forced.set_bit(bit, b);
+            }
+        }
+        let view_changed = self
+            .hook
+            .commit(&net.good, sig, &forced, good_wrote, writes);
+        let changed = net.store(sig, &forced, view_changed);
+        net.ctx.scratch.put(forced);
         changed
     }
 
@@ -263,37 +363,47 @@ impl<'d> Simulator<'d> {
     ///
     /// # Panics
     ///
-    /// Panics if the design fails to settle within an internal delta bound
-    /// (an oscillation, which cannot arise from designs accepted by the
-    /// frontend).
+    /// Panics with `design did not settle within …`, naming the step, when
+    /// the delta bound or the active region's evaluation bound runs out —
+    /// an oscillation: an NBA loop, or a level-sensitive block
+    /// re-triggering itself.
     pub fn step(&mut self) {
+        self.settle();
+        self.net.steps += 1;
+    }
+
+    /// One settle step, the loop of the type docs.
+    fn settle(&mut self) {
+        let start = self.net.deltas;
+        let mut budget = DELTA_LIMIT * self.net.design.comb_order().len().max(1);
         for _ in 0..DELTA_LIMIT {
-            self.deltas += 1;
-            if self.levelized {
+            self.net.deltas += 1;
+            if self.net.levelized {
                 // Sweep again until a sweep changes nothing; only then
                 // are edges looked at.
                 if self.sweep_comb() {
                     continue;
                 }
-                self.clear_queues();
+                self.net.clear_queues();
             } else {
-                self.settle_active();
+                self.settle_active(&mut budget);
             }
             let n_activated = self.detect_edges();
-            for i in 0..n_activated {
-                let b = self.ws_activated[i];
-                self.run_behavioral(b);
+            if n_activated > 0 {
+                self.hook.behavioral_span(true);
+                for i in 0..n_activated {
+                    self.run_behavioral(self.net.ws_activated[i], Some(i));
+                }
+                self.hook.behavioral_span(false);
             }
             let committed = self.commit_nba();
-            if !committed
-                && n_activated == 0
-                && self.rtl_queue.is_empty()
-                && self.beh_queue.is_empty()
-            {
+            if !committed && n_activated == 0 && self.net.is_quiet() {
+                self.hook.settled(self.net.deltas - start);
                 return;
             }
         }
-        panic!("design did not settle within {DELTA_LIMIT} delta cycles");
+        let step = self.net.steps;
+        panic!("design did not settle within {DELTA_LIMIT} delta cycles at step {step}");
     }
 
     /// Convenience: one full clock cycle on `clk` (drive low, settle, drive
@@ -321,88 +431,289 @@ impl<'d> Simulator<'d> {
         }
     }
 
-    /// Attaches an activation probe; the probe immediately observes the
-    /// current state (its step-0 baseline), then every subsequent commit,
-    /// decision and edge hazard until taken back.
-    pub fn attach_probe(&mut self, mut probe: SiteProbe) {
-        probe.observe_initial(self.design, &self.values);
-        self.probe = Some(Box::new(probe));
-    }
-
-    /// Detaches and returns the probe, if one is attached.
-    pub fn take_probe(&mut self) -> Option<SiteProbe> {
-        self.probe.take().map(|p| *p)
-    }
-
-    /// Tells the attached probe (if any) which stimulus step subsequent
-    /// observations belong to.
-    pub fn begin_probe_step(&mut self, step: usize) {
-        if let Some(p) = &mut self.probe {
-            p.begin_step(step);
-        }
-    }
-
     /// True if every signal's current value is fully defined (no `X`/`Z`
     /// anywhere) — the eligibility condition for restarting
     /// refinement-dormant faults from this state.
     pub fn fully_defined(&self) -> bool {
-        self.values.fully_defined()
-    }
-
-    /// True if no queued work is pending — the settle-point condition under
-    /// which snapshots are defined.
-    fn is_settled(&self) -> bool {
-        self.rtl_queue.is_empty()
-            && self.beh_queue.is_empty()
-            && self.nba.is_empty()
-            && self.watch_changed.is_empty()
+        self.net.good.values.fully_defined()
     }
 
     /// Captures the full settle-point state into `snap`, reusing its
-    /// buffers (see [`SimSnapshot`]).
+    /// buffers (see [`SimSnapshot`]); the hook's own state is not in it.
     ///
     /// # Panics
     ///
     /// Panics if called between [`Simulator::set_input`] and
     /// [`Simulator::step`] — snapshots are defined at settle points only.
     pub fn capture_into(&self, snap: &mut SimSnapshot) {
-        assert!(self.is_settled(), "capture requires a settled simulator");
-        assign_logic_slice(&mut snap.values, self.values.as_slice());
-        assign_logic_slice(&mut snap.edge_prev, &self.edge_prev);
+        let net = &self.net;
+        assert!(net.is_quiet(), "capture requires a settled simulator");
+        assign_logic_slice(&mut snap.values, net.good.values.as_slice());
+        assign_logic_slice(&mut snap.edge_prev, &net.good.edge_prev);
         snap.forces.clear();
-        snap.forces.extend_from_slice(&self.forces);
-        snap.deltas = self.deltas;
+        snap.forces.extend_from_slice(&net.forces);
+        snap.deltas = net.deltas;
+        snap.steps = net.steps;
     }
 
     /// Restores a captured settle-point state, discarding all current state
     /// and pending work. The snapshot must come from a simulator over the
     /// same design.
     pub fn restore_from(&mut self, snap: &SimSnapshot) {
-        self.values.restore_from_slice(&snap.values);
+        let net = &mut self.net;
+        net.good.values.restore_from_slice(&snap.values);
         assert_eq!(
-            self.edge_prev.len(),
+            net.good.edge_prev.len(),
             snap.edge_prev.len(),
             "snapshot covers a different design"
         );
-        for (slot, v) in self.edge_prev.iter_mut().zip(&snap.edge_prev) {
+        for (slot, v) in net.good.edge_prev.iter_mut().zip(&snap.edge_prev) {
             slot.assign_from(v);
         }
-        self.forces.clear();
-        self.forces.extend_from_slice(&snap.forces);
-        self.deltas = snap.deltas;
+        net.forces.clear();
+        net.forces.extend_from_slice(&snap.forces);
+        net.deltas = snap.deltas;
+        net.steps = snap.steps;
         // Re-establish the quiescent scheduling state the snapshot was
         // taken in.
-        self.rtl_dirty.fill(false);
-        self.rtl_queue.clear();
-        self.beh_dirty.fill(false);
-        self.beh_queue.clear();
-        self.watch_flag.fill(false);
-        self.watch_changed.clear();
-        self.nba.clear();
+        net.clear_queues();
+        net.watch_flag.fill(false);
+        net.watch_changed.clear();
+        net.nba.clear();
+        net.nba_ends.clear();
     }
 
     // ---- internals ----
 
+    /// Evaluates dirty RTL nodes and level-sensitive behavioral nodes to a
+    /// fixpoint, RTL nodes first: a run of behavioral activations ends when
+    /// one schedules an RTL node. Each evaluation spends one unit of the
+    /// step's `budget`.
+    fn settle_active(&mut self, budget: &mut usize) {
+        loop {
+            while let Some(id) = self.net.rtl_queue.pop() {
+                self.net.rtl_dirty[id.index()] = false;
+                self.net.spend(budget);
+                self.run_rtl(id);
+            }
+            if self.net.beh_queue.is_empty() {
+                break;
+            }
+            self.hook.behavioral_span(true);
+            while self.net.rtl_queue.is_empty() {
+                let Some(id) = self.net.beh_queue.pop() else {
+                    break;
+                };
+                self.net.beh_dirty[id.index()] = false;
+                self.net.spend(budget);
+                self.run_behavioral(id, None);
+            }
+            self.hook.behavioral_span(false);
+        }
+    }
+
+    /// One levelized sweep: every combinational item in topological order.
+    /// Returns whether any value changed.
+    fn sweep_comb(&mut self) -> bool {
+        let mut changed = false;
+        for item in self.net.design.comb_order() {
+            changed |= match *item {
+                CombItem::Rtl(id) => self.run_rtl(id),
+                CombItem::Beh(id) => self.run_behavioral(id, None),
+            };
+        }
+        changed
+    }
+
+    /// Evaluates one RTL node and commits its output; returns whether the
+    /// output changed.
+    #[inline]
+    fn run_rtl(&mut self, id: RtlNodeId) -> bool {
+        let net = &mut self.net;
+        let output = net.design.rtl_node(id).output;
+        let mut out = net
+            .rtl_ctx
+            .scratch
+            .take_for(net.design.signal(output).width);
+        let good = &net.good;
+        good.eval.rtl(id, &good.values, &mut net.rtl_ctx, &mut out);
+        self.hook.rtl_evaluated(good, &mut net.rtl_ctx, id, &out);
+        let changed = self.commit(output, &out, true, &[]);
+        self.net.rtl_ctx.scratch.put(out);
+        changed
+    }
+
+    /// Executes one behavioral activation (`edge` as in
+    /// [`Hook::activate`]): blocking results commit in target order, the
+    /// non-blocking writes queue as one NBA block. Returns whether a
+    /// blocking commit changed a value.
+    fn run_behavioral(&mut self, id: BehavioralId, edge: Option<usize>) -> bool {
+        let net = &mut self.net;
+        let mut out = std::mem::take(&mut net.outcome);
+        let mut targets = std::mem::take(&mut net.ws_targets);
+        self.hook
+            .activate(&net.good, &mut net.ctx, id, edge, &mut out, &mut targets);
+        let mut changed = false;
+        if !(out.blocking.is_empty() && targets.is_empty()) {
+            out.blocking.sort_unstable_by_key(|(s, _)| *s);
+            targets.extend(out.blocking.iter().map(|(s, _)| *s));
+            targets.sort_unstable();
+            targets.dedup();
+        }
+        for &t in &targets {
+            changed |= match out.blocking.binary_search_by_key(&t, |(s, _)| *s) {
+                Ok(k) => self.commit(t, &out.blocking[k].1, true, &out.blocking_writes),
+                // Only the hook's networks wrote it: the good value stays.
+                Err(_) => {
+                    self.commit_current(t, false, &out.blocking_writes);
+                    false
+                }
+            };
+        }
+        targets.clear();
+        let net = &mut self.net;
+        net.ws_targets = targets;
+        if self.hook.activation_done(&out) || !out.nba.is_empty() {
+            net.nba.append(&mut out.nba);
+            net.nba_ends.push(net.nba.len());
+        }
+        net.outcome = out;
+        changed
+    }
+
+    /// Deferred edge detection: every edge-triggered node with a term on a
+    /// signal changed since the last detection, in order of first
+    /// appearance, compares those terms' bit 0 (per common simulator
+    /// behavior) against the edge latch and asks the hook whether it
+    /// activates; the activated nodes go to `ws_activated`, whose length
+    /// is returned. Then the changed signals are latched.
+    fn detect_edges(&mut self) -> usize {
+        let net = &mut self.net;
+        net.ws_activated.clear();
+        std::mem::swap(&mut net.watch_changed, &mut net.ws_changed);
+        let design = net.design;
+        net.ws_nodes.clear();
+        for &sig in &net.ws_changed {
+            net.watch_flag[sig.index()] = false;
+            net.changed_flag[sig.index()] = true;
+            for &b in design.edge_fanout(sig) {
+                if !std::mem::replace(&mut net.edge_queued[b.index()], true) {
+                    net.ws_nodes.push(b);
+                }
+            }
+        }
+        for &b in &net.ws_nodes {
+            net.edge_queued[b.index()] = false;
+            let Sensitivity::Edges(edges) = &design.behavioral(b).sensitivity else {
+                continue;
+            };
+            let good = &net.good;
+            let good_fired = edges.iter().any(|(kind, s)| {
+                let (prev, cur) = (good.edge_prev(*s), good.values.get(*s));
+                net.changed_flag[s.index()] && kind.matches(prev.bit_or_x(0), cur.bit_or_x(0))
+            });
+            if self.hook.edge(good, edges, &net.changed_flag, good_fired) {
+                net.ws_activated.push(b);
+            }
+        }
+        for &sig in &net.ws_changed {
+            net.changed_flag[sig.index()] = false;
+            let good = &mut net.good;
+            good.edge_prev[sig.index()].assign_from(good.values.get(sig));
+        }
+        if !net.ws_changed.is_empty() {
+            self.hook.edges_latched(&net.ws_changed);
+        }
+        net.ws_changed.clear();
+        net.ws_activated.len()
+    }
+
+    /// Commits the NBA region block by block, each block's targets in
+    /// target order with its writes to a target folded into one commit.
+    /// Returns whether another delta is needed for it.
+    fn commit_nba(&mut self) -> bool {
+        if self.net.nba_ends.is_empty() {
+            return false;
+        }
+        let mut writes = std::mem::take(&mut self.net.nba);
+        let mut ends = std::mem::take(&mut self.net.nba_ends);
+        let mut targets = std::mem::take(&mut self.net.ws_targets);
+        let (mut any, mut start) = (false, 0);
+        for (block, &end) in ends.iter().enumerate() {
+            let good = &writes[start..end];
+            start = end;
+            targets.extend(good.iter().map(|w| w.target));
+            self.hook.nba_block(block, &mut targets);
+            targets.sort_unstable();
+            targets.dedup();
+            for &t in &targets {
+                let net = &mut self.net;
+                let mut next = net.ctx.scratch.take_for(net.design.signal(t).width);
+                next.assign_from(net.good.values.get(t));
+                let mut good_wrote = false;
+                for w in good.iter().filter(|w| w.target == t) {
+                    w.apply_assign(&mut next);
+                    good_wrote = true;
+                }
+                any |= self.commit(t, &next, good_wrote, good);
+                self.net.ctx.scratch.put(next);
+            }
+            targets.clear();
+        }
+        // The write values go back to the scratch the interpreter draws
+        // assignment buffers from: on wide designs these are the boxed
+        // buffers, and dropping them would force a fresh allocation every
+        // time a >64-bit signal commits.
+        let net = &mut self.net;
+        for w in writes.drain(..) {
+            net.ctx.scratch.put(w.value);
+        }
+        ends.clear();
+        (net.nba, net.nba_ends, net.ws_targets) = (writes, ends, targets);
+        let moved = self.hook.nba_done(&mut net.ctx);
+        any || moved
+    }
+}
+
+impl Net<'_> {
+    /// True when writing `value` to `sig` changes nothing: no force to
+    /// re-apply and the same value stored.
+    #[inline]
+    fn unchanged(&self, sig: SignalId, value: &LogicVec) -> bool {
+        self.forces.is_empty() && self.good.values.get(sig) == value
+    }
+
+    /// Stores a (forced) value; schedules fanout when it or, per the hook,
+    /// a view changed. Returns whether the value changed.
+    #[inline]
+    fn store(&mut self, sig: SignalId, value: &LogicVec, view_changed: bool) -> bool {
+        let changed = self.good.values.commit(sig, value);
+        if changed || view_changed {
+            self.schedule_fanout(sig);
+        }
+        changed
+    }
+
+    /// True if no work is scheduled — the settle-point condition.
+    #[inline]
+    fn is_quiet(&self) -> bool {
+        self.rtl_queue.is_empty()
+            && self.beh_queue.is_empty()
+            && self.watch_changed.is_empty()
+            && self.nba_ends.is_empty()
+    }
+
+    /// Spends one active-region evaluation of the step's budget.
+    #[inline]
+    fn spend(&self, budget: &mut usize) {
+        *budget = budget.checked_sub(1).unwrap_or_else(|| {
+            let limit = DELTA_LIMIT * self.design.comb_order().len().max(1);
+            let step = self.steps;
+            panic!("design did not settle within {limit} active-region evaluations at step {step}")
+        });
+    }
+
+    #[inline]
     fn mark_rtl(&mut self, id: RtlNodeId) {
         if !self.rtl_dirty[id.index()] {
             self.rtl_dirty[id.index()] = true;
@@ -410,6 +721,7 @@ impl<'d> Simulator<'d> {
         }
     }
 
+    #[inline]
     fn mark_beh(&mut self, id: BehavioralId) {
         if !self.beh_dirty[id.index()] {
             self.beh_dirty[id.index()] = true;
@@ -418,6 +730,7 @@ impl<'d> Simulator<'d> {
     }
 
     /// Schedules everything that reads `sig` after its value changed.
+    #[inline]
     fn schedule_fanout(&mut self, sig: SignalId) {
         for &n in self.design.rtl_fanout(sig) {
             self.mark_rtl(n);
@@ -431,39 +744,9 @@ impl<'d> Simulator<'d> {
         }
     }
 
-    /// Evaluates dirty RTL nodes and level-sensitive behavioral nodes to a
-    /// fixpoint.
-    fn settle_active(&mut self) {
-        loop {
-            if let Some(id) = self.rtl_queue.pop() {
-                self.rtl_dirty[id.index()] = false;
-                self.run_rtl(id);
-                continue;
-            }
-            if let Some(id) = self.beh_queue.pop() {
-                self.beh_dirty[id.index()] = false;
-                self.run_behavioral(id);
-                continue;
-            }
-            break;
-        }
-    }
-
-    /// One levelized sweep: every combinational item in topological order.
-    /// Returns whether any value changed.
-    fn sweep_comb(&mut self) -> bool {
-        let mut changed = false;
-        for item in self.design.comb_order() {
-            changed |= match *item {
-                CombItem::Rtl(id) => self.run_rtl(id),
-                CombItem::Beh(id) => self.run_behavioral(id),
-            };
-        }
-        changed
-    }
-
-    /// Drops the fanout the levelized sweeps scheduled: the next sweep
-    /// visits every item anyway.
+    /// Drops the scheduled RTL and behavioral work: after a levelized
+    /// sweep, which visits every item anyway, and on restore.
+    #[inline]
     fn clear_queues(&mut self) {
         for id in self.rtl_queue.drain(..) {
             self.rtl_dirty[id.index()] = false;
@@ -471,116 +754,6 @@ impl<'d> Simulator<'d> {
         for id in self.beh_queue.drain(..) {
             self.beh_dirty[id.index()] = false;
         }
-    }
-
-    /// Evaluates one RTL node and commits its output; returns whether the
-    /// output changed.
-    fn run_rtl(&mut self, id: RtlNodeId) -> bool {
-        let output = self.design.rtl_node(id).output;
-        let mut out = self.ctx.scratch.take_for(self.design.signal(output).width);
-        self.eval.rtl(id, &self.values, &mut self.ctx, &mut out);
-        let changed = self.commit_borrowed(output, &out);
-        self.ctx.scratch.put(out);
-        changed
-    }
-
-    /// Executes one behavioral node: blocking results commit immediately,
-    /// non-blocking writes are queued for the NBA region. Works entirely
-    /// out of the reusable execution workspace. Returns whether a blocking
-    /// commit changed a value.
-    fn run_behavioral(&mut self, id: BehavioralId) -> bool {
-        let design = self.design;
-        let node = design.behavioral(id);
-        let mut outcome = std::mem::take(&mut self.outcome);
-        match self.probe.take() {
-            Some(mut p) => {
-                let mut mon = ProbeMonitor::new(&mut p, &node.vdg);
-                self.eval
-                    .behavioral(id, &self.values, &mut mon, &mut self.ctx, &mut outcome);
-                self.probe = Some(p);
-            }
-            None => self.eval.behavioral(
-                id,
-                &self.values,
-                &mut NoopMonitor,
-                &mut self.ctx,
-                &mut outcome,
-            ),
-        }
-        let mut changed = false;
-        for (sig, val) in &outcome.blocking {
-            changed |= self.commit_borrowed(*sig, val);
-        }
-        self.nba.append(&mut outcome.nba);
-        self.outcome = outcome;
-        changed
-    }
-
-    /// Deferred edge detection: compares watched signals against their
-    /// last-latched values and collects the activated sequential nodes into
-    /// `ws_activated`, returning their count.
-    fn detect_edges(&mut self) -> usize {
-        self.ws_activated.clear();
-        std::mem::swap(&mut self.watch_changed, &mut self.ws_changed);
-        let design = self.design;
-        for i in 0..self.ws_changed.len() {
-            let sig = self.ws_changed[i];
-            self.watch_flag[sig.index()] = false;
-            let prev = &self.edge_prev[sig.index()];
-            let cur = self.values.get(sig);
-            if prev == cur {
-                continue;
-            }
-            // Event expressions on vectors use bit 0, per common simulator
-            // behavior.
-            let (prev0, cur0) = (prev.bit_or_x(0), cur.bit_or_x(0));
-            for &b in design.edge_fanout(sig) {
-                if self.ws_activated.contains(&b) {
-                    continue;
-                }
-                let node = design.behavioral(b);
-                if let Sensitivity::Edges(edges) = &node.sensitivity {
-                    let fired = edges
-                        .iter()
-                        .any(|(kind, s)| *s == sig && kind.matches(prev0, cur0));
-                    if fired {
-                        self.ws_activated.push(b);
-                    }
-                }
-            }
-            self.edge_prev[sig.index()].assign_from(self.values.get(sig));
-        }
-        self.ws_changed.clear();
-        self.ws_activated.len()
-    }
-
-    /// Commits queued non-blocking writes in order; returns whether any
-    /// signal changed.
-    fn commit_nba(&mut self) -> bool {
-        if self.nba.is_empty() {
-            return false;
-        }
-        let mut writes = std::mem::take(&mut self.nba);
-        let mut any = false;
-        for w in writes.drain(..) {
-            // Per-target temporary at the target's storage class, and the
-            // write's own value buffer recycled afterwards: on wide designs
-            // these are the boxed buffers, and dropping them here (or
-            // letting one shared temporary shrink to the next narrow
-            // target) would force a fresh allocation every time a >64-bit
-            // signal commits.
-            let width = self.design.signal(w.target).width;
-            let mut next = self.ctx.scratch.take_for(width);
-            next.assign_from(self.values.get(w.target));
-            w.apply_assign(&mut next);
-            if self.commit_borrowed(w.target, &next) {
-                any = true;
-            }
-            self.ctx.scratch.put(next);
-            self.ctx.scratch.put(w.value);
-        }
-        self.nba = writes;
-        any
     }
 }
 

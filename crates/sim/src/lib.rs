@@ -10,16 +10,19 @@
 //! * [`execute_behavioral`] — the behavioral interpreter, which can record
 //!   the **execution trace** (path decisions taken and dependency segments
 //!   visited) that the ERASER implicit-redundancy check walks,
-//! * [`Simulator`] — the one good simulator: delta cycles, combinational
+//! * [`Simulator`] — the one settle loop: delta cycles, combinational
 //!   settling under one of two rules (event-driven, or levelized full
 //!   evaluation for the VFsim baseline), *deferred* edge detection (event
 //!   nodes are evaluated only after the active region settles — the
 //!   discipline whose concurrent-simulation analogue prevents the paper's
-//!   "fake events"), and a non-blocking-assignment commit region,
+//!   "fake events"), and a non-blocking-assignment commit region; with a
+//!   [`Hook`] attached it carries fault work at each of those points — the
+//!   concurrent ERASER engine's good network is such a simulator,
 //! * [`Stimulus`] — a cycle-stepped input waveform shared by all engines,
 //! * [`SimSnapshot`] — settle-point state capture/restore for checkpointed
 //!   good-state replay, and [`SiteProbe`] — the commit-granular
-//!   activation/hazard recorder behind fault activation-window analysis.
+//!   activation/hazard recorder behind fault activation-window analysis,
+//!   a [`Hook`] of the good run.
 //!
 //! # Example
 //!
@@ -51,6 +54,7 @@
 //! ```
 
 mod evaluator;
+mod hook;
 mod interp;
 mod kernel;
 mod probe;
@@ -61,6 +65,7 @@ mod store;
 mod vcd;
 
 pub use evaluator::Evaluator;
+pub use hook::{Good, Hook, NoHook};
 pub use interp::{
     execute_behavioral, execute_into, execute_monitored, execute_tape_into, ExecCtx, ExecMonitor,
     ExecOutcome, ExecTrace, NoopMonitor, OverlayView, SlotWrite, TraceEvent, TraceMonitor,

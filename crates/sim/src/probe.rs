@@ -27,16 +27,16 @@
 //!
 //! The probe is deliberately fault-agnostic: it tracks *signals*, and the
 //! derivation joins its data against a concrete fault list. Everything is
-//! step-stamped by the driving campaign via
-//! [`Simulator::begin_probe_step`](crate::Simulator::begin_probe_step);
+//! step-stamped by the driving campaign via [`SiteProbe::begin_step`];
 //! state present before the first step (the power-on/construction settle)
 //! is recorded as step 0 by [`SiteProbe::observe_initial`].
 
-use crate::interp::ExecMonitor;
+use crate::hook::{Good, Hook};
+use crate::interp::{ExecCtx, ExecMonitor, ExecOutcome, SlotWrite};
 use crate::store::ValueStore;
 use eraser_ir::{
-    eval_expr_into, DecisionEval, DecisionId, DecisionInfo, Design, EvalScratch, Expr, SegmentId,
-    Sensitivity, SignalId, ValueSource, Vdg,
+    eval_expr_into, BehavioralId, DecisionEval, DecisionId, DecisionInfo, Design, EvalScratch,
+    Expr, SegmentId, Sensitivity, SignalId, ValueSource, Vdg,
 };
 use eraser_logic::{LogicBit, LogicVec};
 
@@ -317,20 +317,46 @@ impl SiteProbe {
     }
 }
 
+/// The probe rides the good simulator's loop as its hook: it sees every
+/// changed commit and monitors every behavioral body.
+impl Hook for SiteProbe {
+    fn activate(
+        &mut self,
+        good: &Good<'_>,
+        ctx: &mut ExecCtx,
+        id: BehavioralId,
+        _edge: Option<usize>,
+        out: &mut ExecOutcome,
+        _targets: &mut Vec<SignalId>,
+    ) {
+        let eval = good.eval();
+        let vdg = &eval.design().behavioral(id).vdg;
+        let mut mon = ProbeMonitor { probe: self, vdg };
+        eval.behavioral(id, good.values(), &mut mon, ctx, out);
+    }
+
+    fn commit(
+        &mut self,
+        good: &Good<'_>,
+        sig: SignalId,
+        value: &LogicVec,
+        _: bool,
+        _: &[SlotWrite],
+    ) -> bool {
+        if good.values().get(sig) != value {
+            self.observe_commit(sig, value);
+        }
+        false
+    }
+}
+
 /// The [`ExecMonitor`] that feeds a [`SiteProbe`] during instrumented
 /// behavioral executions of the good replay. Constructed per activation
 /// with the node's VDG, so decision ids resolve to their read sets and
 /// `Evaluate` payloads.
-pub(crate) struct ProbeMonitor<'a> {
+struct ProbeMonitor<'a> {
     probe: &'a mut SiteProbe,
     vdg: &'a Vdg,
-}
-
-impl<'a> ProbeMonitor<'a> {
-    /// Wraps `probe` for one activation of the node owning `vdg`.
-    pub(crate) fn new(probe: &'a mut SiteProbe, vdg: &'a Vdg) -> Self {
-        ProbeMonitor { probe, vdg }
-    }
 }
 
 impl ExecMonitor for ProbeMonitor<'_> {

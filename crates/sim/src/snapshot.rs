@@ -5,7 +5,7 @@
 //! at a *settle point* (after [`Simulator::step`](crate::Simulator::step)
 //! returns): the full value store — which includes behavioral locals, since
 //! locals are ordinary signals — the edge-detection latches, the active
-//! force set and the delta counter. At a settle point every kernel
+//! force set and the delta and step counters. At a settle point every kernel
 //! scheduling structure (RTL/behavioral work queues, the NBA queue, the
 //! watch list) is provably empty, so the snapshot re-establishes the
 //! quiescent scheduling state on restore instead of storing empty vectors;
@@ -37,6 +37,9 @@ pub struct SimSnapshot {
     pub forces: Vec<(SignalId, u32, LogicBit)>,
     /// Delta cycles executed up to the capture point.
     pub deltas: u64,
+    /// Steps settled up to the capture point (the construction settle not
+    /// counted).
+    pub steps: usize,
 }
 
 impl SimSnapshot {
