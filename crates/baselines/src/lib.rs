@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use eraser_baselines::all_engines;
-//! use eraser_core::CampaignRunner;
+//! use eraser_core::CampaignConfig;
 //! use eraser_fault::{generate_faults, FaultListConfig};
 //! use eraser_frontend::compile;
 //! use eraser_logic::LogicVec;
@@ -46,9 +46,13 @@
 //!     sb.add_cycle(clk, &[(a, LogicVec::from_u64(4, i * 7 % 16))]);
 //! }
 //! let stim = sb.finish();
-//! let runner = CampaignRunner::new(&design, &faults, &stim);
-//! let results = runner.run_all(&all_engines());
-//! CampaignRunner::check_parity(&results)?;
+//! let config = CampaignConfig::default();
+//! let engines = all_engines();
+//! let reference = engines[0].run(&design, &faults, &stim, &config).coverage;
+//! for engine in &engines[1..] {
+//!     let coverage = engine.run(&design, &faults, &stim, &config).coverage;
+//!     assert!(reference.same_detected_set(&coverage), "{}", engine.name());
+//! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -60,9 +64,9 @@
 
 mod serial;
 
-pub use eraser_core::{EngineResult, Eraser, FaultSimEngine};
+pub use eraser_core::{Eraser, FaultSimEngine};
 
-use eraser_core::CampaignConfig;
+use eraser_core::{CampaignConfig, CampaignResult};
 use eraser_fault::FaultList;
 use eraser_ir::Design;
 use eraser_sim::{Simulator, Stimulus};
@@ -78,9 +82,9 @@ use eraser_sim::{Simulator, Stimulus};
 /// with checkpointing enabled the good run is snapshotted periodically,
 /// each fault starts from the latest checkpoint preceding its activation
 /// window (bit-identical coverage, see
-/// [`eraser_fault::ActivationWindows`]), and the result carries
-/// [`RedundancyStats`](eraser_core::RedundancyStats) with the
-/// skipped-prefix / skipped-fault / dropped-fault counters. Honors
+/// [`eraser_fault::ActivationWindows`]), which the skipped-prefix and
+/// skipped-fault counters of its
+/// [`RedundancyStats`](eraser_core::RedundancyStats) quantify. Honors
 /// [`CampaignConfig::parallel`]: the fault groups of the campaign's plan
 /// drain the shared work queue, with coverage and counters bit-identical
 /// at every thread count. Honors [`CampaignConfig::collapse`]: only
@@ -99,8 +103,8 @@ impl FaultSimEngine for IFsim {
         faults: &FaultList,
         stimulus: &Stimulus,
         config: &CampaignConfig,
-    ) -> EngineResult {
-        serial::serial_campaign(&self.name(), design, faults, stimulus, config, |eval| {
+    ) -> CampaignResult {
+        serial::serial_campaign(design, faults, stimulus, config, |eval| {
             Simulator::with_evaluator(eval)
         })
     }
@@ -124,8 +128,8 @@ impl FaultSimEngine for VFsim {
         faults: &FaultList,
         stimulus: &Stimulus,
         config: &CampaignConfig,
-    ) -> EngineResult {
-        serial::serial_campaign(&self.name(), design, faults, stimulus, config, |eval| {
+    ) -> CampaignResult {
+        serial::serial_campaign(design, faults, stimulus, config, |eval| {
             Simulator::levelized(eval)
         })
     }
@@ -148,10 +152,8 @@ impl FaultSimEngine for CfSim {
         faults: &FaultList,
         stimulus: &Stimulus,
         config: &CampaignConfig,
-    ) -> EngineResult {
-        let mut result = Eraser::explicit().run(design, faults, stimulus, config);
-        result.name = self.name();
-        result
+    ) -> CampaignResult {
+        Eraser::explicit().run(design, faults, stimulus, config)
     }
 }
 

@@ -21,36 +21,34 @@
 
 use eraser_core::{
     drain_plan, is_windowed, plan_campaign, record_good_run_on, run_collapsed, CampaignConfig,
-    EngineResult, RedundancyStats, TapeProgram,
+    CampaignResult, RedundancyStats, TapeProgram,
 };
 use eraser_fault::{detectable_mismatch, CoverageReport, Detection, FaultList};
 use eraser_ir::{Design, SignalId};
 use eraser_logic::LogicVec;
 use eraser_sim::{Evaluator, Simulator, Stimulus, ValueStore};
-use std::time::Instant;
 
 /// Runs a serial (one-simulation-per-fault) campaign under `config`'s
 /// backend, collapse, checkpoint and thread settings. `settle_rule` builds
 /// a fault-free simulator over an evaluator; on the tape backend every
 /// simulator shares one campaign-wide compilation.
 ///
-/// The result carries [`RedundancyStats`] (skipped-prefix / skipped-fault /
-/// dropped-fault counters) when checkpointing is enabled.
+/// Of the [`RedundancyStats`], a serial campaign counts dropped faults,
+/// plus skipped-prefix steps and skipped faults when checkpointing is
+/// enabled; the rest stay zero.
 pub fn serial_campaign(
-    name: &str,
     design: &Design,
     faults: &FaultList,
     stimulus: &Stimulus,
     config: &CampaignConfig,
     settle_rule: for<'d> fn(Evaluator<'d>) -> Simulator<'d>,
-) -> EngineResult {
-    let t0 = Instant::now();
+) -> CampaignResult {
     let tapes = TapeProgram::for_backend(design, config.backend);
     let make_sim = || settle_rule(Evaluator::shared(design, tapes.as_ref()));
     let outputs = design.outputs();
     let steps = &stimulus.steps;
     // Only representatives are re-simulated per fault when collapsing.
-    let out = run_collapsed(design, faults, &config.collapse, |faults| {
+    run_collapsed(design, faults, &config.collapse, |faults| {
         let mut good_trace: Vec<Vec<LogicVec>> = Vec::with_capacity(steps.len());
         let mut record_outputs = |values: &ValueStore| {
             good_trace.push(outputs.iter().map(|&o| values.get(o).clone()).collect())
@@ -100,14 +98,7 @@ pub fn serial_campaign(
             }
             (coverage, stats)
         })
-    });
-    let mut result = EngineResult::new(name, out.coverage)
-        .with_wall(t0.elapsed())
-        .with_threads(out.workers);
-    if config.checkpoint.is_enabled() {
-        result.stats = Some(out.stats);
-    }
-    result
+    })
 }
 
 /// Replays steps `start..` on a forced simulator, comparing outputs

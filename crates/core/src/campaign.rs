@@ -6,9 +6,7 @@ use crate::collapse::{run_collapsed, CollapseConfig};
 use crate::engine::EraserEngine;
 use crate::parallel::ParallelConfig;
 use crate::progress::CampaignProgress;
-use crate::schedule::{
-    drain_plan, is_windowed, plan_campaign, record_good_run, Drained, GoodRunArtifacts,
-};
+use crate::schedule::{drain_plan, is_windowed, plan_campaign, record_good_run, GoodRunArtifacts};
 use crate::stats::RedundancyStats;
 use crate::RedundancyMode;
 use eraser_fault::{CoverageReport, FaultList};
@@ -87,7 +85,9 @@ impl CampaignConfig {
     }
 }
 
-/// The outcome of a campaign: coverage plus instrumentation.
+/// The outcome of a campaign — what [`run_campaign`], the schedule's
+/// drain and every [`FaultSimEngine`](crate::FaultSimEngine) return:
+/// coverage plus the redundancy counters.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
     /// Detection records and the coverage metric.
@@ -97,8 +97,8 @@ pub struct CampaignResult {
     /// one was used) plus the sum of the group walls, so
     /// [`RedundancyStats::behavioral_time_percent`] stays a meaningful
     /// compute-share at any thread count. Wall time of a campaign is what
-    /// the caller measures around [`run_campaign`] (as
-    /// [`CampaignRunner`](crate::CampaignRunner) does).
+    /// the caller measures around [`run_campaign`] or
+    /// [`FaultSimEngine::run`](crate::FaultSimEngine::run).
     pub stats: RedundancyStats,
 }
 
@@ -186,20 +186,6 @@ pub fn run_campaign_with(
     config: &CampaignConfig,
     ctx: &CampaignContext<'_>,
 ) -> CampaignResult {
-    let Drained {
-        coverage, stats, ..
-    } = run_campaign_drained(design, faults, stimulus, config, ctx);
-    CampaignResult { coverage, stats }
-}
-
-/// [`run_campaign_with`], also reporting the worker count the drain used.
-pub(crate) fn run_campaign_drained(
-    design: &Design,
-    faults: &FaultList,
-    stimulus: &Stimulus,
-    config: &CampaignConfig,
-    ctx: &CampaignContext<'_>,
-) -> Drained {
     // Static collapsing runs first: everything below — planning included —
     // sees only the representative list.
     run_collapsed(design, faults, &config.collapse, |faults| {

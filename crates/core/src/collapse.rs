@@ -15,7 +15,7 @@
 //! checkpointing, batching and both eval backends see an ordinary fault
 //! list.
 
-use crate::schedule::Drained;
+use crate::campaign::CampaignResult;
 use eraser_fault::{CollapsedFaultList, FaultList};
 use eraser_ir::Design;
 
@@ -60,8 +60,8 @@ pub fn run_collapsed(
     design: &Design,
     faults: &FaultList,
     config: &CollapseConfig,
-    run: impl FnOnce(&FaultList) -> Drained,
-) -> Drained {
+    run: impl FnOnce(&FaultList) -> CampaignResult,
+) -> CampaignResult {
     let Some(plan) = collapse_plan(design, faults, config) else {
         return run(faults);
     };

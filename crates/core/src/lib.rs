@@ -120,7 +120,7 @@ mod schedule;
 mod spec;
 mod stats;
 
-pub use api::{CampaignRunner, EngineResult, Eraser, FaultSimEngine, ParityMismatch};
+pub use api::{Eraser, FaultSimEngine};
 pub use batch::BatchConfig;
 pub use campaign::{
     run_campaign, run_campaign_with, CampaignConfig, CampaignContext, CampaignResult,
@@ -133,8 +133,7 @@ pub use monitor::RedundancyMonitor;
 pub use parallel::ParallelConfig;
 pub use progress::{CampaignProgress, ProgressSnapshot};
 pub use schedule::{
-    drain_plan, is_windowed, plan_campaign, record_good_run, record_good_run_on, Drained,
-    GoodRunArtifacts,
+    drain_plan, is_windowed, plan_campaign, record_good_run, record_good_run_on, GoodRunArtifacts,
 };
 pub use spec::{CampaignSpec, DesignRef, SpecError};
 pub use stats::RedundancyStats;

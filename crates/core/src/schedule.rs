@@ -66,7 +66,7 @@
 //! groups, different starts — which is the measured trade
 //! `skipped_prefix_steps` quantifies.)
 
-use crate::campaign::CampaignConfig;
+use crate::campaign::{CampaignConfig, CampaignResult};
 use crate::checkpoint::CheckpointConfig;
 use crate::parallel::run_queue;
 use crate::progress::CampaignProgress;
@@ -204,33 +204,24 @@ pub fn plan_campaign(
     }
 }
 
-/// What draining a plan produced.
-#[derive(Debug, Clone)]
-pub struct Drained {
-    /// Every group's detection records, folded over the plan's universe.
-    pub coverage: CoverageReport,
-    /// Every group's counters summed, plus the plan's `skipped_faults`.
-    /// `time_total` is the aggregate compute time at any thread count:
-    /// the good run's wall plus every group's.
-    pub stats: RedundancyStats,
-    /// Worker threads the queue actually used (1 = inline in the caller).
-    pub workers: usize,
-}
-
 /// Drains `plan` on up to `threads` workers: `work` runs once per group —
 /// handed the snapshot of the group's checkpoint when it names one, which
 /// requires the `good` artifacts the plan was built from — and returns the
 /// group's local coverage and counters, `skipped_prefix_steps`
-/// included (the good-prefix steps its faults did not replay). The drain is
-/// worker-invariant: one worker drains the same group sequence inline —
-/// same engines, same counters as any other `threads`.
+/// included (the good-prefix steps its faults did not replay). The result
+/// folds every group's records over the plan's universe and sums their
+/// counters, plus the plan's `skipped_faults`; its `time_total` is the
+/// aggregate compute time at any thread count — the good run's wall plus
+/// every group's. The drain is worker-invariant: one worker drains the
+/// same group sequence inline — same engines, same counters as any other
+/// `threads`.
 pub fn drain_plan<F>(
     plan: &WindowPlan,
     good: Option<&GoodRunArtifacts>,
     threads: usize,
     progress: Option<&CampaignProgress>,
     work: F,
-) -> Drained
+) -> CampaignResult
 where
     F: Fn(&WindowShard, Option<&SimSnapshot>) -> (CoverageReport, RedundancyStats) + Sync,
 {
@@ -266,9 +257,5 @@ where
         group.merge_coverage_into(group_cov, &mut coverage);
         stats.merge(group_stats);
     }
-    Drained {
-        coverage,
-        stats,
-        workers,
-    }
+    CampaignResult { coverage, stats }
 }

@@ -87,10 +87,16 @@ impl std::fmt::Display for DesignRef {
     }
 }
 
-/// Longest stimulus a spec may ask for, in settle steps. The stimulus is
-/// materialized before the campaign starts, and an allocation failure
-/// aborts the process — a service worker's `catch_unwind` never sees it.
+/// Longest stimulus a spec may ask for, in clock cycles (`steps` counts
+/// cycles; each is two settle steps). The stimulus is materialized before
+/// the campaign starts, and an allocation failure aborts the process — a
+/// service worker's `catch_unwind` never sees it.
 const MAX_STEPS: usize = 10_000_000;
+
+/// Most good-state snapshots a spec may ask for. A checkpointed campaign
+/// holds one snapshot per `checkpoint_interval` settle steps in memory for
+/// its whole run; the largest benchmark campaign takes about 140.
+const MAX_CHECKPOINTS: usize = 10_000;
 
 /// Most worker threads a spec may ask for (each runs its own engine).
 const MAX_THREADS: usize = 256;
@@ -138,8 +144,9 @@ pub struct CampaignSpec {
     /// Stimulus seed for the clocked-random generator (fixtures and file
     /// designs; benchmarks carry their own stimulus).
     pub seed: u64,
-    /// Stimulus length in settle steps; `None` uses the design source's
-    /// default.
+    /// Stimulus length in clock cycles, each replayed as two settle steps
+    /// (the key keeps its name: it is wire format); `None` uses the design
+    /// source's default.
     pub steps: Option<usize>,
     /// Redundancy-elimination mode (the ablation axis).
     pub mode: RedundancyMode,
@@ -222,7 +229,7 @@ impl CampaignSpec {
         self
     }
 
-    /// Sets the stimulus length in settle steps.
+    /// Sets the stimulus length in clock cycles (two settle steps each).
     pub fn steps(mut self, steps: usize) -> Self {
         self.steps = Some(steps);
         self
@@ -302,10 +309,12 @@ impl CampaignSpec {
     }
 
     /// Rejects a spec whose size no host should be asked for: a stimulus
-    /// allocates per step and a campaign starts one engine per thread, so
-    /// `steps` is at most 10 000 000 and `threads` at most 256 — constants,
-    /// not options. Called by [`from_json_value`](Self::from_json_value)
-    /// and by the CLI once its flags are merged in.
+    /// allocates per step, a campaign starts one engine per thread and
+    /// keeps one good-state snapshot per checkpoint, so `steps` is at most
+    /// 10 000 000 cycles, `threads` at most 256, and the snapshot count
+    /// ⌈2 · `steps` / `checkpoint_interval`⌉ at most 10 000 — constants, not
+    /// options. Called by [`from_json_value`](Self::from_json_value) and by
+    /// the CLI once its flags are merged in.
     pub fn validate(&self) -> Result<(), SpecError> {
         for (key, value, max) in [
             ("steps", self.steps, MAX_STEPS),
@@ -314,6 +323,19 @@ impl CampaignSpec {
             if let Some(value) = value.filter(|v| *v > max) {
                 return Err(SpecError::new(format!(
                     "key `{key}`: {value} exceeds the limit of {max}"
+                )));
+            }
+        }
+        // An unset `steps` takes the source's default, at most 600 cycles:
+        // under the snapshot cap at any interval.
+        if let (Some(cycles), Some(interval)) =
+            (self.steps, self.checkpoint_interval.filter(|i| *i > 0))
+        {
+            let snapshots = (2 * cycles).div_ceil(interval);
+            if snapshots > MAX_CHECKPOINTS {
+                return Err(SpecError::new(format!(
+                    "key `checkpoint_interval`: {interval} over {cycles} cycles takes \
+                     {snapshots} good-state snapshots, above the limit of {MAX_CHECKPOINTS}"
                 )));
             }
         }
@@ -545,6 +567,48 @@ mod tests {
             format!("{cfg:?}"),
             format!("{:?}", CampaignConfig::default())
         );
+    }
+
+    #[test]
+    fn rejects_more_snapshots_than_the_cap() {
+        let apb = || CampaignSpec::benchmark("APB");
+        // 100 000 cycles, one snapshot per settle step: 200 000 snapshots.
+        let e = apb()
+            .steps(100_000)
+            .checkpoint_interval(1)
+            .validate()
+            .unwrap_err();
+        assert!(e.message.contains("`checkpoint_interval`"), "{e}");
+        assert!(e.message.contains("200000"), "{e}");
+        // Exactly at the cap, checkpointing off, and every interval over a
+        // source-default stimulus pass.
+        apb()
+            .steps(5_000)
+            .checkpoint_interval(1)
+            .validate()
+            .unwrap();
+        apb()
+            .steps(100_000)
+            .checkpoint_interval(20)
+            .validate()
+            .unwrap();
+        apb()
+            .steps(100_000)
+            .checkpoint_interval(0)
+            .validate()
+            .unwrap();
+        apb().checkpoint_interval(1).validate().unwrap();
+        assert!(apb()
+            .steps(5_001)
+            .checkpoint_interval(1)
+            .validate()
+            .is_err());
+        // JSON specs go through the same check.
+        let e = CampaignSpec::from_json(
+            r#"{"design": {"benchmark": "APB"}, "steps": 100000, "checkpoint_interval": 1}"#,
+        )
+        .unwrap_err();
+        assert!(e.message.contains("`checkpoint_interval`"), "{e}");
     }
 
     #[test]

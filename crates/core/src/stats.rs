@@ -82,6 +82,58 @@ pub struct RedundancyStats {
 }
 
 impl RedundancyStats {
+    /// Every `u64` counter, by the key a stored campaign record names it
+    /// with, in record order — the one list [`merge`](Self::merge) and the
+    /// record's encoder and parser are built on. The destructure names
+    /// every field, so a field added later does not compile until it is
+    /// listed here (or, like the two durations, set aside).
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 19] {
+        let RedundancyStats {
+            good_activations,
+            opportunities,
+            explicit_skipped,
+            implicit_skipped,
+            fault_executions,
+            fault_only_activations,
+            suppressed_activations,
+            rtl_good_evals,
+            rtl_fault_evals,
+            deltas,
+            skipped_prefix_steps,
+            skipped_faults,
+            dropped_faults,
+            batch_groups,
+            batch_lanes,
+            batch_scalar_fallbacks,
+            collapsed_faults,
+            collapse_classes,
+            collapse_dropped,
+            time_behavioral: _,
+            time_total: _,
+        } = self;
+        [
+            ("good_activations", good_activations),
+            ("opportunities", opportunities),
+            ("explicit_skipped", explicit_skipped),
+            ("implicit_skipped", implicit_skipped),
+            ("fault_executions", fault_executions),
+            ("fault_only_activations", fault_only_activations),
+            ("suppressed_activations", suppressed_activations),
+            ("rtl_good_evals", rtl_good_evals),
+            ("rtl_fault_evals", rtl_fault_evals),
+            ("deltas", deltas),
+            ("skipped_prefix_steps", skipped_prefix_steps),
+            ("skipped_faults", skipped_faults),
+            ("dropped_faults", dropped_faults),
+            ("batch_groups", batch_groups),
+            ("batch_lanes", batch_lanes),
+            ("batch_scalar_fallbacks", batch_scalar_fallbacks),
+            ("collapsed_faults", collapsed_faults),
+            ("collapse_classes", collapse_classes),
+            ("collapse_dropped", collapse_dropped),
+        ]
+    }
+
     /// Accumulates another run's counters into this one — the reduction
     /// step of the campaign drain, where each fault group produces its own
     /// stats.
@@ -94,29 +146,13 @@ impl RedundancyStats {
     /// time: the drain stamps each group's `time_total` with that group's
     /// wall before merging, keeping
     /// [`behavioral_time_percent`](Self::behavioral_time_percent) a valid
-    /// compute-share (≤ 100%) at any thread count. Campaign wall time
-    /// lives in [`EngineResult::wall`](crate::EngineResult) or the
-    /// caller's own timer.
+    /// compute-share (≤ 100%) at any thread count. Campaign wall time is
+    /// what the caller measures around the campaign.
     pub fn merge(&mut self, other: &RedundancyStats) {
-        self.good_activations += other.good_activations;
-        self.opportunities += other.opportunities;
-        self.explicit_skipped += other.explicit_skipped;
-        self.implicit_skipped += other.implicit_skipped;
-        self.fault_executions += other.fault_executions;
-        self.fault_only_activations += other.fault_only_activations;
-        self.suppressed_activations += other.suppressed_activations;
-        self.rtl_good_evals += other.rtl_good_evals;
-        self.rtl_fault_evals += other.rtl_fault_evals;
-        self.deltas += other.deltas;
-        self.skipped_prefix_steps += other.skipped_prefix_steps;
-        self.skipped_faults += other.skipped_faults;
-        self.dropped_faults += other.dropped_faults;
-        self.batch_groups += other.batch_groups;
-        self.batch_lanes += other.batch_lanes;
-        self.batch_scalar_fallbacks += other.batch_scalar_fallbacks;
-        self.collapsed_faults += other.collapsed_faults;
-        self.collapse_classes += other.collapse_classes;
-        self.collapse_dropped += other.collapse_dropped;
+        let mut other = other.clone();
+        for ((_, sum), (_, add)) in self.counters_mut().into_iter().zip(other.counters_mut()) {
+            *sum += *add;
+        }
         self.time_behavioral += other.time_behavioral;
         self.time_total += other.time_total;
     }

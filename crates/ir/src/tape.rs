@@ -351,7 +351,7 @@ impl EvalTape {
 
     /// Returns a copy with the result forced (zero-extended / truncated)
     /// to `width` — what RTL node outputs need.
-    pub fn with_out_width(mut self, width: u32) -> Self {
+    fn with_out_width(mut self, width: u32) -> Self {
         self.out_width = Some(width);
         self
     }

@@ -75,9 +75,10 @@ impl CampaignRecord {
         ]);
         let s = &self.stats;
         let stats = JsonValue::Obj(
-            stat_counters(s)
+            s.clone()
+                .counters_mut()
                 .into_iter()
-                .map(|(k, v)| (k.to_string(), JsonValue::num(v)))
+                .map(|(k, v)| (k.to_string(), JsonValue::num(*v)))
                 .chain([
                     (
                         "time_behavioral_ns".to_string(),
@@ -159,7 +160,7 @@ impl CampaignRecord {
             time_total: Duration::from_nanos(want_u64(st, "time_total_ns")?),
             ..RedundancyStats::default()
         };
-        for (key, slot) in stat_counters_mut(&mut stats) {
+        for (key, slot) in stats.counters_mut() {
             *slot = want_u64(st, key)?;
         }
 
@@ -186,56 +187,6 @@ impl CampaignRecord {
         let v = json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json_value(&v)
     }
-}
-
-/// Every `u64` counter of [`RedundancyStats`], by JSON key — one list so
-/// the serializer and parser can never drift apart on a field.
-pub(crate) fn stat_counters(s: &RedundancyStats) -> [(&'static str, u64); 19] {
-    [
-        ("good_activations", s.good_activations),
-        ("opportunities", s.opportunities),
-        ("explicit_skipped", s.explicit_skipped),
-        ("implicit_skipped", s.implicit_skipped),
-        ("fault_executions", s.fault_executions),
-        ("fault_only_activations", s.fault_only_activations),
-        ("suppressed_activations", s.suppressed_activations),
-        ("rtl_good_evals", s.rtl_good_evals),
-        ("rtl_fault_evals", s.rtl_fault_evals),
-        ("deltas", s.deltas),
-        ("skipped_prefix_steps", s.skipped_prefix_steps),
-        ("skipped_faults", s.skipped_faults),
-        ("dropped_faults", s.dropped_faults),
-        ("batch_groups", s.batch_groups),
-        ("batch_lanes", s.batch_lanes),
-        ("batch_scalar_fallbacks", s.batch_scalar_fallbacks),
-        ("collapsed_faults", s.collapsed_faults),
-        ("collapse_classes", s.collapse_classes),
-        ("collapse_dropped", s.collapse_dropped),
-    ]
-}
-
-fn stat_counters_mut(s: &mut RedundancyStats) -> [(&'static str, &mut u64); 19] {
-    [
-        ("good_activations", &mut s.good_activations),
-        ("opportunities", &mut s.opportunities),
-        ("explicit_skipped", &mut s.explicit_skipped),
-        ("implicit_skipped", &mut s.implicit_skipped),
-        ("fault_executions", &mut s.fault_executions),
-        ("fault_only_activations", &mut s.fault_only_activations),
-        ("suppressed_activations", &mut s.suppressed_activations),
-        ("rtl_good_evals", &mut s.rtl_good_evals),
-        ("rtl_fault_evals", &mut s.rtl_fault_evals),
-        ("deltas", &mut s.deltas),
-        ("skipped_prefix_steps", &mut s.skipped_prefix_steps),
-        ("skipped_faults", &mut s.skipped_faults),
-        ("dropped_faults", &mut s.dropped_faults),
-        ("batch_groups", &mut s.batch_groups),
-        ("batch_lanes", &mut s.batch_lanes),
-        ("batch_scalar_fallbacks", &mut s.batch_scalar_fallbacks),
-        ("collapsed_faults", &mut s.collapsed_faults),
-        ("collapse_classes", &mut s.collapse_classes),
-        ("collapse_dropped", &mut s.collapse_dropped),
-    ]
 }
 
 fn want_str(v: &JsonValue, key: &str) -> Result<String, String> {

@@ -503,7 +503,6 @@ fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::stat_counters;
     use crate::store::MemStore;
     use eraser_core::RedundancyMode;
     use eraser_ir::EvalBackend;
@@ -532,7 +531,10 @@ mod tests {
     /// and stimulus length.
     fn assert_same_result(a: &CampaignRecord, b: &CampaignRecord) {
         assert_eq!(a.coverage, b.coverage);
-        assert_eq!(stat_counters(&a.stats), stat_counters(&b.stats));
+        assert_eq!(
+            a.stats.clone().counters_mut(),
+            b.stats.clone().counters_mut()
+        );
         assert_eq!((a.num_faults, a.steps), (b.num_faults, b.steps));
     }
 
@@ -614,6 +616,10 @@ mod tests {
         assert_eq!(handle.status(&b).unwrap().status, JobStatus::Done);
         let repeat = handle.result(&b).unwrap().unwrap();
         assert_same_result(&first, &repeat);
+        // `steps` counts clock cycles: APB's 40 are two reset cycles and
+        // twelve three-cycle transactions, two settle steps each.
+        let prepared = prepare_spec(&checkpointed_apb()).unwrap();
+        assert_eq!((first.steps, prepared.stimulus.steps.len()), (76, 76));
         assert_eq!(
             (repeat.id.as_str(), &repeat.spec),
             (b.as_str(), &first.spec)

@@ -186,6 +186,10 @@ fn http_campaigns_match_direct_library_calls() {
             "threads",
             r#"{"design": {"benchmark": "APB"}, "threads": 100000}"#,
         ),
+        (
+            "checkpoint_interval",
+            r#"{"design": {"benchmark": "APB"}, "steps": 100000, "checkpoint_interval": 1}"#,
+        ),
     ] {
         let (status, body) = http(addr, "POST", "/campaigns", spec);
         assert_eq!(status, 400, "{body}");

@@ -67,28 +67,6 @@ impl SlotWrite {
     }
 }
 
-/// One event of an execution trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A path decision node was evaluated with the given encoded outcome.
-    Decision {
-        /// The decision node.
-        id: DecisionId,
-        /// Encoded branch outcome (see
-        /// [`DecisionEval::evaluate`](eraser_ir::DecisionEval::evaluate)).
-        outcome: u32,
-    },
-    /// A path dependency segment (one assignment) was executed.
-    Segment(SegmentId),
-}
-
-/// The recorded execution path of one activation.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExecTrace {
-    /// Events in execution order.
-    pub events: Vec<TraceEvent>,
-}
-
 /// Observer of an unfolding execution path.
 ///
 /// `overlay` is the current blocking-write overlay (first-write order, last
@@ -114,22 +92,6 @@ pub struct NoopMonitor;
 impl ExecMonitor for NoopMonitor {
     fn on_decision(&mut self, _: DecisionId, _: u32, _: &[(SignalId, LogicVec)]) {}
     fn on_segment(&mut self, _: SegmentId, _: &[(SignalId, LogicVec)]) {}
-}
-
-/// A monitor that records the execution path as an [`ExecTrace`].
-#[derive(Default)]
-pub struct TraceMonitor {
-    /// The trace recorded so far.
-    pub trace: ExecTrace,
-}
-
-impl ExecMonitor for TraceMonitor {
-    fn on_decision(&mut self, id: DecisionId, outcome: u32, _: &[(SignalId, LogicVec)]) {
-        self.trace.events.push(TraceEvent::Decision { id, outcome });
-    }
-    fn on_segment(&mut self, id: SegmentId, _: &[(SignalId, LogicVec)]) {
-        self.trace.events.push(TraceEvent::Segment(id));
-    }
 }
 
 /// The result of executing one behavioral activation.
@@ -189,42 +151,6 @@ impl ExecOutcome {
             scratch.put(w.value);
         }
     }
-}
-
-/// Executes one activation of `node` reading from `base`, with a no-op
-/// monitor. See [`execute_into`].
-pub fn execute_behavioral<S: ValueSource + ?Sized>(
-    design: &Design,
-    node: &BehavioralNode,
-    base: &S,
-    record_trace: bool,
-) -> (ExecOutcome, ExecTrace) {
-    if record_trace {
-        let mut mon = TraceMonitor::default();
-        let out = execute_monitored(design, node, base, &mut mon);
-        (out, mon.trace)
-    } else {
-        let mut mon = NoopMonitor;
-        (
-            execute_monitored(design, node, base, &mut mon),
-            ExecTrace::default(),
-        )
-    }
-}
-
-/// Executes one activation of `node` with a throwaway context, returning a
-/// fresh outcome. Convenience wrapper over [`execute_into`]; use that form
-/// on hot paths.
-pub fn execute_monitored<S: ValueSource + ?Sized, M: ExecMonitor + ?Sized>(
-    design: &Design,
-    node: &BehavioralNode,
-    base: &S,
-    monitor: &mut M,
-) -> ExecOutcome {
-    let mut ctx = ExecCtx::new();
-    let mut out = ExecOutcome::default();
-    execute_into(design, node, base, monitor, &mut ctx, &mut out);
-    out
 }
 
 /// Executes one activation of `node`, reading signal values from `base` by
@@ -634,6 +560,69 @@ mod tests {
     use crate::ValueStore;
     use eraser_frontend::compile;
 
+    /// One event of an execution path.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum TraceEvent {
+        /// A path decision node was evaluated with the given encoded outcome.
+        Decision {
+            /// The decision node.
+            id: DecisionId,
+            /// Encoded branch outcome (see
+            /// [`DecisionEval::evaluate`](eraser_ir::DecisionEval::evaluate)).
+            outcome: u32,
+        },
+        /// A path dependency segment (one assignment) was executed.
+        Segment(SegmentId),
+    }
+
+    /// The recorded execution path of one activation.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct ExecTrace {
+        /// Events in execution order.
+        events: Vec<TraceEvent>,
+    }
+
+    /// A monitor that records the execution path as an [`ExecTrace`].
+    #[derive(Default)]
+    struct TraceMonitor {
+        /// The trace recorded so far.
+        trace: ExecTrace,
+    }
+
+    impl ExecMonitor for TraceMonitor {
+        fn on_decision(&mut self, id: DecisionId, outcome: u32, _: &[(SignalId, LogicVec)]) {
+            self.trace.events.push(TraceEvent::Decision { id, outcome });
+        }
+        fn on_segment(&mut self, id: SegmentId, _: &[(SignalId, LogicVec)]) {
+            self.trace.events.push(TraceEvent::Segment(id));
+        }
+    }
+
+    /// Executes one activation of `node` reading from `base`, recording its
+    /// path.
+    fn execute_behavioral<S: ValueSource + ?Sized>(
+        design: &Design,
+        node: &BehavioralNode,
+        base: &S,
+    ) -> (ExecOutcome, ExecTrace) {
+        let mut mon = TraceMonitor::default();
+        let out = execute_monitored(design, node, base, &mut mon);
+        (out, mon.trace)
+    }
+
+    /// Executes one activation of `node` with a throwaway context.
+    fn execute_monitored<S: ValueSource + ?Sized, M: ExecMonitor + ?Sized>(
+        design: &Design,
+        node: &BehavioralNode,
+        base: &S,
+        monitor: &mut M,
+    ) -> ExecOutcome {
+        let mut ctx = ExecCtx::new();
+        let mut out = ExecOutcome::default();
+        execute_into(design, node, base, monitor, &mut ctx, &mut out);
+        out
+    }
+
     fn setup(src: &str) -> (Design, ValueStore) {
         let d = compile(src, None).unwrap();
         let store = ValueStore::new(&d);
@@ -654,7 +643,7 @@ mod tests {
         let a = d.find_signal("a").unwrap();
         let q = d.find_signal("q").unwrap();
         store.set(a, LogicVec::from_u64(8, 4));
-        let (out, _) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store, false);
+        let (out, _) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store);
         let qv = out.blocking.iter().find(|(s, _)| *s == q).unwrap();
         assert_eq!(qv.1.to_u64(), Some(10));
         assert!(out.nba.is_empty());
@@ -673,7 +662,7 @@ mod tests {
         );
         let a = d.find_signal("a").unwrap();
         store.set(a, LogicVec::from_u64(4, 3));
-        let (out, _) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store, false);
+        let (out, _) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store);
         assert_eq!(out.nba.len(), 2);
         // Last write wins when applied in order.
         let q = d.find_signal("q").unwrap();
@@ -698,7 +687,7 @@ mod tests {
         );
         let s = d.find_signal("s").unwrap();
         store.set(s, LogicVec::from_u64(1, 1));
-        let (_, trace) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store, true);
+        let (_, trace) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store);
         assert_eq!(trace.events.len(), 2);
         assert!(matches!(
             trace.events[0],
@@ -707,7 +696,7 @@ mod tests {
         assert!(matches!(trace.events[1], TraceEvent::Segment(_)));
         // X condition takes the else path.
         store.set(s, LogicVec::new_x(1));
-        let (_, trace) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store, true);
+        let (_, trace) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store);
         assert!(matches!(
             trace.events[0],
             TraceEvent::Decision { outcome: 0, .. }
@@ -730,14 +719,14 @@ mod tests {
         let s = d.find_signal("s").unwrap();
         let node = &d.behavioral_nodes()[0];
         store.set(s, LogicVec::from_u64(2, 1));
-        let (out, trace) = execute_behavioral(&d, node, &store, true);
+        let (out, trace) = execute_behavioral(&d, node, &store);
         assert!(matches!(
             trace.events[0],
             TraceEvent::Decision { outcome: 1, .. }
         ));
         assert_eq!(out.blocking[0].1.to_u64(), Some(2));
         store.set(s, LogicVec::from_u64(2, 3));
-        let (out, trace) = execute_behavioral(&d, node, &store, true);
+        let (out, trace) = execute_behavioral(&d, node, &store);
         assert!(matches!(
             trace.events[0],
             TraceEvent::Decision { outcome: 2, .. }
@@ -760,7 +749,7 @@ mod tests {
         let a = d.find_signal("a").unwrap();
         let q = d.find_signal("q").unwrap();
         store.set(a, LogicVec::from_u64(8, 0b1010_1010));
-        let (out, trace) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store, true);
+        let (out, trace) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store);
         let qv = out.blocking.iter().find(|(s, _)| *s == q).unwrap();
         assert_eq!(qv.1.to_u64(), Some(0b0101_0101));
         // 9 loop-condition decisions (8 true + 1 false).
@@ -780,7 +769,7 @@ mod tests {
              endmodule",
         );
         // i is X -> no write at all.
-        let (out, _) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store, false);
+        let (out, _) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store);
         assert!(out.blocking.is_empty());
     }
 
@@ -795,7 +784,7 @@ mod tests {
         let q = d.find_signal("q").unwrap();
         store.set(a, LogicVec::from_u64(4, 0x9));
         store.set(q, LogicVec::from_u64(8, 0x34));
-        let (out, _) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store, false);
+        let (out, _) = execute_behavioral(&d, &d.behavioral_nodes()[0], &store);
         let qv = out.blocking.iter().find(|(s, _)| *s == q).unwrap();
         assert_eq!(qv.1.to_u64(), Some(0x94));
     }

@@ -7,9 +7,10 @@
 //! * [`eval_rtl_node_into`] — evaluation of primitive RTL nodes,
 //! * [`Evaluator`] — the one handle every simulator evaluates its nodes
 //!   through: a design plus the backend (tree walker or compiled tapes),
-//! * [`execute_behavioral`] — the behavioral interpreter, which can record
-//!   the **execution trace** (path decisions taken and dependency segments
-//!   visited) that the ERASER implicit-redundancy check walks,
+//! * [`execute_into`] — the behavioral interpreter, which reports the
+//!   **execution path** (path decisions taken and dependency segments
+//!   visited) to an [`ExecMonitor`] — what the ERASER implicit-redundancy
+//!   check walks,
 //! * [`Simulator`] — the one settle loop: delta cycles, combinational
 //!   settling under one of two rules (event-driven, or levelized full
 //!   evaluation for the VFsim baseline), *deferred* edge detection (event
@@ -67,8 +68,8 @@ mod vcd;
 pub use evaluator::Evaluator;
 pub use hook::{Good, Hook, NoHook};
 pub use interp::{
-    execute_behavioral, execute_into, execute_monitored, execute_tape_into, ExecCtx, ExecMonitor,
-    ExecOutcome, ExecTrace, NoopMonitor, OverlayView, SlotWrite, TraceEvent, TraceMonitor,
+    execute_into, execute_tape_into, ExecCtx, ExecMonitor, ExecOutcome, NoopMonitor, OverlayView,
+    SlotWrite,
 };
 pub use kernel::Simulator;
 pub use probe::{BitFirsts, SiteProbe, NEVER};

@@ -217,7 +217,7 @@ impl SiteProbe {
     /// Records a committed value of `sig` (called for every changed commit
     /// and harmlessly idempotent on repeats).
     #[inline]
-    pub fn observe_commit(&mut self, sig: SignalId, value: &LogicVec) {
+    fn observe_commit(&mut self, sig: SignalId, value: &LogicVec) {
         if let Some(site) = &mut self.sites[sig.index()] {
             site.record(value, self.step);
         }
@@ -231,7 +231,7 @@ impl SiteProbe {
     /// Checks one evaluated path decision for unknown-sensitivity and, if
     /// its outcome could flip under X refinement, hazards every read
     /// signal currently carrying unknowns.
-    pub fn decision_hazard(&mut self, info: &DecisionInfo, view: &dyn ValueSource) {
+    fn decision_hazard(&mut self, info: &DecisionInfo, view: &dyn ValueSource) {
         // Fast pre-filter: a decision over fully defined reads can never
         // flip under refinement.
         if !info.reads.iter().any(|r| view.value(*r).has_unknown()) {
@@ -282,7 +282,7 @@ impl SiteProbe {
     /// Records a dynamic lvalue index that evaluated to unknown: the write
     /// was skipped, refinement would perform it. Hazards the unknown-valued
     /// reads of the index expression.
-    pub fn index_hazard(&mut self, index: &Expr, view: &dyn ValueSource) {
+    fn index_hazard(&mut self, index: &Expr, view: &dyn ValueSource) {
         let mut reads = Vec::new();
         index.collect_reads(&mut reads);
         for r in reads {

@@ -1,16 +1,16 @@
 //! Engine comparison on a CPU workload: enumerates all four fault
 //! simulators through the [`FaultSimEngine`](eraser::core::FaultSimEngine)
-//! trait, runs them on the PicoRV32-style core via one
-//! [`CampaignRunner`](eraser::core::CampaignRunner), checks they detect the
-//! identical fault set, and prints the wall-clock comparison — a
-//! single-design slice of Fig. 6.
+//! trait, runs them on the PicoRV32-style core against identical inputs,
+//! timing each, checks they detect the identical fault set, and prints the
+//! wall-clock comparison — a single-design slice of Fig. 6.
 //!
 //! Run with `cargo run --release --example cpu_fault_sim`.
 
 use eraser::baselines::all_engines;
-use eraser::core::CampaignRunner;
+use eraser::core::CampaignConfig;
 use eraser::designs::Benchmark;
 use eraser::fault::generate_faults;
+use std::time::Instant;
 
 fn main() {
     let bench = Benchmark::PicoRv32;
@@ -24,20 +24,25 @@ fn main() {
         stimulus.num_steps()
     );
 
-    let runner = CampaignRunner::new(&design, &faults, &stimulus);
-    let results = runner.run_all(&all_engines());
-    if let Err(mismatch) = CampaignRunner::check_parity(&results) {
-        panic!("{mismatch}");
-    }
-    println!("all engines agree: {}", results[0].coverage);
-    println!();
-    let base = results[0].wall.as_secs_f64();
-    for r in &results {
-        println!(
-            "{:<8} {:>9.3}s  ({:>5.1}x vs IFsim)",
-            r.name,
-            r.wall.as_secs_f64(),
-            base / r.wall.as_secs_f64()
+    let config = CampaignConfig::default();
+    let runs: Vec<_> = all_engines()
+        .iter()
+        .map(|engine| {
+            let t0 = Instant::now();
+            let result = engine.run(&design, &faults, &stimulus, &config);
+            (engine.name(), t0.elapsed().as_secs_f64(), result.coverage)
+        })
+        .collect();
+    let (base_name, base, reference) = &runs[0];
+    for (name, _, coverage) in &runs {
+        assert!(
+            reference.same_detected_set(coverage),
+            "coverage parity violated: {base_name} reports {reference} but {name} reports {coverage}"
         );
+    }
+    println!("all engines agree: {reference}");
+    println!();
+    for (name, wall, _) in &runs {
+        println!("{name:<8} {wall:>9.3}s  ({:>5.1}x vs IFsim)", base / wall);
     }
 }

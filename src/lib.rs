@@ -11,9 +11,8 @@
 //! * [`fault`] — stuck-at fault model and coverage,
 //! * [`core`] — the ERASER concurrent engine (the paper's contribution)
 //!   and the engine-agnostic campaign API
-//!   ([`FaultSimEngine`](core::FaultSimEngine),
-//!   [`CampaignRunner`](core::CampaignRunner),
-//!   [`EngineResult`](core::EngineResult)),
+//!   ([`FaultSimEngine`](core::FaultSimEngine), returning one
+//!   [`CampaignResult`](core::CampaignResult) whatever the engine),
 //! * [`baselines`] — IFsim / VFsim / CfSim comparison engines behind the
 //!   same trait ([`all_engines`](baselines::all_engines) returns the full
 //!   Fig. 6 line-up),
@@ -76,22 +75,25 @@
 //!
 //! Every engine — ERASER in all three ablation modes and the three
 //! baselines — is driven through the [`core::FaultSimEngine`] trait, so a
-//! campaign can enumerate them against identical inputs:
+//! campaign can enumerate them against identical inputs and compare the
+//! detected sets (the Table II criterion):
 //!
 //! ```
 //! use eraser::baselines::all_engines;
-//! use eraser::core::CampaignRunner;
+//! use eraser::core::CampaignConfig;
 //! use eraser::designs::Benchmark;
 //! use eraser::fault::generate_faults;
 //!
 //! let design = Benchmark::Alu64.build();
 //! let faults = generate_faults(&design, &Benchmark::Alu64.fault_config());
 //! let stim = Benchmark::Alu64.stimulus_with_cycles(&design, 20);
-//! let runner = CampaignRunner::new(&design, &faults, &stim);
-//! let results = runner.run_all(&all_engines());
-//! CampaignRunner::check_parity(&results)?;
-//! # assert_eq!(results.len(), 4);
-//! # Ok::<(), eraser::core::ParityMismatch>(())
+//! let config = CampaignConfig::default();
+//! let engines = all_engines();
+//! let reference = engines[0].run(&design, &faults, &stim, &config).coverage;
+//! for engine in &engines[1..] {
+//!     let result = engine.run(&design, &faults, &stim, &config);
+//!     assert!(reference.same_detected_set(&result.coverage), "{}", engine.name());
+//! }
 //! ```
 
 pub use eraser_baselines as baselines;

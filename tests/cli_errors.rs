@@ -114,6 +114,16 @@ fn oversized_spec_is_a_runtime_error_naming_the_key() {
     let out = eraser(&["--spec", path.to_str().unwrap(), "--threads", "100000"]);
     assert_runtime_error(&out, "key `threads`");
     let _ = std::fs::remove_file(&path);
+
+    // One good-state snapshot per settle step of 100 000 cycles.
+    let path = spec_file(
+        "toomanysnaps",
+        r#"{"design": {"benchmark": "APB"}, "steps": 100000, "checkpoint_interval": 1}"#,
+    );
+    let out = eraser(&["--spec", path.to_str().unwrap()]);
+    assert_runtime_error(&out, "key `checkpoint_interval`");
+    assert_eq!(stderr(&out).lines().count(), 1, "{}", stderr(&out));
+    let _ = std::fs::remove_file(&path);
 }
 
 /// The partition-strategy knob is gone, and says so the same way at every

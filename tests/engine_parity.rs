@@ -5,16 +5,16 @@
 //! explicit-only engine (CfSim).
 //!
 //! All engines are enumerated polymorphically through the
-//! [`FaultSimEngine`](eraser::core::FaultSimEngine) trait and driven by one
-//! [`CampaignRunner`](eraser::core::CampaignRunner), so adding an engine to
-//! the line-up automatically adds it to the parity check.
+//! [`FaultSimEngine`](eraser::core::FaultSimEngine) trait and run against
+//! identical inputs, so adding an engine to the line-up automatically adds
+//! it to the parity check.
 //!
 //! The default tests run shortened campaigns on a representative subset;
 //! the full-suite sweep (all ten benchmarks) runs in the benchmark harness
 //! and in the `--ignored` test below.
 
 use eraser::baselines::all_engines;
-use eraser::core::{CampaignRunner, Eraser, FaultSimEngine};
+use eraser::core::{CampaignConfig, Eraser, FaultSimEngine};
 use eraser::designs::Benchmark;
 use eraser::fault::{generate_faults, FaultListConfig};
 
@@ -35,30 +35,36 @@ fn parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
     let faults = generate_faults(&design, &cfg);
     let stim = bench.stimulus_with_cycles(&design, cycles);
 
-    let runner = CampaignRunner::new(&design, &faults, &stim);
-    let results = runner.run_all(&engines_under_test());
-    assert_eq!(results.len(), 6);
-    if let Err(mismatch) = CampaignRunner::check_parity(&results) {
-        panic!("{}: {mismatch}", bench.name());
-    }
+    let engines = engines_under_test();
+    assert_eq!(engines.len(), 6);
+    let results: Vec<_> = engines
+        .iter()
+        .map(|e| e.run(&design, &faults, &stim, &CampaignConfig::default()))
+        .collect();
+    let reference = &results[0].coverage;
     // Sanity: campaigns actually detect something.
     assert!(
-        results[0].coverage.detected() > 0,
-        "{}: nothing detected ({})",
-        bench.name(),
-        results[0].coverage
+        reference.detected() > 0,
+        "{}: nothing detected ({reference})",
+        bench.name()
     );
-    // The concurrent engines always carry redundancy instrumentation; the
-    // serial baselines carry it only under checkpointed good-state replay
-    // (which their skip counters quantify), which this line-up leaves off.
-    for r in &results {
-        let concurrent = r.name.starts_with("Eraser") || r.name == "CfSim";
-        assert_eq!(
-            r.stats.is_some(),
-            concurrent,
-            "{}: unexpected stats presence for {}",
+    for (engine, result) in engines.iter().zip(&results) {
+        assert!(
+            reference.same_detected_set(&result.coverage),
+            "{}: {} reports {reference} but {} reports {}",
             bench.name(),
-            r.name
+            engines[0].name(),
+            engine.name(),
+            result.coverage
+        );
+        // Every engine counts its dropped faults, serial or concurrent:
+        // with dropping on, one per detection.
+        assert_eq!(
+            result.stats.dropped_faults,
+            result.coverage.detected() as u64,
+            "{}: {} dropped-fault count",
+            bench.name(),
+            engine.name()
         );
     }
 }

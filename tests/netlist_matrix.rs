@@ -122,8 +122,7 @@ fn mac16_gate_batching_fills_lanes() {
             &stim,
             &config(EvalBackend::Tape, 1, 0, true, false),
         )
-        .stats
-        .expect("the concurrent engine carries stats");
+        .stats;
     assert!(stats.batch_groups > 0, "batching never engaged: {stats:?}");
     let occupancy = stats.batch_lanes as f64 / (stats.batch_groups * 64) as f64;
     assert!(

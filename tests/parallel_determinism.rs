@@ -16,8 +16,8 @@
 
 use eraser::baselines::{all_engines, CfSim, IFsim, VFsim};
 use eraser::core::{
-    run_campaign_with, CampaignConfig, CampaignContext, CampaignProgress, CampaignRunner, Eraser,
-    FaultSimEngine, ParallelConfig,
+    run_campaign_with, CampaignConfig, CampaignContext, CampaignProgress, Eraser, FaultSimEngine,
+    ParallelConfig,
 };
 use eraser::designs::Benchmark;
 use eraser::fault::{generate_faults, FaultList, FaultListConfig};
@@ -51,12 +51,12 @@ fn assert_deterministic(
     engine: &dyn FaultSimEngine,
 ) {
     let (design, faults, stim) = fixture(bench, cycles, max_faults);
+    let name = engine.name();
     let serial = engine.run(&design, &faults, &stim, &CampaignConfig::default());
     assert!(
         serial.coverage.detected() > 0,
-        "{} {}: serial campaign detected nothing",
-        bench.name(),
-        serial.name
+        "{} {name}: serial campaign detected nothing",
+        bench.name()
     );
     for threads in THREAD_SWEEP {
         let merged = engine.run(&design, &faults, &stim, &threaded(threads));
@@ -66,15 +66,13 @@ fn assert_deterministic(
         assert_eq!(
             serial.coverage,
             merged.coverage,
-            "{} {} [x{threads}]: merged coverage diverged from serial",
-            bench.name(),
-            serial.name,
+            "{} {name} [x{threads}]: merged coverage diverged from serial",
+            bench.name()
         );
         assert_eq!(
             serial.coverage.coverage_percent(),
             merged.coverage.coverage_percent()
         );
-        assert!((1..=threads).contains(&merged.threads));
     }
 }
 
@@ -103,21 +101,26 @@ fn serial_baselines_are_deterministic_across_partitions() {
 }
 
 /// The whole line-up under one shared four-thread [`ParallelConfig`]
-/// against the serial line-up on the same inputs, via the
-/// [`CampaignRunner`] parity checker.
+/// against the serial line-up on the same inputs.
 #[test]
 fn parallel_line_up_passes_cross_engine_parity() {
     let (design, faults, stim) = fixture(Benchmark::Sha256Hv, 72, 24);
-    let serial = CampaignRunner::new(&design, &faults, &stim);
-    let parallel =
-        CampaignRunner::new(&design, &faults, &stim).with_parallel(ParallelConfig::with_threads(4));
-    let mut results = serial.run_all(&all_engines());
-    results.extend(parallel.run_all(&all_engines()));
-    results.extend(parallel.run_all(&Eraser::ablation()));
-    assert_eq!(results.len(), 11);
-    CampaignRunner::check_parity(&results).expect("parallel line-up parity");
-    assert!(results[..4].iter().all(|r| r.threads == 1));
-    assert!(results[4..].iter().all(|r| r.threads == 4));
+    let mut runs: Vec<_> = all_engines().into_iter().map(|e| (e, 1)).collect();
+    runs.extend(all_engines().into_iter().map(|e| (e, 4)));
+    runs.extend(Eraser::ablation().into_iter().map(|e| (e, 4)));
+    assert_eq!(runs.len(), 11);
+    let coverages: Vec<_> = runs
+        .iter()
+        .map(|(e, threads)| e.run(&design, &faults, &stim, &threaded(*threads)).coverage)
+        .collect();
+    for ((engine, threads), coverage) in runs.iter().zip(&coverages) {
+        assert!(
+            coverages[0].same_detected_set(coverage),
+            "parallel line-up parity: IFsim reports {} but {} x{threads} reports {coverage}",
+            coverages[0],
+            engine.name()
+        );
+    }
 }
 
 /// `run_campaign` driven through `CampaignConfig::parallel` (the path the

@@ -1,10 +1,10 @@
 //! Behavioral contract of the [`FaultSimEngine`] abstraction itself:
-//! engines are interchangeable trait objects, the [`CampaignRunner`] times
-//! them uniformly, and — the Table II criterion — every engine reports
-//! bit-identical fault coverage on real benchmark designs.
+//! engines are interchangeable trait objects with stable names, and — the
+//! Table II criterion — every engine reports bit-identical fault coverage
+//! on real benchmark designs.
 
 use eraser::baselines::{all_engines, CfSim};
-use eraser::core::{CampaignConfig, CampaignRunner, Eraser, RedundancyMode};
+use eraser::core::{CampaignConfig, Eraser, FaultSimEngine, RedundancyMode};
 use eraser::designs::Benchmark;
 use eraser::fault::{generate_faults, FaultListConfig};
 
@@ -37,29 +37,29 @@ fn engines_report_bit_identical_coverage_on_three_benchmarks() {
         (Benchmark::RiscvMini, 40, 48),
     ] {
         let (design, faults, stim) = setup(bench, cycles, max_faults);
-        let runner = CampaignRunner::new(&design, &faults, &stim);
-        let results = runner.run_all(&all_engines());
-        assert_eq!(results.len(), 4, "{}", bench.name());
-        for pair in results.windows(2) {
+        let engines = all_engines();
+        let names: Vec<String> = engines.iter().map(|e| e.name()).collect();
+        assert_eq!(names, ["IFsim", "VFsim", "CfSim", "Eraser"]);
+        let results: Vec<_> = engines
+            .iter()
+            .map(|e| e.run(&design, &faults, &stim, &CampaignConfig::default()))
+            .collect();
+        for (i, pair) in results.windows(2).enumerate() {
+            let (a, b) = (&pair[0].coverage, &pair[1].coverage);
+            let (na, nb) = (&names[i], &names[i + 1]);
             assert!(
-                pair[0].coverage.same_detected_set(&pair[1].coverage),
-                "{}: {} ({}) vs {} ({})",
-                bench.name(),
-                pair[0].name,
-                pair[0].coverage,
-                pair[1].name,
-                pair[1].coverage
+                a.same_detected_set(b),
+                "{}: {na} ({a}) vs {nb} ({b})",
+                bench.name()
             );
             // Bit-identical per fault, not just equal counts.
             for f in faults.iter() {
                 assert_eq!(
-                    pair[0].coverage.is_detected(f.id),
-                    pair[1].coverage.is_detected(f.id),
-                    "{}: fault {} verdict differs between {} and {}",
+                    a.is_detected(f.id),
+                    b.is_detected(f.id),
+                    "{}: fault {} verdict differs between {na} and {nb}",
                     bench.name(),
-                    f.id,
-                    pair[0].name,
-                    pair[1].name
+                    f.id
                 );
             }
         }
@@ -68,21 +68,6 @@ fn engines_report_bit_identical_coverage_on_three_benchmarks() {
             "{}: campaign detected nothing",
             bench.name()
         );
-    }
-}
-
-/// Engine names are stable and every runner-produced result carries a
-/// measured wall time.
-#[test]
-fn runner_captures_names_and_timing() {
-    let (design, faults, stim) = setup(Benchmark::Apb, 30, 24);
-    let runner = CampaignRunner::new(&design, &faults, &stim);
-    let results = runner.run_all(&all_engines());
-    let names: Vec<&str> = results.iter().map(|r| r.name.as_str()).collect();
-    assert_eq!(names, ["IFsim", "VFsim", "CfSim", "Eraser"]);
-    for r in &results {
-        assert!(r.wall.as_nanos() > 0, "{} has no wall time", r.name);
-        assert_eq!(r.coverage.total(), faults.len());
     }
 }
 
@@ -98,21 +83,18 @@ fn eraser_mode_overrides_shared_config() {
         drop_detected: true,
         ..Default::default()
     };
-    let runner = CampaignRunner::new(&design, &faults, &stim).with_config(config);
+    let run = |engine: &dyn FaultSimEngine| engine.run(&design, &faults, &stim, &config);
 
-    let full = runner.run(&Eraser::full());
-    let stats = full.stats.as_ref().expect("concurrent engine has stats");
+    let full = run(&Eraser::full());
     assert!(
-        stats.eliminated() > 0,
+        full.stats.eliminated() > 0,
         "full mode must eliminate redundancy despite config.mode = None"
     );
 
-    let cfsim = runner.run(&CfSim);
-    let explicit = runner.run(&Eraser::explicit());
-    assert_eq!(cfsim.name, "CfSim");
-    assert_eq!(explicit.name, "Eraser-");
+    let cfsim = run(&CfSim);
+    let explicit = run(&Eraser::explicit());
     assert!(cfsim.coverage.same_detected_set(&explicit.coverage));
-    let (cf, ex) = (cfsim.stats.unwrap(), explicit.stats.unwrap());
+    let (cf, ex) = (cfsim.stats, explicit.stats);
     assert_eq!(cf.fault_executions, ex.fault_executions);
     assert_eq!(cf.explicit_skipped, ex.explicit_skipped);
     assert_eq!(cf.implicit_skipped, 0);
@@ -124,33 +106,22 @@ fn eraser_mode_overrides_shared_config() {
 #[test]
 fn ablation_line_up_is_monotone() {
     let (design, faults, stim) = setup(Benchmark::Sha256Hv, 72, 32);
-    let runner = CampaignRunner::new(&design, &faults, &stim);
-    let results = runner.run_all(&Eraser::ablation());
-    let names: Vec<&str> = results.iter().map(|r| r.name.as_str()).collect();
+    let engines = Eraser::ablation();
+    let names: Vec<String> = engines.iter().map(|e| e.name()).collect();
     assert_eq!(names, ["Eraser--", "Eraser-", "Eraser"]);
-    CampaignRunner::check_parity(&results).expect("ablation parity");
-    let execs: Vec<u64> = results
+    let results: Vec<_> = engines
         .iter()
-        .map(|r| r.stats.as_ref().unwrap().fault_executions)
+        .map(|e| e.run(&design, &faults, &stim, &CampaignConfig::default()))
         .collect();
+    for (name, r) in names.iter().zip(&results) {
+        assert!(
+            results[0].coverage.same_detected_set(&r.coverage),
+            "ablation parity: {name}"
+        );
+    }
+    let execs: Vec<u64> = results.iter().map(|r| r.stats.fault_executions).collect();
     assert!(
         execs[0] >= execs[1] && execs[1] >= execs[2],
         "executions not monotone: {execs:?}"
     );
-}
-
-/// `check_parity` reports the offending engine pair instead of silently
-/// passing when coverage disagrees.
-#[test]
-fn check_parity_names_the_disagreeing_engine() {
-    let (design, faults, stim) = setup(Benchmark::Alu64, 20, 16);
-    let runner = CampaignRunner::new(&design, &faults, &stim);
-    let mut results = runner.run_all(&Eraser::ablation());
-    // Forge a disagreement: replace one result's coverage with an empty
-    // report of the same size.
-    results[2].coverage = eraser::fault::CoverageReport::new(faults.len());
-    let err = CampaignRunner::check_parity(&results).unwrap_err();
-    assert_eq!(err.baseline.0, "Eraser--");
-    assert_eq!(err.other.0, "Eraser");
-    assert!(err.to_string().contains("parity"));
 }
