@@ -8,10 +8,10 @@
 use crate::ast::*;
 use crate::error::CompileError;
 use eraser_ir::{
-    analysis::expr_width_with, eval::eval_binary, Design, DesignBuilder, Expr, LValue, PortDir,
-    RtlOp, Sensitivity, SignalId, SignalKind, Stmt, UnaryOp,
+    analysis::expr_width_with, ops, Design, DesignBuilder, Expr, LValue, PortDir, RtlOp,
+    Sensitivity, SignalId, SignalKind, Stmt,
 };
-use eraser_logic::{LogicBit, LogicVec};
+use eraser_logic::LogicVec;
 use std::collections::HashMap;
 
 /// Elaborates a parsed source unit into a flattened design.
@@ -387,38 +387,49 @@ impl<'a> Elaborator<'a> {
                 )
             }),
             AstExpr::Unary(op, inner) => {
-                let v = self.const_eval(inner, scope)?;
-                Ok(match op {
-                    UnaryOp::Not => v.not(),
-                    UnaryOp::Neg => v.neg(),
-                    UnaryOp::LogicalNot => LogicVec::from_bit(v.truth().not()),
-                    UnaryOp::RedAnd => LogicVec::from_bit(v.red_and()),
-                    UnaryOp::RedOr => LogicVec::from_bit(v.red_or()),
-                    UnaryOp::RedXor => LogicVec::from_bit(v.red_xor()),
-                })
+                let mut v = self.const_eval(inner, scope)?;
+                ops::unary_assign(*op, &mut v);
+                Ok(v)
             }
             AstExpr::Binary(op, l, r) => {
                 let lv = self.const_eval(l, scope)?;
                 let rv = self.const_eval(r, scope)?;
-                Ok(eval_binary(*op, &lv, &rv))
+                let mut out = LogicVec::default();
+                ops::binary(*op, &lv, &rv, &mut out);
+                Ok(out)
             }
             AstExpr::Ternary(c, t, f) => {
-                let cv = self.const_eval(c, scope)?;
-                match cv.truth() {
-                    LogicBit::One => self.const_eval(t, scope),
-                    _ => self.const_eval(f, scope),
+                let truth = self.const_eval(c, scope)?.truth();
+                let (first, second) = ops::mux_pick(truth, &**t, &**f);
+                let mut out = self.const_eval(first, scope)?;
+                if truth.is_defined() {
+                    // Like the simulator, evaluate only the chosen branch.
+                    // The other contributes its width, or none when a guard
+                    // leaves it invalid (`{0{...}}`).
+                    if let Ok(e) = self.resolve_expr(second, scope) {
+                        let w = out.width().max(self.expr_width(&e));
+                        out.resize_assign(w);
+                    }
+                } else {
+                    let other = self.const_eval(second, scope)?;
+                    ops::mux_assign(truth, &mut out, &other);
                 }
+                Ok(out)
             }
             AstExpr::Concat(parts) => {
                 let vals: Result<Vec<LogicVec>, CompileError> =
                     parts.iter().map(|p| self.const_eval(p, scope)).collect();
-                let vals = vals?;
-                let refs: Vec<&LogicVec> = vals.iter().rev().collect();
-                Ok(LogicVec::concat_lsb_first(&refs))
+                let mut out = LogicVec::default();
+                ops::concat(vals?.iter().rev(), &mut out);
+                Ok(out)
             }
             AstExpr::Replicate(n, inner) => {
                 let count = self.const_u32(n, scope)?;
-                Ok(self.const_eval(inner, scope)?.replicate(count))
+                let v = self.const_eval(inner, scope)?;
+                check_replicate(count, v.width(), n.line())?;
+                let mut out = LogicVec::default();
+                ops::replicate(count, &v, &mut out);
+                Ok(out)
             }
             other => Err(CompileError::at(
                 other.line(),
@@ -460,7 +471,9 @@ impl<'a> Elaborator<'a> {
             ),
             AstExpr::Replicate(n, inner) => {
                 let count = self.const_u32(n, scope)?;
-                Expr::Replicate(count, Box::new(self.resolve_expr(inner, scope)?))
+                let inner = self.resolve_expr(inner, scope)?;
+                check_replicate(count, self.expr_width(&inner), n.line())?;
+                Expr::Replicate(count, Box::new(inner))
             }
             AstExpr::Bit { base, index, line } => {
                 // Bit select on a parameter constant.
@@ -777,6 +790,26 @@ impl<'a> Elaborator<'a> {
     }
 }
 
+/// The widest replication result accepted. IEEE 1364 §4.2.1 lets a tool
+/// limit vector widths to no less than 2^16 bits; this one allows 2^20, so
+/// a count that wrapped below zero is an error, not a huge allocation.
+const MAX_REPLICATE_WIDTH: u32 = 1 << 20;
+
+/// Checks `{count{v}}` for a `v` of `inner_width` bits: the count must be
+/// positive and the result at most [`MAX_REPLICATE_WIDTH`] bits wide.
+fn check_replicate(count: u32, inner_width: u32, line: u32) -> Result<(), CompileError> {
+    match count.checked_mul(inner_width) {
+        Some(w) if (1..=MAX_REPLICATE_WIDTH).contains(&w) => Ok(()),
+        _ => Err(CompileError::at(
+            line,
+            format!(
+                "replication `{{{count}{{...}}}}` must have a positive count \
+                 and at most {MAX_REPLICATE_WIDTH} result bits"
+            ),
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,6 +884,54 @@ mod tests {
         assert_eq!(b.vdg.decisions.len(), 1);
         assert_eq!(b.vdg.segments.len(), 2);
         assert!(b.sensitivity.is_edge());
+    }
+
+    /// A constant `?:` folds as the simulator evaluates it: the chosen
+    /// branch at the wider branch's width, and an unknown condition merges
+    /// the branches bit by bit. A defined condition never evaluates the
+    /// other branch, so a guard can keep an invalid replication out.
+    #[test]
+    fn constant_ternary_follows_the_simulator() {
+        let d = compile(
+            "module m(output wire [15:0] y, output wire [3:0] z,
+                      output wire [31:0] a, output wire [31:0] b, output wire [31:0] c);
+               localparam P = 1'b1 ? 4'hf : 8'h00;
+               localparam Q = 1'bx ? 4'b1100 : 4'b1010;
+               localparam N = 8;
+               localparam M = 9;
+               localparam PA = (N < 8) ? {(8-N){1'b0}} : 0;
+               localparam PB = (M < 8) ? {(8-M){1'b0}} : 0;
+               localparam PC = (M < 8) ? {(8-M){2'b00}} : 0;
+               assign y = {P, P};
+               assign z = Q;
+               assign a = PA;
+               assign b = PB;
+               assign c = PC;
+             endmodule",
+        );
+        let consts: Vec<&LogicVec> = d
+            .rtl_nodes()
+            .iter()
+            .filter_map(|n| match &n.op {
+                RtlOp::Const(c) => Some(c),
+                _ => None,
+            })
+            .collect();
+        let p = LogicVec::from_u64(8, 0x0f);
+        let q = LogicVec::parse_literal("4'b1xx0").unwrap();
+        assert!(consts.contains(&&p), "P must be 8'h0f: {consts:?}");
+        assert!(consts.contains(&&q), "Q must be 4'b1xx0: {consts:?}");
+        let zero = LogicVec::zeros(32);
+        assert!(
+            consts.iter().all(|c| **c == p || **c == q || **c == zero),
+            "{consts:?}"
+        );
+        for count in ["0", "(8-9)", "32'h8000_0000"] {
+            let err = compile_err(&format!(
+                "module m(output wire [1:0] y); assign y = {{{count}{{2'b01}}}}; endmodule"
+            ));
+            assert!(err.to_string().contains("replication"), "{count}: {err}");
+        }
     }
 
     #[test]

@@ -8,12 +8,33 @@ use crate::ids::SignalId;
 use crate::node::RtlOp;
 use crate::stmt::{LValue, Stmt};
 
-/// The result width of `expr` under the documented width model:
-///
-/// * bitwise/arithmetic binary operators evaluate at `max(w_l, w_r)`,
-/// * shifts keep the left operand's width,
-/// * comparisons, logical operators and reductions produce 1 bit,
-/// * concat/replicate/slice widths are structural.
+/// The result width of unary `op` on a `w`-bit operand: `~` and unary `-`
+/// keep it, reductions and `!` produce 1 bit.
+pub fn unary_width(op: UnaryOp, w: u32) -> u32 {
+    match op {
+        UnaryOp::Not | UnaryOp::Neg => w,
+        UnaryOp::LogicalNot | UnaryOp::RedAnd | UnaryOp::RedOr | UnaryOp::RedXor => 1,
+    }
+}
+
+/// The result width of binary `op` on `lw`- and `rw`-bit operands:
+/// bitwise and arithmetic operators evaluate at `max(lw, rw)`, shifts keep
+/// the left operand's width, comparisons and logical operators produce
+/// 1 bit.
+pub fn binary_width(op: BinaryOp, lw: u32, rw: u32) -> u32 {
+    if op.is_single_bit() {
+        1
+    } else {
+        match op {
+            BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr => lw,
+            _ => lw.max(rw),
+        }
+    }
+}
+
+/// The result width of `expr` under the documented width model: operators
+/// follow [`unary_width`] and [`binary_width`], a ternary takes its wider
+/// branch, concat/replicate/slice widths are structural.
 ///
 /// `sig_width` maps a signal to its declared width (the builder or design
 /// provides it).
@@ -21,20 +42,12 @@ pub fn expr_width_with(expr: &Expr, sig_width: &impl Fn(crate::SignalId) -> u32)
     match expr {
         Expr::Const(v) => v.width(),
         Expr::Signal(s) => sig_width(*s),
-        Expr::Unary(op, e) => match op {
-            UnaryOp::Not | UnaryOp::Neg => expr_width_with(e, sig_width),
-            UnaryOp::LogicalNot | UnaryOp::RedAnd | UnaryOp::RedOr | UnaryOp::RedXor => 1,
-        },
-        Expr::Binary(op, l, r) => {
-            if op.is_single_bit() {
-                1
-            } else {
-                match op {
-                    BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr => expr_width_with(l, sig_width),
-                    _ => expr_width_with(l, sig_width).max(expr_width_with(r, sig_width)),
-                }
-            }
-        }
+        Expr::Unary(op, e) => unary_width(*op, expr_width_with(e, sig_width)),
+        Expr::Binary(op, l, r) => binary_width(
+            *op,
+            expr_width_with(l, sig_width),
+            expr_width_with(r, sig_width),
+        ),
         Expr::Ternary { then_e, else_e, .. } => {
             expr_width_with(then_e, sig_width).max(expr_width_with(else_e, sig_width))
         }
@@ -56,27 +69,9 @@ pub fn expr_width(design: &Design, expr: &Expr) -> u32 {
 pub fn rtl_output_width(op: &RtlOp, input_widths: &[u32]) -> Option<u32> {
     match op {
         RtlOp::Buf => (input_widths.len() == 1).then(|| input_widths[0]),
-        RtlOp::Unary(u) => {
-            if input_widths.len() != 1 {
-                return None;
-            }
-            Some(match u {
-                UnaryOp::Not | UnaryOp::Neg => input_widths[0],
-                _ => 1,
-            })
-        }
+        RtlOp::Unary(u) => (input_widths.len() == 1).then(|| unary_width(*u, input_widths[0])),
         RtlOp::Binary(bo) => {
-            if input_widths.len() != 2 {
-                return None;
-            }
-            Some(if bo.is_single_bit() {
-                1
-            } else {
-                match bo {
-                    BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr => input_widths[0],
-                    _ => input_widths[0].max(input_widths[1]),
-                }
-            })
+            (input_widths.len() == 2).then(|| binary_width(*bo, input_widths[0], input_widths[1]))
         }
         RtlOp::Mux => (input_widths.len() == 3).then(|| input_widths[1].max(input_widths[2])),
         RtlOp::Concat => (!input_widths.is_empty()).then(|| input_widths.iter().sum()),

@@ -298,7 +298,7 @@ pub fn run_batch(tape: &BatchTape, inputs: &[LanePlanes], out: &mut LanePlanes) 
 }
 
 /// Word-parallel unary operators — the lane transposition of the scalar
-/// `un64` helper.
+/// `ops::unary`.
 fn run_unary(op: UnaryOp, p: &LanePlanes, ow: u32, out: &mut LanePlanes) {
     let w = p.width();
     match op {
@@ -346,7 +346,7 @@ fn run_unary(op: UnaryOp, p: &LanePlanes, ow: u32, out: &mut LanePlanes) {
 }
 
 /// Word-parallel binary operators — the lane transposition of the scalar
-/// `bin64` helper (the unbatchable operators are rejected at compile time).
+/// `ops::binary` (the unbatchable operators are rejected at compile time).
 fn run_binary(op: BinaryOp, l: &LanePlanes, r: &LanePlanes, ow: u32, out: &mut LanePlanes) {
     let n = ow.min(l.width().max(r.width()));
     match op {

@@ -14,13 +14,16 @@
 //! allocations** for designs whose signals fit in 64 bits (wider values
 //! reuse their boxed words whenever the word count matches).
 //!
-//! [`eval_expr`] is the pure convenience wrapper (fresh scratch and output
-//! per call); [`eval_expr_cloning`] is the frozen pre-change evaluator —
-//! clone per signal read, fresh `LogicVec` per AST node — kept as the
-//! reference oracle for property tests.
+//! The walker computes every operator through [`crate::ops`], as every
+//! other evaluator does. [`eval_expr`] is the pure convenience wrapper
+//! (fresh scratch and output per call); [`eval_expr_cloning`] is the frozen
+//! pre-change evaluator — clone per signal read, fresh `LogicVec` per AST
+//! node, its own copy of the operator semantics — kept as the independent
+//! oracle for property tests.
 
 use crate::expr::{BinaryOp, Expr, UnaryOp};
 use crate::ids::SignalId;
+use crate::ops;
 use eraser_logic::{LogicBit, LogicVec};
 
 /// A source of current signal values.
@@ -160,32 +163,13 @@ pub fn eval_expr_into<S: ValueSource + ?Sized>(
         Expr::Signal(s) => out.assign_from(src.value(*s)),
         Expr::Unary(op, e) => {
             eval_expr_into(e, src, scratch, out);
-            match op {
-                UnaryOp::Not => out.not_assign(),
-                UnaryOp::Neg => out.neg_assign(),
-                UnaryOp::LogicalNot => {
-                    let b = out.truth().not();
-                    out.assign_bit(b);
-                }
-                UnaryOp::RedAnd => {
-                    let b = out.red_and();
-                    out.assign_bit(b);
-                }
-                UnaryOp::RedOr => {
-                    let b = out.red_or();
-                    out.assign_bit(b);
-                }
-                UnaryOp::RedXor => {
-                    let b = out.red_xor();
-                    out.assign_bit(b);
-                }
-            }
+            ops::unary_assign(*op, out);
         }
         Expr::Binary(op, l, r) => {
             eval_expr_into(l, src, scratch, out);
             let mut rv = scratch.take();
             eval_expr_into(r, src, scratch, &mut rv);
-            eval_binary_assign(*op, out, &rv, scratch);
+            ops::binary_assign(*op, out, &rv, scratch);
             scratch.put(rv);
         }
         Expr::Ternary {
@@ -197,34 +181,15 @@ pub fn eval_expr_into<S: ValueSource + ?Sized>(
             eval_expr_into(cond, src, scratch, &mut c);
             let truth = c.truth();
             scratch.put(c);
-            match truth {
-                LogicBit::One => {
-                    eval_expr_into(then_e, src, scratch, out);
-                    let mut e = scratch.take();
-                    eval_expr_into(else_e, src, scratch, &mut e);
-                    let w = out.width().max(e.width());
-                    out.resize_assign(w);
-                    scratch.put(e);
-                }
-                LogicBit::Zero => {
-                    let mut t = scratch.take();
-                    eval_expr_into(then_e, src, scratch, &mut t);
-                    eval_expr_into(else_e, src, scratch, out);
-                    let w = out.width().max(t.width());
-                    out.resize_assign(w);
-                    scratch.put(t);
-                }
-                _ => {
-                    eval_expr_into(then_e, src, scratch, out);
-                    let mut e = scratch.take();
-                    eval_expr_into(else_e, src, scratch, &mut e);
-                    out.merge_x_assign(&e);
-                    scratch.put(e);
-                }
-            }
+            // The picked branch evaluates straight into `out`.
+            let (first, second) = ops::mux_pick(truth, then_e, else_e);
+            eval_expr_into(first, src, scratch, out);
+            let mut other = scratch.take();
+            eval_expr_into(second, src, scratch, &mut other);
+            ops::mux_assign(truth, out, &other);
+            scratch.put(other);
         }
         Expr::Concat(parts) => {
-            assert!(!parts.is_empty(), "concat needs at least one part");
             // Iterative over the parts (stack depth stays proportional to
             // the expression tree depth, not the part count), LSB-first.
             let mut vals = scratch.take_list();
@@ -233,47 +198,26 @@ pub fn eval_expr_into<S: ValueSource + ?Sized>(
                 eval_expr_into(p, src, scratch, &mut v);
                 vals.push(v);
             }
-            let total: u32 = vals.iter().map(|v| v.width()).sum();
-            out.make_zeros(total);
-            let mut lo = 0;
-            for v in &vals {
-                out.assign_slice(lo, v);
-                lo += v.width();
-            }
+            ops::concat(&vals, out);
             scratch.put_list(vals);
         }
         Expr::Replicate(n, e) => {
             let mut v = scratch.take();
             eval_expr_into(e, src, scratch, &mut v);
-            assert!(*n > 0, "replication count must be positive");
-            out.make_zeros(v.width() * n);
-            for k in 0..*n {
-                out.assign_slice(k * v.width(), &v);
-            }
+            ops::replicate(*n, &v, out);
             scratch.put(v);
         }
         Expr::Slice { base, hi, lo } => src.value(*base).slice_into(*hi, *lo, out),
         Expr::Index { base, index } => {
             let mut idx = scratch.take();
             eval_expr_into(index, src, scratch, &mut idx);
-            let b = src.value(*base);
-            let bit = match idx.to_u64() {
-                Some(i) if i <= u32::MAX as u64 => b.bit_or_x(i as u32),
-                _ => LogicBit::X,
-            };
-            out.assign_bit(bit);
+            ops::index(src.value(*base), &idx, out);
             scratch.put(idx);
         }
         Expr::IndexedPart { base, start, width } => {
             let mut st = scratch.take();
             eval_expr_into(start, src, scratch, &mut st);
-            let b = src.value(*base);
-            match st.to_u64() {
-                Some(s) if s + *width as u64 <= u32::MAX as u64 => {
-                    b.slice_into(s as u32 + width - 1, s as u32, out)
-                }
-                _ => out.make_x(*width),
-            }
+            ops::indexed_part(src.value(*base), &st, *width, out);
             scratch.put(st);
         }
     }
@@ -290,90 +234,9 @@ pub fn eval_expr<S: ValueSource + ?Sized>(expr: &Expr, src: &S) -> LogicVec {
     out
 }
 
-/// Applies one binary operator in place: `acc = acc <op> rhs`.
-///
-/// `scratch` supplies a temporary for the few operators (multiplication)
-/// that cannot accumulate into their left operand.
-pub fn eval_binary_assign(
-    op: BinaryOp,
-    acc: &mut LogicVec,
-    rhs: &LogicVec,
-    scratch: &mut EvalScratch,
-) {
-    match op {
-        BinaryOp::And => acc.and_assign(rhs),
-        BinaryOp::Or => acc.or_assign(rhs),
-        BinaryOp::Xor => acc.xor_assign(rhs),
-        BinaryOp::Xnor => acc.xnor_assign(rhs),
-        BinaryOp::Add => acc.add_assign(rhs),
-        BinaryOp::Sub => acc.sub_assign(rhs),
-        BinaryOp::Mul => {
-            let mut tmp = scratch.take();
-            acc.mul_into(rhs, &mut tmp);
-            std::mem::swap(acc, &mut tmp);
-            scratch.put(tmp);
-        }
-        BinaryOp::Div => {
-            let mut tmp = scratch.take();
-            acc.div_into(rhs, &mut tmp);
-            std::mem::swap(acc, &mut tmp);
-            scratch.put(tmp);
-        }
-        BinaryOp::Rem => {
-            let mut tmp = scratch.take();
-            acc.rem_into(rhs, &mut tmp);
-            std::mem::swap(acc, &mut tmp);
-            scratch.put(tmp);
-        }
-        BinaryOp::Shl => acc.shl_vec_assign(rhs),
-        BinaryOp::Shr => acc.lshr_vec_assign(rhs),
-        BinaryOp::AShr => acc.ashr_vec_assign(rhs),
-        BinaryOp::Eq => {
-            let b = acc.logic_eq(rhs);
-            acc.assign_bit(b);
-        }
-        BinaryOp::Ne => {
-            let b = acc.logic_ne(rhs);
-            acc.assign_bit(b);
-        }
-        BinaryOp::CaseEq => {
-            let b = LogicBit::from(acc.case_eq(rhs));
-            acc.assign_bit(b);
-        }
-        BinaryOp::CaseNe => {
-            let b = LogicBit::from(!acc.case_eq(rhs));
-            acc.assign_bit(b);
-        }
-        BinaryOp::Lt => {
-            let b = acc.lt(rhs);
-            acc.assign_bit(b);
-        }
-        BinaryOp::Le => {
-            let b = acc.le(rhs);
-            acc.assign_bit(b);
-        }
-        BinaryOp::Gt => {
-            let b = acc.gt(rhs);
-            acc.assign_bit(b);
-        }
-        BinaryOp::Ge => {
-            let b = acc.ge(rhs);
-            acc.assign_bit(b);
-        }
-        BinaryOp::LogicalAnd => {
-            let b = acc.truth().and(rhs.truth());
-            acc.assign_bit(b);
-        }
-        BinaryOp::LogicalOr => {
-            let b = acc.truth().or(rhs.truth());
-            acc.assign_bit(b);
-        }
-    }
-}
-
 /// Evaluates one binary operator on already-computed operands, allocating
-/// the result.
-pub fn eval_binary(op: BinaryOp, lv: &LogicVec, rv: &LogicVec) -> LogicVec {
+/// the result: the oracle's own copy of the operator semantics.
+fn eval_binary(op: BinaryOp, lv: &LogicVec, rv: &LogicVec) -> LogicVec {
     match op {
         BinaryOp::And => lv.and(rv),
         BinaryOp::Or => lv.or(rv),
@@ -466,7 +329,10 @@ pub fn eval_expr_cloning<S: ValueSource + ?Sized>(expr: &Expr, src: &S) -> Logic
             let st = eval_expr_cloning(start, src);
             let b = src.value(*base).clone();
             match st.to_u64() {
-                Some(s) if s + *width as u64 <= u32::MAX as u64 => {
+                Some(s)
+                    if s.checked_add(*width as u64)
+                        .is_some_and(|e| e <= u32::MAX as u64) =>
+                {
                     b.slice(s as u32 + width - 1, s as u32)
                 }
                 _ => LogicVec::new_x(*width),

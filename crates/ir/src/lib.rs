@@ -15,7 +15,8 @@
 //!   behavioral body ([`vdg`]), whose *path decision* and *path dependency*
 //!   nodes drive the implicit-redundancy check (Algorithm 1 of the paper),
 //! * combinational levelization for compiled-style evaluation ([`analysis`]),
-//! * a generic four-state expression evaluator ([`eval`]).
+//! * the four-state operator semantics, written once ([`ops`]), and a
+//!   generic expression evaluator over them ([`eval`]).
 //!
 //! Designs are constructed through [`DesignBuilder`], either directly (see
 //! the builder's example) or by the `eraser-frontend` Verilog compiler.
@@ -27,6 +28,7 @@ pub mod eval;
 pub mod expr;
 pub mod ids;
 pub mod node;
+pub mod ops;
 pub mod stmt;
 pub mod tape;
 pub mod vdg;
@@ -35,10 +37,7 @@ pub use batch::{run_batch, BatchProgram, BatchTape};
 pub use design::{
     BuildError, CombItem, Design, DesignBuilder, Driver, PortDir, Signal, SignalKind,
 };
-pub use eval::{
-    eval_binary, eval_binary_assign, eval_expr, eval_expr_cloning, eval_expr_into, EvalScratch,
-    ValueSource,
-};
+pub use eval::{eval_expr, eval_expr_cloning, eval_expr_into, EvalScratch, ValueSource};
 pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use ids::{BehavioralId, DecisionId, RtlNodeId, SegmentId, SignalId};
 pub use node::{BehavioralNode, EdgeKind, RtlNode, RtlOp, Sensitivity};
@@ -47,4 +46,4 @@ pub use tape::{
     compile_expr, run_tape, tapes_for_backend, BehavioralTapes, DecisionTape, EvalBackend,
     EvalTape, SegmentTapes, TapeProgram, TapeRef, TapeScratch,
 };
-pub use vdg::{DecisionEval, DecisionInfo, SegmentInfo, Vdg, VdgNode};
+pub use vdg::{Decision, DecisionEval, DecisionInfo, SegmentInfo, Vdg, VdgNode};

@@ -10,17 +10,11 @@
 //! (signals, constants) referenced *by borrow* rather than loaded — and a
 //! tight interpreter loop ([`run_tape`]) that replays it.
 //!
-//! Two instruction tiers exist for most operators:
-//!
-//! * **single-word fast paths** (`Bin64`, `Un64`, `Mux64`, `Concat64`,
-//!   `Repl64`) — chosen at lowering time whenever every operand and the
-//!   result fit in 64 bits. They read both four-state planes as plain
-//!   `u64`s ([`LogicVec::word_planes`]) and write the result with one
-//!   masked store ([`LogicVec::assign_word`]), bypassing the general
-//!   `LogicVec` operator machinery entirely, and
-//! * **general instructions** that delegate to the same in-place `LogicVec`
-//!   operators the tree walker uses, so wide values keep identical
-//!   semantics by construction.
+//! Each instruction computes its operator through [`crate::ops`], the one
+//! definition of the operator semantics the tree walker calls too, so both
+//! backends agree by construction; single-word speed comes from the inline
+//! arms of the `LogicVec` operators. The tape removes only the walk: no
+//! `Box` chasing, no per-node `match` on the tree, no scratch churn.
 //!
 //! Slots are allocated by a free-list **keyed on word count**, so a slot is
 //! only ever reused at the same storage shape: after the first execution of
@@ -36,14 +30,16 @@
 //! differential-testing oracle, and both backends are bit-identical on
 //! every expression (see the `tape_parity` property suite).
 
+use crate::analysis::{binary_width, unary_width};
 use crate::design::Design;
 use crate::expr::{BinaryOp, Expr, UnaryOp};
 use crate::ids::SignalId;
 use crate::node::{BehavioralNode, RtlNode, RtlOp};
-use crate::stmt::{CaseKind, LValue, Stmt};
-use crate::vdg::DecisionEval;
+use crate::ops;
+use crate::stmt::{LValue, Stmt};
+use crate::vdg::{Decision, DecisionEval};
 use crate::ValueSource;
-use eraser_logic::{LogicBit, LogicVec};
+use eraser_logic::LogicVec;
 
 /// Which expression-evaluation backend an engine runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,7 +88,7 @@ pub enum Src {
 /// never alias any operand of the same instruction (three-address form).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TapeInstr {
-    /// General unary operator (mirrors the tree walker's `Unary` case).
+    /// Unary operator.
     Unary {
         /// Operator.
         op: UnaryOp,
@@ -101,18 +97,7 @@ pub enum TapeInstr {
         /// Destination slot.
         dst: u16,
     },
-    /// Single-word unary operator; `width` is the operand width (≤ 64).
-    Un64 {
-        /// Operator.
-        op: UnaryOp,
-        /// Operand.
-        src: Src,
-        /// Destination slot.
-        dst: u16,
-        /// Operand width in bits.
-        width: u32,
-    },
-    /// General binary operator.
+    /// Binary operator.
     Binary {
         /// Operator.
         op: BinaryOp,
@@ -123,20 +108,7 @@ pub enum TapeInstr {
         /// Destination slot.
         dst: u16,
     },
-    /// Single-word binary operator; `width` is the result width (≤ 64).
-    Bin64 {
-        /// Operator.
-        op: BinaryOp,
-        /// Left operand.
-        lhs: Src,
-        /// Right operand.
-        rhs: Src,
-        /// Destination slot.
-        dst: u16,
-        /// Result width in bits.
-        width: u32,
-    },
-    /// Ternary select with the tree walker's unknown-condition merge.
+    /// Ternary select (an unknown condition merges the branches).
     Mux {
         /// Condition (reduced to a truth value).
         cond: Src,
@@ -147,37 +119,14 @@ pub enum TapeInstr {
         /// Destination slot.
         dst: u16,
     },
-    /// Single-word ternary; `width` is the result width (≤ 64).
-    Mux64 {
-        /// Condition (its own width may be anything ≤ 64).
-        cond: Src,
-        /// Value when true.
-        then_: Src,
-        /// Value when false.
-        else_: Src,
-        /// Destination slot.
-        dst: u16,
-        /// Result width in bits.
-        width: u32,
-    },
-    /// General concatenation; parts are LSB-first.
+    /// Concatenation; parts are LSB-first.
     Concat {
         /// Parts, LSB-first.
         parts: Box<[Src]>,
         /// Destination slot.
         dst: u16,
     },
-    /// Single-word concatenation; each part carries its precomputed LSB
-    /// offset.
-    Concat64 {
-        /// `(part, low-bit offset)`, any order (offsets are disjoint).
-        parts: Box<[(Src, u32)]>,
-        /// Destination slot.
-        dst: u16,
-        /// Total width in bits (≤ 64).
-        width: u32,
-    },
-    /// General replication.
+    /// Replication.
     Replicate {
         /// Replicated value.
         src: Src,
@@ -185,19 +134,6 @@ pub enum TapeInstr {
         n: u32,
         /// Destination slot.
         dst: u16,
-    },
-    /// Single-word replication.
-    Repl64 {
-        /// Replicated value.
-        src: Src,
-        /// Copy count (> 0).
-        n: u32,
-        /// Width of one copy.
-        stride: u32,
-        /// Destination slot.
-        dst: u16,
-        /// Total width in bits (≤ 64).
-        width: u32,
     },
     /// Constant part select of a signal.
     Slice {
@@ -238,15 +174,10 @@ impl TapeInstr {
     pub fn dst(&self) -> u16 {
         match self {
             TapeInstr::Unary { dst, .. }
-            | TapeInstr::Un64 { dst, .. }
             | TapeInstr::Binary { dst, .. }
-            | TapeInstr::Bin64 { dst, .. }
             | TapeInstr::Mux { dst, .. }
-            | TapeInstr::Mux64 { dst, .. }
             | TapeInstr::Concat { dst, .. }
-            | TapeInstr::Concat64 { dst, .. }
             | TapeInstr::Replicate { dst, .. }
-            | TapeInstr::Repl64 { dst, .. }
             | TapeInstr::Slice { dst, .. }
             | TapeInstr::Index { dst, .. }
             | TapeInstr::IndexedPart { dst, .. } => *dst,
@@ -261,14 +192,11 @@ impl TapeInstr {
             }
         };
         match self {
-            TapeInstr::Unary { src, dst, .. }
-            | TapeInstr::Un64 { src, dst, .. }
-            | TapeInstr::Replicate { src, dst, .. }
-            | TapeInstr::Repl64 { src, dst, .. } => {
+            TapeInstr::Unary { src, dst, .. } | TapeInstr::Replicate { src, dst, .. } => {
                 fix(src);
                 *dst = f(*dst);
             }
-            TapeInstr::Binary { lhs, rhs, dst, .. } | TapeInstr::Bin64 { lhs, rhs, dst, .. } => {
+            TapeInstr::Binary { lhs, rhs, dst, .. } => {
                 fix(lhs);
                 fix(rhs);
                 *dst = f(*dst);
@@ -278,13 +206,6 @@ impl TapeInstr {
                 then_,
                 else_,
                 dst,
-            }
-            | TapeInstr::Mux64 {
-                cond,
-                then_,
-                else_,
-                dst,
-                ..
             } => {
                 fix(cond);
                 fix(then_);
@@ -293,12 +214,6 @@ impl TapeInstr {
             }
             TapeInstr::Concat { parts, dst } => {
                 for p in parts.iter_mut() {
-                    fix(p);
-                }
-                *dst = f(*dst);
-            }
-            TapeInstr::Concat64 { parts, dst, .. } => {
-                for (p, _) in parts.iter_mut() {
                     fix(p);
                 }
                 *dst = f(*dst);
@@ -394,258 +309,6 @@ fn words_of(width: u32) -> usize {
     (width as usize).div_ceil(64)
 }
 
-/// Mask of the low `width` bits (`width <= 64`).
-#[inline]
-fn mask64(width: u32) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
-}
-
-/// Truth value of a ≤ 64-bit value given its plane words: `1` if any
-/// defined `1` bit, `X` if any unknown bit, `0` otherwise (the single-word
-/// form of [`LogicVec::truth`]).
-#[inline]
-fn truth64(a: u64, b: u64) -> LogicBit {
-    if a & !b != 0 {
-        LogicBit::One
-    } else if b != 0 {
-        LogicBit::X
-    } else {
-        LogicBit::Zero
-    }
-}
-
-/// Plane words of a 1-bit value holding `bit`.
-#[inline]
-fn bit_planes(bit: LogicBit) -> (u64, u64) {
-    let (a, b) = bit.planes();
-    (a as u64, b as u64)
-}
-
-/// Single-word binary operator on plane words; `w` is the result width.
-/// Bit-identical to [`crate::eval::eval_binary_assign`] for operands that
-/// fit in one word.
-fn bin64(op: BinaryOp, la: u64, lb: u64, ra: u64, rb: u64, w: u32) -> (u64, u64) {
-    let m = mask64(w);
-    match op {
-        BinaryOp::And => {
-            let def0 = (!la & !lb) | (!ra & !rb);
-            let x = (lb | rb) & !def0;
-            let one = (la & !lb) & (ra & !rb);
-            ((one | x) & m, x & m)
-        }
-        BinaryOp::Or => {
-            let one = (la & !lb) | (ra & !rb);
-            let x = (lb | rb) & !one;
-            ((one | x) & m, x & m)
-        }
-        BinaryOp::Xor => {
-            let x = lb | rb;
-            ((((la ^ ra) & !x) | x) & m, x & m)
-        }
-        BinaryOp::Xnor => {
-            let x = lb | rb;
-            (((!(la ^ ra) & !x) | x) & m, x & m)
-        }
-        BinaryOp::Add => {
-            if lb | rb != 0 {
-                (m, m)
-            } else {
-                (la.wrapping_add(ra) & m, 0)
-            }
-        }
-        BinaryOp::Sub => {
-            if lb | rb != 0 {
-                (m, m)
-            } else {
-                (la.wrapping_sub(ra) & m, 0)
-            }
-        }
-        BinaryOp::Mul => {
-            if lb | rb != 0 {
-                (m, m)
-            } else {
-                (la.wrapping_mul(ra) & m, 0)
-            }
-        }
-        BinaryOp::Div => {
-            if lb | rb != 0 || ra == 0 {
-                (m, m)
-            } else {
-                ((la / ra) & m, 0)
-            }
-        }
-        BinaryOp::Rem => {
-            if lb | rb != 0 || ra == 0 {
-                (m, m)
-            } else {
-                ((la % ra) & m, 0)
-            }
-        }
-        // Shifts: `w` is the left operand's width. An unknown amount is
-        // all-X; a defined amount saturates (zero fill), matching
-        // `shl_vec_assign` / `lshr_vec_assign`.
-        BinaryOp::Shl => {
-            if rb != 0 {
-                (m, m)
-            } else if ra >= w as u64 {
-                (0, 0)
-            } else {
-                ((la << ra) & m, (lb << ra) & m)
-            }
-        }
-        BinaryOp::Shr => {
-            if rb != 0 {
-                (m, m)
-            } else if ra >= w as u64 {
-                (0, 0)
-            } else {
-                ((la >> ra) & m, (lb >> ra) & m)
-            }
-        }
-        BinaryOp::AShr => ashr64(la, lb, ra, rb, w),
-        BinaryOp::Eq => {
-            if lb | rb != 0 {
-                (1, 1)
-            } else {
-                ((la == ra) as u64, 0)
-            }
-        }
-        BinaryOp::Ne => {
-            if lb | rb != 0 {
-                (1, 1)
-            } else {
-                ((la != ra) as u64, 0)
-            }
-        }
-        BinaryOp::CaseEq => ((la == ra && lb == rb) as u64, 0),
-        BinaryOp::CaseNe => ((la != ra || lb != rb) as u64, 0),
-        BinaryOp::Lt => {
-            if lb | rb != 0 {
-                (1, 1)
-            } else {
-                ((la < ra) as u64, 0)
-            }
-        }
-        BinaryOp::Le => {
-            if lb | rb != 0 {
-                (1, 1)
-            } else {
-                ((la <= ra) as u64, 0)
-            }
-        }
-        BinaryOp::Gt => {
-            if lb | rb != 0 {
-                (1, 1)
-            } else {
-                ((la > ra) as u64, 0)
-            }
-        }
-        BinaryOp::Ge => {
-            if lb | rb != 0 {
-                (1, 1)
-            } else {
-                ((la >= ra) as u64, 0)
-            }
-        }
-        BinaryOp::LogicalAnd => bit_planes(truth64(la, lb).and(truth64(ra, rb))),
-        BinaryOp::LogicalOr => bit_planes(truth64(la, lb).or(truth64(ra, rb))),
-    }
-}
-
-/// Single-word arithmetic right shift: MSB fill (X fill for an unknown
-/// MSB), all-X on an unknown amount, saturation on huge amounts —
-/// bit-identical to [`LogicVec::ashr_vec_assign`].
-fn ashr64(la: u64, lb: u64, ra: u64, rb: u64, w: u32) -> (u64, u64) {
-    let m = mask64(w);
-    if rb != 0 {
-        return (m, m);
-    }
-    let msb_a = (la >> (w - 1)) & 1;
-    let msb_b = (lb >> (w - 1)) & 1;
-    let (fa, fb) = if msb_b == 1 { (1, 1) } else { (msb_a, 0) };
-    let sh = ra.min(w as u64) as u32;
-    if sh == 0 {
-        return (la, lb);
-    }
-    // sh >= 1, so w - sh <= 63 and the shifts below are in range.
-    let (keep_a, keep_b) = if sh >= w {
-        (0, 0)
-    } else {
-        (la >> sh, lb >> sh)
-    };
-    let fill = m & !mask64(w - sh);
-    (
-        (keep_a | if fa == 1 { fill } else { 0 }) & m,
-        (keep_b | if fb == 1 { fill } else { 0 }) & m,
-    )
-}
-
-/// Single-word unary operator; `w` is the operand width. Returns the
-/// result planes and the result width.
-fn un64(op: UnaryOp, a: u64, b: u64, w: u32) -> (u64, u64, u32) {
-    let m = mask64(w);
-    match op {
-        UnaryOp::Not => (((!a & !b) | b) & m, b & m, w),
-        UnaryOp::Neg => {
-            if b != 0 {
-                (m, m, w)
-            } else {
-                (a.wrapping_neg() & m, 0, w)
-            }
-        }
-        UnaryOp::LogicalNot => {
-            let (pa, pb) = bit_planes(truth64(a, b).not());
-            (pa, pb, 1)
-        }
-        UnaryOp::RedAnd => {
-            if (!a & !b) & m != 0 {
-                (0, 0, 1)
-            } else if b != 0 {
-                (1, 1, 1)
-            } else {
-                (1, 0, 1)
-            }
-        }
-        UnaryOp::RedOr => {
-            if a & !b != 0 {
-                (1, 0, 1)
-            } else if b != 0 {
-                (1, 1, 1)
-            } else {
-                (0, 0, 1)
-            }
-        }
-        UnaryOp::RedXor => {
-            if b != 0 {
-                (1, 1, 1)
-            } else {
-                ((a.count_ones() as u64) & 1, 0, 1)
-            }
-        }
-    }
-}
-
-/// Single-word ternary select/merge; `w` is the result width.
-/// Bit-identical to the tree walker's `Ternary` case.
-fn mux64(ca: u64, cb: u64, ta: u64, tb: u64, ea: u64, eb: u64, w: u32) -> (u64, u64) {
-    let m = mask64(w);
-    match truth64(ca, cb) {
-        LogicBit::One => (ta & m, tb & m),
-        LogicBit::Zero => (ea & m, eb & m),
-        _ => {
-            // Per-bit merge: agreeing defined bits survive, all else is X
-            // (the single-word form of `merge_x_assign`).
-            let agree = !(ta ^ ea) & !(tb ^ eb);
-            let keep = agree & !tb;
-            (((ta & keep) | !keep) & m, !keep & m)
-        }
-    }
-}
-
 // ---- lowering ----
 
 /// Expression lowering state: emitted instructions, the constant pool, and
@@ -717,52 +380,23 @@ impl<'w> Lowerer<'w> {
             Expr::Signal(s) => (Src::Sig(*s), (self.sig_width)(*s)),
             Expr::Unary(op, sub) => {
                 let (src, w) = self.lower(sub);
-                let ow = match op {
-                    UnaryOp::Not | UnaryOp::Neg => w,
-                    _ => 1,
-                };
+                let ow = unary_width(*op, w);
                 let dst = self.alloc(ow);
-                if w <= 64 {
-                    self.instrs.push(TapeInstr::Un64 {
-                        op: *op,
-                        src,
-                        dst,
-                        width: w,
-                    });
-                } else {
-                    self.instrs.push(TapeInstr::Unary { op: *op, src, dst });
-                }
+                self.instrs.push(TapeInstr::Unary { op: *op, src, dst });
                 self.release(src, w);
                 (Src::Slot(dst), ow)
             }
             Expr::Binary(op, l, r) => {
                 let (lhs, lw) = self.lower(l);
                 let (rhs, rw) = self.lower(r);
-                let ow = if op.is_single_bit() {
-                    1
-                } else {
-                    match op {
-                        BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr => lw,
-                        _ => lw.max(rw),
-                    }
-                };
+                let ow = binary_width(*op, lw, rw);
                 let dst = self.alloc(ow);
-                if lw <= 64 && rw <= 64 {
-                    self.instrs.push(TapeInstr::Bin64 {
-                        op: *op,
-                        lhs,
-                        rhs,
-                        dst,
-                        width: ow,
-                    });
-                } else {
-                    self.instrs.push(TapeInstr::Binary {
-                        op: *op,
-                        lhs,
-                        rhs,
-                        dst,
-                    });
-                }
+                self.instrs.push(TapeInstr::Binary {
+                    op: *op,
+                    lhs,
+                    rhs,
+                    dst,
+                });
                 self.release(lhs, lw);
                 self.release(rhs, rw);
                 (Src::Slot(dst), ow)
@@ -777,22 +411,12 @@ impl<'w> Lowerer<'w> {
                 let (el, ew) = self.lower(else_e);
                 let ow = tw.max(ew);
                 let dst = self.alloc(ow);
-                if cw <= 64 && tw <= 64 && ew <= 64 {
-                    self.instrs.push(TapeInstr::Mux64 {
-                        cond: c,
-                        then_: t,
-                        else_: el,
-                        dst,
-                        width: ow,
-                    });
-                } else {
-                    self.instrs.push(TapeInstr::Mux {
-                        cond: c,
-                        then_: t,
-                        else_: el,
-                        dst,
-                    });
-                }
+                self.instrs.push(TapeInstr::Mux {
+                    cond: c,
+                    then_: t,
+                    else_: el,
+                    dst,
+                });
                 self.release(c, cw);
                 self.release(t, tw);
                 self.release(el, ew);
@@ -804,25 +428,11 @@ impl<'w> Lowerer<'w> {
                 let lowered: Vec<(Src, u32)> = parts.iter().map(|p| self.lower(p)).collect();
                 let total: u32 = lowered.iter().map(|(_, w)| w).sum();
                 let dst = self.alloc(total);
-                if total <= 64 {
-                    let mut lo = 0;
-                    let mut placed: Vec<(Src, u32)> = Vec::with_capacity(lowered.len());
-                    for &(src, w) in lowered.iter().rev() {
-                        placed.push((src, lo));
-                        lo += w;
-                    }
-                    self.instrs.push(TapeInstr::Concat64 {
-                        parts: placed.into_boxed_slice(),
-                        dst,
-                        width: total,
-                    });
-                } else {
-                    let lsb_first: Vec<Src> = lowered.iter().rev().map(|&(src, _)| src).collect();
-                    self.instrs.push(TapeInstr::Concat {
-                        parts: lsb_first.into_boxed_slice(),
-                        dst,
-                    });
-                }
+                let lsb_first: Vec<Src> = lowered.iter().rev().map(|&(src, _)| src).collect();
+                self.instrs.push(TapeInstr::Concat {
+                    parts: lsb_first.into_boxed_slice(),
+                    dst,
+                });
                 for (src, w) in lowered {
                     self.release(src, w);
                 }
@@ -833,17 +443,7 @@ impl<'w> Lowerer<'w> {
                 let (src, w) = self.lower(sub);
                 let total = w * n;
                 let dst = self.alloc(total);
-                if total <= 64 {
-                    self.instrs.push(TapeInstr::Repl64 {
-                        src,
-                        n: *n,
-                        stride: w,
-                        dst,
-                        width: total,
-                    });
-                } else {
-                    self.instrs.push(TapeInstr::Replicate { src, n: *n, dst });
-                }
+                self.instrs.push(TapeInstr::Replicate { src, n: *n, dst });
                 self.release(src, w);
                 (Src::Slot(dst), total)
             }
@@ -954,18 +554,10 @@ pub fn run_tape<S: ValueSource + ?Sized>(
         None => out.assign_from(res(tape.root, &scratch.slots, consts, src)),
         Some((last, init)) => {
             for ins in init {
-                // Single-word instructions read their operand planes by
-                // value, so the destination slot is written directly — no
-                // take/put round trip through the arena.
-                match word_fast(ins, &scratch.slots, consts, src) {
-                    Some((w, a, b)) => scratch.slots[ins.dst() as usize].assign_word(w, a, b),
-                    None => {
-                        let dst = ins.dst() as usize;
-                        let mut d = std::mem::take(&mut scratch.slots[dst]);
-                        exec_instr(ins, &scratch.slots, consts, src, &mut d);
-                        scratch.slots[dst] = d;
-                    }
-                }
+                let dst = ins.dst() as usize;
+                let mut d = std::mem::take(&mut scratch.slots[dst]);
+                exec_instr(ins, &scratch.slots, consts, src, &mut d);
+                scratch.slots[dst] = d;
             }
             // Post-order lowering guarantees `last` computes the root.
             exec_instr(last, &scratch.slots, consts, src, out);
@@ -975,87 +567,6 @@ pub fn run_tape<S: ValueSource + ?Sized>(
         if out.width() != w {
             out.resize_assign(w);
         }
-    }
-}
-
-/// The single-word fast-path result of `ins` as `(width, aval, bval)`,
-/// or `None` for general (multi-word) instructions. The one shared
-/// implementation behind both the interior-instruction loop (which stores
-/// into a slot) and the final-instruction path (which stores into the
-/// caller's buffer), so the two can never drift apart.
-#[inline]
-fn word_fast<S: ValueSource + ?Sized>(
-    ins: &TapeInstr,
-    slots: &[LogicVec],
-    consts: &[LogicVec],
-    src: &S,
-) -> Option<(u32, u64, u64)> {
-    match ins {
-        TapeInstr::Bin64 {
-            op,
-            lhs,
-            rhs,
-            width,
-            ..
-        } => {
-            let (la, lb) = res(*lhs, slots, consts, src).word_planes();
-            let (ra, rb) = res(*rhs, slots, consts, src).word_planes();
-            let (a, b) = bin64(*op, la, lb, ra, rb, *width);
-            Some((*width, a, b))
-        }
-        TapeInstr::Un64 {
-            op, src: s, width, ..
-        } => {
-            let (a, b) = res(*s, slots, consts, src).word_planes();
-            let (ra, rb, rw) = un64(*op, a, b, *width);
-            Some((rw, ra, rb))
-        }
-        TapeInstr::Mux64 {
-            cond,
-            then_,
-            else_,
-            width,
-            ..
-        } => {
-            let (ca, cb) = res(*cond, slots, consts, src).word_planes();
-            let (ta, tb) = res(*then_, slots, consts, src).word_planes();
-            let (ea, eb) = res(*else_, slots, consts, src).word_planes();
-            let (a, b) = mux64(ca, cb, ta, tb, ea, eb, *width);
-            Some((*width, a, b))
-        }
-        TapeInstr::Concat64 { parts, width, .. } => {
-            let (mut a, mut b) = (0u64, 0u64);
-            for &(p, lo) in parts.iter() {
-                let (pa, pb) = res(p, slots, consts, src).word_planes();
-                a |= pa << lo;
-                b |= pb << lo;
-            }
-            Some((*width, a, b))
-        }
-        TapeInstr::Repl64 {
-            src: s,
-            n,
-            stride,
-            width,
-            ..
-        } => {
-            let (pa, pb) = res(*s, slots, consts, src).word_planes();
-            let (mut a, mut b) = (0u64, 0u64);
-            for k in 0..*n {
-                a |= pa << (k * stride);
-                b |= pb << (k * stride);
-            }
-            Some((*width, a, b))
-        }
-        TapeInstr::Index { sig, idx, .. } => {
-            let bit = match res(*idx, slots, consts, src).to_u64() {
-                Some(i) if i <= u32::MAX as u64 => src.value(*sig).bit_or_x(i as u32),
-                _ => LogicBit::X,
-            };
-            let (a, b) = bit_planes(bit);
-            Some((1, a, b))
-        }
-        _ => None,
     }
 }
 
@@ -1070,153 +581,20 @@ fn exec_instr<S: ValueSource + ?Sized>(
     src: &S,
     d: &mut LogicVec,
 ) {
-    if let Some((w, a, b)) = word_fast(ins, slots, consts, src) {
-        d.assign_word(w, a, b);
-        return;
-    }
+    let arg = |op: Src| res(op, slots, consts, src);
     match ins {
-        TapeInstr::Unary { op, src: s, .. } => {
-            let v = res(*s, slots, consts, src);
-            match op {
-                UnaryOp::Not => {
-                    d.assign_from(v);
-                    d.not_assign();
-                }
-                UnaryOp::Neg => {
-                    d.assign_from(v);
-                    d.neg_assign();
-                }
-                UnaryOp::LogicalNot => d.assign_bit(v.truth().not()),
-                UnaryOp::RedAnd => d.assign_bit(v.red_and()),
-                UnaryOp::RedOr => d.assign_bit(v.red_or()),
-                UnaryOp::RedXor => d.assign_bit(v.red_xor()),
-            }
-        }
-        TapeInstr::Binary { op, lhs, rhs, .. } => {
-            let l = res(*lhs, slots, consts, src);
-            let r = res(*rhs, slots, consts, src);
-            exec_binary(*op, l, r, d);
-        }
+        TapeInstr::Unary { op, src: s, .. } => ops::unary(*op, arg(*s), d),
+        TapeInstr::Binary { op, lhs, rhs, .. } => ops::binary(*op, arg(*lhs), arg(*rhs), d),
         TapeInstr::Mux {
             cond, then_, else_, ..
-        } => {
-            let c = res(*cond, slots, consts, src);
-            let t = res(*then_, slots, consts, src);
-            let e = res(*else_, slots, consts, src);
-            match c.truth() {
-                LogicBit::One => {
-                    let w = t.width().max(e.width());
-                    d.assign_from(t);
-                    d.resize_assign(w);
-                }
-                LogicBit::Zero => {
-                    let w = t.width().max(e.width());
-                    d.assign_from(e);
-                    d.resize_assign(w);
-                }
-                _ => {
-                    d.assign_from(t);
-                    d.merge_x_assign(e);
-                }
-            }
-        }
-        TapeInstr::Concat { parts, .. } => {
-            let total: u32 = parts
-                .iter()
-                .map(|&p| res(p, slots, consts, src).width())
-                .sum();
-            d.make_zeros(total);
-            let mut lo = 0;
-            for &p in parts.iter() {
-                let v = res(p, slots, consts, src);
-                d.assign_slice(lo, v);
-                lo += v.width();
-            }
-        }
-        TapeInstr::Replicate { src: s, n, .. } => {
-            let v = res(*s, slots, consts, src);
-            d.make_zeros(v.width() * n);
-            for k in 0..*n {
-                d.assign_slice(k * v.width(), v);
-            }
-        }
+        } => ops::mux(arg(*cond).truth(), arg(*then_), arg(*else_), d),
+        TapeInstr::Concat { parts, .. } => ops::concat(parts.iter().map(|&p| arg(p)), d),
+        TapeInstr::Replicate { src: s, n, .. } => ops::replicate(*n, arg(*s), d),
         TapeInstr::Slice { sig, hi, lo, .. } => src.value(*sig).slice_into(*hi, *lo, d),
+        TapeInstr::Index { sig, idx, .. } => ops::index(src.value(*sig), arg(*idx), d),
         TapeInstr::IndexedPart {
             sig, start, width, ..
-        } => {
-            let sv = res(*start, slots, consts, src);
-            match sv.to_u64() {
-                Some(st) if st + *width as u64 <= u32::MAX as u64 => {
-                    src.value(*sig)
-                        .slice_into(st as u32 + width - 1, st as u32, d)
-                }
-                _ => d.make_x(*width),
-            }
-        }
-        // Handled by the word_fast path above.
-        TapeInstr::Bin64 { .. }
-        | TapeInstr::Un64 { .. }
-        | TapeInstr::Mux64 { .. }
-        | TapeInstr::Concat64 { .. }
-        | TapeInstr::Repl64 { .. }
-        | TapeInstr::Index { .. } => unreachable!("single-word instruction fell through word_fast"),
-    }
-}
-
-/// General binary execution in three-address form, mirroring
-/// [`eval_binary_assign`](crate::eval::eval_binary_assign) without needing
-/// a scratch temporary (the destination never aliases an operand).
-fn exec_binary(op: BinaryOp, l: &LogicVec, r: &LogicVec, d: &mut LogicVec) {
-    match op {
-        BinaryOp::And => {
-            d.assign_from(l);
-            d.and_assign(r);
-        }
-        BinaryOp::Or => {
-            d.assign_from(l);
-            d.or_assign(r);
-        }
-        BinaryOp::Xor => {
-            d.assign_from(l);
-            d.xor_assign(r);
-        }
-        BinaryOp::Xnor => {
-            d.assign_from(l);
-            d.xnor_assign(r);
-        }
-        BinaryOp::Add => {
-            d.assign_from(l);
-            d.add_assign(r);
-        }
-        BinaryOp::Sub => {
-            d.assign_from(l);
-            d.sub_assign(r);
-        }
-        BinaryOp::Mul => l.mul_into(r, d),
-        BinaryOp::Div => l.div_into(r, d),
-        BinaryOp::Rem => l.rem_into(r, d),
-        BinaryOp::Shl => {
-            d.assign_from(l);
-            d.shl_vec_assign(r);
-        }
-        BinaryOp::Shr => {
-            d.assign_from(l);
-            d.lshr_vec_assign(r);
-        }
-        BinaryOp::AShr => {
-            d.assign_from(l);
-            d.ashr_vec_assign(r);
-        }
-        BinaryOp::Eq => d.assign_bit(l.logic_eq(r)),
-        BinaryOp::Ne => d.assign_bit(l.logic_ne(r)),
-        BinaryOp::CaseEq => d.assign_bit(LogicBit::from(l.case_eq(r))),
-        BinaryOp::CaseNe => d.assign_bit(LogicBit::from(!l.case_eq(r))),
-        BinaryOp::Lt => d.assign_bit(l.lt(r)),
-        BinaryOp::Le => d.assign_bit(l.le(r)),
-        BinaryOp::Gt => d.assign_bit(l.gt(r)),
-        BinaryOp::Ge => d.assign_bit(l.ge(r)),
-        BinaryOp::LogicalAnd => d.assign_bit(l.truth().and(r.truth())),
-        BinaryOp::LogicalOr => d.assign_bit(l.truth().or(r.truth())),
+        } => ops::indexed_part(src.value(*sig), arg(*start), *width, d),
     }
 }
 
@@ -1235,22 +613,8 @@ pub struct SegmentTapes {
 }
 
 /// The compiled `Evaluate` function of one path decision — the tape twin
-/// of [`DecisionEval`], producing identical outcomes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DecisionTape {
-    /// `if`/`for`: outcome 1 when the condition's truth value is `1`.
-    Truth(EvalTape),
-    /// `case`/`casez`: outcome is the first matching arm's index, or
-    /// `arm_labels.len()` when none matches.
-    Case {
-        /// Scrutinee tape.
-        scrutinee: EvalTape,
-        /// Label tapes of each arm, in order.
-        arm_labels: Vec<Vec<EvalTape>>,
-        /// Matching semantics.
-        kind: CaseKind,
-    },
-}
+/// of [`DecisionEval`], producing identical outcomes by the same rule.
+pub type DecisionTape = Decision<EvalTape>;
 
 impl DecisionTape {
     /// Computes the branch outcome under `src` — bit-identical to
@@ -1261,41 +625,11 @@ impl DecisionTape {
         src: &S,
         scratch: &mut TapeScratch,
     ) -> u32 {
-        match self {
-            DecisionTape::Truth(cond) => {
-                let mut v = scratch.take();
-                run_tape(cond, src, scratch, &mut v);
-                let outcome = (v.truth() == LogicBit::One) as u32;
-                scratch.put(v);
-                outcome
-            }
-            DecisionTape::Case {
-                scrutinee,
-                arm_labels,
-                kind,
-            } => {
-                let mut scrut = scratch.take();
-                run_tape(scrutinee, src, scratch, &mut scrut);
-                let mut lv = scratch.take();
-                let mut outcome = arm_labels.len() as u32;
-                'arms: for (i, labels) in arm_labels.iter().enumerate() {
-                    for label in labels {
-                        run_tape(label, src, scratch, &mut lv);
-                        let hit = match kind {
-                            CaseKind::Exact => scrut.case_eq(&lv),
-                            CaseKind::Z => scrut.casez_match(&lv),
-                        };
-                        if hit {
-                            outcome = i as u32;
-                            break 'arms;
-                        }
-                    }
-                }
-                scratch.put(lv);
-                scratch.put(scrut);
-                outcome
-            }
-        }
+        let (mut v, mut label) = (scratch.take(), scratch.take());
+        let outcome = self.outcome_by(&mut v, &mut label, |t, out| run_tape(t, src, scratch, out));
+        scratch.put(label);
+        scratch.put(v);
+        outcome
     }
 }
 

@@ -27,7 +27,7 @@ use crate::expr::{Expr, WHOLE};
 use crate::ids::{DecisionId, SegmentId, SignalId};
 use crate::stmt::{CaseKind, Stmt};
 use crate::ValueSource;
-use eraser_logic::LogicBit;
+use eraser_logic::{LogicBit, LogicVec};
 
 /// What kind of branch a decision node guards (for reporting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,24 +44,69 @@ pub enum DecisionKind {
 /// The `Evaluate` function of a path decision node (paper, Fig. 5): given a
 /// value source, computes which sub-path the behavioral code takes.
 ///
-/// The interpreter evaluates decisions through this payload, and the
-/// implicit-redundancy check re-evaluates them under each fault's values —
-/// one implementation, so the two can never disagree.
+/// Generic over the compiled form of its expressions: [`DecisionEval`]
+/// holds expression trees, [`DecisionTape`](crate::tape::DecisionTape)
+/// their tapes. Both compute the outcome by one statement of the
+/// branch-outcome rule, generic over how an expression is evaluated.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DecisionEval {
+pub enum Decision<E> {
     /// `if`/`for`: the truth value of the condition. Outcome 1 = true,
     /// 0 = false or unknown (IEEE 1364: an unknown condition takes `else`).
-    Truth(Expr),
+    Truth(E),
     /// `case`/`casez`: the index of the first matching arm, or
     /// `arm_labels.len()` when none matches (the default path).
     Case {
         /// Scrutinee expression.
-        scrutinee: Expr,
+        scrutinee: E,
         /// Labels of each arm, in order.
-        arm_labels: Vec<Vec<Expr>>,
+        arm_labels: Vec<Vec<E>>,
         /// Matching semantics.
         kind: CaseKind,
     },
+}
+
+/// A decision over expression trees. The interpreter evaluates decisions
+/// through this payload, and the implicit-redundancy check re-evaluates
+/// them under each fault's values — one implementation, so the two can
+/// never disagree.
+pub type DecisionEval = Decision<Expr>;
+
+impl<E> Decision<E> {
+    /// The branch outcome, evaluating each expression with `eval` into `v`
+    /// (the condition or scrutinee) or `label` (a case label).
+    pub(crate) fn outcome_by(
+        &self,
+        v: &mut LogicVec,
+        label: &mut LogicVec,
+        mut eval: impl FnMut(&E, &mut LogicVec),
+    ) -> u32 {
+        match self {
+            Decision::Truth(cond) => {
+                eval(cond, v);
+                (v.truth() == LogicBit::One) as u32
+            }
+            Decision::Case {
+                scrutinee,
+                arm_labels,
+                kind,
+            } => {
+                eval(scrutinee, v);
+                for (i, labels) in arm_labels.iter().enumerate() {
+                    for l in labels {
+                        eval(l, label);
+                        let hit = match kind {
+                            CaseKind::Exact => v.case_eq(label),
+                            CaseKind::Z => v.casez_match(label),
+                        };
+                        if hit {
+                            return i as u32;
+                        }
+                    }
+                }
+                arm_labels.len() as u32
+            }
+        }
+    }
 }
 
 impl DecisionEval {
@@ -72,41 +117,13 @@ impl DecisionEval {
         src: &S,
         scratch: &mut EvalScratch,
     ) -> u32 {
-        match self {
-            DecisionEval::Truth(cond) => {
-                let mut v = scratch.take();
-                eval_expr_into(cond, src, scratch, &mut v);
-                let outcome = (v.truth() == LogicBit::One) as u32;
-                scratch.put(v);
-                outcome
-            }
-            DecisionEval::Case {
-                scrutinee,
-                arm_labels,
-                kind,
-            } => {
-                let mut scrut = scratch.take();
-                eval_expr_into(scrutinee, src, scratch, &mut scrut);
-                let mut lv = scratch.take();
-                let mut outcome = arm_labels.len() as u32;
-                'arms: for (i, labels) in arm_labels.iter().enumerate() {
-                    for label in labels {
-                        eval_expr_into(label, src, scratch, &mut lv);
-                        let hit = match kind {
-                            CaseKind::Exact => scrut.case_eq(&lv),
-                            CaseKind::Z => scrut.casez_match(&lv),
-                        };
-                        if hit {
-                            outcome = i as u32;
-                            break 'arms;
-                        }
-                    }
-                }
-                scratch.put(lv);
-                scratch.put(scrut);
-                outcome
-            }
-        }
+        let (mut v, mut label) = (scratch.take(), scratch.take());
+        let outcome = self.outcome_by(&mut v, &mut label, |e, out| {
+            eval_expr_into(e, src, scratch, out)
+        });
+        scratch.put(label);
+        scratch.put(v);
+        outcome
     }
 
     /// Computes the branch outcome under `src` with a throwaway scratch

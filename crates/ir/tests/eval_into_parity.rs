@@ -5,15 +5,16 @@
 //! evaluations would be caught.
 //!
 //! Signals span the width set {1, 7, 64, 65, 128} and all four logic
-//! states; trees exercise every operator, including concat, replication,
-//! dynamic indexing and ternaries with unknown conditions.
+//! states, half of them fully defined; trees exercise every operator,
+//! including concat, replication, dynamic indexing, indexed part selects
+//! and ternaries with unknown conditions.
 
 use eraser_ir::{
     eval_expr_cloning, eval_expr_into, BinaryOp, EvalScratch, Expr, SignalId, UnaryOp,
 };
 use eraser_logic::{LogicBit, LogicVec};
 
-const CASES: usize = 300;
+const CASES: usize = 20_000;
 const WIDTHS: [u32; 5] = [1, 7, 64, 65, 128];
 
 struct XorShift {
@@ -38,9 +39,13 @@ impl XorShift {
         self.next_u64() % bound
     }
 
+    /// A random value: fully defined half the time, so arithmetic, shifts,
+    /// compares and dynamic selects see defined operands; otherwise every
+    /// bit is drawn from {0, 1, Z, X}.
     fn vec(&mut self, width: u32) -> LogicVec {
+        let states = if self.below(2) == 0 { 2 } else { 4 };
         let bits: Vec<LogicBit> = (0..width)
-            .map(|_| match self.below(4) {
+            .map(|_| match self.below(states) {
                 0 => LogicBit::Zero,
                 1 => LogicBit::One,
                 2 => LogicBit::Z,
@@ -85,7 +90,8 @@ const UNOPS: [UnaryOp; 6] = [
     UnaryOp::RedXor,
 ];
 
-/// A random expression tree over `n_sigs` signals, `depth` levels deep.
+/// A random expression tree over `n_sigs` signals, `depth` levels deep
+/// (the same distribution as the tape parity suite).
 fn gen_expr(rng: &mut XorShift, n_sigs: u32, sig_width: &dyn Fn(u32) -> u32, depth: u32) -> Expr {
     let sig = rng.below(n_sigs as u64) as u32;
     if depth == 0 {
@@ -98,7 +104,7 @@ fn gen_expr(rng: &mut XorShift, n_sigs: u32, sig_width: &dyn Fn(u32) -> u32, dep
         };
     }
     let sub = |rng: &mut XorShift| gen_expr(rng, n_sigs, sig_width, depth - 1);
-    match rng.below(8) {
+    match rng.below(9) {
         0 => Expr::Unary(
             UNOPS[rng.below(UNOPS.len() as u64) as usize],
             Box::new(sub(rng)),
@@ -128,6 +134,11 @@ fn gen_expr(rng: &mut XorShift, n_sigs: u32, sig_width: &dyn Fn(u32) -> u32, dep
                 lo,
             }
         }
+        7 => Expr::IndexedPart {
+            base: SignalId(sig),
+            start: Box::new(sub(rng)),
+            width: 1 + rng.below(16) as u32,
+        },
         _ => Expr::Index {
             base: SignalId(sig),
             index: Box::new(sub(rng)),

@@ -4,17 +4,18 @@
 //! expression trees, with one [`TapeScratch`] and one output buffer reused
 //! across every case so slot-shape leakage between tapes would be caught.
 //!
-//! Signals span the width set {1, 7, 64, 65, 128}, which exercises both
-//! the single-word fast-path opcodes (`Bin64`, `Un64`, `Mux64`,
-//! `Concat64`, `Repl64`) and the general instructions, plus the fast/slow
-//! boundary where one operand is inline and the other is not.
+//! Signals span the width set {1, 7, 64, 65, 128}, so operands sit on
+//! both sides of the inline/boxed storage boundary of `LogicVec`, and
+//! mixed pairs cross it. Half the values are fully defined, so defined
+//! arithmetic, shifts, compares, `Index` and `IndexedPart` reach the
+//! property, not only their all-`X` results.
 
 use eraser_ir::{
     compile_expr, eval_expr_cloning, run_tape, BinaryOp, Expr, SignalId, TapeScratch, UnaryOp,
 };
 use eraser_logic::{LogicBit, LogicVec};
 
-const CASES: usize = 400;
+const CASES: usize = 20_000;
 const WIDTHS: [u32; 5] = [1, 7, 64, 65, 128];
 
 struct XorShift {
@@ -39,9 +40,13 @@ impl XorShift {
         self.next_u64() % bound
     }
 
+    /// A random value: fully defined half the time, so arithmetic, shifts,
+    /// compares and dynamic selects see defined operands; otherwise every
+    /// bit is drawn from {0, 1, Z, X}.
     fn vec(&mut self, width: u32) -> LogicVec {
+        let states = if self.below(2) == 0 { 2 } else { 4 };
         let bits: Vec<LogicBit> = (0..width)
-            .map(|_| match self.below(4) {
+            .map(|_| match self.below(states) {
                 0 => LogicBit::Zero,
                 1 => LogicBit::One,
                 2 => LogicBit::Z,
@@ -87,8 +92,7 @@ const UNOPS: [UnaryOp; 6] = [
 ];
 
 /// A random expression tree over `n_sigs` signals, `depth` levels deep
-/// (the same distribution as the tree-walker parity suite, plus indexed
-/// part selects).
+/// (the same distribution as the tree-walker parity suite).
 fn gen_expr(rng: &mut XorShift, n_sigs: u32, sig_width: &dyn Fn(u32) -> u32, depth: u32) -> Expr {
     let sig = rng.below(n_sigs as u64) as u32;
     if depth == 0 {

@@ -313,8 +313,8 @@ impl LogicVec {
     ///
     /// For vectors up to 64 bits wide this is the complete value (both
     /// planes are normalized, so bits at positions `>= width` are zero) —
-    /// the read half of the single-word fast paths used by compiled
-    /// evaluation tapes. Wider vectors return only their low word.
+    /// the read half of the batch lane gathers. Wider vectors return only
+    /// their low word.
     #[inline]
     pub fn word_planes(&self) -> (u64, u64) {
         match &self.buf {
@@ -325,7 +325,7 @@ impl LogicVec {
 
     /// Makes `self` a `width`-bit vector (`width <= 64`) with the given
     /// plane words, masking bits at positions `>= width`. Never allocates —
-    /// the write half of the single-word fast paths.
+    /// the write half of the batch lane scatters.
     ///
     /// # Panics
     ///

@@ -66,13 +66,7 @@ impl<'d> Evaluator<'d> {
     ) {
         match &self.tapes {
             Some(t) => run_tape(t.program().rtl(id.index()), src, &mut ctx.tape, out),
-            None => eval_rtl_node_into(
-                self.design,
-                self.design.rtl_node(id),
-                src,
-                &mut ctx.scratch,
-                out,
-            ),
+            None => eval_rtl_node_into(self.design, self.design.rtl_node(id), src, out),
         }
     }
 

@@ -1,86 +1,37 @@
 //! Evaluation of primitive RTL nodes.
 
-use eraser_ir::{eval_binary_assign, Design, EvalScratch, RtlNode, RtlOp, UnaryOp, ValueSource};
-use eraser_logic::{LogicBit, LogicVec};
+use eraser_ir::{ops, Design, RtlNode, RtlOp, ValueSource};
+use eraser_logic::LogicVec;
 
 /// Evaluates one RTL operator into `out`, reading operand `k` through
-/// `input(k)` (of `n_inputs` total) and drawing temporaries from `scratch`.
+/// `input(k)` (of `n_inputs` total).
 ///
 /// The closure-based operand access lets callers feed borrowed values from
 /// heterogeneous storage (a value store, a fault's diff overlay) without
 /// materializing a slice — combined with the in-place `LogicVec` ops this
 /// makes steady-state node evaluation allocation-free. Used by the good
 /// simulator and the ERASER concurrent engine (for both good and per-fault
-/// evaluation) — the single source of truth for RTL node semantics.
+/// evaluation); the operators themselves are [`eraser_ir::ops`], as in
+/// every other evaluator.
 pub fn eval_rtl_op_with<'a, F: Fn(usize) -> &'a LogicVec>(
     op: &RtlOp,
     input: &F,
     n_inputs: usize,
     out_width: u32,
-    scratch: &mut EvalScratch,
     out: &mut LogicVec,
 ) {
     match op {
         RtlOp::Buf => out.assign_from(input(0)),
         RtlOp::Const(c) => out.assign_from(c),
-        RtlOp::Unary(u) => {
-            let a = input(0);
-            match u {
-                UnaryOp::Not => {
-                    out.assign_from(a);
-                    out.not_assign();
-                }
-                UnaryOp::Neg => {
-                    out.assign_from(a);
-                    out.neg_assign();
-                }
-                UnaryOp::LogicalNot => out.assign_bit(a.truth().not()),
-                UnaryOp::RedAnd => out.assign_bit(a.red_and()),
-                UnaryOp::RedOr => out.assign_bit(a.red_or()),
-                UnaryOp::RedXor => out.assign_bit(a.red_xor()),
-            }
-        }
-        RtlOp::Binary(b) => {
-            out.assign_from(input(0));
-            eval_binary_assign(*b, out, input(1), scratch);
-        }
-        RtlOp::Mux => match input(0).truth() {
-            LogicBit::One => out.assign_from(input(1)),
-            LogicBit::Zero => out.assign_from(input(2)),
-            _ => {
-                out.assign_from(input(1));
-                out.merge_x_assign(input(2));
-            }
-        },
-        RtlOp::Concat => {
-            // Node inputs are MSB-first (source order).
-            let total: u32 = (0..n_inputs).map(|k| input(k).width()).sum();
-            out.make_zeros(total);
-            let mut lo = 0;
-            for k in (0..n_inputs).rev() {
-                let p = input(k);
-                out.assign_slice(lo, p);
-                lo += p.width();
-            }
-        }
-        RtlOp::Replicate(n) => {
-            let v = input(0);
-            out.make_zeros(v.width() * n);
-            for k in 0..*n {
-                out.assign_slice(k * v.width(), v);
-            }
-        }
+        RtlOp::Unary(u) => ops::unary(*u, input(0), out),
+        RtlOp::Binary(b) => ops::binary(*b, input(0), input(1), out),
+        RtlOp::Mux => ops::mux(input(0).truth(), input(1), input(2), out),
+        // Node inputs are MSB-first (source order).
+        RtlOp::Concat => ops::concat((0..n_inputs).rev().map(input), out),
+        RtlOp::Replicate(n) => ops::replicate(*n, input(0), out),
         RtlOp::Slice { hi, lo } => input(0).slice_into(*hi, *lo, out),
-        RtlOp::Index => match input(1).to_u64() {
-            Some(i) if i <= u32::MAX as u64 => out.assign_bit(input(0).bit_or_x(i as u32)),
-            _ => out.assign_bit(LogicBit::X),
-        },
-        RtlOp::IndexedPart { width } => match input(1).to_u64() {
-            Some(s) if s + *width as u64 <= u32::MAX as u64 => {
-                input(0).slice_into(s as u32 + width - 1, s as u32, out)
-            }
-            _ => out.make_x(*width),
-        },
+        RtlOp::Index => ops::index(input(0), input(1), out),
+        RtlOp::IndexedPart { width } => ops::indexed_part(input(0), input(1), *width, out),
     }
     if out.width() != out_width {
         out.resize_assign(out_width);
@@ -93,7 +44,6 @@ pub fn eval_rtl_node_into<S: ValueSource + ?Sized>(
     design: &Design,
     node: &RtlNode,
     src: &S,
-    scratch: &mut EvalScratch,
     out: &mut LogicVec,
 ) {
     eval_rtl_op_with(
@@ -101,7 +51,6 @@ pub fn eval_rtl_node_into<S: ValueSource + ?Sized>(
         &|k| src.value(node.inputs[k]),
         node.inputs.len(),
         design.signal(node.output).width,
-        scratch,
         out,
     );
 }
@@ -110,6 +59,7 @@ pub fn eval_rtl_node_into<S: ValueSource + ?Sized>(
 mod tests {
     use super::*;
     use eraser_ir::BinaryOp;
+    use eraser_logic::LogicBit;
 
     fn v(w: u32, x: u64) -> LogicVec {
         LogicVec::from_u64(w, x)
@@ -118,14 +68,7 @@ mod tests {
     /// One operator on already-fetched input values, into a fresh output.
     fn eval_op(op: &RtlOp, inputs: &[LogicVec], out_width: u32) -> LogicVec {
         let mut out = LogicVec::default();
-        eval_rtl_op_with(
-            op,
-            &|k| &inputs[k],
-            inputs.len(),
-            out_width,
-            &mut EvalScratch::new(),
-            &mut out,
-        );
+        eval_rtl_op_with(op, &|k| &inputs[k], inputs.len(), out_width, &mut out);
         out
     }
 
@@ -170,17 +113,9 @@ mod tests {
 
     #[test]
     fn into_reuses_output_buffer_across_shapes() {
-        let mut scratch = EvalScratch::new();
         let mut out = LogicVec::default();
         let (a, b) = (v(4, 0xa), v(4, 0x5));
-        eval_rtl_op_with(
-            &RtlOp::Concat,
-            &|k| [&a, &b][k],
-            2,
-            8,
-            &mut scratch,
-            &mut out,
-        );
+        eval_rtl_op_with(&RtlOp::Concat, &|k| [&a, &b][k], 2, 8, &mut out);
         assert_eq!(out.to_u64(), Some(0xa5));
         let (c, d) = (v(8, 9), v(8, 9));
         eval_rtl_op_with(
@@ -188,7 +123,6 @@ mod tests {
             &|k| [&c, &d][k],
             2,
             8,
-            &mut scratch,
             &mut out,
         );
         assert_eq!(out.to_u64(), Some(81));
