@@ -1,8 +1,13 @@
 //! Baseline RTL fault simulators for the ERASER evaluation.
 //!
-//! Implements the three comparison engines of the paper's Fig. 6, as
-//! documented substitutions (see `DESIGN.md`), all behind the
-//! [`FaultSimEngine`] trait from `eraser-core`:
+//! Implements the three comparison engines of the paper's Fig. 6, all
+//! behind the [`FaultSimEngine`] trait from `eraser-core`. The paper
+//! times external tools (Icarus Verilog with `force`, a Verilator-based
+//! fault simulator and Synopsys Z01X); none of them is a dependency here,
+//! so each is substituted by an engine on this workspace's own simulator
+//! that keeps the tool's cost character. Speedups against them are
+//! therefore ratios between algorithms on one kernel, not between
+//! products:
 //!
 //! * [`IFsim`] — per-fault serial *event-driven* re-simulation with the
 //!   fault imposed through a `force`, the Icarus-Verilog-with-`force`

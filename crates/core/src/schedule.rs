@@ -50,6 +50,29 @@
 //!    `skipped_faults`. It is worker-invariant: one plan drained by one
 //!    worker or many gives bit-identical coverage and counters.
 //!
+//! With checkpointing on, the two dimensions — fault groups across
+//! workers and start steps along the stimulus — are one allocation:
+//!
+//! ```text
+//!                     one instrumented good run
+//!       stimulus ──► trace + SiteProbe + SimSnapshot every N steps
+//!                                │
+//!              ActivationWindows │ (earliest possible divergence per fault)
+//!                                ▼
+//!         WindowPlan: faults in window order, one chunk per worker
+//!         ┌─────────────┬─────────────┬─────────────┬──────────┐
+//!         │ earliest    │ ...         │ latest      │ skipped  │
+//!         │ {f3,f9,...} │ {f1,f7,...} │ {f2,f5,...} │ {f4,...} │  never-active
+//!         └──────┬──────┴──────┬──────┴──────┬──────┘
+//!                ▼             ▼             ▼
+//!          EraserEngine   EraserEngine  EraserEngine     one engine per chunk,
+//!          resume(step 0) resume(16)    resume(32)       restored from the latest
+//!                │             │             │           snapshot eligible for
+//!                └──────── work queue ───────┘           all its faults; stops
+//!                   one worker per chunk,                when the last one is
+//!                   costliest first                      detected
+//! ```
+//!
 //! A concurrent engine stops as soon as its last fault is detected and
 //! dropped ([`EraserEngine::run`](crate::EraserEngine::run)), so a group's
 //! good-network pass is as long as its slowest fault needs, not as long as

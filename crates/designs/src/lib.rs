@@ -1,8 +1,12 @@
 //! The benchmark suite of the ERASER evaluation (paper Table II).
 //!
-//! Ten designs written in the frontend's Verilog subset, mirroring the
-//! *character* of the paper's benchmarks (see `DESIGN.md` for the
-//! substitution rationale):
+//! Ten designs written in the frontend's Verilog subset. The paper's
+//! benchmarks are third-party cores that this subset cannot compile and
+//! this workspace does not vendor, so each one is substituted by a
+//! smaller design with the same *character*: the mix of behavioral and
+//! RTL nodes, datapath width and control structure that decide where a
+//! fault simulator spends its time (the fixtures' intake is described in
+//! `crates/designs/DESIGN.md`):
 //!
 //! | Benchmark | Character |
 //! |---|---|

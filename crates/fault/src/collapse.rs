@@ -49,6 +49,16 @@
 //! is dropped whole: members are pairwise equivalent, so one provably
 //! undetectable member proves the class undetectable.
 //!
+//! The representative of a class is always its lowest fault id, so a
+//! collapsed campaign is as deterministic as the uncollapsed one.
+//!
+//! On the behavioral-heavy benchmark suite these rules remove only a few
+//! percent of the universe: elaboration leaves almost no `Buf`/`Not`
+//! chains, so the wins come from the bit census (FPU's unused status
+//! bits) and from buffer folds on datapath plumbing (Conv_acc).
+//! Gate-level netlists, with long buffer chains and fanout-free regions,
+//! collapse further. The pass is O(faults + nodes).
+//!
 //! # Using the result
 //!
 //! Simulate [`representatives`](CollapsedFaultList::representatives) with

@@ -11,11 +11,30 @@
 //! * module hierarchy is flattened with dotted instance prefixes
 //!   (`u_core.pc`).
 //!
-//! The supported language subset is documented in `DESIGN.md`; it covers
-//! ANSI-style module headers, `wire`/`reg`/`integer` declarations,
-//! parameters, continuous assigns, module instantiation with named port and
-//! parameter overrides, and `always` blocks with `if`/`case`/`casez`/`for`,
-//! blocking and non-blocking assignments.
+//! # Supported subset
+//!
+//! * **Modules:** ANSI-style headers (`input`/`output`, `wire`/`reg`,
+//!   `[msb:lsb]` ranges) with an optional `#(parameter ...)` list, and
+//!   instantiation with named port connections and `#(.P(v))` parameter
+//!   overrides. The hierarchy is flattened.
+//! * **Declarations:** `wire`/`reg` (one name may take an initializer,
+//!   `wire [3:0] w = e;`, which is a continuous assign), `integer`, and
+//!   `parameter`/`localparam` constant expressions.
+//! * **Processes:** `assign`, and `always @(...)` with `posedge`/`negedge`
+//!   or level sensitivity lists (`or` or `,` separated, or `@(*)`).
+//!   Bodies use `begin`/`end`, `if`/`else`, `case`/`casez` with
+//!   `default`, `for`, and blocking (`=`) or non-blocking (`<=`)
+//!   assignments to whole signals, bits (constant or dynamic index),
+//!   constant slices and `+:` part selects.
+//! * **Expressions:** sized and unsized literals with `x`/`z` digits,
+//!   the unary, reduction, arithmetic, shift, relational, equality
+//!   (`==`, `===`), bitwise and logical operators, `?:`, bit and part
+//!   selects, concatenation and replication.
+//!
+//! Not supported, and rejected with a line-numbered [`CompileError`]:
+//! `initial` blocks (drive reset from the stimulus), memories (unpacked
+//! arrays), `-:` part selects, functions and tasks, `generate`, and
+//! system tasks.
 //!
 //! # Example
 //!

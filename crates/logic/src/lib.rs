@@ -27,6 +27,21 @@
 //! Bits at positions `>= width` are always `(0, 0)` — every operation
 //! re-normalizes its result, so plane-equality is value-equality.
 //!
+//! # Storage and in-place operators
+//!
+//! A [`LogicVec`] keeps its two planes inline (one word pair) up to 64
+//! bits and in a boxed slice beyond. Every hot operator has an in-place
+//! form (`and_assign`, `add_assign`, `not_assign`, `shl_vec_assign`,
+//! `merge_x_assign`, `assign_from`, `copy_resized`, `mul_into`, ...) that
+//! writes its result into existing storage; the pure forms are thin
+//! wrappers over them. Comparisons, slices and part writes are
+//! word-parallel and never allocate. Together with borrowed signal reads
+//! and the scratch arena of `eraser-ir`'s evaluator, this is what makes
+//! steady-state simulation of a design whose signals fit in 64 bits
+//! perform no heap allocation at all; wider values reuse their boxed
+//! words whenever the word count matches. The operator *semantics* on
+//! top of these primitives are written once, in `eraser_ir::ops`.
+//!
 //! # X-propagation
 //!
 //! Bitwise operators use the standard per-bit truth tables (`0 & X = 0`,

@@ -1,8 +1,14 @@
 //! Yosys-JSON → [`Design`] importer.
 //!
-//! Maps the common word-level cells (`$and`, `$add`, `$mux`, `$dff`, ...)
-//! and the simple-gate library (`$_AND_`, `$_DFF_P_`, ...) onto the
-//! existing `DesignBuilder` RTL nodes. Multi-bit buses are reassembled
+//! Maps the word-level cells `$and $or $xor $xnor $not $buf $pos $neg
+//! $mux $eq $ne $lt $le $gt $ge $add $sub $mul $div $mod $shl $sshl $shr
+//! $sshr $reduce_and $reduce_or $reduce_xor $reduce_xnor $reduce_bool
+//! $logic_and $logic_or $logic_not $dff $dffe $adff $sdff` and the
+//! simple-gate library `$_AND_ $_OR_ $_XOR_ $_XNOR_ $_NAND_ $_NOR_ $_NOT_
+//! $_BUF_ $_MUX_ $_DFF_P_ $_DFF_N_` onto the existing `DesignBuilder` RTL
+//! nodes. Any other cell type is an error naming the cell, its type and
+//! its output net; a netlist that instantiates one of its own modules is
+//! rejected with a hint to `flatten` it first. Multi-bit buses are reassembled
 //! from Yosys's bit-indexed connection lists: maximal runs of consecutive
 //! bits become `Slice`/`Buf` nodes, mixed runs become `Concat`, constant
 //! chunks become `Const` drivers, and repeated sign bits become

@@ -38,7 +38,7 @@ use eraser::netlist::json;
 use eraser::service::{open_store, prepare_spec, CampaignService, HttpServer};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: eraser <file.v|file.json> [--top NAME] [--stimulus-steps N] [--clock NAME] [--reset NAME]
+const USAGE: &str = "usage: eraser <file.v|file.json> [--top NAME] [--cycles|--stimulus-steps N] [--clock NAME] [--reset NAME]
               [--mode full|explicit|none] [--max-faults N] [--seed N] [--list-undetected]
               [--threads N] [--eval tree|tape] [--checkpoint-interval N] [--batch] [--collapse]
        eraser --spec FILE.json [same flags; the spec's explicit fields win]
@@ -107,9 +107,7 @@ fn main() -> ExitCode {
             "--top" => flags.top = Some(need("--top", it.next())),
             "--clock" => flags.clock = Some(need("--clock", it.next())),
             "--reset" => flags.reset = Some(need("--reset", it.next())),
-            "--cycles" | "--stimulus-steps" => {
-                flags.steps = Some(need_num("--stimulus-steps", it.next()))
-            }
+            "--cycles" | "--stimulus-steps" => flags.steps = Some(need_num(&arg, it.next())),
             "--seed" => flags.seed = Some(need_num("--seed", it.next())),
             "--mode" => flags.mode = Some(parse_enum("--mode", it.next())),
             "--max-faults" => flags.max_faults = Some(need_num("--max-faults", it.next())),

@@ -31,12 +31,14 @@ fn stderr(out: &Output) -> String {
 }
 
 /// Usage errors (exit 2) always carry the `error:` prefix and the usage
-/// text so the caller sees what a valid invocation looks like.
+/// text so the caller sees what a valid invocation looks like. `needle`
+/// must be on the `error:` line itself, not only in the usage text.
 fn assert_usage_error(out: &Output, needle: &str) {
     let err = stderr(out);
     assert_eq!(out.status.code(), Some(2), "stderr: {err}");
     assert!(err.starts_with("error:"), "stderr: {err}");
-    assert!(err.contains(needle), "stderr: {err}");
+    let first_line = err.lines().next().unwrap_or_default();
+    assert!(first_line.contains(needle), "stderr: {err}");
     assert!(err.contains("usage:"), "usage text missing: {err}");
 }
 
@@ -57,11 +59,13 @@ fn unknown_flag_is_a_usage_error() {
 #[test]
 fn missing_flag_value_is_a_usage_error() {
     assert_usage_error(&eraser(&["--threads"]), "--threads");
+    assert_usage_error(&eraser(&["x.v", "--cycles"]), "--cycles needs a value");
 }
 
 #[test]
 fn non_numeric_flag_value_is_a_usage_error() {
     assert_usage_error(&eraser(&["--threads", "many"]), "--threads");
+    assert_usage_error(&eraser(&["x.v", "--cycles", "many"]), "--cycles: `many`");
 }
 
 #[test]
