@@ -21,7 +21,7 @@
 //! already word-parallel across bit positions (a 32-bit add is one word
 //! operation per fault), and a batch kernel does O(width) word operations
 //! per 64 lanes, so bit-slicing buys no raw compute. What it amortizes is
-//! per-fault overhead (dispatch and diff-list searches), so its effect
+//! per-fault overhead (dispatch and output buffers), so its effect
 //! tracks lane occupancy rather than width: measured speedups were
 //! 0.64–1.10x on the four Table II designs that form groups (SHA256_C2V,
 //! at 98 % occupancy, broke even). Gate-level netlists of 1-bit cells are

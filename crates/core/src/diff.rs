@@ -41,44 +41,14 @@ impl DiffList {
             .map(|i| &self.entries[i].1)
     }
 
-    /// True if `fault` has a visible entry.
-    #[inline]
-    pub fn contains(&self, fault: FaultId) -> bool {
-        self.entries
-            .binary_search_by_key(&fault, |(f, _)| *f)
-            .is_ok()
-    }
-
-    /// Inserts or updates the entry for `fault`.
-    pub fn set(&mut self, fault: FaultId, value: LogicVec) {
-        match self.entries.binary_search_by_key(&fault, |(f, _)| *f) {
-            Ok(i) => self.entries[i].1 = value,
-            Err(i) => self.entries.insert(i, (fault, value)),
-        }
-    }
-
     /// Inserts or updates the entry for `fault` through `write`, with a
     /// single binary search. On overwrite the existing [`LogicVec`] buffer
-    /// is handed to `write` for in-place reuse instead of being freed and
-    /// replaced; on a miss `write` fills a default vector that is then
-    /// inserted.
-    pub fn upsert_with(&mut self, fault: FaultId, write: impl FnOnce(&mut LogicVec)) {
-        match self.entries.binary_search_by_key(&fault, |(f, _)| *f) {
-            Ok(i) => write(&mut self.entries[i].1),
-            Err(i) => {
-                let mut v = LogicVec::default();
-                write(&mut v);
-                self.entries.insert(i, (fault, v));
-            }
-        }
-    }
-
-    /// [`upsert_with`](Self::upsert_with), but a miss inserts a pooled
-    /// buffer obtained from `seed` instead of an empty default. Wide
-    /// (boxed-storage) signals use this to keep the hot path
-    /// allocation-free: the seed comes from a width-classed scratch pool,
-    /// so `write`'s resize reuses an existing box. `seed` is not called on
-    /// an overwrite.
+    /// is handed to `write` for in-place reuse; on a miss `write` fills a
+    /// buffer obtained from `seed`, which is then inserted. Wide
+    /// (boxed-storage) signals keep the hot path allocation-free this way:
+    /// the seed comes from a width-classed scratch pool, so `write`'s
+    /// resize reuses an existing box. `seed` is not called on an
+    /// overwrite.
     pub fn upsert_seeded(
         &mut self,
         fault: FaultId,
@@ -124,15 +94,10 @@ impl DiffList {
         }
     }
 
-    /// Keeps only entries satisfying the predicate.
-    pub fn retain(&mut self, mut pred: impl FnMut(FaultId, &LogicVec) -> bool) {
-        self.entries.retain(|(f, v)| pred(*f, v));
-    }
-
-    /// [`retain`](Self::retain), but hands every pruned entry's value
-    /// buffer to `recycle` instead of dropping it — the allocation-free
-    /// form for hot loops, where pruned boxed storage goes back into a
-    /// scratch pool. Entry order is preserved.
+    /// Keeps only entries satisfying the predicate, handing every pruned
+    /// entry's value buffer to `recycle` instead of dropping it — the
+    /// allocation-free form for hot loops, where pruned boxed storage goes
+    /// back into a scratch pool. Entry order is preserved.
     pub fn retain_recycle(
         &mut self,
         mut pred: impl FnMut(FaultId, &LogicVec) -> bool,
@@ -216,32 +181,43 @@ mod tests {
         LogicVec::from_u64(8, x)
     }
 
+    fn set(d: &mut DiffList, f: u32, x: u64) {
+        d.upsert_seeded(FaultId(f), LogicVec::default, |slot| {
+            slot.assign_from(&v(x))
+        });
+    }
+
     #[test]
     fn set_get_remove_keep_order() {
         let mut d = DiffList::new();
-        d.set(FaultId(5), v(5));
-        d.set(FaultId(1), v(1));
-        d.set(FaultId(3), v(3));
+        set(&mut d, 5, 5);
+        set(&mut d, 1, 1);
+        set(&mut d, 3, 3);
         assert_eq!(d.len(), 3);
         assert_eq!(d.get(FaultId(3)), Some(&v(3)));
         assert_eq!(d.get(FaultId(2)), None);
         let ids: Vec<u32> = d.ids().map(|f| f.0).collect();
         assert_eq!(ids, vec![1, 3, 5]);
-        d.set(FaultId(3), v(30));
+        // An overwrite reuses the slot and never asks for a seed.
+        d.upsert_seeded(
+            FaultId(3),
+            || unreachable!("seeded on overwrite"),
+            |slot| slot.assign_from(&v(30)),
+        );
         assert_eq!(d.get(FaultId(3)), Some(&v(30)));
         assert_eq!(d.remove(FaultId(3)), Some(v(30)));
-        assert!(!d.contains(FaultId(3)));
+        assert_eq!(d.get(FaultId(3)), None);
         assert_eq!(d.len(), 2);
     }
 
     #[test]
     fn union_filters_dead_faults() {
         let mut a = DiffList::new();
-        a.set(FaultId(0), v(0));
-        a.set(FaultId(2), v(2));
+        set(&mut a, 0, 0);
+        set(&mut a, 2, 2);
         let mut b = DiffList::new();
-        b.set(FaultId(2), v(9));
-        b.set(FaultId(3), v(3));
+        set(&mut b, 2, 9);
+        set(&mut b, 3, 3);
         let alive = vec![true, true, true, false];
         let mut u = vec![FaultId(7)];
         union_ids_into([&a, &b].into_iter(), &alive, &mut u);
@@ -252,10 +228,13 @@ mod tests {
     fn retain_prunes() {
         let mut d = DiffList::new();
         for i in 0..6 {
-            d.set(FaultId(i), v(i as u64));
+            set(&mut d, i, u64::from(i));
         }
-        d.retain(|f, _| f.0 % 2 == 0);
+        let mut recycled = Vec::new();
+        d.retain_recycle(|f, _| f.0 % 2 == 0, |buf| recycled.push(buf));
         let ids: Vec<u32> = d.ids().map(|f| f.0).collect();
         assert_eq!(ids, vec![0, 2, 4]);
+        recycled.sort_by_key(|b| b.to_u64());
+        assert_eq!(recycled, vec![v(1), v(3), v(5)]);
     }
 }

@@ -157,12 +157,13 @@ impl EngineState<'_> {
     ///
     /// **Good-only lane 3:** when every network fired with the good one
     /// (a good activation never carries `fault_only` faults, so no
-    /// `suppressed` ones is the whole test), every signal the node reads or
-    /// writes is [clean](Self::clean) and the mode eliminates explicit
-    /// redundancy (or no fault is alive), every live fault is a skipped
-    /// opportunity — implicitly for the visible faults on activation-local
-    /// reads, explicitly for the rest: one unmonitored good execution,
-    /// nothing added to the kernel's commits.
+    /// `suppressed` ones is the whole test), no signal the node reads has a
+    /// diff entry and the mode eliminates explicit redundancy (or no fault
+    /// is alive), every live fault is a skipped opportunity — implicitly
+    /// for the visible faults on activation-local reads, explicitly for the
+    /// rest: one unmonitored good execution, nothing added to the kernel's
+    /// commits. The targets need no test: their commits replay the good
+    /// writes onto stale entries and re-apply sited forces on either path.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn process_activation(
         &mut self,
@@ -185,8 +186,7 @@ impl EngineState<'_> {
         let lane = act.good
             && act.suppressed.is_empty()
             && (self.mode != RedundancyMode::None || self.alive_count == 0)
-            && node.reads.iter().all(|s| self.clean(*s))
-            && node.writes.iter().all(|s| self.clean(*s));
+            && node.reads.iter().all(|s| self.diffs[s.index()].is_empty());
         // The good body runs unmonitored unless Algorithm 1 watches it; where
         // only faults fired it does not run, and writes nothing.
         if !act.good {

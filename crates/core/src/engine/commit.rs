@@ -28,10 +28,12 @@ impl EngineState<'_> {
     /// `good_write_applies_to_all` states that the write producing
     /// `new_good` also occurs in every fault network not explicitly listed
     /// in `fault_news` (true for input drives, RTL node outputs and
-    /// behavioral targets the *good* execution wrote). Only then may the
-    /// stuck-at force be re-materialized for sited faults missing from the
-    /// batch; when a behavioral target was written solely by some other
-    /// fault's network, untouched faults keep their private values.
+    /// behavioral targets the *good* execution wrote). Then a live fault
+    /// missing from the batch takes `new_good`: its entry, if any, is
+    /// purged, and the stuck-at force is re-materialized for the sited
+    /// ones. So an RTL output's batch names only the faults with an input
+    /// difference. When a behavioral target was written solely by some
+    /// other fault's network, untouched faults keep their private values.
     ///
     /// A [clean](Self::clean) target with no fault updates has nothing to
     /// do here: good-only lane 1 (see [`good_only_commit`](Self::good_only_commit)),
@@ -92,13 +94,19 @@ impl EngineState<'_> {
             }
         }
 
-        // Untouched entries keep their absolute value; those now equal to
-        // the good value became invisible, dead entries are purged.
+        // Untouched entries took the good write, or else keep their
+        // absolute value, and those now equal to the good value became
+        // invisible; dead entries are purged.
         {
             let alive = &self.alive;
             let seen = &self.commit_seen;
             self.diffs[si].retain_recycle(
-                |f, v| seen[f.index()] == epoch || (alive[f.index()] && v != new_good),
+                |f, v| {
+                    let named = seen[f.index()] == epoch;
+                    let differs = !named && alive[f.index()] && v != new_good;
+                    view_changed |= differs && good_write_applies_to_all;
+                    named || (differs && !good_write_applies_to_all)
+                },
                 |v| ws.bufs.put(v),
             );
         }

@@ -30,7 +30,7 @@
 //! performs **zero heap allocations** on designs whose signals fit in 64
 //! bits (the `LogicVec` inline representation): signal reads borrow through
 //! [`ValueSource`], diff entries are updated in place via
-//! [`DiffList::upsert_with`], and expression evaluation runs through the
+//! [`DiffList::upsert_seeded`], and expression evaluation runs through the
 //! scratch-arena `eval_expr_into` path.
 //!
 //! # Cost proportional to the faults visible at the node
@@ -466,13 +466,13 @@ impl<'d> EraserEngine<'d> {
 
 impl EngineState<'_> {
     /// True when no fault is visible on `sig`: its diff list is empty and
-    /// no live fault is sited on it. A commit to a clean signal, an RTL
-    /// node or behavioral activation whose signals are all clean, and an
-    /// NBA block of good writes to a clean target each leave nothing for
-    /// the hook to do beyond the kernel's good work — the four *good-only
-    /// lanes* of `good_only_commit` (1 and 4), `rtl_evaluated` and
-    /// `process_activation`. The predicate is read node by node, so the
-    /// lanes switch on as dropping thins the live set.
+    /// no live fault is sited on it. A commit to a clean signal and an NBA
+    /// block of good writes to a clean target leave nothing for the hook
+    /// to do beyond the kernel's good work — good-only lanes 1 and 4 of
+    /// `good_only_commit`. Lanes 2 and 3 read the diff lists alone: the
+    /// commit re-applies sited forces whatever the node does. The predicate
+    /// is read node by node, so the lanes switch on as dropping thins the
+    /// live set.
     #[inline]
     fn clean(&self, sig: SignalId) -> bool {
         let si = sig.index();
@@ -483,8 +483,8 @@ impl EngineState<'_> {
 /// The fault work at each of the kernel's hook points; see the module docs.
 impl Hook for FaultHook<'_> {
     #[inline]
-    fn rtl_evaluated(&mut self, good: &Good<'_>, ctx: &mut ExecCtx, id: RtlNodeId, out: &LogicVec) {
-        self.state.rtl_evaluated(&mut self.ws, good, ctx, id, out);
+    fn rtl_evaluated(&mut self, good: &Good<'_>, ctx: &mut ExecCtx, id: RtlNodeId) {
+        self.state.rtl_evaluated(&mut self.ws, good, ctx, id);
     }
 
     fn activate(

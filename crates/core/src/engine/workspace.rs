@@ -106,6 +106,9 @@ pub(super) struct Workspace {
     pub fault_outs: Vec<(FaultId, ExecOutcome)>,
     /// The fault updates of the RTL output being committed.
     pub rtl_news: Vec<(FaultId, LogicVec)>,
+    /// The RTL candidates' rows: per candidate and input, the index of its
+    /// diff entry there.
+    pub rows: Vec<u32>,
     /// Per-input lane planes of the bit-parallel RTL batch path.
     pub planes: Vec<LanePlanes>,
     /// Output lane plane of the batch path.

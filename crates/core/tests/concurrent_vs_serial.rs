@@ -14,8 +14,9 @@
 //! target) are pinned from both sides: over an empty fault list the engine
 //! *is* the good simulator, and at each lane boundary — a sited register
 //! under a part-select NBA, a divergent activation on a clean node, a node
-//! turning clean when its last fault drops, `RedundancyMode::None` — the
-//! general path is taken and the values still match the serial reference.
+//! turning clean when its last fault drops, `RedundancyMode::None`, a stale
+//! RTL output, a sited RTL output, a part-select onto a difference — the
+//! values still match the serial reference.
 //! Algorithm 1's overlay rule is pinned the same way: faults on
 //! write-before-read locals are skipped, faults on a local read before its
 //! write or under a partial first write execute and are detected. So is its
@@ -432,10 +433,10 @@ fn drive_cycles(design: &Design, cycles: u64, seed: u64, inputs: &[(&str, u32)])
 
 /// Lane boundary: faults sited on registers whose nodes read nothing
 /// faulty — `q`, written only through part-select NBAs (which read the
-/// target back), and `other`, written whole from a clean input. The
-/// difference sits on the written target alone, and the sited force must be
-/// re-applied on every write, so neither the activation nor its NBA block
-/// may take a good-only lane.
+/// target back), and `other`, written whole from a clean input. Where no
+/// read carries a difference the activation takes lane 3, sited faults on
+/// its targets or not; the NBA block's commit to a sited target may not
+/// take lane 4, because the commit re-applies the force on every write.
 #[test]
 fn sited_register_under_part_select_nba_takes_the_general_path() {
     let d = compile(
@@ -533,6 +534,94 @@ fn mode_none_executes_live_faults_on_clean_nodes() {
     assert_eq!(s.implicit_skipped, 0);
     assert_eq!(s.opportunities, s.good_activations * faults.len() as u64);
     assert_eq!(s.fault_executions, s.opportunities);
+}
+
+/// Lane boundary: a difference on `a` reaches `m` only while the mux
+/// selects it, and through `m` the input of `y`'s node. When `sel` drops,
+/// `m`'s difference vanishes, `y`'s node reads nothing faulty and takes
+/// lane 2, and the stale entry on `y` must be settled by the commit alone.
+#[test]
+fn vanished_mux_difference_leaves_a_stale_output_the_commit_purges() {
+    let d = compile(
+        "module m(input wire clk, input wire rst, input wire sel, input wire [3:0] a,
+                  input wire [3:0] b, output wire [3:0] y, output reg [3:0] q);
+           wire [3:0] m;
+           assign m = sel ? a : b;
+           assign y = m + 4'd1;
+           always @(posedge clk) begin
+             if (rst) q <= 4'h0; else q <= y;
+           end
+         endmodule",
+        None,
+    )
+    .unwrap();
+    let stim = drive_cycles(&d, 40, 0x3c, &[("sel", 1), ("a", 4), ("b", 4)]);
+    let faults = faults_on(&d, &["a"]);
+    for mode in [RedundancyMode::Full, RedundancyMode::Explicit] {
+        value_parity_of(&d, &faults, &stim, mode);
+    }
+}
+
+/// Lane boundary: faults sited on an RTL node's output `n` while its input
+/// never differs. Every evaluation of the node takes lane 2, so no fault is
+/// a candidate there, and the commit alone keeps the forces on `n`.
+#[test]
+fn fault_sited_on_an_rtl_output_with_clean_inputs_is_forced_by_the_commit() {
+    let d = compile(
+        "module m(input wire clk, input wire rst, input wire [3:0] a,
+                  output wire [3:0] y, output reg [3:0] q);
+           wire [3:0] n;
+           assign n = a ^ 4'h5;
+           assign y = n;
+           always @(posedge clk) begin
+             if (rst) q <= 4'h0; else q <= q + n;
+           end
+         endmodule",
+        None,
+    )
+    .unwrap();
+    let stim = drive_cycles(&d, 30, 0x2b, &[("a", 4)]);
+    let faults = faults_on(&d, &["n"]);
+    for mode in [RedundancyMode::Full, RedundancyMode::Explicit] {
+        let engine = value_parity_of(&d, &faults, &stim, mode);
+        assert!(
+            engine.stats().rtl_fault_evals > 0,
+            "{mode}: `n` never fed a node"
+        );
+    }
+}
+
+/// Lane boundary: the register's block reads clean inputs and writes `q`
+/// by part-selects only. A faulted gate enable makes it fire in one
+/// network alone, leaving a difference on `q` that the next joint firing
+/// finds there: a part-select reads its target, so that difference keeps
+/// the activation off lane 3, and the good part-select must land on it.
+#[test]
+fn clean_read_part_select_lands_on_a_target_carrying_a_difference() {
+    let d = compile(
+        "module m(input wire clk, input wire rst, input wire en, input wire sel,
+                  input wire [3:0] a, output reg [7:0] q);
+           wire gclk;
+           assign gclk = clk & en;
+           always @(posedge gclk) begin
+             if (rst) q <= 8'h00;
+             else if (sel) q[3:0] <= a;
+             else q[7:4] <= a;
+           end
+         endmodule",
+        None,
+    )
+    .unwrap();
+    let stim = drive_cycles(&d, 40, 0x6e, &[("en", 1), ("sel", 1), ("a", 4)]);
+    let faults: FaultList = faults_on(&d, &["en"])
+        .iter()
+        .filter(|f| f.stuck == StuckAt::One)
+        .copied()
+        .collect();
+    for mode in [RedundancyMode::Full, RedundancyMode::Explicit] {
+        let engine = value_parity_of(&d, &faults, &stim, mode);
+        assert!(engine.stats().fault_only_activations > 0, "{mode}");
+    }
 }
 
 /// Lane boundary in time: the `x` register's node is dirty while the fault

@@ -1,0 +1,146 @@
+//! Counter golden: the 19 [`RedundancyStats`] counters and the detected
+//! set of every benchmark and both gate-level fixtures, pinned.
+//!
+//! Parity suites compare engines with each other; this file compares the
+//! engine with itself across commits. An optimisation of the engine's
+//! internals — a good-only lane, a candidate rule, a commit shortcut — must
+//! leave every counter and every detection where it was, so a change here
+//! is a change of semantics and needs a reason of its own.
+//!
+//! Each design runs at a small size (its first 48 faults, 300 cycles)
+//! under four configurations that reach every lane and both RTL fault
+//! evaluators: `Full`, `Explicit` and `None` on the tree walker, and
+//! `Full` on tapes with batching on. The detected set is a mask: bit `i`
+//! is fault `i`. On a mismatch the test prints the whole table as it now
+//! reads, in the form below.
+
+use eraser_core::{run_campaign, BatchConfig, CampaignConfig, EvalBackend, RedundancyMode};
+use eraser_designs::{Benchmark, DesignSource};
+use eraser_fault::generate_faults;
+
+const MAX_FAULTS: usize = 48;
+const CYCLES: usize = 300;
+
+/// `(design/config, counters in `RedundancyStats::counters_mut` order,
+/// detected mask)`.
+type Row = (&'static str, [u64; 19], u64);
+
+#[rustfmt::skip]
+const GOLDEN: &[Row] = &[
+    ("ALU/full", [301, 6983, 3491, 3492, 0, 0, 0, 0, 0, 904, 0, 0, 25, 0, 0, 0, 0, 0, 0], 0x1ffffff),
+    ("ALU/explicit", [301, 6983, 3491, 0, 3492, 0, 0, 0, 0, 904, 0, 0, 25, 0, 0, 0, 0, 0, 0], 0x1ffffff),
+    ("ALU/none", [301, 6983, 0, 0, 6983, 0, 0, 0, 0, 904, 0, 0, 25, 0, 0, 0, 0, 0, 0], 0x1ffffff),
+    ("ALU/full-tape-batch", [301, 6983, 3491, 3492, 0, 0, 0, 0, 0, 904, 0, 0, 25, 0, 0, 0, 0, 0, 0], 0x1ffffff),
+    ("FPU/full", [301, 13257, 6856, 6401, 0, 0, 0, 0, 0, 904, 0, 0, 4, 0, 0, 0, 0, 0, 0], 0xf),
+    ("FPU/explicit", [301, 13257, 6856, 0, 6401, 0, 0, 0, 0, 904, 0, 0, 4, 0, 0, 0, 0, 0, 0], 0xf),
+    ("FPU/none", [301, 13257, 0, 0, 13257, 0, 0, 0, 0, 904, 0, 0, 4, 0, 0, 0, 0, 0, 0], 0xf),
+    ("FPU/full-tape-batch", [301, 13257, 6856, 6401, 0, 0, 0, 0, 0, 904, 0, 0, 4, 0, 0, 0, 0, 0, 0], 0xf),
+    ("SHA256_HV/full", [300, 5656, 2122, 1804, 1730, 0, 0, 0, 0, 901, 0, 0, 37, 0, 0, 0, 0, 0, 0], 0x1fffffffff),
+    ("SHA256_HV/explicit", [300, 5656, 2122, 0, 3534, 0, 0, 0, 0, 901, 0, 0, 37, 0, 0, 0, 0, 0, 0], 0x1fffffffff),
+    ("SHA256_HV/none", [300, 5656, 0, 0, 5656, 0, 0, 0, 0, 901, 0, 0, 37, 0, 0, 0, 0, 0, 0], 0x1fffffffff),
+    ("SHA256_HV/full-tape-batch", [300, 5656, 2122, 1804, 1730, 0, 0, 0, 0, 901, 0, 0, 37, 0, 0, 0, 0, 0, 0], 0x1fffffffff),
+    ("APB/full", [299, 7357, 4414, 2914, 29, 0, 0, 95, 0, 898, 0, 0, 35, 0, 0, 0, 0, 0, 0], 0xd1ffdfc19dff),
+    ("APB/explicit", [299, 7357, 4414, 0, 2943, 0, 0, 95, 0, 898, 0, 0, 35, 0, 0, 0, 0, 0, 0], 0xd1ffdfc19dff),
+    ("APB/none", [299, 7357, 0, 0, 7357, 0, 0, 95, 0, 898, 0, 0, 35, 0, 0, 0, 0, 0, 0], 0xd1ffdfc19dff),
+    ("APB/full-tape-batch", [299, 7357, 4414, 2914, 29, 0, 0, 95, 0, 898, 0, 0, 35, 0, 0, 0, 0, 0, 0], 0xd1ffdfc19dff),
+    ("Sodor Core/full", [436, 5232, 4790, 289, 153, 0, 0, 0, 0, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0], 0xffffd678ffff),
+    ("Sodor Core/explicit", [436, 5232, 4790, 0, 442, 0, 0, 0, 0, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0], 0xffffd678ffff),
+    ("Sodor Core/none", [436, 5232, 0, 0, 5232, 0, 0, 0, 0, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0], 0xffffd678ffff),
+    ("Sodor Core/full-tape-batch", [436, 5232, 4790, 289, 153, 0, 0, 0, 0, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0], 0xffffd678ffff),
+    ("RISCV Mini/full", [1100, 4060, 3968, 67, 25, 0, 0, 15142, 1669, 901, 0, 0, 45, 0, 0, 0, 0, 0, 0], 0xffffefbffffb),
+    ("RISCV Mini/explicit", [1100, 4060, 3968, 0, 92, 0, 0, 15142, 1669, 901, 0, 0, 45, 0, 0, 0, 0, 0, 0], 0xffffefbffffb),
+    ("RISCV Mini/none", [1100, 4060, 0, 0, 4060, 0, 0, 15142, 1669, 901, 0, 0, 45, 0, 0, 0, 0, 0, 0], 0xffffefbffffb),
+    ("RISCV Mini/full-tape-batch", [1100, 4060, 3968, 67, 25, 0, 0, 15142, 1669, 901, 0, 0, 45, 8, 140, 1529, 0, 0, 0], 0xffffefbffffb),
+    ("PicoRV32/full", [451, 5468, 4740, 550, 178, 0, 0, 0, 0, 901, 0, 0, 37, 0, 0, 0, 0, 0, 0], 0xcff3f58bffef),
+    ("PicoRV32/explicit", [451, 5468, 4740, 0, 728, 0, 0, 0, 0, 901, 0, 0, 37, 0, 0, 0, 0, 0, 0], 0xcff3f58bffef),
+    ("PicoRV32/none", [451, 5468, 0, 0, 5468, 0, 0, 0, 0, 901, 0, 0, 37, 0, 0, 0, 0, 0, 0], 0xcff3f58bffef),
+    ("PicoRV32/full-tape-batch", [451, 5468, 4740, 550, 178, 0, 0, 0, 0, 901, 0, 0, 37, 0, 0, 0, 0, 0, 0], 0xcff3f58bffef),
+    ("Conv_acc/full", [1200, 19300, 13935, 29, 4436, 0, 900, 6909, 17155, 901, 0, 0, 34, 0, 0, 0, 0, 0, 0], 0x74e1fe59efff),
+    ("Conv_acc/explicit", [1200, 19300, 13935, 0, 4465, 0, 900, 6909, 17155, 901, 0, 0, 34, 0, 0, 0, 0, 0, 0], 0x74e1fe59efff),
+    ("Conv_acc/none", [1200, 19300, 0, 0, 18400, 0, 900, 6909, 17155, 901, 0, 0, 34, 0, 0, 0, 0, 0, 0], 0x74e1fe59efff),
+    ("Conv_acc/full-tape-batch", [1200, 19300, 13935, 29, 4436, 0, 900, 6909, 17155, 901, 0, 0, 34, 9, 182, 16973, 0, 0, 0], 0x74e1fe59efff),
+    ("SHA256_C2V/full", [300, 4592, 1966, 518, 2108, 0, 0, 56990, 325726, 901, 0, 0, 46, 0, 0, 0, 0, 0, 0], 0xefffffffffbf),
+    ("SHA256_C2V/explicit", [300, 4592, 1966, 0, 2626, 0, 0, 56990, 325726, 901, 0, 0, 46, 0, 0, 0, 0, 0, 0], 0xefffffffffbf),
+    ("SHA256_C2V/none", [300, 4592, 0, 0, 4592, 0, 0, 56990, 325726, 901, 0, 0, 46, 0, 0, 0, 0, 0, 0], 0xefffffffffbf),
+    ("SHA256_C2V/full-tape-batch", [300, 4592, 1966, 518, 2108, 0, 0, 56990, 325726, 901, 0, 0, 46, 10507, 297514, 28212, 0, 0, 0], 0xefffffffffbf),
+    ("MIPS CPU/full", [601, 6014, 5997, 15, 2, 0, 0, 9944, 2140, 901, 0, 0, 39, 0, 0, 0, 0, 0, 0], 0xf1b51fffffff),
+    ("MIPS CPU/explicit", [601, 6014, 5997, 0, 17, 0, 0, 9944, 2140, 901, 0, 0, 39, 0, 0, 0, 0, 0, 0], 0xf1b51fffffff),
+    ("MIPS CPU/none", [601, 6014, 0, 0, 6014, 0, 0, 9944, 2140, 901, 0, 0, 39, 0, 0, 0, 0, 0, 0], 0xf1b51fffffff),
+    ("MIPS CPU/full-tape-batch", [601, 6014, 5997, 15, 2, 0, 0, 9944, 2140, 901, 0, 0, 39, 0, 0, 2140, 0, 0, 0], 0xf1b51fffffff),
+    ("counter8_gate/full", [2400, 32240, 32209, 0, 31, 0, 0, 8197, 1771, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0], 0xffc1fffffcff),
+    ("counter8_gate/explicit", [2400, 32240, 32209, 0, 31, 0, 0, 8197, 1771, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0], 0xffc1fffffcff),
+    ("counter8_gate/none", [2400, 32240, 0, 0, 32240, 0, 0, 8197, 1771, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0], 0xffc1fffffcff),
+    ("counter8_gate/full-tape-batch", [2400, 32240, 32209, 0, 31, 0, 0, 8197, 1771, 901, 0, 0, 41, 0, 0, 1771, 0, 0, 0], 0xffc1fffffcff),
+    ("mac16_gate/full", [9600, 20992, 20958, 0, 34, 0, 0, 98592, 5003, 901, 0, 0, 47, 0, 0, 0, 0, 0, 0], 0xfffffffbffff),
+    ("mac16_gate/explicit", [9600, 20992, 20958, 0, 34, 0, 0, 98592, 5003, 901, 0, 0, 47, 0, 0, 0, 0, 0, 0], 0xfffffffbffff),
+    ("mac16_gate/none", [9600, 20992, 0, 0, 20992, 0, 0, 98592, 5003, 901, 0, 0, 47, 0, 0, 0, 0, 0, 0], 0xfffffffbffff),
+    ("mac16_gate/full-tape-batch", [9600, 20992, 20958, 0, 34, 0, 0, 98592, 5003, 901, 0, 0, 47, 0, 0, 5003, 0, 0, 0], 0xfffffffbffff),
+];
+
+fn configs() -> [(&'static str, CampaignConfig); 4] {
+    let with_mode = |mode| CampaignConfig {
+        mode,
+        ..Default::default()
+    };
+    [
+        ("full", with_mode(RedundancyMode::Full)),
+        ("explicit", with_mode(RedundancyMode::Explicit)),
+        ("none", with_mode(RedundancyMode::None)),
+        (
+            "full-tape-batch",
+            CampaignConfig {
+                batch: BatchConfig { enabled: true },
+                ..CampaignConfig::with_backend(EvalBackend::Tape)
+            },
+        ),
+    ]
+}
+
+fn measure() -> Vec<(String, [u64; 19], u64)> {
+    let sources = Benchmark::all()
+        .into_iter()
+        .map(DesignSource::benchmark)
+        .chain(["counter8_gate", "mac16_gate"].map(|n| DesignSource::fixture(n).unwrap()));
+    let mut rows = Vec::new();
+    for source in sources {
+        let design = source.design();
+        let mut cfg = source.fault_config().clone();
+        cfg.max_faults = Some(MAX_FAULTS);
+        let faults = generate_faults(design, &cfg);
+        assert!(faults.len() <= 64, "the detected mask holds 64 faults");
+        let stim = source.stimulus_with_cycles(CYCLES);
+        for (label, config) in configs() {
+            let mut res = run_campaign(design, &faults, &stim, &config);
+            let counters = res.stats.counters_mut().map(|(_, v)| *v);
+            let mask = faults
+                .iter()
+                .filter(|f| res.coverage.is_detected(f.id))
+                .fold(0u64, |m, f| m | 1 << f.id.0);
+            rows.push((format!("{}/{label}", source.name()), counters, mask));
+        }
+    }
+    rows
+}
+
+#[test]
+fn counters_and_detections_match_the_golden_table() {
+    let rows = measure();
+    let same = rows.len() == GOLDEN.len()
+        && rows
+            .iter()
+            .zip(GOLDEN)
+            .all(|(r, g)| r.0 == g.0 && r.1 == g.1 && r.2 == g.2);
+    if !same {
+        let mut table = String::new();
+        for (name, counters, mask) in &rows {
+            table += &format!("    (\"{name}\", {counters:?}, {mask:#x}),\n");
+        }
+        for (r, g) in rows.iter().zip(GOLDEN) {
+            if r.0 != g.0 || r.1 != g.1 || r.2 != g.2 {
+                eprintln!("first difference: {} (golden {})", r.0, g.0);
+                break;
+            }
+        }
+        panic!("counter golden moved; the table now reads:\n{table}");
+    }
+}

@@ -537,7 +537,7 @@ impl<'d, H: Hook> Simulator<'d, H> {
             .take_for(net.design.signal(output).width);
         let good = &net.good;
         good.eval.rtl(id, &good.values, &mut net.rtl_ctx, &mut out);
-        self.hook.rtl_evaluated(good, &mut net.rtl_ctx, id, &out);
+        self.hook.rtl_evaluated(good, &mut net.rtl_ctx, id);
         let changed = self.commit(output, &out, true, &[]);
         self.net.rtl_ctx.scratch.put(out);
         changed

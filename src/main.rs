@@ -36,6 +36,7 @@ use eraser::core::{run_campaign, CampaignSpec, RedundancyMode};
 use eraser::ir::EvalBackend;
 use eraser::netlist::json;
 use eraser::service::{open_store, prepare_spec, CampaignService, HttpServer};
+use std::io::Write;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: eraser <file.v|file.json> [--top NAME] [--cycles|--stimulus-steps N] [--clock NAME] [--reset NAME]
@@ -43,6 +44,27 @@ const USAGE: &str = "usage: eraser <file.v|file.json> [--top NAME] [--cycles|--s
               [--threads N] [--eval tree|tape] [--checkpoint-interval N] [--batch] [--collapse]
        eraser --spec FILE.json [same flags; the spec's explicit fields win]
        eraser serve [--addr HOST:PORT] [--workers N] [--queue N] [--store mem|journal:PATH]";
+
+/// Writes one line of the report to stdout. A reader that closed the pipe
+/// early (`eraser … | head`) wanted no more of it, so that ends the
+/// process quietly with success; any other write error is a runtime
+/// failure.
+fn say(line: std::fmt::Arguments) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write the report: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` through [`say`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))
+    };
+}
 
 /// A usage mistake: `error:` line, usage text, exit 2.
 fn fail_usage(message: &str) -> ! {
@@ -120,7 +142,7 @@ fn main() -> ExitCode {
             "--collapse" => flags.collapse = true,
             "--list-undetected" => flags.list_undetected = true,
             "--help" | "-h" => {
-                println!("{USAGE}");
+                say!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             _ if !arg.starts_with('-') && file.is_none() => file = Some(arg),
@@ -226,7 +248,7 @@ fn run(spec: &CampaignSpec, list_undetected: bool) -> Result<(), String> {
     let design = prep.source.design();
     let config = spec.resolve();
 
-    println!(
+    say!(
         "{}: {} signals, {} RTL nodes, {} behavioral nodes, {} faults, {} steps",
         design.name(),
         design.num_signals(),
@@ -236,32 +258,36 @@ fn run(spec: &CampaignSpec, list_undetected: bool) -> Result<(), String> {
         prep.stimulus.steps.len(),
     );
     if config.parallel.is_parallel() {
-        println!("parallel: {}", config.parallel);
+        say!("parallel: {}", config.parallel);
     }
     if config.checkpoint.is_enabled() {
-        println!(
+        say!(
             "checkpointing: {} (window-aware schedule: shard engines resume \
              from shared good-state snapshots)",
             config.checkpoint
         );
     }
     if config.batch.enabled {
-        println!("batching: 64-wide bit-parallel RTL evaluation");
+        say!("batching: 64-wide bit-parallel RTL evaluation");
     }
     if config.collapse.enabled {
-        println!("collapsing: static equivalence folding before simulation");
+        say!("collapsing: static equivalence folding before simulation");
     }
     let result = run_campaign(design, &prep.faults, &prep.stimulus, &config);
-    println!(
+    say!(
         "mode {} ({} backend): coverage {}",
-        config.mode, config.backend, result.coverage
+        config.mode,
+        config.backend,
+        result.coverage
     );
     let s = &result.stats;
-    println!(
+    say!(
         "behavioral: {} activations, {} faulty executions of {} opportunities",
-        s.good_activations, s.fault_executions, s.opportunities
+        s.good_activations,
+        s.fault_executions,
+        s.opportunities
     );
-    println!(
+    say!(
         "eliminated: {} explicit ({:.1}%), {} implicit ({:.1}%)",
         s.explicit_skipped,
         s.explicit_percent(),
@@ -274,13 +300,15 @@ fn run(spec: &CampaignSpec, list_undetected: bool) -> Result<(), String> {
         } else {
             0.0
         };
-        println!(
+        say!(
             "batch: {} groups at {:.1}% lane occupancy, {} scalar fallbacks",
-            s.batch_groups, occupancy, s.batch_scalar_fallbacks
+            s.batch_groups,
+            occupancy,
+            s.batch_scalar_fallbacks
         );
     }
     if config.collapse.enabled {
-        println!(
+        say!(
             "collapse: {} classes simulated for {} faults ({} folded, {} dropped as undetectable)",
             s.collapse_classes,
             prep.faults.len(),
@@ -291,7 +319,7 @@ fn run(spec: &CampaignSpec, list_undetected: bool) -> Result<(), String> {
     if list_undetected {
         for id in result.coverage.undetected() {
             let f = prep.faults.fault(id);
-            println!(
+            say!(
                 "undetected: {} bit {} {}",
                 design.signal(f.signal).name,
                 f.bit,
@@ -316,7 +344,7 @@ fn serve(args: Vec<String>) -> ExitCode {
             "--queue" => queue = need_num("--queue", it.next()),
             "--store" => store_sel = need("--store", it.next()),
             "--help" | "-h" => {
-                println!("{USAGE}");
+                say!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             _ => fail_usage(&format!("unknown argument `{arg}`")),
@@ -337,7 +365,7 @@ fn serve(args: Vec<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
+    say!(
         "eraser service listening on http://{} ({} workers, queue {}, store {})",
         server.local_addr(),
         workers,

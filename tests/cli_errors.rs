@@ -199,3 +199,25 @@ fn well_formed_benchmark_spec_exits_zero() {
     assert!(stdout.contains("coverage"), "stdout: {stdout}");
     let _ = std::fs::remove_file(&path);
 }
+
+/// A reader that stops early (`eraser … | head`) is not an error: with the
+/// read end of its stdout pipe closed before the run, the report ends
+/// quietly — exit zero, no panic.
+#[test]
+fn closed_stdout_pipe_ends_the_report_quietly() {
+    let path = spec_file(
+        "pipespec",
+        r#"{"design": {"benchmark": "APB"}, "steps": 10, "threads": 1}"#,
+    );
+    let (reader, writer) = std::io::pipe().expect("open a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_eraser"))
+        .args(["--spec", path.to_str().unwrap()])
+        .stdout(writer)
+        .output()
+        .expect("spawn eraser binary");
+    let err = stderr(&out);
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+    let _ = std::fs::remove_file(&path);
+}
