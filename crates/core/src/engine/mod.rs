@@ -3,7 +3,8 @@
 //! # One loop, fault work at its hook points (paper Fig. 4)
 //!
 //! The engine's good network is an [`eraser_sim::Simulator`]: the kernel
-//! runs the one settle loop — good values, dirty queues, the watch list,
+//! runs the one settle loop — good values, the dirty RTL set it drains in
+//! topological rank order and the behavioral queue, the watch list,
 //! the edge latch, the NBA region, input drives and the settle bound —
 //! and the engine's fault state rides it as its [`Hook`], called at these
 //! points, each handled in the module named:

@@ -21,7 +21,8 @@
 //!   `wire [3:0] w = e;`, which is a continuous assign), `integer`, and
 //!   `parameter`/`localparam` constant expressions.
 //! * **Processes:** `assign`, and `always @(...)` with `posedge`/`negedge`
-//!   or level sensitivity lists (`or` or `,` separated, or `@(*)`).
+//!   or level sensitivity lists (`or` or `,` separated, or `@(*)` and
+//!   its short form `@*`).
 //!   Bodies use `begin`/`end`, `if`/`else`, `case`/`casez` with
 //!   `default`, `for`, and blocking (`=`) or non-blocking (`<=`)
 //!   assignments to whole signals, bits (constant or dynamic index),

@@ -280,9 +280,15 @@ impl Parser {
         }
         if self.eat_kw("always") {
             self.expect(&Tok::At)?;
-            self.expect(&Tok::LParen)?;
-            let sens = self.sensitivity()?;
-            self.expect(&Tok::RParen)?;
+            // `@*` is IEEE 1364-2001's short form of `@(*)`.
+            let sens = if self.eat(&Tok::Star) {
+                AstSens::Star
+            } else {
+                self.expect(&Tok::LParen)?;
+                let sens = self.sensitivity()?;
+                self.expect(&Tok::RParen)?;
+                sens
+            };
             let body = self.stmt()?;
             return Ok(Item::Always { sens, body, line });
         }
@@ -747,6 +753,22 @@ mod tests {
         }
         assert!(matches!(
             &items[2],
+            Item::Always {
+                sens: AstSens::Star,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn always_star_without_parens() {
+        let u = parse_src(
+            "module m(input wire clk, input wire [3:0] a, output reg [3:0] y);
+               always @* y = a;
+             endmodule",
+        );
+        assert!(matches!(
+            &u.modules[0].items[0],
             Item::Always {
                 sens: AstSens::Star,
                 ..

@@ -151,6 +151,9 @@ pub struct Design {
     level_fanout: Vec<Vec<BehavioralId>>,
     edge_fanout: Vec<Vec<BehavioralId>>,
     comb_order: Vec<CombItem>,
+    /// Each RTL node's topological rank, and the nodes in rank order.
+    rtl_rank: Vec<u32>,
+    rtl_by_rank: Vec<RtlNodeId>,
     name_index: HashMap<String, SignalId>,
 }
 
@@ -233,10 +236,28 @@ impl Design {
     }
 
     /// Levelized combinational evaluation order (RTL nodes and
-    /// level-sensitive behavioral nodes), for compiled-style full
-    /// evaluation.
+    /// level-sensitive behavioral nodes): every item after each item that
+    /// produces one of its inputs. The levelized rule sweeps it whole; its
+    /// RTL items give the [ranks](Design::rtl_rank) the event-driven rule
+    /// drains dirty RTL nodes in.
     pub fn comb_order(&self) -> &[CombItem] {
         &self.comb_order
+    }
+
+    /// `id`'s topological rank: its position among the RTL items of
+    /// [`Design::comb_order`]. A node's rank exceeds the rank of every RTL
+    /// node it depends on, directly or through level-sensitive behavioral
+    /// nodes, so draining dirty nodes lowest rank first evaluates each at
+    /// most once per wave.
+    #[inline]
+    pub fn rtl_rank(&self, id: RtlNodeId) -> usize {
+        self.rtl_rank[id.index()] as usize
+    }
+
+    /// The RTL nodes in rank order: the inverse of [`Design::rtl_rank`].
+    #[inline]
+    pub fn rtl_by_rank(&self) -> &[RtlNodeId] {
+        &self.rtl_by_rank
     }
 
     /// Looks up a signal by (hierarchical) name.
@@ -535,6 +556,17 @@ impl DesignBuilder {
         }
 
         let comb_order = levelize(&signals, &rtl_nodes, &behavioral, &drivers)?;
+        let rtl_by_rank: Vec<RtlNodeId> = comb_order
+            .iter()
+            .filter_map(|item| match *item {
+                CombItem::Rtl(id) => Some(id),
+                CombItem::Beh(_) => None,
+            })
+            .collect();
+        let mut rtl_rank = vec![0u32; rtl_nodes.len()];
+        for (rank, id) in rtl_by_rank.iter().enumerate() {
+            rtl_rank[id.index()] = rank as u32;
+        }
 
         Ok(Design {
             name,
@@ -548,6 +580,8 @@ impl DesignBuilder {
             level_fanout,
             edge_fanout,
             comb_order,
+            rtl_rank,
+            rtl_by_rank,
             name_index,
         })
     }
@@ -758,6 +792,19 @@ mod tests {
         let order = d.comb_order();
         let pos = |id: RtlNodeId| order.iter().position(|i| *i == CombItem::Rtl(id)).unwrap();
         assert!(pos(nx) < pos(ny));
+        // The ranks are the RTL items of `comb_order`, in its order.
+        let rtl_items: Vec<RtlNodeId> = order
+            .iter()
+            .filter_map(|i| match *i {
+                CombItem::Rtl(id) => Some(id),
+                CombItem::Beh(_) => None,
+            })
+            .collect();
+        assert_eq!(d.rtl_by_rank(), &rtl_items[..]);
+        for (rank, &id) in rtl_items.iter().enumerate() {
+            assert_eq!(d.rtl_rank(id), rank);
+        }
+        assert!(d.rtl_rank(nx) < d.rtl_rank(ny));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! ([`Hook::edge`], then [`Hook::edges_latched`]); at each NBA block
 //! commit ([`Hook::nba_block`], [`Hook::nba_done`]); and once after each
 //! settled step ([`Hook::settled`]). The kernel alone owns the good
-//! values, the dirty flags and queues, the watch list, the edge latch, the
-//! NBA region, input drives, forces, snapshots and the settle bounds.
+//! values, the dirty RTL set and behavioral queue, the watch list, the
+//! edge latch, the NBA region, input drives, forces, snapshots and the
+//! settle bounds.
 
 use crate::evaluator::Evaluator;
 use crate::hook::{Good, Hook, NoHook};
@@ -41,7 +42,9 @@ const DELTA_LIMIT: usize = 10_000;
 ///    - *event-driven* ([`Simulator::with_evaluator`] and the constructors
 ///      built on it): dirty RTL nodes and level-sensitive behavioral nodes
 ///      are evaluated to a fixpoint, propagating value changes through
-///      their fanout — work proportional to activity (the IFsim substrate);
+///      their fanout — work proportional to activity (the IFsim substrate).
+///      Dirty RTL nodes run lowest [rank](Design::rtl_rank) first, so each
+///      runs at most once per wave, after every dirty node that feeds it;
 ///    - *levelized* ([`Simulator::levelized`]): every combinational item is
 ///      evaluated in the design's topological order, Verilator-fashion,
 ///      one sweep per delta until a sweep changes nothing — constant
@@ -74,11 +77,15 @@ pub struct Simulator<'d, H = NoHook> {
 struct Net<'d> {
     design: &'d Design,
     good: Good<'d>,
-    /// The settle rule: sweep `comb_order` (`true`) or drain the dirty
-    /// queues (`false`).
+    /// The settle rule: sweep `comb_order` (`true`) or drain the dirty set
+    /// and queue (`false`).
     levelized: bool,
-    rtl_dirty: Vec<bool>,
-    rtl_queue: Vec<RtlNodeId>,
+    /// The dirty RTL nodes: bit `r` of the set is the node of rank `r`
+    /// ([`Design::rtl_rank`]). No set bit lies in a word below `rtl_low`;
+    /// `rtl_pending` counts the set bits.
+    rtl_dirty: Vec<u64>,
+    rtl_low: usize,
+    rtl_pending: usize,
     beh_dirty: Vec<bool>,
     beh_queue: Vec<BehavioralId>,
     watch_changed: Vec<SignalId>,
@@ -193,8 +200,9 @@ impl<'d, H: Hook> Simulator<'d, H> {
                 edge_prev: edge_prev.collect(),
             },
             levelized: false,
-            rtl_dirty: vec![false; design.rtl_nodes().len()],
-            rtl_queue: Vec::new(),
+            rtl_dirty: vec![0; design.rtl_nodes().len().div_ceil(64)],
+            rtl_low: 0,
+            rtl_pending: 0,
             beh_dirty: vec![false; n_beh],
             beh_queue: Vec::new(),
             watch_changed: Vec::new(),
@@ -487,12 +495,13 @@ impl<'d, H: Hook> Simulator<'d, H> {
 
     /// Evaluates dirty RTL nodes and level-sensitive behavioral nodes to a
     /// fixpoint, RTL nodes first: a run of behavioral activations ends when
-    /// one schedules an RTL node. Each evaluation spends one unit of the
-    /// step's `budget`.
+    /// one schedules an RTL node. A wave of RTL evaluations pops the dirty
+    /// node of lowest rank each time; a node's fanout ranks above it, so
+    /// the wave runs each dirty node once, after all of its dirty
+    /// producers. Each evaluation spends one unit of the step's `budget`.
     fn settle_active(&mut self, budget: &mut usize) {
         loop {
-            while let Some(id) = self.net.rtl_queue.pop() {
-                self.net.rtl_dirty[id.index()] = false;
+            while let Some(id) = self.net.pop_rtl() {
                 self.net.spend(budget);
                 self.run_rtl(id);
             }
@@ -500,7 +509,7 @@ impl<'d, H: Hook> Simulator<'d, H> {
                 break;
             }
             self.hook.behavioral_span(true);
-            while self.net.rtl_queue.is_empty() {
+            while self.net.rtl_pending == 0 {
                 let Some(id) = self.net.beh_queue.pop() else {
                     break;
                 };
@@ -697,7 +706,7 @@ impl Net<'_> {
     /// True if no work is scheduled — the settle-point condition.
     #[inline]
     fn is_quiet(&self) -> bool {
-        self.rtl_queue.is_empty()
+        self.rtl_pending == 0
             && self.beh_queue.is_empty()
             && self.watch_changed.is_empty()
             && self.nba_ends.is_empty()
@@ -715,10 +724,33 @@ impl Net<'_> {
 
     #[inline]
     fn mark_rtl(&mut self, id: RtlNodeId) {
-        if !self.rtl_dirty[id.index()] {
-            self.rtl_dirty[id.index()] = true;
-            self.rtl_queue.push(id);
+        let rank = self.design.rtl_rank(id);
+        let (word, bit) = (rank / 64, 1u64 << (rank % 64));
+        if self.rtl_dirty[word] & bit == 0 {
+            self.rtl_dirty[word] |= bit;
+            self.rtl_low = if self.rtl_pending == 0 {
+                word
+            } else {
+                self.rtl_low.min(word)
+            };
+            self.rtl_pending += 1;
         }
+    }
+
+    /// Takes the dirty RTL node of lowest rank off the set.
+    #[inline]
+    fn pop_rtl(&mut self) -> Option<RtlNodeId> {
+        if self.rtl_pending == 0 {
+            return None;
+        }
+        while self.rtl_dirty[self.rtl_low] == 0 {
+            self.rtl_low += 1;
+        }
+        let word = &mut self.rtl_dirty[self.rtl_low];
+        let rank = self.rtl_low * 64 + word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        self.rtl_pending -= 1;
+        Some(self.design.rtl_by_rank()[rank])
     }
 
     #[inline]
@@ -748,8 +780,9 @@ impl Net<'_> {
     /// sweep, which visits every item anyway, and on restore.
     #[inline]
     fn clear_queues(&mut self) {
-        for id in self.rtl_queue.drain(..) {
-            self.rtl_dirty[id.index()] = false;
+        if self.rtl_pending > 0 {
+            self.rtl_dirty[self.rtl_low..].fill(0);
+            self.rtl_pending = 0;
         }
         for id in self.beh_queue.drain(..) {
             self.beh_dirty[id.index()] = false;
@@ -761,6 +794,7 @@ impl Net<'_> {
 mod tests {
     use super::*;
     use eraser_frontend::compile;
+    use eraser_ir::Driver;
 
     fn v(w: u32, x: u64) -> LogicVec {
         LogicVec::from_u64(w, x)
@@ -785,6 +819,66 @@ mod tests {
         sim.set_input(b, &v(4, 0xa));
         sim.step();
         assert_eq!(sim.value(x).to_u64(), Some(0x9));
+    }
+
+    /// Records the RTL nodes each settle step evaluates, in order.
+    #[derive(Default)]
+    struct RtlOrder {
+        step: Vec<RtlNodeId>,
+        steps: Vec<Vec<RtlNodeId>>,
+    }
+
+    impl Hook for RtlOrder {
+        fn rtl_evaluated(&mut self, _good: &Good<'_>, _ctx: &mut ExecCtx, id: RtlNodeId) {
+            self.step.push(id);
+        }
+
+        fn settled(&mut self, _deltas: u64) {
+            self.steps.push(std::mem::take(&mut self.step));
+        }
+    }
+
+    #[test]
+    fn reconvergent_rtl_nodes_run_once_after_their_producers() {
+        // A diamond a -> b, c -> d, then e = d | b reconverging on b.
+        let d = compile(
+            "module m(input wire [3:0] a, output wire [3:0] e);
+               wire [3:0] b, c, dd;
+               assign b = a + 4'h1;
+               assign c = a ^ 4'h5;
+               assign dd = b & c;
+               assign e = dd | b;
+             endmodule",
+            None,
+        )
+        .unwrap();
+        let a = d.find_signal("a").unwrap();
+        let mut sim = Simulator::unsettled(Evaluator::tree(&d), RtlOrder::default());
+        sim.settle_all();
+        for x in [0x3, 0xa, 0x6, 0xf, 0x0] {
+            sim.set_input(a, &v(4, x));
+            sim.step();
+        }
+        let steps = &sim.hook().steps;
+        assert_eq!(steps.len(), 6);
+        for (k, fired) in steps.iter().enumerate() {
+            assert!(!fired.is_empty(), "step {k} evaluated nothing");
+            for (pos, &id) in fired.iter().enumerate() {
+                assert!(
+                    !fired[pos + 1..].contains(&id),
+                    "step {k}: {id:?} evaluated twice in {fired:?}"
+                );
+                for input in &d.rtl_node(id).inputs {
+                    let Some(Driver::Rtl(p)) = d.driver(*input) else {
+                        continue;
+                    };
+                    assert!(
+                        !fired[pos + 1..].contains(&p),
+                        "step {k}: {id:?} evaluated before its producer {p:?} in {fired:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
