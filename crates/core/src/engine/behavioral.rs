@@ -5,7 +5,7 @@
 //! individual executions of the faults that survive it, and their NBA
 //! blocks. Good-only lane 3 lives here.
 
-use super::workspace::{Activation, Workspace};
+use super::workspace::{Workspace, PLAIN};
 use super::{EngineState, Phase};
 use crate::diff::union_ids_into;
 use crate::diff::FaultView;
@@ -15,13 +15,6 @@ use eraser_fault::{Fault, FaultId, StuckAt};
 use eraser_ir::{BehavioralId, BehavioralNode, EdgeKind, SignalId};
 use eraser_logic::LogicVec;
 use eraser_sim::{ExecCtx, ExecOutcome, Good, NoopMonitor, ValueStore};
-
-/// The activation of a level-sensitive node: it fires in every network.
-static LEVEL: Activation = Activation {
-    good: true,
-    fault_only: Vec::new(),
-    suppressed: Vec::new(),
-};
 
 /// The faults sited on one activation-local signal, as one bit mask per
 /// polarity: bit `i` of word `w` is set when a stuck-at sits on bit
@@ -81,12 +74,15 @@ impl EngineState<'_> {
     /// node whose `terms` are on signals that changed this delta:
     /// evaluated once, after the active region has settled, for every
     /// diff-carrying fault together — the generalization that prevents
-    /// the paper's *fake events*. Records the node's [`Activation`] and
-    /// returns whether any network fired.
+    /// the paper's *fake events*. Returns whether any network fired; an
+    /// activation some fault fires apart from the good one is recorded
+    /// under its kernel activation `index`, and every other one fires in
+    /// every network ([`PLAIN`]), with no record.
     pub(super) fn classify_edge<'a>(
         &mut self,
         ws: &mut Workspace,
         good: &Good<'_>,
+        index: usize,
         terms: impl Iterator<Item = &'a (EdgeKind, SignalId)> + Clone,
         good_fired: bool,
     ) -> bool {
@@ -96,21 +92,19 @@ impl EngineState<'_> {
         let diverge = terms.clone().any(|(_, s)| {
             !self.edge_prev_diffs[s.index()].is_empty() || !self.diffs[s.index()].is_empty()
         });
-        if !(diverge || good_fired) {
-            return false;
+        if !diverge {
+            return good_fired;
         }
         let mut act = ws.acts.take();
         act.good = good_fired;
         let mut cands = ws.ids.take();
-        if diverge {
-            union_ids_into(
-                terms
-                    .clone()
-                    .flat_map(|(_, s)| [&self.edge_prev_diffs[s.index()], &self.diffs[s.index()]]),
-                &self.alive,
-                &mut cands,
-            );
-        }
+        union_ids_into(
+            terms
+                .clone()
+                .flat_map(|(_, s)| [&self.edge_prev_diffs[s.index()], &self.diffs[s.index()]]),
+            &self.alive,
+            &mut cands,
+        );
         for &f in &cands {
             let mut fault_fired = false;
             for &(kind, s) in terms.clone() {
@@ -127,13 +121,13 @@ impl EngineState<'_> {
             }
         }
         ws.ids.put(cands);
-        if act.good || !act.fault_only.is_empty() {
-            self.acts.push(act);
-            true
-        } else {
+        let fired = act.good || !act.fault_only.is_empty();
+        if act.fault_only.is_empty() && act.suppressed.is_empty() {
             ws.acts.put(act);
-            false
+        } else {
+            self.acts.push((index, act));
         }
+        fired
     }
 
     /// The faults sited on activation-local signals node `id` reads whose
@@ -158,8 +152,9 @@ impl EngineState<'_> {
     /// **Good-only lane 3:** when every network fired with the good one
     /// (a good activation never carries `fault_only` faults, so no
     /// `suppressed` ones is the whole test), no signal the node reads has a
-    /// diff entry and the mode eliminates explicit redundancy (or no fault
-    /// is alive), every live fault is a skipped opportunity — implicitly
+    /// diff entry (its visible-read count is zero) and the mode eliminates
+    /// explicit redundancy (or no fault is alive), every live fault is a
+    /// skipped opportunity — implicitly
     /// for the visible faults on activation-local reads, explicitly for the
     /// rest: one unmonitored good execution, nothing added to the kernel's
     /// commits. The targets need no test: their commits replay the good
@@ -176,17 +171,15 @@ impl EngineState<'_> {
         targets: &mut Vec<SignalId>,
     ) {
         let (eval, good) = (good_net.eval(), good_net.values());
-        self.phase = Phase::Activation(edge);
-        let act = match edge {
-            Some(i) => &self.acts[i],
-            None => &LEVEL,
-        };
+        let slot = edge.and_then(|i| self.acts.binary_search_by_key(&i, |(k, _)| *k).ok());
+        self.phase = Phase::Activation(slot);
+        let act = slot.map_or(&PLAIN, |p| &self.acts[p].1);
         let node = self.design.behavioral(id);
 
         let lane = act.good
             && act.suppressed.is_empty()
             && (self.mode != RedundancyMode::None || self.alive_count == 0)
-            && node.reads.iter().all(|s| self.diffs[s.index()].is_empty());
+            && self.beh_vis[id.index()] == 0;
         // The good body runs unmonitored unless Algorithm 1 watches it; where
         // only faults fired it does not run, and writes nothing.
         if !act.good {
@@ -272,15 +265,28 @@ impl EngineState<'_> {
 
     /// Closes an activation after the kernel committed its blocking
     /// targets: its faults' non-blocking effects become the fault side of
-    /// its NBA block — queued whenever the good body or an executed fault
-    /// wrote one — and the return says whether they did.
-    pub(super) fn close_activation(&mut self, ws: &mut Workspace, good_out: &ExecOutcome) -> bool {
-        let Phase::Activation(edge) = std::mem::replace(&mut self.phase, Phase::Settle) else {
+    /// its NBA block, kernel index `index` — queued whenever the good body
+    /// or an executed fault wrote one, and recorded only when a fault
+    /// executed or was suppressed — and the return says whether the
+    /// faults wrote one.
+    pub(super) fn close_activation(
+        &mut self,
+        ws: &mut Workspace,
+        index: usize,
+        good_out: &ExecOutcome,
+    ) -> bool {
+        let Phase::Activation(slot) = std::mem::replace(&mut self.phase, Phase::Settle) else {
             unreachable!("an activation is open")
         };
         let mut fault_outs = std::mem::take(&mut ws.fault_outs);
-        let queued = !good_out.nba.is_empty() || fault_outs.iter().any(|(_, o)| !o.nba.is_empty());
-        if queued {
+        let fault_nba = fault_outs.iter().any(|(_, o)| !o.nba.is_empty());
+        let suppressed = slot
+            .map_or(&PLAIN, |p| &self.acts[p].1)
+            .suppressed
+            .as_slice();
+        if (fault_nba || !good_out.nba.is_empty())
+            && !(fault_outs.is_empty() && suppressed.is_empty())
+        {
             let mut block = self.nba_pool.take();
             for (f, o) in fault_outs.iter_mut() {
                 let start = block.fault_writes.len() as u32;
@@ -289,16 +295,14 @@ impl EngineState<'_> {
                     .executed
                     .push((*f, start, block.fault_writes.len() as u32));
             }
-            if let Some(i) = edge {
-                block.suppressed.extend_from_slice(&self.acts[i].suppressed);
-            }
-            self.pending_nba.push(block);
+            block.suppressed.extend_from_slice(suppressed);
+            self.pending_nba.push((index, block));
         }
         for (_, o) in fault_outs.drain(..) {
             ws.outs.put(o);
         }
         ws.fault_outs = fault_outs;
-        queued
+        fault_nba
     }
 
     /// Faults with a visible difference on any signal the node reads — the

@@ -51,6 +51,7 @@ impl EngineState<'_> {
             return false;
         }
         let si = sig.index();
+        let was_empty = self.diffs[si].is_empty();
         let mut view_changed = false;
         let epoch = self.next_commit_epoch();
         let width = self.design.signal(sig).width;
@@ -111,6 +112,7 @@ impl EngineState<'_> {
             );
         }
         ws.bufs.put(forced);
+        self.settle_visibility(sig, was_empty);
         view_changed
     }
 
@@ -179,12 +181,11 @@ impl EngineState<'_> {
         self.clean(sig)
             && match self.phase {
                 Phase::Settle => ws.rtl_news.is_empty(),
-                Phase::Activation(edge) => {
-                    ws.fault_outs.is_empty()
-                        && edge.is_none_or(|i| self.acts[i].suppressed.is_empty())
+                Phase::Activation(slot) => {
+                    ws.fault_outs.is_empty() && self.activation(slot).suppressed.is_empty()
                 }
-                Phase::Nba(b) => {
-                    let block = &self.pending_nba[b];
+                Phase::Nba(slot) => {
+                    let block = self.nba_side(slot);
                     block.executed.is_empty() && block.suppressed.is_empty()
                 }
             }
@@ -214,14 +215,14 @@ impl EngineState<'_> {
                 ws.rtl_news = ws.recycle_news(news);
                 return view_changed;
             }
-            Phase::Activation(edge) => edge.map_or(&[][..], |i| &self.acts[i].suppressed[..]),
-            Phase::Nba(b) => &self.pending_nba[b].suppressed[..],
+            Phase::Activation(slot) => &self.activation(slot).suppressed[..],
+            Phase::Nba(slot) => &self.nba_side(slot).suppressed[..],
         };
         let (t_width, view) = (self.design.signal(t).width, &self.diffs[t.index()]);
         let mut fault_news = ws.news.take();
         let mut covered = ws.ids.take();
-        if let Phase::Nba(b) = self.phase {
-            let block = &self.pending_nba[b];
+        if let Phase::Nba(slot) = self.phase {
+            let block = self.nba_side(slot);
             for &(f, start, end) in &block.executed {
                 if !self.alive[f.index()] {
                     continue;
@@ -306,7 +307,7 @@ impl EngineState<'_> {
                 {
                     self.alive[f.index()] = false;
                     self.alive_count -= 1;
-                    self.site_live[self.faults.fault(f).signal.index()] -= 1;
+                    self.site_faults[self.faults.fault(f).signal.index()].retain(|&g| g != f);
                     self.stats.dropped_faults += 1;
                     newly_dead = true;
                 }
@@ -319,13 +320,16 @@ impl EngineState<'_> {
     }
 
     /// Removes diff entries of dropped faults everywhere, recycling their
-    /// value buffers so wide (boxed) storage survives fault drops.
+    /// value buffers so wide (boxed) storage survives fault drops, and
+    /// keeps the visible-input counts of the lists it empties.
     fn sweep_dead(&mut self, ws: &mut Workspace) {
-        let alive = &self.alive;
-        let bufs = &mut ws.bufs;
-        for dl in &mut self.diffs {
-            dl.retain_recycle(|f, _| alive[f.index()], |v| bufs.put(v));
+        for si in 0..self.diffs.len() {
+            let (alive, bufs) = (&self.alive, &mut ws.bufs);
+            let was_empty = self.diffs[si].is_empty();
+            self.diffs[si].retain_recycle(|f, _| alive[f.index()], |v| bufs.put(v));
+            self.settle_visibility(SignalId::from_index(si), was_empty);
         }
+        let (alive, bufs) = (&self.alive, &mut ws.bufs);
         for dl in &mut self.edge_prev_diffs {
             dl.retain_recycle(|f, _| alive[f.index()], |v| bufs.put(v));
         }

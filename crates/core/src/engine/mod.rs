@@ -40,13 +40,18 @@
 //! is visible the engine does what the good simulator does and nothing
 //! more: each of the four phases has a *good-only lane* (table above)
 //! where the hook returns at once, and the kernel's good work is all that
-//! runs. Coverage, detection steps and every [`RedundancyStats`] counter
-//! are the general path's by construction — a lane books exactly what the
-//! general path would have booked with empty candidate sets.
+//! runs. Each lane test is constant-time — a node's count of visible
+//! inputs, or a target's empty site and diff lists — and an activation
+//! or NBA block that carries no fault side keeps no engine record. Coverage,
+//! detection steps and every [`RedundancyStats`] counter are the general
+//! path's by construction — a lane books exactly what the general path
+//! would have booked with empty candidate sets.
 
 mod behavioral;
 mod commit;
 mod rtl;
+#[cfg(test)]
+mod tests;
 mod workspace;
 
 use crate::diff::{DiffList, FaultView};
@@ -64,7 +69,7 @@ use eraser_sim::{
     Evaluator, ExecCtx, ExecOutcome, Good, Hook, SimSnapshot, Simulator, SlotWrite, Stimulus,
 };
 use std::time::Instant;
-use workspace::{Activation, PendingNba, Pool, Workspace};
+use workspace::{Activation, PendingNba, Pool, Workspace, GOOD_ONLY, PLAIN};
 
 /// The ERASER concurrent fault simulation engine.
 ///
@@ -97,8 +102,9 @@ struct EngineState<'d> {
     batch: Option<&'d BatchProgram>,
 
     diffs: Vec<DiffList>,
-    /// Faults sited on each signal whose force is materialized as a diff —
-    /// all of them but those on activation-local signals.
+    /// Live faults sited on each signal whose force is materialized as a
+    /// diff — all of them but those on activation-local signals; `observe`
+    /// takes a dropped fault out.
     site_faults: Vec<Vec<FaultId>>,
     /// Per behavioral node, the faults sited on the activation-local
     /// signals it reads ([`activation_local_signals`], `Full` mode only).
@@ -106,10 +112,14 @@ struct EngineState<'d> {
     /// signal stays clean, and each good activation books the visible
     /// ones as implicitly skipped, exactly as Algorithm 1 would find them.
     local_sites: Vec<Vec<LocalSites>>,
-    /// Live faults sited on each signal: `site_faults` minus the dropped
-    /// ones, as a count. With an empty diff list it makes the signal
-    /// [clean](Self::clean).
-    site_live: Vec<u32>,
+    /// Per RTL node, how many of its inputs have a non-empty diff list:
+    /// good-only lane 2 is a zero here.
+    rtl_vis: Vec<u32>,
+    /// Per behavioral node, how many of the signals it reads have a
+    /// non-empty diff list: lane 3's read test is a zero here.
+    beh_vis: Vec<u32>,
+    /// Per signal, the behavioral nodes that read it.
+    beh_readers: Vec<Vec<BehavioralId>>,
     alive: Vec<bool>,
     alive_count: u64,
     /// Per-fault stamp of the `commit_faults` call that last handled the
@@ -119,10 +129,13 @@ struct EngineState<'d> {
 
     /// The diff lists as of the last edge-detection point.
     edge_prev_diffs: Vec<DiffList>,
-    /// The current delta's edge activations, by kernel activation index.
-    acts: Vec<Activation>,
-    /// The fault side of each queued NBA block, by kernel block index.
-    pending_nba: Vec<PendingNba>,
+    /// The current delta's edge activations that carry a fault side, with
+    /// their kernel activation index, in index order. Every other edge
+    /// activation fires in every network, like a level-sensitive one.
+    acts: Vec<(usize, Activation)>,
+    /// The queued NBA blocks that carry a fault side (an executed or a
+    /// suppressed fault), with their kernel block index, in index order.
+    pending_nba: Vec<(usize, PendingNba)>,
     nba_pool: Pool<PendingNba>,
     /// What the kernel's commits belong to.
     phase: Phase,
@@ -142,11 +155,13 @@ enum Phase {
     /// Input drives and RTL outputs: the batch `rtl_evaluated` left in
     /// `Workspace::rtl_news` (none for an input).
     Settle,
-    /// The open activation's blocking targets (`None`: a level-sensitive
-    /// activation, else its index in `EngineState::acts`).
+    /// The open activation's blocking targets: the position of its record
+    /// in `EngineState::acts`, `None` where every network fires with the
+    /// good one.
     Activation(Option<usize>),
-    /// An NBA block's targets, by block index.
-    Nba(usize),
+    /// An NBA block's targets: the position of its fault side in
+    /// `EngineState::pending_nba`, `None` for good writes only.
+    Nba(Option<usize>),
 }
 
 /// The engine constructor: one fluent surface over every axis.
@@ -320,7 +335,12 @@ impl<'d> EraserEngine<'d> {
             .iter()
             .map(|v| DiffList::with_capacity(v.len()))
             .collect();
-        let site_live = site_faults.iter().map(|v| v.len() as u32).collect();
+        let mut beh_readers: Vec<Vec<BehavioralId>> = vec![Vec::new(); n_sig];
+        for (bi, node) in design.behavioral_nodes().iter().enumerate() {
+            for s in &node.reads {
+                beh_readers[s.index()].push(BehavioralId::from_index(bi));
+            }
+        }
         let sited: Vec<SignalId> = (0..n_sig)
             .filter(|&i| !site_faults[i].is_empty())
             .map(SignalId::from_index)
@@ -334,7 +354,9 @@ impl<'d> EraserEngine<'d> {
             diffs,
             site_faults,
             local_sites,
-            site_live,
+            rtl_vis: vec![0; design.rtl_nodes().len()],
+            beh_vis: vec![0; design.behavioral_nodes().len()],
+            beh_readers,
             alive: vec![true; faults.len()],
             alive_count: faults.len() as u64,
             commit_seen: vec![0; faults.len()],
@@ -466,18 +488,47 @@ impl<'d> EraserEngine<'d> {
 }
 
 impl EngineState<'_> {
-    /// True when no fault is visible on `sig`: its diff list is empty and
-    /// no live fault is sited on it. A commit to a clean signal and an NBA
-    /// block of good writes to a clean target leave nothing for the hook
-    /// to do beyond the kernel's good work — good-only lanes 1 and 4 of
-    /// `good_only_commit`. Lanes 2 and 3 read the diff lists alone: the
-    /// commit re-applies sited forces whatever the node does. The predicate
-    /// is read node by node, so the lanes switch on as dropping thins the
-    /// live set.
+    /// True when no fault is visible on `sig`: its site list and its diff
+    /// list are empty (a site list holds live faults only). A commit to a
+    /// clean signal and an NBA block of good writes to a clean target leave
+    /// nothing for the hook to do beyond the kernel's good work — good-only
+    /// lanes 1 and 4 of `good_only_commit`. Lanes 2 and 3 read the
+    /// visible-input counts alone: the commit re-applies sited forces
+    /// whatever the node does. The predicate is read node by node, so the
+    /// lanes switch on as dropping thins the live set.
     #[inline]
     fn clean(&self, sig: SignalId) -> bool {
         let si = sig.index();
-        self.site_live[si] == 0 && self.diffs[si].is_empty()
+        self.site_faults[si].is_empty() && self.diffs[si].is_empty()
+    }
+
+    /// The open activation's record ([`Phase::Activation`]).
+    fn activation(&self, slot: Option<usize>) -> &Activation {
+        slot.map_or(&PLAIN, |p| &self.acts[p].1)
+    }
+
+    /// The open NBA block's fault side ([`Phase::Nba`]).
+    fn nba_side(&self, slot: Option<usize>) -> &PendingNba {
+        slot.map_or(&GOOD_ONLY, |p| &self.pending_nba[p].1)
+    }
+
+    /// Keeps the visible-input counts after `sig`'s diff list changed,
+    /// given whether it was empty before: a list that turned non-empty
+    /// (empty) adds (takes) one visible input to (from) every node that
+    /// reads `sig`.
+    fn settle_visibility(&mut self, sig: SignalId, was_empty: bool) {
+        if self.diffs[sig.index()].is_empty() == was_empty {
+            return;
+        }
+        let step = |count: &mut u32| {
+            *count = if was_empty { *count + 1 } else { *count - 1 };
+        };
+        for &n in self.design.rtl_fanout(sig) {
+            step(&mut self.rtl_vis[n.index()]);
+        }
+        for &b in &self.beh_readers[sig.index()] {
+            step(&mut self.beh_vis[b.index()]);
+        }
     }
 }
 
@@ -501,8 +552,8 @@ impl Hook for FaultHook<'_> {
         state.process_activation(ws, good, ctx, id, edge, out, targets);
     }
 
-    fn activation_done(&mut self, out: &ExecOutcome) -> bool {
-        self.state.close_activation(&mut self.ws, out)
+    fn activation_done(&mut self, block: usize, out: &ExecOutcome) -> bool {
+        self.state.close_activation(&mut self.ws, block, out)
     }
 
     #[inline]
@@ -524,13 +575,14 @@ impl Hook for FaultHook<'_> {
     fn edge(
         &mut self,
         good: &Good<'_>,
+        index: usize,
         edges: &[(EdgeKind, SignalId)],
         changed: &[bool],
         good_fired: bool,
     ) -> bool {
         let terms = edges.iter().filter(|(_, s)| changed[s.index()]);
         self.state
-            .classify_edge(&mut self.ws, good, terms, good_fired)
+            .classify_edge(&mut self.ws, good, index, terms, good_fired)
     }
 
     fn edges_latched(&mut self, changed: &[SignalId]) {
@@ -542,13 +594,12 @@ impl Hook for FaultHook<'_> {
 
     fn nba_block(&mut self, block: usize, targets: &mut Vec<SignalId>) {
         let state = &mut self.state;
-        targets.extend(
-            state.pending_nba[block]
-                .fault_writes
-                .iter()
-                .map(|w| w.target),
-        );
-        state.phase = Phase::Nba(block);
+        let slot = (state.pending_nba)
+            .binary_search_by_key(&block, |(b, _)| *b)
+            .ok();
+        let writes = &state.nba_side(slot).fault_writes;
+        targets.extend(writes.iter().map(|w| w.target));
+        state.phase = Phase::Nba(slot);
     }
 
     fn nba_done(&mut self, ctx: &mut ExecCtx) -> bool {
@@ -557,7 +608,7 @@ impl Hook for FaultHook<'_> {
         // The write values go back to the execution scratch the
         // interpreter draws assignment buffers from, so wide (>64-bit) NBA
         // targets keep reusing their boxed storage across activations.
-        for mut block in state.pending_nba.drain(..) {
+        for (_, mut block) in state.pending_nba.drain(..) {
             for w in block.fault_writes.drain(..) {
                 ctx.scratch.put(w.value);
             }
@@ -572,7 +623,7 @@ impl Hook for FaultHook<'_> {
             state.span_start = Some(Instant::now());
         } else if let Some(t0) = state.span_start.take() {
             state.stats.time_behavioral += t0.elapsed();
-            for act in state.acts.drain(..) {
+            for (_, act) in state.acts.drain(..) {
                 self.ws.acts.put(act);
             }
         }

@@ -29,10 +29,11 @@ impl EngineState<'_> {
     /// The fault side of one RTL node's concurrent evaluation, after the
     /// kernel evaluated the good network.
     ///
-    /// **Good-only lane 2:** with every input's diff list empty every
-    /// network computes the good output, so there is no candidate: the hook
-    /// returns at once and the output's commit does the rest — ahead of the
-    /// batch/scalar split, so both evaluators take it.
+    /// **Good-only lane 2:** with every input's diff list empty (the
+    /// node's visible-input count is zero) every network computes the good
+    /// output, so there is no candidate: the hook returns at once and the
+    /// output's commit does the rest — ahead of the batch/scalar split, so
+    /// both evaluators take it.
     #[inline]
     pub(super) fn rtl_evaluated(
         &mut self,
@@ -42,8 +43,7 @@ impl EngineState<'_> {
         id: RtlNodeId,
     ) {
         self.stats.rtl_good_evals += 1;
-        let node = self.design.rtl_node(id);
-        if !node.inputs.iter().all(|s| self.diffs[s.index()].is_empty()) {
+        if self.rtl_vis[id.index()] != 0 {
             self.eval_rtl_faults(ws, good, ctx, id);
         }
     }

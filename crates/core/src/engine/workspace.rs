@@ -17,6 +17,23 @@ pub(super) struct Activation {
     pub suppressed: Vec<FaultId>,
 }
 
+/// The record of an activation that fires in every network: a
+/// level-sensitive one, or an edge-triggered one no fault diverges from.
+/// Such activations keep no record of their own.
+pub(super) static PLAIN: Activation = Activation {
+    good: true,
+    fault_only: Vec::new(),
+    suppressed: Vec::new(),
+};
+
+/// The fault side of an NBA block no fault executed or was suppressed in:
+/// such blocks keep no record of their own.
+pub(super) static GOOD_ONLY: PendingNba = PendingNba {
+    fault_writes: Vec::new(),
+    executed: Vec::new(),
+    suppressed: Vec::new(),
+};
+
 /// The fault side of one queued NBA block, whose good writes the kernel
 /// holds.
 ///

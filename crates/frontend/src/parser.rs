@@ -542,7 +542,9 @@ impl Parser {
                 Tok::GtEq => (BinaryOp::Ge, 7),
                 Tok::Shl => (BinaryOp::Shl, 8),
                 Tok::Shr => (BinaryOp::Shr, 8),
-                Tok::AShr => (BinaryOp::AShr, 8),
+                // The subset has no signed types, so `>>>` fills with
+                // zeros like `>>` (IEEE 1364-2005 §5.1.12).
+                Tok::AShr => (BinaryOp::Shr, 8),
                 Tok::Plus => (BinaryOp::Add, 9),
                 Tok::Minus => (BinaryOp::Sub, 9),
                 Tok::Star => (BinaryOp::Mul, 10),
@@ -572,6 +574,13 @@ impl Parser {
                 self.bump();
                 return self.unary_expr();
             }
+            // Reduction XNOR (`~^` or `^~`): the complement of the
+            // reduction XOR, as `~&` and `~|` are of theirs.
+            Tok::TildeCaret => {
+                self.bump();
+                let red = AstExpr::Unary(UnaryOp::RedXor, Box::new(self.unary_expr()?));
+                return Ok(AstExpr::Unary(UnaryOp::Not, Box::new(red)));
+            }
             _ => None,
         };
         if let Some(op) = op {
@@ -598,12 +607,18 @@ impl Parser {
             Tok::LBrace => {
                 self.bump();
                 let first = self.expr()?;
-                if self.peek() == &Tok::LBrace {
-                    // Replication {n{v}}.
-                    self.bump();
-                    let inner = self.expr()?;
+                if self.eat(&Tok::LBrace) {
+                    // Replication {n{v}}, or of a list {n{a, b}}.
+                    let mut parts = vec![self.expr()?];
+                    while self.eat(&Tok::Comma) {
+                        parts.push(self.expr()?);
+                    }
                     self.expect(&Tok::RBrace)?;
                     self.expect(&Tok::RBrace)?;
+                    let inner = match parts.len() {
+                        1 => parts.remove(0),
+                        _ => AstExpr::Concat(parts),
+                    };
                     return Ok(AstExpr::Replicate(Box::new(first), Box::new(inner)));
                 }
                 let mut parts = vec![first];
@@ -919,6 +934,24 @@ mod tests {
                 assert!(matches!(r.as_ref(), AstExpr::Unary(UnaryOp::RedXor, _)));
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reduction_xnor_in_both_spellings() {
+        for op in ["~^", "^~"] {
+            let src =
+                format!("module m(input wire [3:0] a, output wire y); assign y = {op}a; endmodule");
+            match &parse_src(&src).modules[0].items[0] {
+                Item::Assign {
+                    rhs: AstExpr::Unary(UnaryOp::Not, e),
+                    ..
+                } => assert!(
+                    matches!(e.as_ref(), AstExpr::Unary(UnaryOp::RedXor, _)),
+                    "{op}"
+                ),
+                other => panic!("{op}: unexpected {other:?}"),
+            }
         }
     }
 

@@ -73,11 +73,12 @@ pub trait Hook {
             .behavioral(id, &good.values, &mut NoopMonitor, ctx, out);
     }
 
-    /// The activation's blocking targets are committed. Returns whether it
-    /// queued non-blocking writes of its own, so that it gets an NBA block
-    /// even without good ones.
+    /// The activation's blocking targets are committed; `block` is the
+    /// index its NBA block gets if it queues one ([`Hook::nba_block`]).
+    /// Returns whether it queued non-blocking writes of its own, so that
+    /// it gets an NBA block even without good ones.
     #[inline]
-    fn activation_done(&mut self, _out: &ExecOutcome) -> bool {
+    fn activation_done(&mut self, _block: usize, _out: &ExecOutcome) -> bool {
         false
     }
 
@@ -101,11 +102,13 @@ pub trait Hook {
     /// An edge-triggered node's sensitivity list `edges` has a term on a
     /// signal changed since the edge latch (`changed`, dense by signal);
     /// `good_fired` says one of those fired on the good network. Returns
-    /// whether the node activates.
+    /// whether the node activates; if it does, `index` is its index among
+    /// the delta's edge activations ([`Hook::activate`]).
     #[inline]
     fn edge(
         &mut self,
         _good: &Good<'_>,
+        _index: usize,
         _edges: &[(EdgeKind, SignalId)],
         _changed: &[bool],
         good_fired: bool,

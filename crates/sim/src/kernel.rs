@@ -582,7 +582,7 @@ impl<'d, H: Hook> Simulator<'d, H> {
         targets.clear();
         let net = &mut self.net;
         net.ws_targets = targets;
-        if self.hook.activation_done(&out) || !out.nba.is_empty() {
+        if self.hook.activation_done(net.nba_ends.len(), &out) || !out.nba.is_empty() {
             net.nba.append(&mut out.nba);
             net.nba_ends.push(net.nba.len());
         }
@@ -621,7 +621,11 @@ impl<'d, H: Hook> Simulator<'d, H> {
                 let (prev, cur) = (good.edge_prev(*s), good.values.get(*s));
                 net.changed_flag[s.index()] && kind.matches(prev.bit_or_x(0), cur.bit_or_x(0))
             });
-            if self.hook.edge(good, edges, &net.changed_flag, good_fired) {
+            let index = net.ws_activated.len();
+            if self
+                .hook
+                .edge(good, index, edges, &net.changed_flag, good_fired)
+            {
                 net.ws_activated.push(b);
             }
         }
