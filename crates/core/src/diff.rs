@@ -137,15 +137,11 @@ impl DiffList {
 }
 
 /// Merges the fault ids of several diff lists into `out` (cleared first,
-/// capacity kept): sorted, deduplicated, live faults only.
-pub fn union_ids_into<'a>(
-    lists: impl Iterator<Item = &'a DiffList>,
-    alive: &[bool],
-    out: &mut Vec<FaultId>,
-) {
+/// capacity kept): sorted and deduplicated.
+pub fn union_ids_into<'a>(lists: impl Iterator<Item = &'a DiffList>, out: &mut Vec<FaultId>) {
     out.clear();
     for l in lists {
-        out.extend(l.ids().filter(|f| alive[f.index()]));
+        out.extend(l.ids());
     }
     out.sort_unstable();
     out.dedup();
@@ -211,17 +207,16 @@ mod tests {
     }
 
     #[test]
-    fn union_filters_dead_faults() {
+    fn union_is_sorted_and_deduplicated() {
         let mut a = DiffList::new();
         set(&mut a, 0, 0);
         set(&mut a, 2, 2);
         let mut b = DiffList::new();
         set(&mut b, 2, 9);
         set(&mut b, 3, 3);
-        let alive = vec![true, true, true, false];
         let mut u = vec![FaultId(7)];
-        union_ids_into([&a, &b].into_iter(), &alive, &mut u);
-        assert_eq!(u, vec![FaultId(0), FaultId(2)]);
+        union_ids_into([&b, &a].into_iter(), &mut u);
+        assert_eq!(u, vec![FaultId(0), FaultId(2), FaultId(3)]);
     }
 
     #[test]

@@ -102,7 +102,6 @@ impl EngineState<'_> {
             terms
                 .clone()
                 .flat_map(|(_, s)| [&self.edge_prev_diffs[s.index()], &self.diffs[s.index()]]),
-            &self.alive,
             &mut cands,
         );
         for &f in &cands {
@@ -206,10 +205,13 @@ impl EngineState<'_> {
             // Candidate selection (explicit redundancy elimination).
             match self.mode {
                 RedundancyMode::None => {
+                    // The one enumeration without a list: a dropped fault
+                    // is a detected one.
+                    let dead = |f: &FaultId| self.drop_detected && self.coverage.is_detected(*f);
                     exec_list.extend(
                         (0..self.faults.len() as u32)
                             .map(FaultId)
-                            .filter(|f| self.alive[f.index()] && !act.suppressed.contains(f)),
+                            .filter(|f| !dead(f) && !act.suppressed.contains(f)),
                     );
                 }
                 RedundancyMode::Explicit => {
@@ -245,12 +247,7 @@ impl EngineState<'_> {
         // Individual faulty executions: non-redundant candidates plus
         // divergent fault-only activations.
         let survivors = exec_list.len();
-        exec_list.extend(
-            act.fault_only
-                .iter()
-                .filter(|f| self.alive[f.index()])
-                .copied(),
-        );
+        exec_list.extend_from_slice(&act.fault_only);
         self.stats.fault_executions += exec_list.len() as u64;
         self.stats.fault_only_activations += (exec_list.len() - survivors) as u64;
         for &f in &exec_list {
@@ -314,11 +311,7 @@ impl EngineState<'_> {
         suppressed: &[FaultId],
         out: &mut Vec<FaultId>,
     ) {
-        union_ids_into(
-            node.reads.iter().map(|s| &self.diffs[s.index()]),
-            &self.alive,
-            out,
-        );
+        union_ids_into(node.reads.iter().map(|s| &self.diffs[s.index()]), out);
         out.retain(|f| !suppressed.contains(f));
     }
 }

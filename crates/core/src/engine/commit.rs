@@ -71,7 +71,7 @@ impl EngineState<'_> {
                 Some((f, v)) => (*f, v),
                 None => (self.site_faults[si][k - n_news], new_good),
             };
-            if !self.alive[f.index()] || self.commit_seen[f.index()] == epoch {
+            if self.commit_seen[f.index()] == epoch {
                 continue;
             }
             self.commit_seen[f.index()] = epoch;
@@ -97,14 +97,13 @@ impl EngineState<'_> {
 
         // Untouched entries took the good write, or else keep their
         // absolute value, and those now equal to the good value became
-        // invisible; dead entries are purged.
+        // invisible.
         {
-            let alive = &self.alive;
             let seen = &self.commit_seen;
             self.diffs[si].retain_recycle(
                 |f, v| {
                     let named = seen[f.index()] == epoch;
-                    let differs = !named && alive[f.index()] && v != new_good;
+                    let differs = !named && v != new_good;
                     view_changed |= differs && good_write_applies_to_all;
                     named || (differs && !good_write_applies_to_all)
                 },
@@ -147,16 +146,14 @@ impl EngineState<'_> {
         let t_width = self.design.signal(t).width;
         let (diffs, good) = (&self.diffs[t.index()], good.get(t));
         for &f in suppressed {
-            if self.alive[f.index()] {
-                covered.push(f);
-                let mut val = ws.bufs.take_for(t_width);
-                val.assign_from(diffs.view(f, good));
-                fault_news.push((f, val));
-            }
+            covered.push(f);
+            let mut val = ws.bufs.take_for(t_width);
+            val.assign_from(diffs.view(f, good));
+            fault_news.push((f, val));
         }
         covered.sort_unstable();
         for (f, v) in diffs.entries() {
-            if self.alive[f.index()] && covered.binary_search(f).is_err() {
+            if covered.binary_search(f).is_err() {
                 let mut val = ws.bufs.take_for(t_width);
                 val.assign_from(v);
                 for w in good_writes {
@@ -224,9 +221,6 @@ impl EngineState<'_> {
         if let Phase::Nba(slot) = self.phase {
             let block = self.nba_side(slot);
             for &(f, start, end) in &block.executed {
-                if !self.alive[f.index()] {
-                    continue;
-                }
                 covered.push(f);
                 let mut val = ws.bufs.take_for(t_width);
                 val.assign_from(view.view(f, good.get(t)));
@@ -279,59 +273,56 @@ impl EngineState<'_> {
 
     // ---- observation ----
 
+    /// Records the detections at every output with a diff entry (an entry
+    /// of a fault detected earlier records nothing), and drops the newly
+    /// detected faults when configured.
     pub(super) fn observe(&mut self, ws: &mut Workspace, good: &ValueStore) {
-        let design = self.design;
-        let mut hits = ws.ids.take();
         let mut newly_dead = false;
-        for &o in design.outputs() {
-            hits.clear();
-            {
-                let good = good.get(o);
-                let alive = &self.alive;
-                hits.extend(
-                    self.diffs[o.index()]
-                        .entries()
-                        .iter()
-                        .filter(|(f, v)| alive[f.index()] && detectable_mismatch(good, v))
-                        .map(|(f, _)| *f),
-                );
+        for &o in self.design.outputs() {
+            let entries = self.diffs[o.index()].entries();
+            if entries.is_empty() {
+                continue;
             }
+            let mut hits = ws.ids.take();
+            let good = good.get(o);
+            hits.extend(
+                (entries.iter())
+                    .filter(|(_, v)| detectable_mismatch(good, v))
+                    .map(|(f, _)| *f),
+            );
+            let detection = Detection {
+                step: self.step_index,
+                output: o,
+            };
             for &f in &hits {
-                if self.coverage.record(
-                    f,
-                    Detection {
-                        step: self.step_index,
-                        output: o,
-                    },
-                ) && self.drop_detected
-                {
-                    self.alive[f.index()] = false;
+                if self.coverage.record(f, detection) && self.drop_detected {
                     self.alive_count -= 1;
                     self.site_faults[self.faults.fault(f).signal.index()].retain(|&g| g != f);
                     self.stats.dropped_faults += 1;
                     newly_dead = true;
                 }
             }
+            ws.ids.put(hits);
         }
-        ws.ids.put(hits);
         if newly_dead {
             self.sweep_dead(ws);
         }
     }
 
-    /// Removes diff entries of dropped faults everywhere, recycling their
-    /// value buffers so wide (boxed) storage survives fault drops, and
-    /// keeps the visible-input counts of the lists it empties.
+    /// Removes diff entries of dropped (with dropping on: detected)
+    /// faults everywhere, recycling their value buffers so wide (boxed)
+    /// storage survives fault drops, and keeps the visible-input counts of
+    /// the lists it empties.
     fn sweep_dead(&mut self, ws: &mut Workspace) {
         for si in 0..self.diffs.len() {
-            let (alive, bufs) = (&self.alive, &mut ws.bufs);
+            let (coverage, bufs) = (&self.coverage, &mut ws.bufs);
             let was_empty = self.diffs[si].is_empty();
-            self.diffs[si].retain_recycle(|f, _| alive[f.index()], |v| bufs.put(v));
+            self.diffs[si].retain_recycle(|f, _| !coverage.is_detected(f), |v| bufs.put(v));
             self.settle_visibility(SignalId::from_index(si), was_empty);
         }
-        let (alive, bufs) = (&self.alive, &mut ws.bufs);
+        let (coverage, bufs) = (&self.coverage, &mut ws.bufs);
         for dl in &mut self.edge_prev_diffs {
-            dl.retain_recycle(|f, _| alive[f.index()], |v| bufs.put(v));
+            dl.retain_recycle(|f, _| !coverage.is_detected(f), |v| bufs.put(v));
         }
     }
 }

@@ -3,9 +3,9 @@
 //! # One loop, fault work at its hook points (paper Fig. 4)
 //!
 //! The engine's good network is an [`eraser_sim::Simulator`]: the kernel
-//! runs the one settle loop — good values, the dirty RTL set it drains in
-//! topological rank order and the behavioral queue, the watch list,
-//! the edge latch, the NBA region, input drives and the settle bound —
+//! runs the one settle loop — good values, the dirty set of RTL nodes and
+//! level-sensitive blocks it drains in topological rank order, the watch
+//! list, the edge latch, the NBA region, input drives and the settle bound —
 //! and the engine's fault state rides it as its [`Hook`], called at these
 //! points, each handled in the module named:
 //!
@@ -120,7 +120,8 @@ struct EngineState<'d> {
     beh_vis: Vec<u32>,
     /// Per signal, the behavioral nodes that read it.
     beh_readers: Vec<Vec<BehavioralId>>,
-    alive: Vec<bool>,
+    /// Faults not dropped. A dropped fault leaves its site list, every
+    /// diff list and every edge-latch copy before the next step.
     alive_count: u64,
     /// Per-fault stamp of the `commit_faults` call that last handled the
     /// fault; equal to `commit_epoch` means "handled by this call".
@@ -357,7 +358,6 @@ impl<'d> EraserEngine<'d> {
             rtl_vis: vec![0; design.rtl_nodes().len()],
             beh_vis: vec![0; design.behavioral_nodes().len()],
             beh_readers,
-            alive: vec![true; faults.len()],
             alive_count: faults.len() as u64,
             commit_seen: vec![0; faults.len()],
             commit_epoch: 0,
@@ -587,8 +587,10 @@ impl Hook for FaultHook<'_> {
 
     fn edges_latched(&mut self, changed: &[SignalId]) {
         let state = &mut self.state;
-        for sig in changed {
-            state.edge_prev_diffs[sig.index()].assign_from(&state.diffs[sig.index()]);
+        for si in changed.iter().map(|s| s.index()) {
+            if !(state.edge_prev_diffs[si].is_empty() && state.diffs[si].is_empty()) {
+                state.edge_prev_diffs[si].assign_from(&state.diffs[si]);
+            }
         }
     }
 

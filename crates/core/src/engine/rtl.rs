@@ -72,7 +72,6 @@ impl EngineState<'_> {
         let mut candidates = ws.ids.take();
         union_ids_into(
             node.inputs.iter().map(|s| &self.diffs[s.index()]),
-            &self.alive,
             &mut candidates,
         );
         self.stats.rtl_fault_evals += candidates.len() as u64;

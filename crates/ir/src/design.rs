@@ -53,6 +53,9 @@ pub enum Driver {
     Behavioral(BehavioralId),
 }
 
+/// The `beh_rank` entry of an edge-triggered node.
+const NO_RANK: u32 = u32::MAX;
+
 /// An item in the levelized combinational evaluation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CombItem {
@@ -151,9 +154,10 @@ pub struct Design {
     level_fanout: Vec<Vec<BehavioralId>>,
     edge_fanout: Vec<Vec<BehavioralId>>,
     comb_order: Vec<CombItem>,
-    /// Each RTL node's topological rank, and the nodes in rank order.
+    /// Each item's position in `comb_order`, by RTL node and by behavioral
+    /// node (`NO_RANK` for an edge-triggered one).
     rtl_rank: Vec<u32>,
-    rtl_by_rank: Vec<RtlNodeId>,
+    beh_rank: Vec<u32>,
     name_index: HashMap<String, SignalId>,
 }
 
@@ -237,27 +241,28 @@ impl Design {
 
     /// Levelized combinational evaluation order (RTL nodes and
     /// level-sensitive behavioral nodes): every item after each item that
-    /// produces one of its inputs. The levelized rule sweeps it whole; its
-    /// RTL items give the [ranks](Design::rtl_rank) the event-driven rule
-    /// drains dirty RTL nodes in.
+    /// produces one of its inputs. An item's position here is its *rank*
+    /// ([`Design::rtl_rank`], [`Design::beh_rank`]): the simulator drains
+    /// its dirty items lowest rank first, under either settle rule.
     pub fn comb_order(&self) -> &[CombItem] {
         &self.comb_order
     }
 
-    /// `id`'s topological rank: its position among the RTL items of
-    /// [`Design::comb_order`]. A node's rank exceeds the rank of every RTL
-    /// node it depends on, directly or through level-sensitive behavioral
-    /// nodes, so draining dirty nodes lowest rank first evaluates each at
-    /// most once per wave.
+    /// RTL node `id`'s rank: its position in [`Design::comb_order`]. An
+    /// item's rank exceeds the rank of every item it depends on, so
+    /// draining dirty items lowest rank first evaluates each at most once
+    /// per wave, after all of its dirty producers.
     #[inline]
     pub fn rtl_rank(&self, id: RtlNodeId) -> usize {
         self.rtl_rank[id.index()] as usize
     }
 
-    /// The RTL nodes in rank order: the inverse of [`Design::rtl_rank`].
+    /// Behavioral node `id`'s rank, as [`Design::rtl_rank`]; `None` for an
+    /// edge-triggered node, which is not a combinational item.
     #[inline]
-    pub fn rtl_by_rank(&self) -> &[RtlNodeId] {
-        &self.rtl_by_rank
+    pub fn beh_rank(&self, id: BehavioralId) -> Option<usize> {
+        let rank = self.beh_rank[id.index()];
+        (rank != NO_RANK).then_some(rank as usize)
     }
 
     /// Looks up a signal by (hierarchical) name.
@@ -556,16 +561,13 @@ impl DesignBuilder {
         }
 
         let comb_order = levelize(&signals, &rtl_nodes, &behavioral, &drivers)?;
-        let rtl_by_rank: Vec<RtlNodeId> = comb_order
-            .iter()
-            .filter_map(|item| match *item {
-                CombItem::Rtl(id) => Some(id),
-                CombItem::Beh(_) => None,
-            })
-            .collect();
         let mut rtl_rank = vec![0u32; rtl_nodes.len()];
-        for (rank, id) in rtl_by_rank.iter().enumerate() {
-            rtl_rank[id.index()] = rank as u32;
+        let mut beh_rank = vec![NO_RANK; behavioral.len()];
+        for (rank, item) in comb_order.iter().enumerate() {
+            match *item {
+                CombItem::Rtl(id) => rtl_rank[id.index()] = rank as u32,
+                CombItem::Beh(id) => beh_rank[id.index()] = rank as u32,
+            }
         }
 
         Ok(Design {
@@ -581,7 +583,7 @@ impl DesignBuilder {
             edge_fanout,
             comb_order,
             rtl_rank,
-            rtl_by_rank,
+            beh_rank,
             name_index,
         })
     }
@@ -777,6 +779,7 @@ mod tests {
         let d = b.finish().unwrap();
         assert_eq!(d.comb_order().len(), 1);
         assert_eq!(d.edge_fanout(clk).len(), 1);
+        assert_eq!(d.beh_rank(BehavioralId(0)), None);
     }
 
     #[test]
@@ -792,17 +795,9 @@ mod tests {
         let order = d.comb_order();
         let pos = |id: RtlNodeId| order.iter().position(|i| *i == CombItem::Rtl(id)).unwrap();
         assert!(pos(nx) < pos(ny));
-        // The ranks are the RTL items of `comb_order`, in its order.
-        let rtl_items: Vec<RtlNodeId> = order
-            .iter()
-            .filter_map(|i| match *i {
-                CombItem::Rtl(id) => Some(id),
-                CombItem::Beh(_) => None,
-            })
-            .collect();
-        assert_eq!(d.rtl_by_rank(), &rtl_items[..]);
-        for (rank, &id) in rtl_items.iter().enumerate() {
-            assert_eq!(d.rtl_rank(id), rank);
+        // An item's rank is its position in `comb_order`.
+        for id in [nx, ny] {
+            assert_eq!(d.rtl_rank(id), pos(id));
         }
         assert!(d.rtl_rank(nx) < d.rtl_rank(ny));
     }
@@ -829,5 +824,6 @@ mod tests {
         assert_eq!(node.reads, vec![a, c]);
         assert_eq!(node.writes, vec![q]);
         assert_eq!(node.vdg.segments.len(), 1);
+        assert_eq!(d.beh_rank(BehavioralId(0)), Some(0));
     }
 }

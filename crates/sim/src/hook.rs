@@ -134,7 +134,9 @@ pub trait Hook {
         false
     }
 
-    /// A run of behavioral activations opens (`true`) or closes.
+    /// A run of behavioral activations opens (`true`) or closes: a
+    /// delta's edge activations, or consecutive level-sensitive ones in
+    /// the active region's rank order, between RTL evaluations.
     #[inline]
     fn behavioral_span(&mut self, _open: bool) {}
 

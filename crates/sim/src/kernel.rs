@@ -11,9 +11,9 @@
 //! ([`Hook::edge`], then [`Hook::edges_latched`]); at each NBA block
 //! commit ([`Hook::nba_block`], [`Hook::nba_done`]); and once after each
 //! settled step ([`Hook::settled`]). The kernel alone owns the good
-//! values, the dirty RTL set and behavioral queue, the watch list, the
-//! edge latch, the NBA region, input drives, forces, snapshots and the
-//! settle bounds.
+//! values, the dirty set of combinational items, the watch list, the edge
+//! latch, the NBA region, input drives, forces, snapshots and the settle
+//! bounds.
 
 use crate::evaluator::Evaluator;
 use crate::hook::{Good, Hook, NoHook};
@@ -37,18 +37,18 @@ const DELTA_LIMIT: usize = 10_000;
 ///
 /// The evaluation discipline per delta cycle is:
 ///
-/// 1. **Active region** — the combinational network settles under one of
-///    two rules, picked at construction:
+/// 1. **Active region** — the combinational items (RTL nodes and
+///    level-sensitive behavioral nodes) are drained from one dirty set,
+///    lowest [rank](Design::comb_order) first: each item runs at most once
+///    per wave, after every dirty item that feeds it, and a value change
+///    marks its fanout. The two settle rules, picked at construction,
+///    differ only in what is dirty when a delta starts:
 ///    - *event-driven* ([`Simulator::with_evaluator`] and the constructors
-///      built on it): dirty RTL nodes and level-sensitive behavioral nodes
-///      are evaluated to a fixpoint, propagating value changes through
-///      their fanout — work proportional to activity (the IFsim substrate).
-///      Dirty RTL nodes run lowest [rank](Design::rtl_rank) first, so each
-///      runs at most once per wave, after every dirty node that feeds it;
-///    - *levelized* ([`Simulator::levelized`]): every combinational item is
-///      evaluated in the design's topological order, Verilator-fashion,
-///      one sweep per delta until a sweep changes nothing — constant
-///      whole-design work per delta (the VFsim substrate).
+///      built on it): what the last changes marked — work proportional to
+///      activity (the IFsim substrate);
+///    - *levelized* ([`Simulator::levelized`]): every item, Verilator-
+///      fashion — constant whole-design work per delta (the VFsim
+///      substrate).
 /// 2. **Deferred edge detection** — only after the active region settles are
 ///    event (edge) expressions evaluated against the previously-latched
 ///    values, node by node in order of first appearance in the fanout of
@@ -61,10 +61,12 @@ const DELTA_LIMIT: usize = 10_000;
 ///    in target order with its writes to a target folded, possibly
 ///    scheduling another delta.
 ///
-/// Both rules commit the same settled values after every step; only the
-/// delta count and the work done differ. Forces, edge detection, the NBA
-/// region, the hook `H` (see the module docs of `kernel.rs`) and snapshots
-/// are shared. See the [crate docs](crate) for a usage example.
+/// Both rules commit the same settled values after every step, provided
+/// each level-sensitive block's sensitivity list names every signal it
+/// reads (the levelized rule runs every block every delta); only the work
+/// done differs. Forces, edge detection, the NBA region, the hook `H` (see
+/// the module docs of `kernel.rs`) and snapshots are shared. See the
+/// [crate docs](crate) for a usage example.
 #[derive(Debug, Clone)]
 pub struct Simulator<'d, H = NoHook> {
     net: Net<'d>,
@@ -77,17 +79,15 @@ pub struct Simulator<'d, H = NoHook> {
 struct Net<'d> {
     design: &'d Design,
     good: Good<'d>,
-    /// The settle rule: sweep `comb_order` (`true`) or drain the dirty set
-    /// and queue (`false`).
+    /// The settle rule: every item dirty at each delta's start (`true`)
+    /// or only the marked ones (`false`).
     levelized: bool,
-    /// The dirty RTL nodes: bit `r` of the set is the node of rank `r`
-    /// ([`Design::rtl_rank`]). No set bit lies in a word below `rtl_low`;
-    /// `rtl_pending` counts the set bits.
-    rtl_dirty: Vec<u64>,
-    rtl_low: usize,
-    rtl_pending: usize,
-    beh_dirty: Vec<bool>,
-    beh_queue: Vec<BehavioralId>,
+    /// The dirty combinational items: bit `r` of the set is item `r` of
+    /// [`Design::comb_order`]. No set bit lies in a word below `low`;
+    /// `pending` counts the set bits.
+    dirty: Vec<u64>,
+    low: usize,
+    pending: usize,
     watch_changed: Vec<SignalId>,
     watch_flag: Vec<bool>,
     /// Dense flags of `detect_edges`: signal changed this delta, node
@@ -200,11 +200,9 @@ impl<'d, H: Hook> Simulator<'d, H> {
                 edge_prev: edge_prev.collect(),
             },
             levelized: false,
-            rtl_dirty: vec![0; design.rtl_nodes().len().div_ceil(64)],
-            rtl_low: 0,
-            rtl_pending: 0,
-            beh_dirty: vec![false; n_beh],
-            beh_queue: Vec::new(),
+            dirty: vec![0; design.comb_order().len().div_ceil(64)],
+            low: 0,
+            pending: 0,
             watch_changed: Vec::new(),
             watch_flag: vec![false; n_sig],
             changed_flag: vec![false; n_sig],
@@ -228,15 +226,7 @@ impl<'d, H: Hook> Simulator<'d, H> {
     /// Schedules every RTL node and level-sensitive behavioral node, then
     /// settles: the initial evaluation (not counted as a step).
     pub fn settle_all(&mut self) {
-        let net = &mut self.net;
-        for i in 0..net.design.rtl_nodes().len() {
-            net.mark_rtl(RtlNodeId::from_index(i));
-        }
-        for (i, b) in net.design.behavioral_nodes().iter().enumerate() {
-            if !b.sensitivity.is_edge() {
-                net.mark_beh(BehavioralId::from_index(i));
-            }
-        }
+        self.net.mark_all();
         self.settle();
     }
 
@@ -387,15 +377,9 @@ impl<'d, H: Hook> Simulator<'d, H> {
         for _ in 0..DELTA_LIMIT {
             self.net.deltas += 1;
             if self.net.levelized {
-                // Sweep again until a sweep changes nothing; only then
-                // are edges looked at.
-                if self.sweep_comb() {
-                    continue;
-                }
-                self.net.clear_queues();
-            } else {
-                self.settle_active(&mut budget);
+                self.net.mark_all();
             }
+            self.settle_active(&mut budget);
             let n_activated = self.detect_edges();
             if n_activated > 0 {
                 self.hook.behavioral_span(true);
@@ -484,7 +468,7 @@ impl<'d, H: Hook> Simulator<'d, H> {
         net.steps = snap.steps;
         // Re-establish the quiescent scheduling state the snapshot was
         // taken in.
-        net.clear_queues();
+        net.clear_dirty();
         net.watch_flag.fill(false);
         net.watch_changed.clear();
         net.nba.clear();
@@ -493,51 +477,34 @@ impl<'d, H: Hook> Simulator<'d, H> {
 
     // ---- internals ----
 
-    /// Evaluates dirty RTL nodes and level-sensitive behavioral nodes to a
-    /// fixpoint, RTL nodes first: a run of behavioral activations ends when
-    /// one schedules an RTL node. A wave of RTL evaluations pops the dirty
-    /// node of lowest rank each time; a node's fanout ranks above it, so
-    /// the wave runs each dirty node once, after all of its dirty
-    /// producers. Each evaluation spends one unit of the step's `budget`.
+    /// The active region: evaluates the dirty combinational items to a
+    /// fixpoint, popping the item of lowest rank each time. An item's
+    /// fanout ranks above it, so a wave runs each dirty item once, after
+    /// all of its dirty producers. A run of consecutive behavioral
+    /// activations is one [`Hook::behavioral_span`]. Each evaluation
+    /// spends one unit of the step's `budget`.
     fn settle_active(&mut self, budget: &mut usize) {
-        loop {
-            while let Some(id) = self.net.pop_rtl() {
-                self.net.spend(budget);
-                self.run_rtl(id);
+        let mut span = false;
+        while let Some(item) = self.net.pop() {
+            self.net.spend(budget);
+            let beh = matches!(item, CombItem::Beh(_));
+            if beh != span {
+                span = beh;
+                self.hook.behavioral_span(span);
             }
-            if self.net.beh_queue.is_empty() {
-                break;
+            match item {
+                CombItem::Rtl(id) => self.run_rtl(id),
+                CombItem::Beh(id) => self.run_behavioral(id, None),
             }
-            self.hook.behavioral_span(true);
-            while self.net.rtl_pending == 0 {
-                let Some(id) = self.net.beh_queue.pop() else {
-                    break;
-                };
-                self.net.beh_dirty[id.index()] = false;
-                self.net.spend(budget);
-                self.run_behavioral(id, None);
-            }
+        }
+        if span {
             self.hook.behavioral_span(false);
         }
     }
 
-    /// One levelized sweep: every combinational item in topological order.
-    /// Returns whether any value changed.
-    fn sweep_comb(&mut self) -> bool {
-        let mut changed = false;
-        for item in self.net.design.comb_order() {
-            changed |= match *item {
-                CombItem::Rtl(id) => self.run_rtl(id),
-                CombItem::Beh(id) => self.run_behavioral(id, None),
-            };
-        }
-        changed
-    }
-
-    /// Evaluates one RTL node and commits its output; returns whether the
-    /// output changed.
+    /// Evaluates one RTL node and commits its output.
     #[inline]
-    fn run_rtl(&mut self, id: RtlNodeId) -> bool {
+    fn run_rtl(&mut self, id: RtlNodeId) {
         let net = &mut self.net;
         let output = net.design.rtl_node(id).output;
         let mut out = net
@@ -547,22 +514,19 @@ impl<'d, H: Hook> Simulator<'d, H> {
         let good = &net.good;
         good.eval.rtl(id, &good.values, &mut net.rtl_ctx, &mut out);
         self.hook.rtl_evaluated(good, &mut net.rtl_ctx, id);
-        let changed = self.commit(output, &out, true, &[]);
+        self.commit(output, &out, true, &[]);
         self.net.rtl_ctx.scratch.put(out);
-        changed
     }
 
     /// Executes one behavioral activation (`edge` as in
     /// [`Hook::activate`]): blocking results commit in target order, the
-    /// non-blocking writes queue as one NBA block. Returns whether a
-    /// blocking commit changed a value.
-    fn run_behavioral(&mut self, id: BehavioralId, edge: Option<usize>) -> bool {
+    /// non-blocking writes queue as one NBA block.
+    fn run_behavioral(&mut self, id: BehavioralId, edge: Option<usize>) {
         let net = &mut self.net;
         let mut out = std::mem::take(&mut net.outcome);
         let mut targets = std::mem::take(&mut net.ws_targets);
         self.hook
             .activate(&net.good, &mut net.ctx, id, edge, &mut out, &mut targets);
-        let mut changed = false;
         if !(out.blocking.is_empty() && targets.is_empty()) {
             out.blocking.sort_unstable_by_key(|(s, _)| *s);
             targets.extend(out.blocking.iter().map(|(s, _)| *s));
@@ -570,14 +534,11 @@ impl<'d, H: Hook> Simulator<'d, H> {
             targets.dedup();
         }
         for &t in &targets {
-            changed |= match out.blocking.binary_search_by_key(&t, |(s, _)| *s) {
-                Ok(k) => self.commit(t, &out.blocking[k].1, true, &out.blocking_writes),
+            match out.blocking.binary_search_by_key(&t, |(s, _)| *s) {
+                Ok(k) => _ = self.commit(t, &out.blocking[k].1, true, &out.blocking_writes),
                 // Only the hook's networks wrote it: the good value stays.
-                Err(_) => {
-                    self.commit_current(t, false, &out.blocking_writes);
-                    false
-                }
-            };
+                Err(_) => self.commit_current(t, false, &out.blocking_writes),
+            }
         }
         targets.clear();
         let net = &mut self.net;
@@ -587,7 +548,6 @@ impl<'d, H: Hook> Simulator<'d, H> {
             net.nba_ends.push(net.nba.len());
         }
         net.outcome = out;
-        changed
     }
 
     /// Deferred edge detection: every edge-triggered node with a term on a
@@ -710,10 +670,7 @@ impl Net<'_> {
     /// True if no work is scheduled — the settle-point condition.
     #[inline]
     fn is_quiet(&self) -> bool {
-        self.rtl_pending == 0
-            && self.beh_queue.is_empty()
-            && self.watch_changed.is_empty()
-            && self.nba_ends.is_empty()
+        self.pending == 0 && self.watch_changed.is_empty() && self.nba_ends.is_empty()
     }
 
     /// Spends one active-region evaluation of the step's budget.
@@ -726,53 +683,58 @@ impl Net<'_> {
         });
     }
 
+    /// Marks the combinational item of rank `rank` dirty.
     #[inline]
-    fn mark_rtl(&mut self, id: RtlNodeId) {
-        let rank = self.design.rtl_rank(id);
+    fn mark(&mut self, rank: usize) {
         let (word, bit) = (rank / 64, 1u64 << (rank % 64));
-        if self.rtl_dirty[word] & bit == 0 {
-            self.rtl_dirty[word] |= bit;
-            self.rtl_low = if self.rtl_pending == 0 {
+        if self.dirty[word] & bit == 0 {
+            self.dirty[word] |= bit;
+            self.low = if self.pending == 0 {
                 word
             } else {
-                self.rtl_low.min(word)
+                self.low.min(word)
             };
-            self.rtl_pending += 1;
+            self.pending += 1;
         }
     }
 
-    /// Takes the dirty RTL node of lowest rank off the set.
+    /// Marks every combinational item dirty.
+    fn mark_all(&mut self) {
+        let n = self.design.comb_order().len();
+        let spare = 64 * self.dirty.len() - n;
+        self.dirty.fill(!0);
+        if let Some(last) = self.dirty.last_mut() {
+            *last >>= spare;
+        }
+        (self.low, self.pending) = (0, n);
+    }
+
+    /// Takes the dirty combinational item of lowest rank off the set.
     #[inline]
-    fn pop_rtl(&mut self) -> Option<RtlNodeId> {
-        if self.rtl_pending == 0 {
+    fn pop(&mut self) -> Option<CombItem> {
+        if self.pending == 0 {
             return None;
         }
-        while self.rtl_dirty[self.rtl_low] == 0 {
-            self.rtl_low += 1;
+        while self.dirty[self.low] == 0 {
+            self.low += 1;
         }
-        let word = &mut self.rtl_dirty[self.rtl_low];
-        let rank = self.rtl_low * 64 + word.trailing_zeros() as usize;
+        let word = &mut self.dirty[self.low];
+        let rank = self.low * 64 + word.trailing_zeros() as usize;
         *word &= *word - 1;
-        self.rtl_pending -= 1;
-        Some(self.design.rtl_by_rank()[rank])
-    }
-
-    #[inline]
-    fn mark_beh(&mut self, id: BehavioralId) {
-        if !self.beh_dirty[id.index()] {
-            self.beh_dirty[id.index()] = true;
-            self.beh_queue.push(id);
-        }
+        self.pending -= 1;
+        Some(self.design.comb_order()[rank])
     }
 
     /// Schedules everything that reads `sig` after its value changed.
     #[inline]
     fn schedule_fanout(&mut self, sig: SignalId) {
         for &n in self.design.rtl_fanout(sig) {
-            self.mark_rtl(n);
+            self.mark(self.design.rtl_rank(n));
         }
         for &b in self.design.level_fanout(sig) {
-            self.mark_beh(b);
+            if let Some(rank) = self.design.beh_rank(b) {
+                self.mark(rank);
+            }
         }
         if !self.design.edge_fanout(sig).is_empty() && !self.watch_flag[sig.index()] {
             self.watch_flag[sig.index()] = true;
@@ -780,17 +742,10 @@ impl Net<'_> {
         }
     }
 
-    /// Drops the scheduled RTL and behavioral work: after a levelized
-    /// sweep, which visits every item anyway, and on restore.
-    #[inline]
-    fn clear_queues(&mut self) {
-        if self.rtl_pending > 0 {
-            self.rtl_dirty[self.rtl_low..].fill(0);
-            self.rtl_pending = 0;
-        }
-        for id in self.beh_queue.drain(..) {
-            self.beh_dirty[id.index()] = false;
-        }
+    /// Drops the scheduled active-region work, on restore.
+    fn clear_dirty(&mut self) {
+        self.dirty.fill(0);
+        self.pending = 0;
     }
 }
 
@@ -825,39 +780,59 @@ mod tests {
         assert_eq!(sim.value(x).to_u64(), Some(0x9));
     }
 
-    /// Records the RTL nodes each settle step evaluates, in order.
+    /// Records the combinational items each settle step evaluates, in
+    /// order, with the step's delta count.
     #[derive(Default)]
-    struct RtlOrder {
-        step: Vec<RtlNodeId>,
-        steps: Vec<Vec<RtlNodeId>>,
+    struct ItemOrder {
+        step: Vec<CombItem>,
+        steps: Vec<(Vec<CombItem>, u64)>,
     }
 
-    impl Hook for RtlOrder {
+    impl Hook for ItemOrder {
         fn rtl_evaluated(&mut self, _good: &Good<'_>, _ctx: &mut ExecCtx, id: RtlNodeId) {
-            self.step.push(id);
+            self.step.push(CombItem::Rtl(id));
         }
 
-        fn settled(&mut self, _deltas: u64) {
-            self.steps.push(std::mem::take(&mut self.step));
+        fn activate(
+            &mut self,
+            good: &Good<'_>,
+            ctx: &mut ExecCtx,
+            id: BehavioralId,
+            edge: Option<usize>,
+            out: &mut ExecOutcome,
+            _targets: &mut Vec<SignalId>,
+        ) {
+            if edge.is_none() {
+                self.step.push(CombItem::Beh(id));
+            }
+            good.eval
+                .behavioral(id, &good.values, &mut crate::NoopMonitor, ctx, out);
+        }
+
+        fn settled(&mut self, deltas: u64) {
+            self.steps.push((std::mem::take(&mut self.step), deltas));
         }
     }
 
     #[test]
     fn reconvergent_rtl_nodes_run_once_after_their_producers() {
-        // A diamond a -> b, c -> d, then e = d | b reconverging on b.
+        // A diamond a -> b, c -> m -> dd, with the level-sensitive block
+        // writing m inside it, then e = dd | b reconverging on b.
         let d = compile(
             "module m(input wire [3:0] a, output wire [3:0] e);
                wire [3:0] b, c, dd;
+               reg [3:0] m;
                assign b = a + 4'h1;
                assign c = a ^ 4'h5;
-               assign dd = b & c;
+               always @* m = b - c;
+               assign dd = m & c;
                assign e = dd | b;
              endmodule",
             None,
         )
         .unwrap();
         let a = d.find_signal("a").unwrap();
-        let mut sim = Simulator::unsettled(Evaluator::tree(&d), RtlOrder::default());
+        let mut sim = Simulator::unsettled(Evaluator::tree(&d), ItemOrder::default());
         sim.settle_all();
         for x in [0x3, 0xa, 0x6, 0xf, 0x0] {
             sim.set_input(a, &v(4, x));
@@ -865,20 +840,24 @@ mod tests {
         }
         let steps = &sim.hook().steps;
         assert_eq!(steps.len(), 6);
-        for (k, fired) in steps.iter().enumerate() {
-            assert!(!fired.is_empty(), "step {k} evaluated nothing");
-            for (pos, &id) in fired.iter().enumerate() {
-                assert!(
-                    !fired[pos + 1..].contains(&id),
-                    "step {k}: {id:?} evaluated twice in {fired:?}"
-                );
-                for input in &d.rtl_node(id).inputs {
-                    let Some(Driver::Rtl(p)) = d.driver(*input) else {
-                        continue;
-                    };
+        for (k, (fired, _)) in steps.iter().enumerate() {
+            assert!(fired.contains(&CombItem::Beh(BehavioralId::from_index(0))));
+            for (pos, &item) in fired.iter().enumerate() {
+                let reads = match item {
+                    CombItem::Rtl(id) => &d.rtl_node(id).inputs,
+                    CombItem::Beh(id) => &d.behavioral(id).reads,
+                };
+                let producers = reads.iter().filter_map(|s| match d.driver(*s)? {
+                    Driver::Rtl(p) => Some(CombItem::Rtl(p)),
+                    Driver::Behavioral(b) => Some(CombItem::Beh(b)),
+                    Driver::Input => None,
+                });
+                // Neither the item nor a producer of it runs again later.
+                for p in producers.chain([item]) {
+                    let later = &fired[pos + 1..];
                     assert!(
-                        !fired[pos + 1..].contains(&p),
-                        "step {k}: {id:?} evaluated before its producer {p:?} in {fired:?}"
+                        !later.contains(&p),
+                        "step {k}: {p:?} after {item:?} in {fired:?}"
                     );
                 }
             }
@@ -1028,22 +1007,25 @@ mod tests {
 
     #[test]
     fn matches_event_driven_simulator() {
+        // The levelized rule runs the whole of `comb_order` once per delta,
+        // in order, and settles in as many deltas as the event-driven one.
         let d = compile(
             "module m(input wire clk, input wire rst, input wire [3:0] a,
-                      output reg [7:0] acc, output wire [7:0] mix);
+                      output reg [7:0] acc, output wire [7:0] mix, output reg [7:0] sel);
                wire [7:0] ext;
                assign ext = {a, a};
                assign mix = acc ^ ext;
+               always @* if (a[0]) sel = mix; else sel = acc + 8'h01;
                always @(posedge clk) begin
                  if (rst) acc <= 8'h00;
-                 else acc <= acc + ext;
+                 else acc <= acc + sel;
                end
              endmodule",
             None,
         )
         .unwrap();
         let f = |n: &str| d.find_signal(n).unwrap();
-        let (clk, rst, a, acc, mix) = (f("clk"), f("rst"), f("a"), f("acc"), f("mix"));
+        let (clk, rst, a) = (f("clk"), f("rst"), f("a"));
         let mut steps = vec![vec![(rst, v(1, 1))]];
         for i in 0..20u64 {
             steps.push(vec![(a, v(4, i * 3 % 16))]);
@@ -1054,13 +1036,22 @@ mod tests {
             steps.push(vec![(clk, v(1, 1))]);
         }
         let mut ev = Simulator::new(&d);
-        let mut lv = Simulator::levelized(Evaluator::tree(&d));
+        let mut lv = Simulator::unsettled(Evaluator::tree(&d), ItemOrder::default());
+        lv.net.levelized = true;
+        lv.settle_all();
         for (si, step) in steps.iter().enumerate() {
             ev.replay_step(step);
             lv.replay_step(step);
-            for s in [acc, mix] {
+            assert_eq!(lv.deltas(), ev.deltas(), "step {si}");
+            for s in 0..d.num_signals() {
+                let s = SignalId::from_index(s);
                 assert_eq!(ev.value(s), lv.value(s), "step {si}");
             }
+        }
+        let order = d.comb_order();
+        assert_eq!(order.len(), 3);
+        for (k, (fired, deltas)) in lv.hook().steps.iter().enumerate() {
+            assert_eq!(fired, &order.repeat(*deltas as usize), "step {k}");
         }
     }
 
