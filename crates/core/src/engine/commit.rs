@@ -54,7 +54,7 @@ impl EngineState<'_> {
         let was_empty = self.diffs[si].is_empty();
         let mut view_changed = false;
         let epoch = self.next_commit_epoch();
-        let width = self.design.signal(sig).width;
+        let width = self.design.width(sig);
         let mut forced = ws.bufs.take_for(width);
 
         // The update batch first; then, when the good write reached every
@@ -143,7 +143,7 @@ impl EngineState<'_> {
         covered: &mut Vec<FaultId>,
         fault_news: &mut Vec<(FaultId, LogicVec)>,
     ) {
-        let t_width = self.design.signal(t).width;
+        let t_width = self.design.width(t);
         let (diffs, good) = (&self.diffs[t.index()], good.get(t));
         for &f in suppressed {
             covered.push(f);
@@ -215,7 +215,7 @@ impl EngineState<'_> {
             Phase::Activation(slot) => &self.activation(slot).suppressed[..],
             Phase::Nba(slot) => &self.nba_side(slot).suppressed[..],
         };
-        let (t_width, view) = (self.design.signal(t).width, &self.diffs[t.index()]);
+        let (t_width, view) = (self.design.width(t), &self.diffs[t.index()]);
         let mut fault_news = ws.news.take();
         let mut covered = ws.ids.take();
         if let Phase::Nba(slot) = self.phase {
@@ -297,7 +297,9 @@ impl EngineState<'_> {
             for &f in &hits {
                 if self.coverage.record(f, detection) && self.drop_detected {
                     self.alive_count -= 1;
-                    self.site_faults[self.faults.fault(f).signal.index()].retain(|&g| g != f);
+                    let site = self.faults.fault(f).signal;
+                    self.site_faults[site.index()].retain(|&g| g != f);
+                    self.refresh_clean(site);
                     self.stats.dropped_faults += 1;
                     newly_dead = true;
                 }

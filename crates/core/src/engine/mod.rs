@@ -106,6 +106,11 @@ struct EngineState<'d> {
     /// diff — all of them but those on activation-local signals; `observe`
     /// takes a dropped fault out.
     site_faults: Vec<Vec<FaultId>>,
+    /// Per signal, [`clean`](Self::clean)'s answer: its site list and its
+    /// diff list are both empty. Kept where either list changes —
+    /// `settle_visibility` for a diff list, the drop in `observe` for a
+    /// site list.
+    clean_sig: Vec<bool>,
     /// Per behavioral node, the faults sited on the activation-local
     /// signals it reads ([`activation_local_signals`], `Full` mode only).
     /// No reader ever sees their force, so it is never materialized: the
@@ -353,6 +358,7 @@ impl<'d> EraserEngine<'d> {
             drop_detected,
             batch,
             diffs,
+            clean_sig: site_faults.iter().map(Vec::is_empty).collect(),
             site_faults,
             local_sites,
             rtl_vis: vec![0; design.rtl_nodes().len()],
@@ -495,11 +501,18 @@ impl EngineState<'_> {
     /// lanes 1 and 4 of `good_only_commit`. Lanes 2 and 3 read the
     /// visible-input counts alone: the commit re-applies sited forces
     /// whatever the node does. The predicate is read node by node, so the
-    /// lanes switch on as dropping thins the live set.
+    /// lanes switch on as dropping thins the live set. It is one load of
+    /// the flag the list updates keep ([`refresh_clean`](Self::refresh_clean)).
     #[inline]
     fn clean(&self, sig: SignalId) -> bool {
+        self.clean_sig[sig.index()]
+    }
+
+    /// Re-derives `sig`'s [`clean`](Self::clean) flag after its site list
+    /// or its diff list changed.
+    fn refresh_clean(&mut self, sig: SignalId) {
         let si = sig.index();
-        self.site_faults[si].is_empty() && self.diffs[si].is_empty()
+        self.clean_sig[si] = self.site_faults[si].is_empty() && self.diffs[si].is_empty();
     }
 
     /// The open activation's record ([`Phase::Activation`]).
@@ -512,14 +525,15 @@ impl EngineState<'_> {
         slot.map_or(&GOOD_ONLY, |p| &self.pending_nba[p].1)
     }
 
-    /// Keeps the visible-input counts after `sig`'s diff list changed,
-    /// given whether it was empty before: a list that turned non-empty
-    /// (empty) adds (takes) one visible input to (from) every node that
-    /// reads `sig`.
+    /// Keeps the visible-input counts and `sig`'s clean flag after its
+    /// diff list changed, given whether it was empty before: a list that
+    /// turned non-empty (empty) adds (takes) one visible input to (from)
+    /// every node that reads `sig`.
     fn settle_visibility(&mut self, sig: SignalId, was_empty: bool) {
         if self.diffs[sig.index()].is_empty() == was_empty {
             return;
         }
+        self.refresh_clean(sig);
         let step = |count: &mut u32| {
             *count = if was_empty { *count + 1 } else { *count - 1 };
         };

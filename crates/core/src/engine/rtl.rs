@@ -66,7 +66,7 @@ impl EngineState<'_> {
         let good = good_net.values();
         let design = self.design;
         let node = design.rtl_node(id);
-        let out_width = design.signal(node.output).width;
+        let out_width = design.width(node.output);
         let n_in = node.inputs.len();
 
         let mut candidates = ws.ids.take();

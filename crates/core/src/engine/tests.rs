@@ -2,8 +2,8 @@
 //! node's visible-input count equals the number of its distinct inputs
 //! (RTL) or reads (behavioral) whose diff list is non-empty, each signal's
 //! site list holds exactly the live faults sited there whose force the
-//! engine materializes, and no diff list or edge-latch copy names a
-//! dropped fault.
+//! engine materializes, each signal's clean flag says both its lists are
+//! empty, and no diff list or edge-latch copy names a dropped fault.
 
 use super::EraserEngine;
 use crate::RedundancyMode;
@@ -66,6 +66,11 @@ fn check(engine: &EraserEngine<'_>, sites: &[Vec<FaultId>], step: usize, seen: &
         assert_eq!(
             state.site_faults[si], live,
             "site list {si} after step {step}"
+        );
+        assert_eq!(
+            state.clean_sig[si],
+            live.is_empty() && state.diffs[si].is_empty(),
+            "clean flag {si} after step {step}"
         );
         for (what, list) in [
             ("diff list", &state.diffs[si]),

@@ -39,7 +39,8 @@
 //! * [`CheckpointConfig`] (spec key `checkpoint_interval`, CLI
 //!   `--checkpoint-interval`) — temporal redundancy trimming. The good
 //!   machine runs once with an activation probe, snapshots its settled
-//!   state every N steps ([`record_good_run`]), the faults are cut in
+//!   state every N steps until every fault's activation window is final
+//!   ([`record_good_run`]), the faults are cut in
 //!   window order into one group per worker, and each group starts from
 //!   the latest checkpoint preceding all its members'
 //!   [activation windows](eraser_fault::ActivationWindows)

@@ -16,12 +16,17 @@
 //! 1. **Collapse** ([`run_collapsed`](crate::run_collapsed)) — when on,
 //!    everything below sees only the representative list.
 //! 2. **Good run, if checkpointing applies** ([`is_windowed`]). The
-//!    fault-free design replays the stimulus once with a [`SiteProbe`]
-//!    attached ([`record_good_run_on`]), capturing a [`SimSnapshot`] at
-//!    every checkpoint boundary (noting whether the state is fully
-//!    defined) and deriving the per-fault [`ActivationWindows`]. The
-//!    resulting [`GoodRunArtifacts`] are plain data, shared read-only
-//!    across workers.
+//!    fault-free design replays the stimulus with a [`SiteProbe`]
+//!    attached ([`record_good_run`]) until every window is final,
+//!    capturing a [`SimSnapshot`] at each checkpoint boundary on the way
+//!    (noting whether the state is fully defined), and derives the
+//!    per-fault [`ActivationWindows`]. It stops at the first boundary at
+//!    which no fault's window can change any more
+//!    ([`ActivationWindows::is_final`]): no later step can move a
+//!    window, the plan or the coverage, and no fault is eligible at a
+//!    later boundary. A fault that is never active keeps it going to the
+//!    end of the stimulus. The resulting [`GoodRunArtifacts`] are plain
+//!    data, shared read-only across workers.
 //! 3. **Plan** ([`plan_campaign`]). A group costs one good-network pass
 //!    — its engine settles the whole fault-free design from its start
 //!    step until its last fault is detected — so there is one sizing
@@ -47,15 +52,17 @@
 //!    [`WindowShard::merge_coverage_into`], sums the counters —
 //!    `skipped_prefix_steps` among them, reported by the work closure,
 //!    which is what decides where a fault starts — and stamps the plan's
-//!    `skipped_faults`. It is worker-invariant: one plan drained by one
-//!    worker or many gives bit-identical coverage and counters.
+//!    `skipped_faults` and the good run's `good_run_steps`. It is
+//!    worker-invariant: one plan drained by one worker or many gives
+//!    bit-identical coverage and counters.
 //!
 //! With checkpointing on, the two dimensions — fault groups across
 //! workers and start steps along the stimulus — are one allocation:
 //!
 //! ```text
 //!                     one instrumented good run
-//!       stimulus ──► trace + SiteProbe + SimSnapshot every N steps
+//!       stimulus ──► SiteProbe + SimSnapshot every N steps,
+//!                    until every window is final
 //!                                │
 //!              ActivationWindows │ (earliest possible divergence per fault)
 //!                                ▼
@@ -105,11 +112,14 @@ use std::time::{Duration, Instant};
 /// boundary snapshots and the derived per-fault activation windows. Plain
 /// immutable data — shareable read-only across workers, and valid for any
 /// campaign on the same (design, fault universe, stimulus, checkpoint
-/// interval): see [`record_good_run`].
+/// interval): see [`record_good_run`]. A run that stopped once every
+/// window was final holds the boundaries before its stop; one that
+/// replayed the whole stimulus ([`record_good_run_on`]) holds every
+/// boundary. Both give the same windows, plan and eligible checkpoints.
 #[derive(Debug, Clone)]
 pub struct GoodRunArtifacts {
-    /// `(step, fully_defined)` per checkpoint boundary, ascending — the
-    /// schedule the window plan indexes.
+    /// `(step, fully_defined)` per captured checkpoint boundary,
+    /// ascending — the schedule the window plan indexes.
     boundaries: Vec<(usize, bool)>,
     /// Per boundary: the good state captured before applying its step.
     snapshots: Vec<SimSnapshot>,
@@ -119,12 +129,22 @@ pub struct GoodRunArtifacts {
     good_wall: Duration,
     /// Stimulus length the artifacts were recorded for.
     steps: usize,
+    /// Settle steps the good run replayed: `steps`, or the boundary it
+    /// stopped at.
+    replayed: usize,
 }
 
 impl GoodRunArtifacts {
-    /// The stimulus length (in settle steps) the good run replayed.
+    /// The stimulus length (in settle steps) the artifacts were recorded
+    /// for.
     pub fn steps(&self) -> usize {
         self.steps
+    }
+
+    /// The settle steps the good run replayed before it stopped — the
+    /// stimulus length unless every window was final earlier.
+    pub fn replayed_steps(&self) -> usize {
+        self.replayed
     }
 
     /// How many boundary snapshots were captured.
@@ -148,10 +168,15 @@ pub fn is_windowed(checkpoint: &CheckpointConfig, faults: &FaultList, stimulus: 
     checkpoint.is_enabled() && !stimulus.steps.is_empty() && !faults.is_empty()
 }
 
-/// Runs the instrumented good pass on the event-driven simulator: one
-/// fault-free replay with a [`SiteProbe`] attached, a [`SimSnapshot`]
-/// captured at every `config.checkpoint` boundary, and the per-fault
-/// [`ActivationWindows`] derived from the probe.
+/// Runs the instrumented good pass on the event-driven simulator: a
+/// fault-free replay with a [`SiteProbe`] attached and a [`SimSnapshot`]
+/// captured at every `config.checkpoint` boundary, which stops at the
+/// first boundary at which every fault's window is final
+/// ([`ActivationWindows::is_final`]); then the per-fault
+/// [`ActivationWindows`] derived from the probe over the full stimulus
+/// length. The windows, the plan and every eligible checkpoint are those
+/// of a full replay; [`GoodRunArtifacts::replayed_steps`] says where it
+/// stopped.
 ///
 /// The artifacts depend only on the design, the fault universe, the
 /// stimulus, and the checkpoint interval — not on threads, backend
@@ -167,19 +192,35 @@ pub fn record_good_run(
     tapes: Option<&TapeProgram>,
 ) -> GoodRunArtifacts {
     let sim = Simulator::with_evaluator(Evaluator::shared(design, tapes));
-    record_good_run_on(sim, faults, stimulus, config.checkpoint, |_| {})
+    replay_good_run(sim, faults, stimulus, config.checkpoint, None)
 }
 
-/// [`record_good_run`] on a given simulator, under either settle rule —
-/// `sim` must be freshly built and fault-free. `after_step` sees the
-/// simulator's values after every settle step, so a driver that also needs the good
-/// output trace takes it from this one pass.
+/// The instrumented good pass of [`record_good_run`] on a given
+/// simulator, under either settle rule — `sim` must be freshly built and
+/// fault-free — replaying the *whole* stimulus: `after_step` sees the
+/// simulator's values after every settle step, so a caller that also
+/// needs the good output trace (the serial baselines) takes it from this
+/// one pass. The artifacts equal [`record_good_run`]'s but for the
+/// boundaries after its stop.
 pub fn record_good_run_on<'d>(
     sim: Simulator<'d>,
     faults: &FaultList,
     stimulus: &Stimulus,
     checkpoint: CheckpointConfig,
     mut after_step: impl FnMut(&ValueStore),
+) -> GoodRunArtifacts {
+    replay_good_run(sim, faults, stimulus, checkpoint, Some(&mut after_step))
+}
+
+/// The one instrumented good pass. Without an `after_step` observer it
+/// stops at the first boundary past step 0 at which every window is
+/// final; with one it replays every step.
+fn replay_good_run<'d>(
+    sim: Simulator<'d>,
+    faults: &FaultList,
+    stimulus: &Stimulus,
+    checkpoint: CheckpointConfig,
+    mut after_step: Option<&mut dyn FnMut(&ValueStore)>,
 ) -> GoodRunArtifacts {
     let t0 = Instant::now();
     let design = sim.design();
@@ -188,8 +229,25 @@ pub fn record_good_run_on<'d>(
     let mut sim = sim.attach_probe(SiteProbe::new(design, faults.iter().map(|f| f.signal)));
     let mut boundaries = Vec::new();
     let mut snapshots = Vec::new();
+    // Faults `..settled` have a final window; a final window stays final,
+    // so the cursor only moves forward.
+    let (list, mut settled) = (faults.faults(), 0);
+    let mut replayed = stimulus.steps.len();
     for (si, step) in stimulus.steps.iter().enumerate() {
         if checkpoint.is_boundary(si) {
+            // Boundary 0 is always captured: it is the start every plan
+            // can fall back to.
+            if after_step.is_none() && si > 0 {
+                let probe = sim.hook();
+                while settled < list.len() && ActivationWindows::is_final(&list[settled], probe, si)
+                {
+                    settled += 1;
+                }
+                if settled == list.len() {
+                    replayed = si;
+                    break;
+                }
+            }
             let mut snap = SimSnapshot::new();
             sim.capture_into(&mut snap);
             boundaries.push((si, sim.fully_defined()));
@@ -197,7 +255,9 @@ pub fn record_good_run_on<'d>(
         }
         sim.hook_mut().begin_step(si);
         sim.replay_step(step);
-        after_step(sim.values());
+        if let Some(after_step) = after_step.as_mut() {
+            after_step(sim.values());
+        }
     }
     let probe = sim.into_hook();
     let windows = ActivationWindows::derive(design, faults, &probe, stimulus.steps.len());
@@ -207,6 +267,7 @@ pub fn record_good_run_on<'d>(
         windows,
         good_wall: t0.elapsed(),
         steps: stimulus.steps.len(),
+        replayed,
     }
 }
 
@@ -233,7 +294,8 @@ pub fn plan_campaign(
 /// group's local coverage and counters, `skipped_prefix_steps`
 /// included (the good-prefix steps its faults did not replay). The result
 /// folds every group's records over the plan's universe and sums their
-/// counters, plus the plan's `skipped_faults`; its `time_total` is the
+/// counters, plus the plan's `skipped_faults` and the good run's
+/// `good_run_steps`; its `time_total` is the
 /// aggregate compute time at any thread count — the good run's wall plus
 /// every group's. The drain is worker-invariant: one worker drains the
 /// same group sequence inline — same engines, same counters as any other
@@ -270,6 +332,7 @@ where
     let mut coverage = CoverageReport::new(scheduled + plan.skipped.len());
     let mut stats = RedundancyStats {
         skipped_faults: plan.skipped.len() as u64,
+        good_run_steps: good.map_or(0, |g| g.replayed as u64),
         // The shared good run is real compute. (For caller-supplied
         // artifacts the charged wall is the original recording's — the
         // semantic counters are what must stay bit-identical.)

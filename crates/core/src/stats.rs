@@ -74,6 +74,11 @@ pub struct RedundancyStats {
     /// Faults statically proven undetectable (no reader of the bit, or no
     /// influence path to any output) and never simulated.
     pub collapse_dropped: u64,
+    /// Settle steps the shared instrumented good run replayed
+    /// (checkpointed campaigns; 0 without checkpointing): the stimulus
+    /// length, or the boundary at which every fault's activation window
+    /// was final and the run stopped.
+    pub good_run_steps: u64,
     /// Wall time inside behavioral-node processing (good + fault execution
     /// + redundancy checks + commits).
     pub time_behavioral: Duration,
@@ -87,7 +92,7 @@ impl RedundancyStats {
     /// record's encoder and parser are built on. The destructure names
     /// every field, so a field added later does not compile until it is
     /// listed here (or, like the two durations, set aside).
-    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 19] {
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 20] {
         let RedundancyStats {
             good_activations,
             opportunities,
@@ -108,6 +113,7 @@ impl RedundancyStats {
             collapsed_faults,
             collapse_classes,
             collapse_dropped,
+            good_run_steps,
             time_behavioral: _,
             time_total: _,
         } = self;
@@ -131,6 +137,7 @@ impl RedundancyStats {
             ("collapsed_faults", collapsed_faults),
             ("collapse_classes", collapse_classes),
             ("collapse_dropped", collapse_dropped),
+            ("good_run_steps", good_run_steps),
         ]
     }
 
@@ -234,6 +241,7 @@ mod tests {
             collapsed_faults: 21,
             collapse_classes: 17,
             collapse_dropped: 3,
+            good_run_steps: 64,
             time_behavioral: Duration::from_millis(5),
             time_total: Duration::from_millis(20),
         };
@@ -253,6 +261,7 @@ mod tests {
         assert_eq!(a.collapsed_faults, 42);
         assert_eq!(a.collapse_classes, 34);
         assert_eq!(a.collapse_dropped, 6);
+        assert_eq!(a.good_run_steps, 128);
         // Merging an empty (all-dropped or empty-shard) stats block is the
         // identity.
         let before = a.clone();

@@ -52,8 +52,22 @@
 //! encodes exactly this rule; checkpoint step 0 (the construction-settled
 //! state) is always eligible, which is what makes the checkpointed
 //! protocol a strict generalization of force-at-construction injection.
+//!
+//! # When the good run may stop
+//!
+//! The probe's first-occurrence steps only ever get set, never lowered,
+//! so a window can become *final* before the replay ends
+//! ([`ActivationWindows::is_final`]): once the site bit has been unknown
+//! and has contradicted the stuck value before step `k`, `w = min(c, h)`
+//! is settled, because every hazard still to come is stamped `k` or later.
+//! An untracked site (window 0) and a bit outside its signal (inert) are
+//! final from the start. A site bit never unknown so far is not: a later
+//! unknown would bring in `h`, which may lie before `c`. The instrumented
+//! good run stops at the first checkpoint boundary at which every fault's
+//! window is final; [`derive`](ActivationWindows::derive) over that probe
+//! and the full stimulus length gives the windows of a full replay.
 
-use crate::{FaultId, FaultList, StuckAt};
+use crate::{Fault, FaultId, FaultList, StuckAt};
 use eraser_ir::analysis::influence_adjacency;
 use eraser_ir::{BinaryOp, Design, Expr, LValue, RtlOp, SignalId, Stmt};
 use eraser_sim::{SiteProbe, NEVER};
@@ -109,23 +123,15 @@ impl ActivationWindows {
         let mut windows = Vec::with_capacity(faults.len());
         let mut site_x = Vec::with_capacity(faults.len());
         for f in faults.iter() {
-            let (w, x) = match probe.site_firsts(f.signal) {
-                None => (0, 0),
-                Some(firsts) if f.bit as usize >= firsts.len() => (NEVER, NEVER),
-                Some(firsts) => {
-                    let bf = firsts[f.bit as usize];
-                    let c = match f.stuck {
-                        StuckAt::Zero => bf.one,
-                        StuckAt::One => bf.zero,
-                    };
-                    if bf.x == NEVER {
-                        (c, NEVER)
-                    } else {
-                        let h = *site_hazard[f.signal.index()].get_or_insert_with(|| {
-                            reachable_min(f.signal, &adj, &hazard, &mut visited, &mut stack)
-                        });
-                        (c.min(h), bf.x)
-                    }
+            let (w, x) = match SiteBit::of(f, probe) {
+                SiteBit::Untracked => (0, 0),
+                SiteBit::Inert => (NEVER, NEVER),
+                SiteBit::Firsts { c, x: NEVER } => (c, NEVER),
+                SiteBit::Firsts { c, x } => {
+                    let h = *site_hazard[f.signal.index()].get_or_insert_with(|| {
+                        reachable_min(f.signal, &adj, &hazard, &mut visited, &mut stack)
+                    });
+                    (c.min(h), x)
                 }
             };
             windows.push(w);
@@ -138,6 +144,20 @@ impl ActivationWindows {
             site_x,
             num_steps,
             order,
+        }
+    }
+
+    /// True when the window [`derive`](Self::derive) gives `fault` from
+    /// `probe` can no longer change once the replay has run steps
+    /// `0..step`: its site is untracked, its bit lies outside its signal,
+    /// or its site bit has been unknown and has contradicted the stuck
+    /// value before `step` (see the module docs of `activation.rs`). A
+    /// final window stays final, so a caller may keep a cursor over the
+    /// fault list that only moves forward.
+    pub fn is_final(fault: &Fault, probe: &SiteProbe, step: usize) -> bool {
+        match SiteBit::of(fault, probe) {
+            SiteBit::Untracked | SiteBit::Inert => true,
+            SiteBit::Firsts { c, x } => x < step && c < step,
         }
     }
 
@@ -188,6 +208,36 @@ impl ActivationWindows {
             .iter()
             .rposition(|&(step, defined)| self.eligible_start(fault, step, defined))
             .expect("checkpoint 0 is always eligible")
+    }
+}
+
+/// What the probe recorded at one fault's site bit — the one read of the
+/// probe's site records, shared by [`ActivationWindows::derive`] and
+/// [`ActivationWindows::is_final`].
+enum SiteBit {
+    /// The probe did not track the site.
+    Untracked,
+    /// The bit lies outside its signal.
+    Inert,
+    /// The first step the bit contradicted the stuck value (`c`) and the
+    /// first step it was unknown (`x`), [`NEVER`] if not (yet).
+    Firsts { c: usize, x: usize },
+}
+
+impl SiteBit {
+    fn of(f: &Fault, probe: &SiteProbe) -> Self {
+        match probe.site_firsts(f.signal) {
+            None => SiteBit::Untracked,
+            Some(firsts) if f.bit as usize >= firsts.len() => SiteBit::Inert,
+            Some(firsts) => {
+                let bf = firsts[f.bit as usize];
+                let c = match f.stuck {
+                    StuckAt::Zero => bf.one,
+                    StuckAt::One => bf.zero,
+                };
+                SiteBit::Firsts { c, x: bf.x }
+            }
+        }
     }
 }
 
@@ -339,11 +389,36 @@ mod tests {
     use crate::{generate_faults, FaultListConfig};
     use eraser_frontend::compile;
     use eraser_logic::LogicVec;
-    use eraser_sim::{Simulator, StimulusBuilder};
+    use eraser_sim::{Simulator, Stimulus, StimulusBuilder};
 
     /// Replays a clocked stimulus on the good simulator with a probe and
     /// derives windows.
     fn probe_windows(src: &str, cycles: usize) -> (Design, FaultList, ActivationWindows) {
+        let (design, faults, stim) = fixture(src, cycles);
+        let probe = probe_steps(&design, &faults, &stim, stim.steps.len());
+        let windows = ActivationWindows::derive(&design, &faults, &probe, stim.steps.len());
+        (design, faults, windows)
+    }
+
+    /// The probe after replaying the first `steps` steps of `stim`.
+    fn probe_steps(
+        design: &Design,
+        faults: &FaultList,
+        stim: &Stimulus,
+        steps: usize,
+    ) -> SiteProbe {
+        let sites = faults.iter().map(|f| f.signal);
+        let mut sim = Simulator::new(design).attach_probe(SiteProbe::new(design, sites));
+        for (i, step) in stim.steps[..steps].iter().enumerate() {
+            sim.hook_mut().begin_step(i);
+            sim.replay_step(step);
+        }
+        sim.into_hook()
+    }
+
+    /// A design, its default fault universe, and a clocked stimulus: one
+    /// reset cycle, then `cycles` free-running ones.
+    fn fixture(src: &str, cycles: usize) -> (Design, FaultList, Stimulus) {
         let design = compile(src, None).unwrap();
         let faults = generate_faults(&design, &FaultListConfig::default());
         let clk = design.find_signal("clk").unwrap();
@@ -361,34 +436,20 @@ mod tests {
                     .unwrap_or_default(),
             );
         }
-        let stim = sb.finish();
-        let mut sim = Simulator::new(&design).attach_probe(eraser_sim::SiteProbe::new(
-            &design,
-            faults.iter().map(|f| f.signal),
-        ));
-        for (i, step) in stim.steps.iter().enumerate() {
-            sim.hook_mut().begin_step(i);
-            sim.replay_step(step);
-        }
-        let probe = sim.into_hook();
-        let windows = ActivationWindows::derive(&design, &faults, &probe, stim.steps.len());
-        (design, faults, windows)
+        (design, faults, sb.finish())
     }
 
-    use eraser_ir::Design;
+    const COUNTER: &str = "module m(input wire clk, input wire rst, output reg [3:0] q);
+           always @(posedge clk) begin
+             if (rst) q <= 4'h0; else q <= q + 4'h1;
+           end
+         endmodule";
 
     #[test]
     fn counter_low_bits_activate_before_high_bits() {
         // q counts up from 0: bit 0 first holds 1 on the first increment,
         // bit 3 only after 8 increments — sa0 windows are staggered.
-        let (design, faults, win) = probe_windows(
-            "module m(input wire clk, input wire rst, output reg [3:0] q);
-               always @(posedge clk) begin
-                 if (rst) q <= 4'h0; else q <= q + 4'h1;
-               end
-             endmodule",
-            12,
-        );
+        let (design, faults, win) = probe_windows(COUNTER, 12);
         let q = design.find_signal("q").unwrap();
         let window_of = |bit: u32, stuck: StuckAt| {
             let f = faults
@@ -410,6 +471,137 @@ mod tests {
         assert!(order
             .windows(2)
             .all(|p| win.window(p[0]) <= win.window(p[1])));
+    }
+
+    /// Replays every prefix of `stim` and asserts that a window the
+    /// predicate calls final after `k` steps is the window of the full
+    /// replay, eligible at the same checkpoints, that it stays final, and
+    /// that once every window is final so is the window order. Returns the
+    /// first step at which every window is final.
+    fn check_final_windows(design: &Design, faults: &FaultList, stim: &Stimulus) -> Option<usize> {
+        let n = stim.steps.len();
+        let full =
+            ActivationWindows::derive(design, faults, &probe_steps(design, faults, stim, n), n);
+        let mut final_before = vec![false; faults.len()];
+        let mut first_all_final = None;
+        for k in 0..=n {
+            let probe = probe_steps(design, faults, stim, k);
+            let cut = ActivationWindows::derive(design, faults, &probe, n);
+            let mut all_final = true;
+            for f in faults.iter() {
+                let fin = ActivationWindows::is_final(f, &probe, k);
+                assert!(
+                    fin || !final_before[f.id.index()],
+                    "{f:?} stopped being final at {k}"
+                );
+                final_before[f.id.index()] = fin;
+                all_final &= fin;
+                if !fin {
+                    continue;
+                }
+                assert_eq!(cut.window(f.id), full.window(f.id), "{f:?} final at {k}");
+                for step in 0..=n {
+                    for defined in [false, true] {
+                        assert_eq!(
+                            cut.eligible_start(f.id, step, defined),
+                            full.eligible_start(f.id, step, defined),
+                            "{f:?} final at {k}, checkpoint {step}"
+                        );
+                    }
+                }
+            }
+            if all_final {
+                first_all_final.get_or_insert(k);
+                assert_eq!(cut.ordered_by_window(), full.ordered_by_window(), "at {k}");
+            }
+        }
+        first_all_final
+    }
+
+    /// On the staggered counter, windows become final at different steps,
+    /// none before step 0, and all of them before the stimulus ends.
+    #[test]
+    fn a_final_window_is_the_window_of_the_full_replay() {
+        let (design, faults, stim) = fixture(COUNTER, 12);
+        let first = check_final_windows(&design, &faults, &stim)
+            .expect("every counter window is final by the end");
+        assert!(
+            first > 0 && first < stim.steps.len(),
+            "all final at {first}"
+        );
+        let probe = probe_steps(&design, &faults, &stim, first - 1);
+        let early = faults
+            .iter()
+            .filter(|f| ActivationWindows::is_final(f, &probe, first - 1))
+            .count();
+        assert!(
+            early > 0 && early < faults.len(),
+            "{early} final at {}",
+            first - 1
+        );
+    }
+
+    /// `t` is a defined 0 from power-on (the `X` condition takes the else
+    /// branch), contradicts sa0 in cycle 2, and turns unknown only when `b`
+    /// does, in cycle 4; the `X` decision on `u` downstream of it was a
+    /// hazard from power-on. So its window is `min(c, h) = 0`, not `c`:
+    /// the window is not final until the site bit has been unknown.
+    #[test]
+    fn a_site_not_yet_unknown_keeps_its_window_open() {
+        let design = compile(
+            "module m(input wire clk, input wire a, input wire b, input wire d,
+                      output reg y, output wire u);
+               reg t;
+               always @(*) begin if (a) t = b; else t = 1'b0; end
+               assign u = t ^ d;
+               always @(*) begin if (u) y = 1'b1; else y = 1'b0; end
+             endmodule",
+            None,
+        )
+        .unwrap();
+        let faults = generate_faults(&design, &FaultListConfig::default());
+        let [clk, a, b, d] = ["clk", "a", "b", "d"].map(|n| design.find_signal(n).unwrap());
+        let bit = |v: u64| LogicVec::from_u64(1, v);
+        let mut sb = StimulusBuilder::new();
+        for cycle in 0..8 {
+            let b_value = if cycle < 4 {
+                bit(1)
+            } else {
+                LogicVec::new_x(1)
+            };
+            sb.add_cycle(
+                clk,
+                &[(a, bit(u64::from(cycle >= 2))), (b, b_value), (d, bit(0))],
+            );
+        }
+        let stim = sb.finish();
+        check_final_windows(&design, &faults, &stim);
+        let t = design.find_signal("t").unwrap();
+        let f = faults
+            .iter()
+            .find(|f| f.signal == t && f.stuck == StuckAt::Zero)
+            .unwrap();
+        let n = stim.steps.len();
+        let full = ActivationWindows::derive(
+            &design,
+            &faults,
+            &probe_steps(&design, &faults, &stim, n),
+            n,
+        );
+        assert_eq!(
+            full.window(f.id),
+            0,
+            "the power-on hazard on u bounds the window"
+        );
+        let open = (1..=n)
+            .filter(|&k| {
+                !ActivationWindows::is_final(f, &probe_steps(&design, &faults, &stim, k), k)
+            })
+            .count();
+        assert!(
+            open > 6,
+            "t sa0 contradicted in cycle 2 but final only after {open} steps"
+        );
     }
 
     #[test]
@@ -476,14 +668,7 @@ mod tests {
 
     #[test]
     fn eligibility_requires_window_and_definedness() {
-        let (_, faults, win) = probe_windows(
-            "module m(input wire clk, input wire rst, output reg [3:0] q);
-               always @(posedge clk) begin
-                 if (rst) q <= 4'h0; else q <= q + 4'h1;
-               end
-             endmodule",
-            12,
-        );
+        let (_, faults, win) = probe_windows(COUNTER, 12);
         let f = &faults.faults()[0];
         let w = win.window(f.id);
         // Step 0 is always eligible.

@@ -145,6 +145,9 @@ impl std::error::Error for BuildError {}
 pub struct Design {
     name: String,
     signals: Vec<Signal>,
+    /// Each signal's width, dense: the simulator's hot paths read this
+    /// instead of the whole [`Signal`].
+    widths: Vec<u32>,
     rtl_nodes: Vec<RtlNode>,
     behavioral: Vec<BehavioralNode>,
     inputs: Vec<SignalId>,
@@ -179,6 +182,16 @@ impl Design {
     /// Panics if `id` is out of range.
     pub fn signal(&self, id: SignalId) -> &Signal {
         &self.signals[id.index()]
+    }
+
+    /// One signal's width in bits: [`Signal::width`] from a dense table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    #[inline]
+    pub fn width(&self, id: SignalId) -> u32 {
+        self.widths[id.index()]
     }
 
     /// All RTL nodes, indexed by [`RtlNodeId`].
@@ -572,6 +585,7 @@ impl DesignBuilder {
 
         Ok(Design {
             name,
+            widths: signals.iter().map(|s| s.width).collect(),
             signals,
             rtl_nodes,
             behavioral,

@@ -16,6 +16,12 @@ use eraser_ir::SignalId;
 use eraser_netlist::json::{self, JsonValue};
 use std::time::Duration;
 
+/// Counters added to [`RedundancyStats`] after records were first
+/// journaled. A record writes one only when it is non-zero and reads a
+/// missing one as 0, so a journal written before it existed replays and
+/// re-encodes to the same bytes.
+const LATER_COUNTERS: [&str; 1] = ["good_run_steps"];
+
 /// One completed campaign, as persisted by a result store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRecord {
@@ -32,10 +38,12 @@ pub struct CampaignRecord {
     pub num_faults: usize,
     /// Stimulus length in settle steps.
     pub steps: usize,
-    /// Good-run settle steps this campaign executed: the stimulus length
-    /// when it took the checkpointed window plan
-    /// ([`is_windowed`](eraser_core::is_windowed)), `0` otherwise — and
-    /// `0` for a repeat answered from the store, which ran nothing.
+    /// Good-run settle steps this campaign executed: when it took the
+    /// checkpointed window plan
+    /// ([`is_windowed`](eraser_core::is_windowed)), the steps its good run
+    /// replayed before every activation window was final
+    /// (`stats.good_run_steps`); `0` otherwise — and `0` for a repeat
+    /// answered from the store, which ran nothing.
     pub good_run_steps: u64,
     /// `true` when the service answered this submission with a copy of an
     /// earlier record of the same spec instead of running it (see the
@@ -78,6 +86,7 @@ impl CampaignRecord {
             s.clone()
                 .counters_mut()
                 .into_iter()
+                .filter(|(k, v)| **v != 0 || !LATER_COUNTERS.contains(k))
                 .map(|(k, v)| (k.to_string(), JsonValue::num(*v)))
                 .chain([
                     (
@@ -161,7 +170,10 @@ impl CampaignRecord {
             ..RedundancyStats::default()
         };
         for (key, slot) in stats.counters_mut() {
-            *slot = want_u64(st, key)?;
+            *slot = match st.get(key) {
+                None if LATER_COUNTERS.contains(&key) => 0,
+                _ => want_u64(st, key)?,
+            };
         }
 
         Ok(CampaignRecord {
@@ -240,6 +252,7 @@ mod tests {
                 implicit_skipped: 100,
                 fault_executions: 100,
                 skipped_prefix_steps: 17,
+                good_run_steps: 40,
                 time_behavioral: Duration::from_micros(250),
                 time_total: Duration::from_micros(900),
                 ..RedundancyStats::default()
@@ -254,6 +267,41 @@ mod tests {
         assert_eq!(back, rec);
         assert_eq!(back.coverage, rec.coverage);
         assert_eq!(back.stats, rec.stats);
+    }
+
+    /// `rec` as JSON text with the stats counter `key` left out.
+    fn without(rec: &CampaignRecord, key: &str) -> String {
+        let mut v = rec.to_json_value();
+        let JsonValue::Obj(fields) = &mut v else {
+            unreachable!("a record is an object")
+        };
+        let (_, stats) = fields.iter_mut().find(|(k, _)| k == "stats").unwrap();
+        let JsonValue::Obj(counters) = stats else {
+            unreachable!("stats is an object")
+        };
+        counters.retain(|(k, _)| k != key);
+        json::to_string(&v)
+    }
+
+    /// A record journaled before `stats.good_run_steps` existed still
+    /// parses, the counter read as 0, and a zero counter is not written;
+    /// any other missing counter is an error.
+    #[test]
+    fn a_record_without_the_good_run_counter_parses() {
+        let rec = sample("c1");
+        assert_eq!(rec.stats.good_run_steps, 40);
+        let old = CampaignRecord::from_json(&without(&rec, "good_run_steps")).unwrap();
+        let zeroed = CampaignRecord {
+            stats: RedundancyStats {
+                good_run_steps: 0,
+                ..rec.stats.clone()
+            },
+            ..rec.clone()
+        };
+        assert_eq!(old, zeroed);
+        assert_eq!(zeroed.to_json(), without(&rec, "good_run_steps"));
+        let err = CampaignRecord::from_json(&without(&rec, "deltas")).unwrap_err();
+        assert!(err.contains("deltas"), "{err}");
     }
 
     #[test]

@@ -358,7 +358,7 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
                 // this keeps the boxed scratch buffers from reshaping
                 // against narrow temporaries cycle after cycle.
                 let value_width = match lhs {
-                    LValue::Full(sig) => self.design.signal(*sig).width,
+                    LValue::Full(sig) => self.design.width(*sig),
                     LValue::PartSelect { hi, lo, .. } => hi - lo + 1,
                     LValue::BitSelect { .. } => 1,
                     LValue::IndexedPart { width, .. } => *width,
@@ -468,7 +468,7 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
             LValue::Full(sig) => Ok(SlotWrite {
                 target: *sig,
                 range: None,
-                value: value.into_width(self.design.signal(*sig).width),
+                value: value.into_width(self.design.width(*sig)),
             }),
             LValue::PartSelect { base, hi, lo } => Ok(SlotWrite {
                 target: *base,
@@ -480,7 +480,7 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
                     self.notify_unknown_index(index);
                     return Err(value);
                 };
-                let width = self.design.signal(*base).width;
+                let width = self.design.width(*base);
                 if idx >= width as u64 {
                     return Err(value);
                 }
@@ -495,7 +495,7 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
                     self.notify_unknown_index(start);
                     return Err(value);
                 };
-                let sig_w = self.design.signal(*base).width as u64;
+                let sig_w = self.design.width(*base) as u64;
                 if s >= sig_w {
                     return Err(value);
                 }
@@ -540,7 +540,7 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
             w.apply_assign(&mut self.overlay[idx as usize].1);
             return;
         }
-        let mut cur = self.scratch.take_for(self.design.signal(sig).width);
+        let mut cur = self.scratch.take_for(self.design.width(sig));
         match w.range {
             // Full write: the overlay entry is exactly the written value.
             None => cur.assign_from(&w.value),

@@ -277,7 +277,7 @@ impl<'d, H: Hook> Simulator<'d, H> {
     /// pooled temporary. Fanout is scheduled if the value changed; call
     /// [`Simulator::step`] to propagate.
     pub fn set_input(&mut self, sig: SignalId, value: &LogicVec) {
-        let width = self.net.design.signal(sig).width;
+        let width = self.net.design.width(sig);
         if value.width() == width {
             if !self.net.unchanged(sig, value) {
                 self.commit(sig, value, true, &[]);
@@ -302,7 +302,7 @@ impl<'d, H: Hook> Simulator<'d, H> {
     /// as in [`Hook::commit`]).
     fn commit_current(&mut self, sig: SignalId, good_wrote: bool, writes: &[SlotWrite]) {
         let net = &mut self.net;
-        let mut current = net.ctx.scratch.take_for(net.design.signal(sig).width);
+        let mut current = net.ctx.scratch.take_for(net.design.width(sig));
         current.assign_from(net.good.values.get(sig));
         self.commit(sig, &current, good_wrote, writes);
         self.net.ctx.scratch.put(current);
@@ -507,10 +507,7 @@ impl<'d, H: Hook> Simulator<'d, H> {
     fn run_rtl(&mut self, id: RtlNodeId) {
         let net = &mut self.net;
         let output = net.design.rtl_node(id).output;
-        let mut out = net
-            .rtl_ctx
-            .scratch
-            .take_for(net.design.signal(output).width);
+        let mut out = net.rtl_ctx.scratch.take_for(net.design.width(output));
         let good = &net.good;
         good.eval.rtl(id, &good.values, &mut net.rtl_ctx, &mut out);
         self.hook.rtl_evaluated(good, &mut net.rtl_ctx, id);
@@ -621,7 +618,7 @@ impl<'d, H: Hook> Simulator<'d, H> {
             targets.dedup();
             for &t in &targets {
                 let net = &mut self.net;
-                let mut next = net.ctx.scratch.take_for(net.design.signal(t).width);
+                let mut next = net.ctx.scratch.take_for(net.design.width(t));
                 next.assign_from(net.good.values.get(t));
                 let mut good_wrote = false;
                 for w in good.iter().filter(|w| w.target == t) {

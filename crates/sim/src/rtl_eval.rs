@@ -50,7 +50,7 @@ pub fn eval_rtl_node_into<S: ValueSource + ?Sized>(
         &node.op,
         &|k| src.value(node.inputs[k]),
         node.inputs.len(),
-        design.signal(node.output).width,
+        design.width(node.output),
         out,
     );
 }

@@ -30,7 +30,7 @@ use eraser::logic::LogicVec;
 use eraser::sim::{Stimulus, StimulusBuilder};
 
 /// The deterministic integer counters of a stats block (timing excluded).
-fn counter_key(s: &RedundancyStats) -> [u64; 19] {
+fn counter_key(s: &RedundancyStats) -> [u64; 20] {
     s.clone().counters_mut().map(|(_, v)| *v)
 }
 

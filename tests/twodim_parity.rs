@@ -18,6 +18,11 @@
 //!    group it rides in, so all their counters are bit-identical at every
 //!    thread count.
 //!
+//! 4. **The good run stops once every window is final.** It then holds
+//!    fewer boundaries than a full replay, yet the same plan and the same
+//!    latest eligible checkpoint for every fault; a never-active fault
+//!    keeps it going to the end.
+//!
 //! The default tests run shortened campaigns on two benchmarks plus a
 //! crafted late-activation design where the composed path must report
 //! genuinely nonzero prefix/fault skips — the regression guard for the
@@ -27,9 +32,9 @@
 
 use eraser::baselines::{CfSim, IFsim, VFsim};
 use eraser::core::{
-    drain_plan, plan_campaign, record_good_run, BatchConfig, CampaignConfig, CheckpointConfig,
-    CollapseConfig, Eraser, EraserEngine, EvalBackend, FaultSimEngine, ParallelConfig,
-    RedundancyStats,
+    drain_plan, plan_campaign, record_good_run, record_good_run_on, BatchConfig, CampaignConfig,
+    CheckpointConfig, CollapseConfig, Eraser, EraserEngine, EvalBackend, FaultSimEngine,
+    GoodRunArtifacts, ParallelConfig, RedundancyStats,
 };
 use eraser::designs::Benchmark;
 use eraser::fault::{generate_faults, FaultList, FaultListConfig};
@@ -42,7 +47,7 @@ const THREADS: [usize; 4] = [1, 2, 4, 7];
 const INTERVALS: [usize; 4] = [0, 1, 8, 64];
 
 /// The deterministic integer counters of a stats block (timing excluded).
-fn counter_key(s: &RedundancyStats) -> [u64; 19] {
+fn counter_key(s: &RedundancyStats) -> [u64; 20] {
     s.clone().counters_mut().map(|(_, v)| *v)
 }
 
@@ -356,6 +361,100 @@ fn apb_checkpointed_campaign_costs_at_most_one_good_pass_per_worker() {
         "{deltas} deltas over {groups} groups, {} per good pass",
         sim.deltas()
     );
+}
+
+/// A reset counter: every fault's site bit is unknown at power-on and
+/// contradicts its stuck value within the first nine cycles, so every
+/// window is final long before the 64-cycle stimulus ends.
+fn early_activation_fixture() -> (Design, FaultList, Stimulus) {
+    let design = compile(
+        "module early(input wire clk, input wire rst, output reg [3:0] q);
+           always @(posedge clk) begin
+             if (rst) q <= 4'h0; else q <= q + 4'h1;
+           end
+         endmodule",
+        None,
+    )
+    .unwrap();
+    let faults = generate_faults(&design, &FaultListConfig::default());
+    let clk = design.find_signal("clk").unwrap();
+    let rst = design.find_signal("rst").unwrap();
+    let mut sb = StimulusBuilder::new();
+    for cycle in 0..64u64 {
+        sb.add_cycle(clk, &[(rst, LogicVec::from_u64(1, (cycle < 2) as u64))]);
+    }
+    (design, faults, sb.finish())
+}
+
+/// The good run of `record_good_run` next to a full replay of the same
+/// stimulus (`record_good_run_on`, as the serial baselines take it),
+/// checkpoint every 8 steps; asserts both give the same plan at 1–3
+/// workers and the same latest eligible checkpoint for every fault.
+fn stopped_and_full_runs(
+    design: &Design,
+    faults: &FaultList,
+    stim: &Stimulus,
+) -> (GoodRunArtifacts, GoodRunArtifacts) {
+    let config = CampaignConfig {
+        checkpoint: CheckpointConfig::every(8),
+        ..Default::default()
+    };
+    let stopped = record_good_run(design, faults, stim, &config, None);
+    let full = record_good_run_on(
+        Simulator::new(design),
+        faults,
+        stim,
+        config.checkpoint,
+        |_| {},
+    );
+    assert_eq!(full.replayed_steps(), stim.steps.len());
+    assert_eq!(full.num_checkpoints(), stim.steps.len().div_ceil(8));
+    for threads in 1..=3 {
+        let [a, b] = [&stopped, &full].map(|g| plan_campaign(faults, Some(g), threads));
+        assert_eq!(a.skipped, b.skipped, "x{threads}: never-active faults");
+        assert_eq!(a.shards.len(), b.shards.len(), "x{threads}: groups");
+        for (x, y) in a.shards.iter().zip(&b.shards) {
+            assert_eq!(
+                (x.global_ids(), x.checkpoint, x.start),
+                (y.global_ids(), y.checkpoint, y.start),
+                "x{threads}: a group moved"
+            );
+        }
+    }
+    for f in faults.iter() {
+        let [(a, sa), (b, sb)] = [&stopped, &full].map(|g| g.latest_checkpoint(f.id));
+        assert!(a == b && sa == sb, "fault {:?}: {a} vs {b}", f.id);
+    }
+    (stopped, full)
+}
+
+#[test]
+fn the_good_run_stops_once_every_window_is_final() {
+    let (design, faults, stim) = early_activation_fixture();
+    let (stopped, full) = stopped_and_full_runs(&design, &faults, &stim);
+    assert!(
+        stopped.num_checkpoints() < full.num_checkpoints(),
+        "{} of {} boundaries captured",
+        stopped.num_checkpoints(),
+        full.num_checkpoints()
+    );
+    assert_eq!(stopped.replayed_steps(), 8 * stopped.num_checkpoints());
+    // The campaign stamps where its good run stopped.
+    let config = CampaignConfig {
+        checkpoint: CheckpointConfig::every(8),
+        ..Default::default()
+    };
+    let result = Eraser::full().run(&design, &faults, &stim, &config);
+    assert_eq!(result.stats.good_run_steps, stopped.replayed_steps() as u64);
+}
+
+#[test]
+fn a_never_active_fault_keeps_the_good_run_to_the_end() {
+    let (design, faults, stim) = late_activation_fixture();
+    let (stopped, full) = stopped_and_full_runs(&design, &faults, &stim);
+    assert!(!plan_campaign(&faults, Some(&stopped), 1).skipped.is_empty());
+    assert_eq!(stopped.num_checkpoints(), full.num_checkpoints());
+    assert_eq!(stopped.replayed_steps(), stim.steps.len());
 }
 
 #[test]
