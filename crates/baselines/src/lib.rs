@@ -15,8 +15,8 @@
 //! * [`VFsim`] — per-fault serial *levelized full evaluation*: the same
 //!   simulator under its levelized settle rule
 //!   ([`Simulator::levelized`](eraser_sim::Simulator::levelized)), where
-//!   every combinational item is dirty every delta, so one drain evaluates
-//!   each once in a precomputed topological order whatever changed — the
+//!   every RTL node is dirty every delta, so one drain evaluates each
+//!   once in a precomputed topological order whatever changed — the
 //!   performance character of Verilator-based fault simulation (cheap,
 //!   constant work per delta; total cost ∝ faults × whole design).
 //! * [`CfSim`] — the Z01X proxy: concurrent (batched) fault simulation
@@ -116,7 +116,7 @@ impl FaultSimEngine for IFsim {
 }
 
 /// VFsim: one levelized full-evaluation simulation per fault
-/// ([`Simulator::levelized`]: every item dirty every delta), otherwise exactly
+/// ([`Simulator::levelized`]: every RTL node dirty every delta), otherwise exactly
 /// [`IFsim`] — same observation, dropping, checkpointing, threading and
 /// collapsing rules.
 #[derive(Debug, Clone, Copy, Default)]

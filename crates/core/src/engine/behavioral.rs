@@ -14,7 +14,7 @@ use crate::RedundancyMode;
 use eraser_fault::{Fault, FaultId, StuckAt};
 use eraser_ir::{BehavioralId, BehavioralNode, EdgeKind, SignalId};
 use eraser_logic::LogicVec;
-use eraser_sim::{ExecCtx, ExecOutcome, Good, NoopMonitor, ValueStore};
+use eraser_sim::{ExecCtx, ExecOutcome, Good, NoopMonitor, SlotWrite, ValueStore};
 
 /// The faults sited on one activation-local signal, as one bit mask per
 /// polarity: bit `i` of word `w` is set when a stuck-at sits on bit
@@ -264,7 +264,8 @@ impl EngineState<'_> {
     /// targets: its faults' non-blocking effects become the fault side of
     /// its NBA block, kernel index `index` — queued whenever the good body
     /// or an executed fault wrote one, and recorded only when a fault
-    /// executed or was suppressed — and the return says whether the
+    /// executed or was suppressed, each executed fault's writes ordered by
+    /// target for the commit's search — and the return says whether the
     /// faults wrote one.
     pub(super) fn close_activation(
         &mut self,
@@ -286,11 +287,11 @@ impl EngineState<'_> {
         {
             let mut block = self.nba_pool.take();
             for (f, o) in fault_outs.iter_mut() {
-                let start = block.fault_writes.len() as u32;
+                let start = block.fault_writes.len();
                 block.fault_writes.append(&mut o.nba);
-                block
-                    .executed
-                    .push((*f, start, block.fault_writes.len() as u32));
+                SlotWrite::sort_by_target(&mut block.fault_writes[start..]);
+                let end = block.fault_writes.len() as u32;
+                block.executed.push((*f, start as u32, end));
             }
             block.suppressed.extend_from_slice(suppressed);
             self.pending_nba.push((index, block));

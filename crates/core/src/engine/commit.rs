@@ -130,8 +130,9 @@ impl EngineState<'_> {
     /// execute the activation themselves (`covered` holds the ones that
     /// did): a suppressed fault's network never fired, so its value is
     /// pinned at its pre-commit view; a fault skipped as redundant that
-    /// carries a difference on `t` has `good_writes` replayed onto its
-    /// value. Both are appended to `fault_news`.
+    /// carries a difference on `t` has the good writes to `t` among
+    /// `good_writes` replayed onto its value. Both are appended to
+    /// `fault_news`.
     #[allow(clippy::too_many_arguments)]
     fn pin_and_replay(
         &self,
@@ -156,10 +157,8 @@ impl EngineState<'_> {
             if covered.binary_search(f).is_err() {
                 let mut val = ws.bufs.take_for(t_width);
                 val.assign_from(v);
-                for w in good_writes {
-                    if w.target == t {
-                        w.apply_assign(&mut val);
-                    }
+                for w in good_writes.iter().filter(|w| w.target == t) {
+                    w.apply_assign(&mut val);
                 }
                 fault_news.push((*f, val));
             }
@@ -192,8 +191,10 @@ impl EngineState<'_> {
     /// an input drive or RTL output with the fault outputs `rtl_evaluated`
     /// left; or a blocking or NBA block target, `new_good` the good value
     /// with the good writes to `t` folded (`good_wrote`: there were some;
-    /// else only faults wrote it), with each executed fault's own value
-    /// (its blocking final, or its view with its NBA writes to `t`),
+    /// else only faults wrote it; `good_writes` hold those writes), with
+    /// each executed fault's own value (its blocking final, or its view
+    /// with its NBA writes to `t`, found by binary search in its writes,
+    /// which `close_activation` ordered by target),
     /// pinned values for suppressed faults, and replayed good writes for
     /// faults skipped as redundant that carry differences on `t`.
     pub(super) fn commit_target(
@@ -224,14 +225,12 @@ impl EngineState<'_> {
                 covered.push(f);
                 let mut val = ws.bufs.take_for(t_width);
                 val.assign_from(view.view(f, good.get(t)));
-                let mut wrote = false;
-                for w in &block.fault_writes[start as usize..end as usize] {
-                    if w.target == t {
-                        w.apply_assign(&mut val);
-                        wrote = true;
-                    }
+                let own = &block.fault_writes[start as usize..end as usize];
+                let own = SlotWrite::run_of(own, t);
+                for w in own {
+                    w.apply_assign(&mut val);
                 }
-                if wrote || good_wrote {
+                if !own.is_empty() || good_wrote {
                     fault_news.push((f, val));
                 } else {
                     ws.bufs.put(val);

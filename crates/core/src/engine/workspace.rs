@@ -43,7 +43,7 @@ pub(super) static GOOD_ONLY: PendingNba = PendingNba {
 #[derive(Debug, Default)]
 pub(super) struct PendingNba {
     /// Non-blocking writes of individually executed faults, flat, grouped
-    /// consecutively per fault.
+    /// consecutively per fault, each fault's ordered by target.
     pub fault_writes: Vec<SlotWrite>,
     /// `(fault, start, end)` ranges into `fault_writes`; every individually
     /// executed fault appears here, possibly with an empty range.

@@ -10,8 +10,10 @@
 //! three `batch_*` counters), which count the kernel's work order. So do
 //! the activation counters of a design with level-sensitive blocks
 //! (`good_activations`, `opportunities` and its split into skipped and
-//! executed), as such a block runs once per wave. The `deltas` column, the
-//! other counters and the detected sets pin semantics.
+//! executed), as such a block runs once per wave, and of a gate netlist,
+//! whose flops the importer folds into one register bank per sensitivity
+//! list (one activation per clock edge, not one per flop). The `deltas`
+//! column, the other counters and the detected sets pin semantics.
 //!
 //! Each design runs at a small size (its first 48 faults, 300 cycles)
 //! under five configurations that reach every lane, both RTL fault
@@ -88,16 +90,16 @@ const GOLDEN: &[Row] = &[
     ("MIPS CPU/none", [601, 6014, 0, 0, 6014, 0, 0, 7203, 897, 901, 0, 0, 39, 0, 0, 0, 0, 0, 0, 0], 0xf1b51fffffff),
     ("MIPS CPU/full-tape-batch", [601, 6014, 5997, 15, 2, 0, 0, 7203, 897, 901, 0, 0, 39, 0, 0, 897, 0, 0, 0, 0], 0xf1b51fffffff),
     ("MIPS CPU/full-ckpt64-t2", [1202, 4812, 4795, 15, 2, 0, 0, 14405, 897, 1802, 0, 2, 39, 0, 0, 0, 0, 0, 0, 600], 0xf1b51fffffff),
-    ("counter8_gate/full", [2400, 32240, 32209, 0, 31, 0, 0, 5060, 1016, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0, 0], 0xffc1fffffcff),
-    ("counter8_gate/explicit", [2400, 32240, 32209, 0, 31, 0, 0, 5060, 1016, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0, 0], 0xffc1fffffcff),
-    ("counter8_gate/none", [2400, 32240, 0, 0, 32240, 0, 0, 5060, 1016, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0, 0], 0xffc1fffffcff),
-    ("counter8_gate/full-tape-batch", [2400, 32240, 32209, 0, 31, 0, 0, 5060, 1016, 901, 0, 0, 41, 0, 0, 1016, 0, 0, 0, 0], 0xffc1fffffcff),
-    ("counter8_gate/full-ckpt64-t2", [4672, 27440, 27409, 0, 31, 0, 0, 9668, 1005, 1754, 0, 2, 41, 0, 0, 0, 0, 0, 0, 600], 0xffc1fffffcff),
-    ("mac16_gate/full", [9600, 20992, 20958, 0, 34, 0, 0, 44263, 1721, 901, 0, 0, 47, 0, 0, 0, 0, 0, 0, 0], 0xfffffffbffff),
-    ("mac16_gate/explicit", [9600, 20992, 20958, 0, 34, 0, 0, 44263, 1721, 901, 0, 0, 47, 0, 0, 0, 0, 0, 0, 0], 0xfffffffbffff),
-    ("mac16_gate/none", [9600, 20992, 0, 0, 20992, 0, 0, 44263, 1721, 901, 0, 0, 47, 0, 0, 0, 0, 0, 0, 0], 0xfffffffbffff),
-    ("mac16_gate/full-tape-batch", [9600, 20992, 20958, 0, 34, 0, 0, 44263, 1721, 901, 0, 0, 47, 0, 0, 1721, 0, 0, 0, 0], 0xfffffffbffff),
-    ("mac16_gate/full-ckpt64-t2", [9696, 20992, 20958, 0, 34, 0, 0, 45101, 1721, 911, 0, 0, 47, 0, 0, 0, 0, 0, 0, 128], 0xfffffffbffff),
+    ("counter8_gate/full", [300, 4030, 3999, 0, 31, 0, 0, 5060, 1016, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0, 0], 0xffc1fffffcff),
+    ("counter8_gate/explicit", [300, 4030, 3999, 0, 31, 0, 0, 5060, 1016, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0, 0], 0xffc1fffffcff),
+    ("counter8_gate/none", [300, 4030, 0, 0, 4030, 0, 0, 5060, 1016, 901, 0, 0, 41, 0, 0, 0, 0, 0, 0, 0], 0xffc1fffffcff),
+    ("counter8_gate/full-tape-batch", [300, 4030, 3999, 0, 31, 0, 0, 5060, 1016, 901, 0, 0, 41, 0, 0, 1016, 0, 0, 0, 0], 0xffc1fffffcff),
+    ("counter8_gate/full-ckpt64-t2", [584, 3430, 3399, 0, 31, 0, 0, 9668, 1005, 1754, 0, 2, 41, 0, 0, 0, 0, 0, 0, 600], 0xffc1fffffcff),
+    ("mac16_gate/full", [300, 656, 622, 0, 34, 0, 0, 44263, 1721, 901, 0, 0, 47, 0, 0, 0, 0, 0, 0, 0], 0xfffffffbffff),
+    ("mac16_gate/explicit", [300, 656, 622, 0, 34, 0, 0, 44263, 1721, 901, 0, 0, 47, 0, 0, 0, 0, 0, 0, 0], 0xfffffffbffff),
+    ("mac16_gate/none", [300, 656, 0, 0, 656, 0, 0, 44263, 1721, 901, 0, 0, 47, 0, 0, 0, 0, 0, 0, 0], 0xfffffffbffff),
+    ("mac16_gate/full-tape-batch", [300, 656, 622, 0, 34, 0, 0, 44263, 1721, 901, 0, 0, 47, 0, 0, 1721, 0, 0, 0, 0], 0xfffffffbffff),
+    ("mac16_gate/full-ckpt64-t2", [303, 656, 622, 0, 34, 0, 0, 45101, 1721, 911, 0, 0, 47, 0, 0, 0, 0, 0, 0, 128], 0xfffffffbffff),
 ];
 
 fn configs() -> [(&'static str, CampaignConfig); 5] {

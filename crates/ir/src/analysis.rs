@@ -92,7 +92,10 @@ pub fn rtl_output_width(op: &RtlOp, input_widths: &[u32]) -> Option<u32> {
 /// This is the structural over-approximation of fault-difference
 /// propagation shared by activation-window analysis and static fault
 /// collapsing in `eraser-fault`: a fault difference sited on `s` can only
-/// ever surface on signals reachable from `s` in this graph.
+/// ever surface on signals reachable from `s` in this graph. The graph is
+/// per node, so a node that groups independent writers — a netlist's
+/// register bank — lets each of its reads reach every one of its writes:
+/// more conservative, never unsound.
 pub fn influence_adjacency(design: &Design) -> Vec<Vec<SignalId>> {
     let mut adj: Vec<Vec<SignalId>> = vec![Vec::new(); design.num_signals()];
     for node in design.rtl_nodes() {

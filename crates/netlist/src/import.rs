@@ -19,6 +19,18 @@
 //! injection sites: every such net materializes as a named signal and all
 //! readers are routed through it, which is what gives gate-level netlists
 //! the per-gate-output fault universe a structural fault model expects.
+//!
+//! Flops become *register banks*: every flop cell with the same
+//! sensitivity list (clock and edge, plus the asynchronous reset and its
+//! edge for `$adff`) joins one edge-triggered behavioral node, whose body
+//! is the cells' bodies in cell order — a `$dffe` enable or `$sdff` reset
+//! stays a per-cell `if` inside it. So a clock edge on a gate netlist is
+//! one activation and one NBA block, as for the `always` block a designer
+//! would have written, not one per flop; a one-cell bank is the cell's own
+//! node. Signal and fault ids do not depend on the banking. The analyses
+//! that work per behavioral node (the read set, the influence adjacency of
+//! `eraser_ir::analysis`) see a bank as one node, so every D input of a
+//! bank reaches every Q: conservative, never unsound.
 
 use crate::json::{self, JsonValue};
 use eraser_ir::{
@@ -169,6 +181,10 @@ struct Importer<'a> {
     /// `(name, bits, hidden)` from `netnames`.
     netnames: Vec<(&'a str, &'a [JsonValue], bool)>,
     temp_counter: u32,
+    /// The register banks: one per distinct flop sensitivity list, in
+    /// order of first appearance, holding its first cell's name and its
+    /// cells' bodies in cell order.
+    banks: Vec<(String, Sensitivity, Vec<Stmt>)>,
 }
 
 const EMPTY_OBJ: &[(String, JsonValue)] = &[];
@@ -189,6 +205,7 @@ impl<'a> Importer<'a> {
             port_names: Vec::new(),
             netnames: Vec::new(),
             temp_counter: 0,
+            banks: Vec::new(),
         }
     }
 
@@ -205,6 +222,7 @@ impl<'a> Importer<'a> {
         self.declare_cell_outputs()?;
         self.alias_named_nets()?;
         self.emit_cells()?;
+        self.emit_banks();
         for (name, bits) in deferred_outputs {
             let sources = self.resolve(bits, &format!("output port `{name}`"))?;
             let port = self.b.add_port(name, bits.len() as u32, PortDir::Output);
@@ -812,8 +830,9 @@ impl<'a> Importer<'a> {
         }
     }
 
-    /// Phase D: one pass over the cells emitting RTL/behavioral nodes into
-    /// the signals declared in phase B.
+    /// Phase D: one pass over the cells emitting RTL nodes into the
+    /// signals declared in phase B, and queueing each flop's body on its
+    /// register bank.
     fn emit_cells(&mut self) -> Result<(), ImportError> {
         for (cell_name, cell) in obj_of(self.module.get("cells")) {
             let ty = cell.get("type").and_then(|t| t.as_str()).unwrap_or("");
@@ -1029,8 +1048,27 @@ impl<'a> Importer<'a> {
             }
             _ => (Sensitivity::Edges(vec![(clk_edge, clk)]), load),
         };
-        self.b.add_behavioral(name, sensitivity, body);
+        match self.banks.iter_mut().find(|(_, s, _)| *s == sensitivity) {
+            Some((_, _, bodies)) => bodies.push(body),
+            None => self.banks.push((name.to_string(), sensitivity, vec![body])),
+        }
         Ok(())
+    }
+
+    /// Phase E: one behavioral node per register bank — the flops that
+    /// share a sensitivity list, so a clock edge is one activation and one
+    /// NBA block, not one per flop. The bodies run in cell order, which is
+    /// ascending Q id (phase B declares outputs in cell order), so the
+    /// block's writes are already in target order. A one-cell bank is the
+    /// cell's own node: its name and body unchanged.
+    fn emit_banks(&mut self) {
+        for (first, sensitivity, mut bodies) in std::mem::take(&mut self.banks) {
+            let (name, body) = match bodies.len() {
+                1 => (first, bodies.pop().expect("one body")),
+                _ => (format!("$bank${first}"), Stmt::Block(bodies)),
+            };
+            self.b.add_behavioral(name, sensitivity, body);
+        }
     }
 }
 

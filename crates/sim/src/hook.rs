@@ -84,9 +84,12 @@ pub trait Hook {
 
     /// `value` is about to be stored to `sig`. `good_wrote`: the write
     /// behind it reached every network (input drives, RTL outputs, targets
-    /// the good body wrote); `writes`: the good writes it folds (empty
-    /// outside behavioral commits). Returns whether state the hook keeps on
-    /// `sig` changed: fanout is scheduled on that or a good change.
+    /// the good body wrote); `writes`: the good writes it folds, in
+    /// execution order — at an NBA commit just those to `sig` (none where
+    /// only the hook's networks wrote it), at a blocking commit all of the
+    /// activation's blocking writes; empty outside behavioral commits.
+    /// Returns whether state the hook keeps on `sig` changed: fanout is
+    /// scheduled on that or a good change.
     #[inline]
     fn commit(
         &mut self,
@@ -122,7 +125,10 @@ pub trait Hook {
 
     /// NBA block `block` commits next: adds to `targets` what else it
     /// writes. Every target is then committed, in target order, with the
-    /// block's good writes to it folded.
+    /// block's good writes to it folded — the block's writes are ordered
+    /// by target once, so each [`Hook::commit`] gets just its target's
+    /// run. A register bank (one block for every flop on a clock) commits
+    /// in one pass.
     #[inline]
     fn nba_block(&mut self, _block: usize, _targets: &mut Vec<SignalId>) {}
 

@@ -65,6 +65,28 @@ impl SlotWrite {
             Some((lo, _w)) => current.assign_slice(lo, &self.value),
         }
     }
+
+    /// Orders `writes` by target, stably: the writes to one target keep
+    /// their execution order, the order a commit folds them in. A binary
+    /// insertion sort — allocation-free, and one comparison per write on
+    /// writes already in target order, as a register bank's are.
+    pub fn sort_by_target(writes: &mut [SlotWrite]) {
+        for i in 1..writes.len() {
+            let t = writes[i].target;
+            if writes[i - 1].target > t {
+                let pos = writes[..i].partition_point(|w| w.target <= t);
+                writes[pos..=i].rotate_right(1);
+            }
+        }
+    }
+
+    /// The run of `sorted`'s writes to `t`, for writes ordered by
+    /// [`SlotWrite::sort_by_target`].
+    pub fn run_of(sorted: &[SlotWrite], t: SignalId) -> &[SlotWrite] {
+        let lo = sorted.partition_point(|w| w.target < t);
+        let len = sorted[lo..].partition_point(|w| w.target == t);
+        &sorted[lo..lo + len]
+    }
 }
 
 /// Observer of an unfolding execution path.

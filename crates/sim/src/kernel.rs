@@ -46,9 +46,13 @@ const DELTA_LIMIT: usize = 10_000;
 ///    - *event-driven* ([`Simulator::with_evaluator`] and the constructors
 ///      built on it): what the last changes marked — work proportional to
 ///      activity (the IFsim substrate);
-///    - *levelized* ([`Simulator::levelized`]): every item, Verilator-
+///    - *levelized* ([`Simulator::levelized`]): every RTL node, Verilator-
 ///      fashion — constant whole-design work per delta (the VFsim
-///      substrate).
+///      substrate) — beside what the last changes marked.
+///
+///    Under both rules a level-sensitive block is marked only when a
+///    signal on its sensitivity list changes, so it runs exactly when its
+///    `always @(...)` would.
 /// 2. **Deferred edge detection** — only after the active region settles are
 ///    event (edge) expressions evaluated against the previously-latched
 ///    values, node by node in order of first appearance in the fanout of
@@ -61,12 +65,11 @@ const DELTA_LIMIT: usize = 10_000;
 ///    in target order with its writes to a target folded, possibly
 ///    scheduling another delta.
 ///
-/// Both rules commit the same settled values after every step, provided
-/// each level-sensitive block's sensitivity list names every signal it
-/// reads (the levelized rule runs every block every delta); only the work
-/// done differs. Forces, edge detection, the NBA region, the hook `H` (see
-/// the module docs of `kernel.rs`) and snapshots are shared. See the
-/// [crate docs](crate) for a usage example.
+/// Both rules commit the same settled values after every step, in the
+/// same number of delta cycles; only the work done differs. Forces, edge
+/// detection, the NBA region, the hook `H` (see the module docs of
+/// `kernel.rs`) and snapshots are shared. See the [crate docs](crate) for
+/// a usage example.
 #[derive(Debug, Clone)]
 pub struct Simulator<'d, H = NoHook> {
     net: Net<'d>,
@@ -79,9 +82,10 @@ pub struct Simulator<'d, H = NoHook> {
 struct Net<'d> {
     design: &'d Design,
     good: Good<'d>,
-    /// The settle rule: every item dirty at each delta's start (`true`)
-    /// or only the marked ones (`false`).
-    levelized: bool,
+    /// The settle rule: the items marked at each delta's start, as words
+    /// of `dirty` — every RTL node under the levelized rule, nothing
+    /// (empty) under the event-driven one.
+    every_delta: Vec<u64>,
     /// The dirty combinational items: bit `r` of the set is item `r` of
     /// [`Design::comb_order`]. No set bit lies in a word below `low`;
     /// `pending` counts the set bits.
@@ -156,7 +160,7 @@ impl<'d> Simulator<'d> {
     }
 
     /// Creates a simulator over `eval`'s design and backend that settles
-    /// under the levelized rule: every combinational item, every delta, in
+    /// under the levelized rule: every RTL node, every delta, in
     /// topological order.
     pub fn levelized(eval: Evaluator<'d>) -> Self {
         Self::build(eval, true)
@@ -164,7 +168,9 @@ impl<'d> Simulator<'d> {
 
     fn build(eval: Evaluator<'d>, levelized: bool) -> Self {
         let mut sim = Simulator::unsettled(eval, NoHook);
-        sim.net.levelized = levelized;
+        if levelized {
+            sim.net.levelize();
+        }
         sim.settle_all();
         sim
     }
@@ -199,7 +205,7 @@ impl<'d, H: Hook> Simulator<'d, H> {
                 values: ValueStore::new(design),
                 edge_prev: edge_prev.collect(),
             },
-            levelized: false,
+            every_delta: Vec::new(),
             dirty: vec![0; design.comb_order().len().div_ceil(64)],
             low: 0,
             pending: 0,
@@ -376,8 +382,8 @@ impl<'d, H: Hook> Simulator<'d, H> {
         let mut budget = DELTA_LIMIT * self.net.design.comb_order().len().max(1);
         for _ in 0..DELTA_LIMIT {
             self.net.deltas += 1;
-            if self.net.levelized {
-                self.net.mark_all();
+            if !self.net.every_delta.is_empty() {
+                self.net.mark_every_delta();
             }
             self.settle_active(&mut budget);
             let n_activated = self.detect_edges();
@@ -599,7 +605,10 @@ impl<'d, H: Hook> Simulator<'d, H> {
     }
 
     /// Commits the NBA region block by block, each block's targets in
-    /// target order with its writes to a target folded into one commit.
+    /// target order with its writes to a target folded into one commit:
+    /// the block's writes are ordered by target once, and each target
+    /// folds only its own run of them, so a register bank of N flops
+    /// commits in O(N log N), not O(N²).
     /// Returns whether another delta is needed for it.
     fn commit_nba(&mut self) -> bool {
         if self.net.nba_ends.is_empty() {
@@ -610,22 +619,23 @@ impl<'d, H: Hook> Simulator<'d, H> {
         let mut targets = std::mem::take(&mut self.net.ws_targets);
         let (mut any, mut start) = (false, 0);
         for (block, &end) in ends.iter().enumerate() {
-            let good = &writes[start..end];
+            let block_writes = &mut writes[start..end];
             start = end;
-            targets.extend(good.iter().map(|w| w.target));
+            SlotWrite::sort_by_target(block_writes);
+            let block_writes = &*block_writes;
+            targets.extend(block_writes.iter().map(|w| w.target));
             self.hook.nba_block(block, &mut targets);
             targets.sort_unstable();
             targets.dedup();
             for &t in &targets {
+                let good = SlotWrite::run_of(block_writes, t);
                 let net = &mut self.net;
                 let mut next = net.ctx.scratch.take_for(net.design.width(t));
                 next.assign_from(net.good.values.get(t));
-                let mut good_wrote = false;
-                for w in good.iter().filter(|w| w.target == t) {
+                for w in good {
                     w.apply_assign(&mut next);
-                    good_wrote = true;
                 }
-                any |= self.commit(t, &next, good_wrote, good);
+                any |= self.commit(t, &next, !good.is_empty(), good);
                 self.net.ctx.scratch.put(next);
             }
             targets.clear();
@@ -693,6 +703,29 @@ impl Net<'_> {
             };
             self.pending += 1;
         }
+    }
+
+    /// Switches to the levelized rule: every RTL node's rank marked at
+    /// each delta's start.
+    fn levelize(&mut self) {
+        let mut mask = vec![0u64; self.dirty.len()];
+        for (rank, item) in self.design.comb_order().iter().enumerate() {
+            if let CombItem::Rtl(_) = item {
+                mask[rank / 64] |= 1 << (rank % 64);
+            }
+        }
+        self.every_delta = mask;
+    }
+
+    /// Marks the items of `every_delta` dirty.
+    fn mark_every_delta(&mut self) {
+        let mut pending = 0;
+        for (word, mask) in self.dirty.iter_mut().zip(&self.every_delta) {
+            *word |= mask;
+            pending += word.count_ones() as usize;
+        }
+        self.pending = pending;
+        self.low = self.dirty.iter().position(|&w| w != 0).unwrap_or(0);
     }
 
     /// Marks every combinational item dirty.
@@ -1004,8 +1037,9 @@ mod tests {
 
     #[test]
     fn matches_event_driven_simulator() {
-        // The levelized rule runs the whole of `comb_order` once per delta,
-        // in order, and settles in as many deltas as the event-driven one.
+        // The levelized rule runs every RTL node once per delta, in
+        // `comb_order`, and settles in as many deltas as the event-driven
+        // one.
         let d = compile(
             "module m(input wire clk, input wire rst, input wire [3:0] a,
                       output reg [7:0] acc, output wire [7:0] mix, output reg [7:0] sel);
@@ -1034,7 +1068,7 @@ mod tests {
         }
         let mut ev = Simulator::new(&d);
         let mut lv = Simulator::unsettled(Evaluator::tree(&d), ItemOrder::default());
-        lv.net.levelized = true;
+        lv.net.levelize();
         lv.settle_all();
         for (si, step) in steps.iter().enumerate() {
             ev.replay_step(step);
@@ -1045,10 +1079,41 @@ mod tests {
                 assert_eq!(ev.value(s), lv.value(s), "step {si}");
             }
         }
-        let order = d.comb_order();
-        assert_eq!(order.len(), 3);
+        let rtl = |items: &[CombItem]| -> Vec<CombItem> {
+            let rtl = items.iter().filter(|i| matches!(i, CombItem::Rtl(_)));
+            rtl.copied().collect()
+        };
+        let order = rtl(d.comb_order());
+        assert_eq!(order.len(), 2);
         for (k, (fired, deltas)) in lv.hook().steps.iter().enumerate() {
-            assert_eq!(fired, &order.repeat(*deltas as usize), "step {k}");
+            assert_eq!(rtl(fired), order.repeat(*deltas as usize), "step {k}");
+        }
+    }
+
+    #[test]
+    fn levelized_rule_keeps_the_sensitivity_list() {
+        // `b` is read but not on the list: a change of `b` alone does not
+        // re-run the block under either rule, so `y` keeps the `X` that
+        // `a & b` gave while `b` was unknown.
+        let d = compile(
+            "module m(input wire a, input wire b, output reg y);
+               always @(a) y = a & b;
+             endmodule",
+            None,
+        )
+        .unwrap();
+        let f = |n: &str| d.find_signal(n).unwrap();
+        let (a, b, y) = (f("a"), f("b"), f("y"));
+        let steps = [(a, 1), (b, 0), (b, 1), (a, 0), (a, 1)];
+        let expect = [None, None, None, Some(0), Some(1)];
+        let mut ev = Simulator::new(&d);
+        let mut lv = Simulator::levelized(Evaluator::tree(&d));
+        for ((sig, x), want) in steps.into_iter().zip(expect) {
+            for sim in [&mut ev, &mut lv] {
+                sim.replay_step(&[(sig, v(1, x))]);
+                assert_eq!(sim.value(y).to_u64(), want, "after {sig:?} = {x}");
+            }
+            assert_eq!(lv.deltas(), ev.deltas());
         }
     }
 

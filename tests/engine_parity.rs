@@ -94,6 +94,64 @@ fn parity_conv() {
     parity_for(Benchmark::ConvAcc, 40, 60);
 }
 
+/// A level-sensitive block whose sensitivity list leaves out a signal it
+/// reads: `always @(a) y = a & b` re-runs on `a` only, under the levelized
+/// settle rule (VFsim) as under the event-driven one (IFsim). Once `a`
+/// and `b` are 1, `b` falling leaves `y` at 1 in every network, so
+/// stuck-at-1 on `b` stays undetected; a rule that re-ran the block on `b`
+/// would read 0 in the good network and detect it.
+#[test]
+fn parity_incomplete_sensitivity_list() {
+    use eraser::fault::StuckAt;
+    use eraser::logic::LogicVec;
+    use eraser::sim::StimulusBuilder;
+
+    let design = eraser::frontend::compile(
+        "module m(input wire a, input wire b, output reg y);
+           always @(a) y = a & b;
+         endmodule",
+        None,
+    )
+    .unwrap();
+    let universe = FaultListConfig {
+        include_inputs: true,
+        ..FaultListConfig::default()
+    };
+    let faults = generate_faults(&design, &universe);
+    let f = |n: &str| design.find_signal(n).unwrap();
+    let (a, b) = (f("a"), f("b"));
+    let mut sb = StimulusBuilder::new();
+    for (sig, x) in [(a, 0), (b, 1), (a, 1), (b, 0), (a, 0)] {
+        sb.add_step(vec![(sig, LogicVec::from_u64(1, x))]);
+    }
+    let stim = sb.finish();
+    let engines = engines_under_test();
+    let results: Vec<_> = engines
+        .iter()
+        .map(|e| e.run(&design, &faults, &stim, &CampaignConfig::default()))
+        .collect();
+    let reference = &results[0].coverage;
+    assert!(reference.detected() > 0, "nothing detected ({reference})");
+    let b_sa1 = faults
+        .iter()
+        .find(|x| x.signal == b && x.stuck == StuckAt::One)
+        .expect("a stuck-at-1 on `b`");
+    for (engine, result) in engines.iter().zip(&results) {
+        assert!(
+            reference.same_detected_set(&result.coverage),
+            "{} reports {reference} but {} reports {}",
+            engines[0].name(),
+            engine.name(),
+            result.coverage
+        );
+        assert!(
+            !result.coverage.is_detected(b_sa1.id),
+            "{} detects stuck-at-1 on `b`",
+            engine.name()
+        );
+    }
+}
+
 /// Full-suite parity across all ten benchmarks with larger fault samples.
 /// Slow in debug builds; run with `cargo test --release -- --ignored`.
 #[test]
