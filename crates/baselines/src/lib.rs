@@ -24,6 +24,14 @@
 //!   ERASER engine pinned to
 //!   [`RedundancyMode::Explicit`](eraser_core::RedundancyMode).
 //!
+//! Checkpointed good-state replay
+//! ([`CampaignConfig::checkpoint`](eraser_core::CampaignConfig::checkpoint))
+//! is a strength of the serial substitutions only: IFsim and VFsim restart
+//! each fault from its own latest eligible checkpoint and skip the faults
+//! that provably never activate. The concurrent engines (CfSim and ERASER)
+//! simulate every fault from step 0 and ignore the interval, as the
+//! paper's IFsim comparison assumes of the engine it measures.
+//!
 //! [`all_engines`] returns the full Fig. 6 engine line-up (the three
 //! baselines plus full ERASER) as trait objects, so benchmark harnesses,
 //! parity tests and examples enumerate engines instead of hand-calling
@@ -83,7 +91,8 @@ use eraser_sim::{Simulator, Stimulus};
 /// As a serial engine it always drops a fault at first detection (coverage
 /// is insensitive to dropping). Honors [`CampaignConfig::backend`]: on the
 /// tape backend the design is lowered once and every per-fault simulator
-/// replays the shared program. Honors [`CampaignConfig::checkpoint`]:
+/// replays the shared program. Honors [`CampaignConfig::checkpoint`],
+/// which only the serial baselines read:
 /// with checkpointing enabled the good run is snapshotted periodically,
 /// each fault starts from the latest checkpoint preceding its activation
 /// window (bit-identical coverage, see
@@ -142,7 +151,8 @@ impl FaultSimEngine for VFsim {
 
 /// CfSim (Z01X proxy): the concurrent engine pinned to explicit-only
 /// redundancy elimination. Honors every [`CampaignConfig`] field except
-/// `mode`.
+/// `mode` and `checkpoint`: like every concurrent campaign it starts each
+/// fault at step 0.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CfSim;
 

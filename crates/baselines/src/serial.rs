@@ -8,16 +8,19 @@
 //! `eraser-core`'s (see its `schedule` module docs); what is serial here
 //! is the work inside a group. The good replay records every primary
 //! output after each settle step (riding the instrumented good run when
-//! checkpointing applies); then, per fault of a group, the simulator
-//! restores *that fault's own* latest eligible checkpoint
+//! checkpointing applies, which also skips the never-active faults); then,
+//! per fault of a group, the simulator restores *that fault's own* latest
+//! eligible checkpoint
 //! ([`GoodRunArtifacts::latest_checkpoint`](eraser_core::GoodRunArtifacts::latest_checkpoint))
-//! — nothing is shared across a group here, so nothing ties a fault to the
-//! group's start — or starts fresh, without checkpointing; applies the
-//! force, and replays the stimulus suffix against the good trace, stopping
-//! at the first detection (per-fault dropping). Faults are mutually
-//! independent and every fault re-seeds the simulator before injection, so
-//! per-fault results — coverage and the skip counters — do not depend on
-//! group membership, position, or thread count.
+//! — nothing is shared across a group here, so a group has no start of
+//! its own — or starts fresh, without checkpointing; applies the force,
+//! and replays the stimulus suffix against the good trace, stopping at the
+//! first detection (per-fault dropping). Faults are mutually independent
+//! and every fault re-seeds the simulator before injection, so per-fault
+//! results — coverage and the skip counters — do not depend on group
+//! membership, position, or thread count. Checkpointing is a strength of
+//! this substitution alone: the concurrent engine starts every fault at
+//! step 0 and ignores the interval.
 
 use eraser_core::{
     drain_plan, is_windowed, plan_campaign, record_good_run_on, run_collapsed, CampaignConfig,
@@ -71,7 +74,7 @@ pub fn serial_campaign(
         };
         let threads = config.parallel.effective_threads();
         let plan = plan_campaign(faults, good.as_ref(), threads);
-        drain_plan(&plan, good.as_ref(), threads, None, |group, _| {
+        drain_plan(&plan, good.as_ref(), threads, None, |group| {
             let mut sim = make_sim();
             let mut coverage = CoverageReport::new(group.len());
             let mut stats = RedundancyStats::default();

@@ -6,7 +6,7 @@ use crate::collapse::{run_collapsed, CollapseConfig};
 use crate::engine::EraserEngine;
 use crate::parallel::ParallelConfig;
 use crate::progress::CampaignProgress;
-use crate::schedule::{drain_plan, is_windowed, plan_campaign, record_good_run, GoodRunArtifacts};
+use crate::schedule::{drain_plan, plan_campaign, GoodRunArtifacts};
 use crate::stats::RedundancyStats;
 use crate::RedundancyMode;
 use eraser_fault::{CoverageReport, FaultList};
@@ -33,16 +33,13 @@ pub struct CampaignConfig {
     /// tape backend the design is lowered once per campaign and the
     /// program is shared across every fault-parallel shard worker.
     pub backend: EvalBackend,
-    /// Checkpointed good-state replay: the good-state snapshot interval.
-    /// When enabled the campaign takes the window plan (see
-    /// [`CheckpointConfig`] and the `schedule` module docs): one
-    /// instrumented good run, never-active faults dropped, the rest cut
-    /// in window order into one group per worker, and engines that
-    /// resume from the latest checkpoint eligible for their whole group.
-    /// Disabled by default. Coverage records are bit-identical at any
-    /// interval and thread count; the redundancy counters are a function
-    /// of the plan — they move with the interval and the thread count,
-    /// and repeat exactly from run to run.
+    /// Checkpointed good-state replay, a setting of the serial IFsim and
+    /// VFsim baselines only (see [`CheckpointConfig`] and the `schedule`
+    /// module docs): one instrumented good run, never-active faults
+    /// skipped, and each fault restarted from its own latest eligible
+    /// checkpoint. Disabled by default. The concurrent engines ignore it:
+    /// every group starts at step 0, so their coverage and counters are
+    /// those of interval 0.
     pub checkpoint: CheckpointConfig,
     /// Bit-parallel fault batching: evaluate up to 64 fault candidates of a
     /// batchable RTL node in one word-parallel pass (PPSFP applied to the
@@ -94,7 +91,7 @@ pub struct CampaignResult {
     pub coverage: CoverageReport,
     /// Redundancy and timing counters. `time_total` is the aggregate
     /// compute time, engine construction included: the good run's wall (if
-    /// one was used) plus the sum of the group walls, so
+    /// a serial baseline recorded one) plus the sum of the group walls, so
     /// [`RedundancyStats::behavioral_time_percent`] stays a meaningful
     /// compute-share at any thread count. Wall time of a campaign is what
     /// the caller measures around [`run_campaign`] or
@@ -105,10 +102,9 @@ pub struct CampaignResult {
 /// Resources a caller hands a campaign in place of what
 /// [`run_campaign_with`] would otherwise build itself:
 ///
-/// * compiled programs (`tapes` / `batch`) and recorded good-run
-///   artifacts (`good_run`) — filled only by the benchmark under
-///   `/benchmark`, which compiles and records them in calls of its own so
-///   it can time each layer apart from the campaign that uses it;
+/// * compiled programs (`tapes` / `batch`) — filled only by the benchmark
+///   under `/benchmark`, which compiles them in calls of its own so it can
+///   time each layer apart from the campaign that uses it;
 /// * a [`CampaignProgress`] block (`progress`), ticked per completed work
 ///   group for live status reporting — what the campaign service fills.
 ///
@@ -124,12 +120,10 @@ pub struct CampaignContext<'a> {
     /// A pre-compiled bit-parallel batch program (used only when
     /// `config.batch` is enabled).
     pub batch: Option<&'a BatchProgram>,
-    /// Good-run artifacts recorded ([`record_good_run`]) for this exact
-    /// (design, fault universe, stimulus, checkpoint interval). Must not
-    /// be supplied for a different fault universe — the activation
-    /// windows are per-fault. Ignored (and never consulted) when
-    /// collapsing is enabled, since the representative universe differs
-    /// from the recorded one.
+    /// Ignored. A concurrent campaign records no good run and resumes
+    /// from no snapshot, so it has no use for recorded artifacts
+    /// ([`record_good_run`](crate::record_good_run)); the field stays only
+    /// while the benchmark still fills it.
     pub good_run: Option<&'a GoodRunArtifacts>,
     /// Progress counters ticked as work groups complete.
     pub progress: Option<&'a CampaignProgress>,
@@ -150,14 +144,9 @@ pub struct CampaignContext<'a> {
 /// sum per-group counters and per-group walls (see
 /// [`RedundancyStats::merge`] and [`CampaignResult::stats`]).
 ///
-/// With `config.checkpoint` enabled (any thread count) one instrumented
-/// good run records periodic snapshots, never-active faults are dropped
-/// without simulation, the rest are cut in activation-window order into
-/// one group per worker, and each group engine resumes from the latest
-/// checkpoint eligible for all its faults. Coverage stays bit-identical
-/// to the non-checkpointed run; the counters are a function of the plan
-/// and repeat exactly, with `skipped_prefix_steps` / `skipped_faults`
-/// quantifying the trimmed work.
+/// Every group engine starts at step 0: `config.checkpoint` is a setting
+/// of the serial baselines only, and a concurrent campaign's coverage and
+/// counters are the same at any interval.
 ///
 /// Equivalent to [`run_campaign_with`] with an empty [`CampaignContext`].
 pub fn run_campaign(
@@ -209,43 +198,18 @@ pub fn run_campaign_with(
         } else {
             None
         };
-        // Checkpointing on: record the good run, or use the caller's —
-        // unless collapsing swapped the universe under it (the caller's
-        // artifacts were recorded over the *full* universe, and activation
-        // windows are per-fault).
-        let supplied = ctx.good_run.filter(|_| !config.collapse.enabled);
-        let recorded;
-        let good = if !is_windowed(&config.checkpoint, faults, stimulus) {
-            None
-        } else if let Some(good) = supplied {
-            debug_assert_eq!(
-                good.steps(),
-                stimulus.steps.len(),
-                "good-run artifacts recorded for a different stimulus"
-            );
-            Some(good)
-        } else {
-            recorded = record_good_run(design, faults, stimulus, config, tapes);
-            Some(&recorded)
-        };
         let threads = config.parallel.effective_threads();
-        let plan = plan_campaign(faults, good, threads);
-        // One concurrent engine per group, resumed from the group's
-        // checkpoint when it has one.
-        drain_plan(&plan, good, threads, ctx.progress, |group, snapshot| {
-            let mut session = EraserEngine::session(design, &group.list)
+        let plan = plan_campaign(faults, None, threads);
+        // One concurrent engine per group, from step 0.
+        drain_plan(&plan, None, threads, ctx.progress, |group| {
+            let mut engine = EraserEngine::session(design, &group.list)
                 .mode(config.mode)
                 .drop_detected(config.drop_detected)
                 .tapes(tapes)
-                .batch(batch);
-            if let Some(snapshot) = snapshot {
-                session = session.resume_from(snapshot, group.start);
-            }
-            let mut engine = session.start();
+                .batch(batch)
+                .start();
             engine.run(stimulus);
-            let mut stats = engine.stats().clone();
-            stats.skipped_prefix_steps = group.skipped_prefix_steps();
-            (engine.coverage().clone(), stats)
+            (engine.coverage().clone(), engine.stats().clone())
         })
     })
 }

@@ -1,31 +1,27 @@
 //! Checkpointed good-state replay configuration.
 //!
-//! The temporal-redundancy knob of the framework: with a nonzero interval,
-//! campaign drivers run the good machine once with an activation probe
-//! attached, capture a [`SimSnapshot`](eraser_sim::SimSnapshot) of the
-//! good state every `interval` settle steps, derive per-fault
-//! [`ActivationWindows`](eraser_fault::ActivationWindows), and then start
-//! simulation from the latest eligible checkpoint preceding each fault's
-//! window — skipping the fault-free prefix that from-zero re-simulation
-//! would otherwise replay, and skipping outright the faults whose window
-//! lies beyond the stimulus. The remaining faults are cut, in window
-//! order, into one [`WindowShard`](eraser_fault::WindowShard) per worker;
-//! the concurrent campaign driver ([`run_campaign`](crate::run_campaign))
-//! resumes one concurrent engine per group from the latest checkpoint
-//! eligible for all its members, the serial IFsim/VFsim baselines restore
-//! one simulator per fault at that fault's own latest eligible
-//! checkpoint, and either way the groups drain the same
-//! [`ParallelConfig`](crate::ParallelConfig) worker queue (see the
-//! `schedule` module docs). Coverage records (first-detection steps and
-//! outputs included) are bit-identical to the non-checkpointed run by
-//! construction. The redundancy counters are a function of the plan —
-//! groups = workers, so they move with the thread count and differ from a
-//! checkpoint-off run, the trade `skipped_prefix_steps` quantifies — and
-//! the plan has no timing input, so they repeat exactly from run to run.
+//! The temporal-redundancy knob of the serial IFsim and VFsim baselines:
+//! with a nonzero interval they run the good machine once with an
+//! activation probe attached, capture a
+//! [`SimSnapshot`](eraser_sim::SimSnapshot) of the good state every
+//! `interval` settle steps, derive per-fault
+//! [`ActivationWindows`](eraser_fault::ActivationWindows), skip outright
+//! the faults whose window lies beyond the stimulus, and restore one
+//! simulator per remaining fault at that fault's own latest eligible
+//! checkpoint — skipping the fault-free prefix that from-zero
+//! re-simulation would otherwise replay. Coverage records (first-detection
+//! steps and outputs included) are bit-identical to the non-checkpointed
+//! run by construction, and their counters are per-fault sums that no
+//! thread count moves (see the `schedule` module docs).
+//!
+//! The concurrent engine reads no field of it. It simulates every fault
+//! from step 0 against one good network, as the paper's ERASER does, so a
+//! restart would save it nothing its group's good pass does not already
+//! pay for: a concurrent campaign's coverage and counters are the same at
+//! any interval.
 //!
 //! Configured via [`CampaignConfig::checkpoint`](crate::CampaignConfig)
-//! (spec key `checkpoint_interval`, CLI `--checkpoint-interval`); the
-//! default is disabled.
+//! (spec key `checkpoint_interval`); the default is disabled.
 
 /// Checkpointing configuration: the good-state snapshot interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,7 +43,8 @@ impl CheckpointConfig {
         CheckpointConfig { interval }
     }
 
-    /// True if campaigns under this config take checkpoints.
+    /// True if a serial baseline campaign under this config takes
+    /// checkpoints.
     pub fn is_enabled(&self) -> bool {
         self.interval > 0
     }
@@ -57,16 +54,6 @@ impl CheckpointConfig {
     /// boundary when enabled).
     pub fn is_boundary(&self, step: usize) -> bool {
         self.interval > 0 && step.is_multiple_of(self.interval)
-    }
-}
-
-impl std::fmt::Display for CheckpointConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_enabled() {
-            write!(f, "every {} steps", self.interval)
-        } else {
-            write!(f, "off")
-        }
     }
 }
 
@@ -85,7 +72,5 @@ mod tests {
         assert!(on.is_boundary(0));
         assert!(on.is_boundary(16));
         assert!(!on.is_boundary(4));
-        assert_eq!(on.to_string(), "every 8 steps");
-        assert_eq!(off.to_string(), "off");
     }
 }

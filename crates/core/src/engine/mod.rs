@@ -65,9 +65,7 @@ use eraser_ir::{
     ValueSource,
 };
 use eraser_logic::LogicVec;
-use eraser_sim::{
-    Evaluator, ExecCtx, ExecOutcome, Good, Hook, SimSnapshot, Simulator, SlotWrite, Stimulus,
-};
+use eraser_sim::{Evaluator, ExecCtx, ExecOutcome, Good, Hook, Simulator, SlotWrite, Stimulus};
 use std::time::Instant;
 use workspace::{Activation, PendingNba, Pool, Workspace, GOOD_ONLY, PLAIN};
 
@@ -174,32 +172,30 @@ enum Phase {
 ///
 /// Obtained from [`EraserEngine::session`]; every axis has a built-in
 /// default (mode [`RedundancyMode::Full`], fault dropping on, tree
-/// walker, batching off, power-on start) and a chainable setter.
+/// walker, batching off) and a chainable setter.
 /// [`start`](Self::start) builds the engine and performs the initial
 /// evaluation.
 ///
 /// ```text
-/// // A campaign shard worker: shared programs, checkpoint resume.
+/// // A campaign shard worker: shared programs.
 /// let mut engine = EraserEngine::session(design, &group.list)
 ///     .mode(config.mode)
 ///     .drop_detected(config.drop_detected)
 ///     .tapes(tapes)
 ///     .batch(batch)
-///     .resume_from(snapshot, start_step)
 ///     .start();
-/// engine.run(stimulus); // replays only steps[start_step..]
+/// engine.run(stimulus);
 /// ```
-pub struct EngineSession<'d, 's> {
+pub struct EngineSession<'d> {
     design: &'d Design,
     faults: &'d FaultList,
     mode: RedundancyMode,
     drop_detected: bool,
     eval: Evaluator<'d>,
     batch: Option<&'d BatchProgram>,
-    resume: Option<(&'s SimSnapshot, usize)>,
 }
 
-impl<'d, 's> EngineSession<'d, 's> {
+impl<'d> EngineSession<'d> {
     /// The redundancy-elimination mode (default [`RedundancyMode::Full`]).
     pub fn mode(mut self, mode: RedundancyMode) -> Self {
         self.mode = mode;
@@ -234,28 +230,6 @@ impl<'d, 's> EngineSession<'d, 's> {
         self
     }
 
-    /// Starts the engine **from a good-state checkpoint** instead of
-    /// power-on: the good network is the kernel's
-    /// [`Simulator::restore_from`] of `snapshot` (the settled fault-free
-    /// state before stimulus step `start_step`); then the fault state is
-    /// materialized — the stuck-at forces as diffs against the restored
-    /// values — and the engine settles once: exactly the
-    /// force-at-checkpoint injection of the checkpointed serial protocol,
-    /// batched.
-    /// [`run`](EraserEngine::run) then replays only `steps[start_step..]`.
-    ///
-    /// Sound when every fault in the batch is restart-eligible at this
-    /// checkpoint ([`eraser_fault::ActivationWindows::eligible_start`]):
-    /// each fault's network at the checkpoint then equals its from-zero
-    /// state, so detections (steps and outputs included) are bit-identical
-    /// to a from-zero run. The window planner
-    /// ([`eraser_fault::WindowPlan`]) cuts shards with exactly this
-    /// property.
-    pub fn resume_from(mut self, snapshot: &'s SimSnapshot, start_step: usize) -> Self {
-        self.resume = Some((snapshot, start_step));
-        self
-    }
-
     /// Builds the engine and performs the initial evaluation.
     pub fn start(self) -> EraserEngine<'d> {
         EraserEngine::build(self)
@@ -267,7 +241,7 @@ impl<'d> EraserEngine<'d> {
     /// and the fault batch `faults`, with every axis at its built-in
     /// default. Chain setters, then
     /// [`start`](EngineSession::start).
-    pub fn session<'s>(design: &'d Design, faults: &'d FaultList) -> EngineSession<'d, 's> {
+    pub fn session(design: &'d Design, faults: &'d FaultList) -> EngineSession<'d> {
         EngineSession {
             design,
             faults,
@@ -275,7 +249,6 @@ impl<'d> EraserEngine<'d> {
             drop_detected: true,
             eval: Evaluator::tree(design),
             batch: None,
-            resume: None,
         }
     }
 
@@ -295,7 +268,7 @@ impl<'d> EraserEngine<'d> {
             .start()
     }
 
-    fn build(session: EngineSession<'d, '_>) -> Self {
+    fn build(session: EngineSession<'d>) -> Self {
         let EngineSession {
             design,
             faults,
@@ -303,7 +276,6 @@ impl<'d> EraserEngine<'d> {
             drop_detected,
             eval,
             batch,
-            resume,
         } = session;
         let n_sig = design.num_signals();
         let local = match mode {
@@ -383,17 +355,8 @@ impl<'d> EraserEngine<'d> {
             ws: Workspace::default(),
         };
         let mut sim = Simulator::unsettled(eval, hook);
-        // Checkpoint resume: load the settled good state before any force
-        // materializes. At a settle point the edge latch equals the value
-        // of every watched signal (each change is latched before the step
-        // ends), so the restored latch is the one a from-zero run carries.
-        if let Some((snap, start)) = resume {
-            sim.restore_from(snap);
-            sim.hook_mut().state.step_index = start;
-        }
         // Initial state: materialize the stuck-at forces against the
-        // power-on values (all-X, or the restored checkpoint), then
-        // evaluate everything once.
+        // power-on values (all-X), then evaluate everything once.
         for sig in sited {
             sim.recommit(sig);
         }
@@ -447,14 +410,10 @@ impl<'d> EraserEngine<'d> {
         self.sim.set_input(sig, value);
     }
 
-    /// Runs the stimulus from the engine's **current step index** with
-    /// observation (and optional fault dropping) after every settle step.
-    /// A freshly built engine stands at step 0 and replays everything; a
-    /// checkpoint-resumed engine ([`EngineSession::resume_from`]) already
-    /// stands at its start step and replays only the suffix — one run
-    /// semantics for both, so campaign drivers need no per-origin branch.
-    /// Stimulus values are read by borrow — the whole campaign loop is
-    /// clone-free.
+    /// Runs the stimulus from the engine's **current step index** — step 0
+    /// for a freshly built engine — with observation (and optional fault
+    /// dropping) after every settle step. Stimulus values are read by
+    /// borrow — the whole campaign loop is clone-free.
     ///
     /// With fault dropping on, the run **stops as soon as no fault is left
     /// alive**: every fault of the batch has its first detection recorded,

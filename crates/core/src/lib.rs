@@ -23,11 +23,10 @@
 //!
 //! # One schedule
 //!
-//! Every campaign — plain or checkpointed, one thread or many, the
-//! concurrent engine or a serial baseline — is a *plan* of (fault group,
-//! start step) pairs drained by one work queue; see the `schedule`
-//! module docs ([`plan_campaign`], [`drain_plan`]) and
-//! [`eraser_fault::WindowPlan`]. Two knobs shape the plan:
+//! Every campaign — one thread or many, the concurrent engine or a serial
+//! baseline — is a *plan* of fault groups drained by one work queue; see
+//! the `schedule` module docs ([`plan_campaign`], [`drain_plan`]) and
+//! [`eraser_fault::WindowPlan`]. Two knobs shape it:
 //!
 //! * [`ParallelConfig`] (spec key `threads`, CLI `--threads`) — the one
 //!   way to fan out. A group costs one good-network pass, so the plan
@@ -36,21 +35,18 @@
 //!   serial run at any thread count.
 //!   Every [`FaultSimEngine`] honours [`CampaignConfig::parallel`]
 //!   natively.
-//! * [`CheckpointConfig`] (spec key `checkpoint_interval`, CLI
-//!   `--checkpoint-interval`) — temporal redundancy trimming. The good
-//!   machine runs once with an activation probe, snapshots its settled
-//!   state every N steps until every fault's activation window is final
-//!   ([`record_good_run`]), the faults are cut in
-//!   window order into one group per worker, and each group starts from
-//!   the latest checkpoint preceding all its members'
-//!   [activation windows](eraser_fault::ActivationWindows)
-//!   ([`EngineSession::resume_from`]) — or is skipped entirely when it
-//!   provably cannot diverge within the stimulus. Combined with fault
-//!   dropping ([`CampaignConfig::drop_detected`]) this trims the
-//!   *temporal* axis of execution redundancy;
-//!   [`RedundancyStats::skipped_prefix_steps`],
-//!   [`RedundancyStats::skipped_faults`] and
-//!   [`RedundancyStats::dropped_faults`] quantify it.
+//! * [`CheckpointConfig`] (spec key `checkpoint_interval`) — a setting of
+//!   the serial IFsim and VFsim baselines only. Their good machine runs
+//!   once with an activation probe and snapshots its settled state every
+//!   N steps ([`record_good_run_on`]); faults that provably cannot diverge
+//!   within the stimulus are skipped, and each other fault restarts from
+//!   the latest checkpoint preceding its
+//!   [activation window](eraser_fault::ActivationWindows).
+//!   [`RedundancyStats::skipped_prefix_steps`] and
+//!   [`RedundancyStats::skipped_faults`] quantify it. The concurrent
+//!   engine simulates every fault from step 0 against one good network,
+//!   as the paper's ERASER does, so it ignores the interval: its coverage
+//!   and counters are those of interval 0.
 //!
 //! # Static fault collapsing
 //!

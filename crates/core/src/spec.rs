@@ -93,9 +93,10 @@ impl std::fmt::Display for DesignRef {
 /// service worker's `catch_unwind` never sees it.
 const MAX_STEPS: usize = 10_000_000;
 
-/// Most good-state snapshots a spec may ask for. A checkpointed campaign
-/// holds one snapshot per `checkpoint_interval` settle steps in memory for
-/// its whole run; the largest benchmark campaign takes about 140.
+/// Most good-state snapshots a spec may ask for. A checkpointed serial
+/// baseline campaign holds one snapshot per `checkpoint_interval` settle
+/// steps in memory for its whole run; the largest benchmark campaign takes
+/// about 140.
 const MAX_CHECKPOINTS: usize = 10_000;
 
 /// Most worker threads a spec may ask for (each runs its own engine).
@@ -158,7 +159,11 @@ pub struct CampaignSpec {
     pub threads: Option<usize>,
     /// Expression-evaluation backend. `None`: the tree walker.
     pub backend: Option<EvalBackend>,
-    /// Good-state checkpoint interval (`0` disables). `None`: off.
+    /// Good-state checkpoint interval (`0` disables). `None`: off. A
+    /// setting of the serial IFsim and VFsim baselines only, which restart
+    /// each fault from its latest eligible checkpoint; a concurrent
+    /// campaign (Eraser in every mode, CfSim) gives the same coverage and
+    /// counters at any interval.
     pub checkpoint_interval: Option<usize>,
     /// Bit-parallel fault batching. `None`: off.
     pub batch: Option<bool>,
@@ -309,8 +314,9 @@ impl CampaignSpec {
     }
 
     /// Rejects a spec whose size no host should be asked for: a stimulus
-    /// allocates per step, a campaign starts one engine per thread and
-    /// keeps one good-state snapshot per checkpoint, so `steps` is at most
+    /// allocates per step, a campaign starts one engine per thread and a
+    /// checkpointed serial baseline keeps one good-state snapshot per
+    /// checkpoint, so `steps` is at most
     /// 10 000 000 cycles, `threads` at most 256, and the snapshot count
     /// ⌈2 · `steps` / `checkpoint_interval`⌉ at most 10 000 — constants, not
     /// options. Called by [`from_json_value`](Self::from_json_value) and by

@@ -42,13 +42,13 @@ pub struct RedundancyStats {
     /// Delta cycles executed.
     pub deltas: u64,
     /// Good-prefix settle steps *not* replayed thanks to checkpointed
-    /// fault starts, summed over all faults (checkpointed serial
+    /// fault starts, summed over all faults (checkpointed serial baseline
     /// campaigns; 0 elsewhere). The temporal-redundancy analogue of the
     /// skip counters above.
     pub skipped_prefix_steps: u64,
     /// Faults never simulated because activation-window analysis proved
     /// they cannot diverge within the stimulus (undetected by
-    /// construction).
+    /// construction; checkpointed serial baseline campaigns, 0 elsewhere).
     pub skipped_faults: u64,
     /// Faults removed from the live set at their first detection (fault
     /// dropping).
@@ -74,10 +74,9 @@ pub struct RedundancyStats {
     /// Faults statically proven undetectable (no reader of the bit, or no
     /// influence path to any output) and never simulated.
     pub collapse_dropped: u64,
-    /// Settle steps the shared instrumented good run replayed
-    /// (checkpointed campaigns; 0 without checkpointing): the stimulus
-    /// length, or the boundary at which every fault's activation window
-    /// was final and the run stopped.
+    /// Settle steps the instrumented good run replayed: the stimulus
+    /// length for a checkpointed serial baseline campaign, 0 elsewhere — a
+    /// concurrent campaign records no good run.
     pub good_run_steps: u64,
     /// Wall time inside behavioral-node processing (good + fault execution
     /// + redundancy checks + commits).

@@ -6,9 +6,10 @@
 //! derives, from one instrumented good replay (an `eraser-sim`
 //! [`SiteProbe`]), the **activation window** of every fault: the earliest
 //! stimulus step at which the fault's network can first diverge from the
-//! good network. A checkpointed campaign then starts each fault from the
-//! latest good-state checkpoint preceding its window instead of step 0 —
-//! and skips outright any fault whose window lies beyond the stimulus.
+//! good network. A checkpointed serial campaign (the IFsim and VFsim
+//! baselines) then starts each fault from the latest good-state checkpoint
+//! preceding its window instead of step 0 — and skips outright any fault
+//! whose window lies beyond the stimulus.
 //!
 //! # Soundness model
 //!
@@ -52,20 +53,6 @@
 //! encodes exactly this rule; checkpoint step 0 (the construction-settled
 //! state) is always eligible, which is what makes the checkpointed
 //! protocol a strict generalization of force-at-construction injection.
-//!
-//! # When the good run may stop
-//!
-//! The probe's first-occurrence steps only ever get set, never lowered,
-//! so a window can become *final* before the replay ends
-//! ([`ActivationWindows::is_final`]): once the site bit has been unknown
-//! and has contradicted the stuck value before step `k`, `w = min(c, h)`
-//! is settled, because every hazard still to come is stamped `k` or later.
-//! An untracked site (window 0) and a bit outside its signal (inert) are
-//! final from the start. A site bit never unknown so far is not: a later
-//! unknown would bring in `h`, which may lie before `c`. The instrumented
-//! good run stops at the first checkpoint boundary at which every fault's
-//! window is final; [`derive`](ActivationWindows::derive) over that probe
-//! and the full stimulus length gives the windows of a full replay.
 
 use crate::{Fault, FaultId, FaultList, StuckAt};
 use eraser_ir::analysis::influence_adjacency;
@@ -85,10 +72,6 @@ pub struct ActivationWindows {
     site_x: Vec<usize>,
     /// Stimulus length in settle steps.
     num_steps: usize,
-    /// Fault ids sorted by ascending window (ties by id), computed once at
-    /// derivation — the window planner reads this cache instead of
-    /// re-sorting.
-    order: Vec<FaultId>,
 }
 
 impl ActivationWindows {
@@ -137,27 +120,10 @@ impl ActivationWindows {
             windows.push(w);
             site_x.push(x);
         }
-        let mut order: Vec<FaultId> = (0..windows.len() as u32).map(FaultId).collect();
-        order.sort_by_key(|f| (windows[f.index()], f.0));
         ActivationWindows {
             windows,
             site_x,
             num_steps,
-            order,
-        }
-    }
-
-    /// True when the window [`derive`](Self::derive) gives `fault` from
-    /// `probe` can no longer change once the replay has run steps
-    /// `0..step`: its site is untracked, its bit lies outside its signal,
-    /// or its site bit has been unknown and has contradicted the stuck
-    /// value before `step` (see the module docs of `activation.rs`). A
-    /// final window stays final, so a caller may keep a cursor over the
-    /// fault list that only moves forward.
-    pub fn is_final(fault: &Fault, probe: &SiteProbe, step: usize) -> bool {
-        match SiteBit::of(fault, probe) {
-            SiteBit::Untracked | SiteBit::Inert => true,
-            SiteBit::Firsts { c, x } => x < step && c < step,
         }
     }
 
@@ -180,22 +146,6 @@ impl ActivationWindows {
         step <= self.windows[fault.index()] && (step <= self.site_x[fault.index()] || fully_defined)
     }
 
-    /// Fault ids ordered by ascending window (ties by id) — the
-    /// activation-window schedule: faults sharing a start checkpoint run
-    /// consecutively, so the campaign restores each snapshot in one run.
-    /// The ordering is computed once in [`derive`](Self::derive); this is
-    /// a borrow of that cache.
-    pub fn ordered_by_window(&self) -> &[FaultId] {
-        &self.order
-    }
-
-    /// The stimulus length the windows were derived over.
-    pub fn num_steps(&self) -> usize {
-        self.num_steps
-    }
-}
-
-impl ActivationWindows {
     /// The latest eligible checkpoint for `fault` among `checkpoints`
     /// (`(step, fully_defined)`, ascending): returns its index.
     ///
@@ -211,16 +161,14 @@ impl ActivationWindows {
     }
 }
 
-/// What the probe recorded at one fault's site bit — the one read of the
-/// probe's site records, shared by [`ActivationWindows::derive`] and
-/// [`ActivationWindows::is_final`].
+/// What the probe recorded at one fault's site bit.
 enum SiteBit {
     /// The probe did not track the site.
     Untracked,
     /// The bit lies outside its signal.
     Inert,
     /// The first step the bit contradicted the stuck value (`c`) and the
-    /// first step it was unknown (`x`), [`NEVER`] if not (yet).
+    /// first step it was unknown (`x`), [`NEVER`] if never.
     Firsts { c: usize, x: usize },
 }
 
@@ -395,25 +343,19 @@ mod tests {
     /// derives windows.
     fn probe_windows(src: &str, cycles: usize) -> (Design, FaultList, ActivationWindows) {
         let (design, faults, stim) = fixture(src, cycles);
-        let probe = probe_steps(&design, &faults, &stim, stim.steps.len());
-        let windows = ActivationWindows::derive(&design, &faults, &probe, stim.steps.len());
+        let windows = derive_windows(&design, &faults, &stim);
         (design, faults, windows)
     }
 
-    /// The probe after replaying the first `steps` steps of `stim`.
-    fn probe_steps(
-        design: &Design,
-        faults: &FaultList,
-        stim: &Stimulus,
-        steps: usize,
-    ) -> SiteProbe {
+    /// The windows of a probed good replay of the whole of `stim`.
+    fn derive_windows(design: &Design, faults: &FaultList, stim: &Stimulus) -> ActivationWindows {
         let sites = faults.iter().map(|f| f.signal);
         let mut sim = Simulator::new(design).attach_probe(SiteProbe::new(design, sites));
-        for (i, step) in stim.steps[..steps].iter().enumerate() {
+        for (i, step) in stim.steps.iter().enumerate() {
             sim.hook_mut().begin_step(i);
             sim.replay_step(step);
         }
-        sim.into_hook()
+        ActivationWindows::derive(design, faults, &sim.into_hook(), stim.steps.len())
     }
 
     /// A design, its default fault universe, and a clocked stimulus: one
@@ -465,87 +407,14 @@ mod tests {
         // sa1 faults contradict at the reset write of 0.
         let w_sa1 = window_of(0, StuckAt::One);
         assert!(w_sa1 <= w0);
-        // Ordering groups by window.
-        let order = win.ordered_by_window();
-        assert_eq!(order.len(), faults.len());
-        assert!(order
-            .windows(2)
-            .all(|p| win.window(p[0]) <= win.window(p[1])));
-    }
-
-    /// Replays every prefix of `stim` and asserts that a window the
-    /// predicate calls final after `k` steps is the window of the full
-    /// replay, eligible at the same checkpoints, that it stays final, and
-    /// that once every window is final so is the window order. Returns the
-    /// first step at which every window is final.
-    fn check_final_windows(design: &Design, faults: &FaultList, stim: &Stimulus) -> Option<usize> {
-        let n = stim.steps.len();
-        let full =
-            ActivationWindows::derive(design, faults, &probe_steps(design, faults, stim, n), n);
-        let mut final_before = vec![false; faults.len()];
-        let mut first_all_final = None;
-        for k in 0..=n {
-            let probe = probe_steps(design, faults, stim, k);
-            let cut = ActivationWindows::derive(design, faults, &probe, n);
-            let mut all_final = true;
-            for f in faults.iter() {
-                let fin = ActivationWindows::is_final(f, &probe, k);
-                assert!(
-                    fin || !final_before[f.id.index()],
-                    "{f:?} stopped being final at {k}"
-                );
-                final_before[f.id.index()] = fin;
-                all_final &= fin;
-                if !fin {
-                    continue;
-                }
-                assert_eq!(cut.window(f.id), full.window(f.id), "{f:?} final at {k}");
-                for step in 0..=n {
-                    for defined in [false, true] {
-                        assert_eq!(
-                            cut.eligible_start(f.id, step, defined),
-                            full.eligible_start(f.id, step, defined),
-                            "{f:?} final at {k}, checkpoint {step}"
-                        );
-                    }
-                }
-            }
-            if all_final {
-                first_all_final.get_or_insert(k);
-                assert_eq!(cut.ordered_by_window(), full.ordered_by_window(), "at {k}");
-            }
-        }
-        first_all_final
-    }
-
-    /// On the staggered counter, windows become final at different steps,
-    /// none before step 0, and all of them before the stimulus ends.
-    #[test]
-    fn a_final_window_is_the_window_of_the_full_replay() {
-        let (design, faults, stim) = fixture(COUNTER, 12);
-        let first = check_final_windows(&design, &faults, &stim)
-            .expect("every counter window is final by the end");
-        assert!(
-            first > 0 && first < stim.steps.len(),
-            "all final at {first}"
-        );
-        let probe = probe_steps(&design, &faults, &stim, first - 1);
-        let early = faults
-            .iter()
-            .filter(|f| ActivationWindows::is_final(f, &probe, first - 1))
-            .count();
-        assert!(
-            early > 0 && early < faults.len(),
-            "{early} final at {}",
-            first - 1
-        );
     }
 
     /// `t` is a defined 0 from power-on (the `X` condition takes the else
     /// branch), contradicts sa0 in cycle 2, and turns unknown only when `b`
     /// does, in cycle 4; the `X` decision on `u` downstream of it was a
-    /// hazard from power-on. So its window is `min(c, h) = 0`, not `c`:
-    /// the window is not final until the site bit has been unknown.
+    /// hazard from power-on. So its window is `min(c, h) = 0`, not `c`: a
+    /// site bit that turns unknown later keeps its window open to the
+    /// hazards downstream of it.
     #[test]
     fn a_site_not_yet_unknown_keeps_its_window_open() {
         let design = compile(
@@ -574,33 +443,16 @@ mod tests {
                 &[(a, bit(u64::from(cycle >= 2))), (b, b_value), (d, bit(0))],
             );
         }
-        let stim = sb.finish();
-        check_final_windows(&design, &faults, &stim);
         let t = design.find_signal("t").unwrap();
         let f = faults
             .iter()
             .find(|f| f.signal == t && f.stuck == StuckAt::Zero)
             .unwrap();
-        let n = stim.steps.len();
-        let full = ActivationWindows::derive(
-            &design,
-            &faults,
-            &probe_steps(&design, &faults, &stim, n),
-            n,
-        );
+        let windows = derive_windows(&design, &faults, &sb.finish());
         assert_eq!(
-            full.window(f.id),
+            windows.window(f.id),
             0,
             "the power-on hazard on u bounds the window"
-        );
-        let open = (1..=n)
-            .filter(|&k| {
-                !ActivationWindows::is_final(f, &probe_steps(&design, &faults, &stim, k), k)
-            })
-            .count();
-        assert!(
-            open > 6,
-            "t sa0 contradicted in cycle 2 but final only after {open} steps"
         );
     }
 
@@ -624,7 +476,7 @@ mod tests {
         // And since t[3] is defined 0 from construction (0 & X = 0), the
         // fault is strictly dormant — no site X at all — so every
         // checkpoint is eligible, fully defined or not.
-        assert!(win.eligible_start(f.id, win.num_steps(), false));
+        assert!(win.eligible_start(f.id, 1_000, false));
         // Its sa1 counterpart contradicts immediately.
         let f1 = faults
             .iter()

@@ -22,15 +22,13 @@
 //!   [`CoverageReport::lift_classes`],
 //! * [`ActivationWindows`] — per-fault activation-window analysis over an
 //!   instrumented good replay: the earliest step each fault can first
-//!   diverge, the restart-eligibility rule for checkpointed campaigns,
-//!   and the activation-ordered fault schedule,
+//!   diverge, which faults never do, and the restart-eligibility rule of
+//!   the checkpointed serial baselines,
 //! * [`WindowPlan`] — the campaign plan, the one place that decides which
-//!   faults share an engine and where it starts: as many [`WindowShard`]
-//!   groups as the caller has workers — equal contiguous chunks, cut in id
-//!   order from step 0, or in activation-window order with each group
-//!   resumed at the latest good-state checkpoint eligible for all its
-//!   members (a pure function of its inputs, so merged results repeat
-//!   exactly),
+//!   faults share an engine: as many [`WindowShard`] groups as the caller
+//!   has workers — equal contiguous chunks cut in id order, with the
+//!   never-active faults skipped when a good run has derived them (a pure
+//!   function of its inputs, so merged results repeat exactly),
 //! * [`CoverageReport`] — detection bookkeeping and the coverage metric
 //!   reported in Table II of the paper; group reports fold into it through
 //!   [`WindowShard::merge_coverage_into`].

@@ -38,12 +38,13 @@ pub struct CampaignRecord {
     pub num_faults: usize,
     /// Stimulus length in settle steps.
     pub steps: usize,
-    /// Good-run settle steps this campaign executed: when it took the
-    /// checkpointed window plan
-    /// ([`is_windowed`](eraser_core::is_windowed)), the steps its good run
-    /// replayed before every activation window was final
-    /// (`stats.good_run_steps`); `0` otherwise — and `0` for a repeat
-    /// answered from the store, which ran nothing.
+    /// Good-run settle steps this campaign executed
+    /// (`stats.good_run_steps`). The service runs the concurrent engine,
+    /// which records no good run, so a new record reads `0` at any
+    /// `checkpoint_interval` — as does a repeat answered from the store,
+    /// which ran nothing. Records journaled while a checkpointed
+    /// concurrent campaign still recorded a good run keep the steps it
+    /// replayed, and replay byte-identically.
     pub good_run_steps: u64,
     /// `true` when the service answered this submission with a copy of an
     /// earlier record of the same spec instead of running it (see the

@@ -192,8 +192,7 @@ impl<'d, H: Hook> Simulator<'d, H> {
     /// Creates an event-driven simulator over `eval`'s design and backend
     /// with `hook` attached, at power-on: every signal `X`, nothing
     /// evaluated until [`Simulator::settle_all`]. In between, the hook's
-    /// owner may restore a snapshot and [recommit](Simulator::recommit)
-    /// signals.
+    /// owner may [recommit](Simulator::recommit) signals.
     pub fn unsettled(eval: Evaluator<'d>, hook: H) -> Self {
         let design = eval.design();
         let (n_sig, n_beh) = (design.num_signals(), design.behavioral_nodes().len());

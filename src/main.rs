@@ -41,7 +41,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: eraser <file.v|file.json> [--top NAME] [--cycles|--stimulus-steps N] [--clock NAME] [--reset NAME]
               [--mode full|explicit|none] [--max-faults N] [--seed N] [--list-undetected]
-              [--threads N] [--eval tree|tape] [--checkpoint-interval N] [--batch] [--collapse]
+              [--threads N] [--eval tree|tape] [--batch] [--collapse]
        eraser --spec FILE.json [same flags; the spec's explicit fields win]
        eraser serve [--addr HOST:PORT] [--workers N] [--queue N] [--store mem|journal:PATH]";
 
@@ -86,7 +86,6 @@ struct Flags {
     max_faults: Option<usize>,
     threads: Option<usize>,
     eval: Option<EvalBackend>,
-    checkpoint_interval: Option<usize>,
     batch: bool,
     collapse: bool,
     list_undetected: bool,
@@ -135,9 +134,6 @@ fn main() -> ExitCode {
             "--max-faults" => flags.max_faults = Some(need_num("--max-faults", it.next())),
             "--threads" => flags.threads = Some(need_num("--threads", it.next())),
             "--eval" => flags.eval = Some(parse_enum("--eval", it.next())),
-            "--checkpoint-interval" => {
-                flags.checkpoint_interval = Some(need_num("--checkpoint-interval", it.next()))
-            }
             "--batch" => flags.batch = true,
             "--collapse" => flags.collapse = true,
             "--list-undetected" => flags.list_undetected = true,
@@ -229,9 +225,6 @@ fn merge_flags(spec: &mut CampaignSpec, explicit_keys: &[String], flags: &Flags)
     if flags.eval.is_some() && unset("eval") {
         spec.backend = flags.eval;
     }
-    if flags.checkpoint_interval.is_some() && unset("checkpoint_interval") {
-        spec.checkpoint_interval = flags.checkpoint_interval;
-    }
     if flags.batch && unset("batch") {
         spec.batch = Some(true);
     }
@@ -259,13 +252,6 @@ fn run(spec: &CampaignSpec, list_undetected: bool) -> Result<(), String> {
     );
     if config.parallel.is_parallel() {
         say!("parallel: {}", config.parallel);
-    }
-    if config.checkpoint.is_enabled() {
-        say!(
-            "checkpointing: {} (window-aware schedule: shard engines resume \
-             from shared good-state snapshots)",
-            config.checkpoint
-        );
     }
     if config.batch.enabled {
         say!("batching: 64-wide bit-parallel RTL evaluation");
@@ -398,7 +384,6 @@ mod tests {
         let flags = Flags {
             threads: Some(2),
             eval: Some(EvalBackend::Tape),
-            checkpoint_interval: Some(16),
             batch: true,
             collapse: true,
             ..Flags::default()
@@ -414,14 +399,12 @@ mod tests {
         let cfg = merged(bare, &flags).resolve();
         assert_eq!(cfg.parallel.threads, 2);
         assert_eq!(cfg.backend, EvalBackend::Tape);
-        assert_eq!(cfg.checkpoint.interval, 16);
         assert!(cfg.batch.enabled && cfg.collapse.enabled);
 
         // A spec key beats the flag; knobs the spec leaves unset keep it.
         let cfg = merged(keyed, &flags).resolve();
         assert_eq!(cfg.parallel.threads, 3);
         assert_eq!(cfg.backend, EvalBackend::Tree);
-        assert!(!cfg.checkpoint.is_enabled() && !cfg.batch.enabled);
-        assert!(cfg.collapse.enabled);
+        assert!(!cfg.batch.enabled && cfg.collapse.enabled);
     }
 }

@@ -1,6 +1,6 @@
 //! Batch-vs-scalar parity — the correctness criterion of bit-parallel
 //! fault batching: on every benchmark design, in every redundancy mode, on
-//! both evaluation backends, at any thread count and checkpoint interval, a
+//! both evaluation backends, at any thread count, a
 //! campaign with `--batch` must produce **bit-identical** coverage (every
 //! fault's first-detection step and observing output) and identical
 //! semantic redundancy counters to the scalar run. The batch occupancy
@@ -14,8 +14,8 @@
 
 use eraser::baselines::{IFsim, VFsim};
 use eraser::core::{
-    run_campaign, BatchConfig, CampaignConfig, CheckpointConfig, Eraser, EvalBackend,
-    FaultSimEngine, ParallelConfig, RedundancyMode, RedundancyStats,
+    run_campaign, BatchConfig, CampaignConfig, Eraser, EvalBackend, FaultSimEngine, ParallelConfig,
+    RedundancyMode, RedundancyStats,
 };
 use eraser::designs::Benchmark;
 use eraser::fault::{generate_faults, FaultList, FaultListConfig};
@@ -85,8 +85,7 @@ fn compare(
 }
 
 /// The full configuration matrix on one benchmark: redundancy modes ×
-/// backends serially, then Full mode × backends × threads {1, 4} ×
-/// checkpoint {off, every 8}.
+/// backends serially, then Full mode × backends × threads {1, 4}.
 fn batch_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
     let design = bench.build();
     let mut cfg: FaultListConfig = bench.fault_config();
@@ -115,25 +114,18 @@ fn batch_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
     }
     for backend in [EvalBackend::Tree, EvalBackend::Tape] {
         for threads in [1usize, 4] {
-            for checkpoint in [CheckpointConfig::disabled(), CheckpointConfig::every(8)] {
-                compare(
-                    &format!(
-                        "{} (Full, {backend}, {threads} threads, ckpt {:?})",
-                        bench.name(),
-                        checkpoint
-                    ),
-                    &design,
-                    &faults,
-                    &stim,
-                    &CampaignConfig {
-                        mode: RedundancyMode::Full,
-                        backend,
-                        parallel: ParallelConfig::with_threads(threads),
-                        checkpoint,
-                        ..CampaignConfig::default()
-                    },
-                );
-            }
+            compare(
+                &format!("{} (Full, {backend}, {threads} threads)", bench.name()),
+                &design,
+                &faults,
+                &stim,
+                &CampaignConfig {
+                    mode: RedundancyMode::Full,
+                    backend,
+                    parallel: ParallelConfig::with_threads(threads),
+                    ..CampaignConfig::default()
+                },
+            );
         }
     }
 }
@@ -272,11 +264,6 @@ fn lane_packing_mixed_sites_engages_batching() {
                 mode: RedundancyMode::Full,
                 backend,
                 drop_detected: false,
-                // Occupancy is measured on the single-engine path: the
-                // checkpointed window schedule legitimately splits faults
-                // across per-group engines, thinning lane packing without
-                // changing semantics (covered by the parity tests above).
-                checkpoint: CheckpointConfig::disabled(),
                 ..CampaignConfig::default()
             },
         );

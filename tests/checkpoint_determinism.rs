@@ -1,21 +1,21 @@
-//! Checkpointed good-state replay determinism — the correctness criterion
-//! of temporal redundancy trimming: for every engine, evaluation backend,
-//! checkpoint interval and thread count, coverage must be **bit-identical**
-//! (every fault's first-detection step and observing output, not just the
-//! detected set) to the same engine's non-checkpointed run.
+//! Checkpointed good-state replay is a setting of the serial baselines
+//! only. Two contracts, on two benchmarks plus a crafted design with
+//! genuinely late activation windows (so the prefix-skip and fault-skip
+//! paths are exercised, not just trivially bypassed):
 //!
-//! The redundancy counters are a function of the plan, and the plan cuts
-//! one group per worker, so for the concurrent engines they legitimately
-//! move with the thread count (each group pays its own good-network pass)
-//! — except `skipped_faults`, which the good run alone decides. The serial
-//! baselines share nothing across a group — each fault restores its own
-//! latest eligible checkpoint — so *their* counters stay bit-identical at
-//! every thread count.
+//! 1. **The serial baselines restart each fault from its own latest
+//!    eligible checkpoint.** For IFsim and VFsim, every evaluation backend,
+//!    checkpoint interval and thread count, coverage is **bit-identical**
+//!    (every fault's first-detection step and observing output, not just
+//!    the detected set) to the same engine's non-checkpointed run. They
+//!    share nothing across a group, so their counters stay bit-identical at
+//!    every thread count, and [`BASELINE_GOLDEN`] pins them.
+//! 2. **The concurrent engines always start at step 0.** Eraser in `Full`
+//!    and `Explicit` mode and CfSim record no good run, take no window plan
+//!    and resume from no snapshot, so at every thread count any interval
+//!    gives the coverage *and* all 20 counters of interval 0.
 //!
-//! The default tests run shortened campaigns on two benchmarks plus a
-//! crafted design with genuinely late activation windows (so the
-//! prefix-skip and fault-skip paths are actually exercised, not just
-//! trivially bypassed); the `--ignored` sweep widens the benchmark set.
+//! The `--ignored` sweep widens the benchmark set.
 
 use eraser::baselines::{CfSim, IFsim, VFsim};
 use eraser::core::{
@@ -34,23 +34,23 @@ fn counter_key(s: &RedundancyStats) -> [u64; 20] {
     s.clone().counters_mut().map(|(_, v)| *v)
 }
 
-fn config(backend: EvalBackend, checkpoint: CheckpointConfig) -> CampaignConfig {
+fn config(backend: EvalBackend, checkpoint: CheckpointConfig, threads: usize) -> CampaignConfig {
     CampaignConfig {
         backend,
         checkpoint,
+        parallel: ParallelConfig::with_threads(threads),
         ..Default::default()
     }
 }
 
-/// Runs the full interval x backend x thread matrix for one engine and
-/// asserts coverage-record identity against the non-checkpointed serial
-/// run. `per_fault` marks the serial baselines, whose counters must not
-/// move with the thread count. Returns the checkpointed one-thread stats
-/// (tree backend, interval 8) for caller-side feature assertions.
-fn check_engine(
+/// Runs the interval x backend x thread matrix for one serial baseline and
+/// asserts coverage-record identity against its non-checkpointed serial
+/// run, and counters that do not move with the thread count. Returns the
+/// checkpointed one-thread stats (tree backend, interval 8) for
+/// caller-side feature assertions.
+fn check_baseline(
     name: &str,
     engine: impl FaultSimEngine,
-    per_fault: bool,
     design: &Design,
     faults: &FaultList,
     stim: &Stimulus,
@@ -61,42 +61,25 @@ fn check_engine(
             design,
             faults,
             stim,
-            &config(backend, CheckpointConfig::disabled()),
+            &config(backend, CheckpointConfig::disabled(), 1),
         );
         for interval in [1usize, 8, 64] {
             let ck = CheckpointConfig::every(interval);
-            let serial = engine.run(design, faults, stim, &config(backend, ck));
+            let serial = engine.run(design, faults, stim, &config(backend, ck, 1));
             assert_eq!(
                 base.coverage, serial.coverage,
                 "{name} [{backend:?} ckpt={interval}]: coverage records diverged from ckpt-off"
             );
-            // Native composition: the same checkpointed campaign with
-            // worker threads, i.e. a plan of up to four groups.
-            let native4 = engine.run(
-                design,
-                faults,
-                stim,
-                &CampaignConfig {
-                    parallel: ParallelConfig::with_threads(4),
-                    ..config(backend, ck)
-                },
-            );
+            let native4 = engine.run(design, faults, stim, &config(backend, ck, 4));
             assert_eq!(
                 base.coverage, native4.coverage,
-                "{name} [{backend:?} ckpt={interval} native x4]: coverage diverged"
+                "{name} [{backend:?} ckpt={interval} x4]: coverage diverged"
             );
-            let (a, b) = (&serial.stats, &native4.stats);
             assert_eq!(
-                a.skipped_faults, b.skipped_faults,
-                "{name} [{backend:?} ckpt={interval}]: the good run alone decides which faults never activate"
+                counter_key(&serial.stats),
+                counter_key(&native4.stats),
+                "{name} [{backend:?} ckpt={interval}]: per-fault counters moved with the thread count"
             );
-            if per_fault {
-                assert_eq!(
-                    counter_key(a),
-                    counter_key(b),
-                    "{name} [{backend:?} ckpt={interval}]: per-fault counters moved with the thread count"
-                );
-            }
             if backend == EvalBackend::Tree && interval == 8 {
                 probe_stats = serial.stats.clone();
             }
@@ -105,13 +88,11 @@ fn check_engine(
     probe_stats
 }
 
-/// Checks every engine; returns IFsim's checkpointed one-thread stats
-/// (tree backend, interval 8) for caller-side feature assertions.
-fn check_all_engines(design: &Design, faults: &FaultList, stim: &Stimulus) -> RedundancyStats {
-    let probe = check_engine("IFsim", IFsim, true, design, faults, stim);
-    check_engine("VFsim", VFsim, true, design, faults, stim);
-    check_engine("CfSim", CfSim, false, design, faults, stim);
-    check_engine("Eraser", Eraser::full(), false, design, faults, stim);
+/// Checks both serial baselines; returns IFsim's checkpointed one-thread
+/// stats (tree backend, interval 8) for caller-side feature assertions.
+fn check_baselines(design: &Design, faults: &FaultList, stim: &Stimulus) -> RedundancyStats {
+    let probe = check_baseline("IFsim", IFsim, design, faults, stim);
+    check_baseline("VFsim", VFsim, design, faults, stim);
     probe
 }
 
@@ -176,12 +157,20 @@ fn late_activation_fixture() -> (Design, FaultList, Stimulus) {
     (design, faults, sb.finish())
 }
 
+/// The two fixtures of the default tests, by name.
+fn fixtures() -> [(&'static str, (Design, FaultList, Stimulus)); 2] {
+    [
+        ("lateregs", late_activation_fixture()),
+        ("APB", bench_fixture(Benchmark::Apb, 40, 80)),
+    ]
+}
+
 #[test]
 fn late_activation_design_all_engines() {
     let (design, faults, stim) = late_activation_fixture();
     // The checkpointed serial runs must actually exercise the trimming
     // machinery on this design: prefix skips and whole-fault skips.
-    let stats = check_all_engines(&design, &faults, &stim);
+    let stats = check_baselines(&design, &faults, &stim);
     assert!(
         stats.skipped_prefix_steps > 0,
         "expected real prefix skips, got {stats:?}"
@@ -195,7 +184,7 @@ fn late_activation_design_all_engines() {
 #[test]
 fn benchmark_apb() {
     let (design, faults, stim) = bench_fixture(Benchmark::Apb, 40, 80);
-    let stats = check_all_engines(&design, &faults, &stim);
+    let stats = check_baselines(&design, &faults, &stim);
     // Not only on the hand-built fixture: activation windows on a Table II
     // design must let the serial baselines skip real prefixes.
     assert!(
@@ -207,7 +196,107 @@ fn benchmark_apb() {
 #[test]
 fn benchmark_alu() {
     let (design, faults, stim) = bench_fixture(Benchmark::Alu64, 30, 60);
-    check_all_engines(&design, &faults, &stim);
+    check_baselines(&design, &faults, &stim);
+}
+
+/// A concurrent campaign simulates every fault from step 0 against one
+/// good network, so the interval is not one of its inputs: on the
+/// late-activation design (which has never-active faults and late
+/// windows) and on APB, every interval gives the coverage and all 20
+/// counters of interval 0, at every thread count.
+#[test]
+fn concurrent_engines_ignore_the_checkpoint_interval() {
+    let engines: [(&str, Box<dyn FaultSimEngine>); 3] = [
+        ("Eraser", Box::new(Eraser::full())),
+        ("Eraser-", Box::new(Eraser::explicit())),
+        ("CfSim", Box::new(CfSim)),
+    ];
+    for (fixture, (design, faults, stim)) in fixtures() {
+        for (name, engine) in &engines {
+            for threads in [1, 2, 4] {
+                let run = |interval| {
+                    let ck = CheckpointConfig::every(interval);
+                    engine.run(
+                        &design,
+                        &faults,
+                        &stim,
+                        &config(EvalBackend::Tree, ck, threads),
+                    )
+                };
+                let off = run(0);
+                for interval in [1, 8, 64] {
+                    let on = run(interval);
+                    assert_eq!(
+                        off.coverage, on.coverage,
+                        "{fixture} {name} x{threads} ckpt={interval}: coverage moved"
+                    );
+                    assert_eq!(
+                        counter_key(&off.stats),
+                        counter_key(&on.stats),
+                        "{fixture} {name} x{threads} ckpt={interval}: counters moved"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `(fixture/engine/interval, counters in `RedundancyStats::counters_mut`
+/// order)`, tree walker, one thread.
+type Row = (&'static str, [u64; 20]);
+
+/// The serial baselines' counters on both fixtures: a baseline's plan may
+/// group its faults any way, and no counter may move, because each one is
+/// a sum over faults of what that fault alone did.
+#[rustfmt::skip]
+const BASELINE_GOLDEN: &[Row] = &[
+    ("lateregs/IFsim/ckpt0", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 60, 0, 0, 0, 0, 0, 0, 0]),
+    ("lateregs/IFsim/ckpt1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 790, 4, 60, 0, 0, 0, 0, 0, 0, 80]),
+    ("lateregs/IFsim/ckpt8", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 664, 4, 60, 0, 0, 0, 0, 0, 0, 80]),
+    ("lateregs/IFsim/ckpt64", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 60, 0, 0, 0, 0, 0, 0, 80]),
+    ("lateregs/VFsim/ckpt0", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 60, 0, 0, 0, 0, 0, 0, 0]),
+    ("lateregs/VFsim/ckpt1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 790, 4, 60, 0, 0, 0, 0, 0, 0, 80]),
+    ("lateregs/VFsim/ckpt8", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 664, 4, 60, 0, 0, 0, 0, 0, 0, 80]),
+    ("lateregs/VFsim/ckpt64", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 60, 0, 0, 0, 0, 0, 0, 80]),
+    ("APB/IFsim/ckpt0", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 0, 0, 0, 0]),
+    ("APB/IFsim/ckpt1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 559, 28, 17, 0, 0, 0, 0, 0, 0, 76]),
+    ("APB/IFsim/ckpt8", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 512, 28, 17, 0, 0, 0, 0, 0, 0, 76]),
+    ("APB/IFsim/ckpt64", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64, 28, 17, 0, 0, 0, 0, 0, 0, 76]),
+    ("APB/VFsim/ckpt0", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 0, 0, 0, 0]),
+    ("APB/VFsim/ckpt1", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 559, 28, 17, 0, 0, 0, 0, 0, 0, 76]),
+    ("APB/VFsim/ckpt8", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 512, 28, 17, 0, 0, 0, 0, 0, 0, 76]),
+    ("APB/VFsim/ckpt64", [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64, 28, 17, 0, 0, 0, 0, 0, 0, 76]),
+];
+
+#[test]
+fn serial_baseline_counters_are_pinned() {
+    let engines: [(&str, Box<dyn FaultSimEngine>); 2] =
+        [("IFsim", Box::new(IFsim)), ("VFsim", Box::new(VFsim))];
+    let mut rows = Vec::new();
+    for (fixture, (design, faults, stim)) in fixtures() {
+        for (name, engine) in &engines {
+            for interval in [0, 1, 8, 64] {
+                let ck = CheckpointConfig::every(interval);
+                let res = engine.run(&design, &faults, &stim, &config(EvalBackend::Tree, ck, 1));
+                rows.push((
+                    format!("{fixture}/{name}/ckpt{interval}"),
+                    counter_key(&res.stats),
+                ));
+            }
+        }
+    }
+    let same = rows.len() == BASELINE_GOLDEN.len()
+        && rows
+            .iter()
+            .zip(BASELINE_GOLDEN)
+            .all(|(r, g)| r.0 == g.0 && r.1 == g.1);
+    if !same {
+        let table: String = rows
+            .iter()
+            .map(|(name, counters)| format!("    (\"{name}\", {counters:?}),\n"))
+            .collect();
+        panic!("baseline counters moved; the table now reads:\n{table}");
+    }
 }
 
 /// Full sweep over a wider benchmark set (release CI leg).
@@ -224,6 +313,6 @@ fn benchmark_sweep_full() {
         Benchmark::MipsCpu,
     ] {
         let (design, faults, stim) = bench_fixture(bench, 40, 100);
-        check_all_engines(&design, &faults, &stim);
+        check_baselines(&design, &faults, &stim);
     }
 }

@@ -1,7 +1,7 @@
 //! Collapse-vs-full parity — the correctness criterion of static fault
 //! collapsing: on every benchmark design, with every engine, on both
-//! evaluation backends, at any thread count and checkpoint interval, with
-//! and without bit-parallel batching, a campaign with `--collapse` must
+//! evaluation backends, at any thread count, with and without bit-parallel
+//! batching, a campaign with `--collapse` must
 //! produce **bit-identical** coverage (every fault's first-detection step
 //! and observing output) over the *full* fault universe. The semantic
 //! redundancy counters are *expected* to differ — the collapsed run
@@ -17,8 +17,8 @@
 
 use eraser::baselines::{IFsim, VFsim};
 use eraser::core::{
-    run_campaign, BatchConfig, CampaignConfig, CheckpointConfig, CollapseConfig, EvalBackend,
-    FaultSimEngine, ParallelConfig, RedundancyMode,
+    run_campaign, BatchConfig, CampaignConfig, CollapseConfig, EvalBackend, FaultSimEngine,
+    ParallelConfig, RedundancyMode,
 };
 use eraser::designs::{netlist_fixtures, Benchmark, DesignSource};
 use eraser::fault::{
@@ -72,8 +72,8 @@ fn compare(
 }
 
 /// The full configuration matrix on one benchmark: redundancy modes ×
-/// backends serially, then Full mode × backends × threads {1, 4} ×
-/// checkpoint {off, every 8} × batch {off, on}.
+/// backends serially, then Full mode × backends × threads {1, 4} × batch
+/// {off, on}.
 fn collapse_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
     let design = bench.build();
     let mut cfg: FaultListConfig = bench.fault_config();
@@ -102,28 +102,24 @@ fn collapse_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
     }
     for backend in [EvalBackend::Tree, EvalBackend::Tape] {
         for threads in [1usize, 4] {
-            for checkpoint in [CheckpointConfig::disabled(), CheckpointConfig::every(8)] {
-                for batch in [BatchConfig::disabled(), BatchConfig::enabled()] {
-                    compare(
-                        &format!(
-                            "{} (Full, {backend}, {threads} threads, ckpt {:?}, batch {:?})",
-                            bench.name(),
-                            checkpoint,
-                            batch
-                        ),
-                        &design,
-                        &faults,
-                        &stim,
-                        &CampaignConfig {
-                            mode: RedundancyMode::Full,
-                            backend,
-                            parallel: ParallelConfig::with_threads(threads),
-                            checkpoint,
-                            batch,
-                            ..CampaignConfig::default()
-                        },
-                    );
-                }
+            for batch in [BatchConfig::disabled(), BatchConfig::enabled()] {
+                compare(
+                    &format!(
+                        "{} (Full, {backend}, {threads} threads, batch {:?})",
+                        bench.name(),
+                        batch
+                    ),
+                    &design,
+                    &faults,
+                    &stim,
+                    &CampaignConfig {
+                        mode: RedundancyMode::Full,
+                        backend,
+                        parallel: ParallelConfig::with_threads(threads),
+                        batch,
+                        ..CampaignConfig::default()
+                    },
+                );
             }
         }
     }

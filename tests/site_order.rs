@@ -26,8 +26,8 @@ fn assert_site_major(what: &str, list: &FaultList) {
     }
 }
 
-/// The universe, every group of a plan over it from step 0 and from the
-/// checkpoints of a good run, at several group counts.
+/// The universe, every group of a plan over it whole and over the faults a
+/// good run leaves active, at several group counts.
 fn assert_plans_site_major(what: &str, source: &DesignSource, faults: &FaultList) {
     assert_site_major(what, faults);
     let stim = source.stimulus_with_cycles(16);

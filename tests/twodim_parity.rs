@@ -1,8 +1,9 @@
-//! Two-dimensional parallelism parity — the composed checkpointed +
-//! fault-parallel campaign path must be a pure performance knob.
+//! Two-dimensional parallelism parity — threads, the serial baselines'
+//! checkpointed restarts and every other knob must be pure performance
+//! knobs.
 //!
-//! Asserted across engines × backends × thread counts × checkpoint
-//! intervals × batching × collapsing:
+//! Asserted across engines × backends × thread counts × batching ×
+//! collapsing, and for the serial baselines × checkpoint intervals:
 //!
 //! 1. **Coverage identity.** Every configuration detects the identical
 //!    coverage records (first-detection step and observing output per
@@ -10,31 +11,24 @@
 //! 2. **Counters are a function of the plan.** A group costs one
 //!    good-network pass and the plan cuts one group per worker, so the
 //!    concurrent engines' counters move with the thread count — but a run
-//!    repeats them exactly, `skipped_faults` is the good run's alone, and
-//!    **the drain is worker-invariant**: one plan drained by one worker or
-//!    many gives bit-identical counters.
+//!    repeats them exactly, and **the drain is worker-invariant**: one
+//!    plan drained by one worker or many gives bit-identical counters.
 //! 3. **Per-fault counters are thread-invariant.** The serial baselines
 //!    restore every fault at its own latest eligible checkpoint, whatever
 //!    group it rides in, so all their counters are bit-identical at every
 //!    thread count.
 //!
-//! 4. **The good run stops once every window is final.** It then holds
-//!    fewer boundaries than a full replay, yet the same plan and the same
-//!    latest eligible checkpoint for every fault; a never-active fault
-//!    keeps it going to the end.
-//!
-//! The default tests run shortened campaigns on two benchmarks plus a
-//! crafted late-activation design where the composed path must report
-//! genuinely nonzero prefix/fault skips — the regression guard for the
-//! historical silent degradation where enabling threads forfeited every
-//! checkpoint skip. The `--ignored` sweep widens to all ten Table II
-//! benchmarks.
+//! The concurrent engines leave the checkpoint axis out: they start every
+//! fault at step 0 and ignore the interval (`checkpoint_determinism.rs`
+//! pins that). The default tests run shortened campaigns on two
+//! benchmarks plus a crafted late-activation design where the baselines
+//! must report genuinely nonzero prefix and fault skips at every thread
+//! count. The `--ignored` sweep widens to all ten Table II benchmarks.
 
 use eraser::baselines::{CfSim, IFsim, VFsim};
 use eraser::core::{
-    drain_plan, plan_campaign, record_good_run, record_good_run_on, BatchConfig, CampaignConfig,
-    CheckpointConfig, CollapseConfig, Eraser, EraserEngine, EvalBackend, FaultSimEngine,
-    GoodRunArtifacts, ParallelConfig, RedundancyStats,
+    drain_plan, plan_campaign, BatchConfig, CampaignConfig, CheckpointConfig, CollapseConfig,
+    Eraser, EraserEngine, EvalBackend, FaultSimEngine, ParallelConfig, RedundancyStats,
 };
 use eraser::designs::Benchmark;
 use eraser::fault::{generate_faults, FaultList, FaultListConfig};
@@ -86,8 +80,8 @@ impl Knobs {
 type EngineUnderTest = (&'static str, Box<dyn FaultSimEngine>, bool);
 
 /// Runs one engine through a knob set at every thread count: coverage must
-/// match `reference` everywhere; under checkpointing `skipped_faults` must
-/// not move, and for the serial baselines (`per_fault`) no counter may.
+/// match `reference` everywhere, and for the serial baselines
+/// (`per_fault`) no counter may move.
 fn check_knobs(
     (name, engine, per_fault): &EngineUnderTest,
     design: &Design,
@@ -111,29 +105,21 @@ fn check_knobs(
             "{name} [{} x{threads}]: coverage diverged",
             knobs.label()
         );
-        if knobs.interval > 0 {
-            let (a, b) = (&serial.stats, &par.stats);
+        if *per_fault {
             assert_eq!(
-                a.skipped_faults,
-                b.skipped_faults,
-                "{name} [{} x{threads}]: never-active faults moved with the thread count",
+                counter_key(&serial.stats),
+                counter_key(&par.stats),
+                "{name} [{} x{threads}]: per-fault counters not thread-invariant",
                 knobs.label()
             );
-            if *per_fault {
-                assert_eq!(
-                    counter_key(a),
-                    counter_key(b),
-                    "{name} [{} x{threads}]: per-fault counters not thread-invariant",
-                    knobs.label()
-                );
-            }
         }
     }
 }
 
-/// The full matrix for one fixture. The concurrent engines additionally
-/// sweep the batching knob (the serial baselines ignore it by design, so
-/// sweeping it there would only duplicate runs).
+/// The full matrix for one fixture. The serial baselines sweep
+/// `intervals`; the concurrent engines sweep the batching knob instead
+/// (each kind ignores the other's knob by design, so sweeping it there
+/// would only duplicate runs).
 fn check_fixture(design: &Design, faults: &FaultList, stim: &Stimulus, intervals: &[usize]) {
     let engines: [EngineUnderTest; 4] = [
         ("IFsim", Box::new(IFsim), true),
@@ -158,7 +144,8 @@ fn check_fixture(design: &Design, faults: &FaultList, stim: &Stimulus, intervals
                     .config(1),
                 )
                 .coverage;
-            for &interval in intervals {
+            let interval_axis: &[usize] = if *per_fault { intervals } else { &[0] };
+            for &interval in interval_axis {
                 for collapse in [false, true] {
                     let batch_axis: &[bool] = if *per_fault { &[false] } else { &[false, true] };
                     for &batch in batch_axis {
@@ -197,8 +184,8 @@ fn bench_fixture(
 
 /// A design with genuinely staggered activation: `bank` is written only
 /// under `en` (asserted from cycle 25), and the masked high nibble of `m`
-/// can never contradict its sa0 faults at all — so a checkpointed run must
-/// skip real prefixes and whole faults.
+/// can never contradict its sa0 faults at all — so a checkpointed serial
+/// baseline must skip real prefixes and whole faults.
 fn late_activation_fixture() -> (Design, FaultList, Stimulus) {
     let design = compile(
         "module lateregs(input wire clk, input wire rst, input wire en, input wire [3:0] a,
@@ -243,19 +230,14 @@ fn late_activation_fixture() -> (Design, FaultList, Stimulus) {
     (design, faults, sb.finish())
 }
 
-/// The regression guard for the historical silent degradation: before the
-/// two-dimensional scheduler, enabling threads put the concurrent engine
-/// on the from-zero path and every checkpoint skip was silently forfeited.
-/// What must hold now, on the late-activation design and on a Table II
-/// design (APB, which need not have a never-active fault):
+/// The regression guard for the historical silent degradation, when
+/// enabling threads forfeited every checkpoint skip. What must hold now,
+/// on the late-activation design and on a Table II design (APB):
 ///
 /// * the serial baselines skip real prefixes, the same ones at every
-///   thread count;
-/// * the concurrent engine drops the never-active faults at any thread
-///   count, and once the cut is fine enough to isolate the late faults
-///   their chunk starts past step 0;
-/// * a run repeats its counters exactly, and one plan drained by one
-///   worker or many gives bit-identical coverage and counters.
+///   thread count, and on the late design whole faults too;
+/// * one concurrent plan drained by one worker or many gives bit-identical
+///   coverage and counters.
 #[test]
 fn composed_path_reports_real_skips_at_every_thread_count() {
     let knobs = Knobs {
@@ -270,35 +252,18 @@ fn composed_path_reports_real_skips_at_every_thread_count() {
     ] {
         let mut serial_keys = Vec::new();
         for threads in THREADS {
-            let config = knobs.config(threads);
-            let serial = IFsim.run(&design, &faults, &stim, &config);
-            let stats = serial.stats;
+            let stats = IFsim
+                .run(&design, &faults, &stim, &knobs.config(threads))
+                .stats;
             assert!(
                 stats.skipped_prefix_steps > 0,
                 "{name} x{threads}: IFsim forfeited prefix skips: {stats:?}"
             );
-            serial_keys.push(counter_key(&stats));
-
-            let result = Eraser::full().run(&design, &faults, &stim, &config);
-            let stats = result.stats;
             assert!(
                 !late || stats.skipped_faults > 0,
-                "{name} x{threads}: composed path forfeited fault skips: {stats:?}"
+                "{name} x{threads}: IFsim forfeited fault skips: {stats:?}"
             );
-            // Cut in four or more, the late-activation design's last
-            // chunk holds only `bank` / `obs` faults that open after
-            // cycle 25. (Cut in two, the second chunk's head is a window-1
-            // fault, and APB's windows are all early.)
-            assert!(
-                !(late && threads >= 4) || stats.skipped_prefix_steps > 0,
-                "{name} x{threads}: the late chunk started at step 0: {stats:?}"
-            );
-            let again = Eraser::full().run(&design, &faults, &stim, &config);
-            assert_eq!(
-                counter_key(&stats),
-                counter_key(&again.stats),
-                "{name} x{threads}: a rerun moved the counters"
-            );
+            serial_keys.push(counter_key(&stats));
         }
         assert!(
             serial_keys.windows(2).all(|w| w[0] == w[1]),
@@ -306,18 +271,13 @@ fn composed_path_reports_real_skips_at_every_thread_count() {
         );
 
         // One plan, any number of workers: the drain is worker-invariant.
-        let config = knobs.config(4);
-        let good = record_good_run(&design, &faults, &stim, &config, None);
-        let plan = plan_campaign(&faults, Some(&good), 4);
-        assert!(plan.shards.len() > 1 && plan.shards.len() <= 4);
+        let plan = plan_campaign(&faults, None, 4);
+        assert_eq!(plan.shards.len(), 4);
         let drained: Vec<_> = THREADS
             .iter()
             .map(|&workers| {
-                drain_plan(&plan, Some(&good), workers, None, |group, snapshot| {
-                    let snapshot = snapshot.expect("window groups name a checkpoint");
-                    let mut engine = EraserEngine::session(&design, &group.list)
-                        .resume_from(snapshot, group.start)
-                        .start();
+                drain_plan(&plan, None, workers, None, |group| {
+                    let mut engine = EraserEngine::session(&design, &group.list).start();
                     engine.run(&stim);
                     (engine.coverage().clone(), engine.stats().clone())
                 })
@@ -338,20 +298,18 @@ fn composed_path_reports_real_skips_at_every_thread_count() {
 }
 
 /// The CI gate on the sizing rule (named in `.github/workflows/ci.yml`):
-/// on APB at checkpoint interval 64 with two threads the plan has at most
-/// two groups, and — a group costs at most one good-network pass — the
-/// campaign's summed `deltas` is at most groups × the good run's.
+/// on APB with two threads the plan has two groups, and — a group costs
+/// at most one good-network pass — the campaign's summed `deltas` is at
+/// most groups × the good run's.
 #[test]
-fn apb_checkpointed_campaign_costs_at_most_one_good_pass_per_worker() {
+fn apb_campaign_costs_at_most_one_good_pass_per_worker() {
     let (design, faults, stim) = bench_fixture(Benchmark::Apb, 400, usize::MAX);
     let config = CampaignConfig {
-        checkpoint: CheckpointConfig::every(64),
         parallel: ParallelConfig::with_threads(2),
         ..Default::default()
     };
-    let good = record_good_run(&design, &faults, &stim, &config, None);
-    let groups = plan_campaign(&faults, Some(&good), 2).shards.len() as u64;
-    assert!((1..=2).contains(&groups), "{groups} groups for 2 workers");
+    let groups = plan_campaign(&faults, None, 2).shards.len() as u64;
+    assert_eq!(groups, 2, "{groups} groups for 2 workers");
     let mut sim = Simulator::new(&design);
     sim.run_stimulus(&stim);
     let result = Eraser::full().run(&design, &faults, &stim, &config);
@@ -361,100 +319,6 @@ fn apb_checkpointed_campaign_costs_at_most_one_good_pass_per_worker() {
         "{deltas} deltas over {groups} groups, {} per good pass",
         sim.deltas()
     );
-}
-
-/// A reset counter: every fault's site bit is unknown at power-on and
-/// contradicts its stuck value within the first nine cycles, so every
-/// window is final long before the 64-cycle stimulus ends.
-fn early_activation_fixture() -> (Design, FaultList, Stimulus) {
-    let design = compile(
-        "module early(input wire clk, input wire rst, output reg [3:0] q);
-           always @(posedge clk) begin
-             if (rst) q <= 4'h0; else q <= q + 4'h1;
-           end
-         endmodule",
-        None,
-    )
-    .unwrap();
-    let faults = generate_faults(&design, &FaultListConfig::default());
-    let clk = design.find_signal("clk").unwrap();
-    let rst = design.find_signal("rst").unwrap();
-    let mut sb = StimulusBuilder::new();
-    for cycle in 0..64u64 {
-        sb.add_cycle(clk, &[(rst, LogicVec::from_u64(1, (cycle < 2) as u64))]);
-    }
-    (design, faults, sb.finish())
-}
-
-/// The good run of `record_good_run` next to a full replay of the same
-/// stimulus (`record_good_run_on`, as the serial baselines take it),
-/// checkpoint every 8 steps; asserts both give the same plan at 1–3
-/// workers and the same latest eligible checkpoint for every fault.
-fn stopped_and_full_runs(
-    design: &Design,
-    faults: &FaultList,
-    stim: &Stimulus,
-) -> (GoodRunArtifacts, GoodRunArtifacts) {
-    let config = CampaignConfig {
-        checkpoint: CheckpointConfig::every(8),
-        ..Default::default()
-    };
-    let stopped = record_good_run(design, faults, stim, &config, None);
-    let full = record_good_run_on(
-        Simulator::new(design),
-        faults,
-        stim,
-        config.checkpoint,
-        |_| {},
-    );
-    assert_eq!(full.replayed_steps(), stim.steps.len());
-    assert_eq!(full.num_checkpoints(), stim.steps.len().div_ceil(8));
-    for threads in 1..=3 {
-        let [a, b] = [&stopped, &full].map(|g| plan_campaign(faults, Some(g), threads));
-        assert_eq!(a.skipped, b.skipped, "x{threads}: never-active faults");
-        assert_eq!(a.shards.len(), b.shards.len(), "x{threads}: groups");
-        for (x, y) in a.shards.iter().zip(&b.shards) {
-            assert_eq!(
-                (x.global_ids(), x.checkpoint, x.start),
-                (y.global_ids(), y.checkpoint, y.start),
-                "x{threads}: a group moved"
-            );
-        }
-    }
-    for f in faults.iter() {
-        let [(a, sa), (b, sb)] = [&stopped, &full].map(|g| g.latest_checkpoint(f.id));
-        assert!(a == b && sa == sb, "fault {:?}: {a} vs {b}", f.id);
-    }
-    (stopped, full)
-}
-
-#[test]
-fn the_good_run_stops_once_every_window_is_final() {
-    let (design, faults, stim) = early_activation_fixture();
-    let (stopped, full) = stopped_and_full_runs(&design, &faults, &stim);
-    assert!(
-        stopped.num_checkpoints() < full.num_checkpoints(),
-        "{} of {} boundaries captured",
-        stopped.num_checkpoints(),
-        full.num_checkpoints()
-    );
-    assert_eq!(stopped.replayed_steps(), 8 * stopped.num_checkpoints());
-    // The campaign stamps where its good run stopped.
-    let config = CampaignConfig {
-        checkpoint: CheckpointConfig::every(8),
-        ..Default::default()
-    };
-    let result = Eraser::full().run(&design, &faults, &stim, &config);
-    assert_eq!(result.stats.good_run_steps, stopped.replayed_steps() as u64);
-}
-
-#[test]
-fn a_never_active_fault_keeps_the_good_run_to_the_end() {
-    let (design, faults, stim) = late_activation_fixture();
-    let (stopped, full) = stopped_and_full_runs(&design, &faults, &stim);
-    assert!(!plan_campaign(&faults, Some(&stopped), 1).skipped.is_empty());
-    assert_eq!(stopped.num_checkpoints(), full.num_checkpoints());
-    assert_eq!(stopped.replayed_steps(), stim.steps.len());
 }
 
 #[test]
