@@ -24,13 +24,11 @@
 //!   ERASER engine pinned to
 //!   [`RedundancyMode::Explicit`](eraser_core::RedundancyMode).
 //!
-//! Checkpointed good-state replay
-//! ([`CampaignConfig::checkpoint`](eraser_core::CampaignConfig::checkpoint))
-//! is a strength of the serial substitutions only: IFsim and VFsim restart
-//! each fault from its own latest eligible checkpoint and skip the faults
-//! that provably never activate. The concurrent engines (CfSim and ERASER)
-//! simulate every fault from step 0 and ignore the interval, as the
-//! paper's IFsim comparison assumes of the engine it measures.
+//! Every engine starts every fault at step 0, as the paper's IFsim does:
+//! IFsim and VFsim build a fresh simulator per fault, and the concurrent
+//! engines (CfSim and ERASER) run each group from step 0 against one good
+//! network. No engine reads
+//! [`CampaignConfig::checkpoint`](eraser_core::CampaignConfig::checkpoint).
 //!
 //! [`all_engines`] returns the full Fig. 6 engine line-up (the three
 //! baselines plus full ERASER) as trait objects, so benchmark harnesses,
@@ -84,25 +82,20 @@ use eraser_fault::FaultList;
 use eraser_ir::Design;
 use eraser_sim::{Simulator, Stimulus};
 
-/// IFsim: one event-driven re-simulation per fault, with the stuck-at
-/// imposed as a force; outputs are compared against a recorded good trace
-/// after every stimulus step, stopping at first detection.
+/// IFsim: one event-driven re-simulation per fault from step 0, with the
+/// stuck-at imposed as a force on a fresh simulator; outputs are compared
+/// against a recorded good trace after every stimulus step, stopping at
+/// first detection.
 ///
 /// As a serial engine it always drops a fault at first detection (coverage
 /// is insensitive to dropping). Honors [`CampaignConfig::backend`]: on the
 /// tape backend the design is lowered once and every per-fault simulator
-/// replays the shared program. Honors [`CampaignConfig::checkpoint`],
-/// which only the serial baselines read:
-/// with checkpointing enabled the good run is snapshotted periodically,
-/// each fault starts from the latest checkpoint preceding its activation
-/// window (bit-identical coverage, see
-/// [`eraser_fault::ActivationWindows`]), which the skipped-prefix and
-/// skipped-fault counters of its
-/// [`RedundancyStats`](eraser_core::RedundancyStats) quantify. Honors
-/// [`CampaignConfig::parallel`]: the fault groups of the campaign's plan
-/// drain the shared work queue, with coverage and counters bit-identical
-/// at every thread count. Honors [`CampaignConfig::collapse`]: only
-/// representatives are re-simulated.
+/// replays the shared program. Honors [`CampaignConfig::parallel`]: the
+/// fault groups of the campaign's plan drain the shared work queue, with
+/// coverage and counters bit-identical at every thread count. Honors
+/// [`CampaignConfig::collapse`]: only representatives are re-simulated.
+/// Reads no other field: `mode`, `drop_detected`, `batch` and
+/// `checkpoint` change nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IFsim;
 
@@ -126,8 +119,8 @@ impl FaultSimEngine for IFsim {
 
 /// VFsim: one levelized full-evaluation simulation per fault
 /// ([`Simulator::levelized`]: every RTL node dirty every delta), otherwise exactly
-/// [`IFsim`] — same observation, dropping, checkpointing, threading and
-/// collapsing rules.
+/// [`IFsim`] — same observation, dropping, threading and collapsing rules,
+/// and every fault from step 0.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VFsim;
 
@@ -151,7 +144,7 @@ impl FaultSimEngine for VFsim {
 
 /// CfSim (Z01X proxy): the concurrent engine pinned to explicit-only
 /// redundancy elimination. Honors every [`CampaignConfig`] field except
-/// `mode` and `checkpoint`: like every concurrent campaign it starts each
+/// `mode`, and, like every engine, reads no `checkpoint` and starts each
 /// fault at step 0.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CfSim;

@@ -1,12 +1,12 @@
 //! One-call fault-simulation campaign driver.
 
 use crate::batch::BatchConfig;
-use crate::checkpoint::CheckpointConfig;
+use crate::checkpoint::{CheckpointConfig, GoodRunArtifacts};
 use crate::collapse::{run_collapsed, CollapseConfig};
 use crate::engine::EraserEngine;
 use crate::parallel::ParallelConfig;
 use crate::progress::CampaignProgress;
-use crate::schedule::{drain_plan, plan_campaign, GoodRunArtifacts};
+use crate::schedule::{drain_plan, plan_campaign};
 use crate::stats::RedundancyStats;
 use crate::RedundancyMode;
 use eraser_fault::{CoverageReport, FaultList};
@@ -14,9 +14,9 @@ use eraser_ir::{BatchProgram, Design, EvalBackend, TapeProgram};
 use eraser_sim::Stimulus;
 
 /// Campaign options. [`Default`] is a constant — full redundancy
-/// elimination, fault dropping on, serial, tree walker, checkpointing /
-/// batching / collapsing off — and reads nothing from the process
-/// environment.
+/// elimination, fault dropping on, serial, tree walker, checkpoint
+/// interval 0, batching / collapsing off — and reads nothing from the
+/// process environment.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Redundancy-elimination mode (the ablation axis).
@@ -33,13 +33,11 @@ pub struct CampaignConfig {
     /// tape backend the design is lowered once per campaign and the
     /// program is shared across every fault-parallel shard worker.
     pub backend: EvalBackend,
-    /// Checkpointed good-state replay, a setting of the serial IFsim and
-    /// VFsim baselines only (see [`CheckpointConfig`] and the `schedule`
-    /// module docs): one instrumented good run, never-active faults
-    /// skipped, and each fault restarted from its own latest eligible
-    /// checkpoint. Disabled by default. The concurrent engines ignore it:
-    /// every group starts at step 0, so their coverage and counters are
-    /// those of interval 0.
+    /// The checkpoint interval (spec key `checkpoint_interval`). No engine
+    /// reads it: every engine starts every fault at step 0, so coverage
+    /// and counters are the same at any interval. It is still parsed and
+    /// validated so that existing specs, journals and the benchmark keep
+    /// working (see [`CheckpointConfig`]). Disabled by default.
     pub checkpoint: CheckpointConfig,
     /// Bit-parallel fault batching: evaluate up to 64 fault candidates of a
     /// batchable RTL node in one word-parallel pass (PPSFP applied to the
@@ -90,8 +88,8 @@ pub struct CampaignResult {
     /// Detection records and the coverage metric.
     pub coverage: CoverageReport,
     /// Redundancy and timing counters. `time_total` is the aggregate
-    /// compute time, engine construction included: the good run's wall (if
-    /// a serial baseline recorded one) plus the sum of the group walls, so
+    /// compute time, engine construction included: the sum of the group
+    /// walls, so
     /// [`RedundancyStats::behavioral_time_percent`] stays a meaningful
     /// compute-share at any thread count. Wall time of a campaign is what
     /// the caller measures around [`run_campaign`] or
@@ -144,9 +142,8 @@ pub struct CampaignContext<'a> {
 /// sum per-group counters and per-group walls (see
 /// [`RedundancyStats::merge`] and [`CampaignResult::stats`]).
 ///
-/// Every group engine starts at step 0: `config.checkpoint` is a setting
-/// of the serial baselines only, and a concurrent campaign's coverage and
-/// counters are the same at any interval.
+/// Every group engine starts at step 0: no engine reads
+/// `config.checkpoint`.
 ///
 /// Equivalent to [`run_campaign_with`] with an empty [`CampaignContext`].
 pub fn run_campaign(
@@ -199,9 +196,9 @@ pub fn run_campaign_with(
             None
         };
         let threads = config.parallel.effective_threads();
-        let plan = plan_campaign(faults, None, threads);
+        let plan = plan_campaign(faults, threads);
         // One concurrent engine per group, from step 0.
-        drain_plan(&plan, None, threads, ctx.progress, |group| {
+        drain_plan(&plan, threads, ctx.progress, |group| {
             let mut engine = EraserEngine::session(design, &group.list)
                 .mode(config.mode)
                 .drop_detected(config.drop_detected)

@@ -35,18 +35,14 @@
 //!   serial run at any thread count.
 //!   Every [`FaultSimEngine`] honours [`CampaignConfig::parallel`]
 //!   natively.
-//! * [`CheckpointConfig`] (spec key `checkpoint_interval`) — a setting of
-//!   the serial IFsim and VFsim baselines only. Their good machine runs
-//!   once with an activation probe and snapshots its settled state every
-//!   N steps ([`record_good_run_on`]); faults that provably cannot diverge
-//!   within the stimulus are skipped, and each other fault restarts from
-//!   the latest checkpoint preceding its
-//!   [activation window](eraser_fault::ActivationWindows).
-//!   [`RedundancyStats::skipped_prefix_steps`] and
-//!   [`RedundancyStats::skipped_faults`] quantify it. The concurrent
-//!   engine simulates every fault from step 0 against one good network,
-//!   as the paper's ERASER does, so it ignores the interval: its coverage
-//!   and counters are those of interval 0.
+//! * [`CheckpointConfig`] (spec key `checkpoint_interval`) — read by no
+//!   engine. Every engine starts every fault at step 0: the concurrent
+//!   engine against one good network, as the paper's ERASER does, and the
+//!   serial IFsim and VFsim baselines one fresh simulator per fault, as
+//!   the paper's IFsim does. The key is still parsed and validated so
+//!   that existing specs, journals and the benchmark keep working, and
+//!   [`record_good_run`] (a plain good replay with a snapshot per
+//!   boundary) stays for the benchmark's good-run probe.
 //!
 //! # Static fault collapsing
 //!
@@ -57,7 +53,7 @@
 //! influence path to any output) are dropped outright
 //! ([`eraser_fault::CollapsedFaultList`]). Every driver collapses through
 //! [`run_collapsed`] *before* planning, so the knob composes with
-//! threads, checkpointing, batching and both backends, and the lifted
+//! threads, batching and both backends, and the lifted
 //! coverage is bit-identical to the uncollapsed run.
 //! [`RedundancyStats::collapse_classes`],
 //! [`RedundancyStats::collapsed_faults`] and
@@ -122,16 +118,14 @@ pub use batch::BatchConfig;
 pub use campaign::{
     run_campaign, run_campaign_with, CampaignConfig, CampaignContext, CampaignResult,
 };
-pub use checkpoint::CheckpointConfig;
+pub use checkpoint::{record_good_run, CheckpointConfig, GoodRunArtifacts};
 pub use collapse::{collapse_plan, run_collapsed, CollapseConfig};
 pub use diff::{union_ids_into, DiffList, FaultView};
 pub use engine::{EngineSession, EraserEngine};
 pub use monitor::RedundancyMonitor;
 pub use parallel::ParallelConfig;
 pub use progress::{CampaignProgress, ProgressSnapshot};
-pub use schedule::{
-    drain_plan, is_windowed, plan_campaign, record_good_run, record_good_run_on, GoodRunArtifacts,
-};
+pub use schedule::{drain_plan, plan_campaign};
 pub use spec::{CampaignSpec, DesignRef, SpecError};
 pub use stats::RedundancyStats;
 

@@ -8,10 +8,13 @@
 //! # Precedence
 //!
 //! A knob field is an `Option`: `Some` is the campaign's value, `None`
-//! takes the built-in default (serial, tree walker, checkpointing /
-//! batching / collapsing off) when [`resolve`](CampaignSpec::resolve)d.
+//! takes the built-in default (serial, tree walker, batching / collapsing
+//! off, checkpoint interval 0) when [`resolve`](CampaignSpec::resolve)d.
 //! Resolution is pure — a spec determines its [`CampaignConfig`] by
-//! itself, so a stored spec reproduces its campaign on any host.
+//! itself, so a stored spec reproduces its campaign on any host. No engine
+//! reads `checkpoint_interval`: every engine starts every fault at step 0.
+//! The key is still parsed and validated so that existing specs, journals
+//! and the benchmark keep working.
 //!
 //! The one other configuration source, the `eraser` CLI's flags, reaches
 //! a campaign by being written into the spec before it is resolved: the
@@ -93,10 +96,10 @@ impl std::fmt::Display for DesignRef {
 /// service worker's `catch_unwind` never sees it.
 const MAX_STEPS: usize = 10_000_000;
 
-/// Most good-state snapshots a spec may ask for. A checkpointed serial
-/// baseline campaign holds one snapshot per `checkpoint_interval` settle
-/// steps in memory for its whole run; the largest benchmark campaign takes
-/// about 140.
+/// Most good-state snapshots a spec may ask for: ⌈2 · `steps` /
+/// `checkpoint_interval`⌉, the count `record_good_run` captures. No
+/// engine takes a snapshot any more; the cap stays so that `validate`
+/// accepts and rejects the specs it always did.
 const MAX_CHECKPOINTS: usize = 10_000;
 
 /// Most worker threads a spec may ask for (each runs its own engine).
@@ -159,11 +162,10 @@ pub struct CampaignSpec {
     pub threads: Option<usize>,
     /// Expression-evaluation backend. `None`: the tree walker.
     pub backend: Option<EvalBackend>,
-    /// Good-state checkpoint interval (`0` disables). `None`: off. A
-    /// setting of the serial IFsim and VFsim baselines only, which restart
-    /// each fault from its latest eligible checkpoint; a concurrent
-    /// campaign (Eraser in every mode, CfSim) gives the same coverage and
-    /// counters at any interval.
+    /// Good-state checkpoint interval (`0` disables). `None`: off. No
+    /// engine reads it: every engine gives the same coverage and counters
+    /// at any interval. It is still parsed and validated so that existing
+    /// specs, journals and the benchmark keep working.
     pub checkpoint_interval: Option<usize>,
     /// Bit-parallel fault batching. `None`: off.
     pub batch: Option<bool>,
@@ -314,12 +316,11 @@ impl CampaignSpec {
     }
 
     /// Rejects a spec whose size no host should be asked for: a stimulus
-    /// allocates per step, a campaign starts one engine per thread and a
-    /// checkpointed serial baseline keeps one good-state snapshot per
-    /// checkpoint, so `steps` is at most
-    /// 10 000 000 cycles, `threads` at most 256, and the snapshot count
-    /// ⌈2 · `steps` / `checkpoint_interval`⌉ at most 10 000 — constants, not
-    /// options. Called by [`from_json_value`](Self::from_json_value) and by
+    /// allocates per step and a campaign starts one engine per thread, so
+    /// `steps` is at most 10 000 000 cycles and `threads` at most 256. The
+    /// snapshot count ⌈2 · `steps` / `checkpoint_interval`⌉ stays capped at
+    /// 10 000, though no engine takes snapshots, so that the same specs
+    /// pass as before — constants, not options. Called by [`from_json_value`](Self::from_json_value) and by
     /// the CLI once its flags are merged in.
     pub fn validate(&self) -> Result<(), SpecError> {
         for (key, value, max) in [

@@ -41,14 +41,15 @@ pub struct RedundancyStats {
     pub rtl_fault_evals: u64,
     /// Delta cycles executed.
     pub deltas: u64,
-    /// Good-prefix settle steps *not* replayed thanks to checkpointed
-    /// fault starts, summed over all faults (checkpointed serial baseline
-    /// campaigns; 0 elsewhere). The temporal-redundancy analogue of the
-    /// skip counters above.
+    /// Always 0: every engine replays every fault from step 0, so no
+    /// good-prefix step is skipped. Kept so that stored records keep their
+    /// format and older ones (which may hold a nonzero count from
+    /// checkpointed serial restarts) still read.
     pub skipped_prefix_steps: u64,
-    /// Faults never simulated because activation-window analysis proved
-    /// they cannot diverge within the stimulus (undetected by
-    /// construction; checkpointed serial baseline campaigns, 0 elsewhere).
+    /// Always 0: every engine simulates every fault it is given. Kept so
+    /// that stored records keep their format and older ones (which may
+    /// count never-active faults a checkpointed serial run skipped) still
+    /// read.
     pub skipped_faults: u64,
     /// Faults removed from the live set at their first detection (fault
     /// dropping).
@@ -74,9 +75,9 @@ pub struct RedundancyStats {
     /// Faults statically proven undetectable (no reader of the bit, or no
     /// influence path to any output) and never simulated.
     pub collapse_dropped: u64,
-    /// Settle steps the instrumented good run replayed: the stimulus
-    /// length for a checkpointed serial baseline campaign, 0 elsewhere — a
-    /// concurrent campaign records no good run.
+    /// Always 0: no campaign records a separate good run. Kept so that
+    /// stored records keep their format and older ones (which may count a
+    /// checkpointed serial run's good replay) still read.
     pub good_run_steps: u64,
     /// Wall time inside behavioral-node processing (good + fault execution
     /// + redundancy checks + commits).

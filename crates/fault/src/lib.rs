@@ -20,26 +20,20 @@
 //!   (unobservable sites, unread bits), computed before any
 //!   simulation; a detected representative marks every class member via
 //!   [`CoverageReport::lift_classes`],
-//! * [`ActivationWindows`] — per-fault activation-window analysis over an
-//!   instrumented good replay: the earliest step each fault can first
-//!   diverge, which faults never do, and the restart-eligibility rule of
-//!   the checkpointed serial baselines,
 //! * [`WindowPlan`] — the campaign plan, the one place that decides which
 //!   faults share an engine: as many [`WindowShard`] groups as the caller
-//!   has workers — equal contiguous chunks cut in id order, with the
-//!   never-active faults skipped when a good run has derived them (a pure
-//!   function of its inputs, so merged results repeat exactly),
+//!   has workers — equal contiguous chunks cut in id order (a pure
+//!   function of its inputs, so merged results repeat exactly); every
+//!   fault of every group is simulated from step 0,
 //! * [`CoverageReport`] — detection bookkeeping and the coverage metric
 //!   reported in Table II of the paper; group reports fold into it through
 //!   [`WindowShard::merge_coverage_into`].
 
-mod activation;
 mod collapse;
 mod coverage;
 mod list;
 mod window;
 
-pub use activation::ActivationWindows;
 pub use collapse::CollapsedFaultList;
 pub use coverage::{CoverageReport, Detection};
 pub use list::{generate_faults, FaultList, FaultListConfig};

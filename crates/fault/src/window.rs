@@ -3,45 +3,33 @@
 //! A fault's simulation never depends on which other faults share its
 //! engine — one good network, many difference lists — so how a universe is
 //! cut into groups is pure scheduling policy, and a [`WindowPlan`] is the
-//! whole of it: a list of [`WindowShard`] groups in queue order plus the
-//! faults that need no simulation at all. Every campaign driver — the
-//! concurrent engine and the serial baselines, at any thread count —
-//! builds one plan and hands it to the one drain in `eraser-core`.
+//! whole of it: a list of [`WindowShard`] groups in queue order. Every
+//! campaign driver — the concurrent engine and the serial baselines, at
+//! any thread count — builds one plan and hands it to the one drain in
+//! `eraser-core`.
 //!
 //! **A group costs one good-network pass**, so there is one sizing rule:
 //! the caller asks for as many groups as it has workers (never more than
-//! there are faults), and both constructors cut *at most* that many. There
-//! is also **one cut rule**: the faults, in id order, are cut into `n`
-//! contiguous chunks of equal size (±1). Ids are site-major
-//! ([`generate_faults`](crate::generate_faults)), so faults sharing a site
-//! share a group — and with it their per-signal diff lists — except where
-//! a cut falls inside a site's run. The constructors differ only in which
-//! faults they cut.
+//! there are faults). There is also **one cut rule**: the faults, in id
+//! order, are cut into `n` contiguous chunks of equal size (±1). Ids are
+//! site-major ([`generate_faults`](crate::generate_faults)), so faults
+//! sharing a site share a group — and with it their per-signal diff lists
+//! — except where a cut falls inside a site's run. With `n == 1` the
+//! single group is the universe itself, so a one-thread campaign is one
+//! engine over the caller's list. Every group starts at step 0.
 //!
-//! * [`WindowPlan::from_step_zero`] — the concurrent campaign's plan: the
-//!   whole list, nothing skipped. With `n == 1` the single group is the
-//!   universe itself, so a one-thread campaign is one engine over the
-//!   caller's list.
-//! * [`WindowPlan::build`] — the serial baselines' plan when they record a
-//!   good run: every fault that provably cannot diverge within the
-//!   stimulus ([`ActivationWindows::never_active`]) is skipped —
-//!   undetected by construction, never simulated — and the rest are cut.
-//!   Each fault then restores its own latest eligible checkpoint, so no
-//!   group has a start of its own.
-//!
-//! Either way a group holds its members in ascending global-id order with
-//! dense local ids, so any engine runs it as it would a whole universe,
-//! and its coverage folds back through the one reduction rule,
+//! A group holds its members in ascending global-id order with dense local
+//! ids, so any engine runs it as it would a whole universe, and its
+//! coverage folds back through the one reduction rule,
 //! [`WindowShard::merge_coverage_into`].
 //!
-//! Both plans are a pure function of their inputs — `(faults, n)`, or
-//! `(faults, windows, n)` — with no timing input, so a campaign's coverage
-//! **and** redundancy counters repeat exactly from run to run. Coverage is
-//! the same for every `n`; the counters are a function of the plan (each
-//! group pays its own good-network pass), and draining one plan on one
-//! worker or many gives bit-identical counters.
+//! The plan is a pure function of `(faults, n)`, with no timing input, so
+//! a campaign's coverage **and** redundancy counters repeat exactly from
+//! run to run. Coverage is the same for every `n`; the counters are a
+//! function of the plan (each group pays its own good-network pass), and
+//! draining one plan on one worker or many gives bit-identical counters.
 
-use crate::{ActivationWindows, CoverageReport, Fault, FaultId, FaultList};
+use crate::{CoverageReport, Fault, FaultId, FaultList};
 
 /// One schedulable unit of a [`WindowPlan`]: a group of faults that share
 /// an engine.
@@ -112,53 +100,32 @@ impl WindowShard {
 }
 
 /// The schedule of one campaign over one fault universe. See the module
-/// docs of `window.rs` for the two constructors and the determinism
-/// argument.
+/// docs of `window.rs` for the cut rule and the determinism argument.
 #[derive(Debug, Clone)]
 pub struct WindowPlan {
-    /// Groups in queue order (id order). Disjoint; their union plus
-    /// [`skipped`](Self::skipped) is the whole universe.
+    /// Groups in queue order (id order). Disjoint; their union is the
+    /// whole universe.
     pub shards: Vec<WindowShard>,
-    /// Faults dropped before simulation: provably inactive within the
-    /// stimulus, undetected by construction.
-    pub skipped: Vec<FaultId>,
-}
-
-/// The one cut rule: `items` in `n` contiguous chunks of equal size (±1),
-/// each chunk one group.
-fn equal_cut(items: &[&Fault], n: usize) -> Vec<WindowShard> {
-    (0..n)
-        .map(|i| WindowShard::new(&items[i * items.len() / n..(i + 1) * items.len() / n]))
-        .collect()
 }
 
 impl WindowPlan {
-    /// The plan without good-run data: the list cut in id order into `n`
-    /// groups (at least one, at most one per fault), nothing skipped. A
-    /// single group is the caller's list itself — local id = global id —
-    /// so an empty universe still runs its one (fault-free) engine.
+    /// The one cut rule: the list in id order, in `n` contiguous chunks
+    /// of equal size (±1), each chunk one group — at least one, at most
+    /// one per fault. A single group is the caller's list itself — local
+    /// id = global id — so an empty universe still runs its one
+    /// (fault-free) engine.
     pub fn from_step_zero(faults: &FaultList, n: usize) -> WindowPlan {
         let all: Vec<&Fault> = faults.iter().collect();
+        let n = n.clamp(1, all.len().max(1));
+        let cut = |i: usize| i * all.len() / n;
         WindowPlan {
-            shards: equal_cut(&all, n.clamp(1, all.len().max(1))),
-            skipped: Vec::new(),
+            shards: (0..n)
+                .map(|i| WindowShard::new(&all[cut(i)..cut(i + 1)]))
+                .collect(),
         }
     }
 
-    /// The plan over derived `windows`: the never-active faults skipped,
-    /// the rest cut in id order into at most `n` groups (at least one,
-    /// while any fault is left to simulate).
-    pub fn build(faults: &FaultList, windows: &ActivationWindows, n: usize) -> WindowPlan {
-        let (skipped, kept): (Vec<&Fault>, Vec<&Fault>) =
-            faults.iter().partition(|f| windows.never_active(f.id));
-        WindowPlan {
-            shards: equal_cut(&kept, n.max(1).min(kept.len())),
-            skipped: skipped.iter().map(|f| f.id).collect(),
-        }
-    }
-
-    /// Total faults scheduled for simulation (universe minus the
-    /// never-active drops).
+    /// Total faults scheduled for simulation: the whole universe.
     pub fn scheduled_faults(&self) -> usize {
         self.shards.iter().map(|ws| ws.len()).sum()
     }
@@ -170,12 +137,9 @@ mod tests {
     use crate::{generate_faults, Detection, FaultListConfig, StuckAt};
     use eraser_frontend::compile;
     use eraser_ir::SignalId;
-    use eraser_logic::LogicVec;
-    use eraser_sim::{Simulator, SiteProbe, StimulusBuilder};
 
-    /// A free-running counter whose higher bits activate later: plenty of
-    /// distinct windows.
-    fn staggered_fixture() -> (FaultList, ActivationWindows) {
+    /// The generated universe of a real design: an 8-bit counter.
+    fn counter_universe() -> FaultList {
         let design = compile(
             "module m(input wire clk, input wire rst, output reg [7:0] q);
                always @(posedge clk) begin
@@ -185,88 +149,43 @@ mod tests {
             None,
         )
         .unwrap();
-        let faults = generate_faults(&design, &FaultListConfig::default());
-        let clk = design.find_signal("clk").unwrap();
-        let rst = design.find_signal("rst").unwrap();
-        let mut sb = StimulusBuilder::new();
-        sb.add_cycle(clk, &[(rst, LogicVec::from_u64(1, 1))]);
-        for _ in 0..40 {
-            sb.add_cycle(clk, &[(rst, LogicVec::from_u64(1, 0))]);
-        }
-        let stim = sb.finish();
-        let mut sim = Simulator::new(&design)
-            .attach_probe(SiteProbe::new(&design, faults.iter().map(|f| f.signal)));
-        for (i, step) in stim.steps.iter().enumerate() {
-            sim.hook_mut().begin_step(i);
-            sim.replay_step(step);
-        }
-        let windows =
-            ActivationWindows::derive(&design, &faults, &sim.into_hook(), stim.steps.len());
-        (faults, windows)
+        generate_faults(&design, &FaultListConfig::default())
     }
 
     #[test]
     fn plan_is_lossless_and_cut_into_at_most_n_groups() {
-        let (faults, windows) = staggered_fixture();
+        let faults = counter_universe();
         let all: Vec<FaultId> = faults.iter().map(|f| f.id).collect();
-        let kept: Vec<FaultId> = all
-            .iter()
-            .copied()
-            .filter(|&id| !windows.never_active(id))
-            .collect();
-        assert!(
-            kept.len() < all.len(),
-            "the counter has never-active faults"
-        );
         for n in [1, 2, 3, 5, faults.len(), faults.len() + 7] {
-            let plan = WindowPlan::build(&faults, &windows, n);
-            let scheduled = plan.scheduled_faults();
-            assert_eq!(plan.shards.len(), n.min(scheduled), "n={n}");
+            let plan = WindowPlan::from_step_zero(&faults, n);
+            assert_eq!(plan.shards.len(), n.min(faults.len()), "n={n}");
+            assert_eq!(plan.scheduled_faults(), faults.len(), "n={n}");
             // Equal cut: group sizes differ by at most one.
             let sizes: Vec<usize> = plan.shards.iter().map(|ws| ws.len()).collect();
             assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-            // Contiguous chunks in id order: concatenated, the groups are
-            // the active faults.
+            // Lossless, contiguous chunks in id order: concatenated, the
+            // groups are the universe.
             let cut: Vec<FaultId> = plan
                 .shards
                 .iter()
                 .flat_map(|ws| ws.global_ids().iter().copied())
                 .collect();
-            assert_eq!(cut, kept, "n={n}");
-            // Lossless: every fault is scheduled exactly once or skipped.
-            let mut seen: Vec<FaultId> = plan.skipped.clone();
-            seen.extend_from_slice(&cut);
-            seen.sort_unstable();
-            assert_eq!(seen, all, "n={n}: plan lost or duplicated faults");
+            assert_eq!(cut, all, "n={n}");
         }
     }
 
     #[test]
-    fn one_group_is_the_universe_minus_never_active_faults() {
-        let (faults, windows) = staggered_fixture();
-        let plan = WindowPlan::build(&faults, &windows, 1);
-        assert_eq!(plan.shards.len(), 1);
-        let expected: Vec<FaultId> = faults
-            .iter()
-            .map(|f| f.id)
-            .filter(|&id| !windows.never_active(id))
-            .collect();
-        assert_eq!(plan.shards[0].global_ids(), &expected[..]);
-        assert!(plan.skipped.iter().all(|&id| windows.never_active(id)));
-        assert_eq!(expected.len() + plan.skipped.len(), faults.len());
-    }
-
-    #[test]
     fn plan_is_deterministic() {
-        // A pure function of (faults, windows, n): building it twice
-        // yields the identical group sequence.
-        let (faults, windows) = staggered_fixture();
-        let a = WindowPlan::build(&faults, &windows, 3);
-        let b = WindowPlan::build(&faults, &windows, 3);
-        assert_eq!(a.skipped, b.skipped);
-        assert_eq!(a.shards.len(), b.shards.len());
-        for (x, y) in a.shards.iter().zip(&b.shards) {
-            assert_eq!(x.global_ids(), y.global_ids());
+        // A pure function of (faults, n): building it twice yields the
+        // identical group sequence.
+        let faults = counter_universe();
+        for n in [1, 3, faults.len() + 7] {
+            let a = WindowPlan::from_step_zero(&faults, n);
+            let b = WindowPlan::from_step_zero(&faults, n);
+            assert_eq!(a.shards.len(), b.shards.len());
+            for (x, y) in a.shards.iter().zip(&b.shards) {
+                assert_eq!(x.global_ids(), y.global_ids());
+            }
         }
     }
 
@@ -291,7 +210,6 @@ mod tests {
     /// Every group of a from-step-0 plan over `list`: dense local ids,
     /// faults preserved under their global ids.
     fn assert_step_zero_groups(list: &FaultList, plan: &WindowPlan) {
-        assert!(plan.skipped.is_empty(), "from-step-0 plans skip nothing");
         for group in &plan.shards {
             assert_eq!(group.list.len(), group.len());
             for (li, f) in group.list.iter().enumerate() {

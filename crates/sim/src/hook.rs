@@ -3,9 +3,9 @@
 //! [`Simulator`](crate::Simulator) runs the paper's Fig. 4 event loop once,
 //! for every network; `Simulator<'d, H>` calls its [`Hook`] `H` at each
 //! point where fault work attaches. [`NoHook`] (every method the empty
-//! default) is the good simulator, [`SiteProbe`](crate::SiteProbe) the
-//! instrumented good run, and the concurrent engine of `eraser-core` a
-//! simulator whose hook is its fault state. Dispatch is static.
+//! default) is the good simulator, and the concurrent engine of
+//! `eraser-core` a simulator whose hook is its fault state. Dispatch is
+//! static.
 
 use crate::evaluator::Evaluator;
 use crate::interp::{ExecCtx, ExecOutcome, NoopMonitor, SlotWrite};

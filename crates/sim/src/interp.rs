@@ -24,7 +24,7 @@
 
 use eraser_ir::{
     eval_expr_into, run_tape, BehavioralNode, BehavioralTapes, DecisionId, Design, EvalScratch,
-    EvalTape, Expr, LValue, SegmentId, SignalId, Stmt, TapeScratch, ValueSource, Vdg,
+    EvalTape, LValue, SegmentId, SignalId, Stmt, TapeScratch, ValueSource, Vdg,
 };
 use eraser_logic::LogicVec;
 
@@ -98,14 +98,6 @@ pub trait ExecMonitor {
     fn on_decision(&mut self, id: DecisionId, outcome: u32, overlay: &[(SignalId, LogicVec)]);
     /// Called before each dependency segment (assignment) executes.
     fn on_segment(&mut self, id: SegmentId, overlay: &[(SignalId, LogicVec)]);
-    /// Called after each path decision with the live resolving view
-    /// (overlay-aware), so instrumentation can re-examine the decision's
-    /// inputs at decision time. Default: no-op.
-    fn on_decision_view(&mut self, _id: DecisionId, _view: &dyn ValueSource) {}
-    /// Called when a dynamic lvalue index evaluated to an unknown value and
-    /// the write was therefore skipped, with the index expression and the
-    /// live resolving view. Default: no-op.
-    fn on_unknown_index(&mut self, _index: &Expr, _view: &dyn ValueSource) {}
 }
 
 /// A monitor that ignores everything.
@@ -325,26 +317,6 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
         eval_expr_into(e, &view, self.scratch, out);
     }
 
-    /// Reports a just-evaluated decision to the monitor's view hook.
-    fn notify_decision_view(&mut self, id: DecisionId) {
-        let view = MappedOverlay {
-            overlay: self.overlay,
-            map: self.overlay_map,
-            base: self.base,
-        };
-        self.monitor.on_decision_view(id, &view);
-    }
-
-    /// Reports a skipped write (unknown dynamic index) to the monitor.
-    fn notify_unknown_index(&mut self, index: &Expr) {
-        let view = MappedOverlay {
-            overlay: self.overlay,
-            map: self.overlay_map,
-            base: self.base,
-        };
-        self.monitor.on_unknown_index(index, &view);
-    }
-
     fn decide(&mut self, id: DecisionId) -> u32 {
         let view = MappedOverlay {
             overlay: self.overlay,
@@ -423,7 +395,6 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
             } => {
                 let outcome = self.decide(*decision);
                 self.monitor.on_decision(*decision, outcome, self.overlay);
-                self.notify_decision_view(*decision);
                 if outcome == 1 {
                     self.exec_stmt(then_s);
                 } else if let Some(e) = else_s {
@@ -438,7 +409,6 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
             } => {
                 let outcome = self.decide(*decision);
                 self.monitor.on_decision(*decision, outcome, self.overlay);
-                self.notify_decision_view(*decision);
                 if (outcome as usize) < arms.len() {
                     self.exec_stmt(&arms[outcome as usize].body);
                 } else if let Some(d) = default {
@@ -457,7 +427,6 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
                 loop {
                     let outcome = self.decide(*decision);
                     self.monitor.on_decision(*decision, outcome, self.overlay);
-                    self.notify_decision_view(*decision);
                     if outcome != 1 {
                         break;
                     }
@@ -499,7 +468,6 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
             }),
             LValue::BitSelect { base, index } => {
                 let Some(idx) = self.eval_index(index, lv_tape) else {
-                    self.notify_unknown_index(index);
                     return Err(value);
                 };
                 let width = self.design.width(*base);
@@ -514,7 +482,6 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
             }
             LValue::IndexedPart { base, start, width } => {
                 let Some(s) = self.eval_index(start, lv_tape) else {
-                    self.notify_unknown_index(start);
                     return Err(value);
                 };
                 let sig_w = self.design.width(*base) as u64;

@@ -18,7 +18,6 @@
 use crate::evaluator::Evaluator;
 use crate::hook::{Good, Hook, NoHook};
 use crate::interp::{ExecCtx, ExecOutcome, SlotWrite};
-use crate::probe::SiteProbe;
 use crate::snapshot::{assign_logic_slice, SimSnapshot};
 use crate::stimulus::Stimulus;
 use crate::store::ValueStore;
@@ -174,18 +173,6 @@ impl<'d> Simulator<'d> {
         sim.settle_all();
         sim
     }
-
-    /// Attaches an activation probe; the probe immediately observes the
-    /// current state (its step-0 baseline), then every subsequent commit,
-    /// decision and edge hazard. Step it through [`Simulator::hook_mut`];
-    /// take it back with [`Simulator::into_hook`].
-    pub fn attach_probe(self, mut probe: SiteProbe) -> Simulator<'d, SiteProbe> {
-        probe.observe_initial(self.net.design, &self.net.good.values);
-        Simulator {
-            net: self.net,
-            hook: probe,
-        }
-    }
 }
 
 impl<'d, H: Hook> Simulator<'d, H> {
@@ -268,11 +255,6 @@ impl<'d, H: Hook> Simulator<'d, H> {
     /// The value store and, mutably, the hook.
     pub fn values_and_hook_mut(&mut self) -> (&ValueStore, &mut H) {
         (&self.net.good.values, &mut self.hook)
-    }
-
-    /// Consumes the simulator, returning its hook.
-    pub fn into_hook(self) -> H {
-        self.hook
     }
 
     /// Drives a primary input (or, for testing, forces any signal) to
@@ -426,13 +408,6 @@ impl<'d, H: Hook> Simulator<'d, H> {
         for step in &stim.steps {
             self.replay_step(step);
         }
-    }
-
-    /// True if every signal's current value is fully defined (no `X`/`Z`
-    /// anywhere) — the eligibility condition for restarting
-    /// refinement-dormant faults from this state.
-    pub fn fully_defined(&self) -> bool {
-        self.net.good.values.fully_defined()
     }
 
     /// Captures the full settle-point state into `snap`, reusing its

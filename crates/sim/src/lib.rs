@@ -20,10 +20,7 @@
 //!   [`Hook`] attached it carries fault work at each of those points — the
 //!   concurrent ERASER engine's good network is such a simulator,
 //! * [`Stimulus`] — a cycle-stepped input waveform shared by all engines,
-//! * [`SimSnapshot`] — settle-point state capture/restore for checkpointed
-//!   good-state replay, and [`SiteProbe`] — the commit-granular
-//!   activation/hazard recorder behind fault activation-window analysis,
-//!   a [`Hook`] of the good run.
+//! * [`SimSnapshot`] — settle-point state capture/restore.
 //!
 //! # Example
 //!
@@ -58,7 +55,6 @@ mod evaluator;
 mod hook;
 mod interp;
 mod kernel;
-mod probe;
 mod rtl_eval;
 mod snapshot;
 mod stimulus;
@@ -72,7 +68,6 @@ pub use interp::{
     SlotWrite,
 };
 pub use kernel::Simulator;
-pub use probe::{BitFirsts, SiteProbe, NEVER};
 pub use rtl_eval::{eval_rtl_node_into, eval_rtl_op_with};
 pub use snapshot::SimSnapshot;
 pub use stimulus::{Stimulus, StimulusBuilder};

@@ -1,5 +1,4 @@
-//! Settle-point simulator snapshots — the substrate of checkpointed
-//! good-state replay.
+//! Settle-point simulator snapshots.
 //!
 //! A [`SimSnapshot`] captures the complete observable state of a simulator
 //! at a *settle point* (after [`Simulator::step`](crate::Simulator::step)
@@ -17,8 +16,10 @@
 //! recaptures/restores with zero steady-state heap traffic (on designs
 //! whose signals fit the inline representation).
 //!
-//! Both settle rules of the simulator capture and restore the same state,
-//! so one checkpointed serial campaign scheduler drives either baseline.
+//! Both settle rules of the simulator capture and restore the same state.
+//! No engine restores a snapshot: every fault runs from step 0.
+//! `eraser-core`'s `record_good_run` still captures one per checkpoint
+//! boundary, and the benchmark times the round trip.
 
 use eraser_ir::SignalId;
 use eraser_logic::{LogicBit, LogicVec};

@@ -7,11 +7,11 @@
 //! a site share an engine and a batch chunk. Checked here for the
 //! generated universe of every benchmark and netlist fixture, sampled and
 //! unsampled, for its collapsed representatives, and for every group of
-//! both plan constructors.
+//! the campaign plan.
 
-use eraser::core::{plan_campaign, record_good_run, CampaignConfig, CheckpointConfig};
+use eraser::core::plan_campaign;
 use eraser::designs::{netlist_fixtures, Benchmark, DesignSource};
-use eraser::fault::{generate_faults, CollapsedFaultList, FaultList, WindowPlan};
+use eraser::fault::{generate_faults, CollapsedFaultList, FaultList};
 
 fn assert_site_major(what: &str, list: &FaultList) {
     if let Some(p) = list
@@ -26,25 +26,13 @@ fn assert_site_major(what: &str, list: &FaultList) {
     }
 }
 
-/// The universe, every group of a plan over it whole and over the faults a
-/// good run leaves active, at several group counts.
-fn assert_plans_site_major(what: &str, source: &DesignSource, faults: &FaultList) {
+/// The universe and every group of a plan over it, at several group
+/// counts.
+fn assert_plans_site_major(what: &str, faults: &FaultList) {
     assert_site_major(what, faults);
-    let stim = source.stimulus_with_cycles(16);
-    let config = CampaignConfig {
-        checkpoint: CheckpointConfig::every(4),
-        ..CampaignConfig::default()
-    };
-    let good = record_good_run(source.design(), faults, &stim, &config, None);
     for n in [1, 2, 3, 7] {
-        let plans = [
-            WindowPlan::from_step_zero(faults, n),
-            plan_campaign(faults, Some(&good), n),
-        ];
-        for (kind, plan) in ["from_step_zero", "build"].iter().zip(&plans) {
-            for group in &plan.shards {
-                assert_site_major(&format!("{what} {kind} n={n}"), &group.list);
-            }
+        for group in &plan_campaign(faults, n).shards {
+            assert_site_major(&format!("{what} n={n}"), &group.list);
         }
     }
 }
@@ -70,13 +58,9 @@ fn every_derived_fault_list_is_site_major() {
             let faults = generate_faults(source.design(), &cfg);
             assert!(!faults.is_empty(), "{name} {cfg_name}: empty universe");
             let what = format!("{name} {cfg_name}");
-            assert_plans_site_major(&what, &source, &faults);
+            assert_plans_site_major(&what, &faults);
             let collapsed = CollapsedFaultList::build(source.design(), &faults);
-            assert_plans_site_major(
-                &format!("{what} collapsed"),
-                &source,
-                collapsed.representatives(),
-            );
+            assert_plans_site_major(&format!("{what} collapsed"), collapsed.representatives());
         }
     }
 }

@@ -1,34 +1,31 @@
-//! Two-dimensional parallelism parity — threads, the serial baselines'
-//! checkpointed restarts and every other knob must be pure performance
-//! knobs.
+//! Two-dimensional parallelism parity — threads and every other knob must
+//! be pure performance knobs.
 //!
 //! Asserted across engines × backends × thread counts × batching ×
-//! collapsing, and for the serial baselines × checkpoint intervals:
+//! collapsing:
 //!
 //! 1. **Coverage identity.** Every configuration detects the identical
 //!    coverage records (first-detection step and observing output per
-//!    fault) as the serial non-checkpointed reference.
+//!    fault) as the one-thread reference.
 //! 2. **Counters are a function of the plan.** A group costs one
 //!    good-network pass and the plan cuts one group per worker, so the
 //!    concurrent engines' counters move with the thread count — but a run
 //!    repeats them exactly, and **the drain is worker-invariant**: one
 //!    plan drained by one worker or many gives bit-identical counters.
 //! 3. **Per-fault counters are thread-invariant.** The serial baselines
-//!    restore every fault at its own latest eligible checkpoint, whatever
+//!    run every fault on its own fresh simulator from step 0, whatever
 //!    group it rides in, so all their counters are bit-identical at every
 //!    thread count.
 //!
-//! The concurrent engines leave the checkpoint axis out: they start every
-//! fault at step 0 and ignore the interval (`checkpoint_determinism.rs`
-//! pins that). The default tests run shortened campaigns on two
-//! benchmarks plus a crafted late-activation design where the baselines
-//! must report genuinely nonzero prefix and fault skips at every thread
-//! count. The `--ignored` sweep widens to all ten Table II benchmarks.
+//! No engine reads the checkpoint interval, so it is no axis here
+//! (`checkpoint_determinism.rs` pins that). The default tests run
+//! shortened campaigns on two benchmarks plus a crafted late-activation
+//! design. The `--ignored` sweep widens to all ten Table II benchmarks.
 
 use eraser::baselines::{CfSim, IFsim, VFsim};
 use eraser::core::{
-    drain_plan, plan_campaign, BatchConfig, CampaignConfig, CheckpointConfig, CollapseConfig,
-    Eraser, EraserEngine, EvalBackend, FaultSimEngine, ParallelConfig, RedundancyStats,
+    drain_plan, plan_campaign, BatchConfig, CampaignConfig, CollapseConfig, Eraser, EraserEngine,
+    EvalBackend, FaultSimEngine, ParallelConfig, RedundancyStats,
 };
 use eraser::designs::Benchmark;
 use eraser::fault::{generate_faults, FaultList, FaultListConfig};
@@ -38,7 +35,6 @@ use eraser::logic::LogicVec;
 use eraser::sim::{Simulator, Stimulus, StimulusBuilder};
 
 const THREADS: [usize; 4] = [1, 2, 4, 7];
-const INTERVALS: [usize; 4] = [0, 1, 8, 64];
 
 /// The deterministic integer counters of a stats block (timing excluded).
 fn counter_key(s: &RedundancyStats) -> [u64; 20] {
@@ -47,7 +43,6 @@ fn counter_key(s: &RedundancyStats) -> [u64; 20] {
 
 struct Knobs {
     backend: EvalBackend,
-    interval: usize,
     batch: bool,
     collapse: bool,
 }
@@ -56,7 +51,6 @@ impl Knobs {
     fn config(&self, threads: usize) -> CampaignConfig {
         CampaignConfig {
             backend: self.backend,
-            checkpoint: CheckpointConfig::every(self.interval),
             parallel: ParallelConfig::with_threads(threads),
             batch: BatchConfig {
                 enabled: self.batch,
@@ -70,8 +64,8 @@ impl Knobs {
 
     fn label(&self) -> String {
         format!(
-            "{:?} ckpt={} batch={} collapse={}",
-            self.backend, self.interval, self.batch, self.collapse
+            "{:?} batch={} collapse={}",
+            self.backend, self.batch, self.collapse
         )
     }
 }
@@ -116,11 +110,9 @@ fn check_knobs(
     }
 }
 
-/// The full matrix for one fixture. The serial baselines sweep
-/// `intervals`; the concurrent engines sweep the batching knob instead
-/// (each kind ignores the other's knob by design, so sweeping it there
-/// would only duplicate runs).
-fn check_fixture(design: &Design, faults: &FaultList, stim: &Stimulus, intervals: &[usize]) {
+/// The full matrix for one fixture. The concurrent engines also sweep
+/// the batching knob, which the serial baselines do not read.
+fn check_fixture(design: &Design, faults: &FaultList, stim: &Stimulus) {
     let engines: [EngineUnderTest; 4] = [
         ("IFsim", Box::new(IFsim), true),
         ("VFsim", Box::new(VFsim), true),
@@ -137,32 +129,27 @@ fn check_fixture(design: &Design, faults: &FaultList, stim: &Stimulus, intervals
                     stim,
                     &Knobs {
                         backend,
-                        interval: 0,
                         batch: false,
                         collapse: false,
                     }
                     .config(1),
                 )
                 .coverage;
-            let interval_axis: &[usize] = if *per_fault { intervals } else { &[0] };
-            for &interval in interval_axis {
-                for collapse in [false, true] {
-                    let batch_axis: &[bool] = if *per_fault { &[false] } else { &[false, true] };
-                    for &batch in batch_axis {
-                        check_knobs(
-                            under_test,
-                            design,
-                            faults,
-                            stim,
-                            &Knobs {
-                                backend,
-                                interval,
-                                batch,
-                                collapse,
-                            },
-                            &reference,
-                        );
-                    }
+            for collapse in [false, true] {
+                let batch_axis: &[bool] = if *per_fault { &[false] } else { &[false, true] };
+                for &batch in batch_axis {
+                    check_knobs(
+                        under_test,
+                        design,
+                        faults,
+                        stim,
+                        &Knobs {
+                            backend,
+                            batch,
+                            collapse,
+                        },
+                        &reference,
+                    );
                 }
             }
         }
@@ -184,8 +171,7 @@ fn bench_fixture(
 
 /// A design with genuinely staggered activation: `bank` is written only
 /// under `en` (asserted from cycle 25), and the masked high nibble of `m`
-/// can never contradict its sa0 faults at all — so a checkpointed serial
-/// baseline must skip real prefixes and whole faults.
+/// can never contradict its sa0 faults at all.
 fn late_activation_fixture() -> (Design, FaultList, Stimulus) {
     let design = compile(
         "module lateregs(input wire clk, input wire rst, input wire en, input wire [3:0] a,
@@ -230,53 +216,44 @@ fn late_activation_fixture() -> (Design, FaultList, Stimulus) {
     (design, faults, sb.finish())
 }
 
-/// The regression guard for the historical silent degradation, when
-/// enabling threads forfeited every checkpoint skip. What must hold now,
-/// on the late-activation design and on a Table II design (APB):
+/// On the late-activation design and on a Table II design (APB):
 ///
-/// * the serial baselines skip real prefixes, the same ones at every
-///   thread count, and on the late design whole faults too;
+/// * the serial baselines' counters are the same at every thread count;
 /// * one concurrent plan drained by one worker or many gives bit-identical
 ///   coverage and counters.
 #[test]
-fn composed_path_reports_real_skips_at_every_thread_count() {
+fn counters_are_worker_invariant() {
     let knobs = Knobs {
         backend: EvalBackend::Tree,
-        interval: 8,
         batch: false,
         collapse: false,
     };
-    for (name, (design, faults, stim), late) in [
-        ("lateregs", late_activation_fixture(), true),
-        ("APB", bench_fixture(Benchmark::Apb, 40, 60), false),
+    for (name, (design, faults, stim)) in [
+        ("lateregs", late_activation_fixture()),
+        ("APB", bench_fixture(Benchmark::Apb, 40, 60)),
     ] {
-        let mut serial_keys = Vec::new();
-        for threads in THREADS {
-            let stats = IFsim
-                .run(&design, &faults, &stim, &knobs.config(threads))
-                .stats;
-            assert!(
-                stats.skipped_prefix_steps > 0,
-                "{name} x{threads}: IFsim forfeited prefix skips: {stats:?}"
-            );
-            assert!(
-                !late || stats.skipped_faults > 0,
-                "{name} x{threads}: IFsim forfeited fault skips: {stats:?}"
-            );
-            serial_keys.push(counter_key(&stats));
-        }
+        let serial_keys: Vec<_> = THREADS
+            .iter()
+            .map(|&threads| {
+                counter_key(
+                    &IFsim
+                        .run(&design, &faults, &stim, &knobs.config(threads))
+                        .stats,
+                )
+            })
+            .collect();
         assert!(
             serial_keys.windows(2).all(|w| w[0] == w[1]),
             "{name}: per-fault counters moved across thread counts: {serial_keys:?}"
         );
 
         // One plan, any number of workers: the drain is worker-invariant.
-        let plan = plan_campaign(&faults, None, 4);
+        let plan = plan_campaign(&faults, 4);
         assert_eq!(plan.shards.len(), 4);
         let drained: Vec<_> = THREADS
             .iter()
             .map(|&workers| {
-                drain_plan(&plan, None, workers, None, |group| {
+                drain_plan(&plan, workers, None, |group| {
                     let mut engine = EraserEngine::session(&design, &group.list).start();
                     engine.run(&stim);
                     (engine.coverage().clone(), engine.stats().clone())
@@ -308,7 +285,7 @@ fn apb_campaign_costs_at_most_one_good_pass_per_worker() {
         parallel: ParallelConfig::with_threads(2),
         ..Default::default()
     };
-    let groups = plan_campaign(&faults, None, 2).shards.len() as u64;
+    let groups = plan_campaign(&faults, 2).shards.len() as u64;
     assert_eq!(groups, 2, "{groups} groups for 2 workers");
     let mut sim = Simulator::new(&design);
     sim.run_stimulus(&stim);
@@ -324,19 +301,19 @@ fn apb_campaign_costs_at_most_one_good_pass_per_worker() {
 #[test]
 fn late_activation_matrix() {
     let (design, faults, stim) = late_activation_fixture();
-    check_fixture(&design, &faults, &stim, &INTERVALS);
+    check_fixture(&design, &faults, &stim);
 }
 
 #[test]
 fn benchmark_apb_matrix() {
     let (design, faults, stim) = bench_fixture(Benchmark::Apb, 40, 60);
-    check_fixture(&design, &faults, &stim, &INTERVALS);
+    check_fixture(&design, &faults, &stim);
 }
 
 #[test]
 fn benchmark_alu_matrix() {
     let (design, faults, stim) = bench_fixture(Benchmark::Alu64, 24, 40);
-    check_fixture(&design, &faults, &stim, &[0, 8]);
+    check_fixture(&design, &faults, &stim);
 }
 
 /// Full sweep over all ten Table II benchmarks (release CI leg).
@@ -345,6 +322,6 @@ fn benchmark_alu_matrix() {
 fn benchmark_sweep_all_ten() {
     for bench in Benchmark::all() {
         let (design, faults, stim) = bench_fixture(bench, 40, 80);
-        check_fixture(&design, &faults, &stim, &[0, 8]);
+        check_fixture(&design, &faults, &stim);
     }
 }
