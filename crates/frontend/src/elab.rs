@@ -407,8 +407,7 @@ impl<'a> Elaborator<'a> {
                     // The other contributes its width, or none when a guard
                     // leaves it invalid (`{0{...}}`).
                     if let Ok(e) = self.resolve_expr(second, scope) {
-                        let w = out.width().max(self.expr_width(&e));
-                        out.resize_assign(w);
+                        ops::mux_defined_assign(&mut out, self.expr_width(&e));
                     }
                 } else {
                     let other = self.const_eval(second, scope)?;

@@ -8,22 +8,37 @@
 //! never clones.
 //!
 //! The hot entry point is [`eval_expr_into`], which evaluates an expression
-//! into a caller-owned output buffer, drawing temporaries from a reusable
-//! [`EvalScratch`] arena. After a few evaluations the arena holds one buffer
-//! per live recursion slot and steady-state evaluation performs **zero heap
-//! allocations** for designs whose signals fit in 64 bits (wider values
-//! reuse their boxed words whenever the word count matches).
+//! into a caller-owned output buffer in two tiers:
 //!
-//! The walker computes every operator through [`crate::ops`], as every
-//! other evaluator does. [`eval_expr`] is the pure convenience wrapper
-//! (fresh scratch and output per call); [`eval_expr_cloning`] is the frozen
-//! pre-change evaluator — clone per signal read, fresh `LogicVec` per AST
-//! node, its own copy of the operator semantics — kept as the independent
-//! oracle for property tests.
+//! 1. **The word path** walks the tree once over `Word`s — fully defined
+//!    values of at most 64 bits in one `u64` — computing every operator
+//!    through the two-state `word_*` functions of [`crate::ops`], and
+//!    writes the result with one inline store: no temporary per
+//!    subexpression and no list per concat. A ternary
+//!    evaluates only the branch its condition selects; the other gives its
+//!    width ([`expr_width_with`]).
+//! 2. **The four-state walk** runs from the root when the word path gives
+//!    up: at the first operand with an `X` or `Z` bit, at the first width
+//!    over 64 bits, at a select that reaches past its base, or at `/` or
+//!    `%` by zero — everywhere the four-state value is not a defined word.
+//!    It draws temporaries from a reusable [`EvalScratch`] arena and
+//!    recurses into itself, so an evaluation pays at most one failed word
+//!    walk. After a few evaluations the arena holds one buffer per live
+//!    recursion slot and steady-state evaluation performs **zero heap
+//!    allocations** for designs whose signals fit in 64 bits (wider values
+//!    reuse their boxed words whenever the word count matches).
+//!
+//! Both tiers compute every operator through [`crate::ops`], as every
+//! other evaluator does, so they give the same value. [`eval_expr`] is the
+//! pure convenience wrapper (fresh scratch and output per call);
+//! [`eval_expr_cloning`] is the frozen pre-change evaluator — clone per
+//! signal read, fresh `LogicVec` per AST node, its own copy of the operator
+//! semantics — kept as the independent oracle for property tests.
 
+use crate::analysis::expr_width_with;
 use crate::expr::{BinaryOp, Expr, UnaryOp};
 use crate::ids::SignalId;
-use crate::ops;
+use crate::ops::{self, Word};
 use eraser_logic::{LogicBit, LogicVec};
 
 /// A source of current signal values.
@@ -149,10 +164,70 @@ impl EvalScratch {
 /// the result into `out` (reshaped as needed) and drawing temporaries from
 /// `scratch`.
 ///
-/// The width model matches [`crate::analysis::expr_width`]; conditions with
-/// unknown truth values merge ternary branches bit-wise. Bit-identical to
-/// [`eval_expr_cloning`].
+/// The word path runs first; the four-state walk runs only where it gives
+/// up (see the module docs). The width model matches
+/// [`crate::analysis::expr_width`]; conditions with unknown truth values
+/// merge ternary branches bit-wise. Bit-identical to [`eval_expr_cloning`].
+#[inline]
 pub fn eval_expr_into<S: ValueSource + ?Sized>(
+    expr: &Expr,
+    src: &S,
+    scratch: &mut EvalScratch,
+    out: &mut LogicVec,
+) {
+    match eval_word(expr, src) {
+        Some(w) => out.assign_word(w.width, w.bits, 0),
+        None => eval_four_state(expr, src, scratch, out),
+    }
+}
+
+/// The width `expr` evaluates to under `src`.
+#[inline]
+fn width_under<S: ValueSource + ?Sized>(expr: &Expr, src: &S) -> u32 {
+    expr_width_with(expr, &|s| src.value(s).width())
+}
+
+/// The word path: `expr` as a [`Word`], or `None` where its four-state
+/// value is not a defined word (the `word_*` operators of [`crate::ops`]
+/// say where).
+fn eval_word<S: ValueSource + ?Sized>(expr: &Expr, src: &S) -> Option<Word> {
+    match expr {
+        Expr::Const(v) => ops::word_of(v),
+        Expr::Signal(s) => ops::word_of(src.value(*s)),
+        Expr::Unary(op, e) => Some(ops::word_unary(*op, eval_word(e, src)?)),
+        Expr::Binary(op, l, r) => ops::word_binary(*op, eval_word(l, src)?, eval_word(r, src)?),
+        Expr::Ternary {
+            cond,
+            then_e,
+            else_e,
+        } => {
+            let truth = ops::word_truth(eval_word(cond, src)?);
+            let (first, second) = ops::mux_pick(truth, then_e, else_e);
+            ops::word_mux(eval_word(first, src)?, width_under(second, src))
+        }
+        Expr::Concat(parts) => {
+            let (first, rest) = parts.split_first()?;
+            rest.iter().try_fold(eval_word(first, src)?, |acc, p| {
+                ops::word_concat(acc, eval_word(p, src)?)
+            })
+        }
+        Expr::Replicate(n, e) => ops::word_replicate(*n, eval_word(e, src)?),
+        Expr::Slice { base, hi, lo } => {
+            let width = hi.checked_sub(*lo)?.checked_add(1)?;
+            ops::word_slice(src.value(*base), *lo as u64, width)
+        }
+        Expr::Index { base, index } => {
+            ops::word_slice(src.value(*base), eval_word(index, src)?.bits, 1)
+        }
+        Expr::IndexedPart { base, start, width } => {
+            ops::word_slice(src.value(*base), eval_word(start, src)?.bits, *width)
+        }
+    }
+}
+
+/// The four-state walk of [`eval_expr_into`]: every operand a [`LogicVec`],
+/// recursing into itself, never back into the word path.
+fn eval_four_state<S: ValueSource + ?Sized>(
     expr: &Expr,
     src: &S,
     scratch: &mut EvalScratch,
@@ -162,13 +237,13 @@ pub fn eval_expr_into<S: ValueSource + ?Sized>(
         Expr::Const(v) => out.assign_from(v),
         Expr::Signal(s) => out.assign_from(src.value(*s)),
         Expr::Unary(op, e) => {
-            eval_expr_into(e, src, scratch, out);
+            eval_four_state(e, src, scratch, out);
             ops::unary_assign(*op, out);
         }
         Expr::Binary(op, l, r) => {
-            eval_expr_into(l, src, scratch, out);
+            eval_four_state(l, src, scratch, out);
             let mut rv = scratch.take();
-            eval_expr_into(r, src, scratch, &mut rv);
+            eval_four_state(r, src, scratch, &mut rv);
             ops::binary_assign(*op, out, &rv, scratch);
             scratch.put(rv);
         }
@@ -178,16 +253,21 @@ pub fn eval_expr_into<S: ValueSource + ?Sized>(
             else_e,
         } => {
             let mut c = scratch.take();
-            eval_expr_into(cond, src, scratch, &mut c);
+            eval_four_state(cond, src, scratch, &mut c);
             let truth = c.truth();
             scratch.put(c);
-            // The picked branch evaluates straight into `out`.
+            // The picked branch evaluates straight into `out`; a defined
+            // condition reads only the other branch's width.
             let (first, second) = ops::mux_pick(truth, then_e, else_e);
-            eval_expr_into(first, src, scratch, out);
-            let mut other = scratch.take();
-            eval_expr_into(second, src, scratch, &mut other);
-            ops::mux_assign(truth, out, &other);
-            scratch.put(other);
+            eval_four_state(first, src, scratch, out);
+            if truth.is_defined() {
+                ops::mux_defined_assign(out, width_under(second, src));
+            } else {
+                let mut other = scratch.take();
+                eval_four_state(second, src, scratch, &mut other);
+                ops::mux_assign(truth, out, &other);
+                scratch.put(other);
+            }
         }
         Expr::Concat(parts) => {
             // Iterative over the parts (stack depth stays proportional to
@@ -195,7 +275,7 @@ pub fn eval_expr_into<S: ValueSource + ?Sized>(
             let mut vals = scratch.take_list();
             for p in parts.iter().rev() {
                 let mut v = scratch.take();
-                eval_expr_into(p, src, scratch, &mut v);
+                eval_four_state(p, src, scratch, &mut v);
                 vals.push(v);
             }
             ops::concat(&vals, out);
@@ -203,20 +283,20 @@ pub fn eval_expr_into<S: ValueSource + ?Sized>(
         }
         Expr::Replicate(n, e) => {
             let mut v = scratch.take();
-            eval_expr_into(e, src, scratch, &mut v);
+            eval_four_state(e, src, scratch, &mut v);
             ops::replicate(*n, &v, out);
             scratch.put(v);
         }
         Expr::Slice { base, hi, lo } => src.value(*base).slice_into(*hi, *lo, out),
         Expr::Index { base, index } => {
             let mut idx = scratch.take();
-            eval_expr_into(index, src, scratch, &mut idx);
+            eval_four_state(index, src, scratch, &mut idx);
             ops::index(src.value(*base), &idx, out);
             scratch.put(idx);
         }
         Expr::IndexedPart { base, start, width } => {
             let mut st = scratch.take();
-            eval_expr_into(start, src, scratch, &mut st);
+            eval_four_state(start, src, scratch, &mut st);
             ops::indexed_part(src.value(*base), &st, *width, out);
             scratch.put(st);
         }

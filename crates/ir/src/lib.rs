@@ -15,8 +15,8 @@
 //!   behavioral body ([`vdg`]), whose *path decision* and *path dependency*
 //!   nodes drive the implicit-redundancy check (Algorithm 1 of the paper),
 //! * combinational levelization for compiled-style evaluation ([`analysis`]),
-//! * the four-state operator semantics, written once ([`ops`]), and a
-//!   generic expression evaluator over them ([`eval`]).
+//! * the operator semantics, four-state and two-state, each written once
+//!   ([`ops`]), and a generic expression evaluator over them ([`eval`]).
 //!
 //! Designs are constructed through [`DesignBuilder`], either directly (see
 //! the builder's example) or by the `eraser-frontend` Verilog compiler.

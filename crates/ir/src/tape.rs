@@ -14,7 +14,9 @@
 //! definition of the operator semantics the tree walker calls too, so both
 //! backends agree by construction; single-word speed comes from the inline
 //! arms of the `LogicVec` operators. The tape removes only the walk: no
-//! `Box` chasing, no per-node `match` on the tree, no scratch churn.
+//! `Box` chasing, no per-node `match` on the tree, no scratch churn. It
+//! has no two-state tier: the word path of the tree walker (see
+//! [`crate::eval`]) is not compiled into tapes.
 //!
 //! Slots are allocated by a free-list **keyed on word count**, so a slot is
 //! only ever reused at the same storage shape: after the first execution of
