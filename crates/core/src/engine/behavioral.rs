@@ -265,8 +265,8 @@ impl EngineState<'_> {
     /// its NBA block, kernel index `index` — queued whenever the good body
     /// or an executed fault wrote one, and recorded only when a fault
     /// executed or was suppressed, each executed fault's writes ordered by
-    /// target for the commit's search — and the return says whether the
-    /// faults wrote one.
+    /// target, so the commit finds each target's writes by cursor — and
+    /// the return says whether the faults wrote one.
     pub(super) fn close_activation(
         &mut self,
         ws: &mut Workspace,

@@ -193,10 +193,11 @@ impl EngineState<'_> {
     /// with the good writes to `t` folded (`good_wrote`: there were some;
     /// else only faults wrote it; `good_writes` hold those writes), with
     /// each executed fault's own value (its blocking final, or its view
-    /// with its NBA writes to `t`, found by binary search in its writes,
-    /// which `close_activation` ordered by target),
-    /// pinned values for suppressed faults, and replayed good writes for
-    /// faults skipped as redundant that carry differences on `t`.
+    /// with its NBA writes to `t`, found by cursor in its writes, which
+    /// `close_activation` ordered by target and the kernel's ascending
+    /// targets advance), pinned values for suppressed faults, and replayed
+    /// good writes for faults skipped as redundant that carry differences
+    /// on `t`.
     pub(super) fn commit_target(
         &mut self,
         ws: &mut Workspace,
@@ -206,34 +207,35 @@ impl EngineState<'_> {
         good_wrote: bool,
         good_writes: &[SlotWrite],
     ) -> bool {
-        let suppressed = match self.phase {
-            Phase::Settle => {
-                let news = std::mem::take(&mut ws.rtl_news);
-                let view_changed = self.commit_faults(ws, good, t, new_good, &news, true);
-                ws.rtl_news = ws.recycle_news(news);
-                return view_changed;
-            }
-            Phase::Activation(slot) => &self.activation(slot).suppressed[..],
-            Phase::Nba(slot) => &self.nba_side(slot).suppressed[..],
-        };
+        if let Phase::Settle = self.phase {
+            let news = std::mem::take(&mut ws.rtl_news);
+            let view_changed = self.commit_faults(ws, good, t, new_good, &news, true);
+            ws.rtl_news = ws.recycle_news(news);
+            return view_changed;
+        }
         let (t_width, view) = (self.design.width(t), &self.diffs[t.index()]);
         let mut fault_news = ws.news.take();
         let mut covered = ws.ids.take();
         if let Phase::Nba(slot) = self.phase {
-            let block = self.nba_side(slot);
-            for &(f, start, end) in &block.executed {
-                covered.push(f);
-                let mut val = ws.bufs.take_for(t_width);
-                val.assign_from(view.view(f, good.get(t)));
-                let own = &block.fault_writes[start as usize..end as usize];
-                let own = SlotWrite::run_of(own, t);
-                for w in own {
-                    w.apply_assign(&mut val);
-                }
-                if !own.is_empty() || good_wrote {
-                    fault_news.push((f, val));
-                } else {
-                    ws.bufs.put(val);
+            // Only a recorded block has executed faults. Each one's cursor
+            // is the start of its writes to targets not yet committed.
+            if let Some(p) = slot {
+                let block = &mut self.pending_nba[p].1;
+                for (f, cursor, end) in &mut block.executed {
+                    covered.push(*f);
+                    let mut val = ws.bufs.take_for(t_width);
+                    val.assign_from(view.view(*f, good.get(t)));
+                    let mut rest = &block.fault_writes[*cursor as usize..*end as usize];
+                    let own = SlotWrite::split_run(&mut rest, t);
+                    *cursor = *end - rest.len() as u32;
+                    for w in own {
+                        w.apply_assign(&mut val);
+                    }
+                    if !own.is_empty() || good_wrote {
+                        fault_news.push((*f, val));
+                    } else {
+                        ws.bufs.put(val);
+                    }
                 }
             }
         } else {
@@ -254,7 +256,7 @@ impl EngineState<'_> {
                 ws,
                 good,
                 t,
-                suppressed,
+                self.suppressed(),
                 good_writes,
                 &mut covered,
                 &mut fault_news,

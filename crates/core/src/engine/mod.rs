@@ -484,6 +484,16 @@ impl EngineState<'_> {
         slot.map_or(&GOOD_ONLY, |p| &self.pending_nba[p].1)
     }
 
+    /// The faults of the open activation or NBA block whose network did
+    /// not fire; none in the settle phase.
+    fn suppressed(&self) -> &[FaultId] {
+        match self.phase {
+            Phase::Settle => &[],
+            Phase::Activation(slot) => &self.activation(slot).suppressed,
+            Phase::Nba(slot) => &self.nba_side(slot).suppressed,
+        }
+    }
+
     /// Keeps the visible-input counts and `sig`'s clean flag after its
     /// diff list changed, given whether it was empty before: a list that
     /// turned non-empty (empty) adds (takes) one visible input to (from)

@@ -45,8 +45,10 @@ pub(super) struct PendingNba {
     /// Non-blocking writes of individually executed faults, flat, grouped
     /// consecutively per fault, each fault's ordered by target.
     pub fault_writes: Vec<SlotWrite>,
-    /// `(fault, start, end)` ranges into `fault_writes`; every individually
-    /// executed fault appears here, possibly with an empty range.
+    /// `(fault, cursor, end)` ranges into `fault_writes`; every individually
+    /// executed fault appears here, possibly with an empty range. The
+    /// cursor starts at the fault's first write, and the commit advances it
+    /// past each run of writes to a target as the block's targets ascend.
     pub executed: Vec<(FaultId, u32, u32)>,
     /// Faults whose activation was suppressed: their targets are pinned to
     /// the pre-commit values.

@@ -29,7 +29,9 @@
 
 use eraser_core::{EraserEngine, EvalBackend, RedundancyMode};
 use eraser_designs::{netlist_fixtures, Benchmark, DesignSource, Lcg};
-use eraser_fault::{generate_faults, FaultList, FaultListConfig, StuckAt};
+use eraser_fault::{
+    detectable_mismatch, generate_faults, Detection, FaultList, FaultListConfig, StuckAt,
+};
 use eraser_frontend::compile;
 use eraser_ir::analysis::activation_local_signals;
 use eraser_ir::{Design, SignalId};
@@ -957,4 +959,92 @@ fn selected_or_dynamically_indexed_bits_execute() {
     let faults = faults_on_bits(&d, 4, 7);
     let engine = overlay_rule_parity(&d, &faults);
     assert!(engine.stats().fault_executions > 0);
+}
+
+/// The first detection of each fault by IFsim's flow: a fresh simulator per
+/// fault takes the force and replays the stimulus from step 0 against the
+/// good trace of the outputs.
+fn serial_detections(
+    design: &Design,
+    faults: &FaultList,
+    stim: &Stimulus,
+) -> Vec<Option<Detection>> {
+    let outputs = design.outputs();
+    let mut good = Simulator::new(design);
+    let trace: Vec<Vec<LogicVec>> = (stim.steps.iter())
+        .map(|step| {
+            good.replay_step(step);
+            outputs.iter().map(|&o| good.value(o).clone()).collect()
+        })
+        .collect();
+    (faults.iter())
+        .map(|f| {
+            let mut sim = Simulator::new(design);
+            sim.force_bit(f.signal, f.bit, f.stuck.bit());
+            stim.steps.iter().enumerate().find_map(|(step, changes)| {
+                sim.replay_step(changes);
+                let hit = (outputs.iter().zip(&trace[step]))
+                    .find(|(o, g)| detectable_mismatch(g, sim.value(**o)))?;
+                Some(Detection {
+                    step,
+                    output: *hit.0,
+                })
+            })
+        })
+        .collect()
+}
+
+/// The NBA commit's fault side folds each executed fault's writes by a
+/// cursor that the block's ascending targets advance. One block writes its
+/// targets out of target order — `z` whole and then one bit of it, `y` by
+/// two part selects and then (when `a[0]`) whole, `x`, the lowest target,
+/// last — and stuck-at faults on those registers' bits make the faulty
+/// networks execute it. Every value at every step, and every first
+/// detection, equals IFsim's.
+#[test]
+fn nba_block_written_out_of_target_order_matches_ifsim() {
+    let d = compile(
+        "module m(input wire clk, input wire rst, input wire [7:0] a,
+                  output reg [7:0] x, output reg [7:0] y, output reg [7:0] z);
+           always @(posedge clk) begin
+             if (rst) begin z <= 8'h00; y <= 8'h00; x <= 8'h00; end
+             else begin
+               z <= z ^ a;
+               y[3:0] <= a[7:4] ^ x[3:0];
+               y[7:4] <= a[3:0];
+               if (a[0]) y <= ~(y + z);
+               z[7] <= x[0];
+               x <= x + a;
+             end
+           end
+         endmodule",
+        None,
+    )
+    .unwrap();
+    let f = |n: &str| d.find_signal(n).unwrap();
+    assert!(f("x") < f("y") && f("y") < f("z"));
+    let stim = drive_cycles(&d, 40, 0x0f01d, &[("a", 8)]);
+    let faults = faults_on(&d, &["x", "y", "z"]);
+    let serial = serial_detections(&d, &faults, &stim);
+    for mode in [
+        RedundancyMode::Full,
+        RedundancyMode::Explicit,
+        RedundancyMode::None,
+    ] {
+        let engine = value_parity_of(&d, &faults, &stim, mode);
+        assert!(engine.stats().fault_executions > 0, "{mode:?}");
+        for drop in [false, true] {
+            let mut engine = EraserEngine::new(&d, &faults, mode, drop);
+            engine.run(&stim);
+            for (fault, want) in faults.iter().zip(&serial) {
+                assert_eq!(
+                    engine.coverage().detection(fault.id),
+                    *want,
+                    "{mode:?}, dropping {drop}, fault {}",
+                    fault.id
+                );
+            }
+        }
+    }
+    assert!(serial.iter().any(Option::is_some));
 }

@@ -29,7 +29,11 @@
 //!    reuse their boxed words whenever the word count matches).
 //!
 //! Both tiers compute every operator through [`crate::ops`], as every
-//! other evaluator does, so they give the same value. [`eval_expr`] is the
+//! other evaluator does, so they give the same value. Branch decisions
+//! ([`DecisionEval::evaluate_with`](crate::vdg::DecisionEval::evaluate_with))
+//! use the same two tiers: the condition, or the scrutinee and the labels,
+//! on the word path first, and the four-state walk from the start where
+//! that cannot decide. [`eval_expr`] is the
 //! pure convenience wrapper (fresh scratch and output per call);
 //! [`eval_expr_cloning`] is the frozen pre-change evaluator — clone per
 //! signal read, fresh `LogicVec` per AST node, its own copy of the operator
@@ -190,7 +194,7 @@ fn width_under<S: ValueSource + ?Sized>(expr: &Expr, src: &S) -> u32 {
 /// The word path: `expr` as a [`Word`], or `None` where its four-state
 /// value is not a defined word (the `word_*` operators of [`crate::ops`]
 /// say where).
-fn eval_word<S: ValueSource + ?Sized>(expr: &Expr, src: &S) -> Option<Word> {
+pub(crate) fn eval_word<S: ValueSource + ?Sized>(expr: &Expr, src: &S) -> Option<Word> {
     match expr {
         Expr::Const(v) => ops::word_of(v),
         Expr::Signal(s) => ops::word_of(src.value(*s)),
@@ -227,7 +231,7 @@ fn eval_word<S: ValueSource + ?Sized>(expr: &Expr, src: &S) -> Option<Word> {
 
 /// The four-state walk of [`eval_expr_into`]: every operand a [`LogicVec`],
 /// recursing into itself, never back into the word path.
-fn eval_four_state<S: ValueSource + ?Sized>(
+pub(crate) fn eval_four_state<S: ValueSource + ?Sized>(
     expr: &Expr,
     src: &S,
     scratch: &mut EvalScratch,

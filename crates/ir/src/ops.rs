@@ -25,8 +25,12 @@
 //! — `/` or `%` by zero, a result wider than 64 bits, a select that
 //! reaches past its base or over an `X`/`Z` bit — so a walker that gets
 //! `Some` has the four-state value, and one that gets `None` falls back to
-//! the four-state functions. The tree walker's word path is their only
-//! caller.
+//! the four-state functions. Case matching has its word form here too:
+//! `word_case_match` decides a `case` or `casez` label against a defined
+//! scrutinee as [`LogicVec::case_eq`] and [`LogicVec::casez_match`] do. The
+//! tree walker's word path and the word path of
+//! [`DecisionEval::evaluate_with`](crate::vdg::DecisionEval::evaluate_with)
+//! are their only callers.
 //!
 //! The frozen oracle [`eval_expr_cloning`](crate::eval::eval_expr_cloning)
 //! is deliberately independent of this module.
@@ -34,6 +38,7 @@
 use crate::analysis::{binary_width, unary_width};
 use crate::eval::EvalScratch;
 use crate::expr::{BinaryOp, UnaryOp};
+use crate::stmt::CaseKind;
 use eraser_logic::{LogicBit, LogicVec};
 
 /// The 1-bit result of a reduction or logical negation; `None` for the
@@ -422,4 +427,27 @@ pub(crate) fn word_slice(base: &LogicVec, lo: u64, width: u32) -> Option<Word> {
     };
     let m = word_mask(width);
     (b & m == 0).then_some(Word { bits: a & m, width })
+}
+
+/// A constant case label's two planes, as [`LogicVec::word_planes`] gives
+/// them, `X` and `Z` bits kept; `None` when it is wider than 64 bits.
+#[inline]
+pub(crate) fn word_label(label: &LogicVec) -> Option<(u64, u64)> {
+    (label.width() <= 64).then(|| label.word_planes())
+}
+
+/// Whether a case label of at most 64 bits, given by its planes `(a, b)`
+/// ([`word_label`], or `(bits, 0)` for a defined word), matches the defined
+/// scrutinee `v`, as [`LogicVec::case_eq`] (`case`) and
+/// [`LogicVec::casez_match`] (`casez`) decide it at the zero-extended
+/// common width. An exact label matches only when it is fully defined and
+/// its bits equal `v`'s. A `casez` label's `Z` bits are wildcards; an `X`
+/// bit outside them never matches a defined scrutinee.
+#[inline]
+pub(crate) fn word_case_match(kind: CaseKind, v: Word, (a, b): (u64, u64)) -> bool {
+    let wild = match kind {
+        CaseKind::Exact => 0,
+        CaseKind::Z => !a & b,
+    };
+    b & !wild == 0 && (v.bits ^ a) & !wild == 0
 }

@@ -82,7 +82,7 @@ impl LValue {
 pub enum CaseKind {
     /// `case` — four-state identity match (`===` per item).
     Exact,
-    /// `casez` — `z`/`?` bits in labels are wildcards.
+    /// `casez` — `z`/`?` bits in the labels or the scrutinee are wildcards.
     Z,
 }
 

@@ -22,9 +22,10 @@
 //! interpreter record the path as a flat sequence of ids embedded in the
 //! statement tree.
 
-use crate::eval::{eval_expr_into, EvalScratch};
+use crate::eval::{eval_four_state, eval_word, EvalScratch};
 use crate::expr::{Expr, WHOLE};
 use crate::ids::{DecisionId, SegmentId, SignalId};
+use crate::ops;
 use crate::stmt::{CaseKind, Stmt};
 use crate::ValueSource;
 use eraser_logic::{LogicBit, LogicVec};
@@ -46,8 +47,11 @@ pub enum DecisionKind {
 ///
 /// Generic over the compiled form of its expressions: [`DecisionEval`]
 /// holds expression trees, [`DecisionTape`](crate::tape::DecisionTape)
-/// their tapes. Both compute the outcome by one statement of the
+/// their tapes. Both compute the four-state outcome by one statement of the
 /// branch-outcome rule, generic over how an expression is evaluated.
+/// [`DecisionEval`] tries the word path first and takes that rule only
+/// where machine words cannot decide (see
+/// [`DecisionEval::evaluate_with`]); a tape decision always takes it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Decision<E> {
     /// `if`/`for`: the truth value of the condition. Outcome 1 = true,
@@ -112,18 +116,59 @@ impl<E> Decision<E> {
 impl DecisionEval {
     /// Computes the branch outcome under `src`, drawing temporaries from
     /// `scratch` — the allocation-free hot path.
+    ///
+    /// The word path decides first: the condition, or the scrutinee and
+    /// then each label in order, evaluated in machine words (see
+    /// [`crate::eval`]), labels matched by the word form of the case rule
+    /// in [`crate::ops`]. Where it cannot decide — a condition or scrutinee
+    /// that is not a defined word of at most 64 bits, a constant label
+    /// wider than 64 bits, or a computed label that is not a defined word —
+    /// the whole decision runs again on the four-state walk, from the
+    /// start, without a second try at the word path.
     pub fn evaluate_with<S: ValueSource + ?Sized>(
         &self,
         src: &S,
         scratch: &mut EvalScratch,
     ) -> u32 {
+        if let Some(outcome) = self.word_outcome(src) {
+            return outcome;
+        }
         let (mut v, mut label) = (scratch.take(), scratch.take());
         let outcome = self.outcome_by(&mut v, &mut label, |e, out| {
-            eval_expr_into(e, src, scratch, out)
+            eval_four_state(e, src, scratch, out)
         });
         scratch.put(label);
         scratch.put(v);
         outcome
+    }
+
+    /// The branch outcome on the word path; `None` where it cannot decide
+    /// (see [`DecisionEval::evaluate_with`]).
+    fn word_outcome<S: ValueSource + ?Sized>(&self, src: &S) -> Option<u32> {
+        match self {
+            Decision::Truth(cond) => {
+                Some((ops::word_truth(eval_word(cond, src)?) == LogicBit::One) as u32)
+            }
+            Decision::Case {
+                scrutinee,
+                arm_labels,
+                kind,
+            } => {
+                let v = eval_word(scrutinee, src)?;
+                for (i, labels) in arm_labels.iter().enumerate() {
+                    for l in labels {
+                        let planes = match l {
+                            Expr::Const(c) => ops::word_label(c)?,
+                            _ => (eval_word(l, src)?.bits, 0),
+                        };
+                        if ops::word_case_match(*kind, v, planes) {
+                            return Some(i as u32);
+                        }
+                    }
+                }
+                Some(arm_labels.len() as u32)
+            }
+        }
     }
 
     /// Computes the branch outcome under `src` with a throwaway scratch

@@ -527,20 +527,24 @@ impl LogicVec {
         (0..n).all(|i| padded(la, i) == padded(ra, i) && padded(lb, i) == padded(rb, i))
     }
 
-    /// `casez`-style match: `Z` (or `?`) bits in `pattern` match anything.
+    /// `casez`-style match: a `Z` (or `?`) bit in either `self` (the case
+    /// expression) or `pattern` (the case item) matches anything, as IEEE
+    /// 1364-2005 §9.5.1 treats don't-care values "in any bit of either the
+    /// case expression or the case items".
     ///
-    /// Returns `false` (no match) if a non-wildcard pattern bit disagrees,
-    /// comparing four-state identity on the remaining bits. Never
-    /// allocates.
+    /// Returns `false` (no match) if a bit that neither side marks as a
+    /// wildcard disagrees, comparing four-state identity at the
+    /// zero-extended common width. Never allocates.
     pub fn casez_match(&self, pattern: &LogicVec) -> bool {
         let n = words_for(self.width().max(pattern.width()));
         let (va, vb) = (self.avals(), self.bvals());
         let (pa, pb) = (pattern.avals(), pattern.bvals());
         for i in 0..n {
+            let (vav, vbv) = (padded(va, i), padded(vb, i));
             let (pav, pbv) = (padded(pa, i), padded(pb, i));
-            // Z pattern bits (a=0, b=1) are wildcards.
-            let wild = !pav & pbv;
-            if (padded(va, i) ^ pav) & !wild != 0 || (padded(vb, i) ^ pbv) & !wild != 0 {
+            // Z bits (a=0, b=1) on either side are wildcards.
+            let wild = (!pav & pbv) | (!vav & vbv);
+            if (vav ^ pav) & !wild != 0 || (vbv ^ pbv) & !wild != 0 {
                 return false;
             }
         }
@@ -870,6 +874,23 @@ mod tests {
         assert!(v(4, 0b1101).casez_match(&pat));
         assert!(!v(4, 0b0101).casez_match(&pat));
         assert!(!v(4, 0b1110).casez_match(&pat));
+    }
+
+    /// IEEE 1364-2005 §9.5.1: `casez` treats `z` as a don't-care "in any
+    /// bit of either the case expression or the case items".
+    #[test]
+    fn casez_wildcards_in_the_case_expression() {
+        let lit = |s: &str| LogicVec::parse_literal(s).unwrap();
+        assert!(lit("4'bz001").casez_match(&v(4, 0b1001)));
+        assert!(lit("4'bz001").casez_match(&v(4, 0b0001)));
+        assert!(!lit("4'bz001").casez_match(&v(4, 0b1011)));
+        // Z on both sides, and an X bit, which stays a value to compare.
+        assert!(lit("4'bz0z1").casez_match(&lit("4'b?011")));
+        assert!(!lit("4'bz0x1").casez_match(&v(4, 0b1011)));
+        assert!(lit("4'bz0x1").casez_match(&lit("4'b10x1")));
+        // A wider pattern compares the scrutinee's zero-extended bits.
+        assert!(lit("2'bz1").casez_match(&v(4, 0b0011)));
+        assert!(!lit("2'bz1").casez_match(&v(4, 0b0111)));
     }
 
     #[test]

@@ -80,12 +80,20 @@ impl SlotWrite {
         }
     }
 
-    /// The run of `sorted`'s writes to `t`, for writes ordered by
-    /// [`SlotWrite::sort_by_target`].
-    pub fn run_of(sorted: &[SlotWrite], t: SignalId) -> &[SlotWrite] {
-        let lo = sorted.partition_point(|w| w.target < t);
-        let len = sorted[lo..].partition_point(|w| w.target == t);
-        &sorted[lo..lo + len]
+    /// Splits the run of writes to `t` off the front of `rest`, a cursor
+    /// into writes ordered by [`SlotWrite::sort_by_target`] that is read
+    /// at every target they write, in ascending order, so no write left
+    /// lies below `t`. `rest` keeps the writes after the run: one pass over
+    /// a block's targets folds its writes in linear time.
+    pub fn split_run<'a>(rest: &mut &'a [SlotWrite], t: SignalId) -> &'a [SlotWrite] {
+        debug_assert!(
+            rest.first().is_none_or(|w| w.target >= t),
+            "a write to a target the cursor passed"
+        );
+        let len = rest.iter().take_while(|w| w.target == t).count();
+        let (run, tail) = rest.split_at(len);
+        *rest = tail;
+        run
     }
 }
 

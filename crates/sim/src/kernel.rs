@@ -580,9 +580,9 @@ impl<'d, H: Hook> Simulator<'d, H> {
 
     /// Commits the NBA region block by block, each block's targets in
     /// target order with its writes to a target folded into one commit:
-    /// the block's writes are ordered by target once, and each target
-    /// folds only its own run of them, so a register bank of N flops
-    /// commits in O(N log N), not O(N²).
+    /// the block's writes are ordered by target once, and one forward
+    /// cursor hands each ascending target its own run of them, so after
+    /// the sort a register bank of N flops folds in O(N), not O(N²).
     /// Returns whether another delta is needed for it.
     fn commit_nba(&mut self) -> bool {
         if self.net.nba_ends.is_empty() {
@@ -601,8 +601,9 @@ impl<'d, H: Hook> Simulator<'d, H> {
             self.hook.nba_block(block, &mut targets);
             targets.sort_unstable();
             targets.dedup();
+            let mut rest = block_writes;
             for &t in &targets {
-                let good = SlotWrite::run_of(block_writes, t);
+                let good = SlotWrite::split_run(&mut rest, t);
                 let net = &mut self.net;
                 let mut next = net.ctx.scratch.take_for(net.design.width(t));
                 next.assign_from(net.good.values.get(t));
@@ -923,6 +924,91 @@ mod tests {
         sim.clock_cycle(clk);
         assert_eq!(sim.value(x).to_u64(), Some(9));
         assert_eq!(sim.value(y).to_u64(), Some(0));
+    }
+
+    /// One NBA block writes its targets out of target order: `z` whole and
+    /// then one bit of it, `y` by two part selects and then (when `a[0]`)
+    /// whole, and `x`, the lowest target, last. Each target folds its own
+    /// writes in execution order.
+    #[test]
+    fn nba_block_folds_each_target_in_execution_order() {
+        let d = compile(
+            "module m(input wire clk, input wire rst, input wire [7:0] a,
+                      output reg [7:0] x, output reg [7:0] y, output reg [7:0] z);
+               always @(posedge clk) begin
+                 if (rst) begin z <= 8'h00; y <= 8'h00; x <= 8'h00; end
+                 else begin
+                   z <= z ^ a;
+                   y[3:0] <= a[7:4] ^ x[3:0];
+                   y[7:4] <= a[3:0];
+                   if (a[0]) y <= ~(y + z);
+                   z[7] <= x[0];
+                   x <= x + a;
+                 end
+               end
+             endmodule",
+            None,
+        )
+        .unwrap();
+        let f = |n: &str| d.find_signal(n).unwrap();
+        let (clk, rst, a, x, y, z) = (f("clk"), f("rst"), f("a"), f("x"), f("y"), f("z"));
+        assert!(
+            x < y && y < z,
+            "the block writes its targets in descending order"
+        );
+        let mut sim = Simulator::new(&d);
+        sim.set_input(rst, &v(1, 1));
+        sim.clock_cycle(clk);
+        sim.set_input(rst, &v(1, 0));
+        let (mut mx, mut my, mut mz) = (0u64, 0u64, 0u64);
+        for av in [0x5a, 0xa5, 0x3c, 0xff, 0x81, 0x00, 0x42, 0x37] {
+            sim.set_input(a, &v(8, av));
+            sim.clock_cycle(clk);
+            let ny = if av & 1 == 1 {
+                !(my + mz) & 0xff
+            } else {
+                ((av >> 4) ^ (mx & 0xf)) | ((av & 0xf) << 4)
+            };
+            let nz = ((mz ^ av) & 0x7f) | ((mx & 1) << 7);
+            (mx, my, mz) = ((mx + av) & 0xff, ny, nz);
+            for (sig, want) in [(x, mx), (y, my), (z, mz)] {
+                assert_eq!(sim.value(sig).to_u64(), Some(want), "a = {av:#x}");
+            }
+        }
+    }
+
+    /// IEEE 1364-2005 §9.5.1: a `z` bit of the `casez` expression is a
+    /// don't-care, as one in a case item is, under both settle rules.
+    #[test]
+    fn casez_treats_z_in_the_case_expression_as_a_wildcard() {
+        let d = compile(
+            "module m(input wire [3:0] a, output reg [1:0] y);
+               always @* casez (a)
+                 4'b0011: y = 2'd1;
+                 4'b1001: y = 2'd2;
+                 default: y = 2'd3;
+               endcase
+             endmodule",
+            None,
+        )
+        .unwrap();
+        let (a, y) = (d.find_signal("a").unwrap(), d.find_signal("y").unwrap());
+        let lit = |s: &str| LogicVec::parse_literal(s).unwrap();
+        let mut ev = Simulator::new(&d);
+        let mut lv = Simulator::levelized(Evaluator::tree(&d));
+        for (value, want) in [
+            ("4'b1001", 2),
+            ("4'bz001", 2),
+            ("4'bz011", 1),
+            ("4'b0zz1", 1),
+            ("4'bx001", 3),
+            ("4'bz101", 3),
+        ] {
+            for sim in [&mut ev, &mut lv] {
+                sim.replay_step(&[(a, lit(value))]);
+                assert_eq!(sim.value(y).to_u64(), Some(want), "a = {value}");
+            }
+        }
     }
 
     #[test]
