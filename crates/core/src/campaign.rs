@@ -27,11 +27,13 @@ pub struct CampaignConfig {
     /// Fault-parallel execution: the worker-thread count. Serial by
     /// default; coverage is bit-identical at any thread count.
     pub parallel: ParallelConfig,
-    /// Expression-evaluation backend: the tree walker (reference oracle)
-    /// or compiled instruction tapes. The tree walker by default; coverage
-    /// and redundancy counters are bit-identical on both. For the
-    /// tape backend the design is lowered once per campaign and the
-    /// program is shared across every fault-parallel shard worker.
+    /// RTL-node evaluation backend: the tree walker (reference oracle) or
+    /// compiled instruction tapes. The tree walker by default; coverage
+    /// and redundancy counters are bit-identical on both. The tape
+    /// evaluates RTL nodes only: behavioral code runs on the tree walker
+    /// under either backend. For the tape backend the design's RTL nodes
+    /// are lowered once per campaign and the program is shared across
+    /// every fault-parallel worker.
     pub backend: EvalBackend,
     /// The checkpoint interval (spec key `checkpoint_interval`). No engine
     /// reads it: every engine starts every fault at step 0, so coverage

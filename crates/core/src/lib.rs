@@ -26,7 +26,7 @@
 //! Every campaign — one thread or many, the concurrent engine or a serial
 //! baseline — is a *plan* of fault groups drained by one work queue; see
 //! the `schedule` module docs ([`plan_campaign`], [`drain_plan`]) and
-//! [`eraser_fault::WindowPlan`]. Two knobs shape it:
+//! [`eraser_fault::FaultPlan`]. Two knobs shape it:
 //!
 //! * [`ParallelConfig`] (spec key `threads`, CLI `--threads`) — the one
 //!   way to fan out. A group costs one good-network pass, so the plan

@@ -1,8 +1,8 @@
 //! Campaign progress instrumentation.
 //!
 //! A [`CampaignProgress`] is a small block of atomic counters a campaign
-//! driver ticks as it schedules work: how many window groups (or fault
-//! shards) the plan contains, how many have completed, and the same pair
+//! driver ticks as it schedules work: how many fault groups the plan
+//! contains, how many have completed, and the same pair
 //! for individual faults. Observers — the campaign service's
 //! `GET /campaigns/:id` endpoint — read a consistent-enough
 //! [`ProgressSnapshot`] at any time without locks, from any thread, while
@@ -27,8 +27,8 @@ impl CampaignProgress {
         Self::default()
     }
 
-    /// Announces the campaign's plan: `groups` schedulable work groups
-    /// (window shards or fault shards) covering `faults` scheduled faults.
+    /// Announces the campaign's plan: `groups` schedulable fault groups
+    /// covering `faults` scheduled faults.
     /// Called once per campaign, after planning and before any engine runs.
     pub fn begin(&self, groups: usize, faults: usize) {
         self.groups_total.store(groups as u64, Ordering::Relaxed);

@@ -4,7 +4,7 @@
 //! A fault's simulation does not depend on which other faults share its
 //! engine — one good network, many difference lists — so *how the universe
 //! is cut into groups* is scheduling policy, and it lives in exactly two
-//! places: the plan ([`WindowPlan`], in `eraser-fault`) says what the
+//! places: the plan ([`FaultPlan`], in `eraser-fault`) says what the
 //! groups are, and the drain here runs them. The concurrent campaign
 //! ([`run_campaign_with`](crate::run_campaign_with)) and the serial
 //! per-fault baselines (`eraser-baselines`) differ only in the closure
@@ -28,7 +28,7 @@
 //!    recorded, snapshotted or skipped.
 //! 4. **Drain** ([`drain_plan`]). The groups feed one atomic work queue:
 //!    idle workers claim the next group. The drain folds the group
-//!    reports through [`WindowShard::merge_coverage_into`] and sums the
+//!    reports through [`FaultGroup::merge_coverage_into`] and sums the
 //!    counters. It is worker-invariant: one plan drained by one worker or
 //!    many gives bit-identical coverage and counters.
 //!
@@ -60,14 +60,14 @@ use crate::campaign::CampaignResult;
 use crate::parallel::run_queue;
 use crate::progress::CampaignProgress;
 use crate::stats::RedundancyStats;
-use eraser_fault::{CoverageReport, FaultList, WindowPlan, WindowShard};
+use eraser_fault::{CoverageReport, FaultGroup, FaultList, FaultPlan};
 use std::time::Instant;
 
 /// Picks the campaign's plan: one group per worker, `min(threads, faults)`
 /// of them, cut in id order (one group on one thread — exactly the
 /// caller's list).
-pub fn plan_campaign(faults: &FaultList, threads: usize) -> WindowPlan {
-    WindowPlan::from_step_zero(faults, threads)
+pub fn plan_campaign(faults: &FaultList, threads: usize) -> FaultPlan {
+    FaultPlan::equal_cut(faults, threads)
 }
 
 /// Drains `plan` on up to `threads` workers: `work` runs once per group
@@ -78,20 +78,20 @@ pub fn plan_campaign(faults: &FaultList, threads: usize) -> WindowPlan {
 /// worker drains the same group sequence inline — same engines, same
 /// counters as any other `threads`.
 pub fn drain_plan<F>(
-    plan: &WindowPlan,
+    plan: &FaultPlan,
     threads: usize,
     progress: Option<&CampaignProgress>,
     work: F,
 ) -> CampaignResult
 where
-    F: Fn(&WindowShard) -> (CoverageReport, RedundancyStats) + Sync,
+    F: Fn(&FaultGroup) -> (CoverageReport, RedundancyStats) + Sync,
 {
     let scheduled = plan.scheduled_faults();
     if let Some(p) = progress {
-        p.begin(plan.shards.len(), scheduled);
+        p.begin(plan.groups.len(), scheduled);
     }
-    let workers = threads.clamp(1, plan.shards.len().max(1));
-    let results = run_queue(&plan.shards, workers, |group| {
+    let workers = threads.clamp(1, plan.groups.len().max(1));
+    let results = run_queue(&plan.groups, workers, |group| {
         let group_t0 = Instant::now();
         let (coverage, mut stats) = work(group);
         stats.time_total = group_t0.elapsed();
@@ -103,7 +103,7 @@ where
 
     let mut coverage = CoverageReport::new(scheduled);
     let mut stats = RedundancyStats::default();
-    for (group, (group_cov, group_stats)) in plan.shards.iter().zip(&results) {
+    for (group, (group_cov, group_stats)) in plan.groups.iter().zip(&results) {
         group.merge_coverage_into(group_cov, &mut coverage);
         stats.merge(group_stats);
     }

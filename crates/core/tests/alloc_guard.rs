@@ -21,7 +21,7 @@
 
 use eraser_core::{EraserEngine, EvalBackend};
 use eraser_designs::{Benchmark, DesignSource};
-use eraser_fault::{generate_faults, FaultList, FaultListConfig, WindowPlan};
+use eraser_fault::{generate_faults, FaultList, FaultListConfig, FaultPlan};
 use eraser_logic::counting_alloc::CountingAlloc;
 use eraser_sim::{Evaluator, Simulator};
 
@@ -305,7 +305,7 @@ fn blocking_locals_steady_state_is_allocation_free() {
 
 fn two_way_sharded_workers_are_allocation_free_in_steady_state() {
     // The per-worker hot loop of a two-thread plain campaign: each worker
-    // owns one group of the from-step-0 plan and steps its own engine.
+    // owns one group of the equal-cut plan and steps its own engine.
     // Thread spawn and result merging are per-campaign setup, not steady
     // state, so the guard drives both group engines directly. On the tape
     // backend the workers share one campaign-level program, exactly as
@@ -313,13 +313,13 @@ fn two_way_sharded_workers_are_allocation_free_in_steady_state() {
     let design = Benchmark::Apb.build();
     let faults = generate_faults(&design, &Benchmark::Apb.fault_config());
     let stim = Benchmark::Apb.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
-    let plan = WindowPlan::from_step_zero(&faults, 2);
-    assert_eq!(plan.shards.len(), 2);
+    let plan = FaultPlan::equal_cut(&faults, 2);
+    assert_eq!(plan.groups.len(), 2);
 
     let tapes = eraser_core::TapeProgram::compile(&design);
     for backend in BACKENDS {
         let mut engines: Vec<EraserEngine> = plan
-            .shards
+            .groups
             .iter()
             .map(|s| match backend {
                 EvalBackend::Tree => EraserEngine::session(&design, &s.list)

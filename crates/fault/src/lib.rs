@@ -20,24 +20,24 @@
 //!   (unobservable sites, unread bits), computed before any
 //!   simulation; a detected representative marks every class member via
 //!   [`CoverageReport::lift_classes`],
-//! * [`WindowPlan`] — the campaign plan, the one place that decides which
-//!   faults share an engine: as many [`WindowShard`] groups as the caller
+//! * [`FaultPlan`] — the campaign plan, the one place that decides which
+//!   faults share an engine: as many [`FaultGroup`] groups as the caller
 //!   has workers — equal contiguous chunks cut in id order (a pure
 //!   function of its inputs, so merged results repeat exactly); every
 //!   fault of every group is simulated from step 0,
 //! * [`CoverageReport`] — detection bookkeeping and the coverage metric
 //!   reported in Table II of the paper; group reports fold into it through
-//!   [`WindowShard::merge_coverage_into`].
+//!   [`FaultGroup::merge_coverage_into`].
 
 mod collapse;
 mod coverage;
 mod list;
-mod window;
+mod plan;
 
 pub use collapse::CollapsedFaultList;
 pub use coverage::{CoverageReport, Detection};
 pub use list::{generate_faults, FaultList, FaultListConfig};
-pub use window::{WindowPlan, WindowShard};
+pub use plan::{FaultGroup, FaultPlan};
 
 use eraser_ir::SignalId;
 use eraser_logic::{LogicBit, LogicVec};

@@ -2,8 +2,8 @@
 //!
 //! A fault's simulation never depends on which other faults share its
 //! engine — one good network, many difference lists — so how a universe is
-//! cut into groups is pure scheduling policy, and a [`WindowPlan`] is the
-//! whole of it: a list of [`WindowShard`] groups in queue order. Every
+//! cut into groups is pure scheduling policy, and a [`FaultPlan`] is the
+//! whole of it: a list of [`FaultGroup`] groups in queue order. Every
 //! campaign driver — the concurrent engine and the serial baselines, at
 //! any thread count — builds one plan and hands it to the one drain in
 //! `eraser-core`.
@@ -21,7 +21,7 @@
 //! A group holds its members in ascending global-id order with dense local
 //! ids, so any engine runs it as it would a whole universe, and its
 //! coverage folds back through the one reduction rule,
-//! [`WindowShard::merge_coverage_into`].
+//! [`FaultGroup::merge_coverage_into`].
 //!
 //! The plan is a pure function of `(faults, n)`, with no timing input, so
 //! a campaign's coverage **and** redundancy counters repeat exactly from
@@ -31,10 +31,10 @@
 
 use crate::{CoverageReport, Fault, FaultId, FaultList};
 
-/// One schedulable unit of a [`WindowPlan`]: a group of faults that share
+/// One schedulable unit of a [`FaultPlan`]: a group of faults that share
 /// an engine.
 #[derive(Debug, Clone)]
-pub struct WindowShard {
+pub struct FaultGroup {
     /// The group's faults with dense local ids (`0..len`), in ascending
     /// global-id order. Engines run this list exactly as they would a
     /// whole universe.
@@ -43,11 +43,11 @@ pub struct WindowShard {
     global: Vec<FaultId>,
 }
 
-impl WindowShard {
+impl FaultGroup {
     /// A group of universe faults, given in ascending global-id order.
-    fn new(members: &[&Fault]) -> WindowShard {
+    fn new(members: &[&Fault]) -> FaultGroup {
         debug_assert!(members.windows(2).all(|p| p[0].id < p[1].id));
-        WindowShard {
+        FaultGroup {
             global: members.iter().map(|f| f.id).collect(),
             list: members.iter().map(|&&f| f).collect(),
         }
@@ -100,34 +100,34 @@ impl WindowShard {
 }
 
 /// The schedule of one campaign over one fault universe. See the module
-/// docs of `window.rs` for the cut rule and the determinism argument.
+/// docs of `plan.rs` for the cut rule and the determinism argument.
 #[derive(Debug, Clone)]
-pub struct WindowPlan {
+pub struct FaultPlan {
     /// Groups in queue order (id order). Disjoint; their union is the
     /// whole universe.
-    pub shards: Vec<WindowShard>,
+    pub groups: Vec<FaultGroup>,
 }
 
-impl WindowPlan {
+impl FaultPlan {
     /// The one cut rule: the list in id order, in `n` contiguous chunks
     /// of equal size (±1), each chunk one group — at least one, at most
     /// one per fault. A single group is the caller's list itself — local
     /// id = global id — so an empty universe still runs its one
     /// (fault-free) engine.
-    pub fn from_step_zero(faults: &FaultList, n: usize) -> WindowPlan {
+    pub fn equal_cut(faults: &FaultList, n: usize) -> FaultPlan {
         let all: Vec<&Fault> = faults.iter().collect();
         let n = n.clamp(1, all.len().max(1));
         let cut = |i: usize| i * all.len() / n;
-        WindowPlan {
-            shards: (0..n)
-                .map(|i| WindowShard::new(&all[cut(i)..cut(i + 1)]))
+        FaultPlan {
+            groups: (0..n)
+                .map(|i| FaultGroup::new(&all[cut(i)..cut(i + 1)]))
                 .collect(),
         }
     }
 
     /// Total faults scheduled for simulation: the whole universe.
     pub fn scheduled_faults(&self) -> usize {
-        self.shards.iter().map(|ws| ws.len()).sum()
+        self.groups.iter().map(FaultGroup::len).sum()
     }
 }
 
@@ -152,43 +152,6 @@ mod tests {
         generate_faults(&design, &FaultListConfig::default())
     }
 
-    #[test]
-    fn plan_is_lossless_and_cut_into_at_most_n_groups() {
-        let faults = counter_universe();
-        let all: Vec<FaultId> = faults.iter().map(|f| f.id).collect();
-        for n in [1, 2, 3, 5, faults.len(), faults.len() + 7] {
-            let plan = WindowPlan::from_step_zero(&faults, n);
-            assert_eq!(plan.shards.len(), n.min(faults.len()), "n={n}");
-            assert_eq!(plan.scheduled_faults(), faults.len(), "n={n}");
-            // Equal cut: group sizes differ by at most one.
-            let sizes: Vec<usize> = plan.shards.iter().map(|ws| ws.len()).collect();
-            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-            // Lossless, contiguous chunks in id order: concatenated, the
-            // groups are the universe.
-            let cut: Vec<FaultId> = plan
-                .shards
-                .iter()
-                .flat_map(|ws| ws.global_ids().iter().copied())
-                .collect();
-            assert_eq!(cut, all, "n={n}");
-        }
-    }
-
-    #[test]
-    fn plan_is_deterministic() {
-        // A pure function of (faults, n): building it twice yields the
-        // identical group sequence.
-        let faults = counter_universe();
-        for n in [1, 3, faults.len() + 7] {
-            let a = WindowPlan::from_step_zero(&faults, n);
-            let b = WindowPlan::from_step_zero(&faults, n);
-            assert_eq!(a.shards.len(), b.shards.len());
-            for (x, y) in a.shards.iter().zip(&b.shards) {
-                assert_eq!(x.global_ids(), y.global_ids());
-            }
-        }
-    }
-
     /// A universe of `n` faults over `sites` signals, numbered the way
     /// `generate_faults` numbers them: by signal, then bit, then polarity.
     fn universe(n: usize, sites: usize) -> FaultList {
@@ -207,10 +170,10 @@ mod tests {
             .collect()
     }
 
-    /// Every group of a from-step-0 plan over `list`: dense local ids,
-    /// faults preserved under their global ids.
-    fn assert_step_zero_groups(list: &FaultList, plan: &WindowPlan) {
-        for group in &plan.shards {
+    /// Every group of a plan over `list`: dense local ids, faults
+    /// preserved under their global ids.
+    fn assert_dense_groups(list: &FaultList, plan: &FaultPlan) {
+        for group in &plan.groups {
             assert_eq!(group.list.len(), group.len());
             for (li, f) in group.list.iter().enumerate() {
                 assert_eq!(f.id.index(), li);
@@ -224,54 +187,69 @@ mod tests {
     }
 
     #[test]
-    fn step_zero_plan_is_lossless_and_cut_in_id_order() {
-        let list = universe(40, 5);
-        let all: Vec<FaultId> = list.iter().map(|f| f.id).collect();
-        for n in [1, 2, 3, 7, 40] {
-            let plan = WindowPlan::from_step_zero(&list, n);
-            assert_eq!(plan.shards.len(), n);
-            assert_step_zero_groups(&list, &plan);
-            // Contiguous chunks in id order: concatenated, the groups are
-            // the universe; equal cut: sizes differ by at most one.
-            let cut: Vec<FaultId> = plan
-                .shards
-                .iter()
-                .flat_map(|g| g.global_ids().iter().copied())
-                .collect();
-            assert_eq!(cut, all, "n={n}");
-            let sizes: Vec<usize> = plan.shards.iter().map(WindowShard::len).collect();
-            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+    fn plan_is_lossless_and_cut_into_at_most_n_groups() {
+        let counter = counter_universe();
+        let counter_ns = vec![1, 2, 3, 5, counter.len(), counter.len() + 7];
+        for (list, ns) in [
+            (counter, counter_ns),
+            (universe(40, 5), vec![1, 2, 3, 7, 40]),
+        ] {
+            let all: Vec<FaultId> = list.iter().map(|f| f.id).collect();
+            for n in ns {
+                let plan = FaultPlan::equal_cut(&list, n);
+                assert_eq!(plan.groups.len(), n.min(list.len()), "n={n}");
+                assert_eq!(plan.scheduled_faults(), list.len(), "n={n}");
+                assert_dense_groups(&list, &plan);
+                // Equal cut: group sizes differ by at most one.
+                let sizes: Vec<usize> = plan.groups.iter().map(FaultGroup::len).collect();
+                assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+                // Lossless, contiguous chunks in id order: concatenated,
+                // the groups are the universe.
+                let cut: Vec<FaultId> = plan
+                    .groups
+                    .iter()
+                    .flat_map(|g| g.global_ids().iter().copied())
+                    .collect();
+                assert_eq!(cut, all, "n={n}");
+            }
         }
     }
 
     #[test]
-    fn step_zero_plan_holds_at_most_one_group_per_fault() {
+    fn plan_is_deterministic() {
+        // A pure function of (faults, n): building it twice yields the
+        // identical group sequence.
+        let counter = counter_universe();
+        let counter_ns = vec![1, 3, counter.len() + 7];
+        for (list, ns) in [(counter, counter_ns), (universe(64, 7), vec![4])] {
+            for n in ns {
+                let a = FaultPlan::equal_cut(&list, n);
+                let b = FaultPlan::equal_cut(&list, n);
+                assert_eq!(a.groups.len(), b.groups.len());
+                for (x, y) in a.groups.iter().zip(&b.groups) {
+                    assert_eq!(x.global_ids(), y.global_ids());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plan_holds_at_most_one_group_per_fault() {
         // No engine is built for zero faults: asked for more groups than
         // there are faults, the cut makes one group per fault.
         let list = universe(3, 2);
-        let plan = WindowPlan::from_step_zero(&list, 8);
-        assert_eq!(plan.shards.len(), 3);
-        assert!(plan.shards.iter().all(|g| g.len() == 1));
-        assert_step_zero_groups(&list, &plan);
+        let plan = FaultPlan::equal_cut(&list, 8);
+        assert_eq!(plan.groups.len(), 3);
+        assert!(plan.groups.iter().all(|g| g.len() == 1));
+        assert_dense_groups(&list, &plan);
     }
 
     #[test]
     fn zero_groups_clamp_to_one() {
         let list = universe(6, 2);
-        let plan = WindowPlan::from_step_zero(&list, 0);
-        assert_eq!(plan.shards.len(), 1);
-        assert_eq!(plan.shards[0].len(), 6);
-    }
-
-    #[test]
-    fn step_zero_plan_is_deterministic() {
-        let list = universe(64, 7);
-        let a = WindowPlan::from_step_zero(&list, 4);
-        let b = WindowPlan::from_step_zero(&list, 4);
-        assert_eq!(a.shards.len(), b.shards.len());
-        for (x, y) in a.shards.iter().zip(&b.shards) {
-            assert_eq!(x.global_ids(), y.global_ids());
-        }
+        let plan = FaultPlan::equal_cut(&list, 0);
+        assert_eq!(plan.groups.len(), 1);
+        assert_eq!(plan.groups[0].len(), 6);
     }
 
     #[test]
@@ -280,21 +258,21 @@ mod tests {
         // over exactly the caller's list: same faults, same order, local
         // id = global id — an empty universe included.
         for list in [universe(23, 4), FaultList::default()] {
-            let plan = WindowPlan::from_step_zero(&list, 1);
-            assert_eq!(plan.shards.len(), 1);
-            assert_step_zero_groups(&list, &plan);
-            assert_eq!(plan.shards[0].list.faults(), list.faults());
+            let plan = FaultPlan::equal_cut(&list, 1);
+            assert_eq!(plan.groups.len(), 1);
+            assert_dense_groups(&list, &plan);
+            assert_eq!(plan.groups[0].list.faults(), list.faults());
             let ids: Vec<FaultId> = list.iter().map(|f| f.id).collect();
-            assert_eq!(plan.shards[0].global_ids(), ids);
+            assert_eq!(plan.groups[0].global_ids(), ids);
         }
     }
 
     #[test]
     fn merge_coverage_into_remaps_detections() {
         let list = universe(20, 4);
-        let plan = WindowPlan::from_step_zero(&list, 4);
+        let plan = FaultPlan::equal_cut(&list, 4);
         let mut global = CoverageReport::new(list.len());
-        for (gi, group) in plan.shards.iter().enumerate() {
+        for (gi, group) in plan.groups.iter().enumerate() {
             // Detect every even local fault at a group-dependent step.
             let mut local = CoverageReport::new(group.len());
             for li in (0..group.len()).step_by(2) {
@@ -308,7 +286,7 @@ mod tests {
             }
             group.merge_coverage_into(&local, &mut global);
         }
-        for (gi, group) in plan.shards.iter().enumerate() {
+        for (gi, group) in plan.groups.iter().enumerate() {
             for (li, &gid) in group.global_ids().iter().enumerate() {
                 let want = (li % 2 == 0).then_some(Detection {
                     step: gi + 1,
@@ -324,8 +302,8 @@ mod tests {
     #[should_panic(expected = "coverage report covers")]
     fn merge_coverage_into_rejects_foreign_report() {
         let list = universe(10, 3);
-        let plan = WindowPlan::from_step_zero(&list, 2);
+        let plan = FaultPlan::equal_cut(&list, 2);
         let wrong = CoverageReport::new(3);
-        plan.shards[0].merge_coverage_into(&wrong, &mut CoverageReport::new(10));
+        plan.groups[0].merge_coverage_into(&wrong, &mut CoverageReport::new(10));
     }
 }

@@ -43,7 +43,7 @@ pub use ids::{BehavioralId, DecisionId, RtlNodeId, SegmentId, SignalId};
 pub use node::{BehavioralNode, EdgeKind, RtlNode, RtlOp, Sensitivity};
 pub use stmt::{CaseArm, CaseKind, LValue, Stmt};
 pub use tape::{
-    compile_expr, run_tape, tapes_for_backend, BehavioralTapes, DecisionTape, EvalBackend,
-    EvalTape, SegmentTapes, TapeProgram, TapeRef, TapeScratch,
+    compile_expr, run_tape, tapes_for_backend, EvalBackend, EvalTape, TapeProgram, TapeRef,
+    TapeScratch,
 };
 pub use vdg::{Decision, DecisionEval, DecisionInfo, SegmentInfo, Vdg, VdgNode};

@@ -24,22 +24,23 @@
 //! replays perform **zero heap allocations** (the same ≤ 64-bit caveat as
 //! the tree walker applies to wider designs).
 //!
-//! [`TapeProgram::compile`] lowers a whole design — every RTL node and
-//! every behavioral body's right-hand sides, lvalue indices and branch
-//! decisions — once; the program is immutable and shared by reference
-//! across fault-parallel shard workers. [`EvalBackend`] is the user-facing
-//! knob (`tree` | `tape`, tree by default); the tree walker remains the
-//! differential-testing oracle, and both backends are bit-identical on
-//! every expression (see the `tape_parity` property suite).
+//! [`TapeProgram::compile`] lowers every RTL node of a design once; the
+//! program is immutable and shared by reference across fault-parallel
+//! shard workers. Behavioral bodies are not lowered: their right-hand
+//! sides, lvalue indices and branch decisions run on the tree walker, word
+//! path first, on either backend, and every branch outcome comes from
+//! [`DecisionEval::evaluate_with`](crate::vdg::DecisionEval::evaluate_with).
+//! [`EvalBackend`] is the user-facing knob (`tree` | `tape`, tree by
+//! default); the tree walker remains the differential-testing oracle, and
+//! both backends are bit-identical on every expression (see the
+//! `tape_parity` property suite).
 
 use crate::analysis::{binary_width, unary_width};
 use crate::design::Design;
 use crate::expr::{BinaryOp, Expr, UnaryOp};
 use crate::ids::SignalId;
-use crate::node::{BehavioralNode, RtlNode, RtlOp};
+use crate::node::{RtlNode, RtlOp};
 use crate::ops;
-use crate::stmt::{LValue, Stmt};
-use crate::vdg::{Decision, DecisionEval};
 use crate::ValueSource;
 use eraser_logic::LogicVec;
 
@@ -49,7 +50,8 @@ pub enum EvalBackend {
     /// Walk `Expr` trees node by node (the reference oracle).
     #[default]
     Tree,
-    /// Execute pre-compiled instruction tapes ([`EvalTape`]).
+    /// Evaluate RTL nodes by pre-compiled instruction tapes ([`EvalTape`]);
+    /// behavioral bodies run on the tree walker under both backends.
     Tape,
 }
 
@@ -274,34 +276,20 @@ impl EvalTape {
     }
 }
 
-/// Reusable execution state for tapes: the slot arena plus a small buffer
-/// pool for decision evaluation. Hold one per engine (or worker thread);
-/// slots keep their storage across runs, so steady-state execution never
-/// allocates (≤ 64-bit values; wider slots reuse storage at a stable word
-/// count because the lowering's slot allocator never mixes word counts in
-/// one slot).
+/// Reusable execution state for tapes: the slot arena. Hold one per
+/// engine (or worker thread); slots keep their storage across runs, so
+/// steady-state execution never allocates (≤ 64-bit values; wider slots
+/// reuse storage at a stable word count because the lowering's slot
+/// allocator never mixes word counts in one slot).
 #[derive(Debug, Clone, Default)]
 pub struct TapeScratch {
     slots: Vec<LogicVec>,
-    pool: Vec<LogicVec>,
 }
 
 impl TapeScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Takes a buffer out of the pool (contents unspecified).
-    #[inline]
-    pub fn take(&mut self) -> LogicVec {
-        self.pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer to the pool.
-    #[inline]
-    pub fn put(&mut self, v: LogicVec) {
-        self.pool.push(v);
     }
 }
 
@@ -365,8 +353,8 @@ impl<'w> Lowerer<'w> {
     }
 
     fn intern_const(&mut self, v: &LogicVec) -> Src {
-        // Small pools; linear dedup keeps repeated literals (case labels,
-        // zero constants) from bloating the tape.
+        // Small pools; linear dedup keeps repeated literals (zero
+        // constants) from bloating the tape.
         if let Some(i) = self.consts.iter().position(|c| c == v) {
             return Src::Const(i as u16);
         }
@@ -602,57 +590,12 @@ fn exec_instr<S: ValueSource + ?Sized>(
 
 // ---- design-level programs ----
 
-/// The compiled tapes of one assignment: the right-hand side plus the
-/// lvalue's dynamic index expression (bit select / indexed part select),
-/// when present.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SegmentTapes {
-    /// Right-hand-side tape (natural expression width; the interpreter
-    /// sizes the value to the written range, as the tree path does).
-    pub rhs: EvalTape,
-    /// Dynamic lvalue index tape (`sig[index] = ...` / `sig[start +: w]`).
-    pub lv_index: Option<EvalTape>,
-}
-
-/// The compiled `Evaluate` function of one path decision — the tape twin
-/// of [`DecisionEval`], producing identical outcomes by the same rule.
-pub type DecisionTape = Decision<EvalTape>;
-
-impl DecisionTape {
-    /// Computes the branch outcome under `src` — bit-identical to
-    /// [`DecisionEval::evaluate_with`] on the decision this was compiled
-    /// from.
-    pub fn evaluate_with<S: ValueSource + ?Sized>(
-        &self,
-        src: &S,
-        scratch: &mut TapeScratch,
-    ) -> u32 {
-        let (mut v, mut label) = (scratch.take(), scratch.take());
-        let outcome = self.outcome_by(&mut v, &mut label, |t, out| run_tape(t, src, scratch, out));
-        scratch.put(label);
-        scratch.put(v);
-        outcome
-    }
-}
-
-/// The compiled tapes of one behavioral node, indexed by the ids embedded
-/// in its statement tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BehavioralTapes {
-    /// Per-[`SegmentId`](crate::ids::SegmentId) assignment tapes.
-    pub segments: Vec<SegmentTapes>,
-    /// Per-[`DecisionId`](crate::ids::DecisionId) decision tapes.
-    pub decisions: Vec<DecisionTape>,
-}
-
-/// Every tape of a design: one per RTL node (result forced to the output
-/// signal's width) and one [`BehavioralTapes`] per behavioral node.
-/// Compiled once per design and shared (by reference) across engines and
-/// fault-parallel shard workers.
+/// Every tape of a design: one per RTL node, its result forced to the
+/// output signal's width. Compiled once per design and shared (by
+/// reference) across engines and fault-parallel shard workers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TapeProgram {
     rtl: Vec<EvalTape>,
-    behavioral: Vec<BehavioralTapes>,
 }
 
 impl TapeProgram {
@@ -666,8 +609,8 @@ impl TapeProgram {
         }
     }
 
-    /// Lowers every RTL node and behavioral body of `design`, then
-    /// renumbers slots so the whole program shares one arena layout.
+    /// Lowers every RTL node of `design`, then renumbers slots so the
+    /// whole program shares one arena layout.
     pub fn compile(design: &Design) -> TapeProgram {
         let sig_width = |s: SignalId| design.signal(s).width;
         let mut program = TapeProgram {
@@ -676,28 +619,23 @@ impl TapeProgram {
                 .iter()
                 .map(|n| compile_rtl_node(n, &sig_width))
                 .collect(),
-            behavioral: design
-                .behavioral_nodes()
-                .iter()
-                .map(|b| compile_behavioral(b, &sig_width))
-                .collect(),
         };
         program.harmonize_slots();
         program
     }
 
-    /// Renumbers every tape's slots into word-count-class-segregated
+    /// Renumbers every RTL tape's slots into word-count-class-segregated
     /// regions of one shared arena layout: slot index `i` means the same
     /// storage shape in *every* tape of the program, so a [`TapeScratch`]
-    /// driven through many tapes (the settle loop visits every RTL node
-    /// and behavioral body) never reshapes a slot's storage back and
-    /// forth between word counts — the wide-design analogue of the
-    /// inline-value zero-allocation guarantee.
+    /// driven through many tapes (the settle loop visits every RTL node)
+    /// never reshapes a slot's storage back and forth between word counts
+    /// — the wide-design analogue of the inline-value zero-allocation
+    /// guarantee.
     fn harmonize_slots(&mut self) {
         // Widest per-class demand across all tapes.
         let mut max_per_class: Vec<u16> = Vec::new();
         let mut count: Vec<u16> = Vec::new();
-        self.for_each_tape(&mut |t: &mut EvalTape| {
+        for t in &self.rtl {
             count.clear();
             for &c in t.slot_classes.iter() {
                 let c = c as usize;
@@ -712,7 +650,7 @@ impl TapeProgram {
             for (c, &n) in count.iter().enumerate() {
                 max_per_class[c] = max_per_class[c].max(n);
             }
-        });
+        }
         // Contiguous region per class.
         let mut offsets = vec![0u16; max_per_class.len()];
         let mut total: u16 = 0;
@@ -728,7 +666,7 @@ impl TapeProgram {
         }
         let global_classes = global_classes.into_boxed_slice();
         let mut next_in_class = vec![0u16; max_per_class.len()];
-        self.for_each_tape(&mut |t: &mut EvalTape| {
+        for t in &mut self.rtl {
             next_in_class.fill(0);
             let map: Vec<u16> = t
                 .slot_classes
@@ -749,39 +687,6 @@ impl TapeProgram {
             }
             t.n_slots = total;
             t.slot_classes = global_classes.clone();
-        });
-    }
-
-    /// Visits every tape of the program, including decision scrutinees,
-    /// arm labels and dynamic lvalue indices.
-    fn for_each_tape(&mut self, f: &mut dyn FnMut(&mut EvalTape)) {
-        for t in &mut self.rtl {
-            f(t);
-        }
-        for b in &mut self.behavioral {
-            for st in &mut b.segments {
-                f(&mut st.rhs);
-                if let Some(t) = &mut st.lv_index {
-                    f(t);
-                }
-            }
-            for d in &mut b.decisions {
-                match d {
-                    DecisionTape::Truth(t) => f(t),
-                    DecisionTape::Case {
-                        scrutinee,
-                        arm_labels,
-                        ..
-                    } => {
-                        f(scrutinee);
-                        for ls in arm_labels {
-                            for l in ls {
-                                f(l);
-                            }
-                        }
-                    }
-                }
-            }
         }
     }
 
@@ -789,12 +694,6 @@ impl TapeProgram {
     #[inline]
     pub fn rtl(&self, index: usize) -> &EvalTape {
         &self.rtl[index]
-    }
-
-    /// The tapes of behavioral node `index`.
-    #[inline]
-    pub fn behavioral(&self, index: usize) -> &BehavioralTapes {
-        &self.behavioral[index]
     }
 }
 
@@ -862,94 +761,6 @@ fn rtl_to_expr(node: &RtlNode) -> Expr {
 /// exactly as the kernels' `eval_rtl_op_with` does after evaluation.
 fn compile_rtl_node(node: &RtlNode, sig_width: &dyn Fn(SignalId) -> u32) -> EvalTape {
     compile_expr(&rtl_to_expr(node), sig_width).with_out_width(sig_width(node.output))
-}
-
-/// Lowers one behavioral node: every assignment's RHS and dynamic lvalue
-/// index (by segment id) and every decision's `Evaluate` function (by
-/// decision id).
-fn compile_behavioral(
-    node: &BehavioralNode,
-    sig_width: &dyn Fn(SignalId) -> u32,
-) -> BehavioralTapes {
-    let decisions = node
-        .vdg
-        .decisions
-        .iter()
-        .map(|d| match &d.eval {
-            DecisionEval::Truth(e) => DecisionTape::Truth(compile_expr(e, sig_width)),
-            DecisionEval::Case {
-                scrutinee,
-                arm_labels,
-                kind,
-            } => DecisionTape::Case {
-                scrutinee: compile_expr(scrutinee, sig_width),
-                arm_labels: arm_labels
-                    .iter()
-                    .map(|ls| ls.iter().map(|l| compile_expr(l, sig_width)).collect())
-                    .collect(),
-                kind: *kind,
-            },
-        })
-        .collect();
-    let mut segments: Vec<Option<SegmentTapes>> =
-        (0..node.vdg.segments.len()).map(|_| None).collect();
-    collect_segments(&node.body, &mut segments, sig_width);
-    BehavioralTapes {
-        segments: segments
-            .into_iter()
-            .map(|s| s.expect("every segment id appears exactly once in the body"))
-            .collect(),
-        decisions,
-    }
-}
-
-fn collect_segments(
-    stmt: &Stmt,
-    out: &mut [Option<SegmentTapes>],
-    sig_width: &dyn Fn(SignalId) -> u32,
-) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                collect_segments(s, out, sig_width);
-            }
-        }
-        Stmt::Assign {
-            lhs, rhs, segment, ..
-        } => {
-            let lv_index = match lhs {
-                LValue::BitSelect { index, .. } => Some(compile_expr(index, sig_width)),
-                LValue::IndexedPart { start, .. } => Some(compile_expr(start, sig_width)),
-                LValue::Full(_) | LValue::PartSelect { .. } => None,
-            };
-            out[segment.index()] = Some(SegmentTapes {
-                rhs: compile_expr(rhs, sig_width),
-                lv_index,
-            });
-        }
-        Stmt::If { then_s, else_s, .. } => {
-            collect_segments(then_s, out, sig_width);
-            if let Some(e) = else_s {
-                collect_segments(e, out, sig_width);
-            }
-        }
-        Stmt::Case { arms, default, .. } => {
-            for arm in arms {
-                collect_segments(&arm.body, out, sig_width);
-            }
-            if let Some(d) = default {
-                collect_segments(d, out, sig_width);
-            }
-        }
-        Stmt::For {
-            init, step, body, ..
-        } => {
-            collect_segments(init, out, sig_width);
-            collect_segments(body, out, sig_width);
-            collect_segments(step, out, sig_width);
-        }
-        Stmt::Nop => {}
-    }
 }
 
 #[cfg(test)]

@@ -45,73 +45,33 @@ pub enum DecisionKind {
 /// The `Evaluate` function of a path decision node (paper, Fig. 5): given a
 /// value source, computes which sub-path the behavioral code takes.
 ///
-/// Generic over the compiled form of its expressions: [`DecisionEval`]
-/// holds expression trees, [`DecisionTape`](crate::tape::DecisionTape)
-/// their tapes. Both compute the four-state outcome by one statement of the
-/// branch-outcome rule, generic over how an expression is evaluated.
-/// [`DecisionEval`] tries the word path first and takes that rule only
-/// where machine words cannot decide (see
-/// [`DecisionEval::evaluate_with`]); a tape decision always takes it.
+/// This is the one implementation of a branch outcome. The interpreter
+/// decides the good body's branches through it, and the implicit-redundancy
+/// check re-evaluates them under each fault's values through it, on either
+/// evaluation backend (tapes lower RTL nodes only), so the two can never
+/// disagree. It tries the word path first and takes the four-state rule
+/// only where machine words cannot decide (see
+/// [`DecisionEval::evaluate_with`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Decision<E> {
+pub enum DecisionEval {
     /// `if`/`for`: the truth value of the condition. Outcome 1 = true,
     /// 0 = false or unknown (IEEE 1364: an unknown condition takes `else`).
-    Truth(E),
+    Truth(Expr),
     /// `case`/`casez`: the index of the first matching arm, or
     /// `arm_labels.len()` when none matches (the default path).
     Case {
         /// Scrutinee expression.
-        scrutinee: E,
+        scrutinee: Expr,
         /// Labels of each arm, in order.
-        arm_labels: Vec<Vec<E>>,
+        arm_labels: Vec<Vec<Expr>>,
         /// Matching semantics.
         kind: CaseKind,
     },
 }
 
-/// A decision over expression trees. The interpreter evaluates decisions
-/// through this payload, and the implicit-redundancy check re-evaluates
-/// them under each fault's values — one implementation, so the two can
-/// never disagree.
-pub type DecisionEval = Decision<Expr>;
-
-impl<E> Decision<E> {
-    /// The branch outcome, evaluating each expression with `eval` into `v`
-    /// (the condition or scrutinee) or `label` (a case label).
-    pub(crate) fn outcome_by(
-        &self,
-        v: &mut LogicVec,
-        label: &mut LogicVec,
-        mut eval: impl FnMut(&E, &mut LogicVec),
-    ) -> u32 {
-        match self {
-            Decision::Truth(cond) => {
-                eval(cond, v);
-                (v.truth() == LogicBit::One) as u32
-            }
-            Decision::Case {
-                scrutinee,
-                arm_labels,
-                kind,
-            } => {
-                eval(scrutinee, v);
-                for (i, labels) in arm_labels.iter().enumerate() {
-                    for l in labels {
-                        eval(l, label);
-                        let hit = match kind {
-                            CaseKind::Exact => v.case_eq(label),
-                            CaseKind::Z => v.casez_match(label),
-                        };
-                        if hit {
-                            return i as u32;
-                        }
-                    }
-                }
-                arm_labels.len() as u32
-            }
-        }
-    }
-}
+/// The short name of [`DecisionEval`], for its variants
+/// (`Decision::Truth`, `Decision::Case`).
+pub type Decision = DecisionEval;
 
 impl DecisionEval {
     /// Computes the branch outcome under `src`, drawing temporaries from
@@ -134,22 +94,57 @@ impl DecisionEval {
             return outcome;
         }
         let (mut v, mut label) = (scratch.take(), scratch.take());
-        let outcome = self.outcome_by(&mut v, &mut label, |e, out| {
-            eval_four_state(e, src, scratch, out)
-        });
+        let outcome = self.four_state_outcome(src, scratch, &mut v, &mut label);
         scratch.put(label);
         scratch.put(v);
         outcome
+    }
+
+    /// The branch outcome on the four-state walk, evaluating the condition
+    /// or scrutinee into `v` and each case label into `label`.
+    fn four_state_outcome<S: ValueSource + ?Sized>(
+        &self,
+        src: &S,
+        scratch: &mut EvalScratch,
+        v: &mut LogicVec,
+        label: &mut LogicVec,
+    ) -> u32 {
+        match self {
+            DecisionEval::Truth(cond) => {
+                eval_four_state(cond, src, scratch, v);
+                (v.truth() == LogicBit::One) as u32
+            }
+            DecisionEval::Case {
+                scrutinee,
+                arm_labels,
+                kind,
+            } => {
+                eval_four_state(scrutinee, src, scratch, v);
+                for (i, labels) in arm_labels.iter().enumerate() {
+                    for l in labels {
+                        eval_four_state(l, src, scratch, label);
+                        let hit = match kind {
+                            CaseKind::Exact => v.case_eq(label),
+                            CaseKind::Z => v.casez_match(label),
+                        };
+                        if hit {
+                            return i as u32;
+                        }
+                    }
+                }
+                arm_labels.len() as u32
+            }
+        }
     }
 
     /// The branch outcome on the word path; `None` where it cannot decide
     /// (see [`DecisionEval::evaluate_with`]).
     fn word_outcome<S: ValueSource + ?Sized>(&self, src: &S) -> Option<u32> {
         match self {
-            Decision::Truth(cond) => {
+            DecisionEval::Truth(cond) => {
                 Some((ops::word_truth(eval_word(cond, src)?) == LogicBit::One) as u32)
             }
-            Decision::Case {
+            DecisionEval::Case {
                 scrutinee,
                 arm_labels,
                 kind,

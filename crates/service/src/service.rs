@@ -106,7 +106,7 @@ pub struct StatusView {
     pub id: String,
     /// Lifecycle state.
     pub status: JobStatus,
-    /// Scheduler progress (window groups / fault shards completed).
+    /// Scheduler progress (fault groups completed).
     pub progress: ProgressSnapshot,
 }
 

@@ -4,10 +4,12 @@
 //! rule), the concurrent engine's good network and each of its fault
 //! views — evaluates RTL nodes and behavioral bodies through an
 //! [`Evaluator`]; the networks differ only in the [`ValueSource`] they hand
-//! it. Which backend runs (tree walker or compiled tapes) is decided here
-//! and nowhere else, so retiring either one is an edit to this file.
+//! it. Which backend evaluates an RTL node (tree walker or compiled tapes)
+//! is decided in [`Evaluator::rtl`] and nowhere else, so retiring either
+//! one is an edit to this file. Behavioral code has one evaluator: every
+//! body runs on the tree walker, word path first, on both backends.
 
-use crate::interp::{execute_into, execute_tape_into, ExecCtx, ExecMonitor, ExecOutcome};
+use crate::interp::{execute_into, ExecCtx, ExecMonitor, ExecOutcome};
 use crate::rtl_eval::eval_rtl_node_into;
 use eraser_ir::{
     run_tape, tapes_for_backend, BehavioralId, Design, EvalBackend, RtlNodeId, TapeProgram,
@@ -15,10 +17,10 @@ use eraser_ir::{
 };
 use eraser_logic::LogicVec;
 
-/// A design plus the backend its nodes are evaluated on: the tree walker,
-/// or a tape program — compiled privately, or shared from a campaign-wide
-/// compilation (what fault-parallel workers and per-fault baselines hold,
-/// so the design is lowered once per campaign).
+/// A design plus the backend its RTL nodes are evaluated on: the tree
+/// walker, or a tape program — compiled privately, or shared from a
+/// campaign-wide compilation (what fault-parallel workers and per-fault
+/// baselines hold, so the design is lowered once per campaign).
 #[derive(Debug, Clone)]
 pub struct Evaluator<'d> {
     design: &'d Design,
@@ -71,8 +73,8 @@ impl<'d> Evaluator<'d> {
     }
 
     /// Executes one activation of behavioral node `id` reading from `src`,
-    /// reporting the path to `monitor`; see [`execute_into`] for the
-    /// outcome and scratch contract.
+    /// reporting the path to `monitor`, on the tree walker whatever the
+    /// backend; see [`execute_into`] for the outcome and scratch contract.
     #[inline]
     pub fn behavioral<S: ValueSource + ?Sized, M: ExecMonitor + ?Sized>(
         &self,
@@ -83,17 +85,6 @@ impl<'d> Evaluator<'d> {
         out: &mut ExecOutcome,
     ) {
         let node = self.design.behavioral(id);
-        match &self.tapes {
-            Some(t) => execute_tape_into(
-                self.design,
-                node,
-                t.program().behavioral(id.index()),
-                src,
-                monitor,
-                ctx,
-                out,
-            ),
-            None => execute_into(self.design, node, src, monitor, ctx, out),
-        }
+        execute_into(self.design, node, src, monitor, ctx, out)
     }
 }

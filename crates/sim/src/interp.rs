@@ -4,10 +4,12 @@
 //! [`ValueSource`] — the good simulator passes its value store, the ERASER
 //! engine passes a *fault view* (diff entries overlaid on good values).
 //!
-//! Branch outcomes are computed through the VDG's
-//! [`DecisionEval`](eraser_ir::DecisionEval) payloads — the same `Evaluate`
-//! functions the implicit-redundancy check replays under fault values, so
-//! execution and redundancy detection can never disagree.
+//! Every expression of a body — right-hand sides, dynamic lvalue indices,
+//! branch decisions — runs on the tree walker, word path first, whichever
+//! backend evaluates the RTL nodes. Branch outcomes are computed through
+//! the VDG's [`DecisionEval`](eraser_ir::DecisionEval) payloads — the same
+//! `Evaluate` functions the implicit-redundancy check replays under fault
+//! values, so execution and redundancy detection can never disagree.
 //!
 //! An [`ExecMonitor`] observes the execution path as it unfolds: every path
 //! decision (with its outcome) and every dependency segment, together with
@@ -23,8 +25,8 @@
 //! fault view for committed state".
 
 use eraser_ir::{
-    eval_expr_into, run_tape, BehavioralNode, BehavioralTapes, DecisionId, Design, EvalScratch,
-    EvalTape, LValue, SegmentId, SignalId, Stmt, TapeScratch, ValueSource, Vdg,
+    eval_expr_into, BehavioralNode, DecisionId, Design, EvalScratch, LValue, SegmentId, SignalId,
+    Stmt, TapeScratch, ValueSource, Vdg,
 };
 use eraser_logic::LogicVec;
 
@@ -129,15 +131,15 @@ pub struct ExecOutcome {
     pub blocking: Vec<(SignalId, LogicVec)>,
 }
 
-/// Reusable execution context: the scratch arena behavioral executions draw
-/// expression temporaries from. Hold one per engine (or per worker thread)
-/// and pass it to [`execute_into`] so steady-state activations never touch
-/// the allocator.
+/// Reusable execution context: the scratch arenas node evaluations draw
+/// temporaries from. Hold one per engine (or per worker thread) and pass it
+/// to [`execute_into`] so steady-state activations never touch the
+/// allocator.
 #[derive(Debug, Clone, Default)]
 pub struct ExecCtx {
-    /// Expression-evaluation scratch arena (tree backend).
+    /// Expression-evaluation scratch arena (the tree walker).
     pub scratch: EvalScratch,
-    /// Tape-execution slot arena (tape backend).
+    /// Tape-execution slot arena (RTL nodes on the tape backend).
     pub tape: TapeScratch,
     /// Dense per-signal index into the blocking-write overlay
     /// (`u32::MAX` = not overlaid), sized to the design on first use and
@@ -197,35 +199,6 @@ pub fn execute_into<S: ValueSource + ?Sized, M: ExecMonitor + ?Sized>(
     ctx: &mut ExecCtx,
     out: &mut ExecOutcome,
 ) {
-    execute_backend_into(design, node, None, base, monitor, ctx, out)
-}
-
-/// [`execute_into`] on the compiled-tape backend: right-hand sides, branch
-/// decisions and dynamic lvalue indices are evaluated by replaying the
-/// node's pre-compiled [`BehavioralTapes`] instead of walking its
-/// expression trees. Bit-identical outcomes, same zero-allocation
-/// guarantees (the tape slot arena lives in `ctx`).
-pub fn execute_tape_into<S: ValueSource + ?Sized, M: ExecMonitor + ?Sized>(
-    design: &Design,
-    node: &BehavioralNode,
-    tapes: &BehavioralTapes,
-    base: &S,
-    monitor: &mut M,
-    ctx: &mut ExecCtx,
-    out: &mut ExecOutcome,
-) {
-    execute_backend_into(design, node, Some(tapes), base, monitor, ctx, out)
-}
-
-fn execute_backend_into<S: ValueSource + ?Sized, M: ExecMonitor + ?Sized>(
-    design: &Design,
-    node: &BehavioralNode,
-    tapes: Option<&BehavioralTapes>,
-    base: &S,
-    monitor: &mut M,
-    ctx: &mut ExecCtx,
-    out: &mut ExecOutcome,
-) {
     out.recycle(&mut ctx.scratch);
     if ctx.overlay_map.len() < design.num_signals() {
         ctx.overlay_map.resize(design.num_signals(), u32::MAX);
@@ -233,14 +206,12 @@ fn execute_backend_into<S: ValueSource + ?Sized, M: ExecMonitor + ?Sized>(
     let mut interp = Interp {
         design,
         vdg: &node.vdg,
-        tapes,
         base,
         overlay: &mut out.blocking,
         overlay_map: &mut ctx.overlay_map,
         nba: &mut out.nba,
         blocking_writes: &mut out.blocking_writes,
         scratch: &mut ctx.scratch,
-        tape_scratch: &mut ctx.tape,
         monitor,
         node_name: &node.name,
     };
@@ -255,8 +226,6 @@ fn execute_backend_into<S: ValueSource + ?Sized, M: ExecMonitor + ?Sized>(
 struct Interp<'a, S: ?Sized, M: ?Sized> {
     design: &'a Design,
     vdg: &'a Vdg,
-    /// Compiled tapes of this node when running on the tape backend.
-    tapes: Option<&'a BehavioralTapes>,
     base: &'a S,
     /// Blocking-write overlay, first-write order. Doubles as the
     /// outcome's final-values list.
@@ -266,7 +235,6 @@ struct Interp<'a, S: ?Sized, M: ?Sized> {
     nba: &'a mut Vec<SlotWrite>,
     blocking_writes: &'a mut Vec<SlotWrite>,
     scratch: &'a mut EvalScratch,
-    tape_scratch: &'a mut TapeScratch,
     monitor: &'a mut M,
     node_name: &'a str,
 }
@@ -331,12 +299,9 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
             map: self.overlay_map,
             base: self.base,
         };
-        match self.tapes {
-            Some(bt) => bt.decisions[id.index()].evaluate_with(&view, self.tape_scratch),
-            None => self.vdg.decisions[id.index()]
-                .eval
-                .evaluate_with(&view, self.scratch),
-        }
+        self.vdg.decisions[id.index()]
+            .eval
+            .evaluate_with(&view, self.scratch)
     }
 
     fn exec_stmt(&mut self, stmt: &Stmt) {
@@ -366,20 +331,8 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
                     LValue::IndexedPart { width, .. } => *width,
                 };
                 let mut value = self.scratch.take_for(value_width);
-                let seg_tapes = self.tapes.map(|bt| &bt.segments[segment.index()]);
-                match seg_tapes {
-                    Some(st) => {
-                        let view = MappedOverlay {
-                            overlay: self.overlay,
-                            map: self.overlay_map,
-                            base: self.base,
-                        };
-                        run_tape(&st.rhs, &view, self.tape_scratch, &mut value);
-                    }
-                    None => self.eval_into(rhs, &mut value),
-                }
-                let lv_tape = seg_tapes.and_then(|st| st.lv_index.as_ref());
-                let write = match self.resolve_write(lhs, lv_tape, value) {
+                self.eval_into(rhs, &mut value);
+                let write = match self.resolve_write(lhs, value) {
                     Ok(write) => write,
                     // Unknown/out-of-range dynamic index: no write; the
                     // value buffer goes back to the pool.
@@ -452,17 +405,11 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
     }
 
     /// Resolves an lvalue into a concrete [`SlotWrite`], sizing `value` to
-    /// the written range (a no-op when the width already matches). Dynamic
-    /// indices evaluate through `lv_tape` on the tape backend. Returns the
-    /// untouched value buffer as `Err` for unknown or out-of-range dynamic
+    /// the written range (a no-op when the width already matches). Returns
+    /// the untouched value buffer as `Err` for unknown or out-of-range dynamic
     /// indices (no bits are written, per simulator convention), so the
     /// caller can recycle it.
-    fn resolve_write(
-        &mut self,
-        lhs: &LValue,
-        lv_tape: Option<&EvalTape>,
-        value: LogicVec,
-    ) -> Result<SlotWrite, LogicVec> {
+    fn resolve_write(&mut self, lhs: &LValue, value: LogicVec) -> Result<SlotWrite, LogicVec> {
         match lhs {
             LValue::Full(sig) => Ok(SlotWrite {
                 target: *sig,
@@ -475,7 +422,7 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
                 value: value.into_width(hi - lo + 1),
             }),
             LValue::BitSelect { base, index } => {
-                let Some(idx) = self.eval_index(index, lv_tape) else {
+                let Some(idx) = self.eval_index(index) else {
                     return Err(value);
                 };
                 let width = self.design.width(*base);
@@ -489,7 +436,7 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
                 })
             }
             LValue::IndexedPart { base, start, width } => {
-                let Some(s) = self.eval_index(start, lv_tape) else {
+                let Some(s) = self.eval_index(start) else {
                     return Err(value);
                 };
                 let sig_w = self.design.width(*base) as u64;
@@ -506,21 +453,11 @@ impl<'a, S: ValueSource + ?Sized, M: ExecMonitor + ?Sized> Interp<'a, S, M> {
     }
 
     /// Evaluates a dynamic lvalue index, returning `None` when unknown.
-    fn eval_index(&mut self, e: &eraser_ir::Expr, lv_tape: Option<&EvalTape>) -> Option<u64> {
+    fn eval_index(&mut self, e: &eraser_ir::Expr) -> Option<u64> {
         // Index expressions are (virtually always) word-sized; asking for
         // the inline storage class avoids popping a boxed wide buffer.
         let mut idx = self.scratch.take_for(64);
-        match lv_tape {
-            Some(t) => {
-                let view = MappedOverlay {
-                    overlay: self.overlay,
-                    map: self.overlay_map,
-                    base: self.base,
-                };
-                run_tape(t, &view, self.tape_scratch, &mut idx);
-            }
-            None => self.eval_into(e, &mut idx),
-        }
+        self.eval_into(e, &mut idx);
         let r = idx.to_u64();
         self.scratch.put(idx);
         r

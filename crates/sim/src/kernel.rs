@@ -1263,15 +1263,30 @@ mod tests {
 
     #[test]
     fn tape_backend_matches_tree_backend_in_lockstep() {
-        use eraser_ir::EvalBackend;
-        // RTL nodes, a casez decoder, dynamic bit writes and NBAs — every
-        // evaluation path the tape backend serves, compared signal-for-
-        // signal against the tree walker after every settle step.
+        use eraser_ir::{EvalBackend, RtlOp};
+        // The tape backend lowers RTL nodes only, so the continuous
+        // assigns hold at least one RTL node of every `RtlOp` kind, their
+        // variable selects driven in range, out of range and with an `X`
+        // index. The behavioral body (a casez decoder, dynamic bit writes,
+        // NBAs) runs on the tree walker under both backends; it keeps the
+        // register the assigns read changing. Every signal is compared
+        // against the tree walker after every settle step.
         let d = compile(
             "module m(input wire clk, input wire rst, input wire [3:0] a,
-                      input wire [2:0] i, output reg [7:0] q, output wire [7:0] w);
+                      input wire [2:0] i, input wire [3:0] j,
+                      output reg [7:0] q, output wire [7:0] w);
                reg [7:0] acc;
+               wire [7:0] copy; wire [3:0] k, inv, pick, mid;
+               wire [15:0] rep; wire bit_j; wire [1:0] part_j;
                assign w = (acc << a[1:0]) ^ {a, a};
+               assign copy = acc;
+               assign k = 4'ha;
+               assign inv = ~a;
+               assign pick = a[3] ? inv : k;
+               assign rep = {4{a}};
+               assign mid = acc[5:2];
+               assign bit_j = acc[j];
+               assign part_j = acc[j +: 2];
                always @(posedge clk) begin
                  if (rst) begin acc <= 8'h00; q <= 8'h00; end
                  else begin
@@ -1287,11 +1302,24 @@ mod tests {
             None,
         )
         .unwrap();
-        let sigs: Vec<_> = ["clk", "rst", "a", "i", "q", "w", "acc"]
+        let kinds: std::collections::BTreeSet<&str> = d
+            .rtl_nodes()
             .iter()
-            .map(|n| d.find_signal(n).unwrap())
+            .map(|n| match n.op {
+                RtlOp::Buf => "Buf",
+                RtlOp::Const(_) => "Const",
+                RtlOp::Unary(_) => "Unary",
+                RtlOp::Binary(_) => "Binary",
+                RtlOp::Mux => "Mux",
+                RtlOp::Concat => "Concat",
+                RtlOp::Replicate(_) => "Replicate",
+                RtlOp::Slice { .. } => "Slice",
+                RtlOp::Index => "Index",
+                RtlOp::IndexedPart { .. } => "IndexedPart",
+            })
             .collect();
-        let (clk, rst, a, i) = (sigs[0], sigs[1], sigs[2], sigs[3]);
+        assert_eq!(kinds.len(), 10, "every RtlOp kind is exercised: {kinds:?}");
+        let [clk, rst, a, i, j] = ["clk", "rst", "a", "i", "j"].map(|n| d.find_signal(n).unwrap());
         let mut tree = Simulator::with_backend(&d, EvalBackend::Tree);
         let mut tape = Simulator::with_backend(&d, EvalBackend::Tape);
         let drive = |tree: &mut Simulator, tape: &mut Simulator, sig, val: &LogicVec| {
@@ -1304,13 +1332,21 @@ mod tests {
         for cycle in 0..24u64 {
             drive(&mut tree, &mut tape, a, &v(4, cycle * 7 % 16));
             drive(&mut tree, &mut tape, i, &v(3, cycle * 3 % 8));
+            // `j` sweeps 0..=15, past `acc`'s 8 bits, and is all-`X` or
+            // partly `X` every fifth cycle.
+            let jv = match cycle % 5 {
+                3 => LogicVec::new_x(4),
+                4 => LogicVec::parse_literal("4'b0x10").unwrap(),
+                _ => v(4, cycle * 5 % 16),
+            };
+            drive(&mut tree, &mut tape, j, &jv);
             if cycle == 1 {
                 drive(&mut tree, &mut tape, rst, &v(1, 0));
             }
             drive(&mut tree, &mut tape, clk, &v(1, 0));
             drive(&mut tree, &mut tape, clk, &v(1, 1));
-            for &s in &sigs {
-                assert_eq!(tree.value(s), tape.value(s), "cycle {cycle}");
+            for s in (0..d.num_signals()).map(SignalId::from_index) {
+                assert_eq!(tree.value(s), tape.value(s), "cycle {cycle}, {s:?}");
             }
         }
     }

@@ -6,8 +6,10 @@
 //! * [`ValueStore`] — dense per-signal four-state value storage,
 //! * [`eval_rtl_node_into`] — evaluation of primitive RTL nodes,
 //! * [`Evaluator`] — the one handle every simulator evaluates its nodes
-//!   through: a design plus the backend (tree walker or compiled tapes),
-//! * [`execute_into`] — the behavioral interpreter, which reports the
+//!   through: a design plus the backend its RTL nodes run on (tree walker
+//!   or compiled tapes),
+//! * [`execute_into`] — the behavioral interpreter, the one evaluator of
+//!   behavioral code on either backend, which reports the
 //!   **execution path** (path decisions taken and dependency segments
 //!   visited) to an [`ExecMonitor`] — what the ERASER implicit-redundancy
 //!   check walks,
@@ -64,8 +66,7 @@ mod vcd;
 pub use evaluator::Evaluator;
 pub use hook::{Good, Hook, NoHook};
 pub use interp::{
-    execute_into, execute_tape_into, ExecCtx, ExecMonitor, ExecOutcome, NoopMonitor, OverlayView,
-    SlotWrite,
+    execute_into, ExecCtx, ExecMonitor, ExecOutcome, NoopMonitor, OverlayView, SlotWrite,
 };
 pub use kernel::Simulator;
 pub use rtl_eval::{eval_rtl_node_into, eval_rtl_op_with};

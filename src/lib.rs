@@ -49,7 +49,7 @@
 //! # Parallel campaigns
 //!
 //! There is one way to fan out: a thread count. Every campaign is a
-//! [plan](fault::WindowPlan) of fault groups drained by one scoped-thread
+//! [plan](fault::FaultPlan) of fault groups drained by one scoped-thread
 //! work queue, and the merged coverage is **bit-identical** to the serial
 //! run at any thread count. Set
 //! [`CampaignConfig::parallel`](core::CampaignConfig) (serial by

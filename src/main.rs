@@ -42,6 +42,7 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: eraser <file.v|file.json> [--top NAME] [--cycles|--stimulus-steps N] [--clock NAME] [--reset NAME]
               [--mode full|explicit|none] [--max-faults N] [--seed N] [--list-undetected]
               [--threads N] [--eval tree|tape] [--batch] [--collapse]
+              (--eval tape: RTL nodes on compiled tapes; behavioral code always on the tree walker)
        eraser --spec FILE.json [same flags; the spec's explicit fields win]
        eraser serve [--addr HOST:PORT] [--workers N] [--queue N] [--store mem|journal:PATH]";
 

@@ -31,7 +31,7 @@ fn assert_site_major(what: &str, list: &FaultList) {
 fn assert_plans_site_major(what: &str, faults: &FaultList) {
     assert_site_major(what, faults);
     for n in [1, 2, 3, 7] {
-        for group in &plan_campaign(faults, n).shards {
+        for group in &plan_campaign(faults, n).groups {
             assert_site_major(&format!("{what} n={n}"), &group.list);
         }
     }

@@ -190,7 +190,7 @@ fn counters_are_worker_invariant() {
 
         // One plan, any number of workers: the drain is worker-invariant.
         let plan = plan_campaign(&faults, 4);
-        assert_eq!(plan.shards.len(), 4);
+        assert_eq!(plan.groups.len(), 4);
         let drained: Vec<_> = THREADS
             .iter()
             .map(|&workers| {
@@ -226,7 +226,7 @@ fn apb_campaign_costs_at_most_one_good_pass_per_worker() {
         parallel: ParallelConfig::with_threads(2),
         ..Default::default()
     };
-    let groups = plan_campaign(&faults, 2).shards.len() as u64;
+    let groups = plan_campaign(&faults, 2).groups.len() as u64;
     assert_eq!(groups, 2, "{groups} groups for 2 workers");
     let mut sim = Simulator::new(&design);
     sim.run_stimulus(&stim);
