@@ -7,12 +7,13 @@
 //! Planning, the worker queue and merging are `eraser-core`'s (see its
 //! `schedule` module docs); what is serial here is the work inside a
 //! group. One plain good replay records every primary output after each
-//! settle step. Then, per fault of a group, a fresh simulator takes the
-//! force and replays the stimulus from step 0 against the good trace,
-//! stopping at the first detection (per-fault dropping) — the paper's
-//! IFsim flow, a `force` per fault from time 0. Faults are mutually
-//! independent and every fault gets its own simulator, so per-fault
-//! results do not depend on group membership, position, or thread count.
+//! settle step, in one flat trace of `steps × outputs` values. Then, per
+//! fault of a group, a fresh simulator takes the force and replays the
+//! stimulus from step 0 against the good trace, stopping at the first
+//! detection (per-fault dropping) — the paper's IFsim flow, a `force` per
+//! fault from time 0. Faults are mutually independent and every fault gets
+//! its own simulator, so per-fault results do not depend on group
+//! membership, position, or thread count.
 
 use eraser_core::{
     drain_plan, plan_campaign, run_collapsed, CampaignConfig, CampaignResult, RedundancyStats,
@@ -21,7 +22,7 @@ use eraser_core::{
 use eraser_fault::{detectable_mismatch, CoverageReport, Detection, FaultList};
 use eraser_ir::{Design, SignalId};
 use eraser_logic::LogicVec;
-use eraser_sim::{Evaluator, Simulator, Stimulus};
+use eraser_sim::{Evaluator, Simulator, Steps, Stimulus};
 
 /// Runs a serial (one-simulation-per-fault) campaign under `config`'s
 /// backend, collapse and thread settings. `settle_rule` builds a
@@ -44,13 +45,11 @@ pub fn serial_campaign(
     // Only representatives are re-simulated per fault when collapsing.
     run_collapsed(design, faults, &config.collapse, |faults| {
         let mut good = make_sim();
-        let good_trace: Vec<Vec<LogicVec>> = steps
-            .iter()
-            .map(|step| {
-                good.replay_step(step);
-                outputs.iter().map(|&o| good.value(o).clone()).collect()
-            })
-            .collect();
+        let mut good_trace = Vec::with_capacity(steps.len() * outputs.len());
+        for step in steps {
+            good.replay_step(step);
+            good_trace.extend(outputs.iter().map(|&o| good.value(o).clone()));
+        }
         let threads = config.parallel.effective_threads();
         let plan = plan_campaign(faults, threads);
         drain_plan(&plan, threads, None, |group| {
@@ -71,17 +70,19 @@ pub fn serial_campaign(
 
 /// Replays every step on a forced simulator, comparing outputs against
 /// the good trace after each settle step and stopping at the first
-/// detection (the fault is dropped there).
+/// detection (the fault is dropped there). `good_trace` holds output `k`
+/// after step `s` at `s * outputs.len() + k`.
 fn replay_fault(
     sim: &mut Simulator,
-    steps: &[Vec<(SignalId, LogicVec)>],
+    steps: &Steps,
     outputs: &[SignalId],
-    good_trace: &[Vec<LogicVec>],
+    good_trace: &[LogicVec],
 ) -> Option<Detection> {
+    let n = outputs.len();
     for (si, step) in steps.iter().enumerate() {
         sim.replay_step(step);
-        for (oi, &o) in outputs.iter().enumerate() {
-            if detectable_mismatch(&good_trace[si][oi], sim.value(o)) {
+        for (&o, good) in outputs.iter().zip(&good_trace[si * n..(si + 1) * n]) {
+            if detectable_mismatch(good, sim.value(o)) {
                 return Some(Detection {
                     step: si,
                     output: o,

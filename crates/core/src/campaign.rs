@@ -530,14 +530,10 @@ mod tests {
             .max()
             .unwrap();
         assert!(k + 1 < stim.steps.len(), "nothing left to trim after {k}");
-        let prefix = eraser_sim::Stimulus {
-            steps: stim.steps[..=k].to_vec(),
-        };
+        let prefix = stim.prefix(k + 1);
         assert_eq!(dropping.stats().deltas, run(&prefix, true).stats().deltas);
         // One step shorter, the last fault is still alive.
-        let short = eraser_sim::Stimulus {
-            steps: stim.steps[..k].to_vec(),
-        };
+        let short = stim.prefix(k);
         assert!(run(&short, true).live_faults() > 0);
         // Dropping off: nothing dies, so the whole stimulus is replayed —
         // one good activation per clock cycle — with the same records.

@@ -421,8 +421,7 @@ impl<'d> EraserEngine<'d> {
     /// network to the end of the stimulus would be work no fault needs.
     /// With dropping off the whole stimulus is always replayed.
     pub fn run(&mut self, stim: &Stimulus) {
-        let at = self.state().step_index.min(stim.steps.len());
-        for step in &stim.steps[at..] {
+        for step in stim.steps.iter_from(self.state().step_index) {
             let state = self.state();
             if state.drop_detected && state.alive_count == 0 {
                 return;

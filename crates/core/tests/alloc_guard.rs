@@ -17,13 +17,17 @@
 //! activation-local booking and the redundancy monitor's overlay checks.
 //! `mac16_gate` covers a register bank: its 32 flops are one activation
 //! per clock edge, whose NBA block the kernel orders by target and commits
-//! in one pass.
+//! in one pass. Last, building a stimulus must cost heap blocks per chunk
+//! of changes, not per clock cycle.
 
 use eraser_core::{EraserEngine, EvalBackend};
 use eraser_designs::{Benchmark, DesignSource};
 use eraser_fault::{generate_faults, FaultList, FaultListConfig, FaultPlan};
+use eraser_ir::SignalId;
 use eraser_logic::counting_alloc::CountingAlloc;
-use eraser_sim::{Evaluator, Simulator};
+use eraser_logic::LogicVec;
+use eraser_sim::{Evaluator, Simulator, Steps, Stimulus};
+use std::ops::Range;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -51,6 +55,8 @@ fn main() {
     println!("alloc_guard: blocking locals (FPU) ... ok");
     register_bank_steady_state_is_allocation_free();
     println!("alloc_guard: register bank (mac16_gate) ... ok");
+    stimulus_allocations_grow_by_chunk_not_by_cycle();
+    println!("alloc_guard: stimulus build ... ok");
 }
 
 const WARMUP_CYCLES: usize = 100;
@@ -65,8 +71,8 @@ fn good_simulator_steady_state_is_allocation_free() {
         let event_driven = Simulator::with_backend(&design, backend);
         let levelized = Simulator::levelized(Evaluator::for_backend(&design, backend));
         for (rule, mut sim) in [("event-driven", event_driven), ("levelized", levelized)] {
-            let apply = |sim: &mut Simulator, range: std::ops::Range<usize>| {
-                for step in &stim.steps[range] {
+            let apply = |sim: &mut Simulator, range: Range<usize>| {
+                for step in window(&stim, range) {
                     sim.replay_step(step);
                 }
             };
@@ -86,10 +92,15 @@ fn good_simulator_steady_state_is_allocation_free() {
     }
 }
 
+/// The steps of `range`, in order.
+fn window(stim: &Stimulus, range: Range<usize>) -> impl Iterator<Item = &[(SignalId, LogicVec)]> {
+    stim.steps.iter_from(range.start).take(range.len())
+}
+
 /// Drives `engine` through `range` of the stimulus with observation, the
 /// way `EraserEngine::run` does.
-fn drive(engine: &mut EraserEngine, stim: &eraser_sim::Stimulus, range: std::ops::Range<usize>) {
-    for step in &stim.steps[range] {
+fn drive(engine: &mut EraserEngine, stim: &Stimulus, range: Range<usize>) {
+    for step in window(stim, range) {
         for (sig, val) in step {
             engine.set_input(*sig, val);
         }
@@ -222,14 +233,14 @@ fn wide_design_steady_state_is_allocation_free() {
     let stim = Benchmark::Sha256Hv.stimulus_with_cycles(&design, WIDE_WARMUP + WIDE_MEASURED);
     for backend in BACKENDS {
         let mut sim = Simulator::with_backend(&design, backend);
-        for step in &stim.steps[0..WIDE_WARMUP] {
+        for step in window(&stim, 0..WIDE_WARMUP) {
             for (sig, val) in step {
                 sim.set_input(*sig, val);
             }
             sim.step();
         }
         let before = CountingAlloc::allocations();
-        for step in &stim.steps[WIDE_WARMUP..WIDE_WARMUP + WIDE_MEASURED] {
+        for step in window(&stim, WIDE_WARMUP..WIDE_WARMUP + WIDE_MEASURED) {
             for (sig, val) in step {
                 sim.set_input(*sig, val);
             }
@@ -373,11 +384,11 @@ fn register_bank_steady_state_is_allocation_free() {
         let event_driven = Simulator::with_backend(design, backend);
         let levelized = Simulator::levelized(Evaluator::for_backend(design, backend));
         for (rule, mut sim) in [("event-driven", event_driven), ("levelized", levelized)] {
-            for step in &stim.steps[warm.clone()] {
+            for step in window(&stim, warm.clone()) {
                 sim.replay_step(step);
             }
             let before = CountingAlloc::allocations();
-            for step in &stim.steps[measured.clone()] {
+            for step in window(&stim, measured.clone()) {
                 sim.replay_step(step);
             }
             let after = CountingAlloc::allocations();
@@ -406,4 +417,29 @@ fn register_bank_steady_state_is_allocation_free() {
             after - before
         );
     }
+}
+
+/// Building a stimulus costs heap blocks per chunk of changes, not per
+/// clock cycle: going from 2 000 to 20 000 APB cycles may add about one
+/// allocation per [`Steps::CHUNK_CHANGES`] changes plus a constant (the
+/// chunk lists regrowing); one block or two per cycle added 54 000.
+fn stimulus_allocations_grow_by_chunk_not_by_cycle() {
+    let design = Benchmark::Apb.build();
+    let build = |cycles: usize| {
+        let before = CountingAlloc::allocations();
+        let stim = Benchmark::Apb.stimulus_with_cycles(&design, cycles);
+        let allocations = CountingAlloc::allocations() - before;
+        let changes: usize = stim.steps.iter().map(|step| step.len()).sum();
+        assert_eq!(stim.num_cycles(), cycles);
+        (allocations, changes)
+    };
+    let (small, small_changes) = build(2_000);
+    let (large, large_changes) = build(20_000);
+    let chunks = (large_changes - small_changes).div_ceil(Steps::CHUNK_CHANGES) as u64;
+    assert!(
+        large <= small + chunks + 16,
+        "an APB stimulus took {small} allocations at 2 000 cycles and {large} at \
+         20 000: more than one per {} changes ({chunks}) plus a constant",
+        Steps::CHUNK_CHANGES
+    );
 }

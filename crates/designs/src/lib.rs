@@ -275,6 +275,35 @@ mod tests {
         }
     }
 
+    /// Steps and input changes of every default stimulus. The layout may
+    /// change; what an engine replays may not.
+    #[test]
+    fn default_stimulus_sizes_are_pinned() {
+        let sizes: Vec<(&str, usize, usize)> = Benchmark::all()
+            .into_iter()
+            .map(|b| {
+                let s = b.stimulus(&b.build());
+                let changes = s.steps.iter().map(<[_]>::len).sum();
+                (b.name(), s.num_steps(), changes)
+            })
+            .collect();
+        assert_eq!(
+            sizes,
+            [
+                ("ALU", 602, 2104),
+                ("FPU", 602, 2104),
+                ("SHA256_HV", 868, 883),
+                ("APB", 796, 1856),
+                ("Sodor Core", 800, 802),
+                ("RISCV Mini", 800, 802),
+                ("PicoRV32", 800, 802),
+                ("Conv_acc", 600, 1499),
+                ("SHA256_C2V", 868, 883),
+                ("MIPS CPU", 800, 802),
+            ]
+        );
+    }
+
     #[test]
     fn lcg_is_stable() {
         let mut a = Lcg::new(42);

@@ -311,7 +311,9 @@ fn find_reset(design: &Design) -> Option<SignalId> {
 
 /// Clocked random stimulus over all non-clock/reset inputs; reset
 /// (active high, or active low if its name ends in `_n`) held for two
-/// cycles.
+/// cycles. The builder is sized from `cycles` and one `changes` buffer
+/// serves every cycle, so the only per-cycle allocations are values
+/// wider than 64 bits.
 fn clocked_random_stimulus(
     design: &Design,
     clock: SignalId,
@@ -319,7 +321,7 @@ fn clocked_random_stimulus(
     seed: u64,
     cycles: usize,
 ) -> Stimulus {
-    let mut sb = StimulusBuilder::new();
+    let mut sb = StimulusBuilder::with_capacity(cycles);
     let reset_active_low = reset
         .map(|r| design.signal(r).name.ends_with("_n"))
         .unwrap_or(false);
@@ -336,8 +338,9 @@ fn clocked_random_stimulus(
             .wrapping_add(1442695040888963407);
         state >> 16
     };
+    let mut changes = Vec::with_capacity(data_inputs.len() + 1);
     for cycle in 0..cycles {
-        let mut changes = Vec::new();
+        changes.clear();
         if let Some(r) = reset {
             let asserted = cycle < 2;
             // Active-high: asserted -> 1; active-low (`*_n`): asserted -> 0.
@@ -434,5 +437,21 @@ mod tests {
         assert_eq!(src.name(), "counter8_gate");
         let missing = DesignSource::load(&dir.join("nope.v"), None, None, None, 1).unwrap_err();
         assert!(missing.contains("nope.v"));
+    }
+
+    /// Steps and input changes of both fixtures' default stimuli.
+    #[test]
+    fn fixture_stimulus_sizes_are_pinned() {
+        let sizes: Vec<(&str, usize, usize)> = NETLIST_FIXTURE_NAMES
+            .into_iter()
+            .map(|name| {
+                let s = DesignSource::fixture(name).unwrap().stimulus();
+                (name, s.num_steps(), s.steps.iter().map(<[_]>::len).sum())
+            })
+            .collect();
+        assert_eq!(
+            sizes,
+            [("counter8_gate", 1200, 2400), ("mac16_gate", 800, 1600)]
+        );
     }
 }

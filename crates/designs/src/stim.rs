@@ -2,8 +2,12 @@
 //!
 //! All generators use [`StimulusBuilder::add_cycle`]: two settle steps per
 //! clock cycle (drive low + data changes, then drive high), with the reset
-//! sequence at the front. The streams are pure functions of a fixed seed,
-//! so every engine replays identical inputs.
+//! sequence at the front. Each sizes its builder from `cycles`
+//! ([`StimulusBuilder::with_capacity`]), so the step index is allocated
+//! once and the changes land in a few bounded chunks; nothing is
+//! allocated per cycle except values wider than 64 bits. The streams are
+//! pure functions of a fixed seed, so every engine replays identical
+//! inputs.
 
 use crate::{Benchmark, Lcg};
 use eraser_ir::{Design, SignalId};
@@ -38,7 +42,7 @@ fn alu(d: &Design, cycles: usize) -> Stimulus {
     let (clk, rst) = (sig(d, "clk"), sig(d, "rst"));
     let (a, b, op, start) = (sig(d, "a"), sig(d, "b"), sig(d, "op"), sig(d, "start"));
     let mut rng = Lcg::new(0xa1);
-    let mut sb = StimulusBuilder::new();
+    let mut sb = StimulusBuilder::with_capacity(cycles + 1);
     sb.add_cycle(clk, &[(rst, v(1, 1)), (start, v(1, 0))]);
     for i in 0..cycles {
         sb.add_cycle(
@@ -59,7 +63,7 @@ fn fpu(d: &Design, cycles: usize) -> Stimulus {
     let (clk, rst) = (sig(d, "clk"), sig(d, "rst"));
     let (x, y, op_mul, start) = (sig(d, "x"), sig(d, "y"), sig(d, "op_mul"), sig(d, "start"));
     let mut rng = Lcg::new(0xf9);
-    let mut sb = StimulusBuilder::new();
+    let mut sb = StimulusBuilder::with_capacity(cycles + 1);
     sb.add_cycle(clk, &[(rst, v(1, 1)), (start, v(1, 0))]);
     for i in 0..cycles {
         // Bias exponents toward the normal range so add/mul paths are
@@ -94,7 +98,7 @@ fn sha(d: &Design, cycles: usize) -> Stimulus {
     let (clk, rst) = (sig(d, "clk"), sig(d, "rst"));
     let (start, block) = (sig(d, "start"), sig(d, "block_in"));
     let mut rng = Lcg::new(0x5a);
-    let mut sb = StimulusBuilder::new();
+    let mut sb = StimulusBuilder::with_capacity(cycles.max(2));
     sb.add_cycle(clk, &[(rst, v(1, 1)), (start, v(1, 0))]);
     sb.add_cycle(clk, &[(rst, v(1, 0))]);
     let mut remaining = cycles.saturating_sub(2);
@@ -126,7 +130,7 @@ fn apb(d: &Design, cycles: usize) -> Stimulus {
     let (psel, pen, pwr) = (sig(d, "psel"), sig(d, "penable"), sig(d, "pwrite"));
     let (addr, wdata) = (sig(d, "paddr"), sig(d, "pwdata"));
     let mut rng = Lcg::new(0xab);
-    let mut sb = StimulusBuilder::new();
+    let mut sb = StimulusBuilder::with_capacity(cycles.max(2));
     sb.add_cycle(clk, &[(rstn, v(1, 0)), (psel, v(1, 0)), (pen, v(1, 0))]);
     sb.add_cycle(clk, &[(rstn, v(1, 1))]);
     let mut remaining = cycles.saturating_sub(2);
@@ -157,7 +161,7 @@ fn apb(d: &Design, cycles: usize) -> Stimulus {
 
 fn cpu(d: &Design, cycles: usize) -> Stimulus {
     let (clk, rst) = (sig(d, "clk"), sig(d, "rst"));
-    let mut sb = StimulusBuilder::new();
+    let mut sb = StimulusBuilder::with_capacity(cycles.max(2));
     sb.add_cycle(clk, &[(rst, v(1, 1))]);
     sb.add_cycle(clk, &[(rst, v(1, 0))]);
     for _ in 0..cycles.saturating_sub(2) {
@@ -171,7 +175,7 @@ fn conv(d: &Design, cycles: usize) -> Stimulus {
     let (load_w, valid_in) = (sig(d, "load_w"), sig(d, "valid_in"));
     let (window, weights) = (sig(d, "window"), sig(d, "weights"));
     let mut rng = Lcg::new(0xcc);
-    let mut sb = StimulusBuilder::new();
+    let mut sb = StimulusBuilder::with_capacity(cycles.max(3));
     let mut wv = LogicVec::zeros(72);
     for k in 0..9 {
         wv.assign_slice(k * 8, &v(8, rng.below(256)));
@@ -182,10 +186,16 @@ fn conv(d: &Design, cycles: usize) -> Stimulus {
     );
     sb.add_cycle(clk, &[(rst, v(1, 0)), (load_w, v(1, 1)), (weights, wv)]);
     sb.add_cycle(clk, &[(load_w, v(1, 0)), (valid_in, v(1, 1))]);
+    // Every cycle rewrites all nine window bytes, so one change list
+    // serves every streaming cycle; the stimulus keeps its own copy.
+    let mut stream = [
+        (load_w, v(1, 0)),
+        (valid_in, v(1, 1)),
+        (window, LogicVec::zeros(72)),
+    ];
     for i in 0..cycles.saturating_sub(3) {
-        let mut win = LogicVec::zeros(72);
         for k in 0..9 {
-            win.assign_slice(k as u32 * 8, &v(8, rng.below(256)));
+            stream[2].1.assign_slice(k * 8, &v(8, rng.below(256)));
         }
         // Occasionally reload weights mid-stream.
         if i > 0 && i % 97 == 0 {
@@ -198,10 +208,7 @@ fn conv(d: &Design, cycles: usize) -> Stimulus {
                 &[(load_w, v(1, 1)), (weights, nw), (valid_in, v(1, 0))],
             );
         } else {
-            sb.add_cycle(
-                clk,
-                &[(load_w, v(1, 0)), (valid_in, v(1, 1)), (window, win)],
-            );
+            sb.add_cycle(clk, &stream);
         }
     }
     sb.finish()

@@ -46,4 +46,4 @@ pub use tape::{
     compile_expr, run_tape, tapes_for_backend, EvalBackend, EvalTape, TapeProgram, TapeRef,
     TapeScratch,
 };
-pub use vdg::{Decision, DecisionEval, DecisionInfo, SegmentInfo, Vdg, VdgNode};
+pub use vdg::{DecisionEval, DecisionInfo, SegmentInfo, Vdg, VdgNode};

@@ -69,10 +69,6 @@ pub enum DecisionEval {
     },
 }
 
-/// The short name of [`DecisionEval`], for its variants
-/// (`Decision::Truth`, `Decision::Case`).
-pub type Decision = DecisionEval;
-
 impl DecisionEval {
     /// Computes the branch outcome under `src`, drawing temporaries from
     /// `scratch` — the allocation-free hot path.

@@ -12,8 +12,8 @@
 //! the word form of the case rule could drift from the four-state one.
 
 use eraser_ir::{
-    eval_expr_cloning, BinaryOp, CaseKind, Decision, DecisionEval, EvalScratch, Expr, SignalId,
-    Stmt, UnaryOp, Vdg,
+    eval_expr_cloning, BinaryOp, CaseKind, DecisionEval, EvalScratch, Expr, SignalId, Stmt,
+    UnaryOp, Vdg,
 };
 use eraser_logic::{LogicBit, LogicVec};
 
@@ -69,11 +69,11 @@ impl XorShift {
 fn oracle(d: &DecisionEval, vals: &[LogicVec]) -> (u32, bool) {
     let is_word = |v: &LogicVec| v.width() <= 64 && v.is_fully_defined();
     match d {
-        Decision::Truth(cond) => {
+        DecisionEval::Truth(cond) => {
             let v = eval_expr_cloning(cond, vals);
             ((v.truth() == LogicBit::One) as u32, is_word(&v))
         }
-        Decision::Case {
+        DecisionEval::Case {
             scrutinee,
             arm_labels,
             kind,
@@ -174,7 +174,7 @@ fn evaluate_with_matches_four_state_oracle() {
         let k = rng.below(3) as usize;
         let d = if k == 0 {
             let depth = rng.below(3) as u32;
-            Decision::Truth(gen_expr(&mut rng, &widths, depth))
+            DecisionEval::Truth(gen_expr(&mut rng, &widths, depth))
         } else {
             let kind = [CaseKind::Exact, CaseKind::Z][k - 1];
             let depth = rng.below(2) as u32;
@@ -192,7 +192,7 @@ fn evaluate_with_matches_four_state_oracle() {
                         .collect()
                 })
                 .collect();
-            Decision::Case {
+            DecisionEval::Case {
                 scrutinee,
                 arm_labels,
                 kind,
@@ -226,7 +226,7 @@ fn check(d: &DecisionEval, vals: &[LogicVec], outcome: u32) {
 }
 
 fn case(kind: CaseKind, scrutinee: Expr, arm_labels: Vec<Vec<Expr>>) -> DecisionEval {
-    Decision::Case {
+    DecisionEval::Case {
         scrutinee,
         arm_labels,
         kind,
@@ -329,9 +329,13 @@ fn decision_edge_cases_match_oracle() {
         1,
     );
     // `if`: an unknown condition takes `else`.
-    check(&Decision::Truth(s(0)), &vals, 1);
-    check(&Decision::Truth(lit("4'b0x00")), &vals, 0);
-    check(&Decision::Truth(lit("65'h1_0000_0000_0000_0000")), &vals, 1);
+    check(&DecisionEval::Truth(s(0)), &vals, 1);
+    check(&DecisionEval::Truth(lit("4'b0x00")), &vals, 0);
+    check(
+        &DecisionEval::Truth(lit("65'h1_0000_0000_0000_0000")),
+        &vals,
+        1,
+    );
 }
 
 /// A `for` condition decides on words as an `if` does, read out of the

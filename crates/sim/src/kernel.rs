@@ -757,6 +757,7 @@ impl Net<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StimulusBuilder;
     use eraser_frontend::compile;
     use eraser_ir::Driver;
 
@@ -1195,18 +1196,11 @@ mod tests {
         .unwrap();
         let f = |n: &str| d.find_signal(n).unwrap();
         let (clk, rst, a) = (f("clk"), f("rst"), f("a"));
-        let steps: Vec<Vec<(SignalId, LogicVec)>> = (0..20u64)
-            .flat_map(|i| {
-                [
-                    vec![
-                        (clk, v(1, 0)),
-                        (rst, v(1, (i < 2) as u64)),
-                        (a, v(4, i * 11 % 16)),
-                    ],
-                    vec![(clk, v(1, 1))],
-                ]
-            })
-            .collect();
+        let mut sb = StimulusBuilder::with_capacity(20);
+        for i in 0..20u64 {
+            sb.add_cycle(clk, &[(rst, v(1, (i < 2) as u64)), (a, v(4, i * 11 % 16))]);
+        }
+        let steps = sb.finish().steps;
         let rules: [fn(&Design) -> Simulator<'_>; 2] = [
             |d| Simulator::new(d),
             |d| Simulator::levelized(Evaluator::tree(d)),
@@ -1225,7 +1219,7 @@ mod tests {
             let mut resumed = new_sim(&d);
             resumed.replay_step(&steps[0]);
             resumed.restore_from(&snap);
-            for step in &steps[k..] {
+            for step in steps.iter_from(k) {
                 resumed.replay_step(step);
             }
             for i in 0..d.num_signals() {

@@ -22,6 +22,9 @@
 //!   [`Hook`] attached it carries fault work at each of those points — the
 //!   concurrent ERASER engine's good network is such a simulator,
 //! * [`Stimulus`] — a cycle-stepped input waveform shared by all engines,
+//!   its settle steps ([`Steps`]) stored in bounded chunks of changes with
+//!   one index entry per step, so building one costs a few heap blocks
+//!   rather than one or two per clock cycle,
 //! * [`SimSnapshot`] — settle-point state capture/restore.
 //!
 //! # Example
@@ -71,6 +74,6 @@ pub use interp::{
 pub use kernel::Simulator;
 pub use rtl_eval::{eval_rtl_node_into, eval_rtl_op_with};
 pub use snapshot::SimSnapshot;
-pub use stimulus::{Stimulus, StimulusBuilder};
+pub use stimulus::{StepIter, Steps, Stimulus, StimulusBuilder};
 pub use store::ValueStore;
 pub use vcd::VcdWriter;

@@ -7,7 +7,7 @@
 use eraser_frontend::compile;
 use eraser_ir::{Design, EvalBackend, SignalId};
 use eraser_logic::LogicVec;
-use eraser_sim::{Evaluator, SimSnapshot, Simulator};
+use eraser_sim::{Evaluator, SimSnapshot, Simulator, Steps, StimulusBuilder};
 
 /// A settle rule, as a constructor over an evaluator.
 type SettleRule = for<'d> fn(Evaluator<'d>) -> Simulator<'d>;
@@ -79,8 +79,8 @@ const DESIGNS: &[&str] = &[
      endmodule",
 ];
 
-/// Builds the per-step input changes of a random clocked stimulus.
-fn random_steps(design: &Design, seed: u64, cycles: usize) -> Vec<Vec<(SignalId, LogicVec)>> {
+/// Builds the settle steps of a random clocked stimulus.
+fn random_steps(design: &Design, seed: u64, cycles: usize) -> Steps {
     let clk = design.find_signal("clk").unwrap();
     let rst = design.find_signal("rst");
     let data: Vec<SignalId> = design
@@ -90,20 +90,20 @@ fn random_steps(design: &Design, seed: u64, cycles: usize) -> Vec<Vec<(SignalId,
         .filter(|s| *s != clk && Some(*s) != rst)
         .collect();
     let mut state = seed | 1;
-    let mut steps = Vec::new();
+    let mut sb = StimulusBuilder::with_capacity(cycles);
+    let mut changes = Vec::new();
     for cycle in 0..cycles {
-        let mut low = vec![(clk, LogicVec::from_u64(1, 0))];
+        changes.clear();
         if let Some(r) = rst {
-            low.push((r, LogicVec::from_u64(1, (cycle < 2) as u64)));
+            changes.push((r, LogicVec::from_u64(1, (cycle < 2) as u64)));
         }
         for &d in &data {
             let w = design.signal(d).width;
-            low.push((d, LogicVec::from_u64(w, xorshift(&mut state))));
+            changes.push((d, LogicVec::from_u64(w, xorshift(&mut state))));
         }
-        steps.push(low);
-        steps.push(vec![(clk, LogicVec::from_u64(1, 1))]);
+        sb.add_cycle(clk, &changes);
     }
-    steps
+    sb.finish().steps
 }
 
 /// Asserts two simulators agree on every signal of the design.
@@ -133,8 +133,8 @@ fn capture_restore_continue_is_bit_identical() {
                 // A dirty third instance that ran something else entirely:
                 // restoring into it must fully overwrite its state.
                 let mut dirty = new_sim();
-                for step in steps.iter().rev().take(5) {
-                    dirty.replay_step(step);
+                for k in (steps.len() - 5..steps.len()).rev() {
+                    dirty.replay_step(&steps[k]);
                 }
 
                 let mut snap = SimSnapshot::new();
@@ -208,7 +208,7 @@ fn check_forces_are_part_of_the_snapshot<'d>(
     let acc = design.find_signal("acc").unwrap();
     let steps = random_steps(design, 7, 8);
     let mut sim = new_sim();
-    for step in &steps[..6] {
+    for step in steps.iter().take(6) {
         sim.replay_step(step);
     }
     let mut snap = SimSnapshot::new();
@@ -218,7 +218,7 @@ fn check_forces_are_part_of_the_snapshot<'d>(
     assert_eq!(sim.value(acc).bit_or_x(0), eraser_logic::LogicBit::One);
     sim.restore_from(&snap);
     let mut twin = new_sim();
-    for step in &steps[..6] {
+    for step in steps.iter().take(6) {
         twin.replay_step(step);
     }
     assert_state_eq(design, &twin, &sim, label);
@@ -227,7 +227,7 @@ fn check_forces_are_part_of_the_snapshot<'d>(
     sim.capture_into(&mut snap);
     let mut other = new_sim();
     other.restore_from(&snap);
-    for step in &steps[6..] {
+    for step in steps.iter_from(6) {
         sim.replay_step(step);
         other.replay_step(step);
     }
