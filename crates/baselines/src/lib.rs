@@ -88,13 +88,11 @@ use eraser_sim::{Simulator, Stimulus};
 /// first detection.
 ///
 /// As a serial engine it always drops a fault at first detection (coverage
-/// is insensitive to dropping). Honors [`CampaignConfig::backend`]: on the
-/// tape backend the design is lowered once and every per-fault simulator
-/// replays the shared program. Honors [`CampaignConfig::parallel`]: the
+/// is insensitive to dropping). Honors [`CampaignConfig::parallel`]: the
 /// fault groups of the campaign's plan drain the shared work queue, with
 /// coverage and counters bit-identical at every thread count. Honors
 /// [`CampaignConfig::collapse`]: only representatives are re-simulated.
-/// Reads no other field: `mode`, `drop_detected`, `batch` and
+/// Reads no other field: `mode`, `drop_detected`, `backend`, `batch` and
 /// `checkpoint` change nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IFsim;
@@ -144,8 +142,8 @@ impl FaultSimEngine for VFsim {
 
 /// CfSim (Z01X proxy): the concurrent engine pinned to explicit-only
 /// redundancy elimination. Honors every [`CampaignConfig`] field except
-/// `mode`, and, like every engine, reads no `checkpoint` and starts each
-/// fault at step 0.
+/// `mode`, and, like every engine, reads no `backend` or `checkpoint` and
+/// starts each fault at step 0.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CfSim;
 

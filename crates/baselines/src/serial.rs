@@ -17,7 +17,6 @@
 
 use eraser_core::{
     drain_plan, plan_campaign, run_collapsed, CampaignConfig, CampaignResult, RedundancyStats,
-    TapeProgram,
 };
 use eraser_fault::{detectable_mismatch, CoverageReport, Detection, FaultList};
 use eraser_ir::{Design, SignalId};
@@ -25,9 +24,8 @@ use eraser_logic::LogicVec;
 use eraser_sim::{Evaluator, Simulator, Steps, Stimulus};
 
 /// Runs a serial (one-simulation-per-fault) campaign under `config`'s
-/// backend, collapse and thread settings. `settle_rule` builds a
-/// fault-free simulator over an evaluator; on the tape backend every
-/// simulator shares one campaign-wide compilation.
+/// collapse and thread settings. `settle_rule` builds a fault-free
+/// simulator over an evaluator.
 ///
 /// Of the [`RedundancyStats`], a serial campaign counts dropped faults;
 /// the rest stay zero.
@@ -38,8 +36,7 @@ pub fn serial_campaign(
     config: &CampaignConfig,
     settle_rule: for<'d> fn(Evaluator<'d>) -> Simulator<'d>,
 ) -> CampaignResult {
-    let tapes = TapeProgram::for_backend(design, config.backend);
-    let make_sim = || settle_rule(Evaluator::shared(design, tapes.as_ref()));
+    let make_sim = || settle_rule(Evaluator::tree(design));
     let outputs = design.outputs();
     let steps = &stimulus.steps;
     // Only representatives are re-simulated per fault when collapsing.

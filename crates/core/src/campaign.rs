@@ -14,9 +14,8 @@ use eraser_ir::{BatchProgram, Design, EvalBackend, TapeProgram};
 use eraser_sim::Stimulus;
 
 /// Campaign options. [`Default`] is a constant — full redundancy
-/// elimination, fault dropping on, serial, tree walker, checkpoint
-/// interval 0, batching / collapsing off — and reads nothing from the
-/// process environment.
+/// elimination, fault dropping on, serial, checkpoint interval 0, batching
+/// / collapsing off — and reads nothing from the process environment.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Redundancy-elimination mode (the ablation axis).
@@ -27,13 +26,11 @@ pub struct CampaignConfig {
     /// Fault-parallel execution: the worker-thread count. Serial by
     /// default; coverage is bit-identical at any thread count.
     pub parallel: ParallelConfig,
-    /// RTL-node evaluation backend: the tree walker (reference oracle) or
-    /// compiled instruction tapes. The tree walker by default; coverage
-    /// and redundancy counters are bit-identical on both. The tape
-    /// evaluates RTL nodes only: behavioral code runs on the tree walker
-    /// under either backend. For the tape backend the design's RTL nodes
-    /// are lowered once per campaign and the program is shared across
-    /// every fault-parallel worker.
+    /// The evaluation backend (spec key `eval`). No engine reads it: every
+    /// RTL node runs on the one RTL evaluator, so coverage and counters
+    /// are the same at either value. It is still parsed so that existing
+    /// specs, journals and the benchmark keep working (see
+    /// [`EvalBackend`]). [`EvalBackend::Tree`] by default.
     pub backend: EvalBackend,
     /// The checkpoint interval (spec key `checkpoint_interval`). No engine
     /// reads it: every engine starts every fault at step 0, so coverage
@@ -72,16 +69,6 @@ impl Default for CampaignConfig {
     }
 }
 
-impl CampaignConfig {
-    /// The campaign pinned to an explicit evaluation backend.
-    pub fn with_backend(backend: EvalBackend) -> Self {
-        CampaignConfig {
-            backend,
-            ..Default::default()
-        }
-    }
-}
-
 /// The outcome of a campaign — what [`run_campaign`], the schedule's
 /// drain and every [`FaultSimEngine`](crate::FaultSimEngine) return:
 /// coverage plus the redundancy counters.
@@ -102,8 +89,8 @@ pub struct CampaignResult {
 /// Resources a caller hands a campaign in place of what
 /// [`run_campaign_with`] would otherwise build itself:
 ///
-/// * compiled programs (`tapes` / `batch`) — filled only by the benchmark
-///   under `/benchmark`, which compiles them in calls of its own so it can
+/// * a compiled batch program (`batch`) — filled only by the benchmark
+///   under `/benchmark`, which compiles it in a call of its own so it can
 ///   time each layer apart from the campaign that uses it;
 /// * a [`CampaignProgress`] block (`progress`), ticked per completed work
 ///   group for live status reporting — what the campaign service fills.
@@ -114,8 +101,9 @@ pub struct CampaignResult {
 /// build identical plans and engines from identical data.
 #[derive(Default)]
 pub struct CampaignContext<'a> {
-    /// A pre-compiled tape program for this design (used only when
-    /// `config.backend` is the tape backend).
+    /// Ignored. Every RTL node runs on the one RTL evaluator, so a
+    /// campaign has no use for a tape program ([`TapeProgram`] holds
+    /// nothing); the field stays only while the benchmark still fills it.
     pub tapes: Option<&'a TapeProgram>,
     /// A pre-compiled bit-parallel batch program (used only when
     /// `config.batch` is enabled).
@@ -177,19 +165,9 @@ pub fn run_campaign_with(
     // Static collapsing runs first: everything below — planning included —
     // sees only the representative list.
     run_collapsed(design, faults, &config.collapse, |faults| {
-        // Tape backend: lower the design once, share the immutable program
-        // with every worker — or reuse the caller's pre-compiled copy.
-        // Likewise the batch program when bit-parallel fault batching is
-        // on.
-        let owned_tapes = if ctx.tapes.is_none() {
-            TapeProgram::for_backend(design, config.backend)
-        } else {
-            None
-        };
-        let tapes = match config.backend {
-            EvalBackend::Tape => ctx.tapes.or(owned_tapes.as_ref()),
-            EvalBackend::Tree => None,
-        };
+        // Bit-parallel fault batching: compile the design once and share
+        // the immutable program with every worker — or reuse the caller's
+        // pre-compiled copy.
         let owned_batch =
             (config.batch.enabled && ctx.batch.is_none()).then(|| BatchProgram::compile(design));
         let batch = if config.batch.enabled {
@@ -204,7 +182,6 @@ pub fn run_campaign_with(
             let mut engine = EraserEngine::session(design, &group.list)
                 .mode(config.mode)
                 .drop_detected(config.drop_detected)
-                .tapes(tapes)
                 .batch(batch)
                 .start();
             engine.run(stimulus);

@@ -19,7 +19,7 @@
 use crate::campaign::CampaignConfig;
 use eraser_fault::FaultList;
 use eraser_ir::{Design, TapeProgram};
-use eraser_sim::{Evaluator, SimSnapshot, Simulator, Stimulus};
+use eraser_sim::{SimSnapshot, Simulator, Stimulus};
 
 /// Checkpointing configuration: the good-state snapshot interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,16 +71,17 @@ impl GoodRunArtifacts {
 
 /// Replays the whole stimulus on a fresh event-driven simulator and
 /// captures a [`SimSnapshot`] of the good state before every boundary
-/// step of `config.checkpoint`. `faults` is not read; it stays in the
-/// signature the benchmark compiles against.
+/// step of `config.checkpoint`. `faults` and `tapes` are not read (the
+/// retired [`TapeProgram`] holds nothing); they stay in the signature the
+/// benchmark compiles against.
 pub fn record_good_run(
     design: &Design,
     _faults: &FaultList,
     stimulus: &Stimulus,
     config: &CampaignConfig,
-    tapes: Option<&TapeProgram>,
+    _tapes: Option<&TapeProgram>,
 ) -> GoodRunArtifacts {
-    let mut sim = Simulator::with_evaluator(Evaluator::shared(design, tapes));
+    let mut sim = Simulator::new(design);
     let mut snapshots = Vec::new();
     for (si, step) in stimulus.steps.iter().enumerate() {
         if config.checkpoint.is_boundary(si) {

@@ -12,8 +12,7 @@
 //! Collapsing composes with every other knob by construction: the drivers
 //! collapse *first* ([`run_collapsed`]) and hand the representative list
 //! to the uncollapsed machinery, so the plan groups representatives and
-//! checkpointing, batching and both eval backends see an ordinary fault
-//! list.
+//! batching sees an ordinary fault list.
 
 use crate::campaign::CampaignResult;
 use eraser_fault::{CollapsedFaultList, FaultList};

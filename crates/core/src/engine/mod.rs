@@ -60,10 +60,7 @@ use crate::RedundancyMode;
 use behavioral::LocalSites;
 use eraser_fault::{CoverageReport, FaultId, FaultList};
 use eraser_ir::analysis::activation_local_signals;
-use eraser_ir::{
-    BatchProgram, BehavioralId, Design, EdgeKind, EvalBackend, RtlNodeId, SignalId, TapeProgram,
-    ValueSource,
-};
+use eraser_ir::{BatchProgram, BehavioralId, Design, EdgeKind, RtlNodeId, SignalId, ValueSource};
 use eraser_logic::LogicVec;
 use eraser_sim::{Evaluator, ExecCtx, ExecOutcome, Good, Hook, Simulator, SlotWrite, Stimulus};
 use std::time::Instant;
@@ -171,17 +168,16 @@ enum Phase {
 /// The engine constructor: one fluent surface over every axis.
 ///
 /// Obtained from [`EraserEngine::session`]; every axis has a built-in
-/// default (mode [`RedundancyMode::Full`], fault dropping on, tree
-/// walker, batching off) and a chainable setter.
+/// default (mode [`RedundancyMode::Full`], fault dropping on, batching
+/// off) and a chainable setter.
 /// [`start`](Self::start) builds the engine and performs the initial
 /// evaluation.
 ///
 /// ```text
-/// // A campaign shard worker: shared programs.
+/// // A campaign shard worker: a shared batch program.
 /// let mut engine = EraserEngine::session(design, &group.list)
 ///     .mode(config.mode)
 ///     .drop_detected(config.drop_detected)
-///     .tapes(tapes)
 ///     .batch(batch)
 ///     .start();
 /// engine.run(stimulus);
@@ -191,7 +187,6 @@ pub struct EngineSession<'d> {
     faults: &'d FaultList,
     mode: RedundancyMode,
     drop_detected: bool,
-    eval: Evaluator<'d>,
     batch: Option<&'d BatchProgram>,
 }
 
@@ -205,21 +200,6 @@ impl<'d> EngineSession<'d> {
     /// Whether detected faults stop simulating (default `true`).
     pub fn drop_detected(mut self, drop_detected: bool) -> Self {
         self.drop_detected = drop_detected;
-        self
-    }
-
-    /// Pins the evaluation backend, compiling a private tape program for
-    /// [`EvalBackend::Tape`]. Default: the tree walker.
-    pub fn backend(mut self, backend: EvalBackend) -> Self {
-        self.eval = Evaluator::for_backend(self.design, backend);
-        self
-    }
-
-    /// Pins the evaluation tapes to a shared pre-compiled program (`None`
-    /// pins the tree walker) — what the campaign drivers hand every shard
-    /// worker so the design is lowered once per campaign.
-    pub fn tapes(mut self, tapes: Option<&'d TapeProgram>) -> Self {
-        self.eval = Evaluator::shared(self.design, tapes);
         self
     }
 
@@ -247,13 +227,12 @@ impl<'d> EraserEngine<'d> {
             faults,
             mode: RedundancyMode::Full,
             drop_detected: true,
-            eval: Evaluator::tree(design),
             batch: None,
         }
     }
 
     /// Creates an engine over `design` with the fault batch `faults`, in
-    /// redundancy mode `mode`, on the tree walker with batching off, and
+    /// redundancy mode `mode`, with batching off, and
     /// performs the initial evaluation; use [`EraserEngine::session`] for
     /// the other axes.
     pub fn new(
@@ -274,7 +253,6 @@ impl<'d> EraserEngine<'d> {
             faults,
             mode,
             drop_detected,
-            eval,
             batch,
         } = session;
         let n_sig = design.num_signals();
@@ -354,7 +332,7 @@ impl<'d> EraserEngine<'d> {
             state,
             ws: Workspace::default(),
         };
-        let mut sim = Simulator::unsettled(eval, hook);
+        let mut sim = Simulator::unsettled(Evaluator::tree(design), hook);
         // Initial state: materialize the stuck-at forces against the
         // power-on values (all-X), then evaluate everything once.
         for sig in sited {
@@ -517,8 +495,8 @@ impl EngineState<'_> {
 /// The fault work at each of the kernel's hook points; see the module docs.
 impl Hook for FaultHook<'_> {
     #[inline]
-    fn rtl_evaluated(&mut self, good: &Good<'_>, ctx: &mut ExecCtx, id: RtlNodeId) {
-        self.state.rtl_evaluated(&mut self.ws, good, ctx, id);
+    fn rtl_evaluated(&mut self, good: &Good<'_>, id: RtlNodeId) {
+        self.state.rtl_evaluated(&mut self.ws, good, id);
     }
 
     fn activate(

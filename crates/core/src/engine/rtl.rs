@@ -9,7 +9,7 @@ use super::EngineState;
 use crate::diff::{union_ids_into, DiffList};
 use eraser_ir::{run_batch, RtlNodeId, SignalId, ValueSource};
 use eraser_logic::{LanePlanes, LogicVec};
-use eraser_sim::{ExecCtx, Good, ValueStore};
+use eraser_sim::{Good, ValueStore};
 
 /// Smallest batch chunk worth transposing into lane planes; below this the
 /// per-chunk fixed cost (lane-word fills plus the 64×64 bit-matrix
@@ -35,34 +35,21 @@ impl EngineState<'_> {
     /// output's commit does the rest — ahead of the batch/scalar split, so
     /// both evaluators take it.
     #[inline]
-    pub(super) fn rtl_evaluated(
-        &mut self,
-        ws: &mut Workspace,
-        good: &Good<'_>,
-        ctx: &mut ExecCtx,
-        id: RtlNodeId,
-    ) {
+    pub(super) fn rtl_evaluated(&mut self, ws: &mut Workspace, good: &Good<'_>, id: RtlNodeId) {
         self.stats.rtl_good_evals += 1;
         if self.rtl_vis[id.index()] != 0 {
-            self.eval_rtl_faults(ws, good, ctx, id);
+            self.eval_rtl_faults(ws, good, id);
         }
     }
 
     /// Exactly the faults with a difference on an input of RTL node `id`:
-    /// their outputs go to `ws.rtl_news`, for the output's commit, evaluated
-    /// with the kernel's `ctx`.
+    /// their outputs go to `ws.rtl_news`, for the output's commit.
     ///
     /// The input lists are walked, not searched: after their union, one
     /// forward cursor per input writes each candidate's *row* in `ws.rows`
     /// (per input, the index of its entry there, or [`NO_ENTRY`]), and both
     /// evaluators read the inputs through the rows.
-    fn eval_rtl_faults(
-        &mut self,
-        ws: &mut Workspace,
-        good_net: &Good<'_>,
-        ctx: &mut ExecCtx,
-        id: RtlNodeId,
-    ) {
+    fn eval_rtl_faults(&mut self, ws: &mut Workspace, good_net: &Good<'_>, id: RtlNodeId) {
         let good = good_net.values();
         let design = self.design;
         let node = design.rtl_node(id);
@@ -117,7 +104,7 @@ impl EngineState<'_> {
                 }
                 for (c, &f) in (base..).zip(chunk) {
                     let mut out_v = ws.bufs.take_for(out_width);
-                    good_net.eval().rtl(id, &view(c), ctx, &mut out_v);
+                    good_net.eval().rtl(id, &view(c), &mut out_v);
                     fault_news.push((f, out_v));
                 }
                 continue;

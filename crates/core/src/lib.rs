@@ -53,7 +53,7 @@
 //! influence path to any output) are dropped outright
 //! ([`eraser_fault::CollapsedFaultList`]). Every driver collapses through
 //! [`run_collapsed`] *before* planning, so the knob composes with
-//! threads, batching and both backends, and the lifted
+//! threads and batching, and the lifted
 //! coverage is bit-identical to the uncollapsed run.
 //! [`RedundancyStats::collapse_classes`],
 //! [`RedundancyStats::collapsed_faults`] and
@@ -129,9 +129,9 @@ pub use schedule::{drain_plan, plan_campaign};
 pub use spec::{CampaignSpec, DesignRef, SpecError};
 pub use stats::RedundancyStats;
 
-// The evaluation-backend knob and the shareable compiled programs, re-
-// exported so campaign drivers configure backends without naming
-// `eraser-ir` directly.
+// The shareable batch program, the parsed `eval` key and the retired tape
+// program, re-exported so campaign drivers need not name `eraser-ir`
+// directly.
 pub use eraser_ir::{BatchProgram, EvalBackend, TapeProgram};
 
 /// Which redundancy-elimination layers are active — the paper's ablation

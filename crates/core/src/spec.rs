@@ -8,13 +8,17 @@
 //! # Precedence
 //!
 //! A knob field is an `Option`: `Some` is the campaign's value, `None`
-//! takes the built-in default (serial, tree walker, batching / collapsing
-//! off, checkpoint interval 0) when [`resolve`](CampaignSpec::resolve)d.
+//! takes the built-in default (serial, batching / collapsing off,
+//! checkpoint interval 0) when [`resolve`](CampaignSpec::resolve)d.
 //! Resolution is pure — a spec determines its [`CampaignConfig`] by
-//! itself, so a stored spec reproduces its campaign on any host. No engine
-//! reads `checkpoint_interval`: every engine starts every fault at step 0.
-//! The key is still parsed and validated so that existing specs, journals
-//! and the benchmark keep working.
+//! itself, so a stored spec reproduces its campaign on any host.
+//!
+//! Two keys are accepted and read by no engine. `checkpoint_interval`:
+//! every engine starts every fault at step 0. `eval` (`tree` | `tape`):
+//! every RTL node runs on the one RTL evaluator, whichever value is
+//! given. Both are still parsed and validated, and round-trip, so that
+//! existing specs, journals and the benchmark keep working; coverage and
+//! every counter are the same at any value of either.
 //!
 //! The one other configuration source, the `eraser` CLI's flags, reaches
 //! a campaign by being written into the spec before it is resolved: the
@@ -40,7 +44,6 @@
 //!   "mode": "full",
 //!   "drop_detected": true,
 //!   "threads": 4,
-//!   "eval": "tape",
 //!   "checkpoint_interval": 8
 //! }
 //! ```
@@ -160,7 +163,9 @@ pub struct CampaignSpec {
     pub max_faults: Option<usize>,
     /// Worker threads (`0` = one per hardware thread). `None`: 1.
     pub threads: Option<usize>,
-    /// Expression-evaluation backend. `None`: the tree walker.
+    /// The key `eval`. No engine reads it: every engine gives the same
+    /// coverage and counters at either value. It is still parsed so that
+    /// existing specs, journals and the benchmark keep working.
     pub backend: Option<EvalBackend>,
     /// Good-state checkpoint interval (`0` disables). `None`: off. No
     /// engine reads it: every engine gives the same coverage and counters
@@ -266,7 +271,7 @@ impl CampaignSpec {
         self
     }
 
-    /// Pins the expression-evaluation backend.
+    /// Sets the key `eval`, which no engine reads.
     pub fn backend(mut self, backend: EvalBackend) -> Self {
         self.backend = Some(backend);
         self

@@ -8,11 +8,10 @@
 //! signal clean, so every commit, node, activation and NBA block takes its
 //! good-only lane), and the per-worker engines of a 2-way fault-parallel
 //! campaign (what each worker of a two-thread campaign executes) — performs
-//! **zero** heap allocations, on **both** evaluation backends (tree walker
-//! and compiled tapes). APB's signals all fit in 64 bits, so `LogicVec`
-//! values stay inline and any allocation would come from a missing
-//! buffer-reuse path — including a stimulus-value clone in `run()` or a
-//! tape slot reused at the wrong storage shape. SHA-256 covers the boxed
+//! **zero** heap allocations. APB's signals all fit in 64 bits, so
+//! `LogicVec` values stay inline and any allocation would come from a
+//! missing buffer-reuse path — including a stimulus-value clone in
+//! `run()`. SHA-256 covers the boxed
 //! (>64-bit) storage path and the FPU a loop of blocking locals: the static
 //! activation-local booking and the redundancy monitor's overlay checks.
 //! `mac16_gate` covers a register bank: its 32 flops are one activation
@@ -20,7 +19,7 @@
 //! in one pass. Last, building a stimulus must cost heap blocks per chunk
 //! of changes, not per clock cycle.
 
-use eraser_core::{EraserEngine, EvalBackend};
+use eraser_core::EraserEngine;
 use eraser_designs::{Benchmark, DesignSource};
 use eraser_fault::{generate_faults, FaultList, FaultListConfig, FaultPlan};
 use eraser_ir::SignalId;
@@ -62,33 +61,29 @@ fn main() {
 const WARMUP_CYCLES: usize = 100;
 const MEASURED_CYCLES: usize = 100;
 
-const BACKENDS: [EvalBackend; 2] = [EvalBackend::Tree, EvalBackend::Tape];
-
 fn good_simulator_steady_state_is_allocation_free() {
     let design = Benchmark::Apb.build();
     let stim = Benchmark::Apb.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
-    for backend in BACKENDS {
-        let event_driven = Simulator::with_backend(&design, backend);
-        let levelized = Simulator::levelized(Evaluator::for_backend(&design, backend));
-        for (rule, mut sim) in [("event-driven", event_driven), ("levelized", levelized)] {
-            let apply = |sim: &mut Simulator, range: Range<usize>| {
-                for step in window(&stim, range) {
-                    sim.replay_step(step);
-                }
-            };
-            apply(&mut sim, 0..WARMUP_CYCLES);
+    let event_driven = Simulator::new(&design);
+    let levelized = Simulator::levelized(Evaluator::tree(&design));
+    for (rule, mut sim) in [("event-driven", event_driven), ("levelized", levelized)] {
+        let apply = |sim: &mut Simulator, range: Range<usize>| {
+            for step in window(&stim, range) {
+                sim.replay_step(step);
+            }
+        };
+        apply(&mut sim, 0..WARMUP_CYCLES);
 
-            let before = CountingAlloc::allocations();
-            apply(&mut sim, WARMUP_CYCLES..WARMUP_CYCLES + MEASURED_CYCLES);
-            let after = CountingAlloc::allocations();
-            assert_eq!(
-                after - before,
-                0,
-                "good simulator ({backend} backend, {rule}) allocated {} times in \
-                 {MEASURED_CYCLES} steady-state cycles",
-                after - before
-            );
-        }
+        let before = CountingAlloc::allocations();
+        apply(&mut sim, WARMUP_CYCLES..WARMUP_CYCLES + MEASURED_CYCLES);
+        let after = CountingAlloc::allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "good simulator ({rule}) allocated {} times in \
+             {MEASURED_CYCLES} steady-state cycles",
+            after - before
+        );
     }
 }
 
@@ -118,82 +113,7 @@ fn eraser_engine_steady_state_is_allocation_free() {
     let universe = generate_faults(&design, &Benchmark::Apb.fault_config());
     let stim = Benchmark::Apb.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
     for faults in [&universe, &FaultList::default()] {
-        for backend in BACKENDS {
-            let mut engine = EraserEngine::session(&design, faults)
-                .backend(backend)
-                .start();
-
-            drive(&mut engine, &stim, 0..WARMUP_CYCLES);
-
-            let before = CountingAlloc::allocations();
-            drive(
-                &mut engine,
-                &stim,
-                WARMUP_CYCLES..WARMUP_CYCLES + MEASURED_CYCLES,
-            );
-            let after = CountingAlloc::allocations();
-            assert_eq!(
-                after - before,
-                0,
-                "ERASER engine ({backend} backend, {} faults) allocated {} times in \
-                 {MEASURED_CYCLES} steady-state cycles",
-                faults.len(),
-                after - before
-            );
-        }
-    }
-}
-
-/// The full campaign loop — [`EraserEngine::run`] reading every stimulus
-/// value by borrow — must be exactly as allocation-free as hand-driven
-/// stepping: a clone per input drive would show up here immediately.
-fn engine_run_path_is_clone_free() {
-    let design = Benchmark::Apb.build();
-    let faults = generate_faults(&design, &Benchmark::Apb.fault_config());
-    let stim = Benchmark::Apb.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
-    for backend in BACKENDS {
-        let mut engine = EraserEngine::session(&design, &faults)
-            .backend(backend)
-            .start();
-        // Three hand-driven warm-up passes (`run` consumes the stimulus
-        // from the engine's current step index, so re-running the same
-        // engine over the same stimulus replays nothing): the first sizes
-        // every pooled buffer, the later ones settle high-water marks that
-        // shift as detected faults drop out and the replayed stimulus
-        // meets new engine states. Hand-driving leaves the step index at
-        // zero, so the measured `run` replays the full stimulus.
-        for _ in 0..3 {
-            drive(&mut engine, &stim, 0..WARMUP_CYCLES + MEASURED_CYCLES);
-        }
-
-        let before = CountingAlloc::allocations();
-        engine.run(&stim);
-        let after = CountingAlloc::allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "EraserEngine::run ({backend} backend) allocated {} times over \
-             a full steady-state stimulus pass",
-            after - before
-        );
-    }
-}
-
-/// Bit-parallel fault batching adds lane planes, a slot list and the
-/// width-classed scratch to the hot path; all of them must pool like every
-/// other buffer. Checked on both backends with an explicit shared batch
-/// program, the way `run_campaign --batch` wires engines.
-fn batched_engine_steady_state_is_allocation_free() {
-    let design = Benchmark::Apb.build();
-    let faults = generate_faults(&design, &Benchmark::Apb.fault_config());
-    let stim = Benchmark::Apb.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
-    let tapes = eraser_core::TapeProgram::compile(&design);
-    let batch = eraser_core::BatchProgram::compile(&design);
-    for backend in BACKENDS {
-        let mut engine = EraserEngine::session(&design, &faults)
-            .tapes(matches!(backend, EvalBackend::Tape).then_some(&tapes))
-            .batch(Some(&batch))
-            .start();
+        let mut engine = EraserEngine::session(&design, faults).start();
 
         drive(&mut engine, &stim, 0..WARMUP_CYCLES);
 
@@ -207,11 +127,74 @@ fn batched_engine_steady_state_is_allocation_free() {
         assert_eq!(
             after - before,
             0,
-            "batched ERASER engine ({backend} backend) allocated {} times in \
+            "ERASER engine ({} faults) allocated {} times in \
              {MEASURED_CYCLES} steady-state cycles",
+            faults.len(),
             after - before
         );
     }
+}
+
+/// The full campaign loop — [`EraserEngine::run`] reading every stimulus
+/// value by borrow — must be exactly as allocation-free as hand-driven
+/// stepping: a clone per input drive would show up here immediately.
+fn engine_run_path_is_clone_free() {
+    let design = Benchmark::Apb.build();
+    let faults = generate_faults(&design, &Benchmark::Apb.fault_config());
+    let stim = Benchmark::Apb.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
+    let mut engine = EraserEngine::session(&design, &faults).start();
+    // Three hand-driven warm-up passes (`run` consumes the stimulus
+    // from the engine's current step index, so re-running the same
+    // engine over the same stimulus replays nothing): the first sizes
+    // every pooled buffer, the later ones settle high-water marks that
+    // shift as detected faults drop out and the replayed stimulus
+    // meets new engine states. Hand-driving leaves the step index at
+    // zero, so the measured `run` replays the full stimulus.
+    for _ in 0..3 {
+        drive(&mut engine, &stim, 0..WARMUP_CYCLES + MEASURED_CYCLES);
+    }
+
+    let before = CountingAlloc::allocations();
+    engine.run(&stim);
+    let after = CountingAlloc::allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "EraserEngine::run allocated {} times over \
+         a full steady-state stimulus pass",
+        after - before
+    );
+}
+
+/// Bit-parallel fault batching adds lane planes, a slot list and the
+/// width-classed scratch to the hot path; all of them must pool like every
+/// other buffer. Checked with an explicit shared batch program, the way
+/// `run_campaign --batch` wires engines.
+fn batched_engine_steady_state_is_allocation_free() {
+    let design = Benchmark::Apb.build();
+    let faults = generate_faults(&design, &Benchmark::Apb.fault_config());
+    let stim = Benchmark::Apb.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
+    let batch = eraser_core::BatchProgram::compile(&design);
+    let mut engine = EraserEngine::session(&design, &faults)
+        .batch(Some(&batch))
+        .start();
+
+    drive(&mut engine, &stim, 0..WARMUP_CYCLES);
+
+    let before = CountingAlloc::allocations();
+    drive(
+        &mut engine,
+        &stim,
+        WARMUP_CYCLES..WARMUP_CYCLES + MEASURED_CYCLES,
+    );
+    let after = CountingAlloc::allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "batched ERASER engine allocated {} times in \
+         {MEASURED_CYCLES} steady-state cycles",
+        after - before
+    );
 }
 
 /// The >64-bit path: SHA-256 carries 512/256-bit signals whose `LogicVec`
@@ -231,46 +214,42 @@ fn wide_design_steady_state_is_allocation_free() {
     let design = Benchmark::Sha256Hv.build();
     let faults = generate_faults(&design, &Benchmark::Sha256Hv.fault_config());
     let stim = Benchmark::Sha256Hv.stimulus_with_cycles(&design, WIDE_WARMUP + WIDE_MEASURED);
-    for backend in BACKENDS {
-        let mut sim = Simulator::with_backend(&design, backend);
-        for step in window(&stim, 0..WIDE_WARMUP) {
-            for (sig, val) in step {
-                sim.set_input(*sig, val);
-            }
-            sim.step();
+    let mut sim = Simulator::new(&design);
+    for step in window(&stim, 0..WIDE_WARMUP) {
+        for (sig, val) in step {
+            sim.set_input(*sig, val);
         }
-        let before = CountingAlloc::allocations();
-        for step in window(&stim, WIDE_WARMUP..WIDE_WARMUP + WIDE_MEASURED) {
-            for (sig, val) in step {
-                sim.set_input(*sig, val);
-            }
-            sim.step();
-        }
-        let after = CountingAlloc::allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "wide-design good simulator ({backend} backend) allocated {} times in \
-             {WIDE_MEASURED} steady-state cycles",
-            after - before
-        );
-
-        let mut engine = EraserEngine::session(&design, &faults)
-            .backend(backend)
-            .start();
-        drive(&mut engine, &stim, 0..WIDE_WARMUP);
-
-        let before = CountingAlloc::allocations();
-        drive(&mut engine, &stim, WIDE_WARMUP..WIDE_WARMUP + WIDE_MEASURED);
-        let after = CountingAlloc::allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "wide-design ERASER engine ({backend} backend) allocated {} times in \
-             {WIDE_MEASURED} steady-state cycles",
-            after - before
-        );
+        sim.step();
     }
+    let before = CountingAlloc::allocations();
+    for step in window(&stim, WIDE_WARMUP..WIDE_WARMUP + WIDE_MEASURED) {
+        for (sig, val) in step {
+            sim.set_input(*sig, val);
+        }
+        sim.step();
+    }
+    let after = CountingAlloc::allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "wide-design good simulator allocated {} times in \
+         {WIDE_MEASURED} steady-state cycles",
+        after - before
+    );
+
+    let mut engine = EraserEngine::session(&design, &faults).start();
+    drive(&mut engine, &stim, 0..WIDE_WARMUP);
+
+    let before = CountingAlloc::allocations();
+    drive(&mut engine, &stim, WIDE_WARMUP..WIDE_WARMUP + WIDE_MEASURED);
+    let after = CountingAlloc::allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "wide-design ERASER engine allocated {} times in \
+         {WIDE_MEASURED} steady-state cycles",
+        after - before
+    );
 }
 
 /// Algorithm 1 on blocking locals: the FPU's add path runs a 24-iteration
@@ -278,8 +257,7 @@ fn wide_design_steady_state_is_allocation_free() {
 /// booked as implicitly redundant from the static analysis; stuck-ats on
 /// the inputs make candidates whose reads the monitor checks against a
 /// growing overlay at every decision and segment. Over the uncapped fault
-/// universe, inputs included, both backends, both paths must pool like
-/// every other.
+/// universe, inputs included, both paths must pool like every other.
 fn blocking_locals_steady_state_is_allocation_free() {
     let design = Benchmark::Fpu32.build();
     let universe = FaultListConfig {
@@ -289,134 +267,114 @@ fn blocking_locals_steady_state_is_allocation_free() {
     };
     let faults = generate_faults(&design, &universe);
     let stim = Benchmark::Fpu32.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
-    for backend in BACKENDS {
-        let mut engine = EraserEngine::session(&design, &faults)
-            .backend(backend)
-            .start();
-        drive(&mut engine, &stim, 0..WARMUP_CYCLES);
+    let mut engine = EraserEngine::session(&design, &faults).start();
+    drive(&mut engine, &stim, 0..WARMUP_CYCLES);
 
-        let before = CountingAlloc::allocations();
-        drive(
-            &mut engine,
-            &stim,
-            WARMUP_CYCLES..WARMUP_CYCLES + MEASURED_CYCLES,
-        );
-        let after = CountingAlloc::allocations();
-        assert!(engine.stats().implicit_skipped > 0);
-        assert_eq!(
-            after - before,
-            0,
-            "FPU ERASER engine ({backend} backend, {} faults) allocated {} times in \
-             {MEASURED_CYCLES} steady-state cycles",
-            faults.len(),
-            after - before
-        );
-    }
+    let before = CountingAlloc::allocations();
+    drive(
+        &mut engine,
+        &stim,
+        WARMUP_CYCLES..WARMUP_CYCLES + MEASURED_CYCLES,
+    );
+    let after = CountingAlloc::allocations();
+    assert!(engine.stats().implicit_skipped > 0);
+    assert_eq!(
+        after - before,
+        0,
+        "FPU ERASER engine ({} faults) allocated {} times in \
+         {MEASURED_CYCLES} steady-state cycles",
+        faults.len(),
+        after - before
+    );
 }
 
 fn two_way_sharded_workers_are_allocation_free_in_steady_state() {
     // The per-worker hot loop of a two-thread plain campaign: each worker
     // owns one group of the equal-cut plan and steps its own engine.
     // Thread spawn and result merging are per-campaign setup, not steady
-    // state, so the guard drives both group engines directly. On the tape
-    // backend the workers share one campaign-level program, exactly as
-    // `run_campaign` wires them.
+    // state, so the guard drives both group engines directly.
     let design = Benchmark::Apb.build();
     let faults = generate_faults(&design, &Benchmark::Apb.fault_config());
     let stim = Benchmark::Apb.stimulus_with_cycles(&design, WARMUP_CYCLES + MEASURED_CYCLES);
     let plan = FaultPlan::equal_cut(&faults, 2);
     assert_eq!(plan.groups.len(), 2);
 
-    let tapes = eraser_core::TapeProgram::compile(&design);
-    for backend in BACKENDS {
-        let mut engines: Vec<EraserEngine> = plan
-            .groups
-            .iter()
-            .map(|s| match backend {
-                EvalBackend::Tree => EraserEngine::session(&design, &s.list)
-                    .backend(backend)
-                    .start(),
-                EvalBackend::Tape => EraserEngine::session(&design, &s.list)
-                    .tapes(Some(&tapes))
-                    .start(),
-            })
-            .collect();
-        for engine in &mut engines {
-            drive(engine, &stim, 0..WARMUP_CYCLES);
-        }
+    let mut engines: Vec<EraserEngine> = plan
+        .groups
+        .iter()
+        .map(|s| EraserEngine::session(&design, &s.list).start())
+        .collect();
+    for engine in &mut engines {
+        drive(engine, &stim, 0..WARMUP_CYCLES);
+    }
 
-        let before = CountingAlloc::allocations();
-        for engine in &mut engines {
-            drive(
-                engine,
-                &stim,
-                WARMUP_CYCLES..WARMUP_CYCLES + MEASURED_CYCLES,
-            );
-        }
-        let after = CountingAlloc::allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "sharded workers ({backend} backend) allocated {} times in \
-             {MEASURED_CYCLES} steady-state cycles",
-            after - before
+    let before = CountingAlloc::allocations();
+    for engine in &mut engines {
+        drive(
+            engine,
+            &stim,
+            WARMUP_CYCLES..WARMUP_CYCLES + MEASURED_CYCLES,
         );
     }
+    let after = CountingAlloc::allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "sharded workers allocated {} times in \
+         {MEASURED_CYCLES} steady-state cycles",
+        after - before
+    );
 }
 
 /// A gate netlist's flops, one register bank per clock: `mac16_gate`'s 32
 /// flops activate as one behavioral node whose 32-write NBA block is
 /// ordered by target in place. The good simulator under both settle rules
-/// and the engine over an empty fault list, on both backends.
+/// and the engine over an empty fault list.
 ///
 /// There is no full-universe case here: with dropping off it reaches zero
 /// allocations only after about 10 000 steps, as the engine's pooled
 /// buffers keep growing to new high-water marks while new sets of faults
 /// execute the bank together. Per 2 000 steps the counts read
-/// 2 887 / 7 / 2 / 2 / 1 / 0 / 0 / 0 on either backend and then stay at
+/// 2 887 / 7 / 2 / 2 / 1 / 0 / 0 / 0 and then stay at
 /// zero — no leak, only a warm-up fifty times this guard's.
 fn register_bank_steady_state_is_allocation_free() {
     let source = DesignSource::fixture("mac16_gate").expect("bundled fixture");
     let design = source.design();
     let stim = source.stimulus_with_cycles(WARMUP_CYCLES + MEASURED_CYCLES);
     let (warm, measured) = (0..2 * WARMUP_CYCLES, 2 * WARMUP_CYCLES..stim.steps.len());
-    for backend in BACKENDS {
-        let event_driven = Simulator::with_backend(design, backend);
-        let levelized = Simulator::levelized(Evaluator::for_backend(design, backend));
-        for (rule, mut sim) in [("event-driven", event_driven), ("levelized", levelized)] {
-            for step in window(&stim, warm.clone()) {
-                sim.replay_step(step);
-            }
-            let before = CountingAlloc::allocations();
-            for step in window(&stim, measured.clone()) {
-                sim.replay_step(step);
-            }
-            let after = CountingAlloc::allocations();
-            assert_eq!(
-                after - before,
-                0,
-                "mac16_gate good simulator ({backend} backend, {rule}) allocated {} times in \
-                 {MEASURED_CYCLES} steady-state cycles",
-                after - before
-            );
+    let event_driven = Simulator::new(design);
+    let levelized = Simulator::levelized(Evaluator::tree(design));
+    for (rule, mut sim) in [("event-driven", event_driven), ("levelized", levelized)] {
+        for step in window(&stim, warm.clone()) {
+            sim.replay_step(step);
         }
-
-        let none = FaultList::default();
-        let mut engine = EraserEngine::session(design, &none)
-            .backend(backend)
-            .start();
-        drive(&mut engine, &stim, warm.clone());
         let before = CountingAlloc::allocations();
-        drive(&mut engine, &stim, measured.clone());
+        for step in window(&stim, measured.clone()) {
+            sim.replay_step(step);
+        }
         let after = CountingAlloc::allocations();
         assert_eq!(
             after - before,
             0,
-            "mac16_gate ERASER engine ({backend} backend, no faults) allocated {} times in \
+            "mac16_gate good simulator ({rule}) allocated {} times in \
              {MEASURED_CYCLES} steady-state cycles",
             after - before
         );
     }
+
+    let none = FaultList::default();
+    let mut engine = EraserEngine::session(design, &none).start();
+    drive(&mut engine, &stim, warm.clone());
+    let before = CountingAlloc::allocations();
+    drive(&mut engine, &stim, measured.clone());
+    let after = CountingAlloc::allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "mac16_gate ERASER engine (no faults) allocated {} times in \
+         {MEASURED_CYCLES} steady-state cycles",
+        after - before
+    );
 }
 
 /// Building a stimulus costs heap blocks per chunk of changes, not per

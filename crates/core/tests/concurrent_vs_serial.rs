@@ -27,7 +27,7 @@
 //! outside reader keeps its forced diff, and the monitor skips it at run
 //! time.
 
-use eraser_core::{EraserEngine, EvalBackend, RedundancyMode};
+use eraser_core::{EraserEngine, RedundancyMode};
 use eraser_designs::{netlist_fixtures, Benchmark, DesignSource, Lcg};
 use eraser_fault::{
     detectable_mismatch, generate_faults, Detection, FaultList, FaultListConfig, StuckAt,
@@ -338,40 +338,36 @@ fn engine_with_no_faults_is_the_good_simulator() {
     assert_eq!(cases.len(), 13);
     let no_faults = FaultList::default();
     for (name, design, stim) in &cases {
-        for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-            let mut sim = Simulator::with_backend(design, backend);
-            let mut levelized = Simulator::levelized(Evaluator::for_backend(design, backend));
-            let mut engine = EraserEngine::session(design, &no_faults)
-                .backend(backend)
-                .start();
-            for (si, step) in stim.steps.iter().enumerate() {
-                for (sig, v) in step {
-                    sim.set_input(*sig, v);
-                    engine.set_input(*sig, v);
-                }
-                sim.step();
-                levelized.replay_step(step);
-                engine.step();
-                engine.observe();
-                for i in 0..design.num_signals() {
-                    let sig = SignalId::from_index(i);
-                    let at = || {
-                        let signal = &design.signal(sig).name;
-                        format!("{name} ({backend}), step {si}, signal {signal}")
-                    };
-                    assert_eq!(engine.good_value(sig), sim.value(sig), "{}", at());
-                    assert_eq!(levelized.value(sig), sim.value(sig), "levelized, {}", at());
-                }
+        let mut sim = Simulator::new(design);
+        let mut levelized = Simulator::levelized(Evaluator::tree(design));
+        let mut engine = EraserEngine::session(design, &no_faults).start();
+        for (si, step) in stim.steps.iter().enumerate() {
+            for (sig, v) in step {
+                sim.set_input(*sig, v);
+                engine.set_input(*sig, v);
             }
-            let stats = engine.stats();
-            assert_eq!(stats.deltas, sim.deltas(), "{name} ({backend})");
-            let levelized = levelized.deltas();
-            assert_eq!(levelized, sim.deltas(), "levelized, {name} ({backend})");
-            assert_eq!(stats.fault_executions, 0);
-            assert_eq!(stats.rtl_fault_evals, 0);
-            assert_eq!(stats.opportunities, 0);
-            assert_eq!(engine.coverage().detected(), 0);
+            sim.step();
+            levelized.replay_step(step);
+            engine.step();
+            engine.observe();
+            for i in 0..design.num_signals() {
+                let sig = SignalId::from_index(i);
+                let at = || {
+                    let signal = &design.signal(sig).name;
+                    format!("{name}, step {si}, signal {signal}")
+                };
+                assert_eq!(engine.good_value(sig), sim.value(sig), "{}", at());
+                assert_eq!(levelized.value(sig), sim.value(sig), "levelized, {}", at());
+            }
         }
+        let stats = engine.stats();
+        assert_eq!(stats.deltas, sim.deltas(), "{name}");
+        let levelized = levelized.deltas();
+        assert_eq!(levelized, sim.deltas(), "levelized, {name}");
+        assert_eq!(stats.fault_executions, 0);
+        assert_eq!(stats.rtl_fault_evals, 0);
+        assert_eq!(stats.opportunities, 0);
+        assert_eq!(engine.coverage().detected(), 0);
     }
 }
 

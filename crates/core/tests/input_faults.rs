@@ -11,7 +11,7 @@
 //! bit only propagates *after* several cycles of identical re-drives, so
 //! any entry lost to the early return would flip the verdict.
 
-use eraser_core::{run_campaign, CampaignConfig, EraserEngine, EvalBackend, RedundancyMode};
+use eraser_core::{run_campaign, CampaignConfig, EraserEngine, RedundancyMode};
 use eraser_fault::{generate_faults, FaultListConfig, StuckAt};
 use eraser_frontend::compile;
 use eraser_ir::Design;
@@ -71,28 +71,18 @@ fn input_stuck_at_detected_after_identical_redrives() {
     // 4 bits of `a`, two polarities.
     assert_eq!(faults.len(), 8);
     let stim = steady_stimulus(&d, 6);
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        let res = run_campaign(
-            &d,
-            &faults,
-            &stim,
-            &CampaignConfig {
-                backend,
-                ..CampaignConfig::default()
-            },
+    let res = run_campaign(&d, &faults, &stim, &CampaignConfig::default());
+    // Every stuck-at-0 on an all-ones input is detectable (and only
+    // those: stuck-at-1 on a driven-to-1 bit never differs).
+    for f in faults.iter() {
+        let expect = f.stuck == StuckAt::Zero;
+        assert_eq!(
+            res.coverage.is_detected(f.id),
+            expect,
+            "stuck-at-{} on input bit {} misclassified",
+            f.stuck,
+            f.bit
         );
-        // Every stuck-at-0 on an all-ones input is detectable (and only
-        // those: stuck-at-1 on a driven-to-1 bit never differs).
-        for f in faults.iter() {
-            let expect = f.stuck == StuckAt::Zero;
-            assert_eq!(
-                res.coverage.is_detected(f.id),
-                expect,
-                "{backend}: stuck-at-{} on input bit {} misclassified",
-                f.stuck,
-                f.bit
-            );
-        }
     }
 }
 

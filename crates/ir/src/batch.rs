@@ -4,8 +4,8 @@
 //! module evaluates up to [`eraser_logic::LANES`] fault machines at once by
 //! transposing their ≤ 64-bit operand values into [`LanePlanes`] (word `j`
 //! holds bit `j` of every lane) and applying the *same* four-state word
-//! formulas as the scalar tape backend word-by-word over the planes. Every
-//! scalar formula in `tape.rs` is bitwise across bit positions, so the
+//! formulas as the scalar operators ([`crate::ops`]) word-by-word over the
+//! planes. Every such formula is bitwise across bit positions, so the
 //! transposition is exact: lane `i` of the batch result is bit-identical to
 //! a scalar evaluation of machine `i`, including `X`/`Z` propagation — no
 //! lane ever needs an X fallback.
@@ -19,10 +19,10 @@
 //! mux, concatenation, replication and constant part selects — the bulk of
 //! the combinational network on the benchmark suite.
 //!
-//! Like the scalar tape, a batch result is forced to the output signal's
-//! declared width: computed bits are truncated to it and missing bits are
-//! zero (matching `resize_assign` zero-extension, which applies even to an
-//! all-X natural result).
+//! Like a scalar RTL-node evaluation, a batch result is forced to the
+//! output signal's declared width: computed bits are truncated to it and
+//! missing bits are zero (matching `resize_assign` zero-extension, which
+//! applies even to an all-X natural result).
 
 use crate::design::Design;
 use crate::expr::{BinaryOp, UnaryOp};
@@ -111,8 +111,8 @@ fn compile_node(
 /// The compiled batch plane of a design: one optional [`BatchTape`] per RTL
 /// node, indexed by [`RtlNodeId`](crate::ids::RtlNodeId).
 ///
-/// Independent of the scalar [`TapeProgram`](crate::tape::TapeProgram) —
-/// batching composes with either scalar backend.
+/// Lanes a node cannot batch fall back to the one scalar RTL-node
+/// evaluator, which computes the same bits.
 #[derive(Debug, Clone, Default)]
 pub struct BatchProgram {
     rtl: Vec<Option<BatchTape>>,
@@ -486,8 +486,8 @@ mod tests {
     }
 
     /// The scalar oracle: evaluates the node's expression-tree equivalent
-    /// per lane (the tree walker the tape backend is parity-tested
-    /// against), with the engine's forced-output-width resize.
+    /// per lane on the tree walker, with the engine's forced-output-width
+    /// resize.
     fn oracle(node: &RtlNode, lane_vals: &[Vec<LogicVec>], out_width: u32) -> Vec<LogicVec> {
         let expr = match &node.op {
             RtlOp::Buf => Expr::sig(SignalId(0)),

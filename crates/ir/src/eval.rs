@@ -351,7 +351,7 @@ fn eval_binary(op: BinaryOp, lv: &LogicVec, rv: &LogicVec) -> LogicVec {
 /// [`LogicVec`] per AST node.
 ///
 /// Kept verbatim as the oracle that property tests compare
-/// [`eval_expr_into`] and the tape backend against. Not used by any
+/// [`eval_expr_into`] and the RTL-node evaluator against. Not used by any
 /// engine.
 pub fn eval_expr_cloning<S: ValueSource + ?Sized>(expr: &Expr, src: &S) -> LogicVec {
     match expr {

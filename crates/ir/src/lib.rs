@@ -16,7 +16,12 @@
 //!   nodes drive the implicit-redundancy check (Algorithm 1 of the paper),
 //! * combinational levelization for compiled-style evaluation ([`analysis`]),
 //! * the operator semantics, four-state and two-state, each written once
-//!   ([`ops`]), and a generic expression evaluator over them ([`eval`]).
+//!   ([`ops`]), and a generic expression evaluator over them ([`eval`]),
+//! * the word-parallel batch plane over up to 64 fault machines
+//!   ([`batch`]).
+//!
+//! [`tape`] keeps only the names of the retired compiled backend that the
+//! benchmark still compiles against; no engine reads them.
 //!
 //! Designs are constructed through [`DesignBuilder`], either directly (see
 //! the builder's example) or by the `eraser-frontend` Verilog compiler.
@@ -42,8 +47,5 @@ pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use ids::{BehavioralId, DecisionId, RtlNodeId, SegmentId, SignalId};
 pub use node::{BehavioralNode, EdgeKind, RtlNode, RtlOp, Sensitivity};
 pub use stmt::{CaseArm, CaseKind, LValue, Stmt};
-pub use tape::{
-    compile_expr, run_tape, tapes_for_backend, EvalBackend, EvalTape, TapeProgram, TapeRef,
-    TapeScratch,
-};
+pub use tape::{EvalBackend, TapeProgram};
 pub use vdg::{DecisionEval, DecisionInfo, SegmentInfo, Vdg, VdgNode};

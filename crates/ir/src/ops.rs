@@ -6,9 +6,9 @@
 //! compute the same operator semantics. So every evaluator computes an
 //! operator by calling the one function here: the tree walker
 //! ([`eval_expr_into`](crate::eval::eval_expr_into)), the RTL-node
-//! evaluator of `eraser-sim`, the compiled tapes ([`crate::tape`]) and the
-//! frontend's constant folder. They differ only in how they walk an
-//! expression and where they keep operands. Result widths follow
+//! evaluator of `eraser-sim` and the frontend's constant folder. They
+//! differ only in how they walk an expression and where they keep
+//! operands. Result widths follow
 //! [`unary_width`] and [`binary_width`].
 //!
 //! **Four-state semantics.** Each function reads borrowed operands and

@@ -47,9 +47,8 @@ pub enum DecisionKind {
 ///
 /// This is the one implementation of a branch outcome. The interpreter
 /// decides the good body's branches through it, and the implicit-redundancy
-/// check re-evaluates them under each fault's values through it, on either
-/// evaluation backend (tapes lower RTL nodes only), so the two can never
-/// disagree. It tries the word path first and takes the four-state rule
+/// check re-evaluates them under each fault's values through it, so the
+/// two can never disagree. It tries the word path first and takes the four-state rule
 /// only where machine words cannot decide (see
 /// [`DecisionEval::evaluate_with`]).
 #[derive(Debug, Clone, PartialEq)]

@@ -111,9 +111,8 @@ fn http_campaigns_match_direct_library_calls() {
     assert_eq!(status, 200);
     assert!(body.contains("ok"));
 
-    // One campaign per path: serial tree walker with a checkpoint interval
-    // (which a concurrent campaign ignores), and threaded batched tape on a
-    // netlist.
+    // One campaign per path: serial with a checkpoint interval (which a
+    // concurrent campaign ignores), and threaded batched on a netlist.
     let apb = CampaignSpec::benchmark("APB")
         .steps(40)
         .checkpoint_interval(8);
@@ -121,7 +120,6 @@ fn http_campaigns_match_direct_library_calls() {
         .seed(0x3a6)
         .steps(60)
         .threads(2)
-        .backend(eraser_core::EvalBackend::Tape)
         .batch(true);
 
     let apb_id = submit(addr, &apb);

@@ -47,10 +47,10 @@ impl<'d> Good<'d> {
 /// What a [`Simulator`](crate::Simulator) calls at each attachment point of
 /// its settle loop, in loop order.
 pub trait Hook {
-    /// RTL node `id` evaluated with `ctx`, which the hook may evaluate its
-    /// own networks with; the commit of the good output follows.
+    /// RTL node `id` evaluated on the good network; the commit of the good
+    /// output follows.
     #[inline]
-    fn rtl_evaluated(&mut self, _good: &Good<'_>, _ctx: &mut ExecCtx, _id: RtlNodeId) {}
+    fn rtl_evaluated(&mut self, _good: &Good<'_>, _id: RtlNodeId) {}
 
     /// Behavioral node `id` activates — `edge` is its index among the
     /// delta's edge activations ([`Hook::edge`]), `None` for a

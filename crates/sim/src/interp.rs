@@ -5,11 +5,11 @@
 //! engine passes a *fault view* (diff entries overlaid on good values).
 //!
 //! Every expression of a body — right-hand sides, dynamic lvalue indices,
-//! branch decisions — runs on the tree walker, word path first, whichever
-//! backend evaluates the RTL nodes. Branch outcomes are computed through
-//! the VDG's [`DecisionEval`](eraser_ir::DecisionEval) payloads — the same
-//! `Evaluate` functions the implicit-redundancy check replays under fault
-//! values, so execution and redundancy detection can never disagree.
+//! branch decisions — runs on the tree walker, word path first. Branch
+//! outcomes are computed through the VDG's
+//! [`DecisionEval`](eraser_ir::DecisionEval) payloads — the same `Evaluate`
+//! functions the implicit-redundancy check replays under fault values, so
+//! execution and redundancy detection can never disagree.
 //!
 //! An [`ExecMonitor`] observes the execution path as it unfolds: every path
 //! decision (with its outcome) and every dependency segment, together with
@@ -26,7 +26,7 @@
 
 use eraser_ir::{
     eval_expr_into, BehavioralNode, DecisionId, Design, EvalScratch, LValue, SegmentId, SignalId,
-    Stmt, TapeScratch, ValueSource, Vdg,
+    Stmt, ValueSource, Vdg,
 };
 use eraser_logic::LogicVec;
 
@@ -139,8 +139,6 @@ pub struct ExecOutcome {
 pub struct ExecCtx {
     /// Expression-evaluation scratch arena (the tree walker).
     pub scratch: EvalScratch,
-    /// Tape-execution slot arena (RTL nodes on the tape backend).
-    pub tape: TapeScratch,
     /// Dense per-signal index into the blocking-write overlay
     /// (`u32::MAX` = not overlaid), sized to the design on first use and
     /// cleared after every execution — signal reads during a body resolve

@@ -22,7 +22,8 @@ use crate::snapshot::{assign_logic_slice, SimSnapshot};
 use crate::stimulus::Stimulus;
 use crate::store::ValueStore;
 use eraser_ir::{
-    BehavioralId, CombItem, Design, EvalBackend, RtlNodeId, Sensitivity, SignalId, TapeProgram,
+    BehavioralId, CombItem, Design, EvalBackend, EvalScratch, RtlNodeId, Sensitivity, SignalId,
+    TapeProgram,
 };
 use eraser_logic::{LogicBit, LogicVec};
 
@@ -111,13 +112,12 @@ struct Net<'d> {
 
     // Reusable workspace — all steady-state stepping works out of these
     // buffers, so `step()` performs zero heap allocations once warm. All
-    // value temporaries come from a context's scratch at the target's
-    // storage class (`take_for`), so buffers for >64-bit signals keep
-    // cycling among wide uses instead of being reshaped against narrow
-    // ones. RTL evaluation and behavioral execution (with the commit
-    // temporaries) keep apart, so each arena holds the few widths and
-    // tape slots its own evaluations use.
-    rtl_ctx: ExecCtx,
+    // value temporaries come from a scratch arena at the target's storage
+    // class (`take_for`), so buffers for >64-bit signals keep cycling
+    // among wide uses instead of being reshaped against narrow ones. RTL
+    // outputs and behavioral execution (with the commit temporaries) keep
+    // apart, so each arena holds the few widths its own evaluations use.
+    rtl_scratch: EvalScratch,
     ctx: ExecCtx,
     /// Behavioral-execution outcome, reused across activations.
     outcome: ExecOutcome,
@@ -133,34 +133,32 @@ struct Net<'d> {
 
 impl<'d> Simulator<'d> {
     /// Creates a simulator with all signals at `X` and performs the initial
-    /// evaluation (constants and combinational logic settle), on the
-    /// tree walker; use [`Simulator::with_backend`] for the tape backend.
+    /// evaluation (constants and combinational logic settle).
     pub fn new(design: &'d Design) -> Self {
         Self::with_evaluator(Evaluator::tree(design))
     }
 
-    /// Creates a simulator pinned to `backend` (compiling a private tape
-    /// program for [`EvalBackend::Tape`]).
-    pub fn with_backend(design: &'d Design, backend: EvalBackend) -> Self {
-        Self::with_evaluator(Evaluator::for_backend(design, backend))
+    /// Retired: builds what [`Simulator::new`] builds, whatever `backend`
+    /// says. It stays only until the benchmark stops calling it.
+    pub fn with_backend(design: &'d Design, _backend: EvalBackend) -> Self {
+        Self::new(design)
     }
 
-    /// Creates a simulator on the tape backend executing a shared,
-    /// pre-compiled program — what per-fault re-simulation baselines use to
-    /// compile once per campaign instead of once per fault.
-    pub fn with_tapes(design: &'d Design, tapes: &'d TapeProgram) -> Self {
-        Self::with_evaluator(Evaluator::shared(design, Some(tapes)))
+    /// Retired: builds what [`Simulator::new`] builds; the retired
+    /// [`TapeProgram`] holds nothing. It stays only until the benchmark
+    /// stops calling it.
+    pub fn with_tapes(design: &'d Design, _tapes: &'d TapeProgram) -> Self {
+        Self::new(design)
     }
 
-    /// Creates an event-driven simulator over `eval`'s design and backend —
-    /// the form the other event-driven constructors reduce to.
+    /// Creates an event-driven simulator over `eval`'s design — the form
+    /// the other event-driven constructors reduce to.
     pub fn with_evaluator(eval: Evaluator<'d>) -> Self {
         Self::build(eval, false)
     }
 
-    /// Creates a simulator over `eval`'s design and backend that settles
-    /// under the levelized rule: every RTL node, every delta, in
-    /// topological order.
+    /// Creates a simulator over `eval`'s design that settles under the
+    /// levelized rule: every RTL node, every delta, in topological order.
     pub fn levelized(eval: Evaluator<'d>) -> Self {
         Self::build(eval, true)
     }
@@ -176,10 +174,10 @@ impl<'d> Simulator<'d> {
 }
 
 impl<'d, H: Hook> Simulator<'d, H> {
-    /// Creates an event-driven simulator over `eval`'s design and backend
-    /// with `hook` attached, at power-on: every signal `X`, nothing
-    /// evaluated until [`Simulator::settle_all`]. In between, the hook's
-    /// owner may [recommit](Simulator::recommit) signals.
+    /// Creates an event-driven simulator over `eval`'s design with `hook`
+    /// attached, at power-on: every signal `X`, nothing evaluated until
+    /// [`Simulator::settle_all`]. In between, the hook's owner may
+    /// [recommit](Simulator::recommit) signals.
     pub fn unsettled(eval: Evaluator<'d>, hook: H) -> Self {
         let design = eval.design();
         let (n_sig, n_beh) = (design.num_signals(), design.behavioral_nodes().len());
@@ -204,7 +202,7 @@ impl<'d, H: Hook> Simulator<'d, H> {
             forces: Vec::new(),
             deltas: 0,
             steps: 0,
-            rtl_ctx: ExecCtx::new(),
+            rtl_scratch: EvalScratch::default(),
             ctx: ExecCtx::new(),
             outcome: ExecOutcome::default(),
             ws_changed: Vec::new(),
@@ -487,12 +485,12 @@ impl<'d, H: Hook> Simulator<'d, H> {
     fn run_rtl(&mut self, id: RtlNodeId) {
         let net = &mut self.net;
         let output = net.design.rtl_node(id).output;
-        let mut out = net.rtl_ctx.scratch.take_for(net.design.width(output));
+        let mut out = net.rtl_scratch.take_for(net.design.width(output));
         let good = &net.good;
-        good.eval.rtl(id, &good.values, &mut net.rtl_ctx, &mut out);
-        self.hook.rtl_evaluated(good, &mut net.rtl_ctx, id);
+        good.eval.rtl(id, &good.values, &mut out);
+        self.hook.rtl_evaluated(good, id);
         self.commit(output, &out, true, &[]);
-        self.net.rtl_ctx.scratch.put(out);
+        self.net.rtl_scratch.put(out);
     }
 
     /// Executes one behavioral activation (`edge` as in
@@ -795,7 +793,7 @@ mod tests {
     }
 
     impl Hook for ItemOrder {
-        fn rtl_evaluated(&mut self, _good: &Good<'_>, _ctx: &mut ExecCtx, id: RtlNodeId) {
+        fn rtl_evaluated(&mut self, _good: &Good<'_>, id: RtlNodeId) {
             self.step.push(CombItem::Rtl(id));
         }
 
@@ -1255,24 +1253,61 @@ mod tests {
         }
     }
 
+    /// The source-equivalent expression of an RTL node, for
+    /// [`eval_expr_cloning`](eraser_ir::eval_expr_cloning), which keeps its
+    /// own copy of the operator semantics.
+    fn rtl_to_expr(node: &eraser_ir::RtlNode) -> eraser_ir::Expr {
+        use eraser_ir::{Expr, RtlOp};
+        let sig = |k: usize| Expr::Signal(node.inputs[k]);
+        match &node.op {
+            RtlOp::Buf => sig(0),
+            RtlOp::Const(c) => Expr::Const(c.clone()),
+            RtlOp::Unary(u) => Expr::Unary(*u, Box::new(sig(0))),
+            RtlOp::Binary(b) => Expr::Binary(*b, Box::new(sig(0)), Box::new(sig(1))),
+            RtlOp::Mux => Expr::Ternary {
+                cond: Box::new(sig(0)),
+                then_e: Box::new(sig(1)),
+                else_e: Box::new(sig(2)),
+            },
+            RtlOp::Concat => Expr::Concat(node.inputs.iter().map(|s| Expr::Signal(*s)).collect()),
+            RtlOp::Replicate(n) => Expr::Replicate(*n, Box::new(sig(0))),
+            RtlOp::Slice { hi, lo } => Expr::Slice {
+                base: node.inputs[0],
+                hi: *hi,
+                lo: *lo,
+            },
+            RtlOp::Index => Expr::Index {
+                base: node.inputs[0],
+                index: Box::new(sig(1)),
+            },
+            RtlOp::IndexedPart { width } => Expr::IndexedPart {
+                base: node.inputs[0],
+                start: Box::new(sig(1)),
+                width: *width,
+            },
+        }
+    }
+
     #[test]
-    fn tape_backend_matches_tree_backend_in_lockstep() {
-        use eraser_ir::{EvalBackend, RtlOp};
-        // The tape backend lowers RTL nodes only, so the continuous
-        // assigns hold at least one RTL node of every `RtlOp` kind, their
-        // variable selects driven in range, out of range and with an `X`
-        // index. The behavioral body (a casez decoder, dynamic bit writes,
-        // NBAs) runs on the tree walker under both backends; it keeps the
-        // register the assigns read changing. Every signal is compared
-        // against the tree walker after every settle step.
+    fn rtl_nodes_match_the_expression_oracle_in_lockstep() {
+        use eraser_ir::{eval_expr_cloning, RtlOp};
+        // The continuous assigns hold at least one RTL node of every
+        // `RtlOp` kind, their variable selects driven in range, out of
+        // range and with an `X` index, and a concatenation of two different
+        // signals. The behavioral body (a casez
+        // decoder, dynamic bit writes, NBAs) keeps the register the assigns
+        // read changing. After every settle step, every RTL node's
+        // committed output is compared with the cloning oracle over the
+        // node's source-equivalent expression, resized to the output.
         let d = compile(
             "module m(input wire clk, input wire rst, input wire [3:0] a,
                       input wire [2:0] i, input wire [3:0] j,
                       output reg [7:0] q, output wire [7:0] w);
                reg [7:0] acc;
                wire [7:0] copy; wire [3:0] k, inv, pick, mid;
-               wire [15:0] rep; wire bit_j; wire [1:0] part_j;
+               wire [15:0] rep; wire bit_j; wire [1:0] part_j; wire [7:0] cat;
                assign w = (acc << a[1:0]) ^ {a, a};
+               assign cat = {inv, a};
                assign copy = acc;
                assign k = 4'ha;
                assign inv = ~a;
@@ -1314,18 +1349,24 @@ mod tests {
             .collect();
         assert_eq!(kinds.len(), 10, "every RtlOp kind is exercised: {kinds:?}");
         let [clk, rst, a, i, j] = ["clk", "rst", "a", "i", "j"].map(|n| d.find_signal(n).unwrap());
-        let mut tree = Simulator::with_backend(&d, EvalBackend::Tree);
-        let mut tape = Simulator::with_backend(&d, EvalBackend::Tape);
-        let drive = |tree: &mut Simulator, tape: &mut Simulator, sig, val: &LogicVec| {
-            tree.set_input(sig, val);
-            tree.step();
-            tape.set_input(sig, val);
-            tape.step();
+        let mut sim = Simulator::new(&d);
+        let mut drive = |sig, val: &LogicVec, at: &str| {
+            sim.set_input(sig, val);
+            sim.step();
+            let values: Vec<LogicVec> = (0..d.num_signals())
+                .map(|s| sim.value(SignalId::from_index(s)).clone())
+                .collect();
+            for node in d.rtl_nodes() {
+                let want =
+                    eval_expr_cloning(&rtl_to_expr(node), &values).resize(d.width(node.output));
+                assert_eq!(values[node.output.index()], want, "{at}: {:?}", node.op);
+            }
         };
-        drive(&mut tree, &mut tape, rst, &v(1, 1));
+        drive(rst, &v(1, 1), "reset");
         for cycle in 0..24u64 {
-            drive(&mut tree, &mut tape, a, &v(4, cycle * 7 % 16));
-            drive(&mut tree, &mut tape, i, &v(3, cycle * 3 % 8));
+            let at = format!("cycle {cycle}");
+            drive(a, &v(4, cycle * 7 % 16), &at);
+            drive(i, &v(3, cycle * 3 % 8), &at);
             // `j` sweeps 0..=15, past `acc`'s 8 bits, and is all-`X` or
             // partly `X` every fifth cycle.
             let jv = match cycle % 5 {
@@ -1333,15 +1374,12 @@ mod tests {
                 4 => LogicVec::parse_literal("4'b0x10").unwrap(),
                 _ => v(4, cycle * 5 % 16),
             };
-            drive(&mut tree, &mut tape, j, &jv);
+            drive(j, &jv, &at);
             if cycle == 1 {
-                drive(&mut tree, &mut tape, rst, &v(1, 0));
+                drive(rst, &v(1, 0), &at);
             }
-            drive(&mut tree, &mut tape, clk, &v(1, 0));
-            drive(&mut tree, &mut tape, clk, &v(1, 1));
-            for s in (0..d.num_signals()).map(SignalId::from_index) {
-                assert_eq!(tree.value(s), tape.value(s), "cycle {cycle}, {s:?}");
-            }
+            drive(clk, &v(1, 0), &at);
+            drive(clk, &v(1, 1), &at);
         }
     }
 }

@@ -4,12 +4,12 @@
 //! ERASER framework:
 //!
 //! * [`ValueStore`] — dense per-signal four-state value storage,
-//! * [`eval_rtl_node_into`] — evaluation of primitive RTL nodes,
+//! * [`eval_rtl_node_into`] — the one evaluator of primitive RTL nodes,
+//!   on every network and in every engine,
 //! * [`Evaluator`] — the one handle every simulator evaluates its nodes
-//!   through: a design plus the backend its RTL nodes run on (tree walker
-//!   or compiled tapes),
+//!   through,
 //! * [`execute_into`] — the behavioral interpreter, the one evaluator of
-//!   behavioral code on either backend, which reports the
+//!   behavioral code, which reports the
 //!   **execution path** (path decisions taken and dependency segments
 //!   visited) to an [`ExecMonitor`] — what the ERASER implicit-redundancy
 //!   check walks,

@@ -1,11 +1,11 @@
 //! Snapshot round-trip property: capturing a settle-point state and
 //! restoring it — into the same simulator later, or into a different
 //! (even dirty) simulator instance — must make continued stepping
-//! bit-identical to the uninterrupted run, on random stimuli, for both
-//! evaluation backends and both settle rules.
+//! bit-identical to the uninterrupted run, on random stimuli, under both
+//! settle rules.
 
 use eraser_frontend::compile;
-use eraser_ir::{Design, EvalBackend, SignalId};
+use eraser_ir::{Design, SignalId};
 use eraser_logic::LogicVec;
 use eraser_sim::{Evaluator, SimSnapshot, Simulator, Steps, StimulusBuilder};
 
@@ -18,16 +18,13 @@ const RULES: [(&str, SettleRule); 2] = [
     ("levelized", |eval| Simulator::levelized(eval)),
 ];
 
-/// Every (backend, settle rule) pair: a label and a fresh-simulator maker.
-fn simulators<'d>(design: &'d Design) -> Vec<(String, impl Fn() -> Simulator<'d>)> {
-    let mut out = Vec::new();
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        for (rule_name, rule) in RULES {
-            let label = format!("{backend:?} {rule_name}");
-            out.push((label, move || rule(Evaluator::for_backend(design, backend))));
-        }
-    }
-    out
+/// Every settle rule: a label and a fresh-simulator maker.
+fn simulators<'d>(
+    design: &'d Design,
+) -> impl Iterator<Item = (&'static str, impl Fn() -> Simulator<'d>)> {
+    RULES
+        .into_iter()
+        .map(move |(label, rule)| (label, move || rule(Evaluator::tree(design))))
 }
 
 /// Deterministic xorshift over the test's seed space.
@@ -146,16 +143,16 @@ fn capture_restore_continue_is_bit_identical() {
                         // perturb nothing, restore, continue.
                         subject.capture_into(&mut snap);
                         subject.restore_from(&snap);
-                        assert_state_eq(&design, &reference, &subject, &label);
+                        assert_state_eq(&design, &reference, &subject, label);
                         assert_eq!(reference.deltas(), subject.deltas(), "{label}: deltas");
                         // And hydrate the dirty instance from the same
                         // snapshot; it becomes the new subject.
                         dirty.restore_from(&snap);
-                        assert_state_eq(&design, &reference, &dirty, &label);
+                        assert_state_eq(&design, &reference, &dirty, label);
                         std::mem::swap(&mut subject, &mut dirty);
                     }
                 }
-                assert_state_eq(&design, &reference, &subject, &label);
+                assert_state_eq(&design, &reference, &subject, label);
             }
         }
     }
@@ -184,10 +181,10 @@ fn restored_run_matches_suffix_of_full_run() {
                 twin.replay_step(step);
                 if si >= k {
                     resumed.replay_step(step);
-                    assert_state_eq(&design, &twin, &resumed, &label);
+                    assert_state_eq(&design, &twin, &resumed, label);
                 }
             }
-            assert_state_eq(&design, &twin, &full, &label);
+            assert_state_eq(&design, &twin, &full, label);
         }
     }
 }
@@ -196,7 +193,7 @@ fn restored_run_matches_suffix_of_full_run() {
 fn forces_are_part_of_the_snapshot() {
     let design = compile(DESIGNS[0], None).unwrap();
     for (label, new_sim) in simulators(&design) {
-        check_forces_are_part_of_the_snapshot(&design, &label, new_sim);
+        check_forces_are_part_of_the_snapshot(&design, label, new_sim);
     }
 }
 

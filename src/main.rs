@@ -33,7 +33,6 @@
 //! error, bad spec) exit 1.
 
 use eraser::core::{run_campaign, CampaignSpec, RedundancyMode};
-use eraser::ir::EvalBackend;
 use eraser::netlist::json;
 use eraser::service::{open_store, prepare_spec, CampaignService, HttpServer};
 use std::io::Write;
@@ -41,8 +40,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: eraser <file.v|file.json> [--top NAME] [--cycles|--stimulus-steps N] [--clock NAME] [--reset NAME]
               [--mode full|explicit|none] [--max-faults N] [--seed N] [--list-undetected]
-              [--threads N] [--eval tree|tape] [--batch] [--collapse]
-              (--eval tape: RTL nodes on compiled tapes; behavioral code always on the tree walker)
+              [--threads N] [--batch] [--collapse]
        eraser --spec FILE.json [same flags; the spec's explicit fields win]
        eraser serve [--addr HOST:PORT] [--workers N] [--queue N] [--store mem|journal:PATH]";
 
@@ -86,7 +84,6 @@ struct Flags {
     mode: Option<RedundancyMode>,
     max_faults: Option<usize>,
     threads: Option<usize>,
-    eval: Option<EvalBackend>,
     batch: bool,
     collapse: bool,
     list_undetected: bool,
@@ -134,7 +131,6 @@ fn main() -> ExitCode {
             "--mode" => flags.mode = Some(parse_enum("--mode", it.next())),
             "--max-faults" => flags.max_faults = Some(need_num("--max-faults", it.next())),
             "--threads" => flags.threads = Some(need_num("--threads", it.next())),
-            "--eval" => flags.eval = Some(parse_enum("--eval", it.next())),
             "--batch" => flags.batch = true,
             "--collapse" => flags.collapse = true,
             "--list-undetected" => flags.list_undetected = true,
@@ -223,9 +219,6 @@ fn merge_flags(spec: &mut CampaignSpec, explicit_keys: &[String], flags: &Flags)
     if flags.threads.is_some() && unset("threads") {
         spec.threads = flags.threads;
     }
-    if flags.eval.is_some() && unset("eval") {
-        spec.backend = flags.eval;
-    }
     if flags.batch && unset("batch") {
         spec.batch = Some(true);
     }
@@ -261,12 +254,7 @@ fn run(spec: &CampaignSpec, list_undetected: bool) -> Result<(), String> {
         say!("collapsing: static equivalence folding before simulation");
     }
     let result = run_campaign(design, &prep.faults, &prep.stimulus, &config);
-    say!(
-        "mode {} ({} backend): coverage {}",
-        config.mode,
-        config.backend,
-        result.coverage
-    );
+    say!("mode {}: coverage {}", config.mode, result.coverage);
     let s = &result.stats;
     say!(
         "behavioral: {} activations, {} faulty executions of {} opportunities",
@@ -384,7 +372,6 @@ mod tests {
                         "checkpoint_interval": 0, "batch": false}"#;
         let flags = Flags {
             threads: Some(2),
-            eval: Some(EvalBackend::Tape),
             batch: true,
             collapse: true,
             ..Flags::default()
@@ -393,19 +380,16 @@ mod tests {
         // Nothing given anywhere: the built-in defaults.
         let cfg = merged(bare, &Flags::default()).resolve();
         assert_eq!(cfg.parallel.threads, 1);
-        assert_eq!(cfg.backend, EvalBackend::Tree);
         assert!(!cfg.checkpoint.is_enabled() && !cfg.batch.enabled && !cfg.collapse.enabled);
 
         // A flag beats the default.
         let cfg = merged(bare, &flags).resolve();
         assert_eq!(cfg.parallel.threads, 2);
-        assert_eq!(cfg.backend, EvalBackend::Tape);
         assert!(cfg.batch.enabled && cfg.collapse.enabled);
 
         // A spec key beats the flag; knobs the spec leaves unset keep it.
         let cfg = merged(keyed, &flags).resolve();
         assert_eq!(cfg.parallel.threads, 3);
-        assert_eq!(cfg.backend, EvalBackend::Tree);
         assert!(!cfg.batch.enabled && cfg.collapse.enabled);
     }
 }

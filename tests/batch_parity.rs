@@ -1,20 +1,18 @@
 //! Batch-vs-scalar parity — the correctness criterion of bit-parallel
-//! fault batching: on every benchmark design, in every redundancy mode, on
-//! both evaluation backends, at any thread count, a
-//! campaign with `--batch` must produce **bit-identical** coverage (every
+//! fault batching: on every benchmark design, in every redundancy mode, at
+//! any thread count, a campaign with `--batch` must produce **bit-identical** coverage (every
 //! fault's first-detection step and observing output) and identical
 //! semantic redundancy counters to the scalar run. The batch occupancy
 //! counters (`batch_groups`, `batch_lanes`, `batch_scalar_fallbacks`) are
 //! the only fields allowed to differ — they describe *how* the same work
 //! was evaluated, not what it computed.
 //!
-//! The default tests run shortened campaigns on the same representative
-//! subset as `backend_parity`; the `--ignored` sweep covers all ten
-//! benchmarks.
+//! The default tests run shortened campaigns on a representative subset;
+//! the `--ignored` sweep covers all ten benchmarks.
 
 use eraser::baselines::{IFsim, VFsim};
 use eraser::core::{
-    run_campaign, BatchConfig, CampaignConfig, Eraser, EvalBackend, FaultSimEngine, ParallelConfig,
+    run_campaign, BatchConfig, CampaignConfig, Eraser, FaultSimEngine, ParallelConfig,
     RedundancyMode, RedundancyStats,
 };
 use eraser::designs::Benchmark;
@@ -84,8 +82,8 @@ fn compare(
     batched.stats
 }
 
-/// The full configuration matrix on one benchmark: redundancy modes ×
-/// backends serially, then Full mode × backends × threads {1, 4}.
+/// The full configuration matrix on one benchmark: redundancy modes
+/// serially, then Full mode × threads {1, 4}.
 fn batch_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
     let design = bench.build();
     let mut cfg: FaultListConfig = bench.fault_config();
@@ -98,35 +96,29 @@ fn batch_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
         RedundancyMode::Explicit,
         RedundancyMode::Full,
     ] {
-        for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-            compare(
-                &format!("{} ({mode}, {backend})", bench.name()),
-                &design,
-                &faults,
-                &stim,
-                &CampaignConfig {
-                    mode,
-                    backend,
-                    ..CampaignConfig::default()
-                },
-            );
-        }
+        compare(
+            &format!("{} ({mode})", bench.name()),
+            &design,
+            &faults,
+            &stim,
+            &CampaignConfig {
+                mode,
+                ..CampaignConfig::default()
+            },
+        );
     }
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        for threads in [1usize, 4] {
-            compare(
-                &format!("{} (Full, {backend}, {threads} threads)", bench.name()),
-                &design,
-                &faults,
-                &stim,
-                &CampaignConfig {
-                    mode: RedundancyMode::Full,
-                    backend,
-                    parallel: ParallelConfig::with_threads(threads),
-                    ..CampaignConfig::default()
-                },
-            );
-        }
+    for threads in [1usize, 4] {
+        compare(
+            &format!("{} (Full, {threads} threads)", bench.name()),
+            &design,
+            &faults,
+            &stim,
+            &CampaignConfig {
+                mode: RedundancyMode::Full,
+                parallel: ParallelConfig::with_threads(threads),
+                ..CampaignConfig::default()
+            },
+        );
     }
 }
 
@@ -156,19 +148,16 @@ fn batch_parity_sha256_wide_fallback() {
     cfg.max_faults = Some(60);
     let faults = generate_faults(&design, &cfg);
     let stim = bench.stimulus_with_cycles(&design, 72);
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        compare(
-            &format!("sha256_hv ({backend})"),
-            &design,
-            &faults,
-            &stim,
-            &CampaignConfig {
-                mode: RedundancyMode::Full,
-                backend,
-                ..CampaignConfig::default()
-            },
-        );
-    }
+    compare(
+        "sha256_hv",
+        &design,
+        &faults,
+        &stim,
+        &CampaignConfig {
+            mode: RedundancyMode::Full,
+            ..CampaignConfig::default()
+        },
+    );
 }
 
 /// Full-suite batch parity across all ten benchmarks. Slow in debug
@@ -187,19 +176,16 @@ fn batch_parity_full_suite() {
             RedundancyMode::Explicit,
             RedundancyMode::Full,
         ] {
-            for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-                compare(
-                    &format!("{} ({mode}, {backend})", bench.name()),
-                    &design,
-                    &faults,
-                    &stim,
-                    &CampaignConfig {
-                        mode,
-                        backend,
-                        ..CampaignConfig::default()
-                    },
-                );
-            }
+            compare(
+                &format!("{} ({mode})", bench.name()),
+                &design,
+                &faults,
+                &stim,
+                &CampaignConfig {
+                    mode,
+                    ..CampaignConfig::default()
+                },
+            );
         }
     }
 }
@@ -254,28 +240,25 @@ fn lane_packing_mixed_sites_engages_batching() {
         );
     }
     let stim = sb.finish();
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        let stats = compare(
-            &format!("lane_packing ({backend})"),
-            &design,
-            &faults,
-            &stim,
-            &CampaignConfig {
-                mode: RedundancyMode::Full,
-                backend,
-                drop_detected: false,
-                ..CampaignConfig::default()
-            },
-        );
-        assert!(
-            stats.batch_groups >= 1,
-            "{backend}: batching never engaged ({stats:?})"
-        );
-        assert!(
-            stats.batch_lanes > stats.batch_groups,
-            "{backend}: no batch ever filled more than one lane"
-        );
-    }
+    let stats = compare(
+        "lane_packing",
+        &design,
+        &faults,
+        &stim,
+        &CampaignConfig {
+            mode: RedundancyMode::Full,
+            drop_detected: false,
+            ..CampaignConfig::default()
+        },
+    );
+    assert!(
+        stats.batch_groups >= 1,
+        "batching never engaged ({stats:?})"
+    );
+    assert!(
+        stats.batch_lanes > stats.batch_groups,
+        "no batch ever filled more than one lane"
+    );
 }
 
 /// Engagement on Table II designs, not only on the hand-built fixture: the
@@ -295,10 +278,7 @@ fn batching_engages_on_table2_designs() {
             &design,
             &faults,
             &stim,
-            &CampaignConfig {
-                backend: EvalBackend::Tape,
-                ..CampaignConfig::default()
-            },
+            &CampaignConfig::default(),
         );
         assert!(
             stats.batch_lanes > stats.batch_groups,
@@ -326,21 +306,18 @@ fn batched_eraser_agrees_with_serial_baselines() {
         Box::new(Eraser::explicit()),
         Box::new(Eraser::none()),
     ];
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        let config = CampaignConfig {
-            backend,
-            batch: BatchConfig::enabled(),
-            ..CampaignConfig::default()
-        };
-        let reference = engines[0].run(&design, &faults, &stim, &config).coverage;
-        assert!(reference.detected() > 0, "{backend}: nothing detected");
-        for engine in &engines[1..] {
-            let coverage = engine.run(&design, &faults, &stim, &config).coverage;
-            assert!(
-                reference.same_detected_set(&coverage),
-                "{backend}: IFsim reports {reference} but {} reports {coverage}",
-                engine.name()
-            );
-        }
+    let config = CampaignConfig {
+        batch: BatchConfig::enabled(),
+        ..CampaignConfig::default()
+    };
+    let reference = engines[0].run(&design, &faults, &stim, &config).coverage;
+    assert!(reference.detected() > 0, "nothing detected");
+    for engine in &engines[1..] {
+        let coverage = engine.run(&design, &faults, &stim, &config).coverage;
+        assert!(
+            reference.same_detected_set(&coverage),
+            "IFsim reports {reference} but {} reports {coverage}",
+            engine.name()
+        );
     }
 }

@@ -2,22 +2,25 @@
 //! fault at step 0 — IFsim and VFsim one fresh simulator per fault, as
 //! the paper's IFsim does, and the concurrent engines (Eraser in every
 //! mode, CfSim) one engine per group against one good network — so at
-//! every interval, backend and thread count a campaign gives the coverage
+//! every interval and thread count a campaign gives the coverage
 //! records (every fault's first-detection step and observing output, not
 //! just the detected set) *and* all 20 counters of interval 0. Checked on
 //! two benchmarks plus a crafted design with genuinely late activation
 //! (late first divergences, and faults that never diverge), and
 //! [`BASELINE_GOLDEN`] pins the serial baselines' counters.
 //!
+//! No engine reads the spec key `eval` either: every RTL node runs on the
+//! one RTL evaluator, so `"tree"` and `"tape"` give the same campaign.
+//!
 //! The `--ignored` sweep widens the benchmark set.
 
 use eraser::baselines::{CfSim, IFsim, VFsim};
 use eraser::core::{
-    CampaignConfig, CheckpointConfig, Eraser, EvalBackend, FaultSimEngine, ParallelConfig,
-    RedundancyStats,
+    CampaignConfig, CampaignSpec, CheckpointConfig, Eraser, EvalBackend, FaultSimEngine,
+    ParallelConfig, RedundancyStats,
 };
-use eraser::designs::Benchmark;
-use eraser::fault::FaultList;
+use eraser::designs::{Benchmark, DesignSource};
+use eraser::fault::{generate_faults, FaultList};
 use eraser::ir::Design;
 use eraser::sim::Stimulus;
 
@@ -29,18 +32,17 @@ fn counter_key(s: &RedundancyStats) -> [u64; 20] {
     s.clone().counters_mut().map(|(_, v)| *v)
 }
 
-fn config(backend: EvalBackend, checkpoint: CheckpointConfig, threads: usize) -> CampaignConfig {
+fn config(checkpoint: CheckpointConfig, threads: usize) -> CampaignConfig {
     CampaignConfig {
-        backend,
         checkpoint,
         parallel: ParallelConfig::with_threads(threads),
         ..Default::default()
     }
 }
 
-/// Runs the interval x backend x thread matrix for one serial baseline
-/// and asserts coverage records and counters identical to its
-/// one-thread run at interval 0 on the same backend.
+/// Runs the interval x thread matrix for one serial baseline and asserts
+/// coverage records and counters identical to its one-thread run at
+/// interval 0.
 fn check_baseline(
     name: &str,
     engine: impl FaultSimEngine,
@@ -48,26 +50,24 @@ fn check_baseline(
     faults: &FaultList,
     stim: &Stimulus,
 ) {
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        let run = |interval, threads| {
-            let ck = CheckpointConfig::every(interval);
-            engine.run(design, faults, stim, &config(backend, ck, threads))
-        };
-        let base = run(0, 1);
-        for interval in [0usize, 1, 8, 64] {
-            for threads in [1, 4] {
-                if (interval, threads) == (0, 1) {
-                    continue;
-                }
-                let other = run(interval, threads);
-                let at = format!("{name} [{backend:?} ckpt={interval} x{threads}]");
-                assert_eq!(base.coverage, other.coverage, "{at}: coverage diverged");
-                assert_eq!(
-                    counter_key(&base.stats),
-                    counter_key(&other.stats),
-                    "{at}: counters moved"
-                );
+    let run = |interval, threads| {
+        let ck = CheckpointConfig::every(interval);
+        engine.run(design, faults, stim, &config(ck, threads))
+    };
+    let base = run(0, 1);
+    for interval in [0usize, 1, 8, 64] {
+        for threads in [1, 4] {
+            if (interval, threads) == (0, 1) {
+                continue;
             }
+            let other = run(interval, threads);
+            let at = format!("{name} [ckpt={interval} x{threads}]");
+            assert_eq!(base.coverage, other.coverage, "{at}: coverage diverged");
+            assert_eq!(
+                counter_key(&base.stats),
+                counter_key(&other.stats),
+                "{at}: counters moved"
+            );
         }
     }
 }
@@ -122,12 +122,7 @@ fn no_engine_reads_the_checkpoint_interval() {
             for threads in [1, 2, 4] {
                 let run = |interval| {
                     let ck = CheckpointConfig::every(interval);
-                    engine.run(
-                        &design,
-                        &faults,
-                        &stim,
-                        &config(EvalBackend::Tree, ck, threads),
-                    )
+                    engine.run(&design, &faults, &stim, &config(ck, threads))
                 };
                 let off = run(0);
                 for interval in [1, 8, 64] {
@@ -147,8 +142,63 @@ fn no_engine_reads_the_checkpoint_interval() {
     }
 }
 
+/// No engine reads the spec key `eval`: on APB and the `mac16_gate`
+/// netlist, for Eraser in all three modes, IFsim, VFsim and CfSim, a spec
+/// with `"eval": "tape"` gives the coverage records and all 20 counters
+/// of the same spec with `"eval": "tree"`.
+#[test]
+fn no_engine_reads_the_eval_key() {
+    let engines: [(&str, Box<dyn FaultSimEngine>); 6] = [
+        ("Eraser", Box::new(Eraser::full())),
+        ("Eraser-", Box::new(Eraser::explicit())),
+        ("Eraser0", Box::new(Eraser::none())),
+        ("IFsim", Box::new(IFsim)),
+        ("VFsim", Box::new(VFsim)),
+        ("CfSim", Box::new(CfSim)),
+    ];
+    let mac16 = DesignSource::fixture("mac16_gate").unwrap();
+    let mut fc = mac16.fault_config().clone();
+    fc.max_faults = Some(60);
+    let fixtures = [
+        ("APB", bench_fixture(Benchmark::Apb, 40, 80)),
+        (
+            "mac16_gate",
+            (
+                mac16.design().clone(),
+                generate_faults(mac16.design(), &fc),
+                mac16.stimulus_with_cycles(50),
+            ),
+        ),
+    ];
+    let resolve = |eval: &str| {
+        let text = format!(r#"{{"design": {{"benchmark": "APB"}}, "eval": "{eval}"}}"#);
+        CampaignSpec::from_json(&text).unwrap().resolve()
+    };
+    let (tree, tape) = (resolve("tree"), resolve("tape"));
+    assert_eq!(
+        (tree.backend, tape.backend),
+        (EvalBackend::Tree, EvalBackend::Tape)
+    );
+    for (fixture, (design, faults, stim)) in &fixtures {
+        for (name, engine) in &engines {
+            let on_tree = engine.run(design, faults, stim, &tree);
+            let on_tape = engine.run(design, faults, stim, &tape);
+            assert!(on_tree.coverage.detected() > 0, "{fixture} {name}");
+            assert_eq!(
+                on_tree.coverage, on_tape.coverage,
+                "{fixture} {name}: coverage moved with `eval`"
+            );
+            assert_eq!(
+                counter_key(&on_tree.stats),
+                counter_key(&on_tape.stats),
+                "{fixture} {name}: counters moved with `eval`"
+            );
+        }
+    }
+}
+
 /// `(fixture/engine/interval, counters in `RedundancyStats::counters_mut`
-/// order)`, tree walker, one thread.
+/// order)`, one thread.
 type Row = (&'static str, [u64; 20]);
 
 /// The serial baselines' counters on both fixtures at interval 0 (every
@@ -171,7 +221,7 @@ fn serial_baseline_counters_are_pinned() {
     for (fixture, (design, faults, stim)) in fixtures() {
         for (name, engine) in &engines {
             let ck = CheckpointConfig::disabled();
-            let res = engine.run(&design, &faults, &stim, &config(EvalBackend::Tree, ck, 1));
+            let res = engine.run(&design, &faults, &stim, &config(ck, 1));
             rows.push((format!("{fixture}/{name}/ckpt0"), counter_key(&res.stats)));
         }
     }

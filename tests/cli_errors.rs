@@ -54,6 +54,8 @@ fn assert_runtime_error(out: &Output, needle: &str) {
 #[test]
 fn unknown_flag_is_a_usage_error() {
     assert_usage_error(&eraser(&["--nonsense"]), "--nonsense");
+    // The removed `--eval` flag: the spec key `eval` is read by no engine.
+    assert_usage_error(&eraser(&["--eval", "tape"]), "unknown argument `--eval`");
 }
 
 #[test]
@@ -165,8 +167,8 @@ fn removed_partition_knob_fails_loudly_or_is_ignored() {
     ];
     let out = eraser_with_env(&args, &retired);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-    // The banner names the backend and every non-default knob, so output
-    // equal to a run without the variables is the default config.
+    // The banner names every non-default knob, so output equal to a run
+    // without the variables is the default config.
     assert_eq!(out.stdout, eraser(&args).stdout);
     let _ = std::fs::remove_file(&bare);
 }

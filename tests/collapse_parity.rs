@@ -1,7 +1,7 @@
 //! Collapse-vs-full parity — the correctness criterion of static fault
-//! collapsing: on every benchmark design, with every engine, on both
-//! evaluation backends, at any thread count, with and without bit-parallel
-//! batching, a campaign with `--collapse` must
+//! collapsing: on every benchmark design, with every engine, at any
+//! thread count, with and without bit-parallel batching, a campaign with
+//! `--collapse` must
 //! produce **bit-identical** coverage (every fault's first-detection step
 //! and observing output) over the *full* fault universe. The semantic
 //! redundancy counters are *expected* to differ — the collapsed run
@@ -9,16 +9,15 @@
 //! per-fault detection records plus the collapse accounting identity
 //! `classes + collapsed + dropped == total`.
 //!
-//! The default tests run shortened campaigns on the same representative
-//! subset as `backend_parity`; the `--ignored` sweep covers all ten
-//! benchmarks. A hand-built fixture asserts each collapse rule actually
+//! The default tests run shortened campaigns on a representative subset;
+//! the `--ignored` sweep covers all ten benchmarks. A hand-built fixture asserts each collapse rule actually
 //! fires (alias fold, unobservable drop, unread-bit drop), and the exact
 //! collapse of every checked-in design is pinned.
 
 use eraser::baselines::{IFsim, VFsim};
 use eraser::core::{
-    run_campaign, BatchConfig, CampaignConfig, CollapseConfig, EvalBackend, FaultSimEngine,
-    ParallelConfig, RedundancyMode,
+    run_campaign, BatchConfig, CampaignConfig, CollapseConfig, FaultSimEngine, ParallelConfig,
+    RedundancyMode,
 };
 use eraser::designs::{netlist_fixtures, Benchmark, DesignSource};
 use eraser::fault::{
@@ -71,9 +70,8 @@ fn compare(
     }
 }
 
-/// The full configuration matrix on one benchmark: redundancy modes ×
-/// backends serially, then Full mode × backends × threads {1, 4} × batch
-/// {off, on}.
+/// The full configuration matrix on one benchmark: redundancy modes
+/// serially, then Full mode × threads {1, 4} × batch {off, on}.
 fn collapse_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
     let design = bench.build();
     let mut cfg: FaultListConfig = bench.fault_config();
@@ -86,41 +84,35 @@ fn collapse_parity_for(bench: Benchmark, cycles: usize, max_faults: usize) {
         RedundancyMode::Explicit,
         RedundancyMode::Full,
     ] {
-        for backend in [EvalBackend::Tree, EvalBackend::Tape] {
+        compare(
+            &format!("{} ({mode})", bench.name()),
+            &design,
+            &faults,
+            &stim,
+            &CampaignConfig {
+                mode,
+                ..CampaignConfig::default()
+            },
+        );
+    }
+    for threads in [1usize, 4] {
+        for batch in [BatchConfig::disabled(), BatchConfig::enabled()] {
             compare(
-                &format!("{} ({mode}, {backend})", bench.name()),
+                &format!(
+                    "{} (Full, {threads} threads, batch {:?})",
+                    bench.name(),
+                    batch
+                ),
                 &design,
                 &faults,
                 &stim,
                 &CampaignConfig {
-                    mode,
-                    backend,
+                    mode: RedundancyMode::Full,
+                    parallel: ParallelConfig::with_threads(threads),
+                    batch,
                     ..CampaignConfig::default()
                 },
             );
-        }
-    }
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        for threads in [1usize, 4] {
-            for batch in [BatchConfig::disabled(), BatchConfig::enabled()] {
-                compare(
-                    &format!(
-                        "{} (Full, {backend}, {threads} threads, batch {:?})",
-                        bench.name(),
-                        batch
-                    ),
-                    &design,
-                    &faults,
-                    &stim,
-                    &CampaignConfig {
-                        mode: RedundancyMode::Full,
-                        backend,
-                        parallel: ParallelConfig::with_threads(threads),
-                        batch,
-                        ..CampaignConfig::default()
-                    },
-                );
-            }
         }
     }
 }
@@ -150,19 +142,16 @@ fn collapse_parity_sha256_wide() {
     cfg.max_faults = Some(60);
     let faults = generate_faults(&design, &cfg);
     let stim = bench.stimulus_with_cycles(&design, 72);
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        compare(
-            &format!("sha256_hv ({backend})"),
-            &design,
-            &faults,
-            &stim,
-            &CampaignConfig {
-                mode: RedundancyMode::Full,
-                backend,
-                ..CampaignConfig::default()
-            },
-        );
-    }
+    compare(
+        "sha256_hv",
+        &design,
+        &faults,
+        &stim,
+        &CampaignConfig {
+            mode: RedundancyMode::Full,
+            ..CampaignConfig::default()
+        },
+    );
 }
 
 /// The serial force-based baselines collapse through the same
@@ -179,36 +168,33 @@ fn collapse_parity_baselines() {
     let stim = bench.stimulus_with_cycles(&design, 50);
     let engines: [Box<dyn FaultSimEngine>; 2] = [Box::new(IFsim), Box::new(VFsim)];
     for engine in &engines {
-        for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-            let run = |collapse| {
-                engine.run(
-                    &design,
-                    &faults,
-                    &stim,
-                    &CampaignConfig {
-                        backend,
-                        collapse,
-                        ..CampaignConfig::default()
-                    },
-                )
-            };
-            let full = run(CollapseConfig::disabled());
-            let collapsed = run(CollapseConfig::enabled());
-            for f in faults.iter() {
-                assert_eq!(
-                    full.coverage.detection(f.id),
-                    collapsed.coverage.detection(f.id),
-                    "{} ({backend}): detection record of fault {} diverged",
-                    engine.name(),
-                    f.id
-                );
-            }
-            assert!(
-                full.coverage.detected() > 0,
-                "{} ({backend}): nothing detected",
-                engine.name()
+        let run = |collapse| {
+            engine.run(
+                &design,
+                &faults,
+                &stim,
+                &CampaignConfig {
+                    collapse,
+                    ..CampaignConfig::default()
+                },
+            )
+        };
+        let full = run(CollapseConfig::disabled());
+        let collapsed = run(CollapseConfig::enabled());
+        for f in faults.iter() {
+            assert_eq!(
+                full.coverage.detection(f.id),
+                collapsed.coverage.detection(f.id),
+                "{}: detection record of fault {} diverged",
+                engine.name(),
+                f.id
             );
         }
+        assert!(
+            full.coverage.detected() > 0,
+            "{}: nothing detected",
+            engine.name()
+        );
     }
 }
 
@@ -313,19 +299,16 @@ fn collapse_parity_full_suite() {
             RedundancyMode::Explicit,
             RedundancyMode::Full,
         ] {
-            for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-                compare(
-                    &format!("{} ({mode}, {backend})", bench.name()),
-                    &design,
-                    &faults,
-                    &stim,
-                    &CampaignConfig {
-                        mode,
-                        backend,
-                        ..CampaignConfig::default()
-                    },
-                );
-            }
+            compare(
+                &format!("{} ({mode})", bench.name()),
+                &design,
+                &faults,
+                &stim,
+                &CampaignConfig {
+                    mode,
+                    ..CampaignConfig::default()
+                },
+            );
         }
     }
 }
@@ -434,7 +417,7 @@ fn fixture_alias_unobservable_and_unread_bit_rules_fire() {
     );
     assert!(plan.collapsed_faults() > 0 && !plan.dropped().is_empty());
 
-    // And the fixture still passes end-to-end parity on both backends.
+    // And the fixture still passes end-to-end parity.
     let clk = sig("clk");
     let input = sig("in");
     let mut sb = eraser::sim::StimulusBuilder::new();
@@ -449,17 +432,14 @@ fn fixture_alias_unobservable_and_unread_bit_rules_fire() {
         );
     }
     let stim = sb.finish();
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        compare(
-            &format!("fixture ({backend})"),
-            &design,
-            &faults,
-            &stim,
-            &CampaignConfig {
-                mode: RedundancyMode::Full,
-                backend,
-                ..CampaignConfig::default()
-            },
-        );
-    }
+    compare(
+        "fixture",
+        &design,
+        &faults,
+        &stim,
+        &CampaignConfig {
+            mode: RedundancyMode::Full,
+            ..CampaignConfig::default()
+        },
+    );
 }

@@ -13,7 +13,7 @@
 //! the full-suite sweep (all ten benchmarks) runs in the benchmark harness
 //! and in the `--ignored` test below.
 
-use eraser::baselines::all_engines;
+use eraser::baselines::{all_engines, IFsim, VFsim};
 use eraser::core::{CampaignConfig, Eraser, FaultSimEngine};
 use eraser::designs::Benchmark;
 use eraser::fault::{generate_faults, FaultListConfig};
@@ -159,5 +159,64 @@ fn parity_incomplete_sensitivity_list() {
 fn parity_full_suite() {
     for bench in Benchmark::all() {
         parity_for(bench, bench.default_cycles() / 2, 250);
+    }
+}
+
+/// Input-port stuck-at faults under a stimulus that re-applies identical
+/// input values (exercising the `set_input` early return) must agree
+/// across the concurrent engine and the serial force-based baselines.
+#[test]
+fn input_fault_parity_across_engines() {
+    let design = eraser::frontend::compile(
+        "module m(input wire clk, input wire en, input wire [3:0] a, output reg [3:0] q);
+           always @(posedge clk) begin
+             if (en) q <= a; else q <= 4'h0;
+           end
+         endmodule",
+        None,
+    )
+    .unwrap();
+    let faults = generate_faults(
+        &design,
+        &FaultListConfig {
+            include_inputs: true,
+            exclude_names: vec!["clk".into(), "en".into()],
+            max_faults: None,
+        },
+    );
+    let clk = design.find_signal("clk").unwrap();
+    let en = design.find_signal("en").unwrap();
+    let a = design.find_signal("a").unwrap();
+    let mut sb = eraser::sim::StimulusBuilder::new();
+    for cycle in 0..10 {
+        sb.add_cycle(
+            clk,
+            &[
+                (a, eraser::logic::LogicVec::from_u64(4, 0xf)),
+                (
+                    en,
+                    eraser::logic::LogicVec::from_u64(1, (cycle >= 6) as u64),
+                ),
+            ],
+        );
+    }
+    let stim = sb.finish();
+    let engines: Vec<Box<dyn FaultSimEngine>> = vec![
+        Box::new(IFsim),
+        Box::new(VFsim),
+        Box::new(Eraser::full()),
+        Box::new(Eraser::explicit()),
+        Box::new(Eraser::none()),
+    ];
+    let config = CampaignConfig::default();
+    let reference = engines[0].run(&design, &faults, &stim, &config).coverage;
+    assert!(reference.detected() > 0, "nothing detected");
+    for engine in &engines[1..] {
+        let coverage = engine.run(&design, &faults, &stim, &config).coverage;
+        assert!(
+            reference.same_detected_set(&coverage),
+            "IFsim reports {reference} but {} reports {coverage}",
+            engine.name()
+        );
     }
 }

@@ -1,10 +1,10 @@
 //! Campaign-matrix parity over the imported Yosys-JSON netlist fixtures.
 //!
 //! A gate-level netlist must be a first-class fault-simulation target: for
-//! every bundled fixture, every engine × backend × thread count ×
-//! checkpoint × batch × collapse combination must detect the identical
-//! coverage records (first-detection step and observing output per fault)
-//! as the serial scalar reference of the same engine and backend.
+//! every bundled fixture, every engine × thread count × checkpoint ×
+//! batch × collapse combination must detect the identical coverage
+//! records (first-detection step and observing output per fault) as the
+//! serial scalar reference of the same engine.
 //!
 //! The fixtures run shortened stimuli and capped fault universes so the
 //! debug-mode matrix stays fast; the `--ignored` sweep runs them at full
@@ -12,8 +12,8 @@
 
 use eraser::baselines::{IFsim, VFsim};
 use eraser::core::{
-    BatchConfig, CampaignConfig, CheckpointConfig, CollapseConfig, Eraser, EvalBackend,
-    FaultSimEngine, ParallelConfig,
+    BatchConfig, CampaignConfig, CheckpointConfig, CollapseConfig, Eraser, FaultSimEngine,
+    ParallelConfig,
 };
 use eraser::designs::{netlist_fixtures, DesignSource};
 use eraser::fault::{generate_faults, FaultList};
@@ -35,15 +35,8 @@ fn fixture_bundle(
     (source.design().clone(), faults, stim)
 }
 
-fn config(
-    backend: EvalBackend,
-    threads: usize,
-    interval: usize,
-    batch: bool,
-    collapse: bool,
-) -> CampaignConfig {
+fn config(threads: usize, interval: usize, batch: bool, collapse: bool) -> CampaignConfig {
     CampaignConfig {
-        backend,
         parallel: ParallelConfig::with_threads(threads),
         checkpoint: CheckpointConfig::every(interval),
         batch: BatchConfig { enabled: batch },
@@ -53,38 +46,36 @@ fn config(
 }
 
 /// The full knob matrix for one imported design: every combination must
-/// reproduce the serial scalar reference coverage of its engine/backend.
+/// reproduce the serial scalar reference coverage of its engine.
 fn check_matrix(name: &str, design: &Design, faults: &FaultList, stim: &Stimulus) {
     let engines: [(&str, Box<dyn FaultSimEngine>); 3] = [
         ("Eraser", Box::new(Eraser::full())),
         ("IFsim", Box::new(IFsim)),
         ("VFsim", Box::new(VFsim)),
     ];
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        for (ename, engine) in &engines {
-            let reference = engine
-                .run(design, faults, stim, &config(backend, 1, 0, false, false))
-                .coverage;
-            assert!(
-                reference.detected() > 0,
-                "{name}/{ename}/{backend:?}: reference campaign detected nothing"
-            );
-            for threads in THREADS {
-                for interval in INTERVALS {
-                    for batch in [false, true] {
-                        for collapse in [false, true] {
-                            let result = engine.run(
-                                design,
-                                faults,
-                                stim,
-                                &config(backend, threads, interval, batch, collapse),
-                            );
-                            assert_eq!(
-                                reference, result.coverage,
-                                "{name}/{ename}/{backend:?} x{threads} ckpt={interval} \
-                                 batch={batch} collapse={collapse}: coverage diverged"
-                            );
-                        }
+    for (ename, engine) in &engines {
+        let reference = engine
+            .run(design, faults, stim, &config(1, 0, false, false))
+            .coverage;
+        assert!(
+            reference.detected() > 0,
+            "{name}/{ename}: reference campaign detected nothing"
+        );
+        for threads in THREADS {
+            for interval in INTERVALS {
+                for batch in [false, true] {
+                    for collapse in [false, true] {
+                        let result = engine.run(
+                            design,
+                            faults,
+                            stim,
+                            &config(threads, interval, batch, collapse),
+                        );
+                        assert_eq!(
+                            reference, result.coverage,
+                            "{name}/{ename} x{threads} ckpt={interval} \
+                             batch={batch} collapse={collapse}: coverage diverged"
+                        );
                     }
                 }
             }
@@ -116,12 +107,7 @@ fn mac16_gate_batching_fills_lanes() {
     let faults = generate_faults(source.design(), source.fault_config());
     let stim = source.stimulus_with_cycles(20);
     let stats = Eraser::full()
-        .run(
-            source.design(),
-            &faults,
-            &stim,
-            &config(EvalBackend::Tape, 1, 0, true, false),
-        )
+        .run(source.design(), &faults, &stim, &config(1, 0, true, false))
         .stats;
     assert!(stats.batch_groups > 0, "batching never engaged: {stats:?}");
     let occupancy = stats.batch_lanes as f64 / (stats.batch_groups * 64) as f64;

@@ -1,8 +1,7 @@
 //! Two-dimensional parallelism parity — threads and every other knob must
 //! be pure performance knobs.
 //!
-//! Asserted across engines × backends × thread counts × batching ×
-//! collapsing:
+//! Asserted across engines × thread counts × batching × collapsing:
 //!
 //! 1. **Coverage identity.** Every configuration detects the identical
 //!    coverage records (first-detection step and observing output per
@@ -25,7 +24,7 @@
 use eraser::baselines::{CfSim, IFsim, VFsim};
 use eraser::core::{
     drain_plan, plan_campaign, BatchConfig, CampaignConfig, CollapseConfig, Eraser, EraserEngine,
-    EvalBackend, FaultSimEngine, ParallelConfig, RedundancyStats,
+    FaultSimEngine, ParallelConfig, RedundancyStats,
 };
 use eraser::designs::Benchmark;
 use eraser::fault::FaultList;
@@ -43,7 +42,6 @@ fn counter_key(s: &RedundancyStats) -> [u64; 20] {
 }
 
 struct Knobs {
-    backend: EvalBackend,
     batch: bool,
     collapse: bool,
 }
@@ -51,7 +49,6 @@ struct Knobs {
 impl Knobs {
     fn config(&self, threads: usize) -> CampaignConfig {
         CampaignConfig {
-            backend: self.backend,
             parallel: ParallelConfig::with_threads(threads),
             batch: BatchConfig {
                 enabled: self.batch,
@@ -64,10 +61,7 @@ impl Knobs {
     }
 
     fn label(&self) -> String {
-        format!(
-            "{:?} batch={} collapse={}",
-            self.backend, self.batch, self.collapse
-        )
+        format!("batch={} collapse={}", self.batch, self.collapse)
     }
 }
 
@@ -120,38 +114,31 @@ fn check_fixture(design: &Design, faults: &FaultList, stim: &Stimulus) {
         ("CfSim", Box::new(CfSim), false),
         ("Eraser", Box::new(Eraser::full()), false),
     ];
-    for backend in [EvalBackend::Tree, EvalBackend::Tape] {
-        for under_test in &engines {
-            let (_, engine, per_fault) = under_test;
-            let reference = engine
-                .run(
+    for under_test in &engines {
+        let (_, engine, per_fault) = under_test;
+        let reference = engine
+            .run(
+                design,
+                faults,
+                stim,
+                &Knobs {
+                    batch: false,
+                    collapse: false,
+                }
+                .config(1),
+            )
+            .coverage;
+        for collapse in [false, true] {
+            let batch_axis: &[bool] = if *per_fault { &[false] } else { &[false, true] };
+            for &batch in batch_axis {
+                check_knobs(
+                    under_test,
                     design,
                     faults,
                     stim,
-                    &Knobs {
-                        backend,
-                        batch: false,
-                        collapse: false,
-                    }
-                    .config(1),
-                )
-                .coverage;
-            for collapse in [false, true] {
-                let batch_axis: &[bool] = if *per_fault { &[false] } else { &[false, true] };
-                for &batch in batch_axis {
-                    check_knobs(
-                        under_test,
-                        design,
-                        faults,
-                        stim,
-                        &Knobs {
-                            backend,
-                            batch,
-                            collapse,
-                        },
-                        &reference,
-                    );
-                }
+                    &Knobs { batch, collapse },
+                    &reference,
+                );
             }
         }
     }
@@ -165,7 +152,6 @@ fn check_fixture(design: &Design, faults: &FaultList, stim: &Stimulus) {
 #[test]
 fn counters_are_worker_invariant() {
     let knobs = Knobs {
-        backend: EvalBackend::Tree,
         batch: false,
         collapse: false,
     };
